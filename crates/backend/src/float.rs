@@ -35,13 +35,6 @@ impl FloatBackend {
         Ok(FloatBackend { model, inc })
     }
 
-    /// Wraps an already-built (possibly already-trained) model + driver pair
-    /// — the compatibility path for callers that boot through the historic
-    /// `boot_cold`/`boot_restore` helpers.
-    pub fn from_parts(model: OsElmSkipGram, inc: IncrementalTrainer) -> FloatBackend {
-        FloatBackend { model, inc }
-    }
-
     /// The wrapped model (tests and benches).
     pub fn model(&self) -> &OsElmSkipGram {
         &self.model

@@ -9,11 +9,12 @@
 //! snapshot read, not connection setup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use seqge_backend::BackendSpec;
 use seqge_core::{OsElmConfig, TrainConfig};
 use seqge_eval::EdgeOp;
 use seqge_graph::{spanning_forest, Dataset};
 use seqge_sampling::UpdatePolicy;
-use seqge_serve::{boot_cold, start, Client, ServeConfig, ServerHandle};
+use seqge_serve::{start_backend, Client, ServeConfig, ServerHandle};
 
 const DIM: usize = 32;
 const SEED: u64 = 42;
@@ -29,9 +30,10 @@ fn boot() -> (ServerHandle, Client, Vec<(u32, u32)>, usize) {
     let split = spanning_forest(&full);
     let initial = split.initial_graph(&full);
     let n = initial.num_nodes();
-    let (model, inc) = boot_cold(&initial, &cfg, ocfg, UpdatePolicy::every_edge(), SEED);
-    let handle =
-        start("127.0.0.1:0", initial, model, inc, ServeConfig::default()).expect("server starts");
+    let mut backend = BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), SEED).cold(n);
+    backend.bootstrap(&initial);
+    let handle = start_backend("127.0.0.1:0", initial, backend, ServeConfig::default())
+        .expect("server starts");
     let client = Client::connect(handle.addr()).expect("client connects");
     (handle, client, split.removed_edges, n)
 }

@@ -19,7 +19,7 @@
 //! across four trainer threads — on a ≥4-core host the ratio is gated in
 //! CI at >1.0 (target ≥1.5). Every run also reconciles the per-shard
 //! `edges_inserted` counters against the stream length, proving no
-//! cross-shard edge trained twice (the pre-halo both-endpoint router
+//! cross-shard edge trained twice (the earlier both-endpoint router
 //! summed to ~2× here). On a smaller host the trainer threads timeshare
 //! and the ratio degrades toward 1.0 minus fan-out overhead; the `cores`
 //! field records the budget the run actually had.

@@ -19,12 +19,13 @@
 //! Writes `results/bench_serve.json` via `--json` (the experiment-script
 //! convention) or to that default path when the flag is omitted.
 
+use seqge_backend::BackendSpec;
 use seqge_bench::{banner, write_json, Args};
 use seqge_core::{OsElmConfig, TrainConfig};
 use seqge_eval::EdgeOp;
 use seqge_graph::{spanning_forest, Dataset};
 use seqge_sampling::UpdatePolicy;
-use seqge_serve::{boot_cold, start, Client, ServeConfig};
+use seqge_serve::{start_backend, Client, ServeConfig};
 use std::path::Path;
 use std::time::Instant;
 
@@ -81,11 +82,13 @@ fn main() {
     );
 
     let t = Instant::now();
-    let (model, inc) = boot_cold(&initial, &cfg, ocfg, UpdatePolicy::every_edge(), args.seed);
+    let spec = BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), args.seed);
+    let mut backend = spec.cold(num_nodes);
+    backend.bootstrap(&initial);
     println!("bootstrap: {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
     let initial_wal = initial.clone();
-    let handle =
-        start("127.0.0.1:0", initial, model, inc, ServeConfig::default()).expect("server starts");
+    let handle = start_backend("127.0.0.1:0", initial, backend, ServeConfig::default())
+        .expect("server starts");
     let addr = handle.addr();
     let mut c = Client::connect(addr).expect("client connects");
 
@@ -135,15 +138,14 @@ fn main() {
 
     // Phase 2b: the same stream through a WAL-backed server with the
     // default `--fsync batch` policy — the steady-state durability tax.
-    // Booted identically (boot_cold is deterministic), so the trained work
-    // per edge matches the plain arm exactly.
+    // Booted identically (same spec, deterministic bootstrap), so the
+    // trained work per edge matches the plain arm exactly.
     let wal_dir = std::env::temp_dir().join(format!("seqge_bench_wal_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
     let wcfg =
         seqge_serve::WalConfig { dir: wal_dir.clone(), fsync: seqge_serve::FsyncPolicy::Batch };
-    let spec = seqge_backend::BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), args.seed);
     let boot = seqge_serve::boot_wal(&wcfg, Some(initial_wal), &spec, 0).expect("wal server boots");
-    let wal_handle = seqge_serve::start_backend(
+    let wal_handle = start_backend(
         "127.0.0.1:0",
         boot.graph,
         boot.backend,

@@ -10,13 +10,10 @@
 //! ```text
 //! shardd --dir STORE [--dim 8] [--seed 11] [--fsync batch]
 //!        [--refresh-every 0] [--addr 127.0.0.1:0] [--backend float]
-//!        [--shard-id 0 --shards 1 --base-dir DIR --halo-sync-ms 50]
 //! ```
 //!
-//! With `--shards` > 1 (and `--base-dir` pointing at the cluster root
-//! holding every `shard-<i>/`), the engine also runs the halo sync loop:
-//! it publishes its owned embedding rows to `halo.log` and mirrors its
-//! peers' into a read-only store answered by the `halo` wire command.
+//! The process knows nothing about its siblings — no shard id, no shard
+//! count, no peer directory; the partition lives in the router alone.
 //!
 //! Prints `READY <addr>` on stdout once the listener is up. The training
 //! configuration is fixed to [`seqge_cluster::train_cfg`] — every shard,
@@ -25,13 +22,10 @@
 use seqge_backend::BackendKind;
 use seqge_cluster::backend_spec;
 use seqge_serve::wal::WalConfig;
-use seqge_serve::{
-    boot_wal, ready, start_backend, FsyncPolicy, HaloConfig, ServeConfig, TrainerConfig,
-};
+use seqge_serve::{boot_wal, ready, start_backend, FsyncPolicy, ServeConfig, TrainerConfig};
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("shardd: {msg}");
@@ -48,10 +42,6 @@ fn main() {
     let mut fsync = FsyncPolicy::Batch;
     let mut refresh_every = 0u64;
     let mut addr = "127.0.0.1:0".to_string();
-    let mut shard_id = 0usize;
-    let mut shards = 1usize;
-    let mut base_dir: Option<PathBuf> = None;
-    let mut halo_sync_ms = 50u64;
     let mut backend = BackendKind::Float;
 
     let mut args = std::env::args().skip(1);
@@ -67,17 +57,6 @@ fn main() {
                     value().parse().unwrap_or_else(|_| fail("--refresh-every: not a number"))
             }
             "--addr" => addr = value(),
-            "--shard-id" => {
-                shard_id = value().parse().unwrap_or_else(|_| fail("--shard-id: not a number"))
-            }
-            "--shards" => {
-                shards = value().parse().unwrap_or_else(|_| fail("--shards: not a number"))
-            }
-            "--base-dir" => base_dir = Some(PathBuf::from(value())),
-            "--halo-sync-ms" => {
-                halo_sync_ms =
-                    value().parse().unwrap_or_else(|_| fail("--halo-sync-ms: not a number"))
-            }
             "--backend" => backend = BackendKind::parse(&value()).unwrap_or_else(|e| fail(e)),
             other => fail(format!("unknown flag `{other}`")),
         }
@@ -98,17 +77,9 @@ fn main() {
         boot.report.skipped_applied,
         boot.report.torn_tail
     );
-    let halo = match (&base_dir, shards > 1) {
-        (Some(base), true) => {
-            Some(HaloConfig::for_shard(base, shard_id, shards, Duration::from_millis(halo_sync_ms)))
-        }
-        (None, true) => fail("--shards > 1 requires --base-dir for peer halo logs"),
-        _ => None,
-    };
     let config = ServeConfig {
         trainer: TrainerConfig { refresh_every, ..TrainerConfig::default() },
         wal: Some(Arc::new(boot.wal)),
-        halo,
         ..ServeConfig::default()
     };
     let handle = match start_backend(&addr, boot.graph, boot.backend, config) {

@@ -18,7 +18,7 @@ use seqge_graph::Graph;
 use seqge_sampling::UpdatePolicy;
 use seqge_serve::wal::{FsyncPolicy, Wal, WalConfig};
 use seqge_serve::{
-    boot_wal, start_backend, FaultInjector, HaloConfig, ServeConfig, ServerHandle, TrainerConfig,
+    boot_wal, start_backend, FaultInjector, ServeConfig, ServerHandle, TrainerConfig,
 };
 use std::io::{self, ErrorKind};
 use std::net::SocketAddr;
@@ -87,10 +87,6 @@ pub struct ClusterConfig {
     pub router: RouterConfig,
     /// Replica tail poll interval.
     pub replica_poll: Duration,
-    /// Halo delta-exchange cadence (the `--halo-sync-ms` knob): how often
-    /// each shard publishes its owned embedding rows and folds in its
-    /// peers'. Ignored with a single shard (there are no peers).
-    pub halo_sync: Duration,
     /// Shard hosting mode.
     pub backend: Backend,
     /// Training backend every shard runs (`float` or `fpga-sim`). Must be
@@ -114,7 +110,6 @@ impl ClusterConfig {
             addr: "127.0.0.1:0".to_string(),
             router: RouterConfig::default(),
             replica_poll: Duration::from_millis(20),
-            halo_sync: Duration::from_millis(50),
             backend: Backend::InProcess,
             train_backend: BackendKind::Float,
         }
@@ -185,9 +180,6 @@ impl Cluster {
                         },
                         wal: Some(Arc::new(boot.wal)),
                         fault: Arc::new(fault),
-                        halo: (cfg.shards > 1).then(|| {
-                            HaloConfig::for_shard(&cfg.base_dir, s, cfg.shards, cfg.halo_sync)
-                        }),
                         ..ServeConfig::default()
                     };
                     let handle = start_backend("127.0.0.1:0", boot.graph, boot.backend, scfg)?;
@@ -201,10 +193,6 @@ impl Cluster {
                         dim: cfg.dim,
                         seed: cfg.seed,
                         refresh_every: cfg.refresh_every,
-                        shard_id: s,
-                        shards: cfg.shards,
-                        base_dir: cfg.base_dir.clone(),
-                        halo_sync_ms: cfg.halo_sync.as_millis() as u64,
                         train_backend: cfg.train_backend,
                     };
                     let (child, addr) = ChildShard::spawn(s, spec)?;

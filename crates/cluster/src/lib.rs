@@ -11,9 +11,9 @@
 //!   (`seqge cluster`) or as spawned `shardd` children (the e2e tests
 //!   kill -9 them). Every edge has exactly one owner (the min endpoint's
 //!   shard — orientation-invariant, the edge being undirected), so added
-//!   shards divide the training work; non-owned vertex
-//!   rows are mirrored between shards as read-only **halo** embeddings by
-//!   the periodic delta-exchange in `seqge_serve::halo`.
+//!   shards divide the training work. Shards are **share-nothing**: an
+//!   engine knows no shard id, shard count or peer directory, and its
+//!   model is a pure function of its own event stream.
 //! * **Router** ([`router`]) — consistent write routing by ownership;
 //!   `topk`/`stats` scatter-gather with per-shard deadlines and partial-
 //!   result degradation (`"degraded": true` + the missing-shard list);

@@ -18,11 +18,10 @@
 //! once cluster-wide — the previous both-endpoint routing trained
 //! cross-shard edges twice, which capped 1→N-shard ingest scaling at ~N/2
 //! of the attainable ratio. A shard's walks may still cross partition
-//! boundaries
-//! (the walk graph is the shard's owned-edge subgraph over the *global*
-//! node space); the authoritative embedding row for a non-owned vertex
-//! lives on its owner and is mirrored to the other shards as a read-only
-//! **halo** copy by the periodic delta-exchange in `seqge_serve::halo`.
+//! boundaries (the walk graph is the shard's owned-edge subgraph over the
+//! *global* node space), so a shard holds a locally trained row for
+//! vertices it does not own; the authoritative row lives on the owner,
+//! which is where the router sends every single-vertex read.
 //! Ownership is residue-stable: the same `{"mod", "rem"}` filter the
 //! router already scatters for `topk` still partitions the answer.
 

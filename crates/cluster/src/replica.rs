@@ -21,16 +21,6 @@
 //! The replication lag window is one poll interval plus whatever the
 //! trainer apply costs: appends are visible to the tailer as soon as the
 //! primary's `write_all` returns, independent of fsync policy.
-//!
-//! The same tail-a-rewritten-file hazard exists for the halo delta logs
-//! (`seqge_serve::halo`), with a twist: a halo log is truncated *in
-//! place*, so a re-read after rotation can present bytes the tailer
-//! already consumed — including at the exact same offsets when the
-//! rewrite lands on the old length. There the dedup key is
-//! `(vertex, version)` (strictly-newer-wins in `HaloStore::apply`) plus a
-//! header rotation epoch, rather than the WAL's monotonic sequence
-//! number; `halo_prop.rs` locks the no-double-apply property under
-//! torn-tail and rotation interleavings.
 
 use seqge_backend::{BackendSpec, TrainBackend};
 use seqge_graph::{io as graph_io, EdgeEvent, Graph};

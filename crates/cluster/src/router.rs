@@ -226,7 +226,6 @@ fn cluster_span_name(op: &str) -> &'static str {
         "metrics" => "cluster.metrics",
         "trace" => "cluster.trace",
         "flightrec" => "cluster.flightrec",
-        "halo" => "cluster.halo",
         _ => "cluster.shutdown",
     }
 }
@@ -369,12 +368,6 @@ impl RouterCtx {
             Request::Restore => (self.fan_collect("restore", r#"{"cmd":"restore"}"#, conns), false),
             Request::Trace { after } => (self.trace_dump(after), false),
             Request::Flightrec => (self.flightrec(conns), false),
-            Request::Halo { .. } => (
-                // Halo state is per-shard (each shard mirrors *its peers'*
-                // rows); there is no meaningful cluster-wide aggregate.
-                Response::err("halo is a shard-local diagnostic: query a shard address directly"),
-                false,
-            ),
             Request::Shutdown => {
                 self.stop.store(true, Ordering::SeqCst);
                 (Response::ok().field("stopping", true).build(), true)
@@ -688,9 +681,7 @@ impl RouterCtx {
         // that vertex's incident-edge training there — the other
         // endpoint's local row is a locally-trained approximation, good
         // within the cross-shard tolerance documented in DESIGN.md
-        // ("Cross-shard score comparability"). The halo mirror is a
-        // diagnostic plane (the `halo` command) and is not consulted
-        // here.
+        // ("Cross-shard score comparability").
         for s in std::iter::once(a).chain((b != a).then_some(b)) {
             if let Some(resp) = self.forward_one(conns, s, line) {
                 return resp;

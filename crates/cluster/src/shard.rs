@@ -78,15 +78,6 @@ pub struct ChildSpec {
     pub seed: u64,
     /// Full-resample cadence forwarded to the engine.
     pub refresh_every: u64,
-    /// This shard's index in the cluster.
-    pub shard_id: usize,
-    /// Total shard count (halo sync is enabled when > 1).
-    pub shards: usize,
-    /// Cluster root directory holding every `shard-<i>/` (peers' halo logs
-    /// are tailed from here).
-    pub base_dir: PathBuf,
-    /// Halo delta-exchange cadence in milliseconds.
-    pub halo_sync_ms: u64,
     /// Training backend the child runs (must match across restarts: the
     /// committed snapshot is in the backend's own format).
     pub train_backend: BackendKind,
@@ -99,10 +90,6 @@ impl ChildSpec {
             .args(["--dim", &self.dim.to_string()])
             .args(["--seed", &self.seed.to_string()])
             .args(["--refresh-every", &self.refresh_every.to_string()])
-            .args(["--shard-id", &self.shard_id.to_string()])
-            .args(["--shards", &self.shards.to_string()])
-            .args(["--base-dir", &self.base_dir.display().to_string()])
-            .args(["--halo-sync-ms", &self.halo_sync_ms.to_string()])
             .args(["--backend", self.train_backend.as_str()])
             .args(["--addr", "127.0.0.1:0"])
             .stdout(Stdio::piped())

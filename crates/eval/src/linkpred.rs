@@ -102,18 +102,24 @@ impl LinkPredSet {
     pub fn auc(&self, emb: &Mat<f32>, op: EdgeOp) -> f64 {
         let pos: Vec<f64> = self.positives.iter().map(|&(u, v)| op.score(emb, u, v)).collect();
         let neg: Vec<f64> = self.negatives.iter().map(|&(u, v)| op.score(emb, u, v)).collect();
-        let mut wins = 0.0f64;
-        for &p in &pos {
-            for &n in &neg {
-                if p > n {
-                    wins += 1.0;
-                } else if p == n {
-                    wins += 0.5;
-                }
+        pairwise_auc(&pos, &neg)
+    }
+}
+
+/// Probability that a random positive score outranks a random negative one
+/// (ties count half) — exact pairwise AUC.
+pub fn pairwise_auc(pos: &[f64], neg: &[f64]) -> f64 {
+    let mut wins = 0.0f64;
+    for &p in pos {
+        for &n in neg {
+            if p > n {
+                wins += 1.0;
+            } else if p == n {
+                wins += 0.5;
             }
         }
-        wins / (pos.len() * neg.len()) as f64
     }
+    wins / (pos.len() * neg.len()) as f64
 }
 
 #[cfg(test)]

@@ -353,24 +353,6 @@ impl EmbeddingModel for Accelerator {
         self.stats.s3_cycles += t.stages.s3 * n_ctx;
         self.stats.s4_cycles += t.stages.s4 * n_ctx;
         self.stats.dma_cycles += t.dma_cycles;
-        // Mirror the per-stage breakdown into the global registry so the
-        // simulated Table 3/4 numbers are queryable while a run is live
-        // (`seqge obs dump`), not only from offline bench output.
-        seqge_obs::static_counter!("seqge_fpga_walks_total").inc();
-        seqge_obs::static_counter!("seqge_fpga_contexts_total").add(n_ctx);
-        seqge_obs::static_counter!("seqge_fpga_cycles_total").add(t.total_cycles);
-        seqge_obs::static_counter!("seqge_fpga_dma_cycles_total").add(t.dma_cycles);
-        let bottleneck = t.compute_ii.max(1);
-        for (name, ii) in
-            [("s1", t.stages.s1), ("s2", t.stages.s2), ("s3", t.stages.s3), ("s4", t.stages.s4)]
-        {
-            let cycles = seqge_obs::Registry::global()
-                .counter_with("seqge_fpga_stage_cycles_total", &[("stage", name)]);
-            cycles.add(ii * n_ctx);
-            let occ = seqge_obs::Registry::global()
-                .gauge_with("seqge_fpga_stage_occupancy_pct", &[("stage", name)]);
-            occ.set((ii * 100 / bottleneck) as i64);
-        }
     }
 
     fn embedding(&self) -> Mat<f32> {

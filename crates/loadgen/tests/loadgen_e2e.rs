@@ -11,12 +11,13 @@
 //! router's merged metrics carrying the per-shard `seqge_serve_*` series
 //! the loadgen traffic implies.
 
+use seqge_backend::BackendSpec;
 use seqge_cluster::{Cluster, ClusterConfig};
 use seqge_core::{OsElmConfig, TrainConfig};
 use seqge_graph::generators::sbm::{PlantedPartition, SbmParams};
 use seqge_loadgen::{builtin, materialize, run, LoadOpts};
 use seqge_sampling::UpdatePolicy;
-use seqge_serve::{boot_cold, start, Client, ServeConfig};
+use seqge_serve::{start_backend, Client, ServeConfig};
 use std::time::Duration;
 
 const DIM: usize = 8;
@@ -35,8 +36,10 @@ fn sbm_server() -> seqge_serve::ServerHandle {
     cfg.walk.walk_length = 12;
     cfg.walk.walks_per_node = 2;
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(DIM) };
-    let (model, inc) = boot_cold(&graph, &cfg, ocfg, UpdatePolicy::every_edge(), SEED);
-    start("127.0.0.1:0", graph, model, inc, ServeConfig::default()).expect("server starts")
+    let mut backend =
+        BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), SEED).cold(graph.num_nodes());
+    backend.bootstrap(&graph);
+    start_backend("127.0.0.1:0", graph, backend, ServeConfig::default()).expect("server starts")
 }
 
 /// Scrapes one counter value from a Prometheus text body, summed over

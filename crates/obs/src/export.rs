@@ -3,8 +3,8 @@
 //! Both renderers accept a *slice* of registries because the serve daemon
 //! exposes its own per-instance registry merged with the process-global
 //! one (library instrumentation). Metric names are disjoint by the naming
-//! convention (`seqge_serve_*` vs `seqge_core_*` / `seqge_pipeline_*` /
-//! `seqge_fpga_*`), so concatenation is a merge.
+//! convention (`seqge_serve_*` vs `seqge_core_*` / `seqge_pipeline_*`),
+//! so concatenation is a merge.
 //!
 //! Histograms are exported Prometheus-summary-style: `quantile` labels for
 //! p50/p90/p99 plus `_sum`, `_count`, and a companion `<name>_max` gauge
@@ -98,15 +98,7 @@ pub fn prometheus(registries: &[&Registry]) -> String {
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    crate::log::escape_into(&mut out, s);
     out
 }
 

@@ -109,7 +109,10 @@ pub fn set_sink_stderr() {
     *SINK.lock().expect("log sink poisoned") = None;
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as the body of a JSON string literal (no
+/// surrounding quotes) — the crate's one JSON escaper, shared by the log,
+/// trace and metrics exporters.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

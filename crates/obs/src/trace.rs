@@ -26,6 +26,7 @@
 //! store/load), so the buffer is bounded and never blocks the hot path on a
 //! global lock.
 
+use crate::log::escape_into;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -382,20 +383,6 @@ pub fn record_closed(
     });
 }
 
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 /// One span as a self-contained JSON object (the JSONL trace export).
 pub fn jsonl_line(rec: &SpanRecord) -> String {
     let mut s = String::with_capacity(160);
@@ -412,7 +399,7 @@ pub fn jsonl_line(rec: &SpanRecord) -> String {
         s.push('"');
     }
     s.push_str(",\"name\":\"");
-    esc(&rec.name, &mut s);
+    escape_into(&mut s, &rec.name);
     s.push_str(&format!(
         "\",\"ts_us\":{},\"dur_us\":{},\"tid\":{},\"seq\":{}",
         rec.start_unix_ns / 1_000,
@@ -427,9 +414,9 @@ pub fn jsonl_line(rec: &SpanRecord) -> String {
                 s.push(',');
             }
             s.push('"');
-            esc(k, &mut s);
+            escape_into(&mut s, k);
             s.push_str("\":\"");
-            esc(v, &mut s);
+            escape_into(&mut s, v);
             s.push('"');
         }
         s.push('}');
@@ -449,7 +436,7 @@ pub fn chrome_trace(records: &[SpanRecord], pid: u32) -> String {
             s.push(',');
         }
         s.push_str("{\"name\":\"");
-        esc(&rec.name, &mut s);
+        escape_into(&mut s, &rec.name);
         s.push_str(&format!(
             "\",\"cat\":\"seqge\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{}",
             rec.start_unix_ns / 1_000,
@@ -465,9 +452,9 @@ pub fn chrome_trace(records: &[SpanRecord], pid: u32) -> String {
         s.push('"');
         for (k, v) in &rec.tags {
             s.push_str(",\"");
-            esc(k, &mut s);
+            escape_into(&mut s, k);
             s.push_str("\":\"");
-            esc(v, &mut s);
+            escape_into(&mut s, v);
             s.push('"');
         }
         s.push_str("}}");

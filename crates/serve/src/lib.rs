@@ -33,16 +33,13 @@
 //! front end), [`client`] (scriptable reference client), [`wal`]
 //! (durability), [`fault`] (failure injection), [`dedup`] (bounded
 //! retry-dedup table), [`ready`] (port-0 readiness handshake for spawned
-//! daemons), [`halo`] (read-only mirrors of peer-shard embedding rows,
-//! exchanged by a periodic WAL-style delta log when the server runs as
-//! one shard of a `seqge-cluster` deployment).
+//! daemons).
 
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod dedup;
 pub mod fault;
-pub mod halo;
 pub mod protocol;
 pub mod ready;
 pub mod server;
@@ -53,17 +50,11 @@ pub mod wal;
 pub use client::{Client, ClientConfig};
 pub use dedup::DedupTable;
 pub use fault::{FaultInjector, FaultPoint};
-pub use halo::{
-    start_halo_sync, HaloConfig, HaloLog, HaloRecord, HaloStore, HaloSyncStats, HaloTailer,
-};
 pub use protocol::{
     attach_trace, parse_request, parse_request_traced, Request, Response, TopKMode, WriteId,
     CODE_DEGRADED, CODE_OVERLOADED, DEFAULT_PROBES, MAX_LINE_BYTES,
 };
-pub use server::{
-    boot_cold, boot_restore, boot_restore_spec, boot_wal, start, start_backend, ServeConfig,
-    ServerHandle,
-};
+pub use server::{boot_restore_spec, boot_wal, start_backend, ServeConfig, ServerHandle};
 pub use snapshot::{AnnTopK, EmbeddingSnapshot, SnapshotCell, SnapshotReader};
 pub use trainer::{ServeStats, Trainer, TrainerConfig, TrainerMsg};
 pub use wal::{FsyncPolicy, RecoveryReport, Wal, WalBoot, WalConfig};

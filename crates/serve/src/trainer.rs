@@ -164,25 +164,6 @@ pub struct ServeStats {
     /// reads were allowed to get before this publish. Always on
     /// (`seqge_snapshot_staleness_ms`).
     pub staleness_ms: Arc<Gauge>,
-    /// Owned-row halo deltas appended to this shard's `halo.log`
-    /// (`seqge_serve_halo_written_total`; zero outside cluster mode).
-    pub halo_written: Arc<Counter>,
-    /// Peer halo deltas folded into the store
-    /// (`seqge_serve_halo_applied_total`).
-    pub halo_applied: Arc<Counter>,
-    /// Peer halo deltas dropped by the `(vertex, version)` dedup
-    /// (`seqge_serve_halo_deduped_total`).
-    pub halo_deduped: Arc<Counter>,
-    /// In-place halo-log truncations (`seqge_serve_halo_rotations_total`).
-    pub halo_rotations: Arc<Counter>,
-    /// Non-owned vertices currently mirrored
-    /// (`seqge_serve_halo_vertices`).
-    pub halo_vertices: Arc<Gauge>,
-    /// Milliseconds since the halo plane last confirmed sync with every
-    /// peer log — a successful poll cycle or an applied delta
-    /// (`seqge_serve_halo_staleness_ms`). Bounded near one sync period on
-    /// a healthy cluster, idle or not.
-    pub halo_staleness_ms: Arc<Gauge>,
     /// Modeled PL cycles accumulated by the backend's cycle model
     /// (`seqge_backend_cycles_total`; zero for backends without one).
     pub backend_cycles: Arc<Counter>,
@@ -248,29 +229,10 @@ impl ServeStats {
                 .collect(),
             writes_visible: registry.counter("seqge_freshness_events_total"),
             staleness_ms: registry.gauge("seqge_snapshot_staleness_ms"),
-            halo_written: registry.counter("seqge_serve_halo_written_total"),
-            halo_applied: registry.counter("seqge_serve_halo_applied_total"),
-            halo_deduped: registry.counter("seqge_serve_halo_deduped_total"),
-            halo_rotations: registry.counter("seqge_serve_halo_rotations_total"),
-            halo_vertices: registry.gauge("seqge_serve_halo_vertices"),
-            halo_staleness_ms: registry.gauge("seqge_serve_halo_staleness_ms"),
             backend_cycles: registry.counter("seqge_backend_cycles_total"),
             backend_predicted_eps: registry.gauge("seqge_backend_predicted_ingest_eps"),
             backend_measured_eps: registry.gauge("seqge_backend_measured_ingest_eps"),
             backend_deviation: registry.gauge("seqge_backend_deviation"),
-        }
-    }
-
-    /// Handles for the halo-sync loop (it runs on its own thread and feeds
-    /// these same registry series).
-    pub fn halo_sync(&self) -> crate::halo::HaloSyncStats {
-        crate::halo::HaloSyncStats {
-            written: self.halo_written.clone(),
-            applied: self.halo_applied.clone(),
-            deduped: self.halo_deduped.clone(),
-            rotations: self.halo_rotations.clone(),
-            vertices: self.halo_vertices.clone(),
-            staleness_ms: self.halo_staleness_ms.clone(),
         }
     }
 

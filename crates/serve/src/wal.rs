@@ -10,8 +10,8 @@
 //! * recovery loads the newest snapshot generation and replays the
 //!   segment's unapplied suffix through a fresh
 //!   [`IncrementalTrainer`] — the *same* code path a live server uses
-//!   after [`crate::boot_restore`], so a recovered server is bit-identical
-//!   to one that never crashed;
+//!   after [`crate::boot_restore_spec`], so a recovered server is
+//!   bit-identical to one that never crashed;
 //! * snapshots rotate the log: a new generation (`model.<g>.sge`,
 //!   `graph.<g>.edges`) plus a new segment carrying only unapplied records
 //!   are made durable first, then `meta.json` is swapped in by an atomic
@@ -163,6 +163,53 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     Some(WalRecord { seq, event })
 }
 
+/// Why the bytes at a frame boundary are not a record.
+enum Corruption {
+    /// The length field is zero or above [`MAX_RECORD_BYTES`].
+    Length(u32),
+    /// The payload does not match its checksum — on a live file possibly a
+    /// write caught between header and body.
+    Checksum,
+    /// The checksum holds but the payload is not a known record.
+    Payload,
+}
+
+/// The outcome of decoding the frame at the head of a buffer.
+enum Frame {
+    /// An intact record and the bytes its frame occupies.
+    Record(WalRecord, usize),
+    /// Fewer bytes than the header, or than the header declares.
+    Incomplete,
+    /// The bytes present cannot be a record.
+    Corrupt(Corruption),
+}
+
+/// The one `len | crc32 | payload` decoder. What to do about a frame that
+/// is not a record is the caller's policy: [`read_segment`] stops and
+/// reports a torn tail, [`SegmentTailer::poll`] waits for more bytes.
+fn next_frame(buf: &[u8]) -> Frame {
+    if buf.len() < 8 {
+        return Frame::Incomplete;
+    }
+    let len = u32::from_le_bytes(buf[..4].try_into().expect("4-byte slice"));
+    if len == 0 || len > MAX_RECORD_BYTES {
+        return Frame::Corrupt(Corruption::Length(len));
+    }
+    let end = 8 + len as usize;
+    if buf.len() < end {
+        return Frame::Incomplete;
+    }
+    let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4-byte slice"));
+    let payload = &buf[8..end];
+    if crc32(payload) != crc {
+        return Frame::Corrupt(Corruption::Checksum);
+    }
+    match decode_payload(payload) {
+        Some(rec) => Frame::Record(rec, end),
+        None => Frame::Corrupt(Corruption::Payload),
+    }
+}
+
 /// The result of scanning one segment file.
 #[derive(Debug)]
 pub struct SegmentScan {
@@ -191,29 +238,16 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentScan> {
     let mut off = MAGIC.len();
     let mut torn = false;
     while off < buf.len() {
-        if buf.len() - off < 8 {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[off + 4..off + 8].try_into().unwrap());
-        if len == 0 || len > MAX_RECORD_BYTES || buf.len() - off - 8 < len as usize {
-            torn = true;
-            break;
-        }
-        let payload = &buf[off + 8..off + 8 + len as usize];
-        if crc32(payload) != crc {
-            torn = true;
-            break;
-        }
-        match decode_payload(payload) {
-            Some(rec) => records.push(rec),
-            None => {
+        match next_frame(&buf[off..]) {
+            Frame::Record(rec, len) => {
+                records.push(rec);
+                off += len;
+            }
+            Frame::Incomplete | Frame::Corrupt(_) => {
                 torn = true;
                 break;
             }
         }
-        off += 8 + len as usize;
     }
     Ok(SegmentScan { records, valid_bytes: off as u64, torn })
 }
@@ -320,39 +354,32 @@ impl SegmentTailer {
         let mut out = Vec::new();
         let mut consumed = 0usize;
         loop {
-            let buf = &self.pending[consumed..];
-            if buf.len() < 8 {
-                break;
-            }
-            let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
-            if len == 0 || len > MAX_RECORD_BYTES {
-                self.pending.drain(..consumed);
-                return Err(bad_data(format!("tailer: bad record length {len}")));
-            }
-            if buf.len() - 8 < len as usize {
-                break;
-            }
-            let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-            let payload = &buf[8..8 + len as usize];
-            if crc32(payload) != crc {
-                // Could be a write caught mid-flight (header landed, body
-                // not yet). Leave it pending; give up only if it never
-                // resolves.
-                self.stalled += 1;
-                if self.stalled > TAILER_STALL_LIMIT {
-                    return Err(bad_data("tailer: checksum mismatch persisted"));
+            match next_frame(&self.pending[consumed..]) {
+                Frame::Record(rec, len) => {
+                    out.push(rec);
+                    consumed += len;
+                    self.stalled = 0;
                 }
-                break;
-            }
-            match decode_payload(payload) {
-                Some(rec) => out.push(rec),
-                None => {
+                Frame::Incomplete => break,
+                Frame::Corrupt(Corruption::Checksum) => {
+                    // Could be a write caught mid-flight (header landed,
+                    // body not yet). Leave it pending; give up only if it
+                    // never resolves.
+                    self.stalled += 1;
+                    if self.stalled > TAILER_STALL_LIMIT {
+                        return Err(bad_data("tailer: checksum mismatch persisted"));
+                    }
+                    break;
+                }
+                Frame::Corrupt(Corruption::Length(len)) => {
+                    self.pending.drain(..consumed);
+                    return Err(bad_data(format!("tailer: bad record length {len}")));
+                }
+                Frame::Corrupt(Corruption::Payload) => {
                     self.pending.drain(..consumed);
                     return Err(bad_data("tailer: undecodable record payload"));
                 }
             }
-            consumed += 8 + len as usize;
-            self.stalled = 0;
         }
         self.pending.drain(..consumed);
         Ok(out)
@@ -819,8 +846,8 @@ fn replay_state(
     };
     // `spec.load` = snapshot model state + fresh sequential driver (empty
     // corpus) — the same construction a live server performs after
-    // `boot_restore`. Replaying through it reproduces the uninterrupted run
-    // bit for bit. It also sniffs the snapshot's kind byte, so booting with
+    // `boot_restore_spec`. Replaying through it reproduces the
+    // uninterrupted run bit for bit. It also sniffs the snapshot's kind byte, so booting with
     // the wrong `--backend` fails here instead of replaying garbage.
     let mut backend = spec.load(&model_path(&cfg.dir, meta.gen))?;
     let mut graph = graph_io::load_graph(graph_path(&cfg.dir, meta.gen))

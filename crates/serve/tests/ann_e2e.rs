@@ -3,11 +3,12 @@
 //! scan, and the `seqge_ann_*` metric series that make the index's
 //! incremental behavior observable.
 
+use seqge_backend::BackendSpec;
 use seqge_core::{OsElmConfig, TrainConfig};
 use seqge_eval::EdgeOp;
 use seqge_graph::generators::sbm::{PlantedPartition, SbmParams};
 use seqge_sampling::UpdatePolicy;
-use seqge_serve::{boot_cold, start, Client, ServeConfig, DEFAULT_PROBES};
+use seqge_serve::{start_backend, Client, ServeConfig, DEFAULT_PROBES};
 
 const DIM: usize = 8;
 const SEED: u64 = 11;
@@ -29,8 +30,10 @@ fn sbm_server() -> seqge_serve::ServerHandle {
         .generate(SEED);
     let cfg = train_cfg();
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(DIM) };
-    let (model, inc) = boot_cold(&graph, &cfg, ocfg, UpdatePolicy::every_edge(), SEED);
-    start("127.0.0.1:0", graph, model, inc, ServeConfig::default()).expect("server starts")
+    let mut backend =
+        BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), SEED).cold(graph.num_nodes());
+    backend.bootstrap(&graph);
+    start_backend("127.0.0.1:0", graph, backend, ServeConfig::default()).expect("server starts")
 }
 
 /// `mode:"ann"` at the default probe count answers over TCP with recall@10

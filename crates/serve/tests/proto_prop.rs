@@ -9,10 +9,11 @@
 //! server never panics or wedges — a valid `ping` still answers afterward.
 
 use proptest::prelude::*;
+use seqge_backend::BackendSpec;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_sampling::UpdatePolicy;
 use seqge_serve::protocol::MAX_LINE_BYTES;
-use seqge_serve::{boot_cold, start, ServeConfig};
+use seqge_serve::{start_backend, ServeConfig};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -36,8 +37,10 @@ fn server_addr() -> SocketAddr {
             model: cfg.model,
             ..seqge_core::OsElmConfig::paper_defaults(DIM)
         };
-        let (model, inc) = boot_cold(&graph, &cfg, ocfg, UpdatePolicy::every_edge(), SEED);
-        let handle = start("127.0.0.1:0", graph, model, inc, ServeConfig::default())
+        let mut backend =
+            BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), SEED).cold(graph.num_nodes());
+        backend.bootstrap(&graph);
+        let handle = start_backend("127.0.0.1:0", graph, backend, ServeConfig::default())
             .expect("prop server boots");
         let addr = handle.addr();
         std::mem::forget(handle);

@@ -12,12 +12,13 @@
 //! add unrelated spans.
 
 use proptest::prelude::*;
+use seqge_backend::BackendSpec;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_obs::trace::{fmt_id, next_id};
 use seqge_obs::TraceCtx;
 use seqge_sampling::UpdatePolicy;
 use seqge_serve::protocol::attach_trace;
-use seqge_serve::{boot_cold, start, ServeConfig};
+use seqge_serve::{start_backend, ServeConfig};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -41,9 +42,16 @@ fn server_addr() -> SocketAddr {
             model: cfg.model,
             ..seqge_core::OsElmConfig::paper_defaults(DIM)
         };
-        let (model, inc) = boot_cold(&graph, &cfg, ocfg, UpdatePolicy::every_edge(), SEED);
-        let handle = start("127.0.0.1:0", graph, model, inc, ServeConfig::default())
-            .expect("trace server boots");
+        let mut backend =
+            BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), SEED).cold(graph.num_nodes());
+        backend.bootstrap(&graph);
+        // A worker serves one connection at a time, and the three tests
+        // here run concurrently holding 4 + 2 + 1 connections at their
+        // peaks; with fewer workers than that, each test's last connect
+        // can queue behind the others' idle ones until the read timeout.
+        let config = ServeConfig { workers: 8, ..ServeConfig::default() };
+        let handle =
+            start_backend("127.0.0.1:0", graph, backend, config).expect("trace server boots");
         let addr = handle.addr();
         std::mem::forget(handle);
         addr

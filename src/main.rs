@@ -567,7 +567,6 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
         addr: format!("127.0.0.1:{port}"),
         router: Default::default(),
         replica_poll: std::time::Duration::from_millis(20),
-        halo_sync: std::time::Duration::from_millis(get(flags, "halo-sync-ms", 50)?),
         backend: seqge::cluster::Backend::InProcess,
         train_backend: match flags.get("backend") {
             Some(v) => seqge::backend::BackendKind::parse(v)?,
