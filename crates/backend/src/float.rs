@@ -34,11 +34,6 @@ impl FloatBackend {
         let inc = IncrementalTrainer::new(model.num_nodes(), &spec.train, spec.policy, spec.seed);
         Ok(FloatBackend { model, inc })
     }
-
-    /// The wrapped model (tests and benches).
-    pub fn model(&self) -> &OsElmSkipGram {
-        &self.model
-    }
 }
 
 impl TrainBackend for FloatBackend {
@@ -60,10 +55,6 @@ impl TrainBackend for FloatBackend {
 
     fn dim(&self) -> usize {
         EmbeddingModel::dim(&self.model)
-    }
-
-    fn set_walk_threads(&mut self, threads: usize) {
-        self.inc.set_walk_threads(threads);
     }
 
     fn bootstrap(&mut self, g: &Graph) {
@@ -92,20 +83,5 @@ impl TrainBackend for FloatBackend {
 
     fn save_state(&self, path: &Path) -> io::Result<()> {
         persist::save_oselm(&self.model, path)
-    }
-
-    fn restore_state(&mut self, path: &Path, expect_nodes: usize) -> io::Result<()> {
-        let model = persist::load_oselm(path)?;
-        if model.num_nodes() != expect_nodes {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot mismatch: model covers {} nodes, graph has {expect_nodes}",
-                    model.num_nodes()
-                ),
-            ));
-        }
-        self.model = model;
-        Ok(())
     }
 }

@@ -29,7 +29,7 @@
 //!   quantization scale or a saturation storm blows it up immediately —
 //!   which is what `scripts/bench_gate.sh` puts a ceiling on.
 
-use crate::{BackendKind, CyclePlan, TrainBackend};
+use crate::{BackendKind, CyclePlan, TrainBackend, CLOCK_MHZ};
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{DataflowOsElm, IncrementalTrainer, SeqOutcome};
 use seqge_fpga::Accelerator;
@@ -85,15 +85,14 @@ impl EmbeddingModel for ProbeModel {
 pub struct FpgaSimBackend {
     probe: ProbeModel,
     inc: IncrementalTrainer,
-    /// Cached dequantized serving view; `None` forces a full rebuild at the
-    /// next publish (cold boot, restore).
+    /// Cached dequantized serving view; `None` until the first publish builds
+    /// it in full.
     view: Option<Mat<f32>>,
     deviation_ppm: Option<i64>,
     /// Kernel walk count at the last shadow sync: a publish with no walks
     /// trained since (flush barriers publish freely) keeps the previous
     /// measurement instead of reporting a trivial zero.
     shadow_synced_walks: u64,
-    clock_mhz: u32,
     seed: u64,
 }
 
@@ -127,7 +126,6 @@ impl FpgaSimBackend {
             view: None,
             deviation_ppm: None,
             shadow_synced_walks,
-            clock_mhz: spec.clock_mhz,
             seed: spec.seed,
         }
     }
@@ -167,7 +165,7 @@ impl TrainBackend for FpgaSimBackend {
             self.seed,
             cfg.mu,
             cfg.forgetting,
-            self.clock_mhz,
+            CLOCK_MHZ,
             self.probe.shadow.is_some()
         )
     }
@@ -178,10 +176,6 @@ impl TrainBackend for FpgaSimBackend {
 
     fn dim(&self) -> usize {
         self.probe.accel.dim()
-    }
-
-    fn set_walk_threads(&mut self, threads: usize) {
-        self.inc.set_walk_threads(threads);
     }
 
     fn bootstrap(&mut self, g: &Graph) {
@@ -243,31 +237,9 @@ impl TrainBackend for FpgaSimBackend {
         crate::fixedstate::save_fixed(&self.probe.accel, path)
     }
 
-    fn restore_state(&mut self, path: &Path, expect_nodes: usize) -> io::Result<()> {
-        let accel = crate::fixedstate::load_fixed(path)?;
-        if accel.num_nodes() != expect_nodes {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot mismatch: model covers {} nodes, graph has {expect_nodes}",
-                    accel.num_nodes()
-                ),
-            ));
-        }
-        self.probe.shadow =
-            self.probe.shadow.is_some().then(|| {
-                DataflowOsElm::from_parts(*accel.config(), accel.beta_f32(), accel.p_f32())
-            });
-        self.probe.accel = accel;
-        self.shadow_synced_walks = self.probe.accel.stats.walks;
-        self.view = None;
-        self.deviation_ppm = None;
-        Ok(())
-    }
-
     fn planner(&self) -> Option<CyclePlan> {
         let s = &self.probe.accel.stats;
-        Some(CyclePlan::from_cycles(s.cycles, s.walks, self.clock_mhz))
+        Some(CyclePlan::from_cycles(s.cycles, s.walks, CLOCK_MHZ))
     }
 
     fn deviation_ppm(&self) -> Option<i64> {

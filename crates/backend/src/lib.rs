@@ -29,13 +29,9 @@
 //!    Q8.24 words* (an f32 round-trip would not be bit-faithful).
 //! 2. **Publish-view purity** — [`publish_view`] returns the current
 //!    embedding without changing training state (it may flush caches).
-//! 3. **Restore keeps the corpus** — [`restore_state`] swaps the model
-//!    weights only; the live walk corpus / negative table survive (matching
-//!    the pre-refactor serve `restore` semantics).
 //!
 //! [`save_state`]: TrainBackend::save_state
 //! [`publish_view`]: TrainBackend::publish_view
-//! [`restore_state`]: TrainBackend::restore_state
 
 #![warn(missing_docs)]
 
@@ -90,6 +86,9 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// The clock the fpga-sim cycle planner is evaluated at: the paper's 200 MHz.
+pub const CLOCK_MHZ: u32 = 200;
+
 /// The live throughput plan derived from the accelerator's cycle model: what
 /// ingest rate the modeled hardware *should* sustain at the configured clock,
 /// to compare against what the server measures. Float backends have no cycle
@@ -125,7 +124,7 @@ impl CyclePlan {
 
 /// A training engine the serve plane can drive. One instance owns both the
 /// model state and the sequential-training driver (walker, RNG, corpus,
-/// negative table); see the crate docs for the replay/restore contract.
+/// negative table); see the crate docs for the replay contract.
 pub trait TrainBackend: Send {
     /// Which engine this is.
     fn kind(&self) -> BackendKind;
@@ -139,10 +138,6 @@ pub trait TrainBackend: Send {
 
     /// Embedding dimension.
     fn dim(&self) -> usize;
-
-    /// Walker-thread count for corpus resamples (bit-identical for any
-    /// value; purely a throughput knob).
-    fn set_walk_threads(&mut self, threads: usize);
 
     /// Full "all"-protocol pass over the boot graph (start-up only).
     fn bootstrap(&mut self, g: &Graph);
@@ -168,11 +163,6 @@ pub trait TrainBackend: Send {
 
     /// Persists the model state (everything deterministic replay needs).
     fn save_state(&self, path: &Path) -> io::Result<()>;
-
-    /// Replaces the model state from `path`, keeping the live training
-    /// corpus. Fails without mutating anything if the file is invalid or its
-    /// node count differs from `expect_nodes`.
-    fn restore_state(&mut self, path: &Path, expect_nodes: usize) -> io::Result<()>;
 
     /// The cycle-model throughput plan, if this backend has one.
     fn planner(&self) -> Option<CyclePlan> {
@@ -208,12 +198,10 @@ pub struct BackendSpec {
     /// *cloned* RNG, so the accelerator's stream — and therefore replay
     /// bit-identity — is unaffected by this switch.
     pub deviation_probe: bool,
-    /// Clock the cycle planner is evaluated at (fpga-sim only).
-    pub clock_mhz: u32,
 }
 
 impl BackendSpec {
-    /// A spec with the default probe (on) and clock (the paper's 200 MHz).
+    /// A spec with the deviation probe on.
     pub fn new(
         kind: BackendKind,
         train: TrainConfig,
@@ -221,7 +209,7 @@ impl BackendSpec {
         policy: UpdatePolicy,
         seed: u64,
     ) -> BackendSpec {
-        BackendSpec { kind, train, oselm, policy, seed, deviation_probe: true, clock_mhz: 200 }
+        BackendSpec { kind, train, oselm, policy, seed, deviation_probe: true }
     }
 
     /// Shorthand for the float engine (the pre-refactor serving default).

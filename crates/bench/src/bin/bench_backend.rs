@@ -131,8 +131,8 @@ fn main() {
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(dim) };
 
     // Serve the Amazon-Photo spanning forest; the removed edges are the
-    // live stream — the same protocol as `bench_serve`, on the dataset the
-    // paper's Fig. 4 reports zero F1 drop for.
+    // live stream, on the dataset the paper's Fig. 4 reports zero F1 drop
+    // for.
     let full = Dataset::AmazonPhoto.generate_scaled(args.scale, args.seed);
     let split = spanning_forest(&full);
     let initial = split.initial_graph(&full);

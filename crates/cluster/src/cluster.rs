@@ -1,25 +1,19 @@
 //! Cluster assembly: boots the shard plane, the replicas, the health
 //! loop, and the router, and tears them down in order.
 //!
-//! Every shard runs the **same fixed training pipeline** — paper defaults
-//! at the configured dimension with `walk_length 12, walks_per_node 2`
-//! and the every-edge update policy — because a shard that drifted from
-//! its siblings (or from its own replica, or from its own pre-crash
-//! incarnation) would break the bit-identity guarantees the WAL provides.
-//! The `shardd` binary and the e2e tests mirror [`train_cfg`] exactly.
+//! Every shard runs the **same fixed training pipeline**,
+//! [`seqge_serve::shard_spec`], bound to one [`BackendKind`] — the router
+//! asserts homogeneity, because snapshots, WAL replays and replicas all
+//! decode against the backend's own state format.
 
 use crate::partition::shard_subgraph;
 use crate::replica::{Replica, ReplicaConfig};
 use crate::router::{start_router, ReplicaView, RouterConfig, RouterHandle};
 use crate::shard::{publish_incarnation, shard_table, ChildShard, ChildSpec, ShardTable};
-use seqge_backend::{BackendKind, BackendSpec};
-use seqge_core::{OsElmConfig, TrainConfig};
+use seqge_backend::BackendKind;
 use seqge_graph::Graph;
-use seqge_sampling::UpdatePolicy;
 use seqge_serve::wal::{FsyncPolicy, Wal, WalConfig};
-use seqge_serve::{
-    boot_wal, start_backend, FaultInjector, ServeConfig, ServerHandle, TrainerConfig,
-};
+use seqge_serve::{shard_spec, start_node, ServeConfig, ServerHandle, TrainerConfig};
 use std::io::{self, ErrorKind};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -28,27 +22,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// The cluster-wide training configuration (mirrored by `shardd` and the
-/// e2e tests; every shard, replica, and replay must agree on it).
-pub fn train_cfg(dim: usize) -> TrainConfig {
-    let mut cfg = TrainConfig::paper_defaults(dim);
-    cfg.walk.walk_length = 12;
-    cfg.walk.walks_per_node = 2;
-    cfg
-}
-
-/// The matching OS-ELM configuration.
-pub fn oselm_cfg(dim: usize) -> OsElmConfig {
-    OsElmConfig { model: train_cfg(dim).model, ..OsElmConfig::paper_defaults(dim) }
-}
-
-/// The cluster-wide training-backend spec: the fixed pipeline above bound
-/// to one [`BackendKind`]. Every shard in a cluster runs the same backend
-/// — the router asserts homogeneity — because snapshots, WAL replays, and
-/// replicas all decode against the backend's own state format.
-pub fn backend_spec(kind: BackendKind, dim: usize, seed: u64) -> BackendSpec {
-    BackendSpec::new(kind, train_cfg(dim), oselm_cfg(dim), UpdatePolicy::every_edge(), seed)
-}
+/// Replica tail poll interval — the dominant term of the replication lag.
+const REPLICA_POLL: Duration = Duration::from_millis(20);
 
 /// How shard engines are hosted.
 #[derive(Debug, Clone)]
@@ -85,8 +60,6 @@ pub struct ClusterConfig {
     pub addr: String,
     /// Router tuning.
     pub router: RouterConfig,
-    /// Replica tail poll interval.
-    pub replica_poll: Duration,
     /// Shard hosting mode.
     pub backend: Backend,
     /// Training backend every shard runs (`float` or `fpga-sim`). Must be
@@ -109,7 +82,6 @@ impl ClusterConfig {
             refresh_every: 0,
             addr: "127.0.0.1:0".to_string(),
             router: RouterConfig::default(),
-            replica_poll: Duration::from_millis(20),
             backend: Backend::InProcess,
             train_backend: BackendKind::Float,
         }
@@ -142,7 +114,7 @@ impl Cluster {
         if cfg.replicas > 1 {
             return Err(io::Error::new(ErrorKind::InvalidInput, "at most one replica per shard"));
         }
-        let spec = backend_spec(cfg.train_backend, cfg.dim, cfg.seed);
+        let spec = shard_spec(cfg.train_backend, cfg.dim, cfg.seed);
 
         // Shard plane.
         let mut inproc = Vec::new();
@@ -166,23 +138,14 @@ impl Cluster {
             }
             match &cfg.backend {
                 Backend::InProcess => {
-                    let boot = boot_wal(&wcfg, None, &spec, cfg.refresh_every)?;
-                    // In-process shards honor SEQGE_FAULT like a standalone
-                    // `seqge serve` would, so chaos runs (load smoke, local
-                    // soak) can inject shard-side faults through the same
-                    // env knob.
-                    let fault = FaultInjector::from_env()
-                        .map_err(|e| io::Error::new(ErrorKind::InvalidInput, e))?;
                     let scfg = ServeConfig {
                         trainer: TrainerConfig {
                             refresh_every: cfg.refresh_every,
                             ..TrainerConfig::default()
                         },
-                        wal: Some(Arc::new(boot.wal)),
-                        fault: Arc::new(fault),
                         ..ServeConfig::default()
                     };
-                    let handle = start_backend("127.0.0.1:0", boot.graph, boot.backend, scfg)?;
+                    let handle = start_node("127.0.0.1:0", &wcfg, None, &spec, scfg)?;
                     addrs.push(handle.addr());
                     inproc.push(handle);
                 }
@@ -214,7 +177,7 @@ impl Cluster {
                     ReplicaConfig {
                         spec: spec.clone(),
                         refresh_every: cfg.refresh_every,
-                        poll: cfg.replica_poll,
+                        poll: REPLICA_POLL,
                     },
                 )?;
                 views.push(Some(ReplicaView { cell: rep.cell(), applied: rep.applied_counter() }));

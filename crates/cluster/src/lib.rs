@@ -38,7 +38,7 @@ pub mod replica;
 pub mod router;
 pub mod shard;
 
-pub use cluster::{backend_spec, oselm_cfg, train_cfg, Backend, Cluster, ClusterConfig};
+pub use cluster::{Backend, Cluster, ClusterConfig};
 pub use partition::{edge_owner, owner, shard_subgraph};
 pub use replica::{Replica, ReplicaConfig};
 pub use router::{start_router, ReplicaView, RouterConfig, RouterHandle};

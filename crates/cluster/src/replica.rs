@@ -3,9 +3,9 @@
 //!
 //! A replica boots from the primary's last *committed* generation
 //! (`meta.json` → `model.<g>.sge` + `graph.<g>.edges`) and then tails the
-//! active segment with [`seqge_serve::wal::SegmentTailer`], replaying each
-//! record through its own [`seqge_backend::TrainBackend`] — the identical
-//! construction WAL recovery uses, so a replica that has consumed up to
+//! active segment with [`seqge_serve::wal::SegmentTailer`], folding each
+//! record into its own backend through [`seqge_serve::Fold`] — the step WAL
+//! recovery and the live trainer run, so a replica that has consumed up to
 //! sequence `s` is bit-identical to a primary that has applied up to `s`.
 //! The backend kind must match the primary's: the committed snapshot is in
 //! the backend's own format, and [`BackendSpec::load`] refuses a mismatch.
@@ -22,10 +22,11 @@
 //! trainer apply costs: appends are visible to the tailer as soon as the
 //! primary's `write_all` returns, independent of fsync policy.
 
-use seqge_backend::{BackendSpec, TrainBackend};
-use seqge_graph::{io as graph_io, EdgeEvent, Graph};
+use seqge_backend::BackendSpec;
+use seqge_graph::EdgeEvent;
 use seqge_serve::snapshot::{EmbeddingSnapshot, SnapshotCell};
 use seqge_serve::wal::{self, SegmentTailer};
+use seqge_serve::{Applied, Fold};
 use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,52 +66,32 @@ impl Replica {
                 format!("{}: no committed store to replicate", dir.display()),
             )
         })?;
-        let mut backend = cfg.spec.load(&dir.join(format!("model.{}.sge", meta.gen)))?;
-        let graph = graph_io::load_graph(dir.join(format!("graph.{}.edges", meta.gen)))
-            .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-        if backend.num_nodes() != graph.num_nodes() {
-            return Err(io::Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "snapshot mismatch: model covers {} nodes, graph has {}",
-                    backend.num_nodes(),
-                    graph.num_nodes()
-                ),
-            ));
-        }
-
-        let boot = EmbeddingSnapshot {
-            version: meta.applied_seq,
-            emb: backend.publish_view(),
-            num_edges: graph.num_edges(),
-            walks_trained: 0,
-            edges_inserted: 0,
-            edges_removed: 0,
-            ann: None,
-        };
-        let cell = Arc::new(SnapshotCell::new(boot));
+        let (graph, backend) = wal::load_generation(dir, &cfg.spec, meta.gen)?;
         let applied = Arc::new(AtomicU64::new(meta.applied_seq));
         let stop = Arc::new(AtomicBool::new(false));
         let failed = Arc::new(Mutex::new(None));
 
         let mut tail = TailLoop {
             dir: dir.to_path_buf(),
-            cfg,
-            graph,
-            backend,
+            poll: cfg.poll,
+            fold: Fold::new(
+                graph,
+                backend,
+                meta.applied_seq,
+                meta.since_refresh,
+                cfg.refresh_every,
+            ),
             segment: meta.segment,
-            since_refresh: meta.since_refresh,
-            applied_seq: meta.applied_seq,
             walks_trained: 0,
             edges_inserted: 0,
             edges_removed: 0,
-            cell: cell.clone(),
             applied: applied.clone(),
             stop: stop.clone(),
         };
-        let failed2 = failed.clone();
+        let cell = Arc::new(SnapshotCell::new(tail.snapshot()));
+        let (cell2, failed2) = (cell.clone(), failed.clone());
         let thread = thread::Builder::new().name("seqge-replica".to_string()).spawn(move || {
-            if let Err(e) = tail.run() {
+            if let Err(e) = tail.run(&cell2) {
                 *failed2.lock().expect("replica failure slot poisoned") = Some(e.to_string());
             }
         })?;
@@ -138,13 +119,8 @@ impl Replica {
         self.failed.lock().expect("replica failure slot poisoned").clone()
     }
 
-    /// Stops the tail thread and joins it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Stops the tail thread and joins it — which is what dropping does.
+    pub fn stop(self) {}
 }
 
 impl Drop for Replica {
@@ -156,35 +132,25 @@ impl Drop for Replica {
     }
 }
 
-/// The tail thread's owned state: graph/backend plus replay bookkeeping
-/// mirroring WAL recovery exactly.
+/// The tail thread's owned state: the fold plus the replica's own counters.
 struct TailLoop {
     dir: PathBuf,
-    cfg: ReplicaConfig,
-    graph: Graph,
-    backend: Box<dyn TrainBackend>,
+    poll: Duration,
+    fold: Fold,
     segment: u64,
-    since_refresh: u64,
-    applied_seq: u64,
     walks_trained: usize,
     edges_inserted: usize,
     edges_removed: usize,
-    cell: Arc<SnapshotCell>,
     applied: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
 }
 
 impl TailLoop {
-    fn segment_path(&self, seg: u64) -> PathBuf {
-        self.dir.join(format!("wal.{seg}.log"))
-    }
-
-    fn run(&mut self) -> io::Result<()> {
-        let mut tailer = SegmentTailer::new(self.segment_path(self.segment));
+    fn run(&mut self, cell: &SnapshotCell) -> io::Result<()> {
+        let mut tailer = SegmentTailer::new(wal::segment_path(&self.dir, self.segment));
         while !self.stop.load(Ordering::SeqCst) {
-            let n = self.apply(tailer.poll()?);
-            if n > 0 {
-                self.publish();
+            if self.apply(tailer.poll()?) > 0 {
+                self.publish(cell);
             }
             // Rotation: the primary committed a snapshot and switched
             // segments. Drain the old descriptor to EOF first, then pick
@@ -192,55 +158,49 @@ impl TailLoop {
             match wal::read_meta(&self.dir)? {
                 Some(meta) if meta.segment != self.segment => {
                     if self.apply(tailer.poll()?) > 0 {
-                        self.publish();
+                        self.publish(cell);
                     }
                     self.segment = meta.segment;
-                    tailer = SegmentTailer::new(self.segment_path(self.segment));
+                    tailer = SegmentTailer::new(wal::segment_path(&self.dir, self.segment));
                 }
                 _ => {}
             }
-            thread::sleep(self.cfg.poll);
+            thread::sleep(self.poll);
         }
         Ok(())
     }
 
-    /// Replays decoded records; mirror of `Trainer::apply` / WAL
-    /// recovery: seq-dedup first, rejected events don't advance the
-    /// refresh cadence, cadence check after every event.
+    /// Folds decoded records in (records already covered, or carried
+    /// forward by a rotation, are skipped); returns how many trained.
     fn apply(&mut self, records: Vec<wal::WalRecord>) -> usize {
         let mut applied = 0;
         for rec in records {
-            if rec.seq <= self.applied_seq {
-                continue; // already folded in (or carried by a rotation)
-            }
-            self.applied_seq = rec.seq;
-            if let Ok(walks) = self.backend.ingest(&mut self.graph, rec.event) {
+            if let Applied::Trained(walks) = self.fold.apply(rec.seq, rec.event).applied {
                 self.walks_trained += walks;
                 match rec.event {
                     EdgeEvent::Add(..) => self.edges_inserted += 1,
                     EdgeEvent::Remove(..) => self.edges_removed += 1,
                 }
-                self.since_refresh += 1;
                 applied += 1;
-            }
-            if self.cfg.refresh_every > 0 && self.since_refresh >= self.cfg.refresh_every {
-                self.backend.refresh(&self.graph);
-                self.since_refresh = 0;
             }
         }
         applied
     }
 
-    fn publish(&mut self) {
-        self.cell.publish(EmbeddingSnapshot {
-            version: self.applied_seq,
-            emb: self.backend.publish_view(),
-            num_edges: self.graph.num_edges(),
+    fn snapshot(&mut self) -> EmbeddingSnapshot {
+        EmbeddingSnapshot {
+            version: self.fold.applied_seq(),
+            emb: self.fold.backend.publish_view(),
+            num_edges: self.fold.graph.num_edges(),
             walks_trained: self.walks_trained,
             edges_inserted: self.edges_inserted,
             edges_removed: self.edges_removed,
             ann: None,
-        });
-        self.applied.store(self.applied_seq, Ordering::SeqCst);
+        }
+    }
+
+    fn publish(&mut self, cell: &SnapshotCell) {
+        cell.publish(self.snapshot());
+        self.applied.store(self.fold.applied_seq(), Ordering::SeqCst);
     }
 }

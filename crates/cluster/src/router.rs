@@ -24,7 +24,7 @@
 //!   on failure the router falls back to the peer owner (`score_link`)
 //!   and then to the shard's read replica snapshot, tagging the response
 //!   `"source": "replica"`.
-//! * **fan-out reads** (`stats`, `flush`, `snapshot`, `restore`) — sent
+//! * **fan-out reads** (`stats`, `flush`, `snapshot`) — sent
 //!   to every shard with one shared deadline; responses that miss it are
 //!   dropped and the reply carries `"degraded": true` plus the missing
 //!   shard list. `flush` is the exception: it is a barrier, so a missing
@@ -50,13 +50,13 @@ use seqge_eval::EdgeOp;
 use seqge_obs::{export, Counter, Registry};
 use seqge_serve::protocol::{
     self, op_name, span_value, MetricsFormat, Request, Response, CODE_DEGRADED, CODE_OVERLOADED,
-    MAX_LINE_BYTES,
 };
+use seqge_serve::server::serve_lines;
 use seqge_serve::snapshot::SnapshotCell;
 use seqge_serve::{Client, ClientConfig};
 use serde_json::Value;
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -71,20 +71,11 @@ pub struct RouterConfig {
     /// Per-shard fan-out budget: one scatter-gather never waits longer
     /// than this on any single shard before degrading.
     pub deadline: Duration,
-    /// Idle client connections are closed after this long.
-    pub read_deadline: Duration,
-    /// Socket write timeout toward clients.
-    pub write_timeout: Duration,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            workers: 2,
-            deadline: Duration::from_millis(2_000),
-            read_deadline: Duration::from_secs(300),
-            write_timeout: Duration::from_secs(10),
-        }
+        RouterConfig { workers: 2, deadline: Duration::from_millis(2_000) }
     }
 }
 
@@ -222,7 +213,6 @@ fn cluster_span_name(op: &str) -> &'static str {
         "remove_edge" => "cluster.remove_edge",
         "flush" => "cluster.flush",
         "snapshot" => "cluster.snapshot",
-        "restore" => "cluster.restore",
         "metrics" => "cluster.metrics",
         "trace" => "cluster.trace",
         "flightrec" => "cluster.flightrec",
@@ -261,56 +251,12 @@ impl RouterCtx {
                 guard.pop_front()
             };
             if let Some(stream) = conn {
-                let _ = self.handle_connection(stream, &mut conns);
+                // Identical framing to the serve front end: its loop.
+                let _ =
+                    serve_lines(stream, &self.stop, |line| Some(self.dispatch(line, &mut conns)));
             }
             if self.stop.load(Ordering::SeqCst) {
                 return;
-            }
-        }
-    }
-
-    /// Serves one client connection: LF-framed lines, size-capped, idle
-    /// deadline — identical framing to the serve front end.
-    fn handle_connection(&self, mut stream: TcpStream, conns: &mut Conns) -> io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        stream.set_write_timeout(Some(self.cfg.write_timeout))?;
-        stream.set_nodelay(true).ok();
-        let mut pending: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let mut last_activity = Instant::now();
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let n = match stream.read(&mut chunk) {
-                Ok(0) => return Ok(()),
-                Ok(n) => n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if last_activity.elapsed() >= self.cfg.read_deadline {
-                        return Ok(());
-                    }
-                    continue;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            last_activity = Instant::now();
-            pending.extend_from_slice(&chunk[..n]);
-            while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = pending.drain(..=nl).collect();
-                let text = String::from_utf8_lossy(&line[..nl]);
-                let (response, close) = self.dispatch(text.trim(), conns);
-                stream.write_all(response.as_bytes())?;
-                stream.write_all(b"\n")?;
-                if close {
-                    return Ok(());
-                }
-            }
-            if pending.len() > MAX_LINE_BYTES {
-                let msg = Response::err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
-                stream.write_all(msg.as_bytes())?;
-                stream.write_all(b"\n")?;
-                return Ok(());
             }
         }
     }
@@ -362,10 +308,7 @@ impl RouterCtx {
                 (self.write(u, v, line, conns), false)
             }
             Request::Flush => (self.flush(conns), false),
-            Request::Snapshot => {
-                (self.fan_collect("snapshot", r#"{"cmd":"snapshot"}"#, conns), false)
-            }
-            Request::Restore => (self.fan_collect("restore", r#"{"cmd":"restore"}"#, conns), false),
+            Request::Snapshot => (self.snapshot(conns), false),
             Request::Trace { after } => (self.trace_dump(after), false),
             Request::Flightrec => (self.flightrec(conns), false),
             Request::Shutdown => {
@@ -859,11 +802,11 @@ impl RouterCtx {
             .build()
     }
 
-    /// Generic all-shard fan-out that reports per-shard responses plus
-    /// degradation (used by `snapshot` and `restore`).
-    fn fan_collect(&self, _op: &str, line: &str, conns: &mut Conns) -> String {
+    /// `snapshot` on every shard, reporting the per-shard replies plus
+    /// degradation.
+    fn snapshot(&self, conns: &mut Conns) -> String {
         let targets = self.all_shards();
-        let got = self.scatter_gather(conns, &targets, |_| line.to_string());
+        let got = self.scatter_gather(conns, &targets, |_| r#"{"cmd":"snapshot"}"#.to_string());
         let mut missing = Vec::new();
         let shards: Vec<Value> = got
             .into_iter()

@@ -151,11 +151,6 @@ impl ChildShard {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
-
-    /// The child's process id (tests kill -9 by pid).
-    pub fn pid(&self) -> u32 {
-        self.child.id()
-    }
 }
 
 impl Drop for ChildShard {

@@ -33,6 +33,10 @@
 //!    behind DESIGN.md "Cross-shard score comparability": how well routed
 //!    `score_link` on cross-shard pairs separates same-community from
 //!    cross-community pairs, next to a single node scoring the same pairs.
+//! 7. **one apply rule** — with a refresh cadence of 3 over a stream of
+//!    adds, removes and graph-rejected duplicates, the live trainer, WAL
+//!    recovery and a replica at the same sequence number hold bit-identical
+//!    embeddings: all three are the same `Fold` step over the same log.
 
 use seqge_backend::{BackendKind, BackendSpec, TrainBackend};
 use seqge_cluster::{
@@ -57,7 +61,7 @@ fn backend_kind() -> BackendKind {
 }
 
 fn spec() -> BackendSpec {
-    seqge_cluster::backend_spec(backend_kind(), DIM, SEED)
+    seqge_serve::shard_spec(backend_kind(), DIM, SEED)
 }
 
 /// The cluster config every scenario starts from, bound to the backend
@@ -676,5 +680,110 @@ fn traced_topk_produces_cross_layer_span_tree() {
 
     drop(c);
     cluster.shutdown().expect("cluster down");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Scenario 7. No other test in the tree runs with `refresh_every > 0`, so
+/// this is also the only coverage of the resample cadence end to end.
+#[test]
+fn live_trainer_recovery_and_replica_agree_under_a_refresh_cadence() {
+    use seqge_serve::wal::{self, FsyncPolicy, Wal, WalConfig};
+    use seqge_serve::{ServeConfig, TrainerConfig};
+    const REFRESH_EVERY: u64 = 3;
+
+    // A store committed, then booted through recovery (what a cluster shard
+    // does): the live trainer starts from the same fresh driver that
+    // recovery and the replica construct.
+    let base = scratch("apply_rule");
+    let dir = base.join("store");
+    let (initial, edges) = test_stream(7);
+    let wcfg = WalConfig { dir: dir.clone(), fsync: FsyncPolicy::Batch };
+    let mut cold = spec().cold(initial.num_nodes());
+    cold.bootstrap(&initial);
+    drop(Wal::init(&wcfg, &*cold, &initial).expect("store commits"));
+    let config = ServeConfig {
+        trainer: TrainerConfig { refresh_every: REFRESH_EVERY, ..TrainerConfig::default() },
+        ..ServeConfig::default()
+    };
+    let handle = seqge_serve::start_node("127.0.0.1:0", &wcfg, None, &spec(), config)
+        .expect("node boots through recovery");
+
+    // Adds, a duplicate add and a remove of a missing edge (both rejected by
+    // the graph: they consume a sequence number but not the cadence), real
+    // removes, re-adds; the stream ends on a trained event so the replica's
+    // published cursor reaches the last record.
+    let mut stream = Vec::new();
+    for (i, &(u, v)) in edges.iter().take(12).enumerate() {
+        stream.push(EdgeEvent::Add(u, v));
+        match i % 4 {
+            1 => stream.push(EdgeEvent::Add(u, v)),
+            2 => stream.push(EdgeEvent::Remove(u, v)),
+            3 => stream.push(EdgeEvent::Remove(edges[13].0, edges[13].1)),
+            _ => {}
+        }
+    }
+    stream.push(EdgeEvent::Add(edges[14].0, edges[14].1));
+    let rejected = stream.len() as u64 - 12 - 3 - 1; // adds, real removes, the tail add
+    let mut c = client(&handle.addr().to_string());
+    for &event in &stream {
+        match event {
+            EdgeEvent::Add(u, v) => c.add_edge(u, v),
+            EdgeEvent::Remove(u, v) => c.remove_edge(u, v),
+        }
+        .expect("write acks");
+    }
+    c.flush().expect("flush barrier");
+    let stats = c.stats().expect("stats");
+    let stat = |k: &str| stats.get(k).and_then(|v| v.as_u64()).unwrap();
+    assert_eq!(stat("rejected"), rejected, "{stats:?}");
+    assert_eq!(stat("refreshes"), (stream.len() as u64 - rejected) / REFRESH_EVERY, "{stats:?}");
+    let live: Vec<Vec<f32>> =
+        (0..initial.num_nodes() as u32).map(|n| c.get_embedding(n).expect("row")).collect();
+
+    // A replica tailing the live store, caught up to the last sequence.
+    let replica = seqge_cluster::Replica::start(
+        &dir,
+        seqge_cluster::ReplicaConfig {
+            spec: spec(),
+            refresh_every: REFRESH_EVERY,
+            poll: Duration::from_millis(5),
+        },
+    )
+    .expect("replica boots");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while replica.applied_seq() < stream.len() as u64 {
+        assert!(std::time::Instant::now() < deadline, "replica never caught up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let snap = replica.cell().load();
+    for (n, want) in live.iter().enumerate() {
+        assert_eq!(snap.embedding(n as u32).unwrap(), &want[..], "replica row {n} differs");
+    }
+    replica.stop();
+
+    // Recovery of the same bytes, as after a kill -9 (the live server has
+    // committed no generation since boot), with a duplicate of the last
+    // record appended so the skip path runs too.
+    let copy = base.join("copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+    }
+    let seg = wal::segment_path(&copy, wal::read_meta(&copy).unwrap().unwrap().segment);
+    let last = *wal::read_segment(&seg).unwrap().records.last().unwrap();
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes.extend_from_slice(&wal::encode_record(last.seq, last.event));
+    std::fs::write(&seg, bytes).unwrap();
+    let mut boot = Wal::recover(&WalConfig { dir: copy, ..wcfg }, &spec(), REFRESH_EVERY)
+        .expect("recovery reads the store")
+        .expect("store is committed");
+    assert_eq!(boot.report.replayed + boot.report.rejected, stream.len() as u64);
+    assert_eq!(boot.report.rejected, rejected);
+    assert_eq!(boot.report.duplicates, 1);
+    assert_eq!(boot.report.refreshes, stat("refreshes"));
+    assert_eq!(embedding_rows(boot.backend.as_mut()), live, "recovered rows differ from live");
+
+    handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -1,102 +1,8 @@
-//! chaosd — a minimal WAL-backed serve daemon for the chaos suite.
-//!
-//! The integration tests need a process they can really `kill -9`
-//! (in-process threads can't be SIGKILLed selectively), so this binary
-//! boots a server from a committed WAL store and serves until killed.
-//! Fault injection is armed through the usual `SEQGE_FAULT*` environment.
-//!
-//! ```text
-//! chaosd --dir STORE [--dim 8] [--seed 11] [--fsync batch]
-//!        [--refresh-every 0] [--addr 127.0.0.1:0] [--backend float]
-//! ```
-//!
-//! Prints `READY <addr>` on stdout once the listener is up. The training
-//! configuration is fixed (and mirrored in `tests/chaos.rs`): paper
-//! defaults at the given dim with walk_length 12, walks_per_node 2.
-
-use seqge_backend::{BackendKind, BackendSpec};
-use seqge_core::{OsElmConfig, TrainConfig};
-use seqge_sampling::UpdatePolicy;
-use seqge_serve::wal::WalConfig;
-use seqge_serve::{
-    boot_wal, ready, start_backend, FaultInjector, FsyncPolicy, ServeConfig, TrainerConfig,
-};
-use std::path::PathBuf;
-use std::process::exit;
-use std::sync::Arc;
-
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("chaosd: {msg}");
-    exit(2);
-}
-
-fn train_cfg(dim: usize) -> TrainConfig {
-    let mut cfg = TrainConfig::paper_defaults(dim);
-    cfg.walk.walk_length = 12;
-    cfg.walk.walks_per_node = 2;
-    cfg
-}
+//! chaosd — the WAL-backed serve daemon the chaos suite really `kill -9`s
+//! (in-process threads cannot be SIGKILLed selectively). All of it is
+//! [`seqge_serve::daemon_main`]; it is a separate binary from `shardd` only
+//! because Cargo exposes `CARGO_BIN_EXE_*` to a crate's own tests alone.
 
 fn main() {
-    let mut dir: Option<PathBuf> = None;
-    let mut dim = 8usize;
-    let mut seed = 11u64;
-    let mut fsync = FsyncPolicy::Batch;
-    let mut refresh_every = 0u64;
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut backend = BackendKind::Float;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| fail(format!("{flag}: missing value")));
-        match flag.as_str() {
-            "--dir" => dir = Some(PathBuf::from(value())),
-            "--dim" => dim = value().parse().unwrap_or_else(|_| fail("--dim: not a number")),
-            "--seed" => seed = value().parse().unwrap_or_else(|_| fail("--seed: not a number")),
-            "--fsync" => fsync = FsyncPolicy::parse(&value()).unwrap_or_else(|e| fail(e)),
-            "--refresh-every" => {
-                refresh_every =
-                    value().parse().unwrap_or_else(|_| fail("--refresh-every: not a number"))
-            }
-            "--addr" => addr = value(),
-            "--backend" => backend = BackendKind::parse(&value()).unwrap_or_else(|e| fail(e)),
-            other => fail(format!("unknown flag `{other}`")),
-        }
-    }
-    let dir = dir.unwrap_or_else(|| fail("--dir is required"));
-
-    let fault = match FaultInjector::from_env() {
-        Ok(f) => f,
-        Err(e) => fail(e),
-    };
-    let cfg = train_cfg(dim);
-    let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(dim) };
-    let spec = BackendSpec::new(backend, cfg, ocfg, UpdatePolicy::every_edge(), seed);
-    let wcfg = WalConfig { dir, fsync };
-    let boot = match boot_wal(&wcfg, None, &spec, refresh_every) {
-        Ok(b) => b,
-        Err(e) => fail(format!("boot: {e}")),
-    };
-    eprintln!(
-        "chaosd: recovered gen {} segment {} (replayed {}, skipped {}, torn tail: {})",
-        boot.report.gen,
-        boot.report.segment,
-        boot.report.replayed,
-        boot.report.skipped_applied,
-        boot.report.torn_tail
-    );
-    let config = ServeConfig {
-        trainer: TrainerConfig { refresh_every, ..TrainerConfig::default() },
-        wal: Some(Arc::new(boot.wal)),
-        fault: Arc::new(fault),
-        ..ServeConfig::default()
-    };
-    let handle = match start_backend(&addr, boot.graph, boot.backend, config) {
-        Ok(h) => h,
-        Err(e) => fail(format!("listen: {e}")),
-    };
-    ready::announce(handle.addr());
-    if let Err(e) = handle.wait() {
-        fail(format!("server: {e}"));
-    }
+    seqge_serve::daemon_main("chaosd");
 }

@@ -379,19 +379,13 @@ impl Client {
         resp.get("score").and_then(Value::as_f64).ok_or_else(|| bad_data("score_link: no score"))
     }
 
-    /// Persists model + graph server-side; returns the model path.
+    /// Commits a snapshot generation server-side; returns the model path.
     pub fn snapshot(&mut self) -> io::Result<String> {
         let v = self.call(r#"{"cmd":"snapshot"}"#)?;
         v.get("model")
             .and_then(Value::as_str)
             .map(str::to_string)
             .ok_or_else(|| bad_data("snapshot: no model path"))
-    }
-
-    /// Reloads model + graph from the server's snapshot paths.
-    pub fn restore(&mut self) -> io::Result<u64> {
-        let v = self.call(r#"{"cmd":"restore"}"#)?;
-        v.get("version").and_then(Value::as_u64).ok_or_else(|| bad_data("restore: no version"))
     }
 
     /// Asks the server to shut down gracefully.

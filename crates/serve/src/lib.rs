@@ -15,31 +15,34 @@
 //! * **read plane** — `get_embedding`, `topk`, and `score_link` (reusing
 //!   `seqge-eval`'s link-prediction operators) answered from an immutable
 //!   [`snapshot::EmbeddingSnapshot`] republished after every batch, so no
-//!   query ever blocks on a training step;
+//!   query ever blocks on a training step.
 //!
-//! plus `snapshot` / `restore` commands backed by `seqge_core::persist`
-//! for crash recovery: a restored server resumes with bit-identical β/P.
-//!
-//! Crash safety (this PR): the [`wal`] module adds a write-ahead log so
-//! every *acknowledged* write survives kill -9 — appended and checksummed
-//! before the trainer sees it, replayed over the snapshot at boot. The
+//! A durable node is a WAL store ([`wal`]): every *acknowledged* write is
+//! appended and checksummed before the trainer sees it, `snapshot` (and a
+//! graceful shutdown) commits a generation and rotates the log, and a boot
+//! replays the log over the last generation through the same [`fold`] step
+//! the live trainer runs — so a recovered server is bit-identical to one
+//! that never crashed. A server started without a store is ephemeral. The
 //! [`fault`] module injects deterministic failures (torn writes, dropped
-//! connections, trainer panics) for the chaos suite, and both client and
-//! server grew deadlines, bounded retries, write dedup, and read-shedding
+//! connections, trainer panics) for the chaos suite; client and server
+//! carry deadlines, bounded retries, write dedup, and read-shedding
 //! backpressure around it.
 //!
 //! Modules: [`protocol`] (wire grammar), [`snapshot`] (read-optimized
-//! state + publication cell), [`trainer`] (write plane), [`server`] (TCP
-//! front end), [`client`] (scriptable reference client), [`wal`]
-//! (durability), [`fault`] (failure injection), [`dedup`] (bounded
-//! retry-dedup table), [`ready`] (port-0 readiness handshake for spawned
-//! daemons).
+//! state + publication cell), [`fold`] (the one event-apply rule),
+//! [`trainer`] (write plane), [`server`] (TCP front end), [`node`] (the one
+//! boot path of a durable node, and the shard daemons' `main`), [`client`]
+//! (scriptable reference client), [`wal`] (durability), [`fault`] (failure
+//! injection), [`dedup`] (bounded retry-dedup table), [`ready`] (port-0
+//! readiness handshake for spawned daemons).
 
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod dedup;
 pub mod fault;
+pub mod fold;
+pub mod node;
 pub mod protocol;
 pub mod ready;
 pub mod server;
@@ -50,11 +53,13 @@ pub mod wal;
 pub use client::{Client, ClientConfig};
 pub use dedup::DedupTable;
 pub use fault::{FaultInjector, FaultPoint};
+pub use fold::{Applied, Fold, Step};
+pub use node::{daemon_main, shard_spec, start_node};
 pub use protocol::{
     attach_trace, parse_request, parse_request_traced, Request, Response, TopKMode, WriteId,
     CODE_DEGRADED, CODE_OVERLOADED, DEFAULT_PROBES, MAX_LINE_BYTES,
 };
-pub use server::{boot_restore_spec, boot_wal, start_backend, ServeConfig, ServerHandle};
+pub use server::{boot_wal, start_backend, ServeConfig, ServerHandle};
 pub use snapshot::{AnnTopK, EmbeddingSnapshot, SnapshotCell, SnapshotReader};
 pub use trainer::{ServeStats, Trainer, TrainerConfig, TrainerMsg};
 pub use wal::{FsyncPolicy, RecoveryReport, Wal, WalBoot, WalConfig};

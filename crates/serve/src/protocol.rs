@@ -19,7 +19,6 @@
 //! | `remove_edge`   | `u`, `v`, `client?`, `seq?`   | write  |
 //! | `flush`         | —                             | write  |
 //! | `snapshot`      | —                             | write  |
-//! | `restore`       | —                             | write  |
 //! | `metrics`       | `format?="prometheus"`        | read   |
 //! | `trace`         | `after?=0`                    | read   |
 //! | `flightrec`     | —                             | read   |
@@ -212,10 +211,9 @@ pub enum Request {
     },
     /// Barrier: wait until every queued event is trained and published.
     Flush,
-    /// Persist model + graph to the configured snapshot paths.
+    /// Commit a snapshot generation to the WAL store (an error on an
+    /// ephemeral server).
     Snapshot,
-    /// Reload model + graph from the configured snapshot paths.
-    Restore,
     /// Dump the metrics registries (server instance + process-global).
     Metrics {
         /// Output rendering.
@@ -246,7 +244,6 @@ impl Request {
             Request::RemoveEdge { .. } => "remove_edge",
             Request::Flush => "flush",
             Request::Snapshot => "snapshot",
-            Request::Restore => "restore",
             Request::Metrics { .. } => "metrics",
             Request::Trace { .. } => "trace",
             Request::Flightrec => "flightrec",
@@ -455,7 +452,6 @@ pub fn parse_request_traced(line: &str) -> Result<(Request, Option<TraceCtx>), S
         }),
         "flush" => Ok(Request::Flush),
         "snapshot" => Ok(Request::Snapshot),
-        "restore" => Ok(Request::Restore),
         "metrics" => {
             let format = match v.get("format") {
                 None => MetricsFormat::Prometheus,
@@ -657,7 +653,6 @@ mod tests {
         );
         assert_eq!(parse_request(r#"{"cmd":"flush"}"#).unwrap(), Request::Flush);
         assert_eq!(parse_request(r#"{"cmd":"snapshot"}"#).unwrap(), Request::Snapshot);
-        assert_eq!(parse_request(r#"{"cmd":"restore"}"#).unwrap(), Request::Restore);
         assert_eq!(
             parse_request(r#"{"cmd":"metrics"}"#).unwrap(),
             Request::Metrics { format: MetricsFormat::Prometheus }
@@ -694,7 +689,6 @@ mod tests {
             (r#"{"cmd":"remove_edge","u":0,"v":1}"#, "remove_edge"),
             (r#"{"cmd":"flush"}"#, "flush"),
             (r#"{"cmd":"snapshot"}"#, "snapshot"),
-            (r#"{"cmd":"restore"}"#, "restore"),
             (r#"{"cmd":"metrics"}"#, "metrics"),
             (r#"{"cmd":"trace"}"#, "trace"),
             (r#"{"cmd":"flightrec"}"#, "flightrec"),
@@ -755,13 +749,14 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"frobnicate"}"#)
             .unwrap_err()
             .contains("unknown command `frobnicate`"));
-        // A retired op is an unknown command like any other. The name is
-        // spelled in two halves so a case-insensitive grep for the deleted
-        // plane stays empty over the tree.
-        let retired = concat!("ha", "lo");
-        assert!(parse_request(&format!(r#"{{"cmd":"{retired}"}}"#))
-            .unwrap_err()
-            .contains(&format!("unknown command `{retired}`")));
+        // A retired op is an unknown command like any other. The first name
+        // is spelled in two halves so a case-insensitive grep for the
+        // deleted plane stays empty over the tree.
+        for retired in [concat!("ha", "lo"), "restore"] {
+            assert!(parse_request(&format!(r#"{{"cmd":"{retired}"}}"#))
+                .unwrap_err()
+                .contains(&format!("unknown command `{retired}`")));
+        }
         assert!(parse_request(r#"{"nocmd":true}"#).unwrap_err().contains("cmd"));
         assert!(parse_request(r#"{"cmd":"add_edge","u":1}"#).unwrap_err().contains("`v`"));
         assert!(parse_request(r#"{"cmd":"get_embedding"}"#).unwrap_err().contains("`node`"));

@@ -8,20 +8,20 @@
 //! [`SnapshotReader`] cache (lock-free in steady state) and forwarding
 //! write-plane commands to the trainer thread.
 //!
-//! Failure-awareness (all off by default, see [`ServeConfig`]):
+//! Failure-awareness:
 //!
 //! * with a WAL attached, every write is appended + (policy) fsynced
-//!   *before* it is queued to the trainer — an acked write survives kill -9;
+//!   *before* it is queued to the trainer — an acked write survives kill -9
+//!   (without one the server is ephemeral: state dies with the process);
 //! * retried writes carrying a [`protocol::WriteId`] dedup against a
 //!   per-client high-water-mark table instead of double-applying;
 //! * read-plane requests are shed with an explicit `overloaded` error once
 //!   the trainer backlog passes `max_backlog` — the write plane is never
 //!   blocked to protect reads;
-//! * the acceptor sheds whole connections once the worker queue passes
-//!   `max_conn_queue`;
-//! * idle connections are closed after `read_deadline`, and response
-//!   writes time out after `write_timeout` instead of blocking a worker
-//!   forever on a stalled peer.
+//! * the acceptor sheds whole connections once the worker queue is full;
+//! * idle connections are closed after a read deadline, and response
+//!   writes time out instead of blocking a worker forever on a stalled
+//!   peer (see [`serve_lines`]).
 
 use crate::dedup::DedupTable;
 use crate::fault::{FaultInjector, FaultPoint};
@@ -38,7 +38,6 @@ use serde_json::Value;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -53,25 +52,27 @@ use std::time::{Duration, Instant};
 /// `deduped` acks, not the correctness backstop.
 const DEDUP_MAX_CLIENTS: usize = 65_536;
 
+/// The acceptor sheds new connections once this many are queued for workers.
+const MAX_CONN_QUEUE: usize = 1024;
+/// A connection idle this long without a complete request is closed.
+const READ_DEADLINE: Duration = Duration::from_secs(300);
+/// A response write stalled this long (dead peer) gives up.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Server-side configuration (trainer knobs ride along in [`TrainerConfig`]).
 pub struct ServeConfig {
     /// Worker threads answering queries (≥ 1).
     pub workers: usize,
-    /// Trainer-side knobs: batching, resample policy, snapshot paths.
+    /// Trainer-side knobs: batching, resample cadence, ANN index.
     pub trainer: TrainerConfig,
-    /// Write-ahead log; `None` preserves PR 2's snapshot-only durability.
+    /// The node's write-ahead log. `None` makes the server ephemeral:
+    /// nothing is persisted and `snapshot` answers an error.
     pub wal: Option<Arc<Wal>>,
     /// Fault injection schedule (disabled outside chaos testing).
     pub fault: Arc<FaultInjector>,
     /// Shed read-plane requests with `overloaded` once the trainer backlog
     /// passes this many events.
     pub max_backlog: u64,
-    /// Shed new connections once this many are queued for workers.
-    pub max_conn_queue: usize,
-    /// Close a connection after this long without a complete request.
-    pub read_deadline: Duration,
-    /// Give up writing a response after this long (stalled peer).
-    pub write_timeout: Duration,
 }
 
 impl Default for ServeConfig {
@@ -82,46 +83,8 @@ impl Default for ServeConfig {
             wal: None,
             fault: Arc::new(FaultInjector::disabled()),
             max_backlog: 8192,
-            max_conn_queue: 1024,
-            read_deadline: Duration::from_secs(300),
-            write_timeout: Duration::from_secs(10),
         }
     }
-}
-
-impl ServeConfig {
-    /// Points `snapshot`/`restore` (and the final shutdown snapshot) at
-    /// `dir/model.sge` + `dir/graph.edges`, creating `dir` if needed.
-    pub fn with_snapshot_dir(mut self, dir: &Path) -> io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        self.trainer.snapshot_model = Some(dir.join("model.sge"));
-        self.trainer.snapshot_graph = Some(dir.join("graph.edges"));
-        Ok(self)
-    }
-}
-
-/// Restores a previously snapshotted server: rebuilds the spec's engine
-/// from the snapshot pair in `dir` with **no retraining**, refusing a
-/// snapshot written by a different backend (the model file carries its
-/// kind byte).
-pub fn boot_restore_spec(
-    dir: &Path,
-    spec: &BackendSpec,
-) -> io::Result<(Graph, Box<dyn TrainBackend>)> {
-    let backend = spec.load(&dir.join("model.sge"))?;
-    let graph = seqge_graph::io::load_graph(dir.join("graph.edges"))
-        .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    if backend.num_nodes() != graph.num_nodes() {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!(
-                "snapshot mismatch: model covers {} nodes, graph has {}",
-                backend.num_nodes(),
-                graph.num_nodes()
-            ),
-        ));
-    }
-    Ok((graph, backend))
 }
 
 /// Boots a WAL-backed store: recovers a committed one (snapshot restore +
@@ -201,7 +164,8 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, drain the in-flight training
-    /// batch, write a final snapshot (if configured), join every thread.
+    /// batch, commit a final snapshot generation (WAL only), join every
+    /// thread.
     pub fn shutdown(self) -> io::Result<()> {
         self.stop.store(true, Ordering::SeqCst);
         let (ack_tx, ack_rx) = channel();
@@ -265,8 +229,15 @@ pub fn start_backend(
 
     // Trainer thread — sole owner of graph + backend (model and
     // incremental-training state).
-    let mut trainer = Trainer::new(graph, backend, cell.clone(), stats.clone(), config.trainer);
-    trainer.attach_wal(config.wal.clone(), config.fault.clone());
+    let trainer = Trainer::new(
+        graph,
+        backend,
+        cell.clone(),
+        stats.clone(),
+        config.trainer,
+        config.wal.clone(),
+        config.fault.clone(),
+    );
     threads.push(
         thread::Builder::new().name("seqge-trainer".to_string()).spawn(move || trainer.run(rx))?,
     );
@@ -290,8 +261,6 @@ pub fn start_backend(
             fault: config.fault.clone(),
             dedup: dedup.clone(),
             max_backlog: config.max_backlog,
-            read_deadline: config.read_deadline,
-            write_timeout: config.write_timeout,
         };
         threads.push(
             thread::Builder::new().name(format!("seqge-worker-{i}")).spawn(move || ctx.run())?,
@@ -303,7 +272,6 @@ pub fn start_backend(
         let queue = queue.clone();
         let stop = stop.clone();
         let stats = stats.clone();
-        let max_conn_queue = config.max_conn_queue;
         threads.push(thread::Builder::new().name("seqge-accept".to_string()).spawn(move || {
             loop {
                 if stop.load(Ordering::SeqCst) {
@@ -314,7 +282,7 @@ pub fn start_backend(
                 match listener.accept() {
                     Ok((mut stream, _)) => {
                         let mut q = queue.0.lock().expect("conn queue poisoned");
-                        if q.len() >= max_conn_queue {
+                        if q.len() >= MAX_CONN_QUEUE {
                             // Shed at the door rather than queue unboundedly;
                             // the refusal is best-effort (the socket is still
                             // nonblocking here).
@@ -343,8 +311,63 @@ pub fn start_backend(
     Ok(ServerHandle { addr, stop, stats, registry, cell, trainer_tx: tx, threads })
 }
 
+/// The one line-framing loop (the cluster router's front end runs it too):
+/// reads LF-delimited requests off `stream` and writes back what `handle`
+/// answers for each — `Some((reply, close))`, or `None` to drop the
+/// connection without a reply — until EOF, a line past [`MAX_LINE_BYTES`]
+/// (a protocol violation: answered once, then closed), five idle minutes,
+/// or `stop` — which a blocked worker notices thanks to the short read
+/// timeout.
+pub fn serve_lines(
+    mut stream: TcpStream,
+    stop: &AtomicBool,
+    mut handle: impl FnMut(&str) -> Option<(String, bool)>,
+) -> io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_nodelay(true).ok();
+    let mut pending: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let mut last_activity = Instant::now();
+    while !stop.load(Ordering::SeqCst) {
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => return Ok(()), // EOF
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                if last_activity.elapsed() >= READ_DEADLINE {
+                    return Ok(()); // idle past the deadline: free the worker
+                }
+                continue;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        last_activity = Instant::now();
+        pending.extend_from_slice(&chunk[..n]);
+        while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = pending.drain(..=nl).collect();
+            let Some((response, close)) = handle(String::from_utf8_lossy(&line[..nl]).trim())
+            else {
+                return Ok(());
+            };
+            stream.write_all(response.as_bytes())?;
+            stream.write_all(b"\n")?;
+            if close {
+                return Ok(());
+            }
+        }
+        if pending.len() > MAX_LINE_BYTES {
+            let msg = Response::err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
+            stream.write_all(msg.as_bytes())?;
+            stream.write_all(b"\n")?;
+            return Ok(());
+        }
+    }
+    Ok(())
+}
+
 /// Every wire command, for pre-registering per-op request series.
-const OP_NAMES: [&str; 14] = [
+const OP_NAMES: [&str; 13] = [
     "ping",
     "stats",
     "get_embedding",
@@ -354,7 +377,6 @@ const OP_NAMES: [&str; 14] = [
     "remove_edge",
     "flush",
     "snapshot",
-    "restore",
     "metrics",
     "trace",
     "flightrec",
@@ -374,7 +396,6 @@ fn span_name(op: &str) -> &'static str {
         "remove_edge" => "serve.remove_edge",
         "flush" => "serve.flush",
         "snapshot" => "serve.snapshot",
-        "restore" => "serve.restore",
         "metrics" => "serve.metrics",
         "trace" => "serve.trace",
         "flightrec" => "serve.flightrec",
@@ -439,8 +460,6 @@ struct WorkerCtx {
     /// bounded by a sliding recency window.
     dedup: Arc<Mutex<DedupTable>>,
     max_backlog: u64,
-    read_deadline: Duration,
-    write_timeout: Duration,
 }
 
 impl WorkerCtx {
@@ -466,63 +485,20 @@ impl WorkerCtx {
         }
     }
 
-    /// Serves one connection until EOF, protocol violation, deadline
-    /// expiry, or shutdown.
-    fn handle_connection(&self, mut stream: TcpStream) -> io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        stream.set_write_timeout(Some(self.write_timeout))?;
-        stream.set_nodelay(true).ok();
+    fn handle_connection(&self, stream: TcpStream) -> io::Result<()> {
         let mut reader = SnapshotReader::new(self.cell.clone());
-        let mut pending: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let mut last_activity = Instant::now();
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Ok(());
+        serve_lines(stream, &self.stop, |line| {
+            let out = self.dispatch(line, &mut reader);
+            if self.fault.should(FaultPoint::ConnDrop) {
+                // Ack lost: the request may have been fully applied.
+                // This is the case WriteId dedup exists for.
+                return None;
             }
-            let n = match stream.read(&mut chunk) {
-                Ok(0) => return Ok(()), // EOF
-                Ok(n) => n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if last_activity.elapsed() >= self.read_deadline {
-                        // Idle past the deadline: free the worker.
-                        return Ok(());
-                    }
-                    continue;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            last_activity = Instant::now();
-            pending.extend_from_slice(&chunk[..n]);
-            // Process every complete line in the buffer.
-            while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = pending.drain(..=nl).collect();
-                let text = String::from_utf8_lossy(&line[..nl]);
-                let (response, close) = self.dispatch(text.trim(), &mut reader);
-                if self.fault.should(FaultPoint::ConnDrop) {
-                    // Ack lost: the request may have been fully applied.
-                    // This is the case WriteId dedup exists for.
-                    return Ok(());
-                }
-                if self.fault.should(FaultPoint::ConnStall) {
-                    thread::sleep(self.fault.stall());
-                }
-                stream.write_all(response.as_bytes())?;
-                stream.write_all(b"\n")?;
-                if close {
-                    return Ok(());
-                }
+            if self.fault.should(FaultPoint::ConnStall) {
+                thread::sleep(self.fault.stall());
             }
-            // A line still growing past the cap is a protocol violation:
-            // answer once and drop the connection.
-            if pending.len() > MAX_LINE_BYTES {
-                let msg = Response::err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
-                stream.write_all(msg.as_bytes())?;
-                stream.write_all(b"\n")?;
-                return Ok(());
-            }
-        }
+            Some(out)
+        })
     }
 
     fn dispatch(&self, line: &str, reader: &mut SnapshotReader) -> (String, bool) {
@@ -844,17 +820,6 @@ impl WorkerCtx {
                     ),
                     Ok(Err(e)) => (Response::err(e), false),
                     Err(_) => (Response::err("snapshot timed out"), false),
-                }
-            }
-            Request::Restore => {
-                let (ack_tx, ack_rx) = channel();
-                if self.trainer_tx.send(TrainerMsg::Restore(ack_tx)).is_err() {
-                    return (Response::err("trainer is shut down"), true);
-                }
-                match ack_rx.recv_timeout(Duration::from_secs(120)) {
-                    Ok(Ok(version)) => (Response::ok().field("version", version).build(), false),
-                    Ok(Err(e)) => (Response::err(e), false),
-                    Err(_) => (Response::err("restore timed out"), false),
                 }
             }
             Request::Metrics { format } => {

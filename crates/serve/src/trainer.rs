@@ -12,19 +12,20 @@
 //! publish, refreshes its cycle-model throughput plan, and re-measures the
 //! float-shadow deviation.
 //!
-//! With a WAL attached ([`Trainer::attach_wal`]), events arrive already
-//! logged (the worker appends before sending, holding the log lock across
-//! both, so log order equals apply order); the trainer tracks the highest
-//! applied sequence number, fsyncs the log at every batch boundary under
-//! the `batch` policy, and turns snapshots into atomic generation
-//! rotations via [`Wal::commit_snapshot`].
+//! Training itself is the shared [`Fold`] step. With a WAL, events arrive
+//! already logged (the worker appends before sending, holding the log lock
+//! across both, so log order equals apply order); the trainer fsyncs the
+//! log at every batch boundary under the `batch` policy and turns snapshots
+//! into atomic generation rotations via [`Wal::commit_snapshot`]. Without
+//! one the node is ephemeral: nothing is persisted, `snapshot` is an error.
 
 use crate::fault::{FaultInjector, FaultPoint};
+use crate::fold::{Applied, Fold};
 use crate::snapshot::{EmbeddingSnapshot, SnapshotCell};
 use crate::wal::Wal;
 use seqge_ann::{AnnBuilder, AnnConfig, SyncReport};
 use seqge_backend::TrainBackend;
-use seqge_graph::{io as graph_io, EdgeEvent, Graph};
+use seqge_graph::{EdgeEvent, Graph};
 use seqge_obs::{Counter, Gauge, Histogram, Registry, TraceCtx};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -49,8 +50,8 @@ pub fn batch_bucket(n: usize) -> &'static str {
 /// Observability context riding one write through the trainer queue: the
 /// worker stamps it at enqueue, the trainer closes it when the write's
 /// effect lands in a published snapshot. Never serialized into the WAL —
-/// replayed events carry [`WriteCtx::none`] and the on-disk format stays
-/// bit-identical.
+/// replay folds events in without passing through this queue, and the
+/// on-disk format stays bit-identical.
 #[derive(Clone, Default)]
 pub struct WriteCtx {
     /// Enqueue instant; `None` when timing is off (the always-on freshness
@@ -66,11 +67,6 @@ impl WriteCtx {
     pub fn at_enqueue(trace: Option<TraceCtx>) -> Self {
         let enqueued = if seqge_obs::timing_enabled() { Some(Instant::now()) } else { None };
         WriteCtx { enqueued, trace }
-    }
-
-    /// Context-free marker for replayed or synthetic events.
-    pub fn none() -> Self {
-        WriteCtx::default()
     }
 }
 
@@ -292,12 +288,10 @@ pub enum TrainerMsg {
     /// Barrier: drain everything queued before this message, publish, and
     /// ack with the published version.
     Flush(Sender<u64>),
-    /// Persist model + graph; ack with the written paths or an error.
+    /// Commit a snapshot generation to the WAL store; ack with the written
+    /// paths, or an error on an ephemeral server.
     Snapshot(Sender<Result<(PathBuf, PathBuf), String>>),
-    /// Reload model + graph from disk, replacing in-memory state; ack with
-    /// the restored version or an error. Unavailable in WAL mode.
-    Restore(Sender<Result<u64, String>>),
-    /// Drain in-flight events, write a final snapshot (if configured),
+    /// Drain in-flight events, commit a final generation (WAL only),
     /// publish, ack, and exit the thread.
     Shutdown(Sender<u64>),
 }
@@ -308,52 +302,29 @@ pub struct TrainerConfig {
     pub batch_max: usize,
     /// Resample the full walk corpus after this many applied events
     /// (0 = never). Counters the staleness of per-edge walks under heavy
-    /// drift — see [`IncrementalTrainer::refresh`].
+    /// drift — see [`Fold::apply`].
     pub refresh_every: u64,
-    /// Where `snapshot`/`restore` (and the final shutdown snapshot) write
-    /// the model; `None` disables persistence commands. Ignored in WAL
-    /// mode (generations live in the WAL directory).
-    pub snapshot_model: Option<PathBuf>,
-    /// Companion path for the graph.
-    pub snapshot_graph: Option<PathBuf>,
     /// ANN index maintenance: `Some(cfg)` keeps an LSH index in sync with
     /// every published snapshot (incremental — only dirty rows re-hash);
     /// `None` disables it and `mode:"ann"` queries answer exactly.
     pub ann: Option<AnnConfig>,
-    /// Worker threads for walk *generation* during bootstrap and corpus
-    /// refreshes (0 = one per core). Per-walk RNG lanes keep the corpus
-    /// bit-identical across thread counts; per-event ingest walks stay
-    /// sequential regardless (see [`IncrementalTrainer::set_walk_threads`]).
-    pub walk_threads: usize,
 }
 
 impl Default for TrainerConfig {
     fn default() -> Self {
-        TrainerConfig {
-            batch_max: 256,
-            refresh_every: 0,
-            snapshot_model: None,
-            snapshot_graph: None,
-            ann: Some(AnnConfig::default()),
-            walk_threads: 0,
-        }
+        TrainerConfig { batch_max: 256, refresh_every: 0, ann: Some(AnnConfig::default()) }
     }
 }
 
 /// The trainer thread's whole world.
 pub struct Trainer {
-    graph: Graph,
-    backend: Box<dyn TrainBackend>,
+    fold: Fold,
     cell: Arc<SnapshotCell>,
     stats: Arc<ServeStats>,
-    cfg: TrainerConfig,
+    batch_max: usize,
     wal: Option<Arc<Wal>>,
     fault: Arc<FaultInjector>,
     version: u64,
-    events_since_refresh: u64,
-    /// Highest WAL sequence number consumed (applied *or* rejected — a
-    /// rejected event is settled and must not replay either).
-    applied_seq: u64,
     /// Incremental ANN index maintainer (`None` when ANN is disabled).
     ann: Option<AnnBuilder>,
     /// Write contexts consumed since the last publish; closed (freshness
@@ -368,28 +339,32 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Builds the trainer and publishes the boot snapshot (version 0).
+    /// Builds the trainer — resuming the sequence/refresh cursors from the
+    /// WAL's recovery report when there is one — and publishes the boot
+    /// snapshot (version 0).
     pub fn new(
         graph: Graph,
-        mut backend: Box<dyn TrainBackend>,
+        backend: Box<dyn TrainBackend>,
         cell: Arc<SnapshotCell>,
         stats: Arc<ServeStats>,
         cfg: TrainerConfig,
+        wal: Option<Arc<Wal>>,
+        fault: Arc<FaultInjector>,
     ) -> Self {
-        backend.set_walk_threads(cfg.walk_threads);
-        let ann = cfg.ann.map(AnnBuilder::new);
+        let rec = wal.as_ref().map(|w| w.recovery()).unwrap_or_default();
+        if let Some(w) = &wal {
+            stats.sync_wal(w);
+        }
+        let applied_seq = rec.next_seq.saturating_sub(1);
         let mut t = Trainer {
-            graph,
-            backend,
+            fold: Fold::new(graph, backend, applied_seq, rec.since_refresh, cfg.refresh_every),
             cell,
             stats,
-            cfg,
-            wal: None,
-            fault: Arc::new(FaultInjector::disabled()),
+            batch_max: cfg.batch_max,
+            wal,
+            fault,
             version: 0,
-            events_since_refresh: 0,
-            applied_seq: 0,
-            ann,
+            ann: cfg.ann.map(AnnBuilder::new),
             inflight_writes: Vec::new(),
             last_publish: None,
             applied_since_publish: 0,
@@ -399,35 +374,22 @@ impl Trainer {
         t
     }
 
-    /// Attaches the WAL and fault injector, resuming the sequence/refresh
-    /// cursors from the recovery report. Must be called before `run`.
-    pub fn attach_wal(&mut self, wal: Option<Arc<Wal>>, fault: Arc<FaultInjector>) {
-        if let Some(w) = &wal {
-            let rec = w.recovery();
-            self.applied_seq = rec.next_seq.saturating_sub(1);
-            self.events_since_refresh = rec.since_refresh;
-            self.stats.sync_wal(w);
-        }
-        self.wal = wal;
-        self.fault = fault;
-    }
-
     fn sync_stats(&self) {
         // `set_to` keeps the counter monotone even though the trainer
         // publishes an absolute count.
-        self.stats.walks_trained.set_to(self.backend.outcome().walks_trained as u64);
+        self.stats.walks_trained.set_to(self.fold.backend.outcome().walks_trained as u64);
     }
 
     fn publish(&mut self) {
-        let out = self.backend.outcome();
+        let out = self.fold.backend.outcome();
         // `publish_view` is where a backend's deferred work lands (fpga-sim
         // re-dequantizes dirty rows and re-measures the shadow deviation).
-        let emb = self.backend.publish_view();
-        if let Some(plan) = self.backend.planner() {
+        let emb = self.fold.backend.publish_view();
+        if let Some(plan) = self.fold.backend.planner() {
             self.stats.backend_cycles.set_to(plan.cycles_total);
             self.stats.backend_predicted_eps.set(plan.predicted_ingest_eps as i64);
         }
-        if let Some(ppm) = self.backend.deviation_ppm() {
+        if let Some(ppm) = self.fold.backend.deviation_ppm() {
             self.stats.backend_deviation.set(ppm);
         }
         // Sync the ANN index against the matrix we are about to publish:
@@ -441,10 +403,10 @@ impl Trainer {
         self.cell.publish(EmbeddingSnapshot {
             version: self.version,
             emb,
-            num_edges: self.graph.num_edges(),
+            num_edges: self.fold.graph.num_edges(),
             walks_trained: out.walks_trained,
             edges_inserted: out.edges_inserted,
-            edges_removed: self.backend.edges_removed(),
+            edges_removed: self.fold.backend.edges_removed(),
             ann,
         });
         self.version += 1;
@@ -498,89 +460,43 @@ impl Trainer {
         }
     }
 
-    fn apply(&mut self, seq: u64, event: EdgeEvent) {
+    fn apply(&mut self, seq: u64, event: EdgeEvent, ctx: WriteCtx) {
         if self.fault.should(FaultPoint::TrainerPanic) {
             panic!("injected trainer panic");
         }
         if self.fault.should(FaultPoint::TrainerStall) {
             std::thread::sleep(self.fault.stall());
         }
-        match self.backend.ingest(&mut self.graph, event) {
-            Ok(_) => {
+        // An ephemeral server numbers nothing: arrival order is the sequence.
+        let seq = if self.wal.is_some() { seq } else { self.fold.applied_seq() + 1 };
+        let step = self.fold.apply(seq, event);
+        match step.applied {
+            Applied::Trained(_) => {
                 self.stats.applied.inc();
-                self.events_since_refresh += 1;
                 self.applied_since_publish += 1;
             }
-            Err(_) => {
-                self.stats.rejected.inc();
-            }
+            // The log hands out strictly increasing numbers, so a skip can
+            // only be settled like a rejection: it must leave the backlog.
+            Applied::Rejected | Applied::Skipped => self.stats.rejected.inc(),
         }
-        if seq > self.applied_seq {
-            self.applied_seq = seq;
-        }
-        if self.cfg.refresh_every > 0 && self.events_since_refresh >= self.cfg.refresh_every {
-            self.backend.refresh(&self.graph);
+        if step.refreshed {
             self.stats.refreshes.inc();
-            self.events_since_refresh = 0;
         }
+        self.inflight_writes.push(ctx);
         self.sync_stats();
         self.stats.update_backlog();
     }
 
-    fn snapshot_paths(&self) -> Result<(PathBuf, PathBuf), String> {
-        match (&self.cfg.snapshot_model, &self.cfg.snapshot_graph) {
-            (Some(m), Some(g)) => Ok((m.clone(), g.clone())),
-            _ => Err("server started without --snapshot-dir or --wal-dir".to_string()),
-        }
-    }
-
-    /// Writes model + graph via temp-file-then-rename so a crash mid-write
-    /// never clobbers the previous good snapshot. In WAL mode this is a
-    /// generation rotation: the new files plus a rotated segment become
-    /// visible atomically through the `meta.json` swap.
+    /// Commits a snapshot generation of the current state to the WAL store.
+    /// An ephemeral server has nowhere to write.
     fn write_snapshot(&self) -> Result<(PathBuf, PathBuf), String> {
+        let wal = self.wal.as_ref().ok_or("ephemeral server (started without --wal-dir)")?;
         let t0 = Instant::now();
-        let (model_path, graph_path) = match &self.wal {
-            Some(wal) => {
-                let (_, m, g) = wal.begin_snapshot();
-                (m, g)
-            }
-            None => self.snapshot_paths()?,
-        };
-        let mtmp = model_path.with_extension("tmp");
-        let gtmp = graph_path.with_extension("tmp");
-        self.backend.save_state(&mtmp).map_err(|e| format!("model snapshot: {e}"))?;
-        graph_io::save_graph(&self.graph, &gtmp).map_err(|e| format!("graph snapshot: {e}"))?;
-        std::fs::rename(&mtmp, &model_path).map_err(|e| format!("model rename: {e}"))?;
-        std::fs::rename(&gtmp, &graph_path).map_err(|e| format!("graph rename: {e}"))?;
-        if let Some(wal) = &self.wal {
-            wal.commit_snapshot(self.applied_seq, self.events_since_refresh)
-                .map_err(|e| format!("wal rotation: {e}"))?;
-            self.stats.sync_wal(wal);
-        }
+        let paths = wal.commit_snapshot(&self.fold).map_err(|e| format!("snapshot: {e}"))?;
+        self.stats.sync_wal(wal);
         self.stats.snapshots_written.inc();
         self.stats.snapshot_ns.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        Ok((model_path, graph_path))
-    }
-
-    fn restore_snapshot(&mut self) -> Result<u64, String> {
-        if self.wal.is_some() {
-            return Err("restore is unavailable in WAL mode: on-disk state is authoritative; \
-                 restart the server to recover"
-                .to_string());
-        }
-        let (model_path, graph_path) = self.snapshot_paths()?;
-        let graph = graph_io::load_graph(&graph_path).map_err(|e| format!("graph restore: {e}"))?;
-        // Swaps the model weights only — the live walk corpus and negative
-        // table survive, matching the pre-refactor restore semantics. The
-        // backend refuses (without mutating) on a bad file or node-count
-        // mismatch against the restored graph.
-        self.backend
-            .restore_state(&model_path, graph.num_nodes())
-            .map_err(|e| format!("model restore: {e}"))?;
-        self.graph = graph;
-        self.publish();
-        Ok(self.version - 1)
+        Ok(paths)
     }
 
     /// Fsync + counter mirror at a batch boundary. `force` commits
@@ -609,17 +525,15 @@ impl Trainer {
             let mut control = None;
             match first {
                 TrainerMsg::Event(seq, e, ctx) => {
-                    self.apply(seq, e);
-                    self.inflight_writes.push(ctx);
+                    self.apply(seq, e, ctx);
                     let mut batched = 1usize;
                     let mut drained = false;
                     // Opportunistic batch: drain whatever queued up while
                     // training, then publish once.
-                    while batched < self.cfg.batch_max {
+                    while batched < self.batch_max {
                         match rx.try_recv() {
                             Ok(TrainerMsg::Event(seq, e, ctx)) => {
-                                self.apply(seq, e);
-                                self.inflight_writes.push(ctx);
+                                self.apply(seq, e, ctx);
                                 batched += 1;
                             }
                             Ok(other) => {
@@ -653,16 +567,12 @@ impl Trainer {
                     TrainerMsg::Snapshot(ack) => {
                         let _ = ack.send(self.write_snapshot());
                     }
-                    TrainerMsg::Restore(ack) => {
-                        let _ = ack.send(self.restore_snapshot());
-                    }
                     TrainerMsg::Shutdown(ack) => {
                         // Drain in-flight events so nothing queued is lost…
                         while let Ok(msg) = rx.try_recv() {
                             match msg {
                                 TrainerMsg::Event(seq, e, ctx) => {
-                                    self.apply(seq, e);
-                                    self.inflight_writes.push(ctx);
+                                    self.apply(seq, e, ctx);
                                 }
                                 TrainerMsg::Flush(a) => {
                                     let _ = a.send(self.version);
@@ -670,18 +580,14 @@ impl Trainer {
                                 TrainerMsg::Snapshot(a) => {
                                     let _ = a.send(Err("shutting down".to_string()));
                                 }
-                                TrainerMsg::Restore(a) => {
-                                    let _ = a.send(Err("shutting down".to_string()));
-                                }
                                 TrainerMsg::Shutdown(a) => {
                                     let _ = a.send(self.version);
                                 }
                             }
                         }
-                        // …then leave a final on-disk snapshot if configured
-                        // (in WAL mode: a final generation rotation, so the
-                        // next boot replays nothing).
-                        if self.wal.is_some() || self.cfg.snapshot_model.is_some() {
+                        // …then commit a final generation, so the next boot
+                        // replays nothing.
+                        if self.wal.is_some() {
                             if let Err(e) = self.write_snapshot() {
                                 seqge_obs::error!("serve", "final snapshot failed: {e}");
                             }

@@ -1,17 +1,16 @@
 //! Write-ahead log: crash durability for the serve plane's write path.
 //!
-//! PR 2's server only persisted on periodic/SIGINT snapshots, so a crash
-//! silently discarded every acknowledged `add_edge`/`remove_edge` since the
-//! last snapshot. This module closes that hole with the classic recipe:
+//! A snapshot alone loses every write acknowledged since it was taken, so
+//! a node's durable state is snapshot *plus* ordered log — the classic
+//! recipe:
 //!
 //! * every accepted edge event is appended to a log segment **before** it
 //!   is handed to the trainer, as a length-prefixed, CRC-checksummed,
 //!   sequence-numbered record;
 //! * recovery loads the newest snapshot generation and replays the
-//!   segment's unapplied suffix through a fresh
-//!   [`IncrementalTrainer`] — the *same* code path a live server uses
-//!   after [`crate::boot_restore_spec`], so a recovered server is
-//!   bit-identical to one that never crashed;
+//!   segment's unapplied suffix through the same [`Fold`] step the live
+//!   trainer runs, so a recovered server is bit-identical to one that
+//!   never crashed;
 //! * snapshots rotate the log: a new generation (`model.<g>.sge`,
 //!   `graph.<g>.edges`) plus a new segment carrying only unapplied records
 //!   are made durable first, then `meta.json` is swapped in by an atomic
@@ -43,6 +42,7 @@
 //! durability to the OS page cache entirely.
 
 use crate::fault::{FaultInjector, FaultPoint};
+use crate::fold::{Applied, Fold};
 use seqge_backend::{BackendSpec, TrainBackend};
 use seqge_graph::{io as graph_io, EdgeEvent, Graph};
 use serde_json::Value;
@@ -413,7 +413,8 @@ fn graph_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("graph.{gen}.edges"))
 }
 
-fn segment_path(dir: &Path, seg: u64) -> PathBuf {
+/// Where segment `seg` of the store in `dir` lives.
+pub fn segment_path(dir: &Path, seg: u64) -> PathBuf {
     dir.join(format!("wal.{seg}.log"))
 }
 
@@ -546,7 +547,51 @@ pub struct Wal {
     rotations: AtomicU64,
 }
 
+/// Writes snapshot generation `gen` (the backend's model state + `graph`)
+/// durably, temp-file-then-rename so a crash mid-write never leaves half a
+/// file under a generation's name. The generation only counts once
+/// `meta.json` names it.
+fn write_generation(
+    dir: &Path,
+    gen: u64,
+    backend: &dyn TrainBackend,
+    graph: &Graph,
+) -> io::Result<(PathBuf, PathBuf)> {
+    let (mpath, gpath) = (model_path(dir, gen), graph_path(dir, gen));
+    let (mtmp, gtmp) = (mpath.with_extension("tmp"), gpath.with_extension("tmp"));
+    backend.save_state(&mtmp)?;
+    graph_io::save_graph(graph, &gtmp).map_err(|e| bad_data(e.to_string()))?;
+    std::fs::rename(&mtmp, &mpath)?;
+    std::fs::rename(&gtmp, &gpath)?;
+    fsync_path(&mpath)?;
+    fsync_path(&gpath)?;
+    Ok((mpath, gpath))
+}
+
 impl Wal {
+    /// The open log over segment `report.segment` of generation
+    /// `report.gen`, positioned to append `report.next_seq` at `tail_valid`.
+    fn open(cfg: &WalConfig, file: File, tail_valid: u64, report: RecoveryReport) -> Wal {
+        Wal {
+            dir: cfg.dir.clone(),
+            fsync: cfg.fsync,
+            inner: Mutex::new(Inner {
+                file,
+                segment: report.segment,
+                gen: report.gen,
+                tail_valid,
+                dirty: 0,
+                last_sync: Instant::now(),
+                next_seq: report.next_seq,
+            }),
+            report,
+            appended: AtomicU64::new(0),
+            append_errors: AtomicU64::new(0),
+            fsyncs: AtomicU64::new(0),
+            rotations: AtomicU64::new(0),
+        }
+    }
+
     /// Initialises a fresh store: generation-0 snapshot of the backend's
     /// model state + `graph`, an empty segment 0, and the first `meta.json`
     /// commit. The snapshot format is the backend's own (float SGE1 kind 2,
@@ -559,36 +604,15 @@ impl Wal {
                 cfg.dir.display()
             )));
         }
-        let mpath = model_path(&cfg.dir, 0);
-        let gpath = graph_path(&cfg.dir, 0);
-        backend.save_state(&mpath)?;
-        graph_io::save_graph(graph, &gpath).map_err(|e| bad_data(e.to_string()))?;
-        fsync_path(&mpath)?;
-        fsync_path(&gpath)?;
+        write_generation(&cfg.dir, 0, backend, graph)?;
         let spath = segment_path(&cfg.dir, 0);
         let mut file =
             OpenOptions::new().create(true).truncate(true).read(true).write(true).open(&spath)?;
         file.write_all(MAGIC)?;
         file.sync_all()?;
         write_meta(&cfg.dir, Meta { gen: 0, applied_seq: 0, segment: 0, since_refresh: 0 })?;
-        Ok(Wal {
-            dir: cfg.dir.clone(),
-            fsync: cfg.fsync,
-            inner: Mutex::new(Inner {
-                file,
-                segment: 0,
-                gen: 0,
-                tail_valid: MAGIC.len() as u64,
-                dirty: 0,
-                last_sync: Instant::now(),
-                next_seq: 1,
-            }),
-            report: RecoveryReport { next_seq: 1, ..RecoveryReport::default() },
-            appended: AtomicU64::new(0),
-            append_errors: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-        })
+        let report = RecoveryReport { next_seq: 1, ..RecoveryReport::default() };
+        Ok(Wal::open(cfg, file, MAGIC.len() as u64, report))
     }
 
     /// Recovers a committed store: restores the snapshot generation, replays
@@ -600,7 +624,7 @@ impl Wal {
         spec: &BackendSpec,
         refresh_every: u64,
     ) -> io::Result<Option<WalBoot>> {
-        let Some((graph, backend, report, scan)) = replay_state(cfg, spec, refresh_every)? else {
+        let Some((fold, report, scan)) = replay_state(cfg, spec, refresh_every)? else {
             return Ok(None);
         };
         let spath = segment_path(&cfg.dir, report.segment);
@@ -618,25 +642,8 @@ impl Wal {
             file.set_len(tail_valid)?;
             file.sync_all()?;
         }
-        let wal = Wal {
-            dir: cfg.dir.clone(),
-            fsync: cfg.fsync,
-            inner: Mutex::new(Inner {
-                file,
-                segment: report.segment,
-                gen: report.gen,
-                tail_valid,
-                dirty: 0,
-                last_sync: Instant::now(),
-                next_seq: report.next_seq,
-            }),
-            report,
-            appended: AtomicU64::new(0),
-            append_errors: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-        };
-        Ok(Some(WalBoot { graph, backend, wal, report }))
+        let wal = Wal::open(cfg, file, tail_valid, report);
+        Ok(Some(WalBoot { graph: fold.graph, backend: fold.backend, wal, report }))
     }
 
     /// Appends `event`, then (still holding the log lock) runs `send` to
@@ -737,25 +744,19 @@ impl Wal {
         Ok(())
     }
 
-    /// The paths the *next* snapshot generation must be written to (by the
-    /// trainer, temp-then-rename), before calling
-    /// [`Wal::commit_snapshot`].
-    pub fn begin_snapshot(&self) -> (u64, PathBuf, PathBuf) {
-        let inner = self.inner.lock().expect("wal lock poisoned");
-        let gen = inner.gen + 1;
-        (gen, model_path(&self.dir, gen), graph_path(&self.dir, gen))
-    }
-
-    /// Commits a snapshot generation written to the [`Wal::begin_snapshot`]
-    /// paths: rotates to a fresh segment carrying only records with
-    /// `seq > applied_seq`, makes everything durable, then swaps
-    /// `meta.json`. On return the old generation and segment are deleted.
-    pub fn commit_snapshot(&self, applied_seq: u64, since_refresh: u64) -> io::Result<()> {
+    /// Commits the next snapshot generation — the state of `fold`, which has
+    /// consumed the log up to its `applied_seq` — and rotates to a fresh
+    /// segment carrying only later records; everything is made durable, then
+    /// `meta.json` is swapped. On return the old generation and segment are
+    /// deleted. Returns the new model and graph paths.
+    pub fn commit_snapshot(&self, fold: &Fold) -> io::Result<(PathBuf, PathBuf)> {
+        let applied_seq = fold.applied_seq();
+        // The generation is written outside the log lock (only the trainer
+        // thread commits, so `gen` cannot move): appends keep flowing.
+        let new_gen = self.inner.lock().expect("wal lock poisoned").gen + 1;
+        let paths = write_generation(&self.dir, new_gen, &*fold.backend, &fold.graph)?;
         let mut inner = self.inner.lock().expect("wal lock poisoned");
-        let new_gen = inner.gen + 1;
         let new_seg = inner.segment + 1;
-        fsync_path(&model_path(&self.dir, new_gen))?;
-        fsync_path(&graph_path(&self.dir, new_gen))?;
         // Carry unapplied records (acked but not yet folded into the new
         // snapshot) into the fresh segment.
         let old_spath = segment_path(&self.dir, inner.segment);
@@ -779,6 +780,7 @@ impl Wal {
         let tail_valid = file.metadata()?.len();
         // The commit point: after this rename, recovery sees the new
         // generation; before it, the old one. Never a mix.
+        let since_refresh = fold.since_refresh();
         write_meta(&self.dir, Meta { gen: new_gen, applied_seq, segment: new_seg, since_refresh })?;
         let old_gen = inner.gen;
         inner.file = file;
@@ -793,7 +795,7 @@ impl Wal {
         let _ = std::fs::remove_file(model_path(&self.dir, old_gen));
         let _ = std::fs::remove_file(graph_path(&self.dir, old_gen));
         self.rotations.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(paths)
     }
 
     /// The store directory.
@@ -832,26 +834,18 @@ impl Wal {
     }
 }
 
-/// Restores the committed snapshot and replays the segment in memory —
-/// shared by [`Wal::recover`] (which then truncates/opens the log) and
-/// [`verify_replay`] (which must not touch the disk).
-#[allow(clippy::type_complexity)]
-fn replay_state(
-    cfg: &WalConfig,
+/// Loads snapshot generation `gen`: the graph, and the spec's
+/// engine over the persisted model with a fresh sequential driver (empty
+/// corpus — the replayed events rebuild it). [`BackendSpec::load`] sniffs
+/// the snapshot's kind byte, so booting with the wrong `--backend` fails
+/// here instead of replaying garbage.
+pub fn load_generation(
+    dir: &Path,
     spec: &BackendSpec,
-    refresh_every: u64,
-) -> io::Result<Option<(Graph, Box<dyn TrainBackend>, RecoveryReport, SegmentScan)>> {
-    let Some(meta) = read_meta(&cfg.dir)? else {
-        return Ok(None);
-    };
-    // `spec.load` = snapshot model state + fresh sequential driver (empty
-    // corpus) — the same construction a live server performs after
-    // `boot_restore_spec`. Replaying through it reproduces the
-    // uninterrupted run bit for bit. It also sniffs the snapshot's kind byte, so booting with
-    // the wrong `--backend` fails here instead of replaying garbage.
-    let mut backend = spec.load(&model_path(&cfg.dir, meta.gen))?;
-    let mut graph = graph_io::load_graph(graph_path(&cfg.dir, meta.gen))
-        .map_err(|e| bad_data(e.to_string()))?;
+    gen: u64,
+) -> io::Result<(Graph, Box<dyn TrainBackend>)> {
+    let backend = spec.load(&model_path(dir, gen))?;
+    let graph = graph_io::load_graph(graph_path(dir, gen)).map_err(|e| bad_data(e.to_string()))?;
     if backend.num_nodes() != graph.num_nodes() {
         return Err(bad_data(format!(
             "snapshot mismatch: model covers {} nodes, graph has {}",
@@ -859,42 +853,42 @@ fn replay_state(
             graph.num_nodes()
         )));
     }
+    Ok((graph, backend))
+}
+
+/// Restores the committed snapshot and replays the segment in memory —
+/// shared by [`Wal::recover`] (which then truncates/opens the log) and
+/// [`verify_replay`] (which must not touch the disk).
+fn replay_state(
+    cfg: &WalConfig,
+    spec: &BackendSpec,
+    refresh_every: u64,
+) -> io::Result<Option<(Fold, RecoveryReport, SegmentScan)>> {
+    let Some(meta) = read_meta(&cfg.dir)? else {
+        return Ok(None);
+    };
+    let (graph, backend) = load_generation(&cfg.dir, spec, meta.gen)?;
+    let mut fold = Fold::new(graph, backend, meta.applied_seq, meta.since_refresh, refresh_every);
     let scan = read_segment(&segment_path(&cfg.dir, meta.segment))?;
     let mut report = RecoveryReport {
         gen: meta.gen,
         segment: meta.segment,
         torn_tail: scan.torn,
-        since_refresh: meta.since_refresh,
         ..RecoveryReport::default()
     };
-    let mut max_seen = meta.applied_seq;
     for rec in &scan.records {
-        if rec.seq <= meta.applied_seq {
-            report.skipped_applied += 1;
-            continue;
+        let step = fold.apply(rec.seq, rec.event);
+        match step.applied {
+            Applied::Skipped if rec.seq <= meta.applied_seq => report.skipped_applied += 1,
+            Applied::Skipped => report.duplicates += 1,
+            Applied::Trained(_) => report.replayed += 1,
+            Applied::Rejected => report.rejected += 1,
         }
-        if rec.seq <= max_seen {
-            report.duplicates += 1;
-            continue;
-        }
-        max_seen = rec.seq;
-        // Mirror of `Trainer::apply`: rejected events don't advance the
-        // refresh cadence, and the cadence check runs after every event.
-        match backend.ingest(&mut graph, rec.event) {
-            Ok(_) => {
-                report.replayed += 1;
-                report.since_refresh += 1;
-            }
-            Err(_) => report.rejected += 1,
-        }
-        if refresh_every > 0 && report.since_refresh >= refresh_every {
-            backend.refresh(&graph);
-            report.refreshes += 1;
-            report.since_refresh = 0;
-        }
+        report.refreshes += u64::from(step.refreshed);
     }
-    report.next_seq = max_seen + 1;
-    Ok(Some((graph, backend, report, scan)))
+    report.since_refresh = fold.since_refresh();
+    report.next_seq = fold.applied_seq() + 1;
+    Ok(Some((fold, report, scan)))
 }
 
 /// The result of `--wal-replay-check`.
@@ -918,12 +912,12 @@ pub fn verify_replay(
     spec: &BackendSpec,
     refresh_every: u64,
 ) -> io::Result<ReplayCheck> {
-    let (_, mut backend_a, report, _) = replay_state(cfg, spec, refresh_every)?
+    let (mut a, report, _) = replay_state(cfg, spec, refresh_every)?
         .ok_or_else(|| bad_data(format!("{}: no committed store", cfg.dir.display())))?;
-    let (_, mut backend_b, _, _) = replay_state(cfg, spec, refresh_every)?
+    let (mut b, _, _) = replay_state(cfg, spec, refresh_every)?
         .ok_or_else(|| bad_data("store vanished mid-check"))?;
-    let ea = backend_a.publish_view();
-    let eb = backend_b.publish_view();
+    let ea = a.backend.publish_view();
+    let eb = b.backend.publish_view();
     let deterministic = ea.rows() == eb.rows()
         && ea.cols() == eb.cols()
         && ea.as_slice().iter().zip(eb.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());

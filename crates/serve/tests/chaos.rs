@@ -26,10 +26,8 @@
 //! fails the same way every run.
 
 use seqge_backend::{BackendKind, BackendSpec, TrainBackend};
-use seqge_core::{OsElmConfig, TrainConfig};
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::{spanning_forest, EdgeEvent};
-use seqge_sampling::UpdatePolicy;
 use seqge_serve::wal::{self, FsyncPolicy, Wal, WalConfig};
 use seqge_serve::{ready, Client, ClientConfig};
 use std::io::Seek;
@@ -39,19 +37,6 @@ use std::time::Duration;
 
 const DIM: usize = 8;
 const SEED: u64 = 11;
-
-/// Must mirror `chaosd::train_cfg` exactly — the reference replay and the
-/// daemon must agree on every walk parameter.
-fn train_cfg() -> TrainConfig {
-    let mut cfg = TrainConfig::paper_defaults(DIM);
-    cfg.walk.walk_length = 12;
-    cfg.walk.walks_per_node = 2;
-    cfg
-}
-
-fn ocfg() -> OsElmConfig {
-    OsElmConfig { model: train_cfg().model, ..OsElmConfig::paper_defaults(DIM) }
-}
 
 /// The engine under chaos: `SEQGE_BACKEND=fpga-sim` runs the whole kill -9 /
 /// bit-identical-recovery suite against the fixed-point backend (the CI
@@ -63,8 +48,10 @@ fn backend_kind() -> BackendKind {
     }
 }
 
+/// The daemon's own spec — the reference replay and `chaosd` share the one
+/// definition, so they agree on every walk parameter by construction.
 fn spec() -> BackendSpec {
-    BackendSpec::new(backend_kind(), train_cfg(), ocfg(), UpdatePolicy::every_edge(), SEED)
+    seqge_serve::shard_spec(backend_kind(), DIM, SEED)
 }
 
 /// Fault schedules under test (chaos seeds), from `SEQGE_FAULT_SEED`.
@@ -86,10 +73,14 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(dir: &Path, faults: &str, seed: u64) -> Daemon {
+    /// `flightrec` is where the daemon's crash recorder dumps (a short
+    /// period, so even a process that lives under a second leaves a file).
+    fn spawn(dir: &Path, flightrec: &Path, faults: &str, seed: u64) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_chaosd"))
             .args(["--dir", dir.to_str().unwrap(), "--addr", "127.0.0.1:0"])
             .args(["--backend", backend_kind().as_str()])
+            .env("SEQGE_FLIGHTREC", flightrec)
+            .env("SEQGE_FLIGHTREC_PERIOD_MS", "50")
             .env("SEQGE_FAULT", faults)
             .env("SEQGE_FAULT_SEED", seed.to_string())
             .env("SEQGE_FAULT_STALL_MS", "1200")
@@ -106,6 +97,11 @@ impl Daemon {
     fn kill9(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+    }
+
+    /// The periodic flight-recorder dump a kill -9'd daemon leaves behind.
+    fn flightrec_dump(&self, dir: &Path) -> PathBuf {
+        dir.join(format!("flightrec-{}.json", self.child.id()))
     }
 }
 
@@ -209,8 +205,12 @@ fn run_chaos_scenario(seed: u64) {
     assert!(edges.len() >= 20, "need a real stream, got {} edges", edges.len());
 
     // Phase 1: hostile daemon A. Everything armed, including panics.
+    // CI points SEQGE_FLIGHTREC at the directory it uploads on failure.
+    let flightrec =
+        std::env::var_os("SEQGE_FLIGHTREC").map_or_else(|| base.join("flightrec"), PathBuf::from);
     let mut a = Daemon::spawn(
         &store,
+        &flightrec,
         "conn_drop=0.06,conn_stall=0.02,wal_short_write=0.05,wal_append_error=0.03,trainer_panic=0.005",
         seed,
     );
@@ -239,7 +239,18 @@ fn run_chaos_scenario(seed: u64) {
         }
     }
     drop(ca);
+    // Forensics survive the kill: the recorder is armed in the daemon and
+    // has dumped at least once by now (poll briefly: the first period may
+    // not have elapsed if the trainer panicked at once).
+    let dump = a.flightrec_dump(&flightrec);
+    for _ in 0..100 {
+        if dump.is_file() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
     a.kill9();
+    assert!(dump.is_file(), "seed {seed}: kill -9'd daemon left no {}", dump.display());
     assert!(
         !acked.is_empty(),
         "seed {seed}: no write was ever acknowledged in {attempted} attempts"
@@ -265,7 +276,8 @@ fn run_chaos_scenario(seed: u64) {
     // Phase 3: daemon B on the vandalized store. Connection faults stay
     // armed (retry + dedup must hold up); WAL/trainer faults are disarmed
     // so the reference mirror below sees the same apply stream.
-    let mut b = Daemon::spawn(&store, "conn_drop=0.06,conn_stall=0.02", seed ^ 0xC0FFEE);
+    let mut b =
+        Daemon::spawn(&store, &flightrec, "conn_drop=0.06,conn_stall=0.02", seed ^ 0xC0FFEE);
     let mut cb = client(&b.addr, &format!("chaos-b-{seed}"));
     let stats = cb.stats().unwrap();
     assert_eq!(

@@ -2,35 +2,22 @@
 //!
 //! The acceptance loop — boot from a partial graph, stream the held-out
 //! edges in over the write plane while querying the read plane, watch
-//! link-prediction scores improve, snapshot, kill, restore bit-identically.
+//! link-prediction scores improve, shut down, recover bit-identically.
 //!
 //! The whole suite is backend-generic: `SEQGE_BACKEND=fpga-sim` runs every
 //! test against the fixed-point accelerator backend (the CI backend matrix
 //! does exactly that); default is float.
 
 use seqge_backend::{BackendKind, BackendSpec};
-use seqge_core::{OsElmConfig, TrainConfig};
 use seqge_eval::EdgeOp;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::spanning_forest;
-use seqge_sampling::UpdatePolicy;
-use seqge_serve::{boot_restore_spec, start_backend, Client, ServeConfig};
+use seqge_serve::{start_backend, Client, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 const DIM: usize = 8;
 const SEED: u64 = 11;
-
-fn train_cfg() -> TrainConfig {
-    let mut cfg = TrainConfig::paper_defaults(DIM);
-    cfg.walk.walk_length = 12;
-    cfg.walk.walks_per_node = 2;
-    cfg
-}
-
-fn ocfg() -> OsElmConfig {
-    OsElmConfig { model: train_cfg().model, ..OsElmConfig::paper_defaults(DIM) }
-}
 
 fn backend_kind() -> BackendKind {
     match std::env::var("SEQGE_BACKEND") {
@@ -40,7 +27,7 @@ fn backend_kind() -> BackendKind {
 }
 
 fn spec() -> BackendSpec {
-    BackendSpec::new(backend_kind(), train_cfg(), ocfg(), UpdatePolicy::every_edge(), SEED)
+    seqge_serve::shard_spec(backend_kind(), DIM, SEED)
 }
 
 /// Boots a server over the spanning forest of a random graph; returns the
@@ -130,7 +117,8 @@ fn protocol_errors_are_clean_and_connection_survives() {
         r#"{"cmd":"get_embedding","node":4999}"#,
         r#"{"cmd":"add_edge","u":0,"v":0}"#,
         r#"{"cmd":"add_edge","u":0,"v":4999}"#,
-        r#"{"cmd":"snapshot"}"#, // no snapshot dir configured
+        r#"{"cmd":"snapshot"}"#, // ephemeral server: nowhere to write
+        r#"{"cmd":"restore"}"#,  // retired op: unknown command
     ] {
         let resp = c.call_raw(bad).unwrap();
         assert!(resp.contains("\"ok\":false") || resp.contains("\"ok\": false"), "{bad} → {resp}");
@@ -186,68 +174,6 @@ fn concurrent_readers_and_writer_make_progress() {
         r.join().expect("reader thread");
     }
     handle.shutdown().unwrap();
-}
-
-#[test]
-fn snapshot_restore_roundtrip_is_bit_identical() {
-    let dir = std::env::temp_dir().join(format!("seqge_serve_e2e_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = ServeConfig::default().with_snapshot_dir(&dir).unwrap();
-    let (handle, removed) = forest_server(config);
-    let mut c = Client::connect(handle.addr()).unwrap();
-
-    // Train on half the stream, snapshot, record state.
-    let half = removed.len() / 2;
-    for &(u, v) in &removed[..half] {
-        c.add_edge(u, v).unwrap();
-    }
-    c.flush().unwrap();
-    c.snapshot().unwrap();
-    let frozen: Vec<Vec<f32>> = (0..40).map(|n| c.get_embedding(n).unwrap()).collect();
-    let frozen_edges = c.stats().unwrap().get("edges").and_then(|v| v.as_u64()).unwrap();
-
-    // "Kill" the server (graceful here; the final snapshot also runs, but
-    // we already snapshotted explicitly) and boot a fresh one from disk.
-    handle.shutdown().unwrap();
-    let (graph, backend) = boot_restore_spec(&dir, &spec()).expect("restore boots");
-    assert_eq!(graph.num_edges() as u64, frozen_edges);
-    let handle2 = start_backend(
-        "127.0.0.1:0",
-        graph,
-        backend,
-        ServeConfig::default().with_snapshot_dir(&dir).unwrap(),
-    )
-    .unwrap();
-    let mut c2 = Client::connect(handle2.addr()).unwrap();
-
-    // Bit-identical embeddings (f32-exact through the JSON wire).
-    for (n, frozen_row) in frozen.iter().enumerate() {
-        let row = c2.get_embedding(n as u32).unwrap();
-        assert_eq!(&row, frozen_row, "row {n} differs after restore");
-    }
-
-    // The restored server keeps ingesting the rest of the stream.
-    for &(u, v) in &removed[half..] {
-        c2.add_edge(u, v).unwrap();
-    }
-    c2.flush().unwrap();
-    let stats = c2.stats().unwrap();
-    assert_eq!(stats.get("rejected").and_then(|v| v.as_u64()), Some(0));
-    assert_eq!(
-        stats.get("edges_inserted").and_then(|v| v.as_u64()),
-        Some((removed.len() - half) as u64)
-    );
-
-    // The in-protocol restore command rolls back to the on-disk state.
-    let restored_version = c2.restore().unwrap();
-    assert!(restored_version > 0);
-    for (n, frozen_row) in frozen.iter().enumerate() {
-        let row = c2.get_embedding(n as u32).unwrap();
-        assert_eq!(&row, frozen_row, "row {n} differs after in-protocol restore");
-    }
-
-    handle2.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -415,7 +341,7 @@ fn retried_writes_dedup_by_client_sequence() {
 }
 
 #[test]
-fn wal_mode_survives_graceful_shutdown_bit_identically_and_blocks_restore() {
+fn wal_mode_survives_graceful_shutdown_bit_identically() {
     use seqge_serve::wal::{FsyncPolicy, WalConfig};
     let dir = std::env::temp_dir().join(format!("seqge_serve_wal_e2e_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -444,13 +370,10 @@ fn wal_mode_survives_graceful_shutdown_bit_identically_and_blocks_restore() {
     }
     c.flush().unwrap();
 
-    // The on-disk generations are authoritative; in-protocol restore would
-    // silently fork them, so it is refused.
+    // The on-disk generations are authoritative: there is no op to roll
+    // the live state back over them.
     let resp = c.call_raw(r#"{"cmd":"restore"}"#).unwrap();
-    assert!(
-        resp.contains("\"ok\":false") && resp.contains("WAL mode"),
-        "restore must be refused in WAL mode: {resp}"
-    );
+    assert!(resp.contains("unknown command `restore`"), "restore is a retired op: {resp}");
     let stats = c.stats().unwrap();
     assert_eq!(stats.get("wal"), Some(&serde::value::Value::Bool(true)), "{stats:?}");
     assert_eq!(stats.get("wal_fsync").and_then(|s| s.as_str()), Some("batch"), "{stats:?}");

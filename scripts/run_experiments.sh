@@ -32,6 +32,5 @@ run fig7 --scale 0.08 --datasets cora,ampt
 run fig5 --scale 0.12 --dims 32
 run table3
 run table4
-run bench_serve --scale 0.15
 
 echo "all experiment outputs in results/"

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Smoke test for the seqge-serve daemon: boot from a generated graph, run a
-# scripted client session over the line-delimited JSON protocol, scrape the
-# metrics registry, SIGINT the server, and verify the snapshot-backed
-# restart path. Exits non-zero on any failed assertion. CI runs this as the
-# `serve-smoke` job.
+# Smoke test for the seqge-serve daemon: cold-boot a WAL store from a
+# generated graph, run a scripted client session over the line-delimited
+# JSON protocol, scrape the metrics registry, kill -9 the server, restart it
+# from the store alone (the log replays; acked writes survive), and SIGINT
+# that one gracefully. Exits non-zero on any failed assertion. CI runs this
+# as the `serve-smoke` job.
 #
 # The server logs structured JSONL to stderr (seqge-obs), so readiness and
 # lifecycle checks match on the "msg" field rather than raw lines.
@@ -48,11 +49,12 @@ check_series() {
 
 "$BIN" generate --dataset cora --scale 0.05 --out "$work/g.edges"
 
-# Sample every trace and point the flight recorder at a scratch dir so the
+# Sample every trace and point the flight recorder at a scratch dir (short
+# period: the kill -9 below must find a periodic dump) so the
 # trace/flightrec assertions below are deterministic.
-SEQGE_TRACE_SAMPLE=1 SEQGE_FLIGHTREC="$work/frec" \
-  "$BIN" serve --graph "$work/g.edges" --port 0 --dim 8 --log-level debug \
-  --snapshot-dir "$work/snaps" >"$work/serve.log" 2>&1 &
+export SEQGE_TRACE_SAMPLE=1 SEQGE_FLIGHTREC="$work/frec" SEQGE_FLIGHTREC_PERIOD_MS=200
+"$BIN" serve --graph "$work/g.edges" --port 0 --dim 8 --log-level debug \
+  --wal-dir "$work/wal" >"$work/serve.log" 2>&1 &
 SERVER_PID=$!
 
 for _ in $(seq 1 150); do
@@ -64,8 +66,8 @@ ADDR=$(listen_addr "$work/serve.log")
 echo "server at $ADDR"
 
 # Startup logging is structured JSONL at info level.
-grep -q '"level":"info".*"msg":"bootstrapped ' "$work/serve.log" ||
-  { echo "FAIL: no structured bootstrap record"; cat "$work/serve.log"; exit 1; }
+grep -q '"level":"info".*"msg":"wal boot (float): gen 0 segment 0, 0 replayed' "$work/serve.log" ||
+  { echo "FAIL: no structured cold-boot record"; cat "$work/serve.log"; exit 1; }
 
 # One scripted session exercising both planes plus an error path.
 "$BIN" client --addr "$ADDR" >"$work/session.out" <<'EOF'
@@ -159,26 +161,32 @@ printf '%s\n' '{"cmd":"flightrec"}' | "$BIN" client --addr "$ADDR" >"$work/frec.
 grep -q '"spans":' "$work/frec.live.out" ||
   { echo "FAIL: flightrec op returned no span ring"; cat "$work/frec.live.out"; exit 1; }
 
-# Graceful SIGINT: drain, write the final snapshot, exit 0.
-kill -INT "$SERVER_PID"
-wait "$SERVER_PID" || { echo "FAIL: server exited non-zero"; cat "$work/serve.log"; exit 1; }
-SERVER_PID=""
-grep -q '"msg":"server stopped"' "$work/serve.log" ||
-  { echo "FAIL: no graceful-stop record"; cat "$work/serve.log"; exit 1; }
-[[ -f $work/snaps/model.sge && -f $work/snaps/graph.edges ]] ||
-  { echo "FAIL: final snapshot missing"; exit 1; }
+# Two more acked writes *after* the snapshot above rotated the log: they
+# live only in the active segment, so only replay can bring them back.
+"$BIN" client --addr "$ADDR" >"$work/session.tail.out" <<'EOF'
+{"cmd":"add_edge","u":1,"v":9}
+{"cmd":"add_edge","u":2,"v":11}
+{"cmd":"flush"}
+{"cmd":"stats"}
+EOF
+[[ $(grep -c '"ok":true' "$work/session.tail.out") -eq 4 ]] ||
+  { echo "FAIL: post-snapshot writes not acked"; cat "$work/session.tail.out"; exit 1; }
+edges_before=$(tail -n1 "$work/session.tail.out" | jq '.edges')
 
-# The flight recorder left a parseable dump on the graceful path: recent
-# spans plus the JSONL log tail, stamped with role and pid.
-frec_file=$(ls "$work"/frec/flightrec-*.json 2>/dev/null | head -n1)
-[[ -n $frec_file ]] || { echo "FAIL: no flightrec dump after shutdown"; ls -la "$work/frec" || true; exit 1; }
+# kill -9: no drain, no final generation. What survives for forensics is the
+# periodic flight-recorder dump, stamped with role and pid.
+sleep 0.5
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+frec_file="$work/frec/flightrec-$SERVER_PID.json"
+SERVER_PID=""
 jq -e '.role == "serve" and .pid and (.spans | type == "array") and (.logs | type == "array")' \
   "$frec_file" >/dev/null ||
-  { echo "FAIL: flightrec dump malformed"; cat "$frec_file"; exit 1; }
+  { echo "FAIL: no flightrec dump survived kill -9"; ls -la "$work/frec" || true; exit 1; }
 
-# Kill -> restart: boots from the snapshot dir alone (no --graph), with the
-# ingested edge persisted.
-"$BIN" serve --port 0 --dim 8 --snapshot-dir "$work/snaps" >"$work/serve2.log" 2>&1 &
+# Restart from the store alone (no --graph): the log replays over the last
+# generation, and the pre-kill acked edges are still there and still score.
+"$BIN" serve --port 0 --dim 8 --wal-dir "$work/wal" >"$work/serve2.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 150); do
   grep -q '"msg":"listening on ' "$work/serve2.log" && break
@@ -186,15 +194,33 @@ for _ in $(seq 1 150); do
 done
 ADDR2=$(listen_addr "$work/serve2.log")
 [[ -n $ADDR2 ]] || { echo "FAIL: restarted server never came up"; cat "$work/serve2.log"; exit 1; }
-grep -q '"msg":"restored ' "$work/serve2.log" ||
-  { echo "FAIL: restart did not restore"; cat "$work/serve2.log"; exit 1; }
+replayed=$(sed -n 's/.*"msg":"wal boot ([^)]*): gen 1 segment 1, \([0-9]*\) replayed.*/\1/p' \
+  "$work/serve2.log")
+[[ ${replayed:-0} -gt 0 ]] ||
+  { echo "FAIL: restart replayed nothing"; cat "$work/serve2.log"; exit 1; }
 
-printf '%s\n' '{"cmd":"stats"}' '{"cmd":"shutdown"}' |
+printf '%s\n' '{"cmd":"stats"}' '{"cmd":"score_link","u":1,"v":9,"op":"cosine"}' |
   "$BIN" client --addr "$ADDR2" >"$work/session2.out"
 cat "$work/session2.out"
-grep -q '"ok":true' "$work/session2.out" || { echo "FAIL: restored server not answering"; exit 1; }
-grep -q '"shutting_down":true' "$work/session2.out" || { echo "FAIL: shutdown not acked"; exit 1; }
-wait "$SERVER_PID" || { echo "FAIL: restored server exited non-zero"; exit 1; }
+[[ $(head -n1 "$work/session2.out" | jq '.edges') -eq $edges_before ]] ||
+  { echo "FAIL: recovered graph lost acked edges (had $edges_before)"; exit 1; }
+head -n1 "$work/session2.out" | jq -e --argjson n "$replayed" '.wal_replayed == $n' >/dev/null ||
+  { echo "FAIL: stats disagree with the boot log on replayed events"; exit 1; }
+tail -n1 "$work/session2.out" | jq -e '.ok and (.score | type == "number")' >/dev/null ||
+  { echo "FAIL: pre-kill acked edge does not score"; exit 1; }
+
+# Graceful SIGINT: drain, commit a final generation, exit 0 — so a replay
+# audit of the store afterwards finds nothing left to replay.
+kill -INT "$SERVER_PID"
+wait "$SERVER_PID" || { echo "FAIL: server exited non-zero"; cat "$work/serve2.log"; exit 1; }
 SERVER_PID=""
+grep -q '"msg":"serve stopped"' "$work/serve2.log" ||
+  { echo "FAIL: no graceful-stop record"; cat "$work/serve2.log"; exit 1; }
+"$BIN" serve --dim 8 --wal-dir "$work/wal" --wal-replay-check >"$work/replay_check.out"
+cat "$work/replay_check.out"
+grep -q '^replay: 0 applied' "$work/replay_check.out" ||
+  { echo "FAIL: graceful stop left events to replay"; exit 1; }
+grep -q 'deterministic: true' "$work/replay_check.out" ||
+  { echo "FAIL: replay audit not deterministic"; exit 1; }
 
 echo "serve smoke OK"

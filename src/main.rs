@@ -86,7 +86,7 @@ commands:
   serve    --graph FILE [--port n] [--dim n] [--seed n] [--workers n]
            [--batch n] [--refresh-every n] [--mu f] [--forgetting f]
            [--backend float|fpga-sim] [--no-ann] [--ann-bands n] [--ann-bits n]
-           [--snapshot-dir DIR] [--log-level error|warn|info|debug|trace]
+           [--log-level error|warn|info|debug|trace]
            [--wal-dir DIR] [--fsync always|batch|never] [--wal-replay-check]
            (long-running daemon; line-delimited JSON over TCP.
             --backend picks the training backend: `float` is the OS-ELM
@@ -94,16 +94,16 @@ commands:
             fixed-point accelerator kernel online, exporting its cycle
             model as a live ingest planner (seqge_backend_cycles_total /
             predicted vs measured eps) and its accuracy deviation from
-            the float shadow as seqge_backend_deviation (ppm). Snapshots
-            and WAL stores are backend-specific: a store committed under
-            one backend refuses to boot under the other. With
-            --snapshot-dir, boots from DIR/model.sge when present —
-            bit-identical restore, no retraining — and writes a final
-            snapshot on graceful shutdown. With --wal-dir, every
-            acknowledged write is appended to a checksummed write-ahead
-            log before training, so kill -9 loses nothing: on restart the
-            log replays over the last snapshot, bit-identically. --fsync
-            picks the durability/throughput point (default batch).
+            the float shadow as seqge_backend_deviation (ppm). Without
+            --wal-dir the server is ephemeral: it bootstraps from --graph
+            and its state dies with the process. With --wal-dir DIR is the
+            node: --graph seeds it on first boot only, every acknowledged
+            write is appended to a checksummed write-ahead log before
+            training, `snapshot` and graceful shutdown commit a
+            generation, and kill -9 loses nothing — on restart the log
+            replays over the last generation, bit-identically. A store
+            committed under one backend refuses to boot under the other.
+            --fsync picks the durability/throughput point (default batch).
             --wal-replay-check replays the store twice, verifies the
             result is deterministic, prints a report, and exits.
             Every published snapshot carries an incrementally maintained
@@ -366,7 +366,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
 }
 
 /// Set by the SIGINT/SIGTERM handler; a bridge thread forwards it onto the
-/// server's stop flag so `serve` drains and snapshots before exiting.
+/// server's stop flag so `serve` drains and commits before exiting.
 static STOP_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -388,15 +388,50 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
+/// What both long-running commands do before booting: `--log-level`, crash
+/// forensics (SEQGE_FLIGHTREC=DIR) — ring-buffer recent spans and log lines,
+/// dumped on panic, periodically, and on graceful shutdown — and the
+/// SIGINT/SIGTERM handlers.
+fn arm_daemon(flags: &Flags, role: &str) -> Result<(), String> {
     if let Some(lv) = flags.get("log-level") {
         let level = seqge::obs::log::Level::parse(lv)
             .ok_or_else(|| format!("--log-level: unknown level `{lv}`"))?;
         seqge::obs::log::set_level(level);
     }
-    // Crash forensics (SEQGE_FLIGHTREC=DIR): ring-buffer recent spans and
-    // log lines, dumped on panic, periodically, and on graceful shutdown.
-    seqge::obs::flightrec::configure_from_env("serve");
+    seqge::obs::flightrec::configure_from_env(role);
+    install_signal_handlers();
+    Ok(())
+}
+
+/// What both long-running commands do after booting: forward a caught signal
+/// onto the daemon's `stop` flag, block in `wait` until it has drained, and
+/// leave a final flight-recorder dump — the forensic file exists whether
+/// the exit was clean or not.
+fn run_until_stopped(
+    role: &str,
+    stop: std::sync::Arc<AtomicBool>,
+    wait: impl FnOnce() -> std::io::Result<()>,
+) -> Result<(), String> {
+    std::thread::spawn(move || loop {
+        if STOP_REQUESTED.load(Ordering::SeqCst) {
+            stop.store(true, Ordering::SeqCst);
+            return;
+        }
+        if stop.load(Ordering::SeqCst) {
+            return; // stopped on its own (shutdown command)
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    });
+    wait().map_err(|e| e.to_string())?;
+    if let Some(path) = seqge::obs::flightrec::dump() {
+        seqge::obs::info!(role, "flight recorder dumped to {}", path.display());
+    }
+    seqge::obs::info!(role, "{role} stopped");
+    Ok(())
+}
+
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    arm_daemon(flags, "serve")?;
     let dim: usize = get(flags, "dim", 32)?;
     let seed: u64 = get(flags, "seed", 42)?;
     let port: u16 = get(flags, "port", 7878)?;
@@ -413,29 +448,17 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         batch_max: get(flags, "batch", 256)?,
         refresh_every,
         ann: ann_config(flags)?,
-        ..Default::default()
     };
     let mut config =
         serve::ServeConfig { workers: get(flags, "workers", 4)?, trainer, ..Default::default() };
     if config.workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-    let snapshot_dir = flags.get("snapshot-dir").map(std::path::PathBuf::from);
     let wal_dir = flags.get("wal-dir").map(std::path::PathBuf::from);
-    if wal_dir.is_some() && snapshot_dir.is_some() {
-        return Err("--wal-dir and --snapshot-dir are mutually exclusive: the WAL store \
-             carries its own snapshot generations"
-            .into());
-    }
     if wal_dir.is_none() && (flags.contains_key("fsync") || flags.contains_key("wal-replay-check"))
     {
         return Err("--fsync / --wal-replay-check require --wal-dir".into());
     }
-    if let Some(dir) = &snapshot_dir {
-        config = config.with_snapshot_dir(dir).map_err(|e| e.to_string())?;
-    }
-    // Fault injection is environmental (SEQGE_FAULT*); disabled when unset.
-    config.fault = std::sync::Arc::new(serve::FaultInjector::from_env()?);
 
     let ocfg = OsElmConfig {
         model: cfg.model,
@@ -445,7 +468,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
     let spec = seqge::backend::BackendSpec::new(backend, cfg, ocfg, policy, seed);
 
-    if let Some(dir) = wal_dir {
+    let addr = format!("127.0.0.1:{port}");
+    let handle = if let Some(dir) = wal_dir {
         let fsync = match flags.get("fsync") {
             Some(v) => serve::FsyncPolicy::parse(v)?,
             None => serve::FsyncPolicy::Batch,
@@ -455,53 +479,27 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             return cmd_wal_replay_check(&wcfg, &spec, refresh_every);
         }
         let cold_graph = if flags.contains_key("graph") { Some(load(flags)?) } else { None };
-        let boot =
-            serve::boot_wal(&wcfg, cold_graph, &spec, refresh_every).map_err(|e| e.to_string())?;
-        seqge::obs::info!(
-            "serve",
-            "wal boot ({}): gen {} segment {}, {} replayed, {} skipped, torn tail: {}",
-            backend,
-            boot.report.gen,
-            boot.report.segment,
-            boot.report.replayed,
-            boot.report.skipped_applied,
-            boot.report.torn_tail
-        );
-        config.wal = Some(std::sync::Arc::new(boot.wal));
-        return run_server(config, boot.graph, boot.backend, port);
-    }
-
-    // A populated snapshot dir wins over --graph: kill → restart resumes
-    // with bit-identical model state, no retraining.
-    let restorable = snapshot_dir.as_ref().is_some_and(|d| d.join("model.sge").is_file());
-    let (graph, trained) = if restorable {
-        let dir = snapshot_dir.as_ref().expect("restorable implies a snapshot dir");
-        let (g, b) = serve::boot_restore_spec(dir, &spec).map_err(|e| e.to_string())?;
-        seqge::obs::info!(
-            "serve",
-            "restored {} nodes / {} edges from {}",
-            g.num_nodes(),
-            g.num_edges(),
-            dir.display()
-        );
-        (g, b)
+        serve::start_node(&addr, &wcfg, cold_graph, &spec, config)
     } else {
+        // Fault injection is environmental (SEQGE_FAULT*); disabled when unset.
+        config.fault = std::sync::Arc::new(serve::FaultInjector::from_env()?);
         let g = load(flags)?;
         let t0 = std::time::Instant::now();
         let mut b = spec.cold(g.num_nodes());
         b.bootstrap(&g);
         seqge::obs::info!(
             "serve",
-            "bootstrapped {} d={dim} on {} nodes / {} edges in {:.1}s",
+            "bootstrapped {} d={dim} on {} nodes / {} edges in {:.1}s (ephemeral: no --wal-dir)",
             backend,
             g.num_nodes(),
             g.num_edges(),
             t0.elapsed().as_secs_f64()
         );
-        (g, b)
+        serve::start_backend(&addr, g, b, config)
     };
-
-    run_server(config, graph, trained, port)
+    let handle = handle.map_err(|e| e.to_string())?;
+    seqge::obs::info!("serve", "listening on {}", handle.addr());
+    run_until_stopped("serve", handle.stop_flag(), || handle.wait())
 }
 
 /// ANN knobs for the serve trainer: `--no-ann` publishes snapshots without
@@ -532,16 +530,11 @@ fn ann_config(flags: &Flags) -> Result<Option<seqge::ann::AnnConfig>, String> {
 
 /// `seqge cluster`: boots N in-process shards plus the router and blocks
 /// until a signal or a `shutdown` command. The training pipeline is the
-/// fixed cluster-wide one ([`seqge::cluster::train_cfg`]) — every shard,
+/// fixed cluster-wide one ([`serve::shard_spec`]) — every shard,
 /// replica, and future recovery must agree on it, so it is not tunable
 /// from the command line.
 fn cmd_cluster(flags: &Flags) -> Result<(), String> {
-    if let Some(lv) = flags.get("log-level") {
-        let level = seqge::obs::log::Level::parse(lv)
-            .ok_or_else(|| format!("--log-level: unknown level `{lv}`"))?;
-        seqge::obs::log::set_level(level);
-    }
-    seqge::obs::flightrec::configure_from_env("cluster");
+    arm_daemon(flags, "cluster")?;
     let dim: usize = get(flags, "dim", 32)?;
     let seed: u64 = get(flags, "seed", 42)?;
     let port: u16 = get(flags, "port", 7879)?;
@@ -557,23 +550,16 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
     let graph = load(flags)?;
 
     let cfg = seqge::cluster::ClusterConfig {
-        shards,
         replicas,
-        base_dir: std::path::PathBuf::from(base_dir),
-        dim,
-        seed,
         fsync,
         refresh_every: get(flags, "refresh-every", 0)?,
         addr: format!("127.0.0.1:{port}"),
-        router: Default::default(),
-        replica_poll: std::time::Duration::from_millis(20),
-        backend: seqge::cluster::Backend::InProcess,
         train_backend: match flags.get("backend") {
             Some(v) => seqge::backend::BackendKind::parse(v)?,
             None => seqge::backend::BackendKind::Float,
         },
+        ..seqge::cluster::ClusterConfig::in_process(shards, base_dir.into(), dim, seed)
     };
-    install_signal_handlers();
     let cluster = seqge::cluster::Cluster::start(&cfg, &graph).map_err(|e| e.to_string())?;
     seqge::obs::info!(
         "cluster",
@@ -582,56 +568,7 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
         replicas,
         cluster.addr()
     );
-
-    let stop = cluster.stop_flag();
-    std::thread::spawn(move || loop {
-        if STOP_REQUESTED.load(Ordering::SeqCst) {
-            stop.store(true, Ordering::SeqCst);
-            return;
-        }
-        if stop.load(Ordering::SeqCst) {
-            return; // router stopped on its own (shutdown command)
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    });
-    cluster.wait().map_err(|e| e.to_string())?;
-    if let Some(path) = seqge::obs::flightrec::dump() {
-        seqge::obs::info!("cluster", "flight recorder dumped to {}", path.display());
-    }
-    seqge::obs::info!("cluster", "cluster stopped");
-    Ok(())
-}
-
-fn run_server(
-    config: serve::ServeConfig,
-    graph: Graph,
-    backend: Box<dyn seqge::backend::TrainBackend>,
-    port: u16,
-) -> Result<(), String> {
-    install_signal_handlers();
-    let handle = serve::start_backend(&format!("127.0.0.1:{port}"), graph, backend, config)
-        .map_err(|e| e.to_string())?;
-    seqge::obs::info!("serve", "listening on {}", handle.addr());
-
-    let stop = handle.stop_flag();
-    std::thread::spawn(move || loop {
-        if STOP_REQUESTED.load(Ordering::SeqCst) {
-            stop.store(true, Ordering::SeqCst);
-            return;
-        }
-        if stop.load(Ordering::SeqCst) {
-            return; // server stopped on its own (shutdown command)
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    });
-    handle.wait().map_err(|e| e.to_string())?;
-    // Graceful SIGINT/SIGTERM still leaves a final flight-recorder dump —
-    // the forensic file exists whether the exit was clean or not.
-    if let Some(path) = seqge::obs::flightrec::dump() {
-        seqge::obs::info!("serve", "flight recorder dumped to {}", path.display());
-    }
-    seqge::obs::info!("serve", "server stopped");
-    Ok(())
+    run_until_stopped("cluster", cluster.stop_flag(), || cluster.wait())
 }
 
 /// `serve --wal-dir DIR --wal-replay-check`: audit the store without
