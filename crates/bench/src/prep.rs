@@ -50,5 +50,16 @@ mod tests {
         assert_eq!(p.walks.len(), p.corpus.num_walks());
         assert!(p.table.is_ready());
         assert_eq!(p.graph.num_classes(), 7);
+        // FNV-1a over every walk's nodes: pins the `seed ^ 0xBEEF` corpus
+        // stream every table/figure binary trains on.
+        let hash = p
+            .walks
+            .iter()
+            .flatten()
+            .flat_map(|u| u.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(hash, 0x87de_83a9_2ea0_d245, "walk stream moved");
     }
 }

@@ -63,3 +63,65 @@ fn mismatched_model_rejected() {
         OsElmSkipGram::new(5, OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(4) });
     let _ = train_stream_scenario(10, &[], &mut m, &cfg, UpdatePolicy::every_edge(), 1);
 }
+
+/// FNV-1a over raw `f32` bit patterns: a bit-exact witness of a weight matrix.
+fn bit_hash(words: &[f32]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Pins the RNG draw order of every walk→train driver by the β and P
+/// bit-hashes (and telemetry) each leaves behind. `results/*.json` and the
+/// serving benchmark's replay bit-identity gate hang off the same streams,
+/// so a row that moves is a behaviour change, not a refactor.
+#[test]
+fn driver_streams_are_pinned() {
+    use seqge_core::{train_all_pipelined, train_all_scenario, IncrementalTrainer, SeqOutcome};
+    use seqge_graph::generators::classic::erdos_renyi;
+    use seqge_graph::EdgeEvent;
+
+    let g = erdos_renyi(48, 0.12, 5); // one isolated node: 94 of 96 walks train
+    let cfg = cfg(8);
+    let fresh = || {
+        OsElmSkipGram::new(48, OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(8) })
+    };
+    let mut got = Vec::new();
+    let mut row = |driver: &'static str, m: &OsElmSkipGram| {
+        got.push((driver, bit_hash(m.beta_t().as_slice()), bit_hash(m.p().as_slice())));
+    };
+
+    let mut m = fresh();
+    train_all_scenario(&g, &mut m, &cfg, 21);
+    row("all", &m);
+
+    for (driver, threads) in [("pipelined/1", 1), ("pipelined/3", 3)] {
+        let mut m = fresh();
+        let out = train_all_pipelined(&g, &mut m, &cfg, 21, threads);
+        assert_eq!(out.walks_trained, 94);
+        row(driver, &m);
+    }
+
+    let mut live = g.clone();
+    let mut m = fresh();
+    let mut tr = IncrementalTrainer::new(48, &cfg, UpdatePolicy::every_edge(), 21);
+    tr.bootstrap(&live, &mut m);
+    for (u, v) in [(0, 47), (3, 19), (11, 30)] {
+        tr.ingest(&mut live, EdgeEvent::Add(u, v), &mut m).unwrap();
+    }
+    tr.refresh(&live, &mut m);
+    assert_eq!(
+        tr.outcome(),
+        SeqOutcome { edges_inserted: 3, walks_trained: 194, table_rebuilds: 5 }
+    );
+    row("bootstrap+3*ingest+refresh", &m);
+
+    let want: [(&str, u64, u64); 4] = [
+        ("all", 0x90a5_750c_803e_39ea, 0x09ac_8d13_ec4f_8e0c),
+        ("pipelined/1", 0x9402_58cc_43be_f7fe, 0xabb2_d64b_b04e_37b0),
+        ("pipelined/3", 0x9402_58cc_43be_f7fe, 0xabb2_d64b_b04e_37b0),
+        ("bootstrap+3*ingest+refresh", 0xa982_6640_ba4f_3be5, 0x62d7_3b1f_a7a4_ea6f),
+    ];
+    assert_eq!(got, want, "got {got:#x?}");
+}
