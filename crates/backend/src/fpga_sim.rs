@@ -27,7 +27,7 @@
 //!   the *cumulative* distance says nothing actionable. The per-publish-
 //!   window drift stays in the ppm band Fig. 4 implies — a wrong
 //!   quantization scale or a saturation storm blows it up immediately —
-//!   which is what `scripts/bench_gate.sh` puts a ceiling on.
+//!   which is what `tests/parity.rs` puts a ceiling on.
 
 use crate::{BackendKind, CyclePlan, TrainBackend, CLOCK_MHZ};
 use seqge_core::model::EmbeddingModel;
@@ -209,9 +209,7 @@ impl TrainBackend for FpgaSimBackend {
         };
         if let Some(shadow) = &mut self.probe.shadow {
             if self.probe.accel.stats.walks > self.shadow_synced_walks {
-                let ppm = deviation_ppm(&view, &shadow.embedding());
-                self.deviation_ppm = Some(ppm);
-                seqge_obs::static_gauge!("seqge_backend_deviation_ppm").set(ppm);
+                self.deviation_ppm = Some(deviation_ppm(&view, &shadow.embedding()));
                 // Re-sync: the next measurement covers only the walks
                 // trained between this publish and the next (see module
                 // docs). Walk-free publishes (flush barriers) keep the

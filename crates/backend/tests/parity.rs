@@ -133,7 +133,13 @@ fn deviation_probe_does_not_perturb_the_stream_and_reports() {
     let _ = with_probe.publish_view();
     let dev = with_probe.deviation_ppm().expect("probe measures deviation");
     assert!(dev > 0, "fixed point must deviate measurably from float");
-    assert!(dev < 100_000, "deviation should stay in the Fig. 4 band (got {dev} ppm)");
+    // Quantization correctness, not speed: a wrong Q8.24 scale or a
+    // saturation storm reads 10^5+ where a healthy kernel reads 10^1–10^3,
+    // so the ceiling is a constant.
+    assert!(dev < 5_000, "deviation should stay in the Fig. 4 band (got {dev} ppm)");
+    // A dead planner means the capacity-headroom metrics are lying.
+    let plan = with_probe.planner().expect("fpga-sim prices its walks");
+    assert!(plan.cycles_total > 0 && plan.predicted_ingest_eps > 0.0, "{plan:?}");
     assert_eq!(without.publish_view().as_slice(), with_probe.publish_view().as_slice());
     assert!(without.deviation_ppm().is_none(), "no probe, no reading");
 }

@@ -20,7 +20,7 @@ pub mod timing;
 
 pub use args::Args;
 pub use prep::{prepared_walks, PreparedGraph};
-pub use sbm_stream::{clustered_embeddings, SbmStream, SbmStreamParams};
+pub use sbm_stream::{SbmStream, SbmStreamParams};
 pub use timing::time_walk_training;
 
 use std::io::Write as _;

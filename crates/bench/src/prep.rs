@@ -1,8 +1,8 @@
 //! Dataset and walk preparation shared by the experiment binaries.
 
-use seqge_core::TrainConfig;
+use seqge_core::{full_corpus, TrainConfig};
 use seqge_graph::{Dataset, Graph, NodeId};
-use seqge_sampling::{generate_corpus, NegativeTable, Rng64, UpdatePolicy, WalkCorpus, Walker};
+use seqge_sampling::{NegativeTable, WalkCorpus};
 
 /// A dataset instantiated at some scale, with its walk corpus and a ready
 /// negative table.
@@ -24,12 +24,7 @@ pub struct PreparedGraph {
 pub fn prepared_walks(dataset: Dataset, scale: f64, cfg: &TrainConfig, seed: u64) -> PreparedGraph {
     let graph =
         if scale >= 1.0 { dataset.generate(seed) } else { dataset.generate_scaled(scale, seed) };
-    let csr = graph.to_csr();
-    let mut walker = Walker::new(cfg.walk);
-    let mut rng = Rng64::seed_from_u64(seed ^ 0xBEEF);
-    let (corpus, walks) = generate_corpus(&csr, &mut walker, &mut rng);
-    let mut table = NegativeTable::new(UpdatePolicy::every_edge());
-    table.rebuild(&corpus);
+    let (corpus, walks, table, _) = full_corpus(&graph, cfg, seed ^ 0xBEEF);
     PreparedGraph { dataset, graph, corpus, walks, table }
 }
 

@@ -1,22 +1,16 @@
-//! Streamed stochastic-block-model synthesis for million-node read-path
-//! benchmarks.
+//! Streamed stochastic-block-model synthesis for serving benchmarks and
+//! load generation.
 //!
 //! The materializing generator in `seqge-graph` builds the full adjacency
-//! up front — fine at paper scale, hopeless at 10^6 nodes on a CI box. The
-//! benchmarks here need two things that stream in O(1) memory instead:
-//!
-//! * [`SbmStream`] — an edge iterator drawing from a planted-partition SBM
-//!   with *striped* block assignment (`block(v) = v % blocks`), so the
-//!   cluster's residue-class sharding spreads every community evenly
-//!   across shards rather than handing whole communities to one shard;
-//! * [`clustered_embeddings`] — the embedding matrix such a graph trains
-//!   into (per-block Gaussian centers plus noise), letting read-path
-//!   benchmarks measure topk at 10^5–10^6 nodes without paying hours of
-//!   training for geometry we can state in closed form.
+//! up front — fine at paper scale, hopeless at 10^6 nodes on a CI box.
+//! [`SbmStream`] streams in O(1) memory instead: an edge iterator drawing
+//! from a planted-partition SBM with *striped* block assignment
+//! (`block(v) = v % blocks`), so the cluster's residue-class sharding
+//! spreads every community evenly across shards rather than handing whole
+//! communities to one shard.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seqge_linalg::Mat;
 
 /// Parameters of a streamed planted-partition SBM.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,31 +101,6 @@ impl Iterator for SbmStream {
     }
 }
 
-/// The embedding geometry a planted-partition graph trains into: one unit
-/// Gaussian center per block, each node at its block's center plus
-/// `noise`-scaled Gaussian jitter. Deterministic in `seed`; block of node
-/// `v` is `v % blocks`, matching [`SbmStream`].
-pub fn clustered_embeddings(
-    nodes: usize,
-    dim: usize,
-    blocks: usize,
-    noise: f32,
-    seed: u64,
-) -> Mat<f32> {
-    assert!(blocks >= 1 && dim >= 1);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
-    let centers = Mat::from_fn(blocks, dim, |_, _| gauss(&mut rng));
-    Mat::from_fn(nodes, dim, |v, c| centers.row(v % blocks)[c] + noise * gauss(&mut rng))
-}
-
-/// One standard-normal draw (Box–Muller; only the cosine branch, which
-/// costs an extra uniform per sample but keeps the state trivial).
-fn gauss(rng: &mut StdRng) -> f32 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,27 +133,5 @@ mod tests {
         assert_eq!(p.edges, 1_600_000);
         let small = SbmStreamParams::sized(200, 1);
         assert!(small.blocks >= 2 && small.nodes / small.blocks >= 64);
-    }
-
-    #[test]
-    fn embeddings_cluster_by_block() {
-        let emb = clustered_embeddings(400, 16, 8, 0.2, 9);
-        let cos = |a: &[f32], b: &[f32]| {
-            let (mut d, mut na, mut nb) = (0.0f32, 0.0f32, 0.0f32);
-            for i in 0..16 {
-                d += a[i] * b[i];
-                na += a[i] * a[i];
-                nb += b[i] * b[i];
-            }
-            d / (na.sqrt() * nb.sqrt())
-        };
-        // Same-block pairs hug their shared center; cross-block pairs are
-        // near-orthogonal random Gaussians.
-        let same = cos(emb.row(0), emb.row(8));
-        let cross = cos(emb.row(0), emb.row(1));
-        assert!(same > 0.6, "same-block cosine {same}");
-        assert!(cross < same, "cross-block {cross} vs same-block {same}");
-        // Determinism.
-        assert_eq!(emb.row(13), clustered_embeddings(400, 16, 8, 0.2, 9).row(13));
     }
 }

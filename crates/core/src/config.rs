@@ -83,12 +83,6 @@ impl TrainConfig {
         }
         Ok(())
     }
-
-    /// Number of contexts one full-length walk yields (`l − w + 1`); the
-    /// paper's Table 3 measures the time to train this many contexts (73).
-    pub fn contexts_per_walk(&self) -> usize {
-        self.walk.walk_length - self.model.window + 1
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +99,6 @@ mod tests {
         assert_eq!(c.model.window, 8);
         assert_eq!(c.model.negative_samples, 10);
         assert_eq!(c.model.dim, 32);
-        assert_eq!(c.contexts_per_walk(), 73, "§4.2: 73 outer-loop iterations");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Embedding extraction and post-processing.
+//! Embedding extraction.
 //!
 //! §3.1 lists three candidate weight sets for the embedding: the input-side
 //! weights, the output-side weights, and their average. The proposed model
@@ -6,7 +6,6 @@
 //! `fig6` harness ablates it via [`EmbeddingSource`].
 
 use crate::oselm::AlphaOsElm;
-use crate::skipgram::SkipGram;
 use seqge_linalg::Mat;
 
 /// Which weights to read the embedding from (§3.1's three options).
@@ -18,21 +17,6 @@ pub enum EmbeddingSource {
     Output,
     /// Elementwise average of both.
     Average,
-}
-
-/// Extracts the chosen embedding from the SGD skip-gram baseline.
-pub fn skipgram_embedding(model: &SkipGram, source: EmbeddingSource) -> Mat<f32> {
-    match source {
-        EmbeddingSource::Input => model.w_in().cast(),
-        EmbeddingSource::Output => model.w_out().cast(),
-        EmbeddingSource::Average => {
-            let mut avg = model.w_in().clone();
-            for (a, &b) in avg.as_mut_slice().iter_mut().zip(model.w_out().as_slice()) {
-                *a = (*a + b) * 0.5;
-            }
-            avg.cast()
-        }
-    }
 }
 
 /// Extracts the chosen embedding from the fixed-α OS-ELM baseline.
@@ -50,41 +34,10 @@ pub fn alpha_embedding(model: &AlphaOsElm, source: EmbeddingSource) -> Mat<f32> 
     }
 }
 
-/// L2-normalizes each row in place (zero rows stay zero). Downstream
-/// logistic regression is scale-sensitive; normalization puts all models'
-/// embeddings on the same footing regardless of `μ` or learning rate.
-pub fn l2_normalize_rows(m: &mut Mat<f32>) {
-    let cols = m.cols();
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt();
-        if norm > 0.0 {
-            for x in row.iter_mut() {
-                *x /= norm;
-            }
-        }
-        let _ = cols;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
     use crate::oselm::OsElmConfig;
-
-    #[test]
-    fn skipgram_sources_differ() {
-        let m = SkipGram::new(10, ModelConfig::paper_defaults(4));
-        let input = skipgram_embedding(&m, EmbeddingSource::Input);
-        let output = skipgram_embedding(&m, EmbeddingSource::Output);
-        let avg = skipgram_embedding(&m, EmbeddingSource::Average);
-        // w_out starts at zero, so avg = input/2.
-        assert!(output.as_slice().iter().all(|&x| x == 0.0));
-        for i in 0..input.as_slice().len() {
-            assert!((avg.as_slice()[i] - input.as_slice()[i] / 2.0).abs() < 1e-6);
-        }
-    }
 
     #[test]
     fn alpha_sources() {
@@ -94,14 +47,5 @@ mod tests {
         let output = alpha_embedding(&m, EmbeddingSource::Output);
         assert_eq!(input, *m.alpha());
         assert!(output.as_slice().iter().all(|&x| x == 0.0), "β starts at zero");
-    }
-
-    #[test]
-    fn l2_normalize_makes_unit_rows() {
-        let mut m = Mat::from_vec(2, 2, vec![3.0f32, 4.0, 0.0, 0.0]);
-        l2_normalize_rows(&mut m);
-        assert!((m[(0, 0)] - 0.6).abs() < 1e-6);
-        assert!((m[(0, 1)] - 0.8).abs() < 1e-6);
-        assert_eq!(m.row(1), &[0.0, 0.0], "zero rows untouched");
     }
 }

@@ -20,16 +20,18 @@
 //! * [`oselm::AlphaOsElm`] — classic OS-ELM with a fixed random input matrix
 //!   (the "alpha" baseline of Fig. 6).
 //!
-//! Scenario drivers live in [`sequential`]: the "all" scenario (train the
-//! complete graph) and the "seq" scenario (spanning-forest start + one edge
-//! at a time, walking from both endpoints of each new edge — §4.3.2).
+//! The walk→train driver lives in [`sequential`], once: the "all" scenario
+//! (train the complete graph), the "seq" scenario (spanning-forest start +
+//! one edge at a time, walking from both endpoints of each new edge —
+//! §4.3.2), and the [`IncrementalTrainer`] the serving backends fold live
+//! edge events through. Every model — including the fixed-point
+//! `seqge_fpga::Accelerator` — is driven through the same loops.
 
 pub mod config;
 pub mod embedding;
 pub mod model;
 pub mod model_size;
 pub mod oselm;
-pub mod parallel_train;
 pub mod persist;
 pub mod sequential;
 pub mod skipgram;
@@ -37,10 +39,9 @@ pub mod skipgram;
 pub use config::{ModelConfig, NegativeMode, TrainConfig};
 pub use embedding::EmbeddingSource;
 pub use model::EmbeddingModel;
-pub use oselm::{AlphaOsElm, BlockOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, PVisibility};
-pub use parallel_train::{train_all_parallel, ParallelConfig};
+pub use oselm::{AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, PVisibility};
 pub use sequential::{
-    train_all_pipelined, train_all_scenario, train_seq_scenario, train_stream_scenario,
-    IncrementalTrainer, PipelinedOutcome, SeqOutcome,
+    full_corpus, train_all_pipelined, train_all_scenario, train_seq_scenario,
+    train_stream_scenario, IncrementalTrainer, PipelinedOutcome, SeqOutcome,
 };
 pub use skipgram::SkipGram;

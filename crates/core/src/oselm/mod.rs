@@ -5,15 +5,11 @@
 //!   accumulation, the form the FPGA pipeline executes.
 //! * [`AlphaOsElm`] — classic OS-ELM with a fixed random input matrix, the
 //!   "alpha" baseline of Fig. 6.
-//! * [`BlockOsElm`] — the mini-batch (block) OS-ELM generalization
-//!   (extension; the paper's update is its k = 1 case).
 
 mod alpha;
-mod block;
 mod dataflow;
 mod model;
 
 pub use alpha::AlphaOsElm;
-pub use block::BlockOsElm;
 pub use dataflow::{DataflowOsElm, PVisibility};
 pub use model::{OsElmConfig, OsElmSkipGram};

@@ -28,7 +28,7 @@ use crate::config::ModelConfig;
 use crate::model::{init_weight, EmbeddingModel, NegativeDraw};
 use seqge_graph::NodeId;
 use seqge_linalg::{ops, Mat};
-use seqge_sampling::{context_windows, contexts, NegativeTable, Rng64};
+use seqge_sampling::{context_windows, NegativeTable, Rng64};
 
 /// Configuration of the OS-ELM family of models.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -118,8 +118,8 @@ pub struct OsElmSkipGram {
 // definiteness (observed empirically: e-fold per 1/(1−λ) contexts).
 // Hardware stores a triangular P and never has the problem; the float
 // models mirror that by establishing exact symmetry once at every cold
-// entry point (`Mat::symmetrize` in `new`'s identity init trivially, in
-// `init_batch` and `from_parts` explicitly) and then *preserving* it
+// entry point (`new`'s identity init trivially, `Mat::symmetrize` in
+// `from_parts` explicitly) and then *preserving* it
 // bit-for-bit in the hot path: `ops::p_downdate_sym` and
 // `ops::p_downdate_forget` form the rank-1 term from a commutative
 // product, so the (r,c)/(c,r) updates are identical and no per-context
@@ -149,39 +149,6 @@ impl OsElmSkipGram {
             clamped: 0,
             cfg,
         }
-    }
-
-    /// Classic OS-ELM batch initialization (Liang et al. \[5\] phase 1):
-    /// replaces the default `P₀ = p0_scale·I` with
-    /// `P₀ = (H₀ᵀH₀ + I/p0_scale)⁻¹` computed from an initial block of
-    /// hidden activations — here, the `H` vectors of the given walks'
-    /// centers. Call *before* sequential training; returns an error if the
-    /// Gram matrix is not invertible (it always is, thanks to the ridge
-    /// term).
-    pub fn init_batch(&mut self, walks: &[Vec<NodeId>]) -> Result<(), String> {
-        let d = self.cfg.model.dim;
-        let mut gram = Mat::<f32>::scaled_identity(d, 1.0 / self.cfg.p0_scale);
-        let mut h = vec![0.0f32; d];
-        let mut used = 0usize;
-        for walk in walks {
-            for ctx in contexts(walk, self.cfg.model.window) {
-                let brow = self.beta_t.row(ctx.center as usize);
-                for i in 0..d {
-                    h[i] = self.cfg.mu * brow[i];
-                }
-                ops::ger(&mut gram, 1.0, &h, &h);
-                used += 1;
-            }
-        }
-        if used == 0 {
-            return Err("no contexts in the initialization walks".into());
-        }
-        self.p = seqge_linalg::solve::cholesky_inverse(&gram)
-            .map_err(|e| format!("batch init failed: {e}"))?;
-        // Cold entry point: the inverse is symmetric only up to rounding,
-        // and the hot-path kernels preserve (not restore) symmetry.
-        self.p.symmetrize();
-        Ok(())
     }
 
     /// Reconstructs a model from persisted state (`βᵀ` row-per-node and the
@@ -288,7 +255,7 @@ impl OsElmSkipGram {
         // Algorithm 1 lines 9–10. Each dot and axpy is internally unrolled,
         // and touching a row's 128 cache-hot bytes for both its read and
         // its update in one pass beats the gather-then-scatter block form
-        // (`ops::gemv_rows`/`ger_rows`) that the dataflow model uses —
+        // (`ops::gemv_rows`) that the dataflow model uses —
         // there the gather is *semantic* (stage 3 reads frozen β), here it
         // would only add a second pass plus duplicate-row bookkeeping.
         for &(sample, y) in samples {

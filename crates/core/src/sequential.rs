@@ -9,13 +9,21 @@
 //!   back one at a time, and "every time the removed edge is added, the
 //!   random walk and training of node2vec are executed … the random walk
 //!   starts from both the ends of an added edge."
+//!
+//! The paper's system (§3.2) is one loop — the CPU draws a walk and
+//! pre-samples its negatives, the accelerator trains it — and this module
+//! spells it out once per schedule: [`full_corpus`] + train (serial "all"),
+//! [`train_all_pipelined`] (generation overlapped with training), and
+//! [`IncrementalTrainer`] (a corpus pass for bootstrap/refresh, a per-edge
+//! step for ingest). Any [`EmbeddingModel`] plugs in, the fixed-point
+//! accelerator included.
 
 use crate::config::TrainConfig;
 use crate::model::EmbeddingModel;
 use seqge_graph::{spanning_forest, EdgeEvent, EdgeStream, Graph, GraphError, NodeId};
 use seqge_sampling::{
-    generate_corpus, stream_walks, NegativeTable, Node2VecParams, PipelineConfig, Rng64,
-    StepStrategy, UpdatePolicy, WalkCorpus, Walker,
+    generate_corpus, generate_corpus_pipelined, stream_walks, NegativeTable, Node2VecParams,
+    PipelineConfig, Rng64, StepStrategy, UpdatePolicy, WalkCorpus, Walker,
 };
 use std::time::{Duration, Instant};
 
@@ -30,6 +38,24 @@ pub struct SeqOutcome {
     pub table_rebuilds: u64,
 }
 
+/// The "all"-protocol prologue (§3.2's CPU side, done up front): `r` walks
+/// from every node of `g` on one RNG stream, and the every-edge negative
+/// table built from their appearance counts. Returns the corpus, the walks in
+/// schedule order, the table, and the RNG positioned after the last walk —
+/// negative draws continue the same stream.
+pub fn full_corpus(
+    g: &Graph,
+    cfg: &TrainConfig,
+    seed: u64,
+) -> (WalkCorpus, Vec<Vec<NodeId>>, NegativeTable, Rng64) {
+    let mut walker = Walker::new(cfg.walk);
+    let mut rng = Rng64::seed_from_u64(seed);
+    let (corpus, walks) = generate_corpus(&g.to_csr(), &mut walker, &mut rng);
+    let mut table = NegativeTable::new(UpdatePolicy::every_edge());
+    table.rebuild(&corpus);
+    (corpus, walks, table, rng)
+}
+
 /// Trains `model` on the complete graph (the "all" scenario): generates the
 /// full walk corpus (`r` walks per node), builds the negative table from its
 /// frequencies, and trains every walk once.
@@ -41,12 +67,7 @@ pub fn train_all_scenario<M: EmbeddingModel>(
 ) {
     cfg.validate().expect("invalid train config");
     assert_eq!(g.num_nodes(), model.num_nodes(), "graph/model node count mismatch");
-    let csr = g.to_csr();
-    let mut walker = Walker::new(cfg.walk);
-    let mut rng = Rng64::seed_from_u64(seed);
-    let (corpus, walks) = generate_corpus(&csr, &mut walker, &mut rng);
-    let mut table = NegativeTable::new(UpdatePolicy::every_edge());
-    table.rebuild(&corpus);
+    let (_, walks, table, mut rng) = full_corpus(g, cfg, seed);
     if !table.is_ready() {
         return; // edgeless graph: nothing to train
     }
@@ -122,7 +143,7 @@ pub fn train_all_pipelined<M: EmbeddingModel>(
 
     let mut corpus = WalkCorpus::new(g.num_nodes());
     let mut table = NegativeTable::new(UpdatePolicy::every_edge());
-    let mut pending: Vec<Vec<seqge_graph::NodeId>> = Vec::new();
+    let mut pending: Vec<Vec<NodeId>> = Vec::new();
     let mut rng = Rng64::for_stream(seed, TRAIN_STREAM);
     let mut walks_trained = 0usize;
     let mut train_busy = Duration::ZERO;
@@ -139,40 +160,26 @@ pub fn train_all_pipelined<M: EmbeddingModel>(
                 pending.push(walk);
             }
             // Round 0 done: freeze the table and start training. Everything
-            // buffered so far drains now; later walks train on arrival.
+            // buffered so far drains now; later walks train on arrival. The
+            // stream always reaches this index (r ≥ 1), and a non-empty
+            // buffer means a non-empty corpus, so no walk is left untrained.
             if index + 1 == n && !pending.is_empty() {
                 table.rebuild(&corpus);
             }
             if table.is_ready() {
                 let t0 = Instant::now();
-                let burst = pending.len() as u64;
+                let burst = pending.len();
                 for w in pending.drain(..) {
                     let _t = seqge_obs::span!("seqge_core_train_walk_ns");
                     model.train_walk(&w, &table, &mut rng);
-                    walks_trained += 1;
                 }
-                seqge_obs::static_counter!("seqge_core_walks_trained_total").add(burst);
+                walks_trained += burst;
+                seqge_obs::static_counter!("seqge_core_walks_trained_total").add(burst as u64);
                 train_busy += t0.elapsed();
             }
         },
     );
-
-    // Graphs with one round (r = 1), or whose round 0 ended in skipped
-    // isolated-node walks, reach here with untrained leftovers.
-    if !pending.is_empty() {
-        table.rebuild(&corpus);
-        if table.is_ready() {
-            let t0 = Instant::now();
-            let burst = pending.len() as u64;
-            for w in pending.drain(..) {
-                let _t = seqge_obs::span!("seqge_core_train_walk_ns");
-                model.train_walk(&w, &table, &mut rng);
-                walks_trained += 1;
-            }
-            seqge_obs::static_counter!("seqge_core_walks_trained_total").add(burst);
-            train_busy += t0.elapsed();
-        }
-    }
+    debug_assert!(pending.is_empty(), "round 0 ends inside the stream");
 
     PipelinedOutcome {
         threads: stats.threads,
@@ -196,7 +203,6 @@ pub fn train_all_pipelined<M: EmbeddingModel>(
 pub struct IncrementalTrainer {
     walker: Walker,
     params: Node2VecParams,
-    walk_threads: usize,
     rng: Rng64,
     corpus: WalkCorpus,
     table: NegativeTable,
@@ -214,7 +220,6 @@ impl IncrementalTrainer {
         IncrementalTrainer {
             walker: Walker::new(cfg.walk),
             params: cfg.walk,
-            walk_threads: 0,
             rng: Rng64::seed_from_u64(seed),
             corpus: WalkCorpus::new(num_nodes),
             table: NegativeTable::new(policy),
@@ -224,67 +229,50 @@ impl IncrementalTrainer {
         }
     }
 
-    /// Sets the walker-thread count for corpus resamples ([`bootstrap`] /
-    /// [`refresh`]); 0 means one per available core. The trained model is
-    /// bit-identical for any value — every walk draws from its own RNG lane
-    /// seeded by `(resample nonce, walk index)`, and training consumes the
-    /// walks in schedule order on the calling thread — so this is purely a
-    /// throughput knob.
-    ///
-    /// [`bootstrap`]: IncrementalTrainer::bootstrap
-    /// [`refresh`]: IncrementalTrainer::refresh
-    pub fn set_walk_threads(&mut self, threads: usize) {
-        self.walk_threads = threads;
-    }
-
     /// Regenerates the walk corpus over `g` with the pipelined walker
-    /// (per-walk RNG lanes fanned out over [`Self::set_walk_threads`]
-    /// workers), replacing `self.corpus` and returning the kept walks in
-    /// schedule order. The lane base is drawn from the sequential RNG, so
-    /// consecutive resamples explore different corpora and the main stream
-    /// advances by exactly one draw regardless of thread count.
+    /// (per-walk RNG lanes fanned out over one worker per core), replacing
+    /// `self.corpus` and returning the kept walks in schedule order. The
+    /// lane base is drawn from the sequential RNG, so consecutive resamples
+    /// explore different corpora and the main stream advances by exactly
+    /// one draw regardless of thread count.
     fn resample(&mut self, g: &Graph) -> Vec<Vec<NodeId>> {
-        let csr = g.to_csr();
         let lane_seed = self.rng.next_u64();
-        let mut corpus = WalkCorpus::new(g.num_nodes());
-        let mut walks = Vec::with_capacity(g.num_nodes() * self.params.walks_per_node);
-        stream_walks(
-            &csr,
+        let (corpus, walks) = generate_corpus_pipelined(
+            &g.to_csr(),
             self.params,
-            StepStrategy::Cumulative,
             lane_seed,
-            PipelineConfig::with_threads(self.walk_threads),
-            |_, walk| {
-                if walk.len() < 2 {
-                    return;
-                }
-                corpus.record(&walk);
-                walks.push(walk);
-            },
+            PipelineConfig::default(),
         );
         self.corpus = corpus;
         walks
     }
 
-    /// Trains a full "all"-protocol pass over the current graph (`r` walks
-    /// per node) and builds the negative table from its frequencies. Used
-    /// once at start-up on the initial graph ("only a fraction of edges is
-    /// trained first" — the spanning forest in the paper's protocol, the
-    /// boot graph in a server). Walk generation fans out across
-    /// [`Self::set_walk_threads`] workers; the OS-ELM update loop stays
-    /// sequential and the result is thread-count independent.
-    pub fn bootstrap<M: EmbeddingModel>(&mut self, g: &Graph, model: &mut M) {
+    /// One "all"-protocol pass over the current graph: resample the corpus
+    /// (`r` walks per node), rebuild the negative table from its
+    /// frequencies, and train every walk in schedule order. Walk generation
+    /// fans out across cores; the OS-ELM update loop stays sequential and
+    /// the result is thread-count independent. Returns the walks trained.
+    fn corpus_pass<M: EmbeddingModel>(&mut self, g: &Graph, model: &mut M) -> usize {
         assert_eq!(g.num_nodes(), model.num_nodes(), "graph/model node count mismatch");
-        let _span = seqge_obs::span!("seqge_core_bootstrap_ns");
         let walks = self.resample(g);
         self.table.rebuild(&self.corpus);
-        if self.table.is_ready() {
-            for walk in &walks {
-                model.train_walk(walk, &self.table, &mut self.rng);
-                self.outcome.walks_trained += 1;
-            }
-            seqge_obs::static_counter!("seqge_core_walks_trained_total").add(walks.len() as u64);
+        if !self.table.is_ready() {
+            return 0; // edgeless graph: nothing to train
         }
+        for walk in &walks {
+            model.train_walk(walk, &self.table, &mut self.rng);
+        }
+        self.outcome.walks_trained += walks.len();
+        seqge_obs::static_counter!("seqge_core_walks_trained_total").add(walks.len() as u64);
+        walks.len()
+    }
+
+    /// Trains the start-up pass on the initial graph ("only a fraction of
+    /// edges is trained first" — the spanning forest in the paper's
+    /// protocol, the boot graph in a server).
+    pub fn bootstrap<M: EmbeddingModel>(&mut self, g: &Graph, model: &mut M) {
+        let _span = seqge_obs::span!("seqge_core_bootstrap_ns");
+        self.corpus_pass(g, model);
     }
 
     /// Applies one edge event to `g` and folds it into `model`: mutate the
@@ -334,20 +322,8 @@ impl IncrementalTrainer {
     /// many removals (or heavy drift) the table frequencies go stale; a
     /// refresh replaces them wholesale. Returns the walks trained.
     pub fn refresh<M: EmbeddingModel>(&mut self, g: &Graph, model: &mut M) -> usize {
-        assert_eq!(g.num_nodes(), model.num_nodes(), "graph/model node count mismatch");
         let _span = seqge_obs::span!("seqge_core_refresh_ns");
-        let walks = self.resample(g);
-        self.table.rebuild(&self.corpus);
-        let mut trained = 0usize;
-        if self.table.is_ready() {
-            for walk in &walks {
-                model.train_walk(walk, &self.table, &mut self.rng);
-                trained += 1;
-            }
-        }
-        self.outcome.walks_trained += trained;
-        seqge_obs::static_counter!("seqge_core_walks_trained_total").add(trained as u64);
-        trained
+        self.corpus_pass(g, model)
     }
 
     /// Telemetry so far (the `table_rebuilds` field is kept current).
@@ -402,7 +378,7 @@ pub fn train_seq_scenario<M: EmbeddingModel>(
 /// graph and telemetry.
 pub fn train_stream_scenario<M: EmbeddingModel>(
     num_nodes: usize,
-    edges: &[(seqge_graph::NodeId, seqge_graph::NodeId)],
+    edges: &[(NodeId, NodeId)],
     model: &mut M,
     cfg: &TrainConfig,
     policy: UpdatePolicy,
@@ -418,18 +394,6 @@ pub fn train_stream_scenario<M: EmbeddingModel>(
             .expect("stream edges are insertable exactly once");
     }
     (g, trainer.outcome())
-}
-
-/// Builds a ready negative table from a fresh corpus over `g` (helper for
-/// benches and tests that train ad-hoc walks).
-pub fn table_for_graph(g: &Graph, cfg: &TrainConfig, seed: u64) -> (NegativeTable, WalkCorpus) {
-    let csr = g.to_csr();
-    let mut walker = Walker::new(cfg.walk);
-    let mut rng = Rng64::seed_from_u64(seed);
-    let (corpus, _) = generate_corpus(&csr, &mut walker, &mut rng);
-    let mut table = NegativeTable::new(UpdatePolicy::every_edge());
-    table.rebuild(&corpus);
-    (table, corpus)
 }
 
 #[cfg(test)]
@@ -535,13 +499,17 @@ mod tests {
     #[test]
     fn pipelined_single_round_still_trains() {
         // r = 1: round 0 is the whole stream, so the table is built at the
-        // very last walk and everything drains in one burst.
-        let g = ring(16);
+        // very last walk — here a skipped one, from the isolated node 16 —
+        // and everything drains in one burst.
+        let mut g = Graph::with_nodes(17);
+        for u in 0..16 {
+            g.add_edge(u, (u + 1) % 16).unwrap();
+        }
         let cfg = TrainConfig {
             walk: Node2VecParams { walk_length: 10, walks_per_node: 1, ..Default::default() },
             ..small_cfg(4)
         };
-        let mut model = OsElmSkipGram::new(16, oselm_cfg(4));
+        let mut model = OsElmSkipGram::new(17, oselm_cfg(4));
         let out = train_all_pipelined(&g, &mut model, &cfg, 5, 3);
         assert_eq!(out.walks_trained, 16);
         assert!(model.beta_t().all_finite());
@@ -639,38 +607,6 @@ mod tests {
         assert!(m.beta_t().all_finite());
     }
 
-    /// Acceptance criterion for the sharded trainer: bootstrap → sequential
-    /// ingest → refresh produces the same model for any walker-thread count
-    /// (per-walk RNG lanes + in-order training keep the result a function of
-    /// the seed alone).
-    #[test]
-    fn incremental_trainer_identical_across_walk_thread_counts() {
-        let cfg = small_cfg(8);
-        let run = |threads: usize| {
-            let mut g = ring(40);
-            let mut m = OsElmSkipGram::new(40, oselm_cfg(8));
-            let mut tr = IncrementalTrainer::new(40, &cfg, UpdatePolicy::every_edge(), 7);
-            tr.set_walk_threads(threads);
-            tr.bootstrap(&g, &mut m);
-            for (u, v) in [(0u32, 7u32), (3, 19), (11, 30)] {
-                tr.ingest(&mut g, seqge_graph::EdgeEvent::Add(u, v), &mut m).unwrap();
-            }
-            tr.refresh(&g, &mut m);
-            (m, tr.outcome())
-        };
-        let (reference, ref_out) = run(1);
-        for threads in [2, 4, 7] {
-            let (m, out) = run(threads);
-            assert_eq!(out, ref_out, "telemetry differs at {threads} walker threads");
-            assert_eq!(
-                m.beta_t(),
-                reference.beta_t(),
-                "β differs between 1 and {threads} walker threads"
-            );
-            assert_eq!(m.p(), reference.p());
-        }
-    }
-
     #[test]
     fn incremental_refresh_resamples_and_trains() {
         let cfg = small_cfg(4);
@@ -682,13 +618,5 @@ mod tests {
         let trained = tr.refresh(&g, &mut m);
         assert_eq!(trained, 12 * cfg.walk.walks_per_node);
         assert_eq!(tr.outcome().walks_trained, before + trained);
-    }
-
-    #[test]
-    fn table_for_graph_is_ready_on_nonempty_graph() {
-        let g = ring(12);
-        let (table, corpus) = table_for_graph(&g, &small_cfg(4), 1);
-        assert!(table.is_ready());
-        assert!(corpus.total_appearances() > 0);
     }
 }

@@ -58,13 +58,6 @@ impl SkipGram {
         }
     }
 
-    /// Overrides the learning rate.
-    pub fn with_learning_rate(mut self, lr: f64) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        self.lr = lr;
-        self
-    }
-
     /// Direct access to the input matrix (tests, diagnostics).
     pub fn w_in(&self) -> &Mat<f64> {
         &self.w_in
@@ -78,35 +71,6 @@ impl SkipGram {
     /// The configured hyper-parameters.
     pub fn config(&self) -> &ModelConfig {
         &self.cfg
-    }
-
-    /// Folds the replicas' training progress into this model by **delta
-    /// summation**: `w += Σ_s (w_s − w)`, where each `w_s` started the round
-    /// from this model's weights (see [`crate::parallel_train`]).
-    ///
-    /// Delta summation, not parameter averaging: skip-gram updates are
-    /// sparse (a round touches a small subset of rows per replica), so
-    /// averaging whole weight matrices dilutes every touched row by
-    /// 1/replicas each round and the model never reaches working magnitude
-    /// — measured: near-chance downstream F1. Summing the deltas applies
-    /// each replica's full (disjoint-ish) progress, like Hogwild with
-    /// round-granular staleness.
-    pub fn fold_deltas_from(&mut self, replicas: &[SkipGram]) {
-        assert!(!replicas.is_empty(), "need at least one replica");
-        for r in replicas {
-            assert_eq!(r.num_nodes(), self.num_nodes(), "replica shape mismatch");
-            assert_eq!(r.dim(), self.dim(), "replica shape mismatch");
-        }
-        let n = replicas.len() as f64;
-        for (i, w) in self.w_in.as_mut_slice().iter_mut().enumerate() {
-            let sum: f64 = replicas.iter().map(|r| r.w_in.as_slice()[i]).sum();
-            // w + Σ(w_s − w) = Σ w_s − (n−1)·w
-            *w = sum - (n - 1.0) * *w;
-        }
-        for (i, w) in self.w_out.as_mut_slice().iter_mut().enumerate() {
-            let sum: f64 = replicas.iter().map(|r| r.w_out.as_slice()[i]).sum();
-            *w = sum - (n - 1.0) * *w;
-        }
     }
 }
 
@@ -275,12 +239,5 @@ mod tests {
         }
         assert!(m.w_in().all_finite());
         assert!(m.w_out().all_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate")]
-    fn bad_lr_rejected() {
-        let (m, _, _) = setup(5, 4);
-        let _ = m.with_learning_rate(-1.0);
     }
 }

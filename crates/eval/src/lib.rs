@@ -4,8 +4,8 @@
 //! one-vs-rest logistic regression, 90 % train / 10 % test, and report the
 //! F1 score averaged over three trials.
 //!
-//! * [`logreg`] — one-vs-rest logistic regression trained by SGD, with the
-//!   `K` binary problems trained in parallel via rayon.
+//! * [`logreg`] — one-vs-rest logistic regression trained by SGD, one
+//!   independent binary problem per class.
 //! * [`split`] — seeded stratified train/test splitting.
 //! * [`metrics`] — micro/macro F1 and the confusion matrix. (For single-label
 //!   multiclass, micro-F1 equals accuracy; both are reported.)

@@ -1,8 +1,9 @@
 //! One-vs-rest logistic regression trained by SGD (§4.3: lr = 0.01).
 //!
-//! `K` independent binary classifiers share the feature matrix; they train
-//! in parallel on the rayon pool (each classifier owns its weight vector, so
-//! the parallelism is embarrassing — the Rayon guide's ideal case).
+//! `K` independent binary classifiers share the feature matrix and each owns
+//! its weight vector, so the per-class loop is written as a rayon `par_iter`
+//! map — which the vendored shim runs sequentially (DESIGN.md, "Dependency
+//! justification").
 
 use crate::split::train_test_split;
 use rayon::prelude::*;

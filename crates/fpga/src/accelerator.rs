@@ -154,11 +154,6 @@ impl Accelerator {
         acc
     }
 
-    /// The architectural design point.
-    pub fn design(&self) -> &AcceleratorDesign {
-        &self.design
-    }
-
     /// The (PerWalk-forced) OS-ELM configuration this accelerator runs.
     pub fn config(&self) -> &OsElmConfig {
         &self.cfg
@@ -193,11 +188,6 @@ impl Accelerator {
         for (o, b) in out.iter_mut().zip(&self.beta[base..base + d]) {
             *o = mu * b.to_f32();
         }
-    }
-
-    /// The timing model (mutable for what-if studies).
-    pub fn timing_mut(&mut self) -> &mut TimingModel {
-        &mut self.timing
     }
 
     /// βᵀ dequantized (row per node).

@@ -32,12 +32,6 @@ impl DmaModel {
         let bursts = bytes.div_ceil(self.max_burst_bytes as u64);
         bursts * self.burst_latency as u64 + bytes.div_ceil(self.bytes_per_cycle as u64)
     }
-
-    /// Cycles to move `count` scattered records of `record_bytes` each
-    /// (one burst per record — the weight-column gather pattern).
-    pub fn gather_cycles(&self, count: u64, record_bytes: u64) -> u64 {
-        count * (self.burst_latency as u64 + record_bytes.div_ceil(self.bytes_per_cycle as u64))
-    }
 }
 
 #[cfg(test)]
@@ -50,25 +44,10 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_beats_gather() {
-        let dma = DmaModel::default();
-        // Same payload: one 64 KiB stream vs 512 scattered 128-B records.
-        let contiguous = dma.transfer_cycles(64 * 1024);
-        let gathered = dma.gather_cycles(512, 128);
-        assert!(contiguous < gathered, "{contiguous} vs {gathered}");
-    }
-
-    #[test]
     fn transfer_scales_linearly_in_payload() {
         let dma = DmaModel::default();
         let one = dma.transfer_cycles(4096);
         let four = dma.transfer_cycles(4 * 4096);
         assert_eq!(four, 4 * one);
-    }
-
-    #[test]
-    fn gather_cost_includes_per_record_latency() {
-        let dma = DmaModel::default();
-        assert_eq!(dma.gather_cycles(10, 32), 10 * (40 + 1));
     }
 }

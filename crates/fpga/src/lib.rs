@@ -16,8 +16,11 @@
 //!   paper's Table 3 FPGA row; [`resources`] is a component-level utilization
 //!   estimator calibrated to Table 6.
 //!
-//! The CPU side of the paper's system (random walks, negative pre-sampling,
-//! sample upload) lives in [`host`].
+//! The CPU side of the paper's system (§3.2: random walks, negative
+//! pre-sampling, one walk at a time into the fabric) is `seqge-core`'s
+//! scenario drivers — [`Accelerator`] is an `EmbeddingModel` like the float
+//! models, so `train_all_scenario(&g, &mut accel, ..)` *is* the host driver
+//! and `accel.stats` its report.
 
 pub mod accelerator;
 pub mod bram;
@@ -25,15 +28,12 @@ pub mod device;
 pub mod dma;
 pub mod energy;
 pub mod explore;
-pub mod host;
 pub mod pipeline;
 pub mod report;
 pub mod resources;
 pub mod timing;
-pub mod walker_accel;
 
 pub use accelerator::{AccelStats, Accelerator};
 pub use device::{FpgaDevice, Utilization};
-pub use host::{HostDriver, HostPipelineReport, HostReport};
 pub use resources::{estimate_resources, AcceleratorDesign, ResourceEstimate};
 pub use timing::{TimingModel, WalkTiming};

@@ -1,11 +1,12 @@
 //! Pins the fixed-point accelerator's "all"-scenario stream: the raw Q8.24
-//! β and P words and the modeled cycle count after one host-driven run,
-//! recorded before the host driver was folded into
-//! `seqge_core::train_all_scenario`.
+//! β and P words and the modeled cycle count after one run driven by
+//! `seqge_core::train_all_scenario`. The walk and negative draws come off one
+//! RNG stream in a fixed order; a value that moves here means that order —
+//! and every checked-in `results/*.json` trained through it — moved.
 
-use seqge_core::{ModelConfig, OsElmConfig, TrainConfig};
+use seqge_core::{train_all_scenario, ModelConfig, OsElmConfig, TrainConfig};
 use seqge_fixed::Q8_24;
-use seqge_fpga::HostDriver;
+use seqge_fpga::Accelerator;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_sampling::Node2VecParams;
 
@@ -26,10 +27,8 @@ fn all_scenario_through_the_accelerator_is_pinned() {
         walk: Node2VecParams { walk_length: 12, walks_per_node: 2, ..Default::default() },
         model,
     };
-    let mut host =
-        HostDriver::new(48, cfg, OsElmConfig { model, ..OsElmConfig::paper_defaults(8) });
-    host.train_all(&g, 21);
-    let accel = host.accelerator();
+    let mut accel = Accelerator::new(48, OsElmConfig { model, ..OsElmConfig::paper_defaults(8) });
+    train_all_scenario(&g, &mut accel, &cfg, 21);
     assert_eq!(
         (
             bit_hash(accel.beta_bits()),

@@ -11,11 +11,9 @@
 //! * [`Mat`] — row-major dense matrix.
 //! * [`ops`] — dot / axpy / gemv / rank-1 update kernels.
 //! * [`solve`] — Cholesky and Gauss–Jordan inversion for the `P₀` init.
-//! * [`parallel`] — rayon-chunked variants for the tall-matrix passes.
 
 pub mod matrix;
 pub mod ops;
-pub mod parallel;
 pub mod scalar;
 pub mod solve;
 

@@ -87,26 +87,6 @@ impl<T: Scalar> Mat<T> {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Two distinct rows mutably at once (used by swap-style updates).
-    pub fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [T], &mut [T]) {
-        assert_ne!(a, b, "rows must be distinct");
-        let cols = self.cols;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * cols);
-            (&mut lo[a * cols..(a + 1) * cols], &mut hi[..cols])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * cols);
-            let blo = &mut lo[b * cols..(b + 1) * cols];
-            // Can't return both from one split in this order; recompute.
-            (&mut hi[..cols], blo)
-        }
-    }
-
-    /// Column `c` copied into a `Vec` (columns are strided; copy is explicit).
-    pub fn col_to_vec(&self, c: usize) -> Vec<T> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
     /// Flat row-major data.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -122,7 +102,7 @@ impl<T: Scalar> Mat<T> {
     /// Forces exact symmetry in place: `self[(r,c)] = self[(c,r)] =
     /// ½·(self[(r,c)] + self[(c,r)])`. A no-op (bit-for-bit) on an
     /// already-symmetric matrix. The OS-ELM models call this once at cold
-    /// entry points (batch init, state restore) so the hot-path `P`
+    /// entry points (state restore) so the hot-path `P`
     /// kernels — which *preserve* exact symmetry but do not restore it —
     /// can skip per-update symmetrization.
     pub fn symmetrize(&mut self) {
@@ -161,11 +141,6 @@ impl<T: Scalar> Mat<T> {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> T {
-        self.data.iter().map(|&x| x * x).sum::<T>().sqrt()
     }
 
     /// Largest absolute entry difference against `other` (test helper and
@@ -275,26 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn two_rows_mut_both_orders() {
-        let mut m = Mat::from_fn(3, 2, |r, _| r as f64);
-        {
-            let (a, b) = m.two_rows_mut(0, 2);
-            a[0] = 10.0;
-            b[0] = 20.0;
-        }
-        assert_eq!(m[(0, 0)], 10.0);
-        assert_eq!(m[(2, 0)], 20.0);
-        {
-            let (a, b) = m.two_rows_mut(2, 0);
-            assert_eq!(a[0], 20.0);
-            assert_eq!(b[0], 10.0);
-        }
-    }
-
-    #[test]
-    fn norms_and_diffs() {
+    fn max_abs_diff_is_the_largest_entry_gap() {
         let a = Mat::from_vec(1, 2, vec![3.0f64, 4.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         let b = Mat::from_vec(1, 2, vec![3.5f64, 4.0]);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-12);
     }
@@ -307,12 +264,6 @@ mod tests {
         assert!(!a.all_finite());
         let c: Mat<f32> = Mat::from_vec(1, 1, vec![0.5f64]).cast();
         assert_eq!(c[(0, 0)], 0.5f32);
-    }
-
-    #[test]
-    fn col_to_vec_extracts_strided_column() {
-        let m = Mat::from_fn(3, 2, |r, c| (10 * r + c) as f64);
-        assert_eq!(m.col_to_vec(1), vec![1.0, 11.0, 21.0]);
     }
 
     #[test]

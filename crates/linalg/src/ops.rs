@@ -14,9 +14,8 @@
 //! Two fused/batched kernels serve the OS-ELM hot path specifically:
 //! [`p_downdate_forget`] collapses the EW-RLS `P` maintenance
 //! (downdate → inflate → trace-cap → symmetrize) into one contiguous
-//! full-matrix sweep, and [`gemv_rows`]/[`ger_rows`] turn the sample
-//! stage's scattered per-column dot/axpy pairs into gathered-row block
-//! operations.
+//! full-matrix sweep, and [`gemv_rows`] turns the sample stage's scattered
+//! per-column dots into one gathered-row block operation.
 //!
 //! The symmetric `P` kernels ([`p_downdate_sym`], [`p_downdate_forget`])
 //! rest on one IEEE-754 fact: multiplication is commutative *bitwise*
@@ -134,17 +133,6 @@ pub fn gemv<T: Scalar>(a: &Mat<T>, x: &[T], y: &mut [T]) {
     }
 }
 
-/// `y = Aᵀ · x` for row-major `A` (`rows×cols`), `x` of length `rows`.
-/// Implemented as a row-sweep so memory access stays contiguous.
-pub fn gemv_t<T: Scalar>(a: &Mat<T>, x: &[T], y: &mut [T]) {
-    assert_eq!(a.rows(), x.len(), "gemv_t: x length mismatch");
-    assert_eq!(a.cols(), y.len(), "gemv_t: y length mismatch");
-    y.fill(T::ZERO);
-    for (r, &xr) in x.iter().enumerate() {
-        axpy(xr, a.row(r), y);
-    }
-}
-
 /// Rank-1 update `A += a · x yᵀ` (BLAS `ger`).
 pub fn ger<T: Scalar>(a_mat: &mut Mat<T>, a: T, x: &[T], y: &[T]) {
     assert_eq!(a_mat.rows(), x.len(), "ger: x length mismatch");
@@ -167,17 +155,6 @@ pub fn gemv_rows<T: Scalar>(a: &Mat<T>, rows: &[usize], x: &[T], out: &mut Vec<T
     out.reserve(rows.len());
     for &r in rows {
         out.push(dot(a.row(r), x));
-    }
-}
-
-/// Batched gathered-row rank-1 accumulation: `A[rows[k], :] += coeffs[k]·x`,
-/// applied in index order so duplicate rows accumulate exactly like the
-/// sequential axpy loop it replaces.
-pub fn ger_rows<T: Scalar>(a: &mut Mat<T>, rows: &[usize], coeffs: &[T], x: &[T]) {
-    assert_eq!(rows.len(), coeffs.len(), "ger_rows: coeffs length mismatch");
-    assert_eq!(a.cols(), x.len(), "ger_rows: x length mismatch");
-    for (&r, &c) in rows.iter().zip(coeffs) {
-        axpy(c, x, a.row_mut(r));
     }
 }
 
@@ -387,22 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn gemv_t_matches_transpose_gemv() {
-        let a = Mat::from_fn(3, 2, |r, c| (r + c * 2) as f64);
-        let x = [1.0, 2.0, 3.0];
-        let mut y1 = [0.0; 2];
-        gemv_t(&a, &x, &mut y1);
-        let at = a.transpose();
-        let mut y2 = [0.0; 2];
-        gemv(&at, &x, &mut y2);
-        // gemv_t accumulates by row-sweep, gemv by per-row dot: the sums
-        // reassociate, so equality is up to float summation error.
-        for (v1, v2) in y1.iter().zip(&y2) {
-            assert!((v1 - v2).abs() < 1e-12, "{v1} vs {v2}");
-        }
-    }
-
-    #[test]
     fn ger_rank1() {
         let mut a = Mat::<f64>::zeros(2, 2);
         ger(&mut a, 2.0, &[1.0, 3.0], &[5.0, 7.0]);
@@ -421,17 +382,6 @@ mod tests {
                 assert_eq!(out[k], dot(a.row(r), &x), "rows={rows:?} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn ger_rows_accumulates_duplicates_in_order() {
-        let mut a = Mat::<f64>::zeros(4, 3);
-        let x = [1.0, 2.0, 4.0];
-        // Row 2 appears twice: updates must stack exactly like two axpys.
-        ger_rows(&mut a, &[2, 0, 2], &[1.0, 10.0, 0.5], &x);
-        assert_eq!(a.row(0), &[10.0, 20.0, 40.0]);
-        assert_eq!(a.row(2), &[1.5, 3.0, 6.0]);
-        assert_eq!(a.row(1), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

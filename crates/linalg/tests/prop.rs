@@ -44,18 +44,6 @@ proptest! {
     }
 
     #[test]
-    fn gemv_t_equals_transpose_gemv(m in mat_strategy(7, 5), x in vec_strategy(7)) {
-        let mut y1 = vec![0.0; 5];
-        ops::gemv_t(&m, &x, &mut y1);
-        let mt = m.transpose();
-        let mut y2 = vec![0.0; 5];
-        ops::gemv(&mt, &x, &mut y2);
-        for i in 0..5 {
-            prop_assert!((y1[i] - y2[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn cholesky_inverse_inverts(a in spd_strategy(5)) {
         let inv = solve::cholesky_inverse(&a).expect("SPD by construction");
         let prod = a.matmul(&inv);

@@ -1,9 +1,8 @@
 //! The accounting plane: reply classification, per-op/per-window metrics,
 //! and the machine-readable `results/bench_load.json` report.
 //!
-//! Every reply is classified into an [`Outcome`] using the protocol's
-//! `code` field first (see `seqge_serve::protocol`), falling back to the
-//! legacy message prefixes for servers that predate it. Latencies land in
+//! Every reply is classified into an [`Outcome`] by the protocol's `code`
+//! field (see `seqge_serve::protocol`). Latencies land in
 //! client-side `seqge-obs` log-histograms labeled `{op, window}`; outcomes
 //! and SLO violations in counters with the same label split. The report
 //! is aggregated from the registry at the end of the run, so the hot path
@@ -58,9 +57,9 @@ impl Outcome {
     }
 }
 
-/// Classifies one raw reply line. The `code` field is authoritative;
-/// message prefixes are the compatibility fallback; an unparseable line
-/// is a hard error (the server must always answer one JSON object).
+/// Classifies one raw reply line. The `code` field is authoritative: an
+/// `ok:false` reply without one is a hard error, and so is an unparseable
+/// line (the server must always answer one JSON object).
 pub fn classify(line: &str) -> Outcome {
     let Ok(v) = serde_json::from_str::<Value>(line) else {
         return Outcome::HardError;
@@ -77,17 +76,11 @@ pub fn classify(line: &str) -> Outcome {
                 Outcome::Ok
             }
         }
-        Some(&Value::Bool(false)) => {
-            let msg = v.get("error").and_then(Value::as_str).unwrap_or("");
-            match code {
-                Some(CODE_OVERLOADED) => Outcome::Shed,
-                Some(CODE_DEGRADED) => Outcome::Degraded,
-                Some(_) => Outcome::HardError,
-                None if msg.starts_with("overloaded") => Outcome::Shed,
-                None if msg.starts_with("degraded") => Outcome::Degraded,
-                None => Outcome::HardError,
-            }
-        }
+        Some(&Value::Bool(false)) => match code {
+            Some(CODE_OVERLOADED) => Outcome::Shed,
+            Some(CODE_DEGRADED) => Outcome::Degraded,
+            _ => Outcome::HardError,
+        },
         _ => Outcome::HardError,
     }
 }
@@ -450,20 +443,13 @@ mod tests {
             Outcome::Degraded
         );
         assert_eq!(classify(r#"{"ok":false,"error":"u and v must differ"}"#), Outcome::HardError);
-        assert_eq!(classify("not json at all"), Outcome::HardError);
-        assert_eq!(classify(r#"{"no_ok_field":1}"#), Outcome::HardError);
-    }
-
-    #[test]
-    fn legacy_prefixes_still_classify_without_a_code() {
+        // No code, no special meaning — whatever the message starts with.
         assert_eq!(
             classify(r#"{"ok":false,"error":"overloaded: trainer backlog"}"#),
-            Outcome::Shed
+            Outcome::HardError
         );
-        assert_eq!(
-            classify(r#"{"ok":false,"error":"degraded: shard 1 unavailable"}"#),
-            Outcome::Degraded
-        );
+        assert_eq!(classify("not json at all"), Outcome::HardError);
+        assert_eq!(classify(r#"{"no_ok_field":1}"#), Outcome::HardError);
     }
 
     #[test]

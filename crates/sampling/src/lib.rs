@@ -22,7 +22,6 @@ pub mod alias;
 pub mod corpus;
 pub mod negative;
 pub mod pipeline;
-pub mod preprocessed;
 pub mod rng;
 pub mod walk;
 pub mod window;
@@ -31,7 +30,6 @@ pub use alias::AliasTable;
 pub use corpus::{generate_corpus, WalkCorpus};
 pub use negative::{NegativeTable, UpdatePolicy};
 pub use pipeline::{generate_corpus_pipelined, stream_walks, PipelineConfig, PipelineStats};
-pub use preprocessed::PreprocessedWalker;
 pub use rng::{stream_seed, Rng64};
 pub use walk::{Node2VecParams, StepStrategy, WalkGraph, Walker};
 pub use window::{context_windows, contexts, Context, ContextWindows};

@@ -46,11 +46,6 @@ pub fn contexts(walk: &[NodeId], w: usize) -> Vec<Context> {
     out
 }
 
-/// Total number of (center, positive) training pairs across contexts.
-pub fn pair_count(ctxs: &[Context]) -> usize {
-    ctxs.iter().map(|c| c.positives.len()).sum()
-}
-
 /// Zero-allocation view of [`contexts`]: yields `(center, positives)` with
 /// `positives` borrowed straight from the walk (every context's positives
 /// are a contiguous walk slice). Training hot paths use this — [`contexts`]
@@ -172,13 +167,6 @@ mod tests {
         let ctxs = contexts(&walk, 8);
         assert_eq!(ctxs.len(), 1);
         assert_eq!(ctxs[0].positives.len(), 7);
-    }
-
-    #[test]
-    fn pair_count_sums() {
-        let walk: Vec<NodeId> = (0..80).collect();
-        let ctxs = contexts(&walk, 8);
-        assert_eq!(pair_count(&ctxs), 73 * 7);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! cargo run --release --example fpga_accelerator
 //! ```
 
-use seqge::core::{OsElmConfig, TrainConfig};
+use seqge::core::{train_all_scenario, EmbeddingModel, OsElmConfig, TrainConfig};
 use seqge::eval::{evaluate_embedding, EvalConfig, LogRegConfig};
-use seqge::fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, HostDriver};
+use seqge::fpga::{estimate_resources, Accelerator, AcceleratorDesign, FpgaDevice};
 use seqge::graph::Dataset;
 
 fn main() {
@@ -26,21 +26,22 @@ fn main() {
         design.mac_lanes, design.clock_mhz, est.bram36, util.bram_pct, est.dsp, util.dsp_pct
     );
 
-    // Host drives walks into the accelerator.
+    // The host side is the ordinary "all"-scenario driver: it pre-samples
+    // every walk and its negatives, the accelerator trains them one by one.
     let mut cfg = TrainConfig::paper_defaults(dim);
     cfg.walk.walks_per_node = 5;
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(dim) };
-    let mut host = HostDriver::new(g.num_nodes(), cfg, ocfg);
-    let report = host.train_all(&g, 17);
+    let mut accel = Accelerator::new(g.num_nodes(), ocfg);
+    train_all_scenario(&g, &mut accel, &cfg, 17);
+    let stats = accel.stats;
+    let accel_ms = stats.millis(design.clock_mhz);
     println!(
-        "trained {} walks: host pre-sampling {:.1} ms, modeled PL time {:.1} ms \
+        "trained {} walks: modeled PL time {:.1} ms \
          ({:.3} ms/walk — paper Table 3: 0.777 ms/walk at d=32)",
-        report.walks,
-        report.host_ms,
-        report.accel_ms,
-        report.accel_ms / report.walks as f64
+        stats.walks,
+        accel_ms,
+        accel_ms / stats.walks as f64
     );
-    let stats = host.accelerator().stats;
     println!(
         "tile traffic: {} DRAM column fetches, {} on-chip hits ({:.1}% hit rate), {} saturations",
         stats.dram_fetches,
@@ -55,6 +56,6 @@ fn main() {
         logreg: LogRegConfig { epochs: 40, ..Default::default() },
         ..Default::default()
     };
-    let f1 = evaluate_embedding(&host.embedding(), &labels, g.num_classes(), &eval_cfg, 1);
+    let f1 = evaluate_embedding(&accel.embedding(), &labels, g.num_classes(), &eval_cfg, 1);
     println!("downstream F1 of the fixed-point embedding: {:.3}", f1.micro_f1);
 }

@@ -23,16 +23,6 @@
 # records ~0.3x), so the floor is waived there and the gate instead
 # requires the exactly-once reconciliation evidence in the fresh JSON.
 #
-# Also gates the ANN read path (`bench_ann` → p99_speedup, recall_at_10):
-# the brute/ANN p99 ratio is banded (SEQGE_BENCH_ANN_BAND_PCT, default 40)
-# and floored at 5x, and recall@10 is floored at 0.9 outright.
-#
-# Also gates the training-backend plane (`bench_backend` →
-# deviation_ppm, planner liveness): the fpga-sim backend's live
-# float-shadow deviation has a hard ppm ceiling (quantization
-# correctness is host-independent) and the cycle planner must have
-# priced the stream.
-#
 # Also gates the serving plane under load (`seqge loadgen` hot_read
 # against a freshly booted single-node server): steady_ok_rate is floored
 # at 0.99 and the steady topk p99 is banded against
@@ -146,109 +136,6 @@ if [[ -n ${GITHUB_STEP_SUMMARY:-} ]]; then
     echo "| floor | $CLUSTER_FLOOR (waived below 4 cores) |"
     echo "| target | $CLUSTER_TARGET |"
     echo "| exactly-once reconciliation | $([[ $exactly_once -gt 0 ]] && echo held || echo MISSING) |"
-  } >>"$GITHUB_STEP_SUMMARY"
-fi
-
-# ANN read-path gate (`bench_ann`): p99_speedup (brute p99 / ANN p99,
-# both arms on the same snapshot in the same process, so the ratio is
-# host-independent) is banded like the other ratios but wider by default
-# — latency ratios carry both arms' scheduler jitter. It also has hard
-# floors from the acceptance criteria, checked regardless of baseline:
-# ANN must stay >= 5x faster at p99 and recall@10 must stay >= 0.9. The
-# recall floor is absolute rather than banded because a recall drop is a
-# correctness regression however the baseline moved.
-# Band override: SEQGE_BENCH_ANN_BAND_PCT.
-ANN_BAND_PCT=${SEQGE_BENCH_ANN_BAND_PCT:-40}
-ANN_BASELINE=${ANN_BASELINE:-results/bench_ann.json}
-[[ -f $ANN_BASELINE ]] || { echo "FAIL: baseline missing: $ANN_BASELINE"; exit 1; }
-cargo build --locked --release -q -p seqge-bench --bin bench_ann
-(cd "$work" && "$ROOT/target/release/bench_ann" --json results/bench_ann.json)
-ANN_FRESH=$work/results/bench_ann.json
-[[ -f $ANN_FRESH ]] || { echo "FAIL: benchmark did not write bench_ann.json"; exit 1; }
-base=$(json_num "$ANN_BASELINE" p99_speedup)
-now=$(json_num "$ANN_FRESH" p99_speedup)
-recall=$(json_num "$ANN_FRESH" recall_at_10)
-if [[ -z $base || -z $now || -z $recall ]]; then
-  echo "FAIL: ann metrics missing (baseline='$base' fresh='$now' recall='$recall')"
-  fail=1
-else
-  verdict=$(awk -v b="$base" -v n="$now" -v band="$ANN_BAND_PCT" 'BEGIN {
-    d = (n - b) / b * 100
-    if (n < 5)         printf "%+.1f%% REGRESSION (below the 5x acceptance floor)", d
-    else if (d < -band)     printf "%+.1f%% REGRESSION (band ±%s%%)", d, band
-    else if (d > band) printf "%+.1f%% above band — refresh baseline", d
-    else               printf "%+.1f%% ok", d
-  }')
-  echo "p99_speedup: baseline $base -> $now  ($verdict)"
-  case $verdict in
-  *REGRESSION*) fail=1 ;;
-  *"refresh baseline"*) warn=1 ;;
-  esac
-  recall_verdict=$(awk -v r="$recall" 'BEGIN {
-    if (r < 0.9) printf "%.3f REGRESSION (floor 0.9)", r
-    else         printf "%.3f ok (floor 0.9)", r
-  }')
-  echo "recall_at_10: $recall_verdict"
-  case $recall_verdict in
-  *REGRESSION*) fail=1 ;;
-  esac
-fi
-
-# Backend gate (`bench_backend`): float vs fpga-sim through the serve
-# plane on the same Amazon-Photo stream. Two hard checks, both
-# host-independent:
-#
-# * deviation_ppm — the fpga-sim backend's live float-shadow metric
-#   (per-publish-window fixed-vs-float embedding drift, the Fig. 4-style
-#   band). Quantization correctness, not speed: a wrong Q8.24 scale or a
-#   saturation storm reads 10^5+ where a healthy kernel reads 10^2-10^3,
-#   so the ceiling is a constant, not a baseline band.
-#   Override: SEQGE_BENCH_DEVIATION_CEILING_PPM.
-# * planner liveness — the cycle model must have priced the stream
-#   (backend_cycles_total > 0) and produced a nonzero predicted ingest
-#   rate; a dead planner means the capacity-headroom metrics are lying.
-DEVIATION_CEILING_PPM=${SEQGE_BENCH_DEVIATION_CEILING_PPM:-5000}
-cargo build --locked --release -q -p seqge-bench --bin bench_backend
-(cd "$work" && "$ROOT/target/release/bench_backend" --json results/bench_backend.json)
-BACKEND_FRESH=$work/results/bench_backend.json
-[[ -f $BACKEND_FRESH ]] || { echo "FAIL: benchmark did not write bench_backend.json"; exit 1; }
-deviation=$(json_num "$BACKEND_FRESH" deviation_ppm)
-predicted=$(json_num "$BACKEND_FRESH" predicted_ingest_eps)
-cycles=$(json_num "$BACKEND_FRESH" backend_cycles_total)
-fpga_eps=$(json_num "$BACKEND_FRESH" fpga_ingest_eps)
-if [[ -z $deviation || -z $predicted || -z $cycles || -z $fpga_eps ]]; then
-  echo "FAIL: backend metrics missing (deviation='$deviation' predicted='$predicted' cycles='$cycles' fpga_eps='$fpga_eps')"
-  fail=1
-else
-  dev_verdict=$(awk -v d="$deviation" -v c="$DEVIATION_CEILING_PPM" 'BEGIN {
-    if (d > c)      printf "%d ppm REGRESSION (ceiling %d ppm)", d, c
-    else if (d < 0) printf "%d ppm REGRESSION (probe never measured)", d
-    else            printf "%d ppm ok (ceiling %d ppm)", d, c
-  }')
-  echo "fpga-sim deviation_ppm: $dev_verdict"
-  case $dev_verdict in
-  *REGRESSION*) fail=1 ;;
-  esac
-  plan_verdict=$(awk -v p="$predicted" -v cy="$cycles" 'BEGIN {
-    if (cy <= 0)     printf "REGRESSION (no modeled cycles)"
-    else if (p <= 0) printf "REGRESSION (cycles modeled but predicted eps is %.0f)", p
-    else             printf "%.0f ev/s predicted from %.0f cycles, ok", p, cy
-  }')
-  echo "fpga-sim cycle planner: $plan_verdict"
-  case $plan_verdict in
-  *REGRESSION*) fail=1 ;;
-  esac
-fi
-if [[ -n ${GITHUB_STEP_SUMMARY:-} ]]; then
-  {
-    echo "### training backends (float vs fpga-sim)"
-    echo ""
-    echo "| metric | value |"
-    echo "|---|---|"
-    echo "| deviation_ppm (ceiling $DEVIATION_CEILING_PPM) | ${deviation:-missing} |"
-    echo "| predicted ingest ev/s (cycle model) | ${predicted:-missing} |"
-    echo "| measured fpga-sim ingest ev/s | ${fpga_eps:-missing} |"
-    echo "| float ingest ev/s | $(json_num "$BACKEND_FRESH" float_ingest_eps) |"
   } >>"$GITHUB_STEP_SUMMARY"
 fi
 

@@ -1,26 +1,10 @@
-//! Integration tests for the extension layers: block OS-ELM, parallel SGD,
-//! preprocessed walking, persistence, and the stream scenario — each
-//! checked at the level users care about (embedding quality / exact resume),
-//! not just unit behavior.
+//! Integration test for the persistence layer at the level users care
+//! about: exact resume from a checkpoint.
 
 use seqge::core::model::EmbeddingModel;
-use seqge::core::{
-    persist, train_all_parallel, train_all_scenario, BlockOsElm, OsElmConfig, OsElmSkipGram,
-    ParallelConfig, SkipGram, TrainConfig,
-};
-use seqge::eval::{evaluate_embedding, EvalConfig, LogRegConfig};
+use seqge::core::{full_corpus, persist, OsElmConfig, OsElmSkipGram, TrainConfig};
 use seqge::graph::Dataset;
-use seqge::sampling::{
-    generate_corpus, NegativeTable, Node2VecParams, PreprocessedWalker, Rng64, UpdatePolicy, Walker,
-};
-
-fn eval_cfg() -> EvalConfig {
-    EvalConfig {
-        trials: 2,
-        logreg: LogRegConfig { epochs: 40, ..Default::default() },
-        ..Default::default()
-    }
-}
+use seqge::sampling::Rng64;
 
 fn small_cfg(dim: usize) -> TrainConfig {
     let mut cfg = TrainConfig::paper_defaults(dim);
@@ -28,110 +12,6 @@ fn small_cfg(dim: usize) -> TrainConfig {
     cfg.walk.walks_per_node = 4;
     cfg.model.negative_samples = 5;
     cfg
-}
-
-/// Block OS-ELM must reach comparable downstream quality to the scalar model.
-#[test]
-fn block_oselm_quality_comparable() {
-    let g = Dataset::Cora.generate_scaled(0.12, 21);
-    let labels = g.labels().unwrap().to_vec();
-    let cfg = small_cfg(16);
-    let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(16) };
-
-    let mut scalar = OsElmSkipGram::new(g.num_nodes(), ocfg);
-    train_all_scenario(&g, &mut scalar, &cfg, 4);
-    let f_scalar =
-        evaluate_embedding(&scalar.embedding(), &labels, g.num_classes(), &eval_cfg(), 1).micro_f1;
-
-    let mut block = BlockOsElm::new(g.num_nodes(), ocfg, 8);
-    train_all_scenario(&g, &mut block, &cfg, 4);
-    let f_block =
-        evaluate_embedding(&block.embedding(), &labels, g.num_classes(), &eval_cfg(), 1).micro_f1;
-
-    assert!(f_scalar > 0.35, "scalar baseline must learn: {f_scalar:.3}");
-    assert!(
-        f_block > f_scalar - 0.15,
-        "block-8 quality {f_block:.3} too far below scalar {f_scalar:.3}"
-    );
-}
-
-/// The parameter-averaging parallel trainer must reach comparable quality to
-/// sequential SGD on the same corpus.
-#[test]
-fn parallel_sgd_quality_comparable() {
-    let g = Dataset::Cora.generate_scaled(0.12, 22);
-    let labels = g.labels().unwrap().to_vec();
-    let cfg = small_cfg(16);
-
-    let mut seq = SkipGram::new(g.num_nodes(), cfg.model);
-    train_all_scenario(&g, &mut seq, &cfg, 5);
-    let f_seq =
-        evaluate_embedding(&seq.embedding(), &labels, g.num_classes(), &eval_cfg(), 1).micro_f1;
-
-    let mut par = SkipGram::new(g.num_nodes(), cfg.model);
-    train_all_parallel(&g, &mut par, &cfg, &ParallelConfig { shards: 4, sync_every: 32 }, 5);
-    let f_par =
-        evaluate_embedding(&par.embedding(), &labels, g.num_classes(), &eval_cfg(), 1).micro_f1;
-
-    assert!(f_seq > 0.35, "sequential baseline must learn: {f_seq:.3}");
-    assert!(
-        f_par > f_seq - 0.15,
-        "parallel quality {f_par:.3} too far below sequential {f_seq:.3}"
-    );
-}
-
-/// Training on preprocessed-walker corpora must match on-the-fly-walker
-/// corpora in downstream quality (same walk distribution).
-#[test]
-fn preprocessed_walks_equivalent_quality() {
-    let g = Dataset::Cora.generate_scaled(0.12, 23);
-    let labels = g.labels().unwrap().to_vec();
-    let csr = g.to_csr();
-    let cfg = small_cfg(16);
-    let params = Node2VecParams { walk_length: 30, walks_per_node: 4, ..Default::default() };
-    let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(16) };
-
-    let train_with = |walks: &[Vec<u32>]| {
-        let mut corpus = seqge::sampling::WalkCorpus::new(g.num_nodes());
-        for w in walks {
-            corpus.record(w);
-        }
-        let mut table = NegativeTable::new(UpdatePolicy::every_edge());
-        table.rebuild(&corpus);
-        let mut m = OsElmSkipGram::new(g.num_nodes(), ocfg);
-        let mut rng = Rng64::seed_from_u64(9);
-        for w in walks {
-            m.train_walk(w, &table, &mut rng);
-        }
-        evaluate_embedding(&m.embedding(), &labels, g.num_classes(), &eval_cfg(), 1).micro_f1
-    };
-
-    // On-the-fly corpus.
-    let mut walker = Walker::new(params);
-    let mut rng = Rng64::seed_from_u64(31);
-    let (_, fly_walks) = generate_corpus(&csr, &mut walker, &mut rng);
-    let f_fly = train_with(&fly_walks);
-
-    // Preprocessed corpus (full budget).
-    let (mut pw, coverage) = PreprocessedWalker::build(&csr, params, usize::MAX);
-    assert_eq!(coverage, 1.0);
-    let mut rng = Rng64::seed_from_u64(31);
-    let mut pre_walks = Vec::new();
-    for _ in 0..params.walks_per_node {
-        for u in 0..g.num_nodes() as u32 {
-            let w = pw.walk(&csr, u, &mut rng);
-            if w.len() >= 2 {
-                pre_walks.push(w);
-            }
-        }
-    }
-    let f_pre = train_with(&pre_walks);
-
-    assert!(f_fly > 0.35, "on-the-fly baseline must learn: {f_fly:.3}");
-    assert!(
-        (f_fly - f_pre).abs() < 0.2,
-        "walk strategies should give similar embeddings: {f_fly:.3} vs {f_pre:.3}"
-    );
 }
 
 /// Checkpoint → restore → continue must equal uninterrupted training
@@ -142,12 +22,7 @@ fn checkpoint_resume_is_exact() {
     let g = Dataset::Cora.generate_scaled(0.1, 24);
     let cfg = small_cfg(8);
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(8) };
-    let csr = g.to_csr();
-    let mut walker = Walker::new(cfg.walk);
-    let mut rng = Rng64::seed_from_u64(2);
-    let (corpus, walks) = generate_corpus(&csr, &mut walker, &mut rng);
-    let mut table = NegativeTable::new(UpdatePolicy::every_edge());
-    table.rebuild(&corpus);
+    let (_, walks, table, _) = full_corpus(&g, &cfg, 2);
     let split = walks.len() / 2;
 
     // Uninterrupted run.

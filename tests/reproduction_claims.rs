@@ -75,7 +75,6 @@ fn mu_collapse_and_plateau() {
 #[test]
 fn fixed_point_embedding_close_to_float() {
     use seqge::fpga::Accelerator;
-    use seqge::sampling::Rng64;
     let g = Dataset::Cora.generate_scaled(0.12, 9);
     let labels = g.labels().unwrap().to_vec();
     let mut cfg = TrainConfig::paper_defaults(32);
@@ -88,18 +87,9 @@ fn fixed_point_embedding_close_to_float() {
         evaluate_embedding(&float_model.embedding(), &labels, g.num_classes(), &eval_cfg(), 2)
             .micro_f1;
 
+    // Same driver, same seed: both models see the identical walk stream.
     let mut accel = Accelerator::new(g.num_nodes(), ocfg);
-    // Same walk stream as train_all_scenario uses internally.
-    let csr = g.to_csr();
-    let mut walker = seqge::sampling::Walker::new(cfg.walk);
-    let mut rng = Rng64::seed_from_u64(5);
-    let (corpus, walks) = seqge::sampling::generate_corpus(&csr, &mut walker, &mut rng);
-    let mut table =
-        seqge::sampling::NegativeTable::new(seqge::sampling::UpdatePolicy::every_edge());
-    table.rebuild(&corpus);
-    for w in &walks {
-        accel.train_walk(w, &table, &mut rng);
-    }
+    train_all_scenario(&g, &mut accel, &cfg, 5);
     let f_fixed =
         evaluate_embedding(&accel.embedding(), &labels, g.num_classes(), &eval_cfg(), 2).micro_f1;
 
