@@ -2,29 +2,66 @@
 
 use crate::lsh::{AnnConfig, Hyperplanes};
 use seqge_linalg::Mat;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One band's table: signature → bucket of vertex ids. Buckets are
-/// `Arc`'d so successive index versions share every bucket the dirty
-/// region did not touch.
-type Band = HashMap<u32, Arc<Vec<u32>>>;
-
-/// An immutable ANN index over one embedding snapshot. Cheap to clone
-/// across versions (buckets are structurally shared); queries are
-/// lock-free and allocation is bounded by the candidate-set size.
-#[derive(Debug, Clone)]
+/// An immutable ANN index over one embedding snapshot: per band, the
+/// vertex ids grouped by signature (ascending id inside a group) behind a
+/// dense offsets table. Queries are lock-free and allocation is bounded by
+/// the candidate-set size.
+#[derive(Debug)]
 pub struct AnnIndex {
     planes: Arc<Hyperplanes>,
-    bands: Vec<Band>,
+    /// `bands` tables of `2^bits + 1` entries: the bucket of `sig` in
+    /// `band` is `ids[band][offsets[band][sig]..offsets[band][sig + 1]]`.
+    offsets: Vec<u32>,
+    /// `bands` runs of `num_points` vertex ids.
+    ids: Vec<u32>,
     num_points: usize,
 }
 
 impl AnnIndex {
+    /// Groups the vertices by signature, one counting sort per band over
+    /// `sigs` (band-major: `num_points` signatures per band).
+    fn build(planes: Arc<Hyperplanes>, sigs: &[u32], num_points: usize) -> Self {
+        let (n, slots) = (num_points, (1usize << planes.bits()) + 1);
+        let mut offsets = vec![0u32; planes.bands() * slots];
+        let mut ids = vec![0u32; sigs.len()];
+        let mut next: Vec<u32> = Vec::with_capacity(slots);
+        for band in 0..planes.bands() {
+            let table = &mut offsets[band * slots..][..slots];
+            let (sigs, ids) = (&sigs[band * n..][..n], &mut ids[band * n..][..n]);
+            for &sig in sigs {
+                table[sig as usize + 1] += 1;
+            }
+            for sig in 1..slots {
+                table[sig] += table[sig - 1];
+            }
+            // Rows are placed in ascending order, so every bucket is sorted.
+            next.clear();
+            next.extend_from_slice(table);
+            for (row, &sig) in sigs.iter().enumerate() {
+                ids[next[sig as usize] as usize] = row as u32;
+                next[sig as usize] += 1;
+            }
+        }
+        AnnIndex { planes, offsets, ids, num_points }
+    }
+
+    fn bucket(&self, band: usize, sig: u32) -> &[u32] {
+        let table = &self.offsets[band * ((1usize << self.bits()) + 1)..];
+        let (lo, hi) = (table[sig as usize] as usize, table[sig as usize + 1] as usize);
+        &self.ids[band * self.num_points..][lo..hi]
+    }
+
     /// Vertices the index covers.
     pub fn num_points(&self) -> usize {
         self.num_points
+    }
+
+    /// Embedding dimensionality the index hashes.
+    pub fn dim(&self) -> usize {
+        self.planes.dim()
     }
 
     /// Number of bands (hash tables).
@@ -37,16 +74,15 @@ impl AnnIndex {
         self.planes.bits()
     }
 
-    /// Candidate set for query vector `x`: the union of the matching
-    /// bucket in every band, plus `probes` low-margin bit-flip probes per
-    /// band, deduplicated and in ascending-id order (deterministic for a
-    /// given index version). The caller re-ranks these exactly.
+    /// Candidate set for query vector `x` (`dim()` coordinates): the union
+    /// of the matching bucket in every band, plus `probes` low-margin
+    /// bit-flip probes per band, deduplicated and in ascending-id order
+    /// (deterministic for a given index version). The caller re-ranks
+    /// these exactly.
     pub fn candidates(&self, x: &[f32], probes: usize) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
-        self.planes.probe_signatures(x, probes, |band, sig| {
-            if let Some(bucket) = self.bands[band].get(&sig) {
-                out.extend_from_slice(bucket);
-            }
+        self.planes.probe_signatures(x, probes, &mut Vec::new(), |band, sig| {
+            out.extend_from_slice(self.bucket(band, sig));
         });
         out.sort_unstable();
         out.dedup();
@@ -67,7 +103,7 @@ pub struct SyncReport {
     /// so the metrics assert the incremental invariant rather than assume
     /// it.
     pub rehashed: usize,
-    /// Wall time of the sync (dirty scan + re-hash + publish clone).
+    /// Wall time of the sync (dirty scan + re-hash + bucket regroup).
     pub build_ns: u64,
 }
 
@@ -81,13 +117,13 @@ impl SyncReport {
     }
 }
 
-/// The trainer-side maintainer: owns the mutable bucket tables and the
-/// per-row change-detection hashes, and renders an immutable [`AnnIndex`]
-/// per snapshot publication.
+/// The trainer-side maintainer: owns the per-row change-detection hashes
+/// and signatures, and renders an immutable [`AnnIndex`] per snapshot
+/// publication.
 ///
-/// Change detection compares an FNV-1a hash of each row's raw bytes
-/// against the previous sync — O(n·d) reads per publish, roughly two
-/// orders of magnitude cheaper than re-hashing every row through
+/// Change detection compares a word-wise hash of each row's bit patterns
+/// (`row_hash`) against the previous sync — O(n·d) reads per publish, an
+/// order of magnitude cheaper than re-hashing every row through
 /// `bands × bits` hyperplanes. (A hash collision would leave one vertex
 /// filed under a stale signature: a recall blip on that vertex until its
 /// row changes again, never a scoring error — candidates are always
@@ -95,77 +131,57 @@ impl SyncReport {
 #[derive(Debug)]
 pub struct AnnBuilder {
     cfg: AnnConfig,
-    planes: Option<Arc<Hyperplanes>>,
     row_hash: Vec<u64>,
     sigs: Vec<u32>,
-    bands: Vec<Band>,
-    num_points: usize,
+    /// The last index handed out; also the record of the geometry `sigs`
+    /// and `row_hash` describe.
+    index: Option<Arc<AnnIndex>>,
 }
 
 impl AnnBuilder {
     /// A builder with no points; dimensions are fixed by the first
     /// [`AnnBuilder::sync`].
     pub fn new(cfg: AnnConfig) -> Self {
-        AnnBuilder {
-            cfg,
-            planes: None,
-            row_hash: Vec::new(),
-            sigs: Vec::new(),
-            bands: Vec::new(),
-            num_points: 0,
-        }
+        AnnBuilder { cfg, row_hash: Vec::new(), sigs: Vec::new(), index: None }
     }
 
     /// Brings the index in line with `emb` and returns the immutable
-    /// version to publish. Only rows whose bytes changed since the last
-    /// sync are re-hashed; the first sync (or a geometry change — row or
-    /// column count) is a full rebuild.
+    /// version to publish. Only rows whose bits changed since the last
+    /// sync are re-hashed, after which the buckets are regrouped from the
+    /// retained signatures (O(n·bands) `u32` moves); a sync that finds no
+    /// row changed returns the previous `Arc`. The first sync (or a
+    /// geometry change — row or column count) is a full rebuild.
     pub fn sync(&mut self, emb: &Mat<f32>) -> (Arc<AnnIndex>, SyncReport) {
         let t0 = Instant::now();
         let n = emb.rows();
-        let full = match &self.planes {
-            Some(p) => p.dim() != emb.cols() || self.num_points != n,
-            None => true,
+        let kept = self.index.take().filter(|ix| ix.dim() == emb.cols() && ix.num_points() == n);
+        let full = kept.is_none();
+        let planes = match &kept {
+            Some(index) => index.planes.clone(),
+            None => {
+                let (bands, bits) = (self.cfg.bands.max(1), self.cfg.bits_for(n));
+                self.row_hash = vec![0; n];
+                self.sigs = vec![0; n * bands];
+                Arc::new(Hyperplanes::generate(emb.cols(), bands, bits, self.cfg.seed))
+            }
         };
-        if full {
-            let bits = self.cfg.bits_for(n);
-            let bands = self.cfg.bands.max(1);
-            self.planes =
-                Some(Arc::new(Hyperplanes::generate(emb.cols(), bands, bits, self.cfg.seed)));
-            self.bands = vec![Band::new(); bands];
-            self.row_hash = vec![0; n];
-            self.sigs = vec![0; n * bands];
-            self.num_points = n;
-        }
-        let planes = self.planes.as_ref().expect("planes exist after init").clone();
-        let bands = planes.bands();
         let mut dirty = 0usize;
-        let mut fresh = vec![0u32; bands];
-        for row in 0..n {
-            let h = fnv1a(emb.row(row));
-            if !full && self.row_hash[row] == h {
-                continue;
+        let mut acc = Vec::new();
+        for (row, seen) in self.row_hash.iter_mut().enumerate() {
+            let h = row_hash(emb.row(row));
+            if full || *seen != h {
+                dirty += 1;
+                planes.probe_signatures(emb.row(row), 0, &mut acc, |band, sig| {
+                    self.sigs[band * n + row] = sig;
+                });
+                *seen = h;
             }
-            dirty += 1;
-            planes.signatures(emb.row(row), &mut fresh);
-            let old = &mut self.sigs[row * bands..(row + 1) * bands];
-            for band in 0..bands {
-                if full {
-                    bucket_insert(&mut self.bands[band], fresh[band], row as u32);
-                } else if old[band] != fresh[band] {
-                    bucket_remove(&mut self.bands[band], old[band], row as u32);
-                    bucket_insert(&mut self.bands[band], fresh[band], row as u32);
-                }
-            }
-            old.copy_from_slice(&fresh);
-            self.row_hash[row] = h;
         }
-        let index = Arc::new(AnnIndex {
-            planes,
-            // Shallow clone: one Arc bump per bucket, no vertex copies.
-            bands: self.bands.clone(),
-            num_points: n,
-        });
+        let index = match kept {
+            Some(index) if dirty == 0 => index,
+            _ => Arc::new(AnnIndex::build(planes, &self.sigs, n)),
+        };
+        self.index = Some(index.clone());
         let report = SyncReport {
             total: n,
             dirty,
@@ -176,40 +192,35 @@ impl AnnBuilder {
     }
 }
 
-/// Copy-on-write bucket insert: clones the bucket only if a published
-/// index still shares it.
-fn bucket_insert(band: &mut Band, sig: u32, id: u32) {
-    Arc::make_mut(band.entry(sig).or_default()).push(id);
-}
-
-fn bucket_remove(band: &mut Band, sig: u32, id: u32) {
-    if let Some(bucket) = band.get_mut(&sig) {
-        let b = Arc::make_mut(bucket);
-        if let Some(pos) = b.iter().position(|&v| v == id) {
-            // Order inside a bucket is irrelevant: candidates are sorted
-            // and deduped at query time.
-            b.swap_remove(pos);
-        }
-        if b.is_empty() {
-            band.remove(&sig);
-        }
-    }
-}
-
-fn fnv1a(row: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in row {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Change-detection hash of one row: the `f32` bit patterns, two to a
+/// 64-bit word, folded into four independent multiply-rotate lanes (word
+/// `i` into lane `i % 4`), then the lanes into one another. Every step is
+/// a bijection of the state it updates (xor, multiply by an odd constant,
+/// rotate), so two rows that differ in exactly one `f32` always hash
+/// differently; the four lanes keep four multiplies in flight where a
+/// byte-serial FNV has one.
+fn row_hash(row: &[f32]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |state: u64, word: u64| (state ^ word).wrapping_mul(K).rotate_left(29);
+    let word =
+        |p: &[f32]| p[0].to_bits() as u64 | (p.get(1).map_or(0, |v| v.to_bits()) as u64) << 32;
+    let mut lanes = [K, !K, K.rotate_left(21), K.rotate_left(42)];
+    let mut blocks = row.chunks_exact(8);
+    for block in &mut blocks {
+        for (lane, p) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+            *lane = mix(*lane, word(p));
         }
     }
-    h
+    for (lane, p) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
+        *lane = mix(*lane, word(p));
+    }
+    lanes.into_iter().fold(0, mix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn clustered(n: usize, dim: usize) -> Mat<f32> {
         // Two antipodal clusters with a small deterministic wobble.
@@ -292,5 +303,103 @@ mod tests {
         assert!(idx.candidates(&[0.0; 8], 4).is_empty());
         let (idx, _) = b.sync(&Mat::filled(1, 8, 0.5));
         assert_eq!(idx.candidates(&[0.5; 8], 0), vec![0]);
+    }
+
+    #[test]
+    fn row_hash_sees_every_single_word_change() {
+        for len in [1usize, 3, 4, 5, 8, 31, 32, 33] {
+            let base: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+            for i in 0..len {
+                for flip in [1u32, 1 << 22, 1 << 31, u32::MAX] {
+                    let mut edited = base.clone();
+                    edited[i] = f32::from_bits(base[i].to_bits() ^ flip);
+                    assert_ne!(row_hash(&base), row_hash(&edited), "len {len}, word {i}");
+                }
+            }
+        }
+        // Bit patterns, not values: the two zeros differ.
+        assert_ne!(row_hash(&[0.0, 1.0]), row_hash(&[-0.0, 1.0]));
+    }
+
+    /// Every bucket of every band is strictly ascending and each band
+    /// files every vertex exactly once.
+    fn check_buckets(index: &AnnIndex) -> Result<(), proptest::TestCaseError> {
+        for band in 0..index.bands() {
+            let mut filed = 0usize;
+            for sig in 0..1u32 << index.bits() {
+                let bucket = index.bucket(band, sig);
+                prop_assert!(bucket.windows(2).all(|w| w[0] < w[1]), "band {band} sig {sig}");
+                prop_assert!(bucket.iter().all(|&v| (v as usize) < index.num_points()));
+                filed += bucket.len();
+            }
+            prop_assert_eq!(filed, index.num_points());
+        }
+        Ok(())
+    }
+
+    /// Tie- and sign-heavy alphabet: edits often rewrite the value already
+    /// there (not dirty) or flip only the sign of a zero (dirty).
+    fn cell() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            Just(0.0f32),
+            Just(-0.0f32),
+            Just(0.5f32),
+            Just(-0.5f32),
+            Just(1.0f32),
+            -1.0f32..1.0
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// After any sequence of row edits and syncs the incrementally
+        /// maintained index answers exactly like a fresh build of the
+        /// final matrix, every sync re-hashes exactly the rows whose bit
+        /// patterns changed, and a sync that finds none returns the very
+        /// same `Arc`.
+        #[test]
+        fn incremental_sync_equals_fresh_build(
+            rows in 1usize..48,
+            dim in 1usize..7,
+            bands in 1usize..5,
+            bits in 0usize..7,
+            cells in proptest::collection::vec(cell(), 48 * 6),
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0usize..48, 0usize..6, cell()), 0usize..10),
+                1usize..6,
+            ),
+        ) {
+            let cfg = AnnConfig { bands, bits, seed: 5 };
+            let mut emb = Mat::from_vec(rows, dim, cells[..rows * dim].to_vec());
+            let mut builder = AnnBuilder::new(cfg);
+            let (_, rep) = builder.sync(&emb);
+            prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, rows, rows));
+            for edits in rounds {
+                let before = emb.clone();
+                for (r, c, v) in edits {
+                    emb.row_mut(r % rows)[c % dim] = v;
+                }
+                let bits_of = |m: &Mat<f32>, r: usize| m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let changed = (0..rows).filter(|&r| bits_of(&before, r) != bits_of(&emb, r)).count();
+                let (index, rep) = builder.sync(&emb);
+                prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, changed, changed));
+                check_buckets(&index)?;
+            }
+            let (index, _) = builder.sync(&emb);
+            let (again, rep) = builder.sync(&emb);
+            prop_assert!(Arc::ptr_eq(&index, &again));
+            prop_assert_eq!((rep.dirty, rep.rehashed), (0, 0));
+            let (fresh, _) = AnnBuilder::new(cfg).sync(&emb);
+            for row in 0..rows {
+                for probes in [0usize, 3] {
+                    prop_assert_eq!(
+                        index.candidates(emb.row(row), probes),
+                        fresh.candidates(emb.row(row), probes),
+                        "row {} probes {}", row, probes
+                    );
+                }
+            }
+        }
     }
 }

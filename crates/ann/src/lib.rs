@@ -15,17 +15,18 @@
 //! Two halves:
 //!
 //! * [`AnnIndex`] — the immutable artifact published alongside an
-//!   embedding snapshot. Buckets are `Arc<Vec<u32>>`, so publishing a new
-//!   version shares every untouched bucket with its predecessor
-//!   structurally; readers holding an old snapshot keep a consistent
-//!   index/embedding pair forever.
+//!   embedding snapshot: per band, a dense offsets table and the vertex
+//!   ids grouped by signature, two flat allocations per version. Readers
+//!   holding an old snapshot keep a consistent index/embedding pair
+//!   forever.
 //! * [`AnnBuilder`] — the trainer-side maintainer. On every snapshot
-//!   republish it detects the *dirty region* (rows whose bytes actually
-//!   changed, via per-row hashes) and re-hashes only those vertices:
-//!   O(dirty·bands·bits·d) instead of a full rebuild. Bucket edits
-//!   copy-on-write through `Arc::make_mut`, and [`AnnBuilder::sync`]
-//!   returns a fresh immutable [`AnnIndex`] whose cost is one shallow
-//!   bucket-map clone (O(#buckets), not O(n)).
+//!   republish it detects the *dirty region* (rows whose bits actually
+//!   changed, via a word-wise per-row hash) and re-hashes only those
+//!   vertices through one lane-parallel projection kernel —
+//!   O(dirty·bands·bits·d) instead of a full rebuild — then regroups the
+//!   buckets from the retained signatures with a counting sort per band
+//!   (O(n·bands) `u32` moves). A sync that finds nothing dirty returns the
+//!   previous `Arc<AnnIndex>`.
 //!
 //! The exemplar shape is SNIPPETS.md snippets 2–3 (`ATree`, `LayeredLsh`,
 //! `DynamicQuery` from the wembed/rembed line of work): a spatial index

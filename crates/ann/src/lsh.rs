@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seqge_linalg::Mat;
+use seqge_linalg::{ops, Mat};
 
 /// Hard cap on the per-band signature width.
 pub const MAX_BITS: usize = 24;
@@ -23,8 +23,8 @@ pub struct AnnConfig {
     /// Independent hash tables (bands). More bands buy recall linearly in
     /// index size and query hash cost.
     pub bands: usize,
-    /// Signature bits per band. `0` picks `ceil(log2(n / 32))` clamped to
-    /// `4..=MAX_BITS` at first sync, targeting ~32-vertex buckets.
+    /// Signature bits per band. `0` picks `ceil(log2(n / 32))` (floor 4)
+    /// at first sync, targeting ~32-vertex buckets.
     pub bits: usize,
     /// Seed for the hyperplane matrix (deterministic index layout).
     pub seed: u64,
@@ -38,37 +38,46 @@ impl Default for AnnConfig {
 
 impl AnnConfig {
     /// The signature width used for an `n`-point index: the explicit
-    /// `bits` if nonzero, otherwise the auto rule.
+    /// `bits` if nonzero, otherwise the auto rule; either way at most
+    /// `max(4, ceil(log2 n))`. Past that width the expected bucket
+    /// occupancy is below one — more bits only empty buckets — and the
+    /// cap keeps the index's dense offsets tables O(n) per band.
     pub fn bits_for(&self, n: usize) -> usize {
+        let ceil_log2 = (usize::BITS - (n.max(1) - 1).leading_zeros()) as usize;
+        let cap = ceil_log2.clamp(4, MAX_BITS);
         if self.bits != 0 {
-            return self.bits.clamp(1, MAX_BITS);
+            return self.bits.min(cap);
         }
         let mut bits = 4usize;
-        while (n >> bits) > 32 && bits < MAX_BITS {
+        while (n >> bits) > 32 && bits < cap {
             bits += 1;
         }
         bits
     }
 }
 
-/// The `bands × bits` random hyperplanes, one row per bit, generated once
-/// per index lifetime and shared (`Arc`) between builder and every
-/// published [`crate::AnnIndex`].
+/// The `bands × bits` random hyperplanes, generated once per index
+/// geometry and shared (`Arc`) by every [`crate::AnnIndex`] published for
+/// it. Stored transposed: row `i` holds coordinate `i` of every plane, one
+/// *lane* per `(band, bit)`, so all projections of a vector accumulate
+/// side by side — the accelerator's layout of independent outputs across
+/// MAC lanes, each summed in a fixed order.
 #[derive(Debug)]
 pub struct Hyperplanes {
-    planes: Mat<f32>,
+    lanes: Mat<f32>,
     bands: usize,
     bits: usize,
 }
 
 impl Hyperplanes {
     /// Draws `bands * bits` planes of dimension `dim` from `seed`
-    /// (coordinates uniform in `[-1, 1)`; any symmetric coordinate
-    /// distribution yields the sign-collision property).
+    /// (coordinates uniform in `[-1, 1)`, drawn plane by plane; any
+    /// symmetric coordinate distribution yields the sign-collision
+    /// property).
     pub fn generate(dim: usize, bands: usize, bits: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let planes = Mat::from_fn(bands * bits, dim, |_, _| rng.gen_range(-1.0f64..1.0) as f32);
-        Hyperplanes { planes, bands, bits }
+        Hyperplanes { lanes: planes.transpose(), bands, bits }
     }
 
     /// Number of bands.
@@ -83,43 +92,49 @@ impl Hyperplanes {
 
     /// Embedding dimensionality the planes were drawn for.
     pub fn dim(&self) -> usize {
-        self.planes.cols()
+        self.lanes.rows()
     }
 
-    /// Writes the per-band signatures of `x` into `sigs` (`bands` slots).
-    pub fn signatures(&self, x: &[f32], sigs: &mut [u32]) {
-        debug_assert_eq!(sigs.len(), self.bands);
-        for (band, sig) in sigs.iter_mut().enumerate() {
-            *sig = 0;
-            for bit in 0..self.bits {
-                if self.project(band * self.bits + bit, x) >= 0.0 {
-                    *sig |= 1 << bit;
-                }
-            }
+    /// The one projection kernel: `acc[lane] = ⟨plane_lane, x⟩` for every
+    /// lane at once. Each lane still sums `0.0 + p₀x₀ + p₁x₁ + …` in index
+    /// order with a separate multiply and add (`ops::axpy` is elementwise,
+    /// IEEE multiplication commutes bitwise), so every projection is
+    /// bit-identical to the one-plane-at-a-time dot product it replaces;
+    /// only the loop nest is transposed, which turns `bands · bits`
+    /// dependent chains into one vectorizable sweep per coordinate.
+    fn projections(&self, x: &[f32], acc: &mut Vec<f32>) {
+        debug_assert_eq!(x.len(), self.dim());
+        acc.clear();
+        acc.resize(self.bands * self.bits, 0.0);
+        for (i, &xi) in x[..self.dim()].iter().enumerate() {
+            ops::axpy(xi, self.lanes.row(i), acc);
         }
     }
 
-    /// Per-band signatures of `x` plus, for each band, up to `probes`
-    /// extra signatures obtained by flipping the bits with the smallest
-    /// projection magnitude — the bits most likely to disagree between a
-    /// vector and its near neighbors (classic multi-probe LSH). Calls
-    /// `visit(band, signature)` for the exact signature first, then each
-    /// probe in ascending-margin order.
-    pub fn probe_signatures(&self, x: &[f32], probes: usize, mut visit: impl FnMut(usize, u32)) {
+    /// Per-band signatures of `x` (`dim()` coordinates) plus, for each
+    /// band, up to `probes` extra signatures obtained by flipping the bits
+    /// with the smallest projection magnitude — the bits most likely to
+    /// disagree between a vector and its near neighbors (classic
+    /// multi-probe LSH). Calls `visit(band, signature)` for the exact
+    /// signature first, then each probe in ascending-margin order. `acc`
+    /// is projection scratch a caller hashing many vectors can reuse.
+    pub fn probe_signatures(
+        &self,
+        x: &[f32],
+        probes: usize,
+        acc: &mut Vec<f32>,
+        mut visit: impl FnMut(usize, u32),
+    ) {
         let probes = probes.min(self.bits);
-        let mut margins: Vec<(f32, usize)> = Vec::with_capacity(self.bits);
-        for band in 0..self.bands {
-            let mut sig = 0u32;
-            margins.clear();
-            for bit in 0..self.bits {
-                let p = self.project(band * self.bits + bit, x);
-                if p >= 0.0 {
-                    sig |= 1 << bit;
-                }
-                margins.push((p.abs(), bit));
-            }
+        self.projections(x, acc);
+        let mut margins: Vec<(f32, usize)> = Vec::new();
+        for (band, acc) in acc.chunks_exact(self.bits).enumerate() {
+            // Branch-free sign packing: NaN and negatives read 0, -0.0 reads 1.
+            let sig = acc.iter().enumerate().fold(0, |s, (bit, &p)| s | ((p >= 0.0) as u32) << bit);
             visit(band, sig);
             if probes > 0 {
+                margins.clear();
+                margins.extend(acc.iter().enumerate().map(|(bit, p)| (p.abs(), bit)));
                 // Total order (f32 margins are finite for finite input;
                 // NaN sorts last via total_cmp) keeps probe sets
                 // deterministic across republishes.
@@ -130,21 +145,54 @@ impl Hyperplanes {
             }
         }
     }
-
-    fn project(&self, plane: usize, x: &[f32]) -> f32 {
-        let row = self.planes.row(plane);
-        let d = row.len().min(x.len());
-        let mut acc = 0.0f32;
-        for i in 0..d {
-            acc += row[i] * x[i];
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Hyperplanes {
+        /// The scalar kernel the lane sweep replaced — one plane, one
+        /// dependent chain — kept as the bit-identity reference.
+        fn project(&self, plane: usize, x: &[f32]) -> f32 {
+            let mut acc = 0.0f32;
+            for (i, &xi) in x.iter().enumerate() {
+                acc += self.lanes[(i, plane)] * xi;
+            }
+            acc
+        }
+
+        /// `probe_signatures` as it was written over `project`.
+        fn probe_signatures_ref(&self, x: &[f32], probes: usize) -> Vec<(usize, u32)> {
+            let mut out = Vec::new();
+            for band in 0..self.bands {
+                let mut sig = 0u32;
+                let mut margins = Vec::new();
+                for bit in 0..self.bits {
+                    let p = self.project(band * self.bits + bit, x);
+                    if p >= 0.0 {
+                        sig |= 1 << bit;
+                    }
+                    margins.push((p.abs(), bit));
+                }
+                out.push((band, sig));
+                margins.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                out.extend(margins.iter().take(probes).map(|&(_, bit)| (band, sig ^ (1 << bit))));
+            }
+            out
+        }
+    }
+
+    fn probed(h: &Hyperplanes, x: &[f32], probes: usize) -> Vec<(usize, u32)> {
+        let mut out = Vec::new();
+        h.probe_signatures(x, probes, &mut Vec::new(), |band, sig| out.push((band, sig)));
+        out
+    }
+
+    fn signatures(h: &Hyperplanes, x: &[f32]) -> Vec<u32> {
+        probed(h, x, 0).into_iter().map(|(_, sig)| sig).collect()
+    }
 
     #[test]
     fn auto_bits_track_point_count() {
@@ -153,25 +201,29 @@ mod tests {
         assert_eq!(cfg.bits_for(1_000), 5);
         assert_eq!(cfg.bits_for(100_000), 12);
         assert_eq!(cfg.bits_for(1_000_000), 15);
-        // Explicit bits win and are capped.
-        assert_eq!(AnnConfig { bits: 10, ..cfg }.bits_for(7), 10);
-        assert_eq!(AnnConfig { bits: 99, ..cfg }.bits_for(7), MAX_BITS);
+        // Explicit bits win up to max(4, ceil(log2 n)) — one expected
+        // vertex per bucket — and the auto rule never reaches that cap.
+        assert_eq!(AnnConfig { bits: 10, ..cfg }.bits_for(7), 4);
+        assert_eq!(AnnConfig { bits: 99, ..cfg }.bits_for(7), 4);
+        assert_eq!(AnnConfig { bits: 3, ..cfg }.bits_for(7), 3);
+        assert_eq!(AnnConfig { bits: 10, ..cfg }.bits_for(1_000), 10);
+        assert_eq!(AnnConfig { bits: 11, ..cfg }.bits_for(1_000), 10);
+        assert_eq!(AnnConfig { bits: 99, ..cfg }.bits_for(usize::MAX), MAX_BITS);
+        for n in [0usize, 1, 16, 17, 513, 4_097, 1 << 20, usize::MAX] {
+            assert!(cfg.bits_for(n) <= AnnConfig { bits: MAX_BITS, ..cfg }.bits_for(n), "n = {n}");
+        }
     }
 
     #[test]
     fn signatures_are_deterministic_and_band_sized() {
         let h = Hyperplanes::generate(8, 4, 6, 7);
         let x: Vec<f32> = (0..8).map(|i| i as f32 / 3.0 - 1.0).collect();
-        let mut a = vec![0u32; 4];
-        let mut b = vec![0u32; 4];
-        h.signatures(&x, &mut a);
-        h.signatures(&x, &mut b);
-        assert_eq!(a, b);
+        let a = signatures(&h, &x);
+        assert_eq!(a, signatures(&h, &x));
         assert!(a.iter().all(|&s| s < 1 << 6));
         // Same seed, same planes.
         let h2 = Hyperplanes::generate(8, 4, 6, 7);
-        h2.signatures(&x, &mut b);
-        assert_eq!(a, b);
+        assert_eq!(a, signatures(&h2, &x));
     }
 
     #[test]
@@ -179,12 +231,9 @@ mod tests {
         let h = Hyperplanes::generate(16, 2, 12, 3);
         let x: Vec<f32> = (0..16).map(|i| (i as f32).sin()).collect();
         let neg: Vec<f32> = x.iter().map(|&v| -v).collect();
-        let (mut sx, mut sn) = (vec![0u32; 2], vec![0u32; 2]);
-        h.signatures(&x, &mut sx);
-        h.signatures(&neg, &mut sn);
         // A plane projecting exactly to 0.0 would put both on the same
         // side; with generic inputs every bit flips.
-        for (a, b) in sx.iter().zip(&sn) {
+        for (a, b) in signatures(&h, &x).iter().zip(&signatures(&h, &neg)) {
             assert_eq!(a ^ b, (1 << 12) - 1);
         }
     }
@@ -193,10 +242,11 @@ mod tests {
     fn probe_signatures_yield_exact_then_single_bit_flips() {
         let h = Hyperplanes::generate(8, 3, 8, 11);
         let x: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).cos()).collect();
-        let mut exact = vec![0u32; 3];
-        h.signatures(&x, &mut exact);
+        let exact = signatures(&h, &x);
         let mut seen: Vec<Vec<u32>> = vec![Vec::new(); 3];
-        h.probe_signatures(&x, 4, |band, sig| seen[band].push(sig));
+        for (band, sig) in probed(&h, &x, 4) {
+            seen[band].push(sig);
+        }
         for band in 0..3 {
             assert_eq!(seen[band].len(), 5, "exact + 4 probes");
             assert_eq!(seen[band][0], exact[band]);
@@ -205,8 +255,53 @@ mod tests {
             }
         }
         // probes are capped at `bits`.
-        let mut count = 0usize;
-        h.probe_signatures(&x, 999, |_, _| count += 1);
-        assert_eq!(count, 3 * (1 + 8));
+        assert_eq!(probed(&h, &x, 999).len(), 3 * (1 + 8));
+    }
+
+    /// One coordinate: mostly ordinary values, with the IEEE corner cases
+    /// (signed zeros, subnormals, near-overflow magnitudes, NaN) mixed in
+    /// often enough that most vectors carry a few.
+    fn coord() -> impl Strategy<Value = f32> {
+        (0u32..64, -1.0f32..1.0).prop_map(|(kind, v)| match kind {
+            0 => f32::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            3 => f32::MIN_POSITIVE / 8.0,
+            4 => -f32::MIN_POSITIVE / 1024.0,
+            5 => 1e30,
+            6 => -1e30,
+            _ => v,
+        })
+    }
+
+    proptest! {
+        /// The lane-parallel kernel is the scalar reference bit for bit:
+        /// every projection, hence every signature and every probe, in
+        /// the same order — including lane counts that are not a multiple
+        /// of the 8-wide `axpy` unroll.
+        #[test]
+        fn lane_kernel_equals_scalar_reference(
+            dim in 1usize..=40,
+            bands in 1usize..=9,
+            bits in 1usize..=24,
+            seed in 0u64..1_000,
+            probes in 0usize..=24,
+            pool in proptest::collection::vec(coord(), 40),
+        ) {
+            let h = Hyperplanes::generate(dim, bands, bits, seed);
+            let x = &pool[..dim];
+            let mut acc = vec![f32::NAN; 3];
+            h.projections(x, &mut acc);
+            prop_assert_eq!(acc.len(), bands * bits);
+            for (lane, got) in acc.iter().enumerate() {
+                let want = h.project(lane, x);
+                prop_assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "lane {lane}: {got:e} vs {want:e}"
+                );
+            }
+            prop_assert_eq!(probed(&h, x, probes), h.probe_signatures_ref(x, probes));
+            prop_assert_eq!(probed(&h, x, 0), h.probe_signatures_ref(x, 0));
+        }
     }
 }

@@ -139,7 +139,9 @@ impl EmbeddingSnapshot {
             return Some(AnnTopK { hits: Vec::new(), candidates: 0, fallback: false });
         }
         let keep = move |v: &NodeId| *v != node && filter.is_none_or(|(m, r)| *v % m == r);
-        if let Some(index) = self.ann.as_ref().filter(|ix| ix.num_points() == self.emb.rows()) {
+        let geometry = (self.emb.rows(), self.emb.cols());
+        if let Some(index) = self.ann.as_ref().filter(|ix| (ix.num_points(), ix.dim()) == geometry)
+        {
             let cands: Vec<NodeId> = index
                 .candidates(self.emb.row(node as usize), probes)
                 .into_iter()
@@ -370,6 +372,13 @@ mod tests {
         let s = EmbeddingSnapshot { emb, ann: Some(index), ..snap(1, 0) };
         let got = s.topk_ann(0, 3, EdgeOp::Dot, None, 4).unwrap();
         assert!(got.fallback, "index covers 10 points, snapshot has 12");
+        assert_eq!(got.hits, s.topk(0, 3, EdgeOp::Dot).unwrap());
+        // Same rows, different columns: the index hashes 4 coordinates,
+        // the snapshot's rows have 6.
+        let emb = Mat::from_fn(10, 6, |r, c| (r + c) as f32);
+        let s = EmbeddingSnapshot { emb, ann: s.ann.clone(), ..snap(1, 0) };
+        let got = s.topk_ann(0, 3, EdgeOp::Dot, None, 4).unwrap();
+        assert!(got.fallback, "index hashes 4 columns, snapshot has 6");
         assert_eq!(got.hits, s.topk(0, 3, EdgeOp::Dot).unwrap());
     }
 

@@ -109,8 +109,10 @@ commands:
             Every published snapshot carries an incrementally maintained
             LSH index answering `topk` with `\"mode\":\"ann\"` in sublinear
             time; --ann-bands/--ann-bits shape it (bits 0 = auto-sized
-            from the node count) and --no-ann disables it, making ANN
-            queries fall back to the exact scan.
+            from the node count; an explicit width is honoured up to
+            max(4, ceil(log2 nodes)), one expected node per bucket) and
+            --no-ann disables it, making ANN queries fall back to the
+            exact scan.
             SIGINT/SIGTERM drain the in-flight batch before exiting.
             --port 0 = ephemeral)
   cluster  --graph FILE --base-dir DIR [--shards n] [--replicas n]
@@ -505,7 +507,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 /// ANN knobs for the serve trainer: `--no-ann` publishes snapshots without
 /// an index (ANN queries then fall back to the exact scan), `--ann-bands` /
 /// `--ann-bits` reshape the LSH tables (`bits 0` = auto-sized from the
-/// node count at first sync).
+/// node count at first sync; `AnnConfig::bits_for` caps an explicit width
+/// at `max(4, ceil(log2 n))`).
 fn ann_config(flags: &Flags) -> Result<Option<seqge::ann::AnnConfig>, String> {
     if flags.contains_key("no-ann") {
         if flags.contains_key("ann-bands") || flags.contains_key("ann-bits") {
