@@ -1,11 +1,78 @@
 //! Fixed-point datapath costs and accuracy: the Q-format ablation behind
 //! the accelerator's number-format choice.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use seqge_fixed::error::roundtrip_error;
-use seqge_fixed::ops::{mac_dot, naive_dot};
+use seqge_fixed::ops::{
+    dot_headroom, gated_dot, mac_dot, max_abs_bits, mul_add, naive_dot, MacAccumulator,
+};
+use seqge_fixed::vector::rank1_downdate;
 use seqge_fixed::{Fx, Q8_24};
 use seqge_linalg::ops::dot;
+
+/// The accelerator's three inner kernels at d = 32, each as the scalar
+/// [`MacAccumulator`] reference next to the headroom-gated kernel the
+/// accelerator runs (range checks hoisted as it hoists them). Operands are
+/// in the trained range — |H| ≲ 0.2, P and gains below 1 — so the gated side
+/// takes its lane paths, as on every context of a healthy run.
+fn bench_kernels_d32(c: &mut Criterion) {
+    let d = 32usize;
+    let ramp = |mul: usize, scale: f32| -> Vec<Q8_24> {
+        let f = |i: usize| ((i * mul) % 100) as f32 / 100.0 - 0.5;
+        Q8_24::quantize_slice(&(0..d * d).map(|i| f(i) * scale).collect::<Vec<_>>())
+    };
+    let (h, beta, phn) = (ramp(37, 0.4), ramp(53, 8.0), ramp(71, 0.9));
+    let (h, beta, phn) = (&h[..d], &beta[..d], &phn[..d]);
+    let e = Q8_24::from_f64(0.73);
+    let inv = Q8_24::from_f64(0.91);
+
+    let mut group = c.benchmark_group("dot32");
+    group.bench_function("reference", |b| b.iter(|| mac_dot(black_box(beta), black_box(h))));
+    let wide = dot_headroom(h);
+    assert!(wide);
+    group.bench_function("gated", |b| b.iter(|| gated_dot(wide, black_box(beta), black_box(h))));
+    group.finish();
+
+    let mut group = c.benchmark_group("update32");
+    let mut slot = vec![Q8_24::ZERO; d];
+    group.bench_function("reference", |b| {
+        b.iter(|| {
+            for (s, &g) in slot.iter_mut().zip(black_box(phn)) {
+                let mut acc = MacAccumulator::new();
+                acc.mac(g, e);
+                *s = s.sat_add(acc.finish());
+            }
+        })
+    });
+    let mut slot = vec![Q8_24::ZERO; d];
+    let phn_max = max_abs_bits(phn);
+    group.bench_function("gated", |b| {
+        b.iter(|| mul_add(black_box(e), black_box(phn), phn_max, &mut slot))
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("downdate32x32");
+    let mut p = ramp(29, 0.5);
+    group.bench_function("reference", |b| {
+        b.iter(|| {
+            for (row, &g) in p.chunks_exact_mut(d).zip(black_box(phn)) {
+                let mut acc = MacAccumulator::new();
+                acc.mac(g, inv);
+                let scaled: Q8_24 = acc.finish();
+                for (m, &hp) in row.iter_mut().zip(phn) {
+                    let mut acc = MacAccumulator::new();
+                    acc.mac(scaled, hp);
+                    *m = m.sat_sub(acc.finish());
+                }
+            }
+        })
+    });
+    let mut p = ramp(29, 0.5);
+    group.bench_function("gated", |b| {
+        b.iter(|| rank1_downdate(&mut p, d, black_box(phn), phn, black_box(inv)))
+    });
+    group.finish();
+}
 
 fn bench_fixed(c: &mut Criterion) {
     let n = 96;
@@ -40,5 +107,5 @@ fn bench_fixed(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fixed);
+criterion_group!(benches, bench_fixed, bench_kernels_d32);
 criterion_main!(benches);

@@ -26,7 +26,7 @@ use crate::oselm::model::OsElmConfig;
 use seqge_graph::NodeId;
 use seqge_linalg::{ops, Mat};
 use seqge_sampling::{context_windows, NegativeTable, Rng64};
-use std::collections::HashMap;
+use std::iter::once;
 
 /// How the in-flight `ΔP` is exposed to stage 2 within a walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -41,47 +41,86 @@ pub enum PVisibility {
 }
 
 /// Per-walk accumulator for sparse `Δβ` columns: a flat arena of `d`-slots
-/// indexed through a node→slot map, reused across walks (no steady-state
-/// allocation).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DeltaBeta {
-    slot_of: HashMap<NodeId, usize>,
+/// indexed through a dense node → slot table that is reset from the touched
+/// list — no hashing, no per-column allocation, nothing allocated in steady
+/// state — plus one cached frozen score `H·β[node]` per slot. Generic over
+/// the lane type: `f32` here, `Q8_24` in `seqge-fpga`'s accelerator.
+#[derive(Debug, Clone)]
+pub struct DeltaBeta<T> {
+    /// Node → slot, [`NO_SLOT`] while untouched this walk.
+    slot_of: Vec<u32>,
     touched: Vec<NodeId>,
-    arena: Vec<f32>,
+    arena: Vec<T>,
+    /// Per slot: the context stamp its frozen score was computed under, and
+    /// the score.
+    frozen: Vec<(u64, T)>,
+    /// Stamp of the current context; a fresh slot carries stamp 0, which no
+    /// context has.
+    context: u64,
     dim: usize,
 }
 
-impl DeltaBeta {
-    pub fn new(dim: usize) -> Self {
-        DeltaBeta { slot_of: HashMap::new(), touched: Vec::new(), arena: Vec::new(), dim }
+const NO_SLOT: u32 = u32::MAX;
+
+impl<T: Copy + Default> DeltaBeta<T> {
+    /// An empty accumulator for `dim`-wide columns of `num_nodes` nodes.
+    pub fn new(num_nodes: usize, dim: usize) -> Self {
+        DeltaBeta {
+            slot_of: vec![NO_SLOT; num_nodes],
+            touched: Vec::new(),
+            arena: Vec::new(),
+            frozen: Vec::new(),
+            context: 0,
+            dim,
+        }
     }
 
-    /// The Δ-column for `node`, creating a zeroed slot on first touch.
-    pub fn slot_mut(&mut self, node: NodeId) -> &mut [f32] {
-        let dim = self.dim;
-        let next = self.touched.len();
-        let idx = *self.slot_of.entry(node).or_insert_with(|| {
+    /// Opens the next context: `H` changes, so every cached frozen score
+    /// goes stale.
+    pub fn begin_context(&mut self) {
+        self.context += 1;
+    }
+
+    /// The slot holding `node`'s Δ-column, zeroed on its first touch of the
+    /// walk.
+    pub fn slot(&mut self, node: NodeId) -> usize {
+        let slot = &mut self.slot_of[node as usize];
+        if *slot == NO_SLOT {
+            *slot = self.touched.len() as u32;
             self.touched.push(node);
-            next
-        });
-        if idx == next && self.arena.len() < (next + 1) * dim {
-            self.arena.resize((next + 1) * dim, 0.0);
+            self.arena.resize(self.touched.len() * self.dim, T::default());
+            self.frozen.push((0, T::default()));
         }
-        &mut self.arena[idx * dim..(idx + 1) * dim]
+        *slot as usize
     }
 
-    /// Applies all accumulated columns into `beta_t` and clears.
-    pub fn apply_and_clear(&mut self, beta_t: &mut Mat<f32>) {
-        for (i, &node) in self.touched.iter().enumerate() {
-            let delta = &self.arena[i * self.dim..(i + 1) * self.dim];
-            let row = beta_t.row_mut(node as usize);
-            for j in 0..self.dim {
-                row[j] += delta[j];
-            }
+    /// The frozen score `H·β[node]` of `slot`'s node in the current context:
+    /// `dot` runs on the first request after [`Self::begin_context`], later
+    /// ones reuse its result. Sound because β is written only when the walk
+    /// commits and `H` is fixed inside a context.
+    pub fn frozen_score(&mut self, slot: usize, dot: impl FnOnce() -> T) -> T {
+        let entry = &mut self.frozen[slot];
+        if entry.0 != self.context {
+            *entry = (self.context, dot());
         }
-        self.slot_of.clear();
+        entry.1
+    }
+
+    /// The Δ-column in `slot`.
+    pub fn column_mut(&mut self, slot: usize) -> &mut [T] {
+        &mut self.arena[slot * self.dim..(slot + 1) * self.dim]
+    }
+
+    /// Hands every touched `(node, Δ-column)` to `apply` in first-touch
+    /// order, then clears for the next walk.
+    pub fn commit(&mut self, mut apply: impl FnMut(NodeId, &[T])) {
+        for (slot, &node) in self.touched.iter().enumerate() {
+            apply(node, &self.arena[slot * self.dim..(slot + 1) * self.dim]);
+            self.slot_of[node as usize] = NO_SLOT;
+        }
         self.touched.clear();
         self.arena.clear();
+        self.frozen.clear();
     }
 
     /// Number of distinct touched columns this walk.
@@ -102,15 +141,10 @@ pub struct DataflowOsElm {
     p_visibility: PVisibility,
     draw: NegativeDraw,
     delta_p: Mat<f32>,
-    delta_beta: DeltaBeta,
+    delta_beta: DeltaBeta<f32>,
     h: Vec<f32>,
     ph: Vec<f32>,
     phn: Vec<f32>,
-    /// Gathered sample-stage scratch: β-row indices, targets, and the
-    /// batched frozen `H·β` dots ([`ops::gemv_rows`]).
-    sample_ids: Vec<usize>,
-    sample_ys: Vec<f32>,
-    frozen_dots: Vec<f32>,
     clamped: u64,
     guarded: u64,
 }
@@ -122,28 +156,10 @@ impl DataflowOsElm {
     /// for the same seed, so Fig. 4's CPU-vs-FPGA comparison starts from the
     /// same state.
     pub fn new(num_nodes: usize, cfg: OsElmConfig) -> Self {
-        cfg.validate().expect("invalid OS-ELM config");
         let d = cfg.model.dim;
         let mut rng = Rng64::seed_from_u64(cfg.model.seed);
         let beta_t = Mat::from_fn(num_nodes, d, |_, _| init_weight(&mut rng, d));
-        DataflowOsElm {
-            beta_t,
-            p: Mat::scaled_identity(d, cfg.p0_scale),
-            p_run: Mat::scaled_identity(d, cfg.p0_scale),
-            p_visibility: PVisibility::Running,
-            draw: NegativeDraw::new(&cfg.model),
-            delta_p: Mat::zeros(d, d),
-            delta_beta: DeltaBeta::new(d),
-            h: vec![0.0; d],
-            ph: vec![0.0; d],
-            phn: vec![0.0; d],
-            sample_ids: Vec::new(),
-            sample_ys: Vec::new(),
-            frozen_dots: Vec::new(),
-            clamped: 0,
-            guarded: 0,
-            cfg,
-        }
+        DataflowOsElm::from_parts(cfg, beta_t, Mat::scaled_identity(d, cfg.p0_scale))
     }
 
     /// Rebuilds the model from externally-held state: `beta_t` (βᵀ, row per
@@ -151,14 +167,26 @@ impl DataflowOsElm {
     /// committed copy, as at a walk boundary. Used by the serving backends to
     /// restart a float shadow from a checkpointed trajectory.
     pub fn from_parts(cfg: OsElmConfig, beta_t: Mat<f32>, p: Mat<f32>) -> Self {
-        let mut m = DataflowOsElm::new(beta_t.rows(), cfg);
-        assert_eq!(beta_t.cols(), m.cfg.model.dim, "beta_t width must match dim");
-        assert_eq!(p.rows(), m.cfg.model.dim, "P must be d×d");
-        assert_eq!(p.cols(), m.cfg.model.dim, "P must be d×d");
-        m.p_run = p.clone();
-        m.p = p;
-        m.beta_t = beta_t;
-        m
+        cfg.validate().expect("invalid OS-ELM config");
+        let d = cfg.model.dim;
+        assert_eq!(beta_t.cols(), d, "beta_t width must match dim");
+        assert_eq!(p.rows(), d, "P must be d×d");
+        assert_eq!(p.cols(), d, "P must be d×d");
+        DataflowOsElm {
+            p_run: p.clone(),
+            p,
+            p_visibility: PVisibility::Running,
+            draw: NegativeDraw::new(&cfg.model),
+            delta_p: Mat::zeros(d, d),
+            delta_beta: DeltaBeta::new(beta_t.rows(), d),
+            beta_t,
+            h: vec![0.0; d],
+            ph: vec![0.0; d],
+            phn: vec![0.0; d],
+            clamped: 0,
+            guarded: 0,
+            cfg,
+        }
     }
 
     /// The configuration.
@@ -281,27 +309,25 @@ impl EmbeddingModel for DataflowOsElm {
             // of a shared negative column an unstable fixed-step iteration
             // that diverges — see DESIGN.md §1 "Faithfulness notes".)
             //
-            // The frozen dots read main-memory β, which never moves inside
-            // the walk — so they batch into one gathered-row block kernel.
-            // The Δβ slot dots stay per-sample: slots are the running
-            // accumulators whose latest value each error must see.
-            self.sample_ids.clear();
-            self.sample_ys.clear();
+            // The frozen dot reads main-memory β, which never moves inside
+            // the walk, under an `H` that never moves inside the context —
+            // so it is computed once per (column, context) and reused by
+            // every later sample of the same column (the shared negatives
+            // recur under each positive). The Δβ slot dot stays per-sample:
+            // slots are the running accumulators whose latest value each
+            // error must see.
+            self.delta_beta.begin_context();
             for &pos in positives {
-                self.sample_ids.push(pos as usize);
-                self.sample_ys.push(1.0);
-                // `for_positive` borrows self.draw; the id/target scratch
-                // vectors are disjoint fields, so these borrows coexist.
-                for &neg in self.draw.for_positive(pos, negatives, rng) {
-                    self.sample_ids.push(neg as usize);
-                    self.sample_ys.push(0.0);
+                let negs = self.draw.for_positive(pos, negatives, rng);
+                for (id, y) in once((pos, 1.0)).chain(negs.iter().map(|&neg| (neg, 0.0))) {
+                    let slot = self.delta_beta.slot(id);
+                    let frozen = self
+                        .delta_beta
+                        .frozen_score(slot, || ops::dot(self.beta_t.row(id as usize), &self.h));
+                    let column = self.delta_beta.column_mut(slot);
+                    let e = y - (frozen + ops::dot(&self.h, column));
+                    ops::axpy(e, &self.phn, column);
                 }
-            }
-            ops::gemv_rows(&self.beta_t, &self.sample_ids, &self.h, &mut self.frozen_dots);
-            for (k, &id) in self.sample_ids.iter().enumerate() {
-                let slot = self.delta_beta.slot_mut(id as NodeId);
-                let e = self.sample_ys[k] - (self.frozen_dots[k] + ops::dot(&self.h, slot));
-                ops::axpy(e, &self.phn, slot);
             }
         }
         // Lines 19–20: commit once per walk. Under Running visibility the
@@ -324,7 +350,11 @@ impl EmbeddingModel for DataflowOsElm {
                 self.p_run.as_mut_slice().copy_from_slice(self.p.as_slice());
             }
         }
-        self.delta_beta.apply_and_clear(&mut self.beta_t);
+        self.delta_beta.commit(|node, delta| {
+            for (b, &dv) in self.beta_t.row_mut(node as usize).iter_mut().zip(delta) {
+                *b += dv;
+            }
+        });
         if self.p_visibility == PVisibility::PerWalk {
             const BETA_RAIL: f32 = 128.0; // Q8.24 saturation rail
             for v in self.beta_t.as_mut_slice() {
@@ -390,18 +420,33 @@ mod tests {
 
     #[test]
     fn delta_beta_arena_reuse() {
-        let mut db = DeltaBeta::new(3);
-        db.slot_mut(5)[0] = 1.0;
-        db.slot_mut(9)[1] = 2.0;
-        db.slot_mut(5)[2] = 3.0; // same slot as the first touch
+        let mut db = DeltaBeta::<f32>::new(10, 3);
+        let (a, b) = (db.slot(5), db.slot(9));
+        db.column_mut(a)[0] = 1.0;
+        db.column_mut(b)[1] = 2.0;
+        assert_eq!(db.slot(5), a, "same slot as the first touch");
+        db.column_mut(a)[2] = 3.0;
         assert_eq!(db.touched_count(), 2);
+        // One frozen score per (slot, context).
+        db.begin_context();
+        assert_eq!(db.frozen_score(a, || 7.0), 7.0);
+        assert_eq!(db.frozen_score(a, || unreachable!("cached")), 7.0);
+        db.begin_context();
+        assert_eq!(db.frozen_score(a, || 8.0), 8.0);
         let mut beta = Mat::<f32>::zeros(10, 3);
-        db.apply_and_clear(&mut beta);
+        let mut order = Vec::new();
+        db.commit(|node, delta| {
+            order.push(node);
+            beta.row_mut(node as usize).copy_from_slice(delta);
+        });
+        assert_eq!(order, [5, 9], "first-touch order");
         assert_eq!(beta.row(5), &[1.0, 0.0, 3.0]);
         assert_eq!(beta.row(9), &[0.0, 2.0, 0.0]);
         assert_eq!(db.touched_count(), 0);
-        // Reuse after clear starts from zeroed slots.
-        assert_eq!(db.slot_mut(5), &[0.0, 0.0, 0.0]);
+        // Reuse after commit starts from a zeroed slot and a stale score.
+        let c = db.slot(5);
+        assert_eq!(db.column_mut(c), &[0.0, 0.0, 0.0]);
+        assert_eq!(db.frozen_score(c, || 9.0), 9.0);
     }
 
     #[test]

@@ -11,5 +11,5 @@ mod dataflow;
 mod model;
 
 pub use alpha::AlphaOsElm;
-pub use dataflow::{DataflowOsElm, PVisibility};
+pub use dataflow::{DataflowOsElm, DeltaBeta, PVisibility};
 pub use model::{OsElmConfig, OsElmSkipGram};

@@ -8,11 +8,16 @@
 //! * [`Fx`] — a 32-bit signed fixed-point value with a const-generic number
 //!   of fraction bits (`Fx<24>` = Q8.24, the default datapath format;
 //!   `Fx<16>` = Q16.16).
-//! * Saturating add/sub/neg, truncating multiply with an i64 intermediate
-//!   (exactly a DSP48 multiply feeding a wide accumulator), saturating
-//!   divide.
-//! * [`vector`] — dot/axpy kernels that accumulate in 64 bits before one
-//!   final quantization, matching the accelerator's MAC trees.
+//! * Saturating add/sub/neg, round-to-nearest multiply (`AP_RND`) with an
+//!   i64 intermediate (exactly a DSP48 multiply feeding a wide accumulator),
+//!   saturating divide.
+//! * [`ops`] — dot products that accumulate in 64 bits before one final
+//!   quantization, matching the accelerator's MAC trees, and the
+//!   per-element quantized multiply-add of its write-back lanes: the scalar
+//!   saturating reference plus range-gated kernels that compute the same
+//!   bits without the chain and the clamp.
+//! * [`vector`] — the `P`-matrix kernels built on them (scale, rank-1
+//!   downdate).
 //! * [`error`] — quantization-error measurement used by the format-sweep
 //!   ablation bench.
 

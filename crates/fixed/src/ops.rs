@@ -6,6 +6,13 @@
 //! that behaviour: products stay in `i64` (which dominates the 48-bit
 //! accumulator, so no additional overflow can occur for the vector lengths
 //! involved) and a single truncation happens on read-out.
+//!
+//! [`MacAccumulator`] / [`mac_dot`] are the scalar reference. The lane
+//! kernels next to them ([`lane_dot`], the clamp-free loop of [`mul_add`] /
+//! [`mul_sub`]) compute the same bits without the saturating chain and the
+//! 64-bit clamp whenever a range check on the data in hand proves neither
+//! can fire ([`dot_headroom`], [`lane_fits`]); when the check fails the
+//! reference runs.
 
 use crate::q::Fx;
 
@@ -62,6 +69,85 @@ pub fn mac_dot<const FRAC: u32>(x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
     acc.finish()
 }
 
+/// Largest raw magnitude in `x` (0 when empty).
+pub fn max_abs_bits<const FRAC: u32>(x: &[Fx<FRAC>]) -> u32 {
+    x.iter().map(|v| v.to_bits().unsigned_abs()).max().unwrap_or(0)
+}
+
+/// Whether dot products against `h` have headroom for wide accumulation:
+/// `len · max|hᵢ| < 2³²` in raw bits. The other operand is at most 2³¹ in
+/// magnitude, so `Σ|xᵢhᵢ| < 2⁶³`: no prefix of the sum, taken in any order,
+/// leaves `i64`, and the saturating chain of [`mac_dot`] is a plain sum.
+pub fn dot_headroom<const FRAC: u32>(h: &[Fx<FRAC>]) -> bool {
+    (h.len() as u64).saturating_mul(u64::from(max_abs_bits(h))) < 1 << 32
+}
+
+/// `x·y` as a plain `i64` sum followed by the one [`MacAccumulator::finish`].
+/// Integer addition is associative, so unlike the saturating chain this sum
+/// is the compiler's to split across independent lanes. Equals [`mac_dot`]
+/// when [`dot_headroom`] holds for either operand; without headroom the sum
+/// can overflow.
+pub fn lane_dot<const FRAC: u32>(x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
+    debug_assert_eq!(x.len(), y.len());
+    let acc = x.iter().zip(y).map(|(a, b)| a.to_bits() as i64 * b.to_bits() as i64).sum();
+    MacAccumulator { acc }.finish()
+}
+
+/// [`lane_dot`] when the caller's [`dot_headroom`] check on one operand came
+/// out `wide`, the [`mac_dot`] reference otherwise.
+#[inline]
+pub fn gated_dot<const FRAC: u32>(wide: bool, x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
+    if wide {
+        lane_dot(x, y)
+    } else {
+        mac_dot(x, y)
+    }
+}
+
+/// Whether the quantized product `q(a·x)` fits a lane without the clamp for
+/// every `|x| ≤ x_max`: `x_max · |a| < 2^(30+FRAC)` (2⁵⁴ at Q8.24) bounds the
+/// rounded, shifted product by 2³⁰ in magnitude.
+pub fn lane_fits<const FRAC: u32>(a: Fx<FRAC>, x_max: u32) -> bool {
+    u64::from(x_max) * u64::from(a.to_bits().unsigned_abs()) < 1 << (30 + FRAC)
+}
+
+/// `yᵢ ← op(yᵢ, q(a·xᵢ))` with `op` a saturating `i32` add or subtract and
+/// `x_max ≥ max|xᵢ|` hoisted by the caller: one [`lane_fits`] compare per
+/// vector picks the clamp-free loop, [`Fx::sat_mul`] (the single-product
+/// [`MacAccumulator`] chain) otherwise.
+#[inline]
+fn mul_acc<const FRAC: u32>(
+    a: Fx<FRAC>,
+    x: &[Fx<FRAC>],
+    x_max: u32,
+    y: &mut [Fx<FRAC>],
+    op: impl Fn(i32, i32) -> i32,
+) {
+    debug_assert_eq!(x.len(), y.len());
+    debug_assert!(x_max >= max_abs_bits(x));
+    let (free, a_bits, half) = (lane_fits(a, x_max), a.to_bits() as i64, 1i64 << (FRAC - 1));
+    for (yi, xi) in y.iter_mut().zip(x) {
+        let q = if free {
+            ((a_bits * xi.to_bits() as i64 + half) >> FRAC) as i32
+        } else {
+            a.sat_mul(*xi).to_bits()
+        };
+        *yi = Fx::from_bits(op(yi.to_bits(), q));
+    }
+}
+
+/// `y += q(a·x)` element-wise, each product quantized on write-back (every
+/// lane has its own DSP; there is no accumulation chain) — the Stage 4 `Δβ`
+/// update. `x_max` is [`max_abs_bits`]`(x)` or an upper bound on it.
+pub fn mul_add<const FRAC: u32>(a: Fx<FRAC>, x: &[Fx<FRAC>], x_max: u32, y: &mut [Fx<FRAC>]) {
+    mul_acc(a, x, x_max, y, i32::saturating_add);
+}
+
+/// `y -= q(a·x)` element-wise — one row of the Stage 4 `ΔP` downdate.
+pub fn mul_sub<const FRAC: u32>(a: Fx<FRAC>, x: &[Fx<FRAC>], x_max: u32, y: &mut [Fx<FRAC>]) {
+    mul_acc(a, x, x_max, y, i32::saturating_sub);
+}
+
 /// Naive (per-step quantizing) dot product — what a scalar datapath without
 /// a wide accumulator would compute. Kept for the error-analysis ablation.
 pub fn naive_dot<const FRAC: u32>(x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
@@ -84,6 +170,23 @@ mod tests {
         let y: Vec<Q8_24> = [0.5, 0.25, 4.0].iter().map(|&v| Q8_24::from_f64(v)).collect();
         // 0.5 + 0.5 - 2.0 = -1.0
         assert_eq!(mac_dot(&x, &y).to_f64(), -1.0);
+    }
+
+    #[test]
+    fn mul_add_matches_float() {
+        let q = |vs: &[f64]| vs.iter().map(|&v| Q8_24::from_f64(v)).collect::<Vec<_>>();
+        let x = q(&[1.0, -2.0, 0.5]);
+        let mut y = q(&[0.0, 1.0, 1.0]);
+        mul_add(Q8_24::from_f64(2.0), &x, max_abs_bits(&x), &mut y);
+        assert_eq!(Q8_24::dequantize_slice(&y), vec![2.0, -3.0, 2.0]);
+        mul_sub(Q8_24::from_f64(2.0), &x, max_abs_bits(&x), &mut y);
+        assert_eq!(Q8_24::dequantize_slice(&y), vec![0.0, 1.0, 1.0]);
+        // Past the headroom the clamp is live: 100·100 rails, and stays railed.
+        let big = q(&[100.0, -100.0]);
+        let mut y = q(&[0.0, 0.0]);
+        assert!(!lane_fits(big[0], max_abs_bits(&big)));
+        mul_add(big[0], &big, max_abs_bits(&big), &mut y);
+        assert_eq!(y, vec![Q8_24::MAX, Q8_24::MIN]);
     }
 
     #[test]

@@ -1,39 +1,15 @@
-//! Vector kernels over fixed-point lanes — the operations Stage 1–4 of the
-//! accelerator pipeline perform on `d`-vectors.
+//! Matrix-shaped kernels over fixed-point lanes: what is left here is the
+//! `P` side of the accelerator's Stage 2/4 — [`scale`] (the forgetting
+//! inflation) and [`rank1_downdate`] (the `ΔP` computation). Dot products and
+//! the element-wise `Δβ` update live in [`crate::ops`].
 
-use crate::ops::{mac_dot, MacAccumulator};
+use crate::ops::{max_abs_bits, mul_sub};
 use crate::q::Fx;
-
-/// `y += a · x` with full-width products quantized per element on write-back
-/// (each lane has its own DSP, so per-element quantization is the hardware
-/// behaviour for axpy — unlike dot products there is no accumulation chain).
-pub fn axpy<const FRAC: u32>(a: Fx<FRAC>, x: &[Fx<FRAC>], y: &mut [Fx<FRAC>]) {
-    debug_assert_eq!(x.len(), y.len());
-    for i in 0..x.len() {
-        y[i] = y[i].sat_add(a.sat_mul(x[i]));
-    }
-}
 
 /// `x *= a` elementwise.
 pub fn scale<const FRAC: u32>(a: Fx<FRAC>, x: &mut [Fx<FRAC>]) {
     for v in x {
         *v = v.sat_mul(a);
-    }
-}
-
-/// Dot product with MAC-tree semantics (single final quantization).
-pub fn dot<const FRAC: u32>(x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
-    mac_dot(x, y)
-}
-
-/// Matrix–vector product `y = M·x` for a row-major `d×d` matrix stored as a
-/// flat slice. One MAC tree per output element.
-pub fn gemv<const FRAC: u32>(m: &[Fx<FRAC>], d: usize, x: &[Fx<FRAC>], y: &mut [Fx<FRAC>]) {
-    assert_eq!(m.len(), d * d, "matrix must be d*d");
-    assert_eq!(x.len(), d);
-    assert_eq!(y.len(), d);
-    for r in 0..d {
-        y[r] = mac_dot(&m[r * d..(r + 1) * d], x);
     }
 }
 
@@ -45,7 +21,8 @@ pub fn gemv<const FRAC: u32>(m: &[Fx<FRAC>], d: usize, x: &[Fx<FRAC>], y: &mut [
 /// (`inv = 1/denom` with `denom ≈ 1 + H·ph`, so the two factors largely
 /// cancel). The datapath therefore scales one operand by `inv` *first* —
 /// `t[r] = ph[r]·inv` stays O(1/|H|) — and multiplies by `hp[c]` second.
-/// Same DSP count; no intermediate saturation.
+/// Same DSP count; no intermediate saturation. Each row is one [`mul_sub`]:
+/// quantized per element, clamp-free whenever `t[r]·max|hp|` leaves headroom.
 pub fn rank1_downdate<const FRAC: u32>(
     m: &mut [Fx<FRAC>],
     d: usize,
@@ -56,22 +33,10 @@ pub fn rank1_downdate<const FRAC: u32>(
     assert_eq!(m.len(), d * d);
     assert_eq!(ph.len(), d);
     assert_eq!(hp.len(), d);
+    let hp_max = max_abs_bits(hp);
     for r in 0..d {
-        let mut acc = MacAccumulator::new();
-        acc.mac(ph[r], inv);
-        let scaled: Fx<FRAC> = acc.finish();
-        let row = &mut m[r * d..(r + 1) * d];
-        for c in 0..d {
-            let mut acc2 = MacAccumulator::new();
-            acc2.mac(scaled, hp[c]);
-            row[c] = row[c].sat_sub(acc2.finish());
-        }
+        mul_sub(ph[r].sat_mul(inv), hp, hp_max, &mut m[r * d..(r + 1) * d]);
     }
-}
-
-/// Counts saturated lanes in a slice — overflow telemetry for the simulator.
-pub fn saturation_count<const FRAC: u32>(x: &[Fx<FRAC>]) -> usize {
-    x.iter().filter(|v| v.is_saturated()).count()
 }
 
 #[cfg(test)]
@@ -88,33 +53,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_float() {
-        let x = qv(&[1.0, -2.0, 0.5]);
-        let mut y = qv(&[0.0, 1.0, 1.0]);
-        axpy(q(2.0), &x, &mut y);
-        let out: Vec<f64> = y.iter().map(|v| v.to_f64()).collect();
-        assert_eq!(out, vec![2.0, -3.0, 2.0]);
-    }
-
-    #[test]
     fn scale_matches_float() {
         let mut x = qv(&[1.0, -4.0]);
         scale(q(0.25), &mut x);
         assert_eq!(x[0].to_f64(), 0.25);
         assert_eq!(x[1].to_f64(), -1.0);
-    }
-
-    #[test]
-    fn gemv_identity() {
-        let d = 3;
-        let mut m = vec![Q8_24::ZERO; 9];
-        for i in 0..3 {
-            m[i * 3 + i] = Q8_24::ONE;
-        }
-        let x = qv(&[1.0, 2.0, 3.0]);
-        let mut y = vec![Q8_24::ZERO; 3];
-        gemv(&m, d, &x, &mut y);
-        assert_eq!(Q8_24::dequantize_slice(&y), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -130,20 +73,5 @@ mod tests {
         for (a, b) in out.iter().zip(expect) {
             assert!((*a as f64 - b).abs() < 1e-6, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn saturation_counting() {
-        let xs = vec![Q8_24::MAX, Q8_24::ONE, Q8_24::MIN];
-        assert_eq!(saturation_count(&xs), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "d*d")]
-    fn gemv_checks_shape() {
-        let m = vec![Q8_24::ZERO; 5];
-        let x = vec![Q8_24::ZERO; 2];
-        let mut y = vec![Q8_24::ZERO; 2];
-        gemv(&m, 2, &x, &mut y);
     }
 }

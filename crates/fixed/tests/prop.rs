@@ -1,8 +1,59 @@
 //! Property-based tests for the fixed-point datapath.
 
+use proptest::collection::vec;
 use proptest::prelude::*;
-use seqge_fixed::ops::{mac_dot, naive_dot};
+use seqge_fixed::ops::{
+    dot_headroom, gated_dot, lane_dot, lane_fits, mac_dot, max_abs_bits, mul_add, mul_sub,
+    naive_dot, MacAccumulator,
+};
+use seqge_fixed::vector::rank1_downdate;
 use seqge_fixed::{Fx, Q8_24};
+
+/// 0..=70 raw Q8.24 words laid out in runs of one kind each: ordinary
+/// weights (|w| < 0.5), arbitrary words, `i32::MIN`, `i32::MAX`.
+fn words() -> impl Strategy<Value = Vec<Q8_24>> {
+    (vec(any::<i32>(), 0usize..=70), vec((0u8..4, 1usize..=12), 70usize)).prop_map(
+        |(vals, runs)| {
+            let kinds = runs.iter().flat_map(|&(kind, len)| std::iter::repeat_n(kind, len));
+            vals.into_iter()
+                .zip(kinds)
+                .map(|(v, kind)| {
+                    Q8_24::from_bits(match kind {
+                        0 => v >> 8,
+                        1 => v,
+                        2 => i32::MIN,
+                        _ => i32::MAX,
+                    })
+                })
+                .collect()
+        },
+    )
+}
+
+/// [`words`] scaled down by a random shift of at most `max_shift` — the
+/// operand a range check is taken on, landing on both sides of it.
+fn scaled_words(max_shift: u32) -> impl Strategy<Value = Vec<Q8_24>> {
+    (words(), 0..=max_shift)
+        .prop_map(|(w, sh)| w.iter().map(|v| Q8_24::from_bits(v.to_bits() >> sh)).collect())
+}
+
+/// The per-element reference of `y ± q(a·x)`: one single-product
+/// [`MacAccumulator`] chain per lane.
+fn mul_acc_reference(a: Q8_24, x: &[Q8_24], y: &[Q8_24], subtract: bool) -> Vec<Q8_24> {
+    x.iter()
+        .zip(y)
+        .map(|(&xi, &yi)| {
+            let mut acc = MacAccumulator::new();
+            acc.mac(a, xi);
+            let q: Q8_24 = acc.finish();
+            if subtract {
+                yi.sat_sub(q)
+            } else {
+                yi.sat_add(q)
+            }
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -99,5 +150,77 @@ proptest! {
         let w = Fx::<16>::from_f64(x);
         prop_assert!(!w.is_saturated());
         prop_assert!((w.to_f64() - x).abs() <= 0.5 / Fx::<16>::SCALE + 1e-12);
+    }
+
+    /// The gated dot equals the saturating reference for all inputs, and
+    /// the lane sum alone equals it whenever the headroom check holds. Each
+    /// case is a batch so that both sides of the check are seen to be taken.
+    #[test]
+    fn gated_dot_equals_reference(batch in vec((scaled_words(9), words()), 24usize)) {
+        let (mut wide_taken, mut chain_taken) = (0, 0);
+        for (h, x) in &batch {
+            let n = h.len().min(x.len());
+            let (h, x) = (&h[..n], &x[..n]);
+            let wide = dot_headroom(h);
+            prop_assert_eq!(gated_dot(wide, x, h), mac_dot(x, h));
+            prop_assert_eq!(gated_dot(wide, h, x), mac_dot(h, x));
+            if wide {
+                prop_assert_eq!(lane_dot(x, h), mac_dot(x, h));
+                wide_taken += 1;
+            } else {
+                chain_taken += 1;
+            }
+        }
+        prop_assert!(wide_taken > 0 && chain_taken > 0, "{wide_taken} wide, {chain_taken} chained");
+    }
+
+    /// The gated update and downdate row equal the per-element reference for
+    /// all inputs — under `lane_fits` that is the clamp-free loop, otherwise
+    /// the clamping one, and every batch takes both.
+    #[test]
+    fn gated_update_equals_reference(
+        batch in vec((scaled_words(12), words(), any::<i32>(), 0u32..=3), 24usize),
+    ) {
+        let (mut free_taken, mut clamp_taken) = (0, 0);
+        for (x, y, a, sh) in &batch {
+            let n = x.len().min(y.len());
+            let (x, y, a) = (&x[..n], &y[..n], Q8_24::from_bits(a >> sh));
+            let x_max = max_abs_bits(x);
+            let (mut sum, mut diff) = (y.to_vec(), y.to_vec());
+            mul_add(a, x, x_max, &mut sum);
+            mul_sub(a, x, x_max, &mut diff);
+            prop_assert_eq!(sum, mul_acc_reference(a, x, y, false));
+            prop_assert_eq!(diff, mul_acc_reference(a, x, y, true));
+            if lane_fits(a, x_max) {
+                free_taken += 1;
+            } else {
+                clamp_taken += 1;
+            }
+        }
+        prop_assert!(free_taken > 0 && clamp_taken > 0, "{free_taken} free, {clamp_taken} clamped");
+    }
+
+    /// `rank1_downdate` equals its per-element definition
+    /// `m[r][c] −= q(q(ph[r]·inv)·hp[c])`; each row is one `mul_sub`, whose
+    /// two sides the previous property covers.
+    #[test]
+    fn downdate_equals_reference(
+        ph in words(),
+        hp in scaled_words(12),
+        m in vec(any::<i32>(), 70usize * 70),
+        inv in any::<i32>(),
+        sh in 0u32..=8,
+    ) {
+        let d = ph.len().min(hp.len());
+        let (ph, hp, inv) = (&ph[..d], &hp[..d], Q8_24::from_bits(inv >> sh));
+        let m: Vec<Q8_24> = m[..d * d].iter().map(|&v| Q8_24::from_bits(v)).collect();
+        let mut got = m.clone();
+        rank1_downdate(&mut got, d, ph, hp, inv);
+        for r in 0..d {
+            let mut acc = MacAccumulator::new();
+            acc.mac(ph[r], inv);
+            let want = mul_acc_reference(acc.finish(), hp, &m[r * d..(r + 1) * d], true);
+            prop_assert_eq!(&got[r * d..(r + 1) * d], &want[..], "row {r}");
+        }
     }
 }

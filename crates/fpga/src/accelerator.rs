@@ -13,13 +13,14 @@ use crate::bram::TileManager;
 use crate::resources::AcceleratorDesign;
 use crate::timing::TimingModel;
 use seqge_core::model::{init_weight, EmbeddingModel, NegativeDraw};
+use seqge_core::oselm::DeltaBeta;
 use seqge_core::{NegativeMode, OsElmConfig};
-use seqge_fixed::ops::{mac_dot, MacAccumulator};
-use seqge_fixed::Q8_24;
+use seqge_fixed::ops::{dot_headroom, gated_dot, max_abs_bits, mul_add, MacAccumulator};
+use seqge_fixed::{vector, Q8_24};
 use seqge_graph::NodeId;
 use seqge_linalg::Mat;
-use seqge_sampling::{contexts, NegativeTable, Rng64};
-use std::collections::{HashMap, HashSet};
+use seqge_sampling::{context_windows, NegativeTable, Rng64};
+use std::iter::once;
 
 /// Run statistics accumulated across walks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -77,11 +78,16 @@ pub struct Accelerator {
     tile: TileManager,
     draw: NegativeDraw,
     cfg: OsElmConfig,
-    // Per-walk Δβ accumulators (stage-3/4 BRAM).
-    delta_beta: HashMap<NodeId, Vec<Q8_24>>,
+    // Per-walk Δβ accumulators (stage-3/4 BRAM) and the per-context frozen
+    // scores read next to them.
+    delta_beta: DeltaBeta<Q8_24>,
     // Rows whose β changed since the last `take_dirty` — the DRAM write-back
-    // set a host would have to re-fetch to refresh a dequantized view.
-    dirty: HashSet<NodeId>,
+    // set a host would have to re-fetch to refresh a dequantized view — as a
+    // flag per node plus the list of set flags.
+    is_dirty: Vec<bool>,
+    dirty: Vec<NodeId>,
+    // The walk's shared negative set, copied out of `draw` once per walk.
+    negs: Vec<NodeId>,
     h: Vec<Q8_24>,
     ph: Vec<Q8_24>,
     phn: Vec<Q8_24>,
@@ -95,21 +101,35 @@ impl Accelerator {
     /// The paper's accelerator shares negatives per walk (§3.2), so the
     /// negative mode is forced to [`NegativeMode::PerWalk`].
     pub fn new(num_nodes: usize, cfg: OsElmConfig) -> Self {
+        let d = cfg.model.dim;
+        let mut rng = Rng64::seed_from_u64(cfg.model.seed);
+        let beta = (0..num_nodes * d).map(|_| Q8_24::from_f32(init_weight(&mut rng, d))).collect();
+        let mut p = vec![Q8_24::ZERO; d * d];
+        for i in 0..d {
+            p[i * d + i] = Q8_24::from_f32(cfg.p0_scale);
+        }
+        Accelerator::from_raw_parts(num_nodes, cfg, beta, p)
+    }
+
+    /// Rebuilds an accelerator from persisted raw Q8.24 state (β then P,
+    /// both as produced by [`Accelerator::beta_bits`] / [`Accelerator::p_bits`]).
+    /// The configuration goes through the same [`NegativeMode::PerWalk`]
+    /// forcing as [`Accelerator::new`], so a restored accelerator replays
+    /// the exact RNG schedule of the one that was saved.
+    pub fn from_raw_parts(
+        num_nodes: usize,
+        cfg: OsElmConfig,
+        beta: Vec<Q8_24>,
+        p: Vec<Q8_24>,
+    ) -> Self {
         cfg.validate().expect("invalid OS-ELM config");
         let cfg = OsElmConfig {
             model: seqge_core::ModelConfig { negative_mode: NegativeMode::PerWalk, ..cfg.model },
             ..cfg
         };
         let d = cfg.model.dim;
-        let mut rng = Rng64::seed_from_u64(cfg.model.seed);
-        let mut beta = Vec::with_capacity(num_nodes * d);
-        for _ in 0..num_nodes * d {
-            beta.push(Q8_24::from_f32(init_weight(&mut rng, d)));
-        }
-        let mut p = vec![Q8_24::ZERO; d * d];
-        for i in 0..d {
-            p[i * d + i] = Q8_24::from_f32(cfg.p0_scale);
-        }
+        assert_eq!(beta.len(), num_nodes * d, "beta length mismatch");
+        assert_eq!(p.len(), d * d, "P length mismatch");
         let design = AcceleratorDesign::for_dim(d);
         let (_, _, cache_banks, _) = crate::resources::estimate_resources(&design).bram_parts;
         Accelerator {
@@ -125,33 +145,16 @@ impl Accelerator {
             timing: TimingModel::default(),
             tile: TileManager::from_banks(cache_banks, d),
             draw: NegativeDraw::new(&cfg.model),
-            delta_beta: HashMap::new(),
-            dirty: HashSet::new(),
+            delta_beta: DeltaBeta::new(num_nodes, d),
+            is_dirty: vec![false; num_nodes],
+            dirty: Vec::new(),
+            negs: Vec::new(),
             h: vec![Q8_24::ZERO; d],
             ph: vec![Q8_24::ZERO; d],
             phn: vec![Q8_24::ZERO; d],
             stats: AccelStats::default(),
             cfg,
         }
-    }
-
-    /// Rebuilds an accelerator from persisted raw Q8.24 state (β then P,
-    /// both as produced by [`Accelerator::beta_bits`] / [`Accelerator::p_bits`]).
-    /// The configuration goes through the same [`NegativeMode::PerWalk`]
-    /// forcing as [`Accelerator::new`], so a restored accelerator replays
-    /// the exact RNG schedule of the one that was saved.
-    pub fn from_raw_parts(
-        num_nodes: usize,
-        cfg: OsElmConfig,
-        beta: Vec<Q8_24>,
-        p: Vec<Q8_24>,
-    ) -> Self {
-        let mut acc = Accelerator::new(num_nodes, cfg);
-        assert_eq!(beta.len(), num_nodes * acc.dim, "beta length mismatch");
-        assert_eq!(p.len(), acc.dim * acc.dim, "P length mismatch");
-        acc.beta = beta;
-        acc.p = p;
-        acc
     }
 
     /// The (PerWalk-forced) OS-ELM configuration this accelerator runs.
@@ -174,8 +177,11 @@ impl Accelerator {
     /// A host mirroring the accelerator's DRAM into a float serving view
     /// only needs to re-dequantize these rows.
     pub fn take_dirty(&mut self) -> Vec<NodeId> {
-        let mut rows: Vec<NodeId> = self.dirty.drain().collect();
+        let mut rows = std::mem::take(&mut self.dirty);
         rows.sort_unstable();
+        for &row in &rows {
+            self.is_dirty[row as usize] = false;
+        }
         rows
     }
 
@@ -200,24 +206,25 @@ impl Accelerator {
         Mat::from_fn(self.dim, self.dim, |r, c| self.p[r * self.dim + c].to_f32())
     }
 
-    fn beta_row(&self, node: NodeId) -> &[Q8_24] {
-        let d = self.dim;
-        &self.beta[node as usize * d..(node as usize + 1) * d]
-    }
-
-    /// One context in the fixed-point datapath (Stages 1–4 of Algorithm 2).
-    fn context_fixed(&mut self, center: NodeId, samples: &[(NodeId, bool)]) {
+    /// One context in the fixed-point datapath (Stages 1–4 of Algorithm 2)
+    /// against `positives` × (itself + the walk's shared negatives).
+    fn context_fixed(&mut self, center: NodeId, positives: &[NodeId]) {
         let d = self.dim;
         self.tile.touch(center);
         // Stage 1: H = μ·β[center].
         for i in 0..d {
             self.h[i] = self.mu.sat_mul(self.beta[center as usize * d + i]);
         }
+        // Every dot product of this context has H as one operand, so one
+        // range check on H decides for all of them whether the wide
+        // accumulation can run as independent lanes (always, at the paper's
+        // μ and d) or must keep the saturating chain.
+        let wide = dot_headroom(&self.h);
         // Stage 2: Pʜ = P·Hᵀ, HPHᵀ.
         for r in 0..d {
-            self.ph[r] = mac_dot(&self.p[r * d..(r + 1) * d], &self.h);
+            self.ph[r] = gated_dot(wide, &self.p[r * d..(r + 1) * d], &self.h);
         }
-        let hph = mac_dot(&self.h, &self.ph);
+        let hph = gated_dot(wide, &self.h, &self.ph);
         let denom = if self.regularized { self.lambda.sat_add(hph) } else { hph };
         // Positivity guard (comparator): float drift / quantization can dent
         // P's definiteness; a near-zero or negative denominator would flip
@@ -232,7 +239,7 @@ impl Accelerator {
         // each context's downdate immediately; DRAM write-back still happens
         // once per walk (the DMA model prices exactly one P round-trip).
         if healthy {
-            seqge_fixed::vector::rank1_downdate(&mut self.p, d, &self.ph, &self.ph, inv);
+            vector::rank1_downdate(&mut self.p, d, &self.ph, &self.ph, inv);
         } else {
             self.stats.guarded += 1;
         }
@@ -242,8 +249,8 @@ impl Accelerator {
             // EW-RLS inflation (forgetting < 1) with trace normalization
             // against covariance wind-up (PSD-preserving, unlike entrywise
             // clamping; one extra multiplier pass in hardware).
-            seqge_fixed::vector::scale(self.lambda_recip, &mut self.p);
-            let mut tr = seqge_fixed::ops::MacAccumulator::new();
+            vector::scale(self.lambda_recip, &mut self.p);
+            let mut tr = MacAccumulator::new();
             for i in 0..d {
                 tr.mac(self.p[i * d + i], Q8_24::ONE);
             }
@@ -251,7 +258,7 @@ impl Accelerator {
             let cap = Q8_24::from_f32(self.cfg.p0_scale * d as f32);
             if trace > cap {
                 let factor = cap.sat_div(trace);
-                seqge_fixed::vector::scale(factor, &mut self.p);
+                vector::scale(factor, &mut self.p);
             }
             for r in 0..d {
                 for c in (r + 1)..d {
@@ -266,23 +273,27 @@ impl Accelerator {
         for i in 0..d {
             self.phn[i] = self.ph[i].sat_mul(scale);
         }
+        let phn_max = max_abs_bits(&self.phn);
         // Stage 3 + 4b: per-sample error and Δβ accumulation. As in the
         // float model, the error reads the effective column β + Δβ (the Δβ
         // accumulator lives in the same BRAM the sample stage reads); only
-        // the P chain is frozen for the dataflow optimization.
-        for &(sample, positive) in samples {
-            self.tile.touch(sample);
-            let frozen = mac_dot(&self.h, self.beta_row(sample));
-            let slot_score =
-                self.delta_beta.get(&sample).map_or(Q8_24::ZERO, |slot| mac_dot(&self.h, slot));
-            let score = frozen.sat_add(slot_score);
-            let y = if positive { Q8_24::ONE } else { Q8_24::ZERO };
-            let e = y.sat_sub(score);
-            let slot = self.delta_beta.entry(sample).or_insert_with(|| vec![Q8_24::ZERO; d]);
-            for (si, &phn_i) in slot.iter_mut().zip(self.phn.iter()) {
-                let mut acc = MacAccumulator::new();
-                acc.mac(phn_i, e);
-                *si = si.sat_add(acc.finish());
+        // the P chain is frozen for the dataflow optimization. β itself is
+        // written once per walk (`commit_walk`) and H is fixed inside the
+        // context, so the frozen score H·β[s] is computed once per column
+        // and context — §3.2's reason for sharing negatives: each recurs
+        // under every positive.
+        self.delta_beta.begin_context();
+        for &pos in positives {
+            let negs = self.negs.iter().map(|&neg| (neg, Q8_24::ZERO));
+            for (sample, y) in once((pos, Q8_24::ONE)).chain(negs) {
+                self.tile.touch(sample);
+                let slot = self.delta_beta.slot(sample);
+                let frozen = self.delta_beta.frozen_score(slot, || {
+                    gated_dot(wide, &self.h, &self.beta[sample as usize * d..][..d])
+                });
+                let column = self.delta_beta.column_mut(slot);
+                let e = y.sat_sub(frozen.sat_add(gated_dot(wide, &self.h, column)));
+                mul_add(e, &self.phn, phn_max, column);
             }
         }
         self.stats.contexts += 1;
@@ -298,46 +309,46 @@ impl Accelerator {
                 self.stats.saturations += 1;
             }
         }
-        for (node, delta) in self.delta_beta.drain() {
-            self.dirty.insert(node);
+        self.delta_beta.commit(|node, delta| {
+            if !std::mem::replace(&mut self.is_dirty[node as usize], true) {
+                self.dirty.push(node);
+            }
             let base = node as usize * d;
-            for (b, &dv) in self.beta[base..base + d].iter_mut().zip(&delta) {
+            for (b, &dv) in self.beta[base..base + d].iter_mut().zip(delta) {
                 *b = b.sat_add(dv);
                 if b.is_saturated() {
                     self.stats.saturations += 1;
                 }
             }
-        }
+        });
     }
 }
 
 impl EmbeddingModel for Accelerator {
     fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
-        let ctxs = contexts(walk, self.cfg.model.window);
-        if ctxs.is_empty() {
+        let windows = context_windows(walk, self.cfg.model.window);
+        let n_ctx = windows.len();
+        if n_ctx == 0 {
             return;
         }
         self.draw.begin_walk(walk, negatives, rng);
-        let mut samples: Vec<(NodeId, bool)> = Vec::new();
+        // PerWalk mode (forced by the constructors): `begin_walk` drew the
+        // walk's one negative set and `for_positive` hands it out for any
+        // positive without touching the RNG.
+        self.negs.clear();
+        self.negs.extend_from_slice(self.draw.for_positive(walk[0], negatives, rng));
         let mut max_samples = 0usize;
-        for ctx in &ctxs {
-            samples.clear();
-            for &pos in &ctx.positives {
-                samples.push((pos, true));
-                for &neg in self.draw.for_positive(pos, negatives, rng) {
-                    samples.push((neg, false));
-                }
-            }
-            max_samples = max_samples.max(samples.len());
-            self.context_fixed(ctx.center, &samples);
+        for (center, positives) in windows {
+            max_samples = max_samples.max(positives.len() * (1 + self.negs.len()));
+            self.context_fixed(center, positives);
         }
         self.commit_walk();
-        let t = self.timing.walk_timing(&self.design, ctxs.len(), max_samples);
+        let t = self.timing.walk_timing(&self.design, n_ctx, max_samples);
         self.stats.cycles += t.total_cycles;
         self.stats.walks += 1;
         self.stats.dram_fetches = self.tile.misses;
         self.stats.tile_hits = self.tile.hits;
-        let n_ctx = ctxs.len() as u64;
+        let n_ctx = n_ctx as u64;
         self.stats.s1_cycles += t.stages.s1 * n_ctx;
         self.stats.s2_cycles += t.stages.s2 * n_ctx;
         self.stats.s3_cycles += t.stages.s3 * n_ctx;
@@ -371,6 +382,7 @@ impl EmbeddingModel for Accelerator {
 mod tests {
     use super::*;
     use seqge_core::{DataflowOsElm, ModelConfig};
+    use seqge_fixed::ops::{lane_fits, mac_dot};
     use seqge_sampling::{UpdatePolicy, WalkCorpus};
 
     fn ready_table(n: usize) -> NegativeTable {
@@ -482,18 +494,55 @@ mod tests {
     fn dirty_rows_cover_all_beta_changes() {
         let table = ready_table(30);
         let mut acc = Accelerator::new(30, cfg(8));
-        let before = acc.clone();
         let mut rng = Rng64::seed_from_u64(7);
-        let walk: Vec<NodeId> = (0..16u32).collect();
-        acc.train_walk(&walk, &table, &mut rng);
-        let dirty = acc.take_dirty();
-        assert!(!dirty.is_empty());
-        for node in 0..30u32 {
-            let changed = acc.beta_bits()[node as usize * 8..(node as usize + 1) * 8]
-                != before.beta_bits()[node as usize * 8..(node as usize + 1) * 8];
-            assert_eq!(changed, dirty.contains(&node), "node {node} dirty mismatch");
+        // Two overlapping walks with a drain in between: the second drain
+        // must report the second walk's rows only, re-dirtied ones included.
+        for walk in [(0..16u32).collect::<Vec<NodeId>>(), (8..24u32).collect()] {
+            let before = acc.clone();
+            acc.train_walk(&walk, &table, &mut rng);
+            let dirty = acc.take_dirty();
+            assert!(!dirty.is_empty());
+            assert!(dirty.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates: {dirty:?}");
+            for node in 0..30u32 {
+                let changed = acc.beta_bits()[node as usize * 8..(node as usize + 1) * 8]
+                    != before.beta_bits()[node as usize * 8..(node as usize + 1) * 8];
+                assert_eq!(changed, dirty.contains(&node), "node {node} dirty mismatch");
+            }
+            assert!(acc.take_dirty().is_empty(), "take_dirty drains");
         }
-        assert!(acc.take_dirty().is_empty(), "take_dirty drains");
+    }
+
+    #[test]
+    fn rail_state_fails_both_headroom_checks() {
+        // The state `tests/stream_pin.rs` pins as its rail regime: β in
+        // ±120, P = 100·I, μ = 1. That pin covers the scalar reference
+        // arithmetic only if the range checks really fail there.
+        let (n, d) = (40usize, 32usize);
+        let mut rng = Rng64::seed_from_u64(9);
+        let beta = (0..n * d).map(|_| Q8_24::from_f64((rng.next_f64() - 0.5) * 240.0)).collect();
+        let mut p = vec![Q8_24::ZERO; d * d];
+        for i in 0..d {
+            p[i * d + i] = Q8_24::from_f64(100.0);
+        }
+        let mut acc = Accelerator::from_raw_parts(n, OsElmConfig { mu: 1.0, ..cfg(d) }, beta, p);
+        acc.negs = vec![1, 2, 3];
+        // First context, P still definite: the downdate runs, on railed Pʜ.
+        acc.context_fixed(0, &[4, 5, 6]);
+        assert_eq!(acc.stats.guarded, 0);
+        assert!(!dot_headroom(&acc.h), "H = β[center] is far above 2³²/d");
+        let inv = acc.lambda.sat_add(mac_dot(&acc.h, &acc.ph)).recip();
+        let ph_max = max_abs_bits(&acc.ph);
+        let clamped_rows = acc.ph.iter().filter(|g| !lane_fits(g.sat_mul(inv), ph_max)).count();
+        assert!(clamped_rows > d / 2, "{clamped_rows} of {d} downdate rows need the clamp");
+        // A few contexts later P is indefinite, the guard fires and the gain
+        // is the railed Pʜ itself: even a unit error times it needs the clamp.
+        let mut center = 7;
+        while acc.stats.guarded == 0 {
+            acc.context_fixed(center, &[8, 9]);
+            center += 1;
+        }
+        assert!(!dot_headroom(&acc.h));
+        assert!(!lane_fits(Q8_24::ONE, max_abs_bits(&acc.phn)));
     }
 
     #[test]

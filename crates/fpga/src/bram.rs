@@ -9,17 +9,15 @@
 //! trick saves.
 
 use seqge_graph::NodeId;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Column-granular tile cache with FIFO replacement.
 #[derive(Debug, Clone)]
 pub struct TileManager {
-    /// Resident column → queue position.
-    resident: HashMap<NodeId, u64>,
-    /// FIFO order of insertion (lazy removal).
-    queue: std::collections::VecDeque<(NodeId, u64)>,
-    /// Monotone insertion counter.
-    tick: u64,
+    /// Column → resident flag; grown on demand.
+    resident: Vec<bool>,
+    /// The resident columns in insertion order (front = next eviction).
+    queue: VecDeque<NodeId>,
     /// Maximum resident columns.
     capacity: usize,
     /// DRAM column fetches (misses).
@@ -35,9 +33,8 @@ impl TileManager {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "tile capacity must be positive");
         TileManager {
-            resident: HashMap::new(),
-            queue: std::collections::VecDeque::new(),
-            tick: 0,
+            resident: Vec::new(),
+            queue: VecDeque::new(),
             capacity,
             misses: 0,
             hits: 0,
@@ -55,38 +52,35 @@ impl TileManager {
     /// Touches a column; returns `true` on a hit, fetching (and possibly
     /// evicting) on a miss.
     pub fn touch(&mut self, col: NodeId) -> bool {
-        if self.resident.contains_key(&col) {
+        if col as usize >= self.resident.len() {
+            self.resident.resize(col as usize + 1, false);
+        }
+        if self.resident[col as usize] {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        while self.resident.len() >= self.capacity {
-            // Lazily skip stale queue entries.
-            if let Some((old, t)) = self.queue.pop_front() {
-                if self.resident.get(&old) == Some(&t) {
-                    self.resident.remove(&old);
-                    self.writebacks += 1;
-                }
-            } else {
-                break;
-            }
+        if self.queue.len() == self.capacity {
+            let oldest = self.queue.pop_front().expect("capacity is positive");
+            self.resident[oldest as usize] = false;
+            self.writebacks += 1;
         }
-        self.tick += 1;
-        self.resident.insert(col, self.tick);
-        self.queue.push_back((col, self.tick));
+        self.resident[col as usize] = true;
+        self.queue.push_back(col);
         false
     }
 
     /// Flushes everything resident back to DRAM (end of training).
     pub fn flush(&mut self) {
-        self.writebacks += self.resident.len() as u64;
-        self.resident.clear();
-        self.queue.clear();
+        self.writebacks += self.queue.len() as u64;
+        for col in self.queue.drain(..) {
+            self.resident[col as usize] = false;
+        }
     }
 
     /// Currently resident column count.
     pub fn resident_count(&self) -> usize {
-        self.resident.len()
+        self.queue.len()
     }
 
     /// Hit rate over all touches.

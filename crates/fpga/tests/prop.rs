@@ -1,6 +1,7 @@
 //! Property-based tests for the FPGA simulator's models.
 
 use proptest::prelude::*;
+use seqge_fpga::bram::TileManager;
 use seqge_fpga::dma::DmaModel;
 use seqge_fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, TimingModel};
 
@@ -52,5 +53,41 @@ proptest! {
         let u = est.utilization(&dev);
         prop_assert!((u.dsp_pct - 100.0 * est.dsp as f64 / dev.dsp as f64).abs() < 1e-9);
         prop_assert!(u.bram_pct <= 100.0 && u.lut_pct <= 100.0 && u.ff_pct <= 100.0);
+    }
+
+    /// The flag vector + queue behind `TileManager` is a FIFO cache: on any
+    /// touch/flush sequence its counters equal those of a map-of-ticks model.
+    #[test]
+    fn tile_manager_matches_map_model(
+        capacity in 1usize..=8,
+        touches in proptest::collection::vec((0u32..12, 0u8..16), 0usize..200),
+    ) {
+        let mut tile = TileManager::new(capacity);
+        let mut resident: std::collections::HashMap<u32, u64> = Default::default();
+        let (mut hits, mut misses, mut writebacks, mut tick) = (0u64, 0u64, 0u64, 0u64);
+        for (col, op) in touches {
+            if op == 0 {
+                tile.flush();
+                writebacks += resident.drain().count() as u64;
+            }
+            let hit = resident.contains_key(&col);
+            if hit {
+                hits += 1;
+            } else {
+                misses += 1;
+                if resident.len() == capacity {
+                    let oldest = *resident.iter().min_by_key(|(_, &t)| t).expect("non-empty").0;
+                    resident.remove(&oldest);
+                    writebacks += 1;
+                }
+                tick += 1;
+                resident.insert(col, tick);
+            }
+            prop_assert_eq!(tile.touch(col), hit);
+            prop_assert_eq!(
+                (tile.hits, tile.misses, tile.writebacks, tile.resident_count()),
+                (hits, misses, writebacks, resident.len())
+            );
+        }
     }
 }
