@@ -34,7 +34,8 @@ pub struct SeqOutcome {
     pub edges_inserted: usize,
     /// Walks trained (2 per inserted edge, plus the initial forest pass).
     pub walks_trained: usize,
-    /// Negative-table rebuilds performed.
+    /// Negative-table policy ticks and explicit rebuilds performed (a tick
+    /// counts whether it appended to the table's log or ran the full build).
     pub table_rebuilds: u64,
 }
 

@@ -76,6 +76,13 @@ fn bit_hash(words: &[f32]) -> u64 {
 /// bit-hashes (and telemetry) each leaves behind. `results/*.json` and the
 /// serving benchmark's replay bit-identity gate hang off the same streams,
 /// so a row that moves is a behaviour change, not a refactor.
+///
+/// The last row hangs off the ingest draw stream: between full builds the
+/// negative table draws the same distribution from (alias table, log) with a
+/// different use of the RNG, so it was re-recorded once when the every-edge
+/// O(n) rebuild went away. Its `table_rebuilds: 5` did not move — the field
+/// counts policy ticks and explicit rebuilds (bootstrap, three ticks,
+/// refresh), whether a tick appended to the log or ran the full build.
 #[test]
 fn driver_streams_are_pinned() {
     use seqge_core::{train_all_pipelined, train_all_scenario, IncrementalTrainer, SeqOutcome};
@@ -121,7 +128,7 @@ fn driver_streams_are_pinned() {
         ("all", 0x90a5_750c_803e_39ea, 0x09ac_8d13_ec4f_8e0c),
         ("pipelined/1", 0x9402_58cc_43be_f7fe, 0xabb2_d64b_b04e_37b0),
         ("pipelined/3", 0x9402_58cc_43be_f7fe, 0xabb2_d64b_b04e_37b0),
-        ("bootstrap+3*ingest+refresh", 0xa982_6640_ba4f_3be5, 0x62d7_3b1f_a7a4_ea6f),
+        ("bootstrap+3*ingest+refresh", 0x8da4_01a9_7f20_8e12, 0xdd11_d98a_08d6_efa8),
     ];
     assert_eq!(got, want, "got {got:#x?}");
 }

@@ -155,8 +155,13 @@ pub fn dump() -> Option<PathBuf> {
 mod tests {
     use super::*;
 
+    /// The log ring is process-global: a test that fills it evicts the line
+    /// another test is about to read back, so the two take turns.
+    static RING_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn document_embeds_logs_and_is_json_shaped() {
+        let _turn = RING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         record_log(r#"{"ts_ms":1,"level":"info","target":"t","msg":"hello"}"#);
         let doc = document("test");
         assert!(doc.starts_with("{\"pid\":"));
@@ -168,6 +173,7 @@ mod tests {
 
     #[test]
     fn log_ring_is_bounded() {
+        let _turn = RING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         for i in 0..(LOG_RING_CAP + 50) {
             record_log(&format!(r#"{{"ts_ms":{i},"level":"info","target":"t","msg":"m{i}"}}"#));
         }

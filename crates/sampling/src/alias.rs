@@ -96,11 +96,19 @@ impl AliasTable {
             self.alias[i] as usize
         }
     }
+}
 
-    /// Heap footprint in bytes (the paper counts this table in the proposed
-    /// model's memory; Table 5).
-    pub fn heap_bytes(&self) -> usize {
-        self.prob.len() * std::mem::size_of::<f32>() + self.alias.len() * std::mem::size_of::<u32>()
+#[cfg(test)]
+impl AliasTable {
+    /// The outcome probabilities the table encodes: each bucket's own share
+    /// plus what other buckets alias to it.
+    pub(crate) fn distribution(&self) -> Vec<f64> {
+        let mut p = vec![0.0; self.len()];
+        for (i, (&keep, &alias)) in self.prob.iter().zip(&self.alias).enumerate() {
+            p[i] += f64::from(keep) / self.len() as f64;
+            p[alias as usize] += (1.0 - f64::from(keep)) / self.len() as f64;
+        }
+        p
     }
 }
 
@@ -177,12 +185,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn all_zero_panics() {
         AliasTable::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn heap_bytes_scales_with_n() {
-        let t = AliasTable::new(&[1.0; 100]);
-        assert_eq!(t.heap_bytes(), 100 * 8);
     }
 }
 

@@ -5,6 +5,17 @@
 //! running appearance count as walks stream in. For the "all" scenario the
 //! corpus is filled with `r` walks per node up front; for the "seq" scenario
 //! walks arrive two at a time (both ends of each inserted edge).
+//!
+//! Beside the counts the corpus retains a bounded *tail* of the most recent
+//! appearances, in recording order. "A node ∝ its appearance count" is "one
+//! recorded appearance, uniformly", so a [`crate::NegativeTable`] that was
+//! exact at appearance number `c` becomes exact again by copying
+//! `recorded_since(c)` — O(walk length) per edge instead of an O(#nodes)
+//! rebuild. The tail always holds the last `max(n, 1 024)` appearances and
+//! is trimmed back to that once it reaches twice as many: ≤ 2·max(n, 1 024)
+//! ids (8 n bytes), O(1) amortised per recorded id. A cursor the tail no
+//! longer reaches is answered with `None`, and the table rebuilds from the
+//! counts.
 
 use crate::rng::Rng64;
 use crate::walk::{WalkGraph, Walker};
@@ -16,12 +27,14 @@ pub struct WalkCorpus {
     counts: Vec<u64>,
     total: u64,
     walks_stored: usize,
+    /// The last `tail.len()` appearances recorded, oldest first.
+    tail: Vec<NodeId>,
 }
 
 impl WalkCorpus {
     /// Empty corpus over `n` nodes.
     pub fn new(num_nodes: usize) -> Self {
-        WalkCorpus { counts: vec![0; num_nodes], total: 0, walks_stored: 0 }
+        WalkCorpus { counts: vec![0; num_nodes], total: 0, walks_stored: 0, tail: Vec::new() }
     }
 
     /// Records one walk's node appearances.
@@ -31,6 +44,20 @@ impl WalkCorpus {
         }
         self.total += walk.len() as u64;
         self.walks_stored += 1;
+        // Trim back to the last `keep` only once twice as many have piled up.
+        let keep = self.counts.len().max(1024);
+        if self.tail.len() + walk.len() > 2 * keep {
+            self.tail.drain(..self.tail.len().saturating_sub(keep));
+        }
+        self.tail.extend_from_slice(walk);
+    }
+
+    /// The appearances recorded after the first `cursor` ones, in order, or
+    /// `None` when the tail no longer reaches back that far (or `cursor` is
+    /// ahead of this corpus).
+    pub(crate) fn recorded_since(&self, cursor: u64) -> Option<&[NodeId]> {
+        let back = usize::try_from(self.total.checked_sub(cursor)?).ok()?;
+        Some(&self.tail[self.tail.len().checked_sub(back)?..])
     }
 
     /// Per-node appearance counts.
@@ -98,6 +125,28 @@ mod tests {
         assert_eq!(c.total_appearances(), 6);
         assert_eq!(c.num_walks(), 2);
         assert_eq!(c.frequency_weights(), vec![2.0, 1.0, 3.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn tail_answers_recent_cursors_and_stays_bounded() {
+        let mut c = WalkCorpus::new(5);
+        assert_eq!(c.recorded_since(0), Some(&[][..]));
+        c.record(&[0, 1, 0, 2]);
+        c.record(&[2, 2]);
+        assert_eq!(c.recorded_since(0), Some(&[0, 1, 0, 2, 2, 2][..]));
+        assert_eq!(c.recorded_since(4), Some(&[2, 2][..]));
+        assert_eq!(c.recorded_since(6), Some(&[][..]));
+        assert_eq!(c.recorded_since(7), None, "a cursor from a longer corpus");
+        // 5 nodes keep max(5, 1 024) appearances, trimmed at twice that.
+        for i in 0..1_000u32 {
+            c.record(&[i % 5; 7]);
+            assert!(c.tail.len() <= 2 * 1024);
+            let total = c.total_appearances();
+            let last = c.recorded_since(total - 1024.min(total)).expect("the tail keeps 1 024");
+            assert_eq!(last[last.len() - 7..], [i % 5; 7]);
+        }
+        assert_eq!(c.recorded_since(0), None);
+        assert_eq!(c.counts().iter().sum::<u64>(), c.total_appearances());
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   return parameter `p`, in-out parameter `q`), plus a rejection-sampling
 //!   variant used as a baseline in the benches.
 //! * [`window`] — slicing a walk into (center, positives) training contexts.
-//! * [`corpus`] — walk accumulation and node-frequency bookkeeping.
-//! * [`negative`] — the negative-sampling table with its update policy.
+//! * [`corpus`] — walk accumulation, node-frequency bookkeeping, and a
+//!   bounded tail of the most recent appearances.
+//! * [`negative`] — the negative-sampling table with its update policy: an
+//!   alias table frozen at its last full build plus a log of the appearances
+//!   recorded since, exact at every policy tick without the O(n) rebuild.
 //! * [`pipeline`] — overlapped walk generation: walker threads feed a
 //!   consumer in deterministic walk-index order over bounded channels.
 
