@@ -27,11 +27,10 @@
 //! Writes `results/bench_cluster.json` via `--json` (experiment-script
 //! convention) or to that default path when the flag is omitted.
 
-use seqge_bench::{banner, write_json, Args};
+use seqge_bench::{bench_args, experiments::SEED, write_json};
 use seqge_cluster::{Cluster, ClusterConfig};
 use seqge_graph::{spanning_forest, Dataset, Graph};
 use seqge_serve::{Client, ClientConfig};
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 const WRITERS: usize = 4;
@@ -130,33 +129,35 @@ fn ingest_run(
 }
 
 fn main() {
-    let args = Args::parse(0.3);
-    banner("cluster ingest scaling (1 shard vs 4 shards)", args.scale);
-
-    let dim = *args.dims.first().unwrap_or(&32);
-    let full = Dataset::Cora.generate_scaled(args.scale, args.seed);
+    let (scale, path) = bench_args(
+        "cluster ingest scaling (1 shard vs 4 shards)",
+        0.3,
+        "results/bench_cluster.json",
+    );
+    let dim = 32;
+    let full = Dataset::Cora.generate_scaled(scale, SEED);
     let split = spanning_forest(&full);
     let initial = split.initial_graph(&full);
     let stream = split.removed_edges;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
         "cora scale {}: {} nodes, {} forest edges, {} streamed edges, d={dim}, {cores} cores",
-        args.scale,
+        scale,
         initial.num_nodes(),
         initial.num_edges(),
         stream.len()
     );
 
-    let (eps1, wall1) = ingest_best(1, &initial, &stream, dim, args.seed);
+    let (eps1, wall1) = ingest_best(1, &initial, &stream, dim, SEED);
     println!("  1 shard : {eps1:9.0} edges/s  ({wall1:.2}s wall, best of {REPS})");
-    let (eps4, wall4) = ingest_best(4, &initial, &stream, dim, args.seed);
+    let (eps4, wall4) = ingest_best(4, &initial, &stream, dim, SEED);
     println!("  4 shards: {eps4:9.0} edges/s  ({wall4:.2}s wall, best of {REPS})");
     let ratio = eps4 / eps1;
     println!("  scaling : {ratio:.2}x");
 
     let record = serde_json::json!({
         "dataset": "cora",
-        "scale": args.scale,
+        "scale": scale,
         "dim": dim,
         "nodes": initial.num_nodes(),
         "streamed_edges": stream.len(),
@@ -179,7 +180,6 @@ fn main() {
                  parallelism; attainable ratio is bounded by min(cores, 4) \
                  minus router fan-out overhead",
     });
-    let path = args.json.clone().unwrap_or_else(|| Path::new("results/bench_cluster.json").into());
     write_json(&path, &record).expect("write json");
     println!("json written to {}", path.display());
 }

@@ -27,11 +27,10 @@
 //! `scripts/bench_obs.sh` orchestrates the two builds; the primary pass
 //! threshold comes from `SEQGE_OBS_MAX_OVERHEAD_PCT` (default 5.0).
 
-use seqge_bench::{banner, write_json, Args};
+use seqge_bench::{bench_args, experiments::SEED, write_json};
 use seqge_core::{train_all_pipelined, OsElmConfig, OsElmSkipGram, TrainConfig};
 use seqge_graph::{Dataset, Graph};
 use serde_json::Value;
-use std::path::Path;
 use std::time::Instant;
 
 const REPS: usize = 5;
@@ -64,17 +63,19 @@ fn arm_wall(arms: &[(String, Value)], name: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args = Args::parse(0.3);
-    banner("observability overhead (obs on vs runtime-off vs compiled-out)", args.scale);
-
-    let dim = *args.dims.first().unwrap_or(&32);
+    let (scale, path) = bench_args(
+        "observability overhead (obs on vs runtime-off vs compiled-out)",
+        0.3,
+        "results/bench_obs.json",
+    );
+    let dim = 32;
     let mut cfg = TrainConfig::paper_defaults(dim);
-    cfg.model.seed = args.seed;
+    cfg.model.seed = SEED;
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(dim) };
-    let g = Dataset::Cora.generate_scaled(args.scale, args.seed);
+    let g = Dataset::Cora.generate_scaled(scale, SEED);
     println!(
         "cora scale {}: {} nodes / {} edges, d={dim}, {} reps (best-of), {} walker thread(s)",
-        args.scale,
+        scale,
         g.num_nodes(),
         g.num_edges(),
         REPS,
@@ -82,7 +83,7 @@ fn main() {
     );
 
     // Warm-up run so page faults and allocator growth hit no arm.
-    let _ = measure(&g, &cfg, ocfg, args.seed);
+    let _ = measure(&g, &cfg, ocfg, SEED);
 
     let mut fresh: Vec<(String, Value)> = Vec::new();
     if seqge_obs::COMPILED {
@@ -96,7 +97,7 @@ fn main() {
                 seqge_obs::set_timing_enabled(enabled);
                 let mut m = OsElmSkipGram::new(g.num_nodes(), ocfg);
                 let t = Instant::now();
-                let out = train_all_pipelined(&g, &mut m, &cfg, args.seed, THREADS);
+                let out = train_all_pipelined(&g, &mut m, &cfg, SEED, THREADS);
                 let wall = t.elapsed().as_secs_f64();
                 if wall < best.0 {
                     *best = (wall, out.walks_trained as u64);
@@ -109,13 +110,12 @@ fn main() {
         fresh.push(("enabled".to_string(), arm_record(on.0, on.1)));
         fresh.push(("runtime_disabled".to_string(), arm_record(off.0, off.1)));
     } else {
-        let (wall, walks) = measure(&g, &cfg, ocfg, args.seed);
+        let (wall, walks) = measure(&g, &cfg, ocfg, SEED);
         println!("  compiled_out     {:.3} s   {:.0} walks/s", wall, walks as f64 / wall);
         fresh.push(("compiled_out".to_string(), arm_record(wall, walks)));
     }
 
     // Merge with whatever a previous build's run left behind.
-    let path = args.json.clone().unwrap_or_else(|| Path::new("results/bench_obs.json").into());
     let mut arms: Vec<(String, Value)> = std::fs::read_to_string(&path)
         .ok()
         .and_then(|s| serde_json::from_str::<Value>(&s).ok())
@@ -157,7 +157,7 @@ fn main() {
 
     let mut record = vec![
         ("dataset".to_string(), Value::Str("cora".to_string())),
-        ("scale".to_string(), Value::F64(args.scale)),
+        ("scale".to_string(), Value::F64(scale)),
         ("dim".to_string(), Value::U64(dim as u64)),
         ("reps_best_of".to_string(), Value::U64(REPS as u64)),
         ("walker_threads".to_string(), Value::U64(THREADS as u64)),

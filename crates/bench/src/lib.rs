@@ -1,30 +1,26 @@
 //! # seqge-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index), plus Criterion micro-benchmarks under `benches/`. This library
-//! holds the shared plumbing: CLI parsing, dataset preparation, timing
-//! helpers, and JSON result emission.
-//!
-//! Every binary accepts:
-//!
-//! * `--scale <f>`   — shrink datasets / edge streams for quick runs
-//!   (default varies per binary; `--scale 1.0` is the full paper protocol).
-//! * `--json <path>` — also write machine-readable results.
-//! * `--dims a,b,c`  — override the embedding-dimension sweep.
-//! * `--seed <n>`    — override the base seed.
+//! One `repro` binary over one table of experiments: every table and figure
+//! of the paper (plus the energy, design-space and ablation extensions) is a
+//! module under [`experiments`] returning a [`report::Report`], and
+//! [`repro`] runs a row into `results/`, checks `results/` against the code,
+//! and renders EXPERIMENTS.md's tables (DESIGN.md §3 has the index).
+//! Criterion micro-benchmarks live under `benches/`; `bench_cluster` and
+//! `bench_obs` are the two serving-side measurement binaries.
 
-pub mod args;
+pub mod experiments;
 pub mod prep;
+pub mod report;
+pub mod repro;
 pub mod sbm_stream;
 pub mod timing;
 
-pub use args::Args;
 pub use prep::{prepared_walks, PreparedGraph};
 pub use sbm_stream::{SbmStream, SbmStreamParams};
 pub use timing::time_walk_training;
 
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Writes `value` as pretty JSON to `path` (creating parent directories).
 pub fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
@@ -38,11 +34,22 @@ pub fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> std::io::Resul
     Ok(())
 }
 
-/// Standard banner printed by every experiment binary.
-pub fn banner(what: &str, scale: f64) {
-    println!("== seqge reproduction: {what} ==");
-    if (scale - 1.0).abs() > f64::EPSILON {
-        println!("   (running at scale {scale}; pass --scale 1.0 for the full paper protocol)");
+/// Banner and `--scale <f in (0,1]>` / `--json <path>` of the two `bench_*`
+/// binaries: the scale to run at and where to write the record.
+pub fn bench_args(what: &str, default_scale: f64, default_json: &str) -> (f64, PathBuf) {
+    let (mut scale, mut json) = (default_scale, PathBuf::from(default_json));
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next().unwrap_or_else(|| panic!("missing value for {flag}"));
+        match flag.as_str() {
+            "--scale" => scale = value.parse().expect("--scale expects a float"),
+            "--json" => json = PathBuf::from(value),
+            other => panic!("unknown argument: {other} (flags: --scale <f> --json <path>)"),
+        }
     }
+    assert!(scale > 0.0 && scale <= 1.0, "--scale must be in (0, 1]");
+    println!("== seqge reproduction: {what} ==");
+    println!("   (running at scale {scale})");
     println!();
+    (scale, json)
 }

@@ -1,4 +1,4 @@
-//! Dataset and walk preparation shared by the experiment binaries.
+//! Dataset and walk preparation shared by the experiments and the benches.
 
 use seqge_core::{full_corpus, TrainConfig};
 use seqge_graph::{Dataset, Graph, NodeId};
@@ -46,7 +46,7 @@ mod tests {
         assert!(p.table.is_ready());
         assert_eq!(p.graph.num_classes(), 7);
         // FNV-1a over every walk's nodes: pins the `seed ^ 0xBEEF` corpus
-        // stream every table/figure binary trains on.
+        // stream every table/figure experiment trains on.
         let hash = p
             .walks
             .iter()

@@ -255,9 +255,9 @@ impl OsElmSkipGram {
         // Algorithm 1 lines 9–10. Each dot and axpy is internally unrolled,
         // and touching a row's 128 cache-hot bytes for both its read and
         // its update in one pass beats the gather-then-scatter block form
-        // (`ops::gemv_rows`) that the dataflow model uses —
-        // there the gather is *semantic* (stage 3 reads frozen β), here it
-        // would only add a second pass plus duplicate-row bookkeeping.
+        // that the dataflow model uses — there the gather is *semantic*
+        // (stage 3 reads frozen β), here it would only add a second pass
+        // plus duplicate-row bookkeeping.
         for &(sample, y) in samples {
             let row = self.beta_t.row_mut(sample as usize);
             let e = y - ops::dot(h, row);

@@ -29,7 +29,6 @@ pub mod dma;
 pub mod energy;
 pub mod explore;
 pub mod pipeline;
-pub mod report;
 pub mod resources;
 pub mod timing;
 

@@ -11,11 +11,10 @@
 //! independent accumulators, which reassociates the sum — [`dot_ref`] keeps
 //! the sequential fold as the tolerance oracle and bench baseline.
 //!
-//! Two fused/batched kernels serve the OS-ELM hot path specifically:
+//! One fused kernel serves the OS-ELM hot path specifically:
 //! [`p_downdate_forget`] collapses the EW-RLS `P` maintenance
 //! (downdate → inflate → trace-cap → symmetrize) into one contiguous
-//! full-matrix sweep, and [`gemv_rows`] turns the sample stage's scattered
-//! per-column dots into one gathered-row block operation.
+//! full-matrix sweep.
 //!
 //! The symmetric `P` kernels ([`p_downdate_sym`], [`p_downdate_forget`])
 //! rest on one IEEE-754 fact: multiplication is commutative *bitwise*
@@ -139,22 +138,6 @@ pub fn ger<T: Scalar>(a_mat: &mut Mat<T>, a: T, x: &[T], y: &[T]) {
     assert_eq!(a_mat.cols(), y.len(), "ger: y length mismatch");
     for (r, &xr) in x.iter().enumerate() {
         axpy(a * xr, y, a_mat.row_mut(r));
-    }
-}
-
-/// Batched gathered-row dot: `out[k] = A[rows[k], :] · x`.
-///
-/// This is the sample stage's block kernel — the per-sample `H·β[:,s]`
-/// dots of Algorithm 1 line 9 gathered into one call, writing into a
-/// reused buffer so the sample loop carries no per-sample bounds
-/// re-derivation or allocation. Each output is `dot(a.row(rows[k]), x)`
-/// exactly.
-pub fn gemv_rows<T: Scalar>(a: &Mat<T>, rows: &[usize], x: &[T], out: &mut Vec<T>) {
-    assert_eq!(a.cols(), x.len(), "gemv_rows: x length mismatch");
-    out.clear();
-    out.reserve(rows.len());
-    for &r in rows {
-        out.push(dot(a.row(r), x));
     }
 }
 
@@ -368,20 +351,6 @@ mod tests {
         let mut a = Mat::<f64>::zeros(2, 2);
         ger(&mut a, 2.0, &[1.0, 3.0], &[5.0, 7.0]);
         assert_eq!(a.as_slice(), &[10.0, 14.0, 30.0, 42.0]);
-    }
-
-    #[test]
-    fn gemv_rows_matches_individual_dots() {
-        let a = Mat::from_fn(10, 13, |r, c| ((r * 13 + c) as f64 * 0.23).sin());
-        let x = fill(13, |i| (i as f64 * 0.5).cos());
-        for rows in [vec![3usize], vec![9, 0], vec![1, 1, 4, 4, 2]] {
-            let mut out = Vec::new();
-            gemv_rows(&a, &rows, &x, &mut out);
-            assert_eq!(out.len(), rows.len());
-            for (k, &r) in rows.iter().enumerate() {
-                assert_eq!(out[k], dot(a.row(r), &x), "rows={rows:?} k={k}");
-            }
-        }
     }
 
     #[test]

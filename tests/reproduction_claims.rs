@@ -1,30 +1,34 @@
-//! Integration tests pinning the paper's qualitative claims at CI scale
-//! (DESIGN.md §4 lists the expectations; EXPERIMENTS.md records full-scale
-//! runs).
+//! The paper's qualitative claims, asserted over the recorded
+//! `Deterministic` columns of `results/*.json` (DESIGN.md §4 lists the
+//! expectations). Those files are what the checked-in code produces:
+//! `repro check` recomputes the seconds-class ones in tier-1
+//! (`crates/bench/tests/repro.rs`) and all of them in CI's `repro-check` job.
 
-use seqge::core::model_size::{original_model_bytes, proposed_model_bytes};
-use seqge::core::{train_all_scenario, EmbeddingModel, OsElmConfig, OsElmSkipGram, TrainConfig};
-use seqge::eval::{evaluate_embedding, EvalConfig, LogRegConfig};
-use seqge::fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, TimingModel};
-use seqge::graph::Dataset;
+use seqge::bench::report::{show, Table};
+use seqge::bench::repro::Record;
+use seqge::fpga::FpgaDevice;
+use std::path::Path;
 
-fn eval_cfg() -> EvalConfig {
-    EvalConfig {
-        trials: 2,
-        logreg: LogRegConfig { epochs: 40, ..Default::default() },
-        ..Default::default()
-    }
+/// The `Deterministic` table of `results/<experiment>.json`.
+fn recorded(experiment: &str) -> Table {
+    let record = Record::read(Path::new(env!("CARGO_MANIFEST_DIR")), experiment);
+    record.unwrap_or_else(|e| panic!("{e}")).report.deterministic
+}
+
+fn number(table: &Table, row: usize, column: &str) -> f64 {
+    let c = table.columns.iter().position(|name| name == column);
+    let c = c.unwrap_or_else(|| panic!("no column `{column}` in {:?}", table.columns));
+    table.rows[row][c].as_f64().unwrap_or_else(|| panic!("`{column}` of row {row} is no number"))
 }
 
 /// Expectation 3: the proposed model is ~3–4× smaller at every Table 5 point.
 #[test]
 fn model_size_reduction_band() {
-    for ds in Dataset::ALL {
-        let n = ds.spec().num_nodes;
-        for dim in [32usize, 64, 96] {
-            let ratio = original_model_bytes(n, dim) as f64 / proposed_model_bytes(n, dim) as f64;
-            assert!((3.0..4.2).contains(&ratio), "{ds} d={dim}: ratio {ratio}");
-        }
+    let table5 = recorded("table5");
+    assert_eq!(table5.rows.len(), 9, "three datasets × three dimensions");
+    for row in 0..9 {
+        let ratio = number(&table5, row, "reduction (x)");
+        assert!((3.0..4.2).contains(&ratio), "{:?}: ratio {ratio}", table5.rows[row]);
     }
 }
 
@@ -32,20 +36,25 @@ fn model_size_reduction_band() {
 /// fits the device.
 #[test]
 fn resource_estimates_match_paper() {
-    let dev = FpgaDevice::XCZU7EV;
-    for (dim, bram, dsp) in [(32usize, 183, 1379), (64, 271, 1552), (96, 272, 1573)] {
-        let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
-        assert_eq!((est.bram36, est.dsp), (bram, dsp), "d={dim}");
-        assert!(dev.fits(est.bram36, est.dsp, est.ff, est.lut));
+    let table6 = recorded("table6");
+    assert_eq!(table6.rows.len(), 3);
+    for (row, (dim, bram, dsp)) in
+        [(32, 183, 1379), (64, 271, 1552), (96, 272, 1573)].iter().enumerate()
+    {
+        let count = |column: &str| number(&table6, row, column) as u32;
+        assert_eq!((count("d"), count("BRAM"), count("DSP")), (*dim, *bram, *dsp));
+        assert!(FpgaDevice::XCZU7EV.fits(*bram, *dsp, count("FF"), count("LUT")), "d={dim}");
     }
 }
 
 /// Expectation: the timing model reproduces the paper's FPGA latencies.
 #[test]
 fn fpga_latency_matches_table3() {
-    let t = TimingModel::default();
-    for (dim, paper_ms) in [(32usize, 0.777), (64, 0.878), (96, 0.985)] {
-        let ms = t.paper_walk_millis(dim);
+    let table3 = recorded("table3");
+    assert_eq!(table3.rows.len(), 3);
+    for (row, (dim, paper_ms)) in [(32.0, 0.777), (64.0, 0.878), (96.0, 0.985)].iter().enumerate() {
+        assert_eq!(number(&table3, row, "d"), *dim);
+        let ms = number(&table3, row, "FPGA-sim ms");
         assert!((ms - paper_ms).abs() / paper_ms < 0.015, "d={dim}: {ms:.3} vs {paper_ms}");
     }
 }
@@ -54,49 +63,26 @@ fn fpga_latency_matches_table3() {
 /// and they are far apart.
 #[test]
 fn mu_collapse_and_plateau() {
-    let g = Dataset::Cora.generate_scaled(0.15, 3);
-    let labels = g.labels().unwrap().to_vec();
-    let mut cfg = TrainConfig::paper_defaults(32);
-    cfg.walk.walks_per_node = 5;
-    let f1_of = |mu: f32| {
-        let ocfg = OsElmConfig { model: cfg.model, mu, ..OsElmConfig::paper_defaults(32) };
-        let mut m = OsElmSkipGram::new(g.num_nodes(), ocfg);
-        train_all_scenario(&g, &mut m, &cfg, 3);
-        evaluate_embedding(&m.embedding(), &labels, g.num_classes(), &eval_cfg(), 1).micro_f1
-    };
-    let tiny = f1_of(0.001);
-    let plateau = f1_of(0.05);
+    let fig6 = recorded("fig6");
+    let cora = fig6.rows.iter().position(|row| show(&row[0]) == "cora").expect("fig6 records cora");
+    let (tiny, plateau) = (number(&fig6, cora, "mu=0.001"), number(&fig6, cora, "mu=0.05"));
     assert!(plateau > tiny + 0.25, "plateau {plateau:.3} should clearly beat collapsed {tiny:.3}");
     assert!(plateau > 0.4, "plateau must recover communities: {plateau:.3}");
 }
 
 /// The fixed-point accelerator's embedding classifies about as well as the
-/// float model's (Fig. 4 shape at CI scale).
+/// float model's (Fig. 4 shape), on every recorded (dataset, d).
 #[test]
 fn fixed_point_embedding_close_to_float() {
-    use seqge::fpga::Accelerator;
-    let g = Dataset::Cora.generate_scaled(0.12, 9);
-    let labels = g.labels().unwrap().to_vec();
-    let mut cfg = TrainConfig::paper_defaults(32);
-    cfg.walk.walks_per_node = 5;
-    let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(32) };
-
-    let mut float_model = OsElmSkipGram::new(g.num_nodes(), ocfg);
-    train_all_scenario(&g, &mut float_model, &cfg, 5);
-    let f_float =
-        evaluate_embedding(&float_model.embedding(), &labels, g.num_classes(), &eval_cfg(), 2)
-            .micro_f1;
-
-    // Same driver, same seed: both models see the identical walk stream.
-    let mut accel = Accelerator::new(g.num_nodes(), ocfg);
-    train_all_scenario(&g, &mut accel, &cfg, 5);
-    let f_fixed =
-        evaluate_embedding(&accel.embedding(), &labels, g.num_classes(), &eval_cfg(), 2).micro_f1;
-
-    assert_eq!(accel.stats.saturations, 0, "healthy training must not saturate");
-    assert!(
-        (f_float - f_fixed).abs() < 0.15,
-        "fixed-point F1 {f_fixed:.3} should track float F1 {f_float:.3}"
-    );
-    assert!(f_fixed > 0.4, "fixed-point embedding must still classify: {f_fixed:.3}");
+    let fig4 = recorded("fig4");
+    assert_eq!(fig4.rows.len(), 6, "three datasets × two dimensions");
+    for row in 0..6 {
+        let (f_float, f_fixed) = (number(&fig4, row, "CPU F1"), number(&fig4, row, "FPGA F1"));
+        assert_eq!(number(&fig4, row, "saturations"), 0.0, "healthy training must not saturate");
+        assert!(
+            (f_float - f_fixed).abs() < 0.15,
+            "fixed-point F1 {f_fixed:.3} should track float F1 {f_float:.3}"
+        );
+        assert!(f_fixed > 0.4, "fixed-point embedding must still classify: {f_fixed:.3}");
+    }
 }
