@@ -1,16 +1,19 @@
 //! Per-walk training-kernel throughput: every model × the paper's three
 //! embedding dimensions (the microbenchmark behind Tables 3/4), plus the
 //! linalg inner kernels the models are built from — fused vs multi-pass
-//! `P` maintenance and unrolled vs sequential-fold dot.
+//! `P` maintenance and unrolled vs sequential-fold dot — and the read path's
+//! scan kernel in ns per row scored.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, SkipGram, TrainConfig};
+use seqge_eval::EdgeOp;
 use seqge_fpga::Accelerator;
 use seqge_graph::Dataset;
 use seqge_linalg::{ops, Mat};
 use seqge_sampling::Rng64;
+use seqge_serve::EmbeddingSnapshot;
 
 fn bench_training(c: &mut Criterion) {
     let cfg32 = TrainConfig::paper_defaults(32);
@@ -94,5 +97,47 @@ fn bench_dot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_training, bench_p_maintenance, bench_dot);
+/// The scan under every ranked read, at the repo benchmark's `large_float`
+/// size (n = 50 000, d = 32, k = 10, cosine): `exact_topk10` is the whole
+/// `EmbeddingSnapshot::topk` the ledger times as
+/// `serve.snapshot.topk_exact_ns` (scorer set-up, sequential sweep, k-best);
+/// `rerank` pushes 7 000 random rows in ascending-id order — the pool an ANN
+/// query re-ranks there — through the same `Scorer`, so it reads the kernel
+/// under a gather instead of a stream.
+fn bench_scan(c: &mut Criterion) {
+    let (n, dim) = (50_000usize, 32usize);
+    let mut rng = Rng64::seed_from_u64(22);
+    let snap = EmbeddingSnapshot {
+        version: 1,
+        emb: Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0),
+        num_edges: 0,
+        walks_trained: 0,
+        edges_inserted: 0,
+        edges_removed: 0,
+        ann: None,
+    };
+    let mut group = c.benchmark_group("scan");
+    group.throughput(Throughput::Elements(n as u64 - 1));
+    group.bench_function(BenchmarkId::new("exact_topk10", n), |b| {
+        let mut node = 0;
+        b.iter(|| {
+            node = (node + 977) % n as u32;
+            snap.topk(node, 10, EdgeOp::Cosine)
+        });
+    });
+    let mut pool: Vec<usize> = (0..7_000).map(|_| rng.gen_index(n)).collect();
+    pool.sort_unstable();
+    group.throughput(Throughput::Elements(pool.len() as u64));
+    group.bench_function(BenchmarkId::new("rerank", pool.len()), |b| {
+        let mut node = 0;
+        b.iter(|| {
+            node = (node + 977) % n;
+            let scorer = EdgeOp::Cosine.scorer(snap.emb.row(node));
+            pool.iter().map(|&v| scorer.score(snap.emb.row(v))).fold(f64::MIN, f64::max)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_training, bench_p_maintenance, bench_dot, bench_scan);
 criterion_main!(benches);

@@ -20,7 +20,7 @@ pub mod split;
 
 pub use clustering::{clustering_nmi, kmeans, nmi, KMeans};
 pub use harness::{evaluate_embedding, EvalConfig, EvalResult};
-pub use linkpred::{pairwise_auc, EdgeOp, LinkPredSet};
+pub use linkpred::{pairwise_auc, EdgeOp, LinkPredSet, Scorer};
 pub use logreg::{LogRegConfig, OneVsRest};
 pub use metrics::{confusion_matrix, f1_scores, F1};
 pub use split::train_test_split;

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqge_graph::{Graph, NodeId};
-use seqge_linalg::Mat;
+use seqge_linalg::{ops, Mat};
 
 /// Binary operator combining two node embeddings into an edge score
 /// (Grover & Leskovec Table 1).
@@ -27,17 +27,55 @@ pub enum EdgeOp {
 impl EdgeOp {
     /// Scores the pair `(u, v)` under this operator.
     pub fn score(&self, emb: &Mat<f32>, u: NodeId, v: NodeId) -> f64 {
-        let (x, y) = (emb.row(u as usize), emb.row(v as usize));
-        match self {
-            EdgeOp::Dot => x.iter().zip(y).map(|(&a, &b)| a as f64 * b as f64).sum(),
-            EdgeOp::NegL2 => {
-                -x.iter().zip(y).map(|(&a, &b)| ((a - b) as f64).powi(2)).sum::<f64>().sqrt()
-            }
+        self.scorer(emb.row(u as usize)).score(emb.row(v as usize))
+    }
+
+    /// Prepares `query` for scoring against many rows: whatever depends on
+    /// the query alone (its `f64` widening, its norm) is computed here, once.
+    pub fn scorer<'a>(&self, query: &'a [f32]) -> Scorer<'a> {
+        let widen = || query.iter().map(|&a| a as f64).collect::<Vec<f64>>();
+        Scorer(match self {
+            EdgeOp::Dot => Prepared::Dot(widen()),
+            EdgeOp::NegL2 => Prepared::NegL2(query),
             EdgeOp::Cosine => {
-                let dot: f64 = x.iter().zip(y).map(|(&a, &b)| a as f64 * b as f64).sum();
-                let nx: f64 = x.iter().map(|&a| (a as f64).powi(2)).sum::<f64>().sqrt();
-                let ny: f64 = y.iter().map(|&b| (b as f64).powi(2)).sum::<f64>().sqrt();
-                dot / (nx * ny).max(1e-12)
+                let wide = widen();
+                let norm = ops::scan_dot_norm2(&wide, query).1.sqrt();
+                Prepared::Cosine { wide, norm }
+            }
+        })
+    }
+}
+
+/// One query row prepared by [`EdgeOp::scorer`]. This is the only
+/// definition of a score: [`EdgeOp::score`], the serving plane's exact and
+/// ANN `topk`, `score_link` and [`LinkPredSet::auc`] all go through
+/// [`Scorer::score`], so they agree bit for bit. A score is a function of
+/// `seqge_linalg::ops`' `scan_*` sums (exact `f32`×`f32` products accumulated
+/// in `f64` over eight fixed lanes), and swapping query and row returns the
+/// same bits.
+#[derive(Debug, Clone)]
+pub struct Scorer<'a>(Prepared<'a>);
+
+#[derive(Debug, Clone)]
+enum Prepared<'a> {
+    /// The query widened to `f64`.
+    Dot(Vec<f64>),
+    /// The query as stored: the difference is taken in `f32`.
+    NegL2(&'a [f32]),
+    /// The query widened, and its Euclidean norm.
+    Cosine { wide: Vec<f64>, norm: f64 },
+}
+
+impl Scorer<'_> {
+    /// The score of the query against `row`, in one pass over `row`.
+    #[inline]
+    pub fn score(&self, row: &[f32]) -> f64 {
+        match &self.0 {
+            Prepared::Dot(wide) => ops::scan_dot(wide, row),
+            Prepared::NegL2(query) => -ops::scan_dist2(query, row).sqrt(),
+            Prepared::Cosine { wide, norm } => {
+                let (dot, norm2) = ops::scan_dot_norm2(wide, row);
+                dot / (norm * norm2.sqrt()).max(1e-12)
             }
         }
     }
@@ -125,6 +163,7 @@ pub fn pairwise_auc(pos: &[f64], neg: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use seqge_graph::generators::classic::erdos_renyi;
 
     fn graph() -> Graph {
@@ -195,6 +234,89 @@ mod tests {
         let l2 = set.auc(&emb, EdgeOp::NegL2);
         for v in [dot, cos, l2] {
             assert!((0.0..=1.0).contains(&v));
+        }
+    }
+
+    /// The scalar reference the `scan_*` kernels replaced: three sequential
+    /// `f64` reductions per pair. Returns the score and the magnitude its
+    /// rounding error scales with (`Σ|aᵢ·bᵢ|` for a dot product, which can
+    /// cancel; the score itself otherwise).
+    fn score_ref(op: EdgeOp, x: &[f32], y: &[f32]) -> (f64, f64) {
+        let products = || x.iter().zip(y).map(|(&a, &b)| a as f64 * b as f64);
+        match op {
+            EdgeOp::Dot => (products().sum(), products().map(f64::abs).sum()),
+            EdgeOp::NegL2 => {
+                let s =
+                    -x.iter().zip(y).map(|(&a, &b)| ((a - b) as f64).powi(2)).sum::<f64>().sqrt();
+                (s, s.abs())
+            }
+            EdgeOp::Cosine => {
+                let dot: f64 = products().sum();
+                let nx: f64 = x.iter().map(|&a| (a as f64).powi(2)).sum::<f64>().sqrt();
+                let ny: f64 = y.iter().map(|&b| (b as f64).powi(2)).sum::<f64>().sqrt();
+                (dot / (nx * ny).max(1e-12), 1.0)
+            }
+        }
+    }
+
+    const MAX_LEN: usize = 67;
+
+    /// A row in one magnitude regime: all zero, `f32` denormals, tiny,
+    /// ordinary, large, or within a factor of `f32::MAX`.
+    fn row() -> impl Strategy<Value = Vec<f32>> {
+        let scale = prop_oneof![
+            Just(0.0f32),
+            Just(1e-42f32),
+            Just(1e-20f32),
+            Just(1.0f32),
+            Just(1.0f32),
+            Just(1e18f32),
+            Just(3e38f32)
+        ];
+        (scale, proptest::collection::vec(-1.0f32..1.0, MAX_LEN))
+            .prop_map(|(scale, unit)| unit.into_iter().map(|a| a * scale).collect())
+    }
+
+    fn any_op() -> impl Strategy<Value = EdgeOp> {
+        prop_oneof![Just(EdgeOp::Dot), Just(EdgeOp::NegL2), Just(EdgeOp::Cosine)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass kernels agree with the scalar reference to 1e-12 of
+        /// the score's own scale at every length (lane tails included) and
+        /// in every magnitude regime.
+        #[test]
+        fn scorer_matches_scalar_reference(
+            op in any_op(), len in 0usize..=MAX_LEN, x in row(), y in row(),
+        ) {
+            let (x, y) = (&x[..len], &y[..len]);
+            let got = op.scorer(x).score(y);
+            let (want, scale) = score_ref(op, x, y);
+            // `==` first: ±inf (an f32 difference that overflowed) has no error.
+            prop_assert!(
+                got == want || (got - want).abs() <= 1e-12 * scale,
+                "{:?} len {}: kernel {:e}, reference {:e}", op, len, got, want
+            );
+            let zero = |v: &[f32]| v.iter().all(|&a| a == 0.0);
+            if op != EdgeOp::NegL2 && (zero(x) || zero(y)) {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "the sign of a zero score");
+            }
+        }
+
+        /// A score does not depend on which vertex is the query, and
+        /// `EdgeOp::score` is the scorer — bit for bit.
+        #[test]
+        fn score_is_symmetric_and_has_one_definition(
+            op in any_op(), len in 0usize..=MAX_LEN, x in row(), y in row(),
+        ) {
+            let (x, y) = (&x[..len], &y[..len]);
+            let got = op.scorer(x).score(y);
+            prop_assert_eq!(got.to_bits(), op.scorer(y).score(x).to_bits());
+            let emb = Mat::from_vec(2, len, [x, y].concat());
+            prop_assert_eq!(got.to_bits(), op.score(&emb, 0, 1).to_bits());
+            prop_assert_eq!(got.to_bits(), op.score(&emb, 1, 0).to_bits());
         }
     }
 

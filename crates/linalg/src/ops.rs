@@ -16,6 +16,12 @@
 //! (downdate → inflate → trace-cap → symmetrize) into one contiguous
 //! full-matrix sweep.
 //!
+//! The read path has its own family, [`scan_dot`] / [`scan_dot_norm2`] /
+//! [`scan_dist2`]: one query against one stored `f32` row, accumulated in
+//! `f64` over the same eight lanes and reduction tree as [`dot`]. Every
+//! similarity score the system reports is a function of their results, so
+//! their lane order *is* the definition of a score's bits.
+//!
 //! The symmetric `P` kernels ([`p_downdate_sym`], [`p_downdate_forget`])
 //! rest on one IEEE-754 fact: multiplication is commutative *bitwise*
 //! (`a*b == b*a` exactly). Writing the rank-1 term as
@@ -71,6 +77,99 @@ pub fn dot_ref<T: Scalar>(x: &[T], y: &[T]) -> T {
         acc += x[i] * y[i];
     }
     acc
+}
+
+/// [`dot`]'s reduction tree over eight lane accumulators.
+#[inline(always)]
+fn lane_tree(a: &[f64; 8]) -> f64 {
+    ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+}
+
+/// The lane structure under the `scan_*` kernels: `Σ term(x[i], y[i])` over
+/// eight independent `f64` accumulators (lane `i % 8`) reduced by
+/// [`lane_tree`], the `len % 8` tail folded sequentially and added last.
+/// Accumulators start at `-0.0`, the additive identity (`-0.0 + t == t` for
+/// every `t`, `+0.0` included), so a sum carries the sign a sequential
+/// `Iterator::sum` gives it — an all-`-0.0` sum stays `-0.0`, and
+/// `total_cmp` ranks the two zeros apart.
+#[inline(always)]
+fn scan_sum<A: Copy, B: Copy>(x: &[A], y: &[B], term: impl Fn(A, B) -> f64) -> f64 {
+    debug_assert_eq!(x.len(), y.len());
+    let mut xs = x.chunks_exact(8);
+    let mut ys = y.chunks_exact(8);
+    let mut acc = [-0.0f64; 8];
+    for (cx, cy) in (&mut xs).zip(&mut ys) {
+        for (sum, (&a, &b)) in acc.iter_mut().zip(cx.iter().zip(cy)) {
+            *sum += term(a, b);
+        }
+    }
+    let mut tail = -0.0f64;
+    for (&a, &b) in xs.remainder().iter().zip(ys.remainder()) {
+        tail += term(a, b);
+    }
+    lane_tree(&acc) + tail
+}
+
+/// `q · row` for a query already widened to `f64` against a stored `f32`
+/// row. Each product of two widened `f32`s is exact in `f64` (24 + 24
+/// significand bits), so the only rounding is the accumulation, whose order
+/// [`scan_sum`] fixes; swapping the two vectors' roles returns the same
+/// bits.
+#[inline]
+pub fn scan_dot(q: &[f64], row: &[f32]) -> f64 {
+    scan_sum(q, row, |a, b| a * b as f64)
+}
+
+/// `Σ ((x[i] − row[i]) as f64)²`: the difference is taken in `f32`, as the
+/// rows are stored, then widened and squared exactly. The difference form
+/// is kept over `‖x‖² + ‖row‖² − 2·x·row`, which cancels catastrophically
+/// for the near-identical rows a nearest-neighbour query is about.
+#[inline]
+pub fn scan_dist2(x: &[f32], row: &[f32]) -> f64 {
+    scan_sum(x, row, |a, b| {
+        let diff = (a - b) as f64;
+        diff * diff
+    })
+}
+
+/// `(q · row, ‖row‖²)` in one pass over `row` — what a cosine needs from a
+/// candidate when the query's own norm was hoisted out of the sweep. Both
+/// sums have [`scan_sum`]'s lanes, tree and tail: the first is
+/// [`scan_dot`]'s bits, the second depends on `row` alone, so a vector has
+/// one squared norm whichever side of a pair it is on.
+#[inline]
+pub fn scan_dot_norm2(q: &[f64], row: &[f32]) -> (f64, f64) {
+    /// Out of line on purpose. Inlined, LLVM's SLP pass pairs the two
+    /// isomorphic reductions and, through them, lane `l` of the dot with
+    /// lane `l` of the norm in one register: every element is then widened
+    /// by a scalar convert and shuffled into place (27 ns per d = 32 row).
+    /// Behind a call the lanes leave the loop through memory, neighbours
+    /// pair up instead, and the row is widened two lanes per instruction
+    /// (17 ns; `cargo bench --bench training`, group `scan`). It takes two
+    /// separate accumulator arrays to get that, which is why this loop is
+    /// written out instead of being a two-sum `scan_sum` (50 ns).
+    #[inline(never)]
+    fn reduce(a: &[f64; 8]) -> f64 {
+        lane_tree(a)
+    }
+    debug_assert_eq!(q.len(), row.len());
+    let mut qs = q.chunks_exact(8);
+    let mut rs = row.chunks_exact(8);
+    let (mut dot, mut norm2) = ([-0.0f64; 8], [-0.0f64; 8]);
+    for (cq, cr) in (&mut qs).zip(&mut rs) {
+        for ((dot, norm2), (&a, &b)) in dot.iter_mut().zip(&mut norm2).zip(cq.iter().zip(cr)) {
+            let b = b as f64;
+            *dot += a * b;
+            *norm2 += b * b;
+        }
+    }
+    let (mut dot_tail, mut norm2_tail) = (-0.0f64, -0.0f64);
+    for (&a, &b) in qs.remainder().iter().zip(rs.remainder()) {
+        let b = b as f64;
+        dot_tail += a * b;
+        norm2_tail += b * b;
+    }
+    (reduce(&dot) + dot_tail, reduce(&norm2) + norm2_tail)
 }
 
 /// `y += a · x`. Elementwise (no reassociation): bit-identical to the
@@ -302,6 +401,36 @@ mod tests {
                 assert_eq!(a, b, "sub-chunk lengths take the sequential tail path");
             }
         }
+    }
+
+    #[test]
+    fn scan_kernels_reduce_in_dots_lane_order() {
+        // Widened by hand and pushed through the f64 `dot`, every scan
+        // kernel must give the same value: same lanes, same tree, same tail.
+        for n in [0usize, 1, 7, 8, 9, 12, 20, 32, 67] {
+            let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
+            let y: Vec<f32> = (0..n).map(|i| (i as f32 * 1.3).cos() * 3.0).collect();
+            let wide = |v: &[f32]| v.iter().map(|&a| a as f64).collect::<Vec<f64>>();
+            let (wx, wy) = (wide(&x), wide(&y));
+            assert_eq!(scan_dot(&wx, &y), dot(&wx, &wy), "dot n={n}");
+            assert_eq!(scan_dot(&wx, &y).to_bits(), scan_dot(&wy, &x).to_bits(), "symmetry n={n}");
+            assert_eq!(scan_dot_norm2(&wx, &y), (dot(&wx, &wy), dot(&wy, &wy)), "dot+norm n={n}");
+            let diff: Vec<f64> = x.iter().zip(&y).map(|(&a, &b)| (a - b) as f64).collect();
+            assert_eq!(scan_dist2(&x, &y), dot(&diff, &diff), "dist n={n}");
+        }
+    }
+
+    #[test]
+    fn scan_sums_keep_the_sign_of_an_all_negative_zero_sum() {
+        // What `Iterator::sum` returns, and what `total_cmp` ranks by.
+        for n in [0usize, 5, 12, 32] {
+            let neg = scan_dot(&vec![0.0; n], &vec![-1.0; n]);
+            assert!(neg == 0.0 && neg.is_sign_negative(), "n={n}");
+        }
+        let mut row = vec![-1.0f32; 12];
+        row[9] = 1.0;
+        let mixed = scan_dot(&[0.0; 12], &row);
+        assert!(mixed == 0.0 && mixed.is_sign_positive());
     }
 
     #[test]

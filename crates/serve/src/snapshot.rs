@@ -13,6 +13,7 @@ use seqge_ann::AnnIndex;
 use seqge_eval::EdgeOp;
 use seqge_graph::NodeId;
 use seqge_linalg::Mat;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -111,8 +112,21 @@ impl EmbeddingSnapshot {
         if node as usize >= self.emb.rows() {
             return None;
         }
-        let keep = move |v: &NodeId| *v != node && filter.is_none_or(|(m, r)| *v % m == r);
-        Some(self.rank_top_k(node, k, op, (0..self.emb.rows() as NodeId).filter(keep)))
+        Some(self.rank_top_k(node, k, op, self.residue_class(node, filter)).0)
+    }
+
+    /// Every vertex but `node`, restricted to `filter`'s residue class
+    /// `(m, r)`: walks `r, r + m, …`, so a shard's scan touches only the
+    /// ids it owns. A remainder no id can have (`r >= m`) is an empty class.
+    fn residue_class(
+        &self,
+        node: NodeId,
+        filter: Option<(u32, u32)>,
+    ) -> impl Iterator<Item = NodeId> {
+        let n = self.emb.rows() as NodeId;
+        let (m, r) = filter.unwrap_or((1, 0));
+        let first = if r < m { r } else { n };
+        (first..n).step_by(m as usize).filter(move |&v| v != node)
     }
 
     /// [`EmbeddingSnapshot::topk_filtered`] answered from the published
@@ -138,55 +152,79 @@ impl EmbeddingSnapshot {
         if k == 0 {
             return Some(AnnTopK { hits: Vec::new(), candidates: 0, fallback: false });
         }
-        let keep = move |v: &NodeId| *v != node && filter.is_none_or(|(m, r)| *v % m == r);
         let geometry = (self.emb.rows(), self.emb.cols());
         if let Some(index) = self.ann.as_ref().filter(|ix| (ix.num_points(), ix.dim()) == geometry)
         {
-            let cands: Vec<NodeId> = index
-                .candidates(self.emb.row(node as usize), probes)
-                .into_iter()
-                .filter(keep)
-                .collect();
+            let mut cands = index.candidates(self.emb.row(node as usize), probes);
+            cands.retain(|&v| v != node && filter.is_none_or(|(m, r)| v % m == r));
             if cands.len() >= k {
-                let n = cands.len();
-                return Some(AnnTopK {
-                    hits: self.rank_top_k(node, k, op, cands.into_iter()),
-                    candidates: n,
-                    fallback: false,
-                });
+                let (hits, candidates) = self.rank_top_k(node, k, op, cands.into_iter());
+                return Some(AnnTopK { hits, candidates, fallback: false });
             }
         }
-        let pool = (0..self.emb.rows() as NodeId).filter(keep);
-        let candidates = pool.clone().count();
-        Some(AnnTopK { hits: self.rank_top_k(node, k, op, pool), candidates, fallback: true })
+        let (hits, candidates) = self.rank_top_k(node, k, op, self.residue_class(node, filter));
+        Some(AnnTopK { hits, candidates, fallback: true })
     }
 
-    /// Exact ranking of an explicit candidate pool: score everything, move
-    /// the k best to the front with `select_nth_unstable_by` (O(c)), then
-    /// sort only those k survivors (O(k log k)) — the pool never pays a
-    /// full O(c log c) sort. `total_cmp` on (score desc, id asc) makes the
-    /// order total, so the same snapshot always returns the same list.
+    /// Exact ranking of a candidate stream: one [`seqge_eval::Scorer`] for
+    /// the query, every candidate row through it once, and a heap of the `k`
+    /// best so far whose top is the worst of them — a candidate that does
+    /// not beat it costs one comparison, one that does O(log k), and nothing
+    /// is allocated per candidate. Returns the hits best first under the
+    /// total order of [`Ranked`], so the same snapshot always returns the
+    /// same list, and the number of candidates scored.
     fn rank_top_k(
         &self,
         node: NodeId,
         k: usize,
         op: EdgeOp,
         candidates: impl Iterator<Item = NodeId>,
-    ) -> Vec<(NodeId, f64)> {
+    ) -> (Vec<(NodeId, f64)>, usize) {
         if k == 0 {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
-        let better = |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-        let mut scored: Vec<(NodeId, f64)> =
-            candidates.map(|v| (v, op.score(&self.emb, node, v))).collect();
-        if scored.len() > k {
-            scored.select_nth_unstable_by(k - 1, better);
-            scored.truncate(k);
+        let scorer = op.scorer(self.emb.row(node as usize));
+        // Candidates are distinct rows, so no more than `rows` are ever kept.
+        let mut kept = BinaryHeap::with_capacity(k.min(self.emb.rows()));
+        let mut scored = 0;
+        for v in candidates {
+            scored += 1;
+            let hit = Ranked(v, scorer.score(self.emb.row(v as usize)));
+            if kept.len() < k {
+                kept.push(hit);
+            } else if let Some(mut worst) = kept.peek_mut().filter(|worst| hit < **worst) {
+                *worst = hit;
+            }
         }
-        scored.sort_by(better);
-        scored
+        (kept.into_sorted_vec().into_iter().map(|Ranked(v, score)| (v, score)).collect(), scored)
     }
 }
+
+/// A scored candidate under the protocol's total order: `a < b` when `a`
+/// ranks ahead of `b` — higher score first (`total_cmp`, so NaN and the two
+/// zeros have a place), equal scores by ascending node id.
+#[derive(Debug, Clone, Copy)]
+struct Ranked(NodeId, f64);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.1.total_cmp(&self.1).then(self.0.cmp(&other.0))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
 
 /// The publication point between the trainer and the query plane.
 pub struct SnapshotCell {
@@ -323,6 +361,10 @@ mod tests {
         // The query node is excluded even when it matches the class.
         let hits = s.topk_filtered(3, 10, EdgeOp::Dot, Some((3, 0))).unwrap();
         assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![0, 6, 9]);
+        // A remainder no id has selects nothing (as `v % 3 == 5` never held).
+        assert!(s.topk_filtered(0, 10, EdgeOp::Dot, Some((3, 5))).unwrap().is_empty());
+        let ann = s.topk_ann(0, 10, EdgeOp::Dot, Some((3, 5)), 4).unwrap();
+        assert!(ann.hits.is_empty() && ann.fallback && ann.candidates == 0);
         // Unfiltered call is the same as filter None.
         assert_eq!(s.topk(2, 4, EdgeOp::Cosine), s.topk_filtered(2, 4, EdgeOp::Cosine, None));
     }

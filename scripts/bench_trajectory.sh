@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One point of the benchmark trajectory (ROADMAP north star 1):
-#   scripts/bench_trajectory.sh <pr> <parent-rev> [claimed-workload]
+#   scripts/bench_trajectory.sh <pr> <parent-rev> [claimed-workload] [claimed-metric]
 # Copies <parent-rev> under target/ (git archive), builds it and the working
 # tree with the BENCHMARK.json command, runs alternating parent/change pairs on
 # equal seeds (seed = pair number; ten pairs on the claimed workload, three on
@@ -8,9 +8,13 @@
 # writes BENCH_<pr>.json. About 50 minutes on 2 vCPUs, two cold builds included.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-pr=${1:?usage: bench_trajectory.sh <pr> <parent-rev> [claimed-workload]}
+pr=${1:?usage: bench_trajectory.sh <pr> <parent-rev> [claimed-workload] [claimed-metric]}
 rev=$(git rev-parse --verify "${2:?parent rev}^{commit}")
 claimed=${3:-large_float}
+metric=${4:-ingest_eps}
+jq -e --arg w "$claimed" --arg m "$metric" \
+  'any(.workloads[]; .name == $w) and any(.end_to_end[]; .name == $m)' BENCHMARK.json > /dev/null \
+  || { echo "BENCHMARK.json declares no workload '$claimed' or end-to-end metric '$metric'" >&2; exit 1; }
 work=$PWD/target/bench_trajectory
 declare -A dir=([parent]=$work/parent [change]=$PWD)
 rm -rf "$work" && mkdir -p "$work/parent" "$work/runs"
@@ -33,14 +37,16 @@ done
 for side in parent change; do run "$side" "$claimed" 7 1; done
 host=$(jq -n --arg nproc "$(nproc)" --arg kernel "$(uname -r)" --arg rustc "$(rustc --version)" \
   --arg date "$(date -u +%F)" '{nproc: ($nproc | tonumber), kernel: $kernel, rustc: $rustc, date: $date}')
-jq -n --slurpfile b BENCHMARK.json --argjson host "$host" --arg pr "$pr" --arg rev "$rev" --arg claimed "$claimed" '
+jq -n --slurpfile b BENCHMARK.json --argjson host "$host" --arg pr "$pr" --arg rev "$rev" --arg claimed "$claimed" \
+  --arg metric "$metric" '
   def quant(p): sort as $s | ((($s | length) - 1) * p) as $i | ($i | floor) as $l
     | $s[$l] + ($s[[$l + 1, ($s | length) - 1] | min] - $s[$l]) * ($i - $l);
   def stats: {median: quant(0.5), q1: quant(0.25), q3: quant(0.75)};
   def side($r; $w; $s; $t): $r | map(select(.f.w == $w and .f.side == $s and .f.t == $t)) | sort_by(.f.seed | tonumber);
   $b[0] as $b
   | [inputs | {f: (input_filename | capture("/(?<side>[a-z]+)-(?<w>\\w+)-(?<seed>\\d+)-t(?<t>\\d)\\.json$")), m: .metrics, failed}] as $r
-  | {pr: ($pr | tonumber), parent: $rev, claimed: $claimed, seconds: $b.run_seconds, host: $host,
+  | {pr: ($pr | tonumber), parent: $rev, claimed: $claimed, claimed_metric: $metric,
+     seconds: $b.run_seconds, host: $host,
      workloads: ($b.workloads | map(.name as $w | side($r; $w; "parent"; "0") as $p | side($r; $w; "change"; "0") as $c
        | {key: $w, value: {pairs: ($p | length), failed: {parent: ($p | map(.failed) | add), change: ($c | map(.failed) | add)},
            end_to_end: ($b.end_to_end | map(.name as $m | (if .better == "lower" then -1 else 1 end) as $sign
