@@ -33,6 +33,7 @@
 //! maintained *dynamically* under a mutating embedding set, queried
 //! through the same interface as the brute-force path it replaces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod index;

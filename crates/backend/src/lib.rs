@@ -33,6 +33,7 @@
 //! [`save_state`]: TrainBackend::save_state
 //! [`publish_view`]: TrainBackend::publish_view
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fixedstate;
@@ -76,6 +77,18 @@ impl BackendKind {
             "float" => Ok(BackendKind::Float),
             "fpga-sim" | "fpga_sim" | "fpgasim" => Ok(BackendKind::FpgaSim),
             other => Err(format!("unknown backend `{other}` (expected `float` or `fpga-sim`)")),
+        }
+    }
+
+    /// [`Self::as_str`] for a boot log line: fpga-sim adds which instantiation
+    /// of the Q8.24 kernel this host's CPU selects (`fpga-sim/avx2`,
+    /// `fpga-sim/baseline`), since that sets its ingest rate. Log-only — both
+    /// train the same bits, so it is no part of [`TrainBackend::descriptor`],
+    /// which a cluster compares across nodes.
+    pub fn boot_label(&self) -> String {
+        match self {
+            BackendKind::Float => self.as_str().to_string(),
+            BackendKind::FpgaSim => format!("{}/{}", self.as_str(), seqge_fpga::kernel_isa()),
         }
     }
 }

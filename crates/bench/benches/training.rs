@@ -80,7 +80,7 @@ fn bench_p_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-/// Unrolled 4-accumulator dot vs the sequential fold it replaced — the
+/// Unrolled 8-lane dot vs the sequential fold it replaced — the
 /// single hottest operation of the sample stage (one dot per sample).
 fn bench_dot(c: &mut Criterion) {
     let mut group = c.benchmark_group("dot");

@@ -8,6 +8,8 @@
 //! Criterion micro-benchmarks live under `benches/`; `bench_cluster` and
 //! `bench_obs` are the two serving-side measurement binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod prep;
 pub mod report;

@@ -30,6 +30,7 @@
 //! Pure `std` like the rest of the workspace: no async runtime, no
 //! external service dependencies.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

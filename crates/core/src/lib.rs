@@ -27,6 +27,8 @@
 //! edge events through. Every model — including the fixed-point
 //! `seqge_fpga::Accelerator` — is driven through the same loops.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod embedding;
 pub mod model;

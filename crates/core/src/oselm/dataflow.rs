@@ -44,7 +44,10 @@ pub enum PVisibility {
 /// indexed through a dense node → slot table that is reset from the touched
 /// list — no hashing, no per-column allocation, nothing allocated in steady
 /// state — plus one cached frozen score `H·β[node]` per slot. Generic over
-/// the lane type: `f32` here, `Q8_24` in `seqge-fpga`'s accelerator.
+/// the lane type: `f32` here, `Q8_24` in `seqge-fpga`'s accelerator — whose
+/// walk body is compiled once per target-feature set, which is why the
+/// per-sample methods are `#[inline]`: a dot product left in an out-of-line
+/// `frozen_score` would be compiled without the body's features.
 #[derive(Debug, Clone)]
 pub struct DeltaBeta<T> {
     /// Node → slot, [`NO_SLOT`] while untouched this walk.
@@ -77,12 +80,14 @@ impl<T: Copy + Default> DeltaBeta<T> {
 
     /// Opens the next context: `H` changes, so every cached frozen score
     /// goes stale.
+    #[inline]
     pub fn begin_context(&mut self) {
         self.context += 1;
     }
 
     /// The slot holding `node`'s Δ-column, zeroed on its first touch of the
     /// walk.
+    #[inline]
     pub fn slot(&mut self, node: NodeId) -> usize {
         let slot = &mut self.slot_of[node as usize];
         if *slot == NO_SLOT {
@@ -98,6 +103,7 @@ impl<T: Copy + Default> DeltaBeta<T> {
     /// `dot` runs on the first request after [`Self::begin_context`], later
     /// ones reuse its result. Sound because β is written only when the walk
     /// commits and `H` is fixed inside a context.
+    #[inline]
     pub fn frozen_score(&mut self, slot: usize, dot: impl FnOnce() -> T) -> T {
         let entry = &mut self.frozen[slot];
         if entry.0 != self.context {
@@ -107,12 +113,14 @@ impl<T: Copy + Default> DeltaBeta<T> {
     }
 
     /// The Δ-column in `slot`.
+    #[inline]
     pub fn column_mut(&mut self, slot: usize) -> &mut [T] {
         &mut self.arena[slot * self.dim..(slot + 1) * self.dim]
     }
 
     /// Hands every touched `(node, Δ-column)` to `apply` in first-touch
     /// order, then clears for the next walk.
+    #[inline]
     pub fn commit(&mut self, mut apply: impl FnMut(NodeId, &[T])) {
         for (slot, &node) in self.touched.iter().enumerate() {
             apply(node, &self.arena[slot * self.dim..(slot + 1) * self.dim]);
@@ -270,10 +278,11 @@ impl EmbeddingModel for DataflowOsElm {
                         if lambda < 1.0 {
                             // EW-RLS downdate + inflation with PSD-preserving
                             // trace normalization against covariance wind-up,
-                            // plus re-symmetrization (the inflation amplifies
-                            // the antisymmetric rounding component
-                            // exponentially otherwise) — fused into one
-                            // upper-triangle sweep.
+                            // fused into one contiguous full-matrix sweep
+                            // whose (r,c) and (c,r) updates are bitwise
+                            // equal: P stays exactly symmetric (the inflation
+                            // would amplify an antisymmetric rounding
+                            // component exponentially).
                             let cap = self.cfg.p0_scale * d as f32;
                             ops::p_downdate_forget(
                                 &mut self.p_run,

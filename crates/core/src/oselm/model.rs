@@ -89,11 +89,14 @@ pub(crate) struct Scratch {
     pub h: Vec<f32>,
     pub ph: Vec<f32>,
     pub phn: Vec<f32>,
+    /// The current context's `(sample, target)` list: each positive, then
+    /// its negatives.
+    pub samples: Vec<(NodeId, f32)>,
 }
 
 impl Scratch {
     pub fn new(d: usize) -> Self {
-        Scratch { h: vec![0.0; d], ph: vec![0.0; d], phn: vec![0.0; d] }
+        Scratch { h: vec![0.0; d], ph: vec![0.0; d], phn: vec![0.0; d], samples: Vec::new() }
     }
 }
 
@@ -201,11 +204,11 @@ impl OsElmSkipGram {
         self.clamped
     }
 
-    /// Trains one context given precomputed positives/negatives — also the
-    /// entry point the FPGA host driver uses for its functional reference.
-    pub(crate) fn train_context(&mut self, center: NodeId, samples: &[(NodeId, f32)]) {
+    /// Trains one context against the positives/negatives the caller left in
+    /// `scratch.samples`.
+    fn train_context(&mut self, center: NodeId) {
         let d = self.cfg.model.dim;
-        let Scratch { h, ph, phn } = &mut self.scratch;
+        let Scratch { h, ph, phn, samples } = &mut self.scratch;
         // H = μ·β[:,center]
         let brow = self.beta_t.row(center as usize);
         for i in 0..d {
@@ -258,7 +261,7 @@ impl OsElmSkipGram {
         // that the dataflow model uses — there the gather is *semantic*
         // (stage 3 reads frozen β), here it would only add a second pass
         // plus duplicate-row bookkeeping.
-        for &(sample, y) in samples {
+        for &(sample, y) in samples.iter() {
             let row = self.beta_t.row_mut(sample as usize);
             let e = y - ops::dot(h, row);
             ops::axpy(e, phn, row);
@@ -269,10 +272,9 @@ impl OsElmSkipGram {
 impl EmbeddingModel for OsElmSkipGram {
     fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
         self.draw.begin_walk(walk, negatives, rng);
-        let mut samples: Vec<(NodeId, f32)> =
-            Vec::with_capacity((self.cfg.model.window - 1) * (self.cfg.model.negative_samples + 1));
         let mut ctxs = 0u64;
         for (center, positives) in context_windows(walk, self.cfg.model.window) {
+            let samples = &mut self.scratch.samples;
             samples.clear();
             for &pos in positives {
                 samples.push((pos, 1.0));
@@ -280,7 +282,7 @@ impl EmbeddingModel for OsElmSkipGram {
                     samples.push((neg, 0.0));
                 }
             }
-            self.train_context(center, &samples);
+            self.train_context(center);
             ctxs += 1;
         }
         // One registry touch per walk, not per context: the inner loop is

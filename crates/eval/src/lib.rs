@@ -11,6 +11,8 @@
 //!   multiclass, micro-F1 equals accuracy; both are reported.)
 //! * [`harness`] — multi-trial averaging, mirroring the paper's 3-trial mean.
 
+#![forbid(unsafe_code)]
+
 pub mod clustering;
 pub mod harness;
 pub mod linkpred;

@@ -21,6 +21,8 @@
 //! * [`error`] — quantization-error measurement used by the format-sweep
 //!   ablation bench.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod ops;
 pub mod q;

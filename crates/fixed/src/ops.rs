@@ -13,6 +13,11 @@
 //! 64-bit clamp whenever a range check on the data in hand proves neither
 //! can fire ([`dot_headroom`], [`lane_fits`]); when the check fails the
 //! reference runs.
+//!
+//! The kernels are `#[inline]` for a reason beyond call overhead:
+//! `seqge-fpga` compiles its walk body once per target-feature set (the
+//! build's baseline, and AVX2 for its signed 32×32→64 vector multiply), and
+//! only what is inlined into that body is compiled with the body's features.
 
 use crate::q::Fx;
 
@@ -60,6 +65,7 @@ impl MacAccumulator {
 /// Full-width dot product of two fixed-point slices with a single final
 /// quantization — the accelerator's MAC-tree semantics. Contrast with naive
 /// per-element `sat_mul` + `sat_add`, which truncates every step.
+#[inline]
 pub fn mac_dot<const FRAC: u32>(x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
     debug_assert_eq!(x.len(), y.len());
     let mut acc = MacAccumulator::new();
@@ -70,6 +76,7 @@ pub fn mac_dot<const FRAC: u32>(x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
 }
 
 /// Largest raw magnitude in `x` (0 when empty).
+#[inline]
 pub fn max_abs_bits<const FRAC: u32>(x: &[Fx<FRAC>]) -> u32 {
     x.iter().map(|v| v.to_bits().unsigned_abs()).max().unwrap_or(0)
 }
@@ -78,6 +85,7 @@ pub fn max_abs_bits<const FRAC: u32>(x: &[Fx<FRAC>]) -> u32 {
 /// `len · max|hᵢ| < 2³²` in raw bits. The other operand is at most 2³¹ in
 /// magnitude, so `Σ|xᵢhᵢ| < 2⁶³`: no prefix of the sum, taken in any order,
 /// leaves `i64`, and the saturating chain of [`mac_dot`] is a plain sum.
+#[inline]
 pub fn dot_headroom<const FRAC: u32>(h: &[Fx<FRAC>]) -> bool {
     (h.len() as u64).saturating_mul(u64::from(max_abs_bits(h))) < 1 << 32
 }
@@ -87,6 +95,7 @@ pub fn dot_headroom<const FRAC: u32>(h: &[Fx<FRAC>]) -> bool {
 /// is the compiler's to split across independent lanes. Equals [`mac_dot`]
 /// when [`dot_headroom`] holds for either operand; without headroom the sum
 /// can overflow.
+#[inline]
 pub fn lane_dot<const FRAC: u32>(x: &[Fx<FRAC>], y: &[Fx<FRAC>]) -> Fx<FRAC> {
     debug_assert_eq!(x.len(), y.len());
     let acc = x.iter().zip(y).map(|(a, b)| a.to_bits() as i64 * b.to_bits() as i64).sum();
@@ -107,6 +116,7 @@ pub fn gated_dot<const FRAC: u32>(wide: bool, x: &[Fx<FRAC>], y: &[Fx<FRAC>]) ->
 /// Whether the quantized product `q(a·x)` fits a lane without the clamp for
 /// every `|x| ≤ x_max`: `x_max · |a| < 2^(30+FRAC)` (2⁵⁴ at Q8.24) bounds the
 /// rounded, shifted product by 2³⁰ in magnitude.
+#[inline]
 pub fn lane_fits<const FRAC: u32>(a: Fx<FRAC>, x_max: u32) -> bool {
     u64::from(x_max) * u64::from(a.to_bits().unsigned_abs()) < 1 << (30 + FRAC)
 }
@@ -139,11 +149,13 @@ fn mul_acc<const FRAC: u32>(
 /// `y += q(a·x)` element-wise, each product quantized on write-back (every
 /// lane has its own DSP; there is no accumulation chain) — the Stage 4 `Δβ`
 /// update. `x_max` is [`max_abs_bits`]`(x)` or an upper bound on it.
+#[inline]
 pub fn mul_add<const FRAC: u32>(a: Fx<FRAC>, x: &[Fx<FRAC>], x_max: u32, y: &mut [Fx<FRAC>]) {
     mul_acc(a, x, x_max, y, i32::saturating_add);
 }
 
 /// `y -= q(a·x)` element-wise — one row of the Stage 4 `ΔP` downdate.
+#[inline]
 pub fn mul_sub<const FRAC: u32>(a: Fx<FRAC>, x: &[Fx<FRAC>], x_max: u32, y: &mut [Fx<FRAC>]) {
     mul_acc(a, x, x_max, y, i32::saturating_sub);
 }

@@ -7,6 +7,7 @@ use crate::ops::{max_abs_bits, mul_sub};
 use crate::q::Fx;
 
 /// `x *= a` elementwise.
+#[inline]
 pub fn scale<const FRAC: u32>(a: Fx<FRAC>, x: &mut [Fx<FRAC>]) {
     for v in x {
         *v = v.sat_mul(a);
@@ -23,6 +24,11 @@ pub fn scale<const FRAC: u32>(a: Fx<FRAC>, x: &mut [Fx<FRAC>]) {
 /// `t[r] = ph[r]·inv` stays O(1/|H|) — and multiplies by `hp[c]` second.
 /// Same DSP count; no intermediate saturation. Each row is one [`mul_sub`]:
 /// quantized per element, clamp-free whenever `t[r]·max|hp|` leaves headroom.
+///
+/// `#[inline(always)]`: the d² lane products here only reach the caller's
+/// vector unit if this is compiled inside the caller (see [`crate::ops`]),
+/// and at `#[inline]` the inliner leaves it out of line.
+#[inline(always)]
 pub fn rank1_downdate<const FRAC: u32>(
     m: &mut [Fx<FRAC>],
     d: usize,

@@ -208,6 +208,7 @@ impl Accelerator {
 
     /// One context in the fixed-point datapath (Stages 1–4 of Algorithm 2)
     /// against `positives` × (itself + the walk's shared negatives).
+    #[inline(always)]
     fn context_fixed(&mut self, center: NodeId, positives: &[NodeId]) {
         let d = self.dim;
         self.tile.touch(center);
@@ -302,6 +303,7 @@ impl Accelerator {
     /// Applies the per-walk Δβ (Algorithm 2 line 20) and counts saturation
     /// events (the running P was updated in place; line 19's commit is the
     /// DRAM write-back, priced by the DMA model).
+    #[inline(always)]
     fn commit_walk(&mut self) {
         let d = self.dim;
         for i in 0..d * d {
@@ -322,10 +324,15 @@ impl Accelerator {
             }
         });
     }
-}
 
-impl EmbeddingModel for Accelerator {
-    fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
+    /// One walk of Algorithm 2 — the only source of the kernel. It is
+    /// `#[inline(always)]`, as are `context_fixed` and `commit_walk` under
+    /// it, so that each caller compiles its own copy with its own target
+    /// features: [`EmbeddingModel::train_walk`] at the build's baseline, and
+    /// [`Self::train_walk_avx2`] with the 64-bit vector lanes the Q8.24
+    /// `i32×i32→i64` products want.
+    #[inline(always)]
+    fn train_walk_body(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
         let windows = context_windows(walk, self.cfg.model.window);
         let n_ctx = windows.len();
         if n_ctx == 0 {
@@ -356,6 +363,49 @@ impl EmbeddingModel for Accelerator {
         self.stats.dma_cycles += t.dma_cycles;
     }
 
+    /// [`Self::train_walk_body`] instantiated with AVX2: baseline x86-64
+    /// (SSE2) has no signed 32×32→64 vector multiply, so without this every
+    /// MAC of the lane kernels is a scalar `imul`. Same integer arithmetic,
+    /// same bits — lane sums are associative and every clamp sits behind its
+    /// range check.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn train_walk_avx2(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
+        self.train_walk_body(walk, negatives, rng);
+    }
+}
+
+/// Whether [`EmbeddingModel::train_walk`] takes the AVX2 instantiation on
+/// this CPU (detected once by `std`, then a cached load).
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Which instantiation of the Q8.24 kernel [`Accelerator`] runs on this
+/// host: `"avx2"` or `"baseline"`. Both train the same bits; this is for
+/// boot logs and benchmark records, where it explains a throughput.
+pub fn kernel_isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+impl EmbeddingModel for Accelerator {
+    fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: `has_avx2` on the line above is `is_x86_feature_detected!("avx2")`,
+            // the one requirement of a `#[target_feature(enable = "avx2")]` function.
+            return unsafe { self.train_walk_avx2(walk, negatives, rng) };
+        }
+        self.train_walk_body(walk, negatives, rng);
+    }
+
     fn embedding(&self) -> Mat<f32> {
         let mu = self.mu.to_f32();
         Mat::from_fn(self.num_nodes, self.dim, |r, c| mu * self.beta[r * self.dim + c].to_f32())
@@ -381,9 +431,10 @@ impl EmbeddingModel for Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqge_core::{DataflowOsElm, ModelConfig};
+    use seqge_core::{full_corpus, DataflowOsElm, ModelConfig, TrainConfig};
     use seqge_fixed::ops::{lane_fits, mac_dot};
-    use seqge_sampling::{UpdatePolicy, WalkCorpus};
+    use seqge_graph::generators::classic::erdos_renyi;
+    use seqge_sampling::{Node2VecParams, UpdatePolicy, WalkCorpus};
 
     fn ready_table(n: usize) -> NegativeTable {
         let mut corpus = WalkCorpus::new(n);
@@ -512,19 +563,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rail_state_fails_both_headroom_checks() {
-        // The state `tests/stream_pin.rs` pins as its rail regime: β in
-        // ±120, P = 100·I, μ = 1. That pin covers the scalar reference
-        // arithmetic only if the range checks really fail there.
-        let (n, d) = (40usize, 32usize);
+    /// β uniform in ±120 under P = 100·I at μ = 1, so that `H = β[center]`:
+    /// the state `tests/stream_pin.rs` pins as its rail regime.
+    fn rail_state(n: usize, cfg: OsElmConfig) -> Accelerator {
+        let d = cfg.model.dim;
         let mut rng = Rng64::seed_from_u64(9);
         let beta = (0..n * d).map(|_| Q8_24::from_f64((rng.next_f64() - 0.5) * 240.0)).collect();
         let mut p = vec![Q8_24::ZERO; d * d];
         for i in 0..d {
             p[i * d + i] = Q8_24::from_f64(100.0);
         }
-        let mut acc = Accelerator::from_raw_parts(n, OsElmConfig { mu: 1.0, ..cfg(d) }, beta, p);
+        Accelerator::from_raw_parts(n, OsElmConfig { mu: 1.0, ..cfg }, beta, p)
+    }
+
+    #[test]
+    fn rail_state_fails_both_headroom_checks() {
+        // The state `tests/stream_pin.rs` pins as its rail regime: β in
+        // ±120, P = 100·I, μ = 1. That pin covers the scalar reference
+        // arithmetic only if the range checks really fail there.
+        let d = 32usize;
+        let mut acc = rail_state(40, cfg(d));
         acc.negs = vec![1, 2, 3];
         // First context, P still definite: the downdate runs, on railed Pʜ.
         acc.context_fixed(0, &[4, 5, 6]);
@@ -543,6 +601,60 @@ mod tests {
         }
         assert!(!dot_headroom(&acc.h));
         assert!(!lane_fits(Q8_24::ONE, max_abs_bits(&acc.phn)));
+    }
+
+    /// Trains `accel` through `train_walk_body` as this build compiled it and
+    /// a clone through `train_walk` (the selector) over the same walks and
+    /// RNG stream — the corpus construction of `tests/stream_pin.rs` — and
+    /// asserts that nothing observable differs.
+    fn assert_selector_matches_baseline(accel: Accelerator, l: usize, walks: usize, seed: u64) {
+        let n = accel.num_nodes();
+        let g = erdos_renyi(n, 6.0 / n as f64, seed);
+        let cfg = TrainConfig {
+            walk: Node2VecParams { walk_length: l, walks_per_node: 1, ..Default::default() },
+            model: accel.config().model,
+        };
+        let (_, corpus, table, rng) = full_corpus(&g, &cfg, seed);
+        let corpus: Vec<_> = corpus.iter().filter(|w| w.len() > 1).take(walks).collect();
+        assert_eq!(corpus.len(), walks, "graph too sparse for the requested walk count");
+        let (mut selected, mut baseline) = (accel.clone(), accel);
+        let (mut rng_s, mut rng_b) = (rng.clone(), rng);
+        for (i, walk) in corpus.iter().enumerate() {
+            selected.train_walk(walk, &table, &mut rng_s);
+            baseline.train_walk_body(walk, &table, &mut rng_b);
+            if i % 16 == 15 {
+                assert_eq!(selected.take_dirty(), baseline.take_dirty(), "dirty rows, walk {i}");
+            }
+        }
+        assert_eq!(selected.beta_bits(), baseline.beta_bits());
+        assert_eq!(selected.p_bits(), baseline.p_bits());
+        assert_eq!(selected.stats, baseline.stats);
+        assert_eq!(selected.take_dirty(), baseline.take_dirty());
+        assert_eq!(rng_s.next_u64(), rng_b.next_u64());
+    }
+
+    #[test]
+    fn avx2_instantiation_matches_the_baseline_body() {
+        // Every CI host has AVX2, so `tests/stream_pin.rs` only ever pins
+        // that instantiation; this is what holds the other one to the same
+        // bits, in each of the pin's four arithmetic regimes.
+        if !has_avx2() {
+            println!("skipped: no avx2, the selector runs the baseline body");
+            return;
+        }
+        let paper = OsElmConfig::paper_defaults;
+        // (a) The benchmark's geometry.
+        assert_selector_matches_baseline(Accelerator::new(1000, paper(32)), 80, 48, 3);
+        // (b) Lane tails: d a multiple of no vector width.
+        assert_selector_matches_baseline(Accelerator::new(300, paper(12)), 40, 96, 5);
+        assert_selector_matches_baseline(Accelerator::new(300, paper(20)), 40, 96, 6);
+        // (c) forgetting < 1: healthy, and inflating onto the rails.
+        for forgetting in [0.9995, 0.98] {
+            let cfg = OsElmConfig { forgetting, ..paper(16) };
+            assert_selector_matches_baseline(Accelerator::new(300, cfg), 40, 96, 7);
+        }
+        // (d) A state on the saturation rails: no headroom check passes.
+        assert_selector_matches_baseline(rail_state(200, paper(32)), 40, 64, 8);
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! models, so `train_all_scenario(&g, &mut accel, ..)` *is* the host driver
 //! and `accel.stats` its report.
 
+// Every other crate is `#![forbid(unsafe_code)]`; this one has one block, the
+// CPUID-guarded call into the AVX2 instantiation in `accelerator.rs`.
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod accelerator;
 pub mod bram;
 pub mod device;
@@ -32,7 +36,7 @@ pub mod pipeline;
 pub mod resources;
 pub mod timing;
 
-pub use accelerator::{AccelStats, Accelerator};
+pub use accelerator::{kernel_isa, AccelStats, Accelerator};
 pub use device::{FpgaDevice, Utilization};
 pub use resources::{estimate_resources, AcceleratorDesign, ResourceEstimate};
 pub use timing::{TimingModel, WalkTiming};

@@ -21,6 +21,8 @@
 //!
 //! All randomness is seeded and deterministic for a given seed.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod csr;
 pub mod datasets;

@@ -12,6 +12,8 @@
 //! * [`ops`] — dot / axpy / gemv / rank-1 update kernels.
 //! * [`solve`] — Cholesky and Gauss–Jordan inversion for the `P₀` init.
 
+#![forbid(unsafe_code)]
+
 pub mod matrix;
 pub mod ops;
 pub mod scalar;

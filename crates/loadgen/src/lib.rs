@@ -31,6 +31,8 @@
 //! request streams (witnessed by `schedule_hash`); only latencies and
 //! server-side outcomes differ.
 
+#![forbid(unsafe_code)]
+
 pub mod arrival;
 pub mod driver;
 pub mod report;

@@ -38,6 +38,8 @@
 //! (`results/bench_obs.json` holds the evidence; budget is <2% on the
 //! pipelined-training bench).
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod flightrec;
 pub mod hist;

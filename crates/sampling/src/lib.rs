@@ -21,6 +21,8 @@
 //! * [`pipeline`] — overlapped walk generation: walker threads feed a
 //!   consumer in deterministic walk-index order over bounded channels.
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod corpus;
 pub mod negative;

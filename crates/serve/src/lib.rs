@@ -36,6 +36,7 @@
 //! injection), [`dedup`] (bounded retry-dedup table), [`ready`] (port-0
 //! readiness handshake for spawned daemons).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

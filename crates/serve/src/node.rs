@@ -35,7 +35,7 @@ pub fn start_node(
     seqge_obs::info!(
         "serve",
         "wal boot ({}): gen {} segment {}, {} replayed, {} skipped, torn tail: {}",
-        spec.kind,
+        spec.kind.boot_label(),
         boot.report.gen,
         boot.report.segment,
         boot.report.replayed,

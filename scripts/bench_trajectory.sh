@@ -35,8 +35,13 @@ for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
   done
 done
 for side in parent change; do run "$side" "$claimed" 7 1; done
+# Which instantiation of the fpga-sim kernel ran depends on the host CPU
+# (seqge_fpga::kernel_isa), so a trajectory point records it.
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)
+avx2=false && grep -qw avx2 /proc/cpuinfo && avx2=true
 host=$(jq -n --arg nproc "$(nproc)" --arg kernel "$(uname -r)" --arg rustc "$(rustc --version)" \
-  --arg date "$(date -u +%F)" '{nproc: ($nproc | tonumber), kernel: $kernel, rustc: $rustc, date: $date}')
+  --arg date "$(date -u +%F)" --arg cpu "$cpu" --argjson avx2 "$avx2" \
+  '{nproc: ($nproc | tonumber), cpu: $cpu, avx2: $avx2, kernel: $kernel, rustc: $rustc, date: $date}')
 jq -n --slurpfile b BENCHMARK.json --argjson host "$host" --arg pr "$pr" --arg rev "$rev" --arg claimed "$claimed" \
   --arg metric "$metric" '
   def quant(p): sort as $s | ((($s | length) - 1) * p) as $i | ($i | floor) as $l

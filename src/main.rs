@@ -492,7 +492,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         seqge::obs::info!(
             "serve",
             "bootstrapped {} d={dim} on {} nodes / {} edges in {:.1}s (ephemeral: no --wal-dir)",
-            backend,
+            backend.boot_label(),
             g.num_nodes(),
             g.num_edges(),
             t0.elapsed().as_secs_f64()
