@@ -7,6 +7,7 @@
 //!   the same event stream — raw Q8.24 words compared.
 //! * The deviation probe must not perturb the accelerator's RNG stream.
 //! * Save → load → replay is deterministic (the WAL recovery contract).
+//! * The bytes `save_state` writes — the SGE1 container — are pinned by hash.
 
 use seqge_backend::{BackendKind, BackendSpec, FpgaSimBackend, TrainBackend};
 use seqge_core::model::EmbeddingModel;
@@ -142,6 +143,34 @@ fn deviation_probe_does_not_perturb_the_stream_and_reports() {
     assert!(plan.cycles_total > 0 && plan.predicted_ingest_eps > 0.0, "{plan:?}");
     assert_eq!(without.publish_view().as_slice(), with_probe.publish_view().as_slice());
     assert!(without.deviation_ppm().is_none(), "no probe, no reading");
+}
+
+/// The SGE1 model container is an on-disk contract: a store written before a
+/// change to the writer must boot after it. Pins every byte `save_state`
+/// writes (magic, kind, config blob, shape, words) for both payload kinds.
+#[test]
+fn save_state_bytes_are_pinned() {
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+    let written =
+        [(BackendKind::Float, 2u8), (BackendKind::FpgaSim, 3u8)].map(|(kind, kind_byte)| {
+            let (mut g, events) = scenario();
+            let mut be = spec(kind).cold(g.num_nodes());
+            be.bootstrap(&g);
+            for &e in &events {
+                be.ingest(&mut g, e).unwrap();
+            }
+            let path = tmp(&format!("pin-{kind}.sge"));
+            be.save_state(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(&bytes[..5], [b'S', b'G', b'E', b'1', kind_byte], "{kind}: header");
+            (fnv(&bytes), bytes.len())
+        });
+    assert_eq!(written, [(0x3eca_284e_a9af_88d6, 1736), (0x2c9c_d6e1_79ba_da67, 1732)]);
 }
 
 #[test]
