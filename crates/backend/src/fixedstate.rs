@@ -1,156 +1,47 @@
 //! Fixed-point model persistence: SGE1 payload kind 3.
 //!
 //! The fpga-sim backend's deterministic-replay state is the accelerator's
-//! *raw Q8.24 words* — an f32 round-trip would perturb the low bits and
-//! break kill -9 bit-identity. This module extends the `seqge_core::persist`
-//! SGE1 container with a fixed-point payload:
-//!
-//! ```text
-//! magic  "SGE1"            4 bytes
-//! kind   u8                3 = fixed-point OS-ELM (Q8.24 raw bits)
-//! payload                  config JSON (u32 len + bytes), N u64, d u64,
-//!                          beta i32[N*d], p i32[d*d]   (little-endian bits)
-//! ```
-//!
-//! Kind bytes 1 (embedding) and 2 (float OS-ELM) stay owned by
-//! `seqge_core::persist`; [`sniff_kind`] reads just the 5-byte header so
-//! boot paths can refuse a snapshot written by the wrong backend before
-//! parsing anything.
+//! *raw Q8.24 words*. The container — header, config blob, shape, sections —
+//! is `seqge_core::persist`'s; this module says what a kind-3 word is, hands
+//! what a file held to [`Accelerator`]'s checked constructor, and reads the
+//! kind byte alone so a boot path can refuse a snapshot written by the other
+//! backend before parsing anything.
 
-use seqge_core::OsElmConfig;
+use seqge_core::model::EmbeddingModel;
+use seqge_core::persist::{self, KIND_FIXED};
 use seqge_fixed::Q8_24;
 use seqge_fpga::Accelerator;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"SGE1";
-/// `seqge_core::persist` float OS-ELM payload kind.
-pub const KIND_OSELM: u8 = 2;
-/// Fixed-point (Q8.24 raw bits) OS-ELM payload kind.
-pub const KIND_FIXED: u8 = 3;
-
-/// Largest number of fixed-point words any section may declare (matches
-/// `seqge_core::persist::MAX_ELEMS`); bigger counts are treated as corruption.
-const MAX_ELEMS: usize = 1 << 31;
-/// Largest config blob accepted (matches `seqge_core::persist`).
-const MAX_CONFIG_BYTES: usize = 1 << 20;
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+fn words(xs: &[Q8_24]) -> impl Iterator<Item = [u8; 4]> + '_ {
+    xs.iter().map(|x| x.to_bits().to_le_bytes())
 }
 
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn write_bits<W: Write>(w: &mut W, xs: &[Q8_24]) -> io::Result<()> {
-    for &x in xs {
-        w.write_all(&x.to_bits().to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_bits<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<Q8_24>> {
-    let byte_len = n
-        .checked_mul(4)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "element count overflows"))?;
-    let mut bytes = Vec::new();
-    r.take(byte_len as u64).read_to_end(&mut bytes)?;
-    if bytes.len() != byte_len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("payload truncated: expected {byte_len} bytes, found {}", bytes.len()),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| Q8_24::from_bits(i32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-        .collect())
-}
-
-fn checked_shape(rows: usize, cols: usize, what: &str) -> io::Result<usize> {
-    match rows.checked_mul(cols) {
-        Some(n) if n <= MAX_ELEMS => Ok(n),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unreasonable {what} shape {rows}x{cols}"),
-        )),
-    }
-}
-
-/// Reads the 5-byte SGE1 header of `path` and returns the payload kind.
+/// The payload kind of the SGE1 file at `path`.
 pub fn sniff_kind(path: &Path) -> io::Result<u8> {
-    let mut r = File::open(path)?;
-    let mut head = [0u8; 5];
-    r.read_exact(&mut head)?;
-    if &head[..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a seqge file"));
-    }
-    Ok(head[4])
+    persist::read_kind(&mut File::open(path)?)
 }
 
-/// Serializes the accelerator's replay state (config + raw β + raw P).
-pub fn write_fixed<W: Write>(acc: &Accelerator, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[KIND_FIXED])?;
-    let cfg = serde_json::to_vec(acc.config()).expect("config serializes");
-    w.write_all(&(cfg.len() as u32).to_le_bytes())?;
-    w.write_all(&cfg)?;
-    use seqge_core::EmbeddingModel;
-    write_u64(&mut w, acc.num_nodes() as u64)?;
-    write_u64(&mut w, acc.dim() as u64)?;
-    write_bits(&mut w, acc.beta_bits())?;
-    write_bits(&mut w, acc.p_bits())
-}
-
-/// Restores an accelerator written by [`write_fixed`]; bit-identical
-/// continuation (same raw words, same PerWalk-forced RNG schedule).
-pub fn read_fixed<R: Read>(mut r: R) -> io::Result<Accelerator> {
-    let mut head = [0u8; 5];
-    r.read_exact(&mut head)?;
-    if &head[..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a seqge file"));
-    }
-    if head[4] != KIND_FIXED {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("wrong payload kind {} (expected {KIND_FIXED})", head[4]),
-        ));
-    }
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let cfg_len = u32::from_le_bytes(len) as usize;
-    if cfg_len > MAX_CONFIG_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unreasonable config length {cfg_len}"),
-        ));
-    }
-    let mut cfg_bytes = vec![0u8; cfg_len];
-    r.read_exact(&mut cfg_bytes)?;
-    let cfg: OsElmConfig = serde_json::from_slice(&cfg_bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let rows = read_u64(&mut r)? as usize;
-    let cols = read_u64(&mut r)? as usize;
-    if cols != cfg.model.dim {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "dim/config mismatch"));
-    }
-    let beta_n = checked_shape(rows, cols, "beta")?;
-    let p_n = checked_shape(cols, cols, "P")?;
-    let beta = read_bits(&mut r, beta_n)?;
-    let p = read_bits(&mut r, p_n)?;
-    Ok(Accelerator::from_raw_parts(rows, cfg, beta, p))
-}
-
-/// File-path convenience wrappers.
+/// Persists the accelerator's replay state (config + raw β + raw P).
 pub fn save_fixed(acc: &Accelerator, path: &Path) -> io::Result<()> {
-    write_fixed(acc, File::create(path)?)
+    persist::write_model(
+        File::create(path)?,
+        KIND_FIXED,
+        acc.config(),
+        acc.num_nodes(),
+        words(acc.beta_bits()),
+        words(acc.p_bits()),
+    )
 }
 
-/// Loads an accelerator from `path`.
+/// Restores an accelerator written by [`save_fixed`]; bit-identical
+/// continuation (same raw words, same PerWalk-forced RNG schedule).
 pub fn load_fixed(path: &Path) -> io::Result<Accelerator> {
-    read_fixed(File::open(path)?)
+    let s = persist::read_model(File::open(path)?, KIND_FIXED, |b| {
+        Q8_24::from_bits(i32::from_le_bytes(b))
+    })?;
+    Accelerator::try_from_raw_parts(s.num_nodes, s.config, s.beta, s.p)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }

@@ -53,10 +53,6 @@ impl TrainBackend for FloatBackend {
         self.model.num_nodes()
     }
 
-    fn dim(&self) -> usize {
-        EmbeddingModel::dim(&self.model)
-    }
-
     fn bootstrap(&mut self, g: &Graph) {
         self.inc.bootstrap(g, &mut self.model);
     }

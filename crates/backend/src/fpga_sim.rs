@@ -16,48 +16,51 @@
 //!   into [`CyclePlan`]: predicted sustainable ingest rate at the configured
 //!   clock, exported next to the measured rate so capacity headroom is a
 //!   metric, not a guess.
-//! * **Deviation probe** (Fig. 4 live) — an optional float
-//!   [`DataflowOsElm`] shadow trains on the *same walks and negative draws*
-//!   (it consumes a cloned RNG, so the accelerator's stream — and replay
-//!   bit-identity — is untouched), and every publish measures the
-//!   fixed-vs-float embedding deviation in ppm. After each measurement the
-//!   shadow re-syncs to the dequantized fixed-point state: two numeric
-//!   trajectories run chaotically apart over thousands of events however
-//!   correct both are (tiny rounding differences compound through P), so
-//!   the *cumulative* distance says nothing actionable. The per-publish-
-//!   window drift stays in the ppm band Fig. 4 implies — a wrong
-//!   quantization scale or a saturation storm blows it up immediately —
-//!   which is what `tests/parity.rs` puts a ceiling on.
+//! * **Deviation probe** (Fig. 4 live) — a float [`DataflowOsElm`] shadow
+//!   trains on the *same walks and negative draws* (it consumes a cloned
+//!   RNG, so the accelerator's stream — and replay bit-identity — is
+//!   untouched), and every publish measures the fixed-vs-float embedding
+//!   deviation in ppm. After each measurement the shadow re-syncs to the
+//!   dequantized fixed-point state: two numeric trajectories run
+//!   chaotically apart over thousands of events however correct both are
+//!   (tiny rounding differences compound through P), so the *cumulative*
+//!   distance says nothing actionable. The per-publish-window drift stays
+//!   in the ppm band Fig. 4 implies — a wrong quantization scale or a
+//!   saturation storm blows it up immediately — which is what
+//!   `tests/parity.rs` puts a ceiling on.
 
-use crate::{BackendKind, CyclePlan, TrainBackend, CLOCK_MHZ};
+use crate::{BackendKind, CyclePlan, TrainBackend};
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{DataflowOsElm, IncrementalTrainer, SeqOutcome};
-use seqge_fpga::Accelerator;
+use seqge_fpga::{Accelerator, CLOCK_MHZ};
 use seqge_graph::{EdgeEvent, Graph, GraphError, NodeId};
 use seqge_linalg::Mat;
 use seqge_sampling::{NegativeTable, Rng64};
 use std::io;
 use std::path::Path;
 
-/// The accelerator plus its optional float shadow, presented to the
-/// sequential driver as one [`EmbeddingModel`]: the driver stays unaware
-/// that each walk is trained twice.
+/// The accelerator plus its float shadow, presented to the sequential driver
+/// as one [`EmbeddingModel`]: the driver stays unaware that each walk is
+/// trained twice.
 struct ProbeModel {
     accel: Accelerator,
-    shadow: Option<DataflowOsElm>,
+    shadow: DataflowOsElm,
+}
+
+/// A shadow (re)started from the accelerator's dequantized state. It runs
+/// the accelerator's own (PerWalk-forced) config, so both consume the
+/// identical negative-draw schedule.
+fn shadow_of(accel: &Accelerator) -> DataflowOsElm {
+    DataflowOsElm::from_parts(*accel.config(), accel.beta_f32(), accel.p_f32())
 }
 
 impl EmbeddingModel for ProbeModel {
     fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
-        if let Some(shadow) = &mut self.shadow {
-            // The shadow replays the identical draw schedule from a clone;
-            // the real stream advances exactly as it would without a probe.
-            let mut shadow_rng = rng.clone();
-            self.accel.train_walk(walk, negatives, rng);
-            shadow.train_walk(walk, negatives, &mut shadow_rng);
-        } else {
-            self.accel.train_walk(walk, negatives, rng);
-        }
+        // The shadow replays the identical draw schedule from a clone; the
+        // real stream advances exactly as it would on a bare accelerator.
+        let mut shadow_rng = rng.clone();
+        self.accel.train_walk(walk, negatives, rng);
+        self.shadow.train_walk(walk, negatives, &mut shadow_rng);
     }
 
     fn embedding(&self) -> Mat<f32> {
@@ -113,11 +116,7 @@ fn deviation_ppm(fixed: &Mat<f32>, float: &Mat<f32>) -> i64 {
 
 impl FpgaSimBackend {
     fn assemble(accel: Accelerator, spec: &crate::BackendSpec) -> FpgaSimBackend {
-        let shadow = spec.deviation_probe.then(|| {
-            // The shadow runs the accelerator's own (PerWalk-forced) config,
-            // so both consume the identical negative-draw schedule.
-            DataflowOsElm::from_parts(*accel.config(), accel.beta_f32(), accel.p_f32())
-        });
+        let shadow = shadow_of(&accel);
         let inc = IncrementalTrainer::new(accel.num_nodes(), &spec.train, spec.policy, spec.seed);
         let shadow_synced_walks = accel.stats.walks;
         FpgaSimBackend {
@@ -160,22 +159,13 @@ impl TrainBackend for FpgaSimBackend {
         let cfg = self.probe.accel.config();
         format!(
             "{{\"name\":\"fpga-sim\",\"dim\":{},\"seed\":{},\"mu\":{},\"forgetting\":{},\
-             \"clock_mhz\":{},\"deviation_probe\":{}}}",
-            cfg.model.dim,
-            self.seed,
-            cfg.mu,
-            cfg.forgetting,
-            CLOCK_MHZ,
-            self.probe.shadow.is_some()
+             \"clock_mhz\":{CLOCK_MHZ}}}",
+            cfg.model.dim, self.seed, cfg.mu, cfg.forgetting
         )
     }
 
     fn num_nodes(&self) -> usize {
         self.probe.accel.num_nodes()
-    }
-
-    fn dim(&self) -> usize {
-        self.probe.accel.dim()
     }
 
     fn bootstrap(&mut self, g: &Graph) {
@@ -207,18 +197,13 @@ impl TrainBackend for FpgaSimBackend {
                 full
             }
         };
-        if let Some(shadow) = &mut self.probe.shadow {
-            if self.probe.accel.stats.walks > self.shadow_synced_walks {
-                self.deviation_ppm = Some(deviation_ppm(&view, &shadow.embedding()));
-                // Re-sync: the next measurement covers only the walks
-                // trained between this publish and the next (see module
-                // docs). Walk-free publishes (flush barriers) keep the
-                // last measurement.
-                let accel = &self.probe.accel;
-                *shadow =
-                    DataflowOsElm::from_parts(*accel.config(), accel.beta_f32(), accel.p_f32());
-                self.shadow_synced_walks = accel.stats.walks;
-            }
+        if self.probe.accel.stats.walks > self.shadow_synced_walks {
+            self.deviation_ppm = Some(deviation_ppm(&view, &self.probe.shadow.embedding()));
+            // Re-sync: the next measurement covers only the walks trained
+            // between this publish and the next (see module docs). Walk-free
+            // publishes (flush barriers) keep the last measurement.
+            self.probe.shadow = shadow_of(&self.probe.accel);
+            self.shadow_synced_walks = self.probe.accel.stats.walks;
         }
         view
     }

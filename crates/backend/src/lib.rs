@@ -17,9 +17,9 @@
 //!   accounting per walk), the dequantized float serving view is refreshed
 //!   *lazily at publish time* over only the rows the kernel dirtied (the
 //!   host-side analogue of the accelerator's batched DRAM write-back), the
-//!   cycle model doubles as a live throughput planner ([`CyclePlan`]), and an
-//!   optional float shadow trained on the same walks/negatives measures the
-//!   Fig. 4-style accuracy deviation as a live metric.
+//!   cycle model doubles as a live throughput planner ([`CyclePlan`]), and a
+//!   float shadow trained on the same walks/negatives measures the Fig.
+//!   4-style accuracy deviation as a live metric.
 //!
 //! The contract every backend must honor (the serve/WAL planes rely on it):
 //!
@@ -40,7 +40,7 @@ pub mod fixedstate;
 pub mod float;
 pub mod fpga_sim;
 
-use seqge_core::{OsElmConfig, SeqOutcome, TrainConfig};
+use seqge_core::{persist, OsElmConfig, SeqOutcome, TrainConfig};
 use seqge_graph::{EdgeEvent, Graph, GraphError};
 use seqge_linalg::Mat;
 use seqge_sampling::UpdatePolicy;
@@ -99,9 +99,6 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// The clock the fpga-sim cycle planner is evaluated at: the paper's 200 MHz.
-pub const CLOCK_MHZ: u32 = 200;
-
 /// The live throughput plan derived from the accelerator's cycle model: what
 /// ingest rate the modeled hardware *should* sustain at the configured clock,
 /// to compare against what the server measures. Float backends have no cycle
@@ -149,9 +146,6 @@ pub trait TrainBackend: Send {
     /// Node capacity of the model.
     fn num_nodes(&self) -> usize;
 
-    /// Embedding dimension.
-    fn dim(&self) -> usize;
-
     /// Full "all"-protocol pass over the boot graph (start-up only).
     fn bootstrap(&mut self, g: &Graph);
 
@@ -184,7 +178,7 @@ pub trait TrainBackend: Send {
 
     /// Latest measured float-vs-fixed embedding deviation in parts-per-
     /// million (refreshed by [`TrainBackend::publish_view`]), if this
-    /// backend runs a deviation probe.
+    /// backend runs a float shadow.
     fn deviation_ppm(&self) -> Option<i64> {
         None
     }
@@ -206,15 +200,10 @@ pub struct BackendSpec {
     pub policy: UpdatePolicy,
     /// Walk/negative RNG seed.
     pub seed: u64,
-    /// Run the float deviation shadow alongside fpga-sim (Fig. 4 live
-    /// metric). Ignored by the float backend. The shadow trains on a
-    /// *cloned* RNG, so the accelerator's stream — and therefore replay
-    /// bit-identity — is unaffected by this switch.
-    pub deviation_probe: bool,
 }
 
 impl BackendSpec {
-    /// A spec with the deviation probe on.
+    /// A spec for `kind`.
     pub fn new(
         kind: BackendKind,
         train: TrainConfig,
@@ -222,7 +211,7 @@ impl BackendSpec {
         policy: UpdatePolicy,
         seed: u64,
     ) -> BackendSpec {
-        BackendSpec { kind, train, oselm, policy, seed, deviation_probe: true }
+        BackendSpec { kind, train, oselm, policy, seed }
     }
 
     /// Shorthand for the float engine (the pre-refactor serving default).
@@ -233,12 +222,6 @@ impl BackendSpec {
         seed: u64,
     ) -> BackendSpec {
         BackendSpec::new(BackendKind::Float, train, oselm, policy, seed)
-    }
-
-    /// Disables or enables the fpga-sim deviation shadow.
-    pub fn with_deviation_probe(mut self, on: bool) -> BackendSpec {
-        self.deviation_probe = on;
-        self
     }
 
     /// Builds a cold (untrained) backend over `num_nodes` nodes.
@@ -258,8 +241,8 @@ impl BackendSpec {
     pub fn load(&self, path: &Path) -> io::Result<Box<dyn TrainBackend>> {
         let kind = fixedstate::sniff_kind(path)?;
         let found = match kind {
-            fixedstate::KIND_OSELM => BackendKind::Float,
-            fixedstate::KIND_FIXED => BackendKind::FpgaSim,
+            persist::KIND_OSELM => BackendKind::Float,
+            persist::KIND_FIXED => BackendKind::FpgaSim,
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

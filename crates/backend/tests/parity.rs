@@ -5,7 +5,7 @@
 //!   hand (the pre-refactor serve trainer) — snapshot **bytes** compared.
 //! * [`FpgaSimBackend`] vs. the offline `seqge-fpga` functional execution of
 //!   the same event stream — raw Q8.24 words compared.
-//! * The deviation probe must not perturb the accelerator's RNG stream.
+//! * fpga-sim's float shadow must not perturb the accelerator's RNG stream.
 //! * Save → load → replay is deterministic (the WAL recovery contract).
 //! * The bytes `save_state` writes — the SGE1 container — are pinned by hash.
 
@@ -94,8 +94,8 @@ fn fpga_sim_matches_offline_functional_execution() {
         inc.ingest(&mut g, e, &mut acc).unwrap();
     }
 
-    // The serving backend over the same stream, deviation probe ON: the
-    // probe must be invisible to the fixed-point trajectory.
+    // The serving backend over the same stream: its float shadow must be
+    // invisible to the fixed-point trajectory.
     let (mut g2, _) = scenario();
     let mut be = FpgaSimBackend::cold(g2.num_nodes(), &spec(BackendKind::FpgaSim));
     be.bootstrap(&g2);
@@ -112,37 +112,16 @@ fn fpga_sim_matches_offline_functional_execution() {
         EmbeddingModel::embedding(&acc).as_slice(),
         "dirty-row publish must equal full dequantization"
     );
-}
 
-#[test]
-fn deviation_probe_does_not_perturb_the_stream_and_reports() {
-    let (mut g1, events) = scenario();
-    let (mut g2, _) = scenario();
-    let on = spec(BackendKind::FpgaSim);
-    let off = spec(BackendKind::FpgaSim).with_deviation_probe(false);
-    let mut with_probe = FpgaSimBackend::cold(g1.num_nodes(), &on);
-    let mut without = FpgaSimBackend::cold(g2.num_nodes(), &off);
-    with_probe.bootstrap(&g1);
-    without.bootstrap(&g2);
-    for &e in &events {
-        with_probe.ingest(&mut g1, e).unwrap();
-        without.ingest(&mut g2, e).unwrap();
-    }
-    assert_eq!(with_probe.accel().beta_bits(), without.accel().beta_bits());
-    assert_eq!(with_probe.accel().p_bits(), without.accel().p_bits());
-
-    let _ = with_probe.publish_view();
-    let dev = with_probe.deviation_ppm().expect("probe measures deviation");
+    let dev = be.deviation_ppm().expect("the shadow measured that publish");
     assert!(dev > 0, "fixed point must deviate measurably from float");
     // Quantization correctness, not speed: a wrong Q8.24 scale or a
     // saturation storm reads 10^5+ where a healthy kernel reads 10^1–10^3,
     // so the ceiling is a constant.
     assert!(dev < 5_000, "deviation should stay in the Fig. 4 band (got {dev} ppm)");
     // A dead planner means the capacity-headroom metrics are lying.
-    let plan = with_probe.planner().expect("fpga-sim prices its walks");
+    let plan = be.planner().expect("fpga-sim prices its walks");
     assert!(plan.cycles_total > 0 && plan.predicted_ingest_eps > 0.0, "{plan:?}");
-    assert_eq!(without.publish_view().as_slice(), with_probe.publish_view().as_slice());
-    assert!(without.deviation_ppm().is_none(), "no probe, no reading");
 }
 
 /// The SGE1 model container is an on-disk contract: a store written before a
@@ -222,4 +201,57 @@ fn load_refuses_wrong_backend_kind() {
     let err = spec(BackendKind::Float).load(&path).err().expect("kind mismatch refused");
     assert!(err.to_string().contains("fpga-sim"), "error names the writing backend: {err}");
     let _ = std::fs::remove_file(&path);
+}
+
+/// A snapshot file is outside input: whatever is wrong with it — a config
+/// that parses but fails validation, a shape that disagrees with it, a short
+/// section, a flipped header byte — `load` answers an `io::Error` on both
+/// kinds, never a panic in a model constructor.
+#[test]
+fn load_refuses_invalid_snapshots() {
+    for kind in [BackendKind::Float, BackendKind::FpgaSim] {
+        let (g, _) = scenario();
+        let mut be = spec(kind).cold(g.num_nodes());
+        be.bootstrap(&g);
+        let path = tmp(&format!("invalid-{kind}.sge"));
+        be.save_state(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        // header (5) + config length (4) + config JSON + N (8) + d (8) + words.
+        let cfg_len = u32::from_le_bytes(good[5..9].try_into().unwrap()) as usize;
+        let json = std::str::from_utf8(&good[9..9 + cfg_len]).unwrap();
+        let with_config = |from: &str, to: &str, dim: u64| {
+            assert!(json.contains(from), "{kind}: config blob has no {from}: {json}");
+            let json = json.replace(from, to);
+            let mut bytes = good[..5].to_vec();
+            bytes.extend_from_slice(&(json.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(json.as_bytes());
+            bytes.extend_from_slice(&good[9 + cfg_len..][..8]);
+            bytes.extend_from_slice(&dim.to_le_bytes());
+            bytes.extend_from_slice(&good[9 + cfg_len + 16..]);
+            bytes
+        };
+        let flipped = |at: usize| {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0x20;
+            bytes
+        };
+        let d = DIM as u64;
+        let (invalid, eof) = (std::io::ErrorKind::InvalidData, std::io::ErrorKind::UnexpectedEof);
+        let cases = [
+            ("forgetting 0", with_config("\"forgetting\":1.0", "\"forgetting\":0.0", d), invalid),
+            ("mu < 0", with_config("\"mu\":0.05", "\"mu\":-0.05", d), invalid),
+            ("dim 0", with_config("\"dim\":8", "\"dim\":0", 0), invalid),
+            ("d disagrees with the config", with_config("\"dim\":8", "\"dim\":8", d + 1), invalid),
+            ("truncated P", good[..good.len() - 7].to_vec(), eof),
+            ("flipped magic", flipped(1), invalid),
+            ("flipped kind", flipped(4), invalid),
+        ];
+        for (what, bytes, expected) in cases {
+            std::fs::write(&path, bytes).unwrap();
+            let err = spec(kind).load(&path).err().unwrap_or_else(|| panic!("{kind}: {what}"));
+            assert_eq!(err.kind(), expected, "{kind}: {what}: {err}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }

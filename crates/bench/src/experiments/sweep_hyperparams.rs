@@ -36,7 +36,7 @@ pub fn run(s: &Setting) -> Report {
         // Modeled FPGA cost of one walk at these knobs.
         let contexts = l.saturating_sub(cfg.model.window) + 1;
         let samples = (cfg.model.window - 1) * (ns + 1);
-        let walk_ms = timing.walk_timing(&design, contexts, samples).millis(timing.clock_mhz);
+        let walk_ms = timing.walk_timing(&design, contexts, samples).millis();
         r.row(vec![
             int(l),
             int(w),

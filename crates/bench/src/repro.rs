@@ -1,6 +1,6 @@
-//! `repro` — everything that is done with a row of
-//! [`EXPERIMENTS`](crate::experiments::EXPERIMENTS): run it into
-//! `results/`, check `results/` against it, render it into EXPERIMENTS.md.
+//! `repro` — everything that is done with a row of [`EXPERIMENTS`]: run it
+//! into `results/`, check `results/` against it, render it into
+//! EXPERIMENTS.md.
 //!
 //! `results/<name>.json` is a [`Record`] — the `setting` it was recorded at
 //! and the `report` with its `deterministic` / `wall_clock` / `notes` keys;

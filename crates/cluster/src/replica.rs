@@ -23,7 +23,6 @@
 //! primary's `write_all` returns, independent of fsync policy.
 
 use seqge_backend::BackendSpec;
-use seqge_graph::EdgeEvent;
 use seqge_serve::snapshot::{EmbeddingSnapshot, SnapshotCell};
 use seqge_serve::wal::{self, SegmentTailer};
 use seqge_serve::{Applied, Fold};
@@ -82,9 +81,6 @@ impl Replica {
                 cfg.refresh_every,
             ),
             segment: meta.segment,
-            walks_trained: 0,
-            edges_inserted: 0,
-            edges_removed: 0,
             applied: applied.clone(),
             stop: stop.clone(),
         };
@@ -132,15 +128,12 @@ impl Drop for Replica {
     }
 }
 
-/// The tail thread's owned state: the fold plus the replica's own counters.
+/// The tail thread's owned state.
 struct TailLoop {
     dir: PathBuf,
     poll: Duration,
     fold: Fold,
     segment: u64,
-    walks_trained: usize,
-    edges_inserted: usize,
-    edges_removed: usize,
     applied: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
 }
@@ -173,30 +166,18 @@ impl TailLoop {
     /// Folds decoded records in (records already covered, or carried
     /// forward by a rotation, are skipped); returns how many trained.
     fn apply(&mut self, records: Vec<wal::WalRecord>) -> usize {
-        let mut applied = 0;
+        let mut trained = 0;
         for rec in records {
-            if let Applied::Trained(walks) = self.fold.apply(rec.seq, rec.event).applied {
-                self.walks_trained += walks;
-                match rec.event {
-                    EdgeEvent::Add(..) => self.edges_inserted += 1,
-                    EdgeEvent::Remove(..) => self.edges_removed += 1,
-                }
-                applied += 1;
+            if let Applied::Trained(_) = self.fold.apply(rec.seq, rec.event).applied {
+                trained += 1;
             }
         }
-        applied
+        trained
     }
 
+    /// The fold as of its cursor, indexless: a replica answers point reads.
     fn snapshot(&mut self) -> EmbeddingSnapshot {
-        EmbeddingSnapshot {
-            version: self.fold.applied_seq(),
-            emb: self.fold.backend.publish_view(),
-            num_edges: self.fold.graph.num_edges(),
-            walks_trained: self.walks_trained,
-            edges_inserted: self.edges_inserted,
-            edges_removed: self.edges_removed,
-            ann: None,
-        }
+        self.fold.snapshot(self.fold.applied_seq(), None).0
     }
 
     fn publish(&mut self, cell: &SnapshotCell) {

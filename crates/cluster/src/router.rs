@@ -200,26 +200,6 @@ pub fn start_router(
 /// epoch they were dialed against.
 type Conns = Vec<Option<(u64, Client)>>;
 
-/// `"cluster."`-prefixed span name for a wire op, precomputed so
-/// tracing-off dispatch never allocates.
-fn cluster_span_name(op: &str) -> &'static str {
-    match op {
-        "ping" => "cluster.ping",
-        "stats" => "cluster.stats",
-        "get_embedding" => "cluster.get_embedding",
-        "topk" => "cluster.topk",
-        "score_link" => "cluster.score_link",
-        "add_edge" => "cluster.add_edge",
-        "remove_edge" => "cluster.remove_edge",
-        "flush" => "cluster.flush",
-        "snapshot" => "cluster.snapshot",
-        "metrics" => "cluster.metrics",
-        "trace" => "cluster.trace",
-        "flightrec" => "cluster.flightrec",
-        _ => "cluster.shutdown",
-    }
-}
-
 struct RouterCtx {
     queue: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)>,
     stop: Arc<AtomicBool>,
@@ -280,10 +260,10 @@ impl RouterCtx {
                 return (Response::err(e), false);
             }
         };
-        self.count_op(req.cmd_name());
+        self.count_op(req.op().name);
         // The fan-out root: per-shard children open under it (via the
         // thread-local stack) inside `scatter_gather` / `forward_one`.
-        let mut span = seqge_obs::trace::start_span(cluster_span_name(req.cmd_name()), wire_ctx);
+        let mut span = seqge_obs::trace::start_span(req.op().cluster_span, wire_ctx);
         let (out, close) = match req {
             Request::Ping => {
                 (Response::ok().field("pong", true).field("role", "router").build(), false)
@@ -757,11 +737,8 @@ impl RouterCtx {
         if parsed.get("ok") != Some(&Value::Bool(true)) {
             let msg = parsed.get("error").and_then(Value::as_str).unwrap_or("unknown shard error");
             // Keep the client's retry classification intact: a shed reply
-            // stays `code`-classified (and prefix-recognizable) through
-            // the router.
-            if parsed.get("code").and_then(Value::as_str) == Some(CODE_OVERLOADED)
-                || msg.starts_with("overloaded")
-            {
+            // stays `code`-classified through the router.
+            if parsed.get("code").and_then(Value::as_str) == Some(CODE_OVERLOADED) {
                 return Response::err_code(CODE_OVERLOADED, msg);
             }
             return Response::err(format!("shard {s}: {msg}"));

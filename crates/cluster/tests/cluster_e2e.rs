@@ -759,6 +759,13 @@ fn live_trainer_recovery_and_replica_agree_under_a_refresh_cadence() {
     for (n, want) in live.iter().enumerate() {
         assert_eq!(snap.embedding(n as u32).unwrap(), &want[..], "replica row {n} differs");
     }
+    // Both booted from generation 0 and folded the same records, so the
+    // counters agree too — the refresh walks included.
+    assert_eq!(
+        [snap.walks_trained, snap.edges_inserted, snap.edges_removed].map(|c| c as u64),
+        [stat("walks_trained"), stat("edges_inserted"), stat("edges_removed")],
+        "replica counters differ from the primary's"
+    );
     replica.stop();
 
     // Recovery of the same bytes, as after a kill -9 (the live server has

@@ -8,11 +8,18 @@
 //!
 //! ```text
 //! magic  "SGE1"            4 bytes
-//! kind   u8                1 = embedding, 2 = OS-ELM model
+//! kind   u8                1 = embedding, 2 = OS-ELM model,
+//!                          3 = fixed-point OS-ELM model
 //! ---- embedding ----      rows u64, cols u64, f32[rows*cols]
 //! ---- model --------      config JSON (u32 len + bytes), N u64, d u64,
-//!                          beta f32[N*d], p f32[d*d]
+//!                          beta word[N*d], p word[d*d]
 //! ```
+//!
+//! Every section is a run of 4-byte little-endian words: `f32` for kinds 1
+//! and 2, and for kind 3 the accelerator's *raw Q8.24 bits* — an f32
+//! round-trip would perturb the low bits and break replay bit-identity. This
+//! module owns the container for all three and moves words as `[u8; 4]`; what
+//! a kind-3 word means is `seqge-backend`'s business.
 
 use crate::oselm::{OsElmConfig, OsElmSkipGram};
 use seqge_linalg::Mat;
@@ -21,7 +28,15 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SGE1";
 const KIND_EMBEDDING: u8 = 1;
-const KIND_OSELM: u8 = 2;
+/// Payload kind of a float OS-ELM model ([`write_oselm`]).
+pub const KIND_OSELM: u8 = 2;
+/// Payload kind of a fixed-point OS-ELM model: [`write_model`] over raw
+/// Q8.24 bits.
+pub const KIND_FIXED: u8 = 3;
+
+fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
 
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -33,26 +48,28 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-fn write_f32s<W: Write>(w: &mut W, xs: &[f32]) -> io::Result<()> {
-    for &x in xs {
-        w.write_all(&x.to_le_bytes())?;
+fn write_words<W: Write>(w: &mut W, words: impl IntoIterator<Item = [u8; 4]>) -> io::Result<()> {
+    for x in words {
+        w.write_all(&x)?;
     }
     Ok(())
 }
 
-/// Largest number of f32 elements any payload section may declare
-/// (embedding or β: 2³¹ elements = 8 GiB). Declared sizes above this are
-/// treated as corruption rather than honored with a giant allocation.
+fn f32_words(xs: &[f32]) -> impl Iterator<Item = [u8; 4]> + '_ {
+    xs.iter().map(|x| x.to_le_bytes())
+}
+
+/// Largest number of words any payload section may declare (embedding or β:
+/// 2³¹ words = 8 GiB). Declared sizes above this are treated as corruption
+/// rather than honored with a giant allocation.
 const MAX_ELEMS: usize = 1 << 31;
 
-/// Largest serialized-config blob [`read_oselm`] will accept; real configs
+/// Largest serialized-config blob [`read_model`] will accept; real configs
 /// are well under a kilobyte, so anything bigger is a corrupt length field.
 const MAX_CONFIG_BYTES: usize = 1 << 20;
 
-fn read_f32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<f32>> {
-    let byte_len = n
-        .checked_mul(4)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "element count overflows"))?;
+fn read_words<T, R: Read>(r: &mut R, n: usize, word: fn([u8; 4]) -> T) -> io::Result<Vec<T>> {
+    let byte_len = n.checked_mul(4).ok_or_else(|| invalid("element count overflows"))?;
     // Grow incrementally instead of trusting the declared length with one
     // up-front allocation: a corrupt header then fails with UnexpectedEof
     // after reading the (short) real payload, not by exhausting memory.
@@ -64,44 +81,49 @@ fn read_f32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<f32>> {
             format!("payload truncated: expected {byte_len} bytes, found {}", bytes.len()),
         ));
     }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+    Ok(bytes.chunks_exact(4).map(|c| word([c[0], c[1], c[2], c[3]])).collect())
 }
 
 /// Validates a declared `rows × cols` shape: no overflow, bounded total.
 fn checked_shape(rows: usize, cols: usize, what: &str) -> io::Result<usize> {
     match rows.checked_mul(cols) {
         Some(n) if n <= MAX_ELEMS => Ok(n),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unreasonable {what} shape {rows}x{cols}"),
-        )),
+        _ => Err(invalid(format!("unreasonable {what} shape {rows}x{cols}"))),
     }
 }
 
-fn check_header<R: Read>(r: &mut R, kind: u8) -> io::Result<()> {
+fn write_header<W: Write>(w: &mut W, kind: u8) -> io::Result<()> {
+    w.write_all(MAGIC)?;
+    w.write_all(&[kind])
+}
+
+/// Reads the SGE1 header (magic + kind byte) and returns the payload kind, so
+/// a boot path can refuse a snapshot written by the wrong backend before
+/// parsing it.
+pub fn read_kind<R: Read>(r: &mut R) -> io::Result<u8> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a seqge file"));
+        return Err(invalid("not a seqge file"));
     }
-    let mut k = [0u8; 1];
-    r.read_exact(&mut k)?;
-    if k[0] != kind {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("wrong payload kind {} (expected {kind})", k[0]),
-        ));
+    let mut kind = [0u8; 1];
+    r.read_exact(&mut kind)?;
+    Ok(kind[0])
+}
+
+fn check_header<R: Read>(r: &mut R, kind: u8) -> io::Result<()> {
+    match read_kind(r)? {
+        k if k == kind => Ok(()),
+        k => Err(invalid(format!("wrong payload kind {k} (expected {kind})"))),
     }
-    Ok(())
 }
 
 /// Writes an embedding matrix in the binary format.
 pub fn write_embedding<W: Write>(emb: &Mat<f32>, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[KIND_EMBEDDING])?;
+    write_header(&mut w, KIND_EMBEDDING)?;
     write_u64(&mut w, emb.rows() as u64)?;
     write_u64(&mut w, emb.cols() as u64)?;
-    write_f32s(&mut w, emb.as_slice())
+    write_words(&mut w, f32_words(emb.as_slice()))
 }
 
 /// Reads an embedding matrix written by [`write_embedding`].
@@ -110,8 +132,7 @@ pub fn read_embedding<R: Read>(mut r: R) -> io::Result<Mat<f32>> {
     let rows = read_u64(&mut r)? as usize;
     let cols = read_u64(&mut r)? as usize;
     let n = checked_shape(rows, cols, "embedding")?;
-    let data = read_f32s(&mut r, n)?;
-    Ok(Mat::from_vec(rows, cols, data))
+    Ok(Mat::from_vec(rows, cols, read_words(&mut r, n, f32::from_le_bytes)?))
 }
 
 /// Writes an embedding as TSV (`node<TAB>v0<TAB>v1…`), the interchange
@@ -127,47 +148,92 @@ pub fn write_embedding_tsv<W: Write>(emb: &Mat<f32>, mut w: W) -> io::Result<()>
     Ok(())
 }
 
-/// Serializes a trained OS-ELM model (config + β + P).
-pub fn write_oselm<W: Write>(model: &OsElmSkipGram, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[KIND_OSELM])?;
-    let cfg = serde_json::to_vec(model.config()).expect("config serializes");
-    w.write_all(&(cfg.len() as u32).to_le_bytes())?;
-    w.write_all(&cfg)?;
-    write_u64(&mut w, model.beta_t().rows() as u64)?;
-    write_u64(&mut w, model.beta_t().cols() as u64)?;
-    write_f32s(&mut w, model.beta_t().as_slice())?;
-    write_f32s(&mut w, model.p().as_slice())
+/// A model payload as [`read_model`] found it: well-formed as a container
+/// (`beta` holds `num_nodes × d` words and `p` holds `d × d`, with `d` the
+/// config's dimension), not yet validated as a model — that is the
+/// constructor's job ([`OsElmSkipGram::from_parts`] for kind 2).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelState<T> {
+    /// The hyper-parameters the model was trained under.
+    pub config: OsElmConfig,
+    /// `N`, the rows of βᵀ.
+    pub num_nodes: usize,
+    /// βᵀ, row per node.
+    pub beta: Vec<T>,
+    /// `P`, row-major `d × d`.
+    pub p: Vec<T>,
 }
 
-/// Restores an OS-ELM model written by [`write_oselm`]. Training can resume
-/// exactly where it stopped (β and P are the model's whole state).
-pub fn read_oselm<R: Read>(mut r: R) -> io::Result<OsElmSkipGram> {
-    check_header(&mut r, KIND_OSELM)?;
+/// Serializes a model payload of `kind`: config, shape (`num_nodes` ×
+/// `config.model.dim`), then `beta` and `p` word by word.
+pub fn write_model<W: Write>(
+    mut w: W,
+    kind: u8,
+    config: &OsElmConfig,
+    num_nodes: usize,
+    beta: impl IntoIterator<Item = [u8; 4]>,
+    p: impl IntoIterator<Item = [u8; 4]>,
+) -> io::Result<()> {
+    write_header(&mut w, kind)?;
+    let cfg = serde_json::to_vec(config).expect("config serializes");
+    w.write_all(&(cfg.len() as u32).to_le_bytes())?;
+    w.write_all(&cfg)?;
+    write_u64(&mut w, num_nodes as u64)?;
+    write_u64(&mut w, config.model.dim as u64)?;
+    write_words(&mut w, beta)?;
+    write_words(&mut w, p)
+}
+
+/// Reads a model payload of `kind` written by [`write_model`], decoding each
+/// word with `word`. Any truncation, wrong magic or kind, oversized length
+/// field, unparseable config or shape that disagrees with it is an error.
+pub fn read_model<T, R: Read>(
+    mut r: R,
+    kind: u8,
+    word: fn([u8; 4]) -> T,
+) -> io::Result<ModelState<T>> {
+    check_header(&mut r, kind)?;
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let cfg_len = u32::from_le_bytes(len) as usize;
     if cfg_len > MAX_CONFIG_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unreasonable config length {cfg_len}"),
-        ));
+        return Err(invalid(format!("unreasonable config length {cfg_len}")));
     }
     let mut cfg_bytes = vec![0u8; cfg_len];
     r.read_exact(&mut cfg_bytes)?;
-    let cfg: OsElmConfig = serde_json::from_slice(&cfg_bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let rows = read_u64(&mut r)? as usize;
+    let config: OsElmConfig = serde_json::from_slice(&cfg_bytes).map_err(invalid)?;
+    let num_nodes = read_u64(&mut r)? as usize;
     let cols = read_u64(&mut r)? as usize;
-    if cols != cfg.model.dim {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "dim/config mismatch"));
+    if cols != config.model.dim {
+        return Err(invalid("dim/config mismatch"));
     }
-    let beta_n = checked_shape(rows, cols, "beta")?;
+    let beta_n = checked_shape(num_nodes, cols, "beta")?;
     let p_n = checked_shape(cols, cols, "P")?;
-    let beta = Mat::from_vec(rows, cols, read_f32s(&mut r, beta_n)?);
-    let p = Mat::from_vec(cols, cols, read_f32s(&mut r, p_n)?);
-    OsElmSkipGram::from_parts(beta, p, cfg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let beta = read_words(&mut r, beta_n, word)?;
+    let p = read_words(&mut r, p_n, word)?;
+    Ok(ModelState { config, num_nodes, beta, p })
+}
+
+/// Serializes a trained OS-ELM model (config + β + P).
+pub fn write_oselm<W: Write>(model: &OsElmSkipGram, w: W) -> io::Result<()> {
+    let (beta, p) = (model.beta_t(), model.p());
+    write_model(
+        w,
+        KIND_OSELM,
+        model.config(),
+        beta.rows(),
+        f32_words(beta.as_slice()),
+        f32_words(p.as_slice()),
+    )
+}
+
+/// Restores an OS-ELM model written by [`write_oselm`]. Training can resume
+/// exactly where it stopped (β and P are the model's whole state).
+pub fn read_oselm<R: Read>(r: R) -> io::Result<OsElmSkipGram> {
+    let s = read_model(r, KIND_OSELM, f32::from_le_bytes)?;
+    let d = s.config.model.dim;
+    let (beta, p) = (Mat::from_vec(s.num_nodes, d, s.beta), Mat::from_vec(d, d, s.p));
+    OsElmSkipGram::from_parts(beta, p, s.config).map_err(invalid)
 }
 
 /// File-path convenience wrappers.

@@ -6,7 +6,10 @@
 //! any truncated or corrupted input.
 
 use proptest::prelude::*;
-use seqge_core::persist::{read_embedding, read_oselm, write_embedding, write_oselm};
+use seqge_core::persist::{
+    read_embedding, read_model, read_oselm, write_embedding, write_model, write_oselm, ModelState,
+    KIND_FIXED,
+};
 use seqge_core::{train_all_scenario, OsElmConfig, OsElmSkipGram, TrainConfig};
 use seqge_graph::generators::classic::erdos_renyi;
 
@@ -21,6 +24,21 @@ fn trained(dim: usize, nodes: usize, seed: u64) -> OsElmSkipGram {
     );
     train_all_scenario(&g, &mut m, &cfg, seed);
     m
+}
+
+/// `m`'s payload as a kind-3 file. The container does not interpret words, so
+/// the f32 bit patterns stand in for the raw Q8.24 bits the fpga-sim backend
+/// stores.
+fn fixed_bytes(m: &OsElmSkipGram) -> Vec<u8> {
+    let words = |xs: &[f32]| xs.iter().map(|x| x.to_bits().to_le_bytes()).collect::<Vec<_>>();
+    let (beta, p) = (words(m.beta_t().as_slice()), words(m.p().as_slice()));
+    let mut buf = Vec::new();
+    write_model(&mut buf, KIND_FIXED, m.config(), m.beta_t().rows(), beta, p).unwrap();
+    buf
+}
+
+fn read_fixed(buf: &[u8]) -> std::io::Result<ModelState<i32>> {
+    read_model(buf, KIND_FIXED, i32::from_le_bytes)
 }
 
 proptest! {
@@ -45,6 +63,13 @@ proptest! {
         let mut buf2 = Vec::new();
         write_oselm(&back, &mut buf2).unwrap();
         prop_assert_eq!(buf, buf2);
+
+        let fixed = fixed_bytes(&m);
+        let back = read_fixed(&fixed).unwrap();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits() as i32).collect::<Vec<_>>();
+        prop_assert_eq!(&back.beta, &bits(m.beta_t().as_slice()));
+        prop_assert_eq!(&back.p, &bits(m.p().as_slice()));
+        prop_assert_eq!((&back.config, back.num_nodes), (m.config(), nodes));
     }
 
     /// Truncation at *every possible byte length* fails cleanly.
@@ -58,6 +83,10 @@ proptest! {
                 read_oselm(&buf[..cut]).is_err(),
                 "truncation at {} of {} bytes must error", cut, buf.len()
             );
+        }
+        let fixed = fixed_bytes(&m);
+        for cut in 0..fixed.len() {
+            prop_assert!(read_fixed(&fixed[..cut]).is_err(), "kind 3 truncated at {}", cut);
         }
     }
 
@@ -77,6 +106,12 @@ proptest! {
         buf[pos] ^= flip;
         if let Ok(back) = read_oselm(&buf[..]) {
             prop_assert_eq!(back.config().model.dim, back.p().rows());
+        }
+        let mut fixed = fixed_bytes(&m);
+        fixed[pos] ^= flip;
+        if let Ok(back) = read_fixed(&fixed) {
+            let d = back.config.model.dim;
+            prop_assert_eq!((back.beta.len(), back.p.len()), (back.num_nodes * d, d * d));
         }
     }
 

@@ -11,7 +11,7 @@
 
 use crate::bram::TileManager;
 use crate::resources::AcceleratorDesign;
-use crate::timing::TimingModel;
+use crate::timing::{TimingModel, CLOCK_MHZ};
 use seqge_core::model::{init_weight, EmbeddingModel, NegativeDraw};
 use seqge_core::oselm::DeltaBeta;
 use seqge_core::{NegativeMode, OsElmConfig};
@@ -54,9 +54,9 @@ pub struct AccelStats {
 }
 
 impl AccelStats {
-    /// Modeled wall-clock in milliseconds at `clock_mhz`.
-    pub fn millis(&self, clock_mhz: u32) -> f64 {
-        self.cycles as f64 / (clock_mhz as f64 * 1e3)
+    /// Modeled wall-clock in milliseconds at [`CLOCK_MHZ`].
+    pub fn millis(&self) -> f64 {
+        self.cycles as f64 / (CLOCK_MHZ as f64 * 1e3)
     }
 }
 
@@ -111,28 +111,46 @@ impl Accelerator {
         Accelerator::from_raw_parts(num_nodes, cfg, beta, p)
     }
 
-    /// Rebuilds an accelerator from persisted raw Q8.24 state (β then P,
-    /// both as produced by [`Accelerator::beta_bits`] / [`Accelerator::p_bits`]).
+    /// Rebuilds an accelerator from raw Q8.24 state (β then P, both as
+    /// produced by [`Accelerator::beta_bits`] / [`Accelerator::p_bits`]).
     /// The configuration goes through the same [`NegativeMode::PerWalk`]
     /// forcing as [`Accelerator::new`], so a restored accelerator replays
-    /// the exact RNG schedule of the one that was saved.
+    /// the exact RNG schedule of the one that was saved. Panics on state
+    /// [`Accelerator::try_from_raw_parts`] refuses.
     pub fn from_raw_parts(
         num_nodes: usize,
         cfg: OsElmConfig,
         beta: Vec<Q8_24>,
         p: Vec<Q8_24>,
     ) -> Self {
-        cfg.validate().expect("invalid OS-ELM config");
+        Accelerator::try_from_raw_parts(num_nodes, cfg, beta, p).expect("invalid accelerator state")
+    }
+
+    /// [`Accelerator::from_raw_parts`] for state that arrives from outside
+    /// the program (a snapshot file): a configuration that fails validation,
+    /// or a β / P length that disagrees with `num_nodes × d` / `d × d`, is an
+    /// error.
+    pub fn try_from_raw_parts(
+        num_nodes: usize,
+        cfg: OsElmConfig,
+        beta: Vec<Q8_24>,
+        p: Vec<Q8_24>,
+    ) -> Result<Self, String> {
+        cfg.validate()?;
         let cfg = OsElmConfig {
             model: seqge_core::ModelConfig { negative_mode: NegativeMode::PerWalk, ..cfg.model },
             ..cfg
         };
         let d = cfg.model.dim;
-        assert_eq!(beta.len(), num_nodes * d, "beta length mismatch");
-        assert_eq!(p.len(), d * d, "P length mismatch");
+        if num_nodes.checked_mul(d) != Some(beta.len()) {
+            return Err(format!("beta holds {} words, expected {num_nodes}x{d}", beta.len()));
+        }
+        if p.len() != d * d {
+            return Err(format!("P holds {} words, expected {d}x{d}", p.len()));
+        }
         let design = AcceleratorDesign::for_dim(d);
         let (_, _, cache_banks, _) = crate::resources::estimate_resources(&design).bram_parts;
-        Accelerator {
+        Ok(Accelerator {
             beta,
             p,
             mu: Q8_24::from_f32(cfg.mu),
@@ -154,7 +172,7 @@ impl Accelerator {
             phn: vec![Q8_24::ZERO; d],
             stats: AccelStats::default(),
             cfg,
-        }
+        })
     }
 
     /// The (PerWalk-forced) OS-ELM configuration this accelerator runs.
@@ -513,7 +531,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(5);
         let walk: Vec<NodeId> = (0..80).map(|i| i % n as u32).collect();
         acc.train_walk(&walk, &table, &mut rng);
-        let ms = acc.stats.millis(200);
+        let ms = acc.stats.millis();
         assert!((ms - 0.777).abs() / 0.777 < 0.02, "walk latency {ms:.3} ms");
     }
 
@@ -676,6 +694,21 @@ mod tests {
         restored.train_walk(&walk, &table, &mut rng);
         assert_eq!(acc.beta_bits(), restored.beta_bits());
         assert_eq!(acc.p_bits(), restored.p_bits());
+    }
+
+    #[test]
+    fn raw_parts_from_outside_are_checked() {
+        let acc = Accelerator::new(30, cfg(8));
+        let (c, beta, p) = (*acc.config(), acc.beta_bits().to_vec(), acc.p_bits().to_vec());
+        let try_parts = |n, c, beta: &[Q8_24], p: &[Q8_24]| {
+            Accelerator::try_from_raw_parts(n, c, beta.to_vec(), p.to_vec())
+        };
+        assert!(try_parts(30, c, &beta, &p).is_ok());
+        assert!(try_parts(30, OsElmConfig { forgetting: 0.0, ..c }, &beta, &p).is_err());
+        assert!(try_parts(30, OsElmConfig { mu: 0.0, ..c }, &beta, &p).is_err());
+        assert!(try_parts(31, c, &beta, &p).unwrap_err().contains("beta"));
+        assert!(try_parts(usize::MAX, c, &beta, &p).unwrap_err().contains("beta"));
+        assert!(try_parts(30, c, &beta, &p[1..]).unwrap_err().contains("P holds"));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn explore(dim: usize, device: &FpgaDevice) -> Vec<DesignPoint> {
             points.push(DesignPoint {
                 design,
                 port_bytes,
-                walk_ms: walk.millis(timing.clock_mhz),
+                walk_ms: walk.millis(),
                 fits: device.fits(est.bram36, est.dsp, est.ff, est.lut),
                 dsp: est.dsp,
                 bram: est.bram36,

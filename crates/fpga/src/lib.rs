@@ -39,4 +39,4 @@ pub mod timing;
 pub use accelerator::{kernel_isa, AccelStats, Accelerator};
 pub use device::{FpgaDevice, Utilization};
 pub use resources::{estimate_resources, AcceleratorDesign, ResourceEstimate};
-pub use timing::{TimingModel, WalkTiming};
+pub use timing::{TimingModel, WalkTiming, CLOCK_MHZ};

@@ -25,8 +25,6 @@ pub struct AcceleratorDesign {
     /// BRAM36 banks dedicated to the on-chip β weight cache (double-buffered
     /// tiles staged by the DMA engine).
     pub weight_cache_banks: u32,
-    /// Clock frequency in MHz (paper: 200).
-    pub clock_mhz: u32,
 }
 
 impl AcceleratorDesign {
@@ -58,7 +56,7 @@ impl AcceleratorDesign {
                 (lanes.round().max(8.0) as u32, cache.round().max(4.0) as u32)
             }
         };
-        AcceleratorDesign { dim, mac_lanes, weight_cache_banks, clock_mhz: 200 }
+        AcceleratorDesign { dim, mac_lanes, weight_cache_banks }
     }
 
     /// Whether this is one of the calibrated paper points.

@@ -24,11 +24,13 @@ use crate::dma::DmaModel;
 use crate::pipeline::{stage_intervals, StageIntervals};
 use crate::resources::AcceleratorDesign;
 
+/// The PL clock in MHz every modeled cycle count is turned into time at: the
+/// paper's 200.
+pub const CLOCK_MHZ: u32 = 200;
+
 /// The calibrated timing model.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TimingModel {
-    /// PL clock in MHz (paper: 200).
-    pub clock_mhz: u32,
     /// β-port payload bytes per cycle (288-bit tile port = 36 B).
     pub port_bytes: u32,
     /// Per-column access overhead in tenths of a cycle (arbitration +
@@ -40,12 +42,7 @@ pub struct TimingModel {
 
 impl Default for TimingModel {
     fn default() -> Self {
-        TimingModel {
-            clock_mhz: 200,
-            port_bytes: 36,
-            column_overhead_tenths: 237,
-            dma: DmaModel::default(),
-        }
+        TimingModel { port_bytes: 36, column_overhead_tenths: 237, dma: DmaModel::default() }
     }
 }
 
@@ -74,9 +71,9 @@ pub struct WalkTiming {
 }
 
 impl WalkTiming {
-    /// Milliseconds at the model clock.
-    pub fn millis(&self, clock_mhz: u32) -> f64 {
-        self.total_cycles as f64 / (clock_mhz as f64 * 1e3)
+    /// Milliseconds at [`CLOCK_MHZ`].
+    pub fn millis(&self) -> f64 {
+        self.total_cycles as f64 / (CLOCK_MHZ as f64 * 1e3)
     }
 }
 
@@ -119,7 +116,7 @@ impl TimingModel {
     /// Paper-protocol walk latency in ms: 73 contexts × 77 samples.
     pub fn paper_walk_millis(&self, dim: usize) -> f64 {
         let design = AcceleratorDesign::for_dim(dim);
-        self.walk_timing(&design, 73, 77).millis(self.clock_mhz)
+        self.walk_timing(&design, 73, 77).millis()
     }
 }
 
@@ -198,6 +195,6 @@ mod tests {
             total_cycles: 200_000,
             stages: StageIntervals { s1: 0, s2: 0, s3: 0, s4: 0 },
         };
-        assert!((t.millis(200) - 1.0).abs() < 1e-12);
+        assert!((t.millis() - 1.0).abs() < 1e-12);
     }
 }

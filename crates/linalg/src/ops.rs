@@ -113,7 +113,7 @@ fn scan_sum<A: Copy, B: Copy>(x: &[A], y: &[B], term: impl Fn(A, B) -> f64) -> f
 /// `q · row` for a query already widened to `f64` against a stored `f32`
 /// row. Each product of two widened `f32`s is exact in `f64` (24 + 24
 /// significand bits), so the only rounding is the accumulation, whose order
-/// [`scan_sum`] fixes; swapping the two vectors' roles returns the same
+/// `scan_sum` fixes; swapping the two vectors' roles returns the same
 /// bits.
 #[inline]
 pub fn scan_dot(q: &[f64], row: &[f32]) -> f64 {
@@ -134,7 +134,7 @@ pub fn scan_dist2(x: &[f32], row: &[f32]) -> f64 {
 
 /// `(q · row, ‖row‖²)` in one pass over `row` — what a cosine needs from a
 /// candidate when the query's own norm was hoisted out of the sweep. Both
-/// sums have [`scan_sum`]'s lanes, tree and tail: the first is
+/// sums have `scan_sum`'s lanes, tree and tail: the first is
 /// [`scan_dot`]'s bits, the second depends on `row` alone, so a vector has
 /// one squared norm whichever side of a pair it is on.
 #[inline]

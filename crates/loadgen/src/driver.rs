@@ -13,7 +13,7 @@
 //!   coordinated omission). Closed-loop latency is measured from the
 //!   actual send.
 //! * Transport failures are recorded, then the connection re-dials with a
-//!   short backoff; after [`MAX_CONSECUTIVE_FAILURES`] the rest of the
+//!   short backoff; after `MAX_CONSECUTIVE_FAILURES` the rest of the
 //!   phase is charged as transport errors — the schedule's op count is
 //!   always fully accounted, one outcome per scheduled op.
 

@@ -1,5 +1,5 @@
 //! Crash flight recorder: a bounded ring of recent JSONL log lines plus
-//! the recent completed spans from [`crate::trace`], dumpable as one JSON
+//! the recent completed spans from [`mod@crate::trace`], dumpable as one JSON
 //! document so post-mortems (chaos kills, panics, SIGTERM) can reconstruct
 //! what the process was doing.
 //!

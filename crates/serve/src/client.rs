@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::protocol::op_name;
+use crate::protocol::{op_name, CODE_OVERLOADED};
 
 /// Process-wide counter for generated client ids.
 static CLIENT_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -78,13 +78,8 @@ fn bad_data(msg: impl std::fmt::Display) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Whether an error is worth a retry: transport failures (reconnect first)
-/// and explicit `overloaded` shedding (same connection, after backoff).
-/// [`Client::call_once`] normalizes server errors so the message always
-/// leads with the reply's `code` when one was sent — this prefix check is
-/// code-driven for modern servers and falls back to the historical message
-/// prefix for older ones.
-fn retryable(e: &io::Error) -> RetryKind {
+/// Whether a transport failure is worth a retry (after reconnecting).
+fn transport_retry(e: &io::Error) -> RetryKind {
     match e.kind() {
         ErrorKind::TimedOut
         | ErrorKind::WouldBlock
@@ -93,11 +88,13 @@ fn retryable(e: &io::Error) -> RetryKind {
         | ErrorKind::ConnectionAborted
         | ErrorKind::ConnectionRefused
         | ErrorKind::BrokenPipe => RetryKind::Reconnect,
-        ErrorKind::InvalidData if e.to_string().starts_with("overloaded") => RetryKind::Backoff,
         _ => RetryKind::No,
     }
 }
 
+/// What [`Client::call`] does about a failed attempt: transport failures
+/// reconnect first, a reply shed with [`CODE_OVERLOADED`] is resent on the
+/// same connection after backoff, anything else is final.
 #[derive(PartialEq)]
 enum RetryKind {
     No,
@@ -213,24 +210,30 @@ impl Client {
         self.writer.set_read_timeout(timeout)
     }
 
-    fn call_once(&mut self, line: &str) -> io::Result<Value> {
-        let resp = self.call_raw(line)?;
+    fn call_once(&mut self, line: &str) -> Result<Value, (io::Error, RetryKind)> {
+        let resp = self.call_raw(line).map_err(|e| {
+            let kind = transport_retry(&e);
+            (e, kind)
+        })?;
+        let fatal = |msg: String| (bad_data(msg), RetryKind::No);
         let v: Value =
-            serde_json::from_str(&resp).map_err(|e| bad_data(format!("bad response: {e}")))?;
+            serde_json::from_str(&resp).map_err(|e| fatal(format!("bad response: {e}")))?;
         match v.get("ok") {
             Some(Value::Bool(true)) => Ok(v),
             Some(Value::Bool(false)) => {
                 let msg = v.get("error").and_then(Value::as_str).unwrap_or("unknown server error");
-                // The machine-readable `code` is authoritative: lead the
-                // error message with it (unless the text already does) so
-                // `retryable` classifies on one shape.
-                let msg = match v.get("code").and_then(Value::as_str) {
+                // The machine-readable `code` is authoritative: it decides
+                // the retry, and leads the error message unless the text
+                // already does.
+                let code = v.get("code").and_then(Value::as_str);
+                let shed = code == Some(CODE_OVERLOADED);
+                let msg = match code {
                     Some(code) if !msg.starts_with(code) => format!("{code}: {msg}"),
                     _ => msg.to_string(),
                 };
-                Err(bad_data(msg))
+                Err((bad_data(msg), if shed { RetryKind::Backoff } else { RetryKind::No }))
             }
-            _ => Err(bad_data("response missing `ok` field")),
+            _ => Err(fatal("response missing `ok` field".to_string())),
         }
     }
 
@@ -245,8 +248,7 @@ impl Client {
         loop {
             match self.call_once(line) {
                 Ok(v) => return Ok(v),
-                Err(e) => {
-                    let kind = retryable(&e);
+                Err((e, kind)) => {
                     if kind == RetryKind::No || attempt >= self.cfg.retries {
                         if kind != RetryKind::No {
                             self.gaveup_total.inc();

@@ -6,8 +6,12 @@
 //! only code on the serving path that trains. The live trainer thread, WAL
 //! recovery and the replica tail loop all feed it the same `(seq, event)`
 //! pairs, which is why a recovered node, a replica and an uninterrupted run
-//! agree bit for bit; each driver keeps only its own counters.
+//! agree bit for bit. [`Fold::snapshot`] is the other half: the only code
+//! that turns that state into what a reader sees, so a primary and its
+//! replica also report the same counters — the backend's.
 
+use crate::snapshot::EmbeddingSnapshot;
+use seqge_ann::{AnnBuilder, SyncReport};
 use seqge_backend::TrainBackend;
 use seqge_graph::{EdgeEvent, Graph};
 
@@ -88,5 +92,31 @@ impl Fold {
             self.since_refresh = 0;
         }
         Step { applied, refreshed }
+    }
+
+    /// Renders the fold as publication `version`: the backend's view (where
+    /// its deferred work lands — fpga-sim re-dequantizes dirty rows and
+    /// re-measures the shadow deviation), the backend's own counters, and,
+    /// given an index maintainer, the index synced against exactly that
+    /// matrix (with the sync's report) — index and embeddings travel in one
+    /// `Arc`, so a reader can never observe one without the other.
+    pub fn snapshot(
+        &mut self,
+        version: u64,
+        ann: Option<&mut AnnBuilder>,
+    ) -> (EmbeddingSnapshot, Option<SyncReport>) {
+        let out = self.backend.outcome();
+        let emb = self.backend.publish_view();
+        let (ann, report) = ann.map(|b| b.sync(&emb)).unzip();
+        let snapshot = EmbeddingSnapshot {
+            version,
+            emb,
+            num_edges: self.graph.num_edges(),
+            walks_trained: out.walks_trained,
+            edges_inserted: out.edges_inserted,
+            edges_removed: self.backend.edges_removed(),
+            ann,
+        };
+        (snapshot, report)
     }
 }

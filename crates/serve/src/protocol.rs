@@ -231,25 +231,57 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// The wire command name (label value for per-op latency series).
-    pub fn cmd_name(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Stats => "stats",
-            Request::GetEmbedding { .. } => "get_embedding",
-            Request::TopK { .. } => "topk",
-            Request::ScoreLink { .. } => "score_link",
-            Request::AddEdge { .. } => "add_edge",
-            Request::RemoveEdge { .. } => "remove_edge",
-            Request::Flush => "flush",
-            Request::Snapshot => "snapshot",
-            Request::Metrics { .. } => "metrics",
-            Request::Trace { .. } => "trace",
-            Request::Flightrec => "flightrec",
-            Request::Shutdown => "shutdown",
+/// One wire op as telemetry names it. The span names are spelled out at
+/// compile time so tracing-off dispatch never allocates.
+#[derive(Debug, PartialEq, Eq)]
+pub struct WireOp {
+    /// The `cmd` value (label value of the per-op request series).
+    pub name: &'static str,
+    /// The span a shard server opens around the op (`serve.<name>`).
+    pub serve_span: &'static str,
+    /// The span the cluster router opens around it (`cluster.<name>`).
+    pub cluster_span: &'static str,
+}
+
+/// Spells every op once: the [`WIRE_OPS`] table and each [`Request`]
+/// variant's row of it come from the same list.
+macro_rules! wire_ops {
+    (@row $name:literal) => {
+        WireOp {
+            name: $name,
+            serve_span: concat!("serve.", $name),
+            cluster_span: concat!("cluster.", $name),
         }
-    }
+    };
+    ($($variant:ident => $name:literal,)*) => {
+        /// Every wire op (for pre-registering per-op series).
+        pub const WIRE_OPS: &[WireOp] = &[$(wire_ops!(@row $name)),*];
+
+        impl Request {
+            /// This request's row of [`WIRE_OPS`].
+            pub fn op(&self) -> &'static WireOp {
+                match self {
+                    $(Request::$variant { .. } => &wire_ops!(@row $name),)*
+                }
+            }
+        }
+    };
+}
+
+wire_ops! {
+    Ping => "ping",
+    Stats => "stats",
+    GetEmbedding => "get_embedding",
+    TopK => "topk",
+    ScoreLink => "score_link",
+    AddEdge => "add_edge",
+    RemoveEdge => "remove_edge",
+    Flush => "flush",
+    Snapshot => "snapshot",
+    Metrics => "metrics",
+    Trace => "trace",
+    Flightrec => "flightrec",
+    Shutdown => "shutdown",
 }
 
 fn get_u32(v: &Value, key: &str) -> Result<u32, String> {
@@ -348,7 +380,7 @@ fn trace_field(ctx: &TraceCtx) -> String {
 /// Splices `"trace":{...}` into an already-valid request line (the router
 /// and loadgen compose lines textually; re-serializing through the parser
 /// would lose unknown fields). Replaces any existing `trace` field by
-/// appending after it — [`get_trace`] reads the last occurrence, so the
+/// appending after it — `get_trace` reads the last occurrence, so the
 /// newest hop's context wins without textual surgery on the original.
 pub fn attach_trace(line: &str, ctx: &TraceCtx) -> String {
     let trimmed = line.trim_end();
@@ -679,22 +711,15 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"metrics","format":"xml"}"#)
             .unwrap_err()
             .contains("format"));
-        for (line, name) in [
-            (r#"{"cmd":"ping"}"#, "ping"),
-            (r#"{"cmd":"stats"}"#, "stats"),
-            (r#"{"cmd":"get_embedding","node":0}"#, "get_embedding"),
-            (r#"{"cmd":"topk","node":0}"#, "topk"),
-            (r#"{"cmd":"score_link","u":0,"v":1}"#, "score_link"),
-            (r#"{"cmd":"add_edge","u":0,"v":1}"#, "add_edge"),
-            (r#"{"cmd":"remove_edge","u":0,"v":1}"#, "remove_edge"),
-            (r#"{"cmd":"flush"}"#, "flush"),
-            (r#"{"cmd":"snapshot"}"#, "snapshot"),
-            (r#"{"cmd":"metrics"}"#, "metrics"),
-            (r#"{"cmd":"trace"}"#, "trace"),
-            (r#"{"cmd":"flightrec"}"#, "flightrec"),
-            (r#"{"cmd":"shutdown"}"#, "shutdown"),
-        ] {
-            assert_eq!(parse_request(line).unwrap().cmd_name(), name);
+        // `Request::op` matches every variant, so a variant cannot lack a
+        // row; that every row parses back to itself makes the table and the
+        // grammar agree on all thirteen.
+        assert_eq!(WIRE_OPS.len(), 13);
+        for op in WIRE_OPS {
+            let line = format!(r#"{{"cmd":"{}","node":0,"u":0,"v":1}}"#, op.name);
+            assert_eq!(parse_request(&line).unwrap().op(), op);
+            assert_eq!(op.serve_span, format!("serve.{}", op.name));
+            assert_eq!(op.cluster_span, format!("cluster.{}", op.name));
         }
     }
 
@@ -703,7 +728,7 @@ mod tests {
         let ctx = TraceCtx { trace_id: 0xabcd, parent_span: 0x1234, sampled: true };
         let line = attach_trace(r#"{"cmd":"topk","node":1,"k":5}"#, &ctx);
         let (req, parsed) = parse_request_traced(&line).unwrap();
-        assert_eq!(req.cmd_name(), "topk");
+        assert_eq!(req.op().name, "topk");
         assert_eq!(parsed, Some(ctx));
         // Unsampled decision survives the wire.
         let cold = TraceCtx { trace_id: 1, parent_span: 2, sampled: false };

@@ -26,9 +26,10 @@
 use crate::dedup::DedupTable;
 use crate::fault::{FaultInjector, FaultPoint};
 use crate::protocol::{
-    self, op_name, span_value, MetricsFormat, Request, Response, CODE_OVERLOADED, MAX_LINE_BYTES,
+    self, op_name, span_value, MetricsFormat, Request, Response, WireOp, CODE_OVERLOADED,
+    MAX_LINE_BYTES, WIRE_OPS,
 };
-use crate::snapshot::{EmbeddingSnapshot, SnapshotCell, SnapshotReader};
+use crate::snapshot::{SnapshotCell, SnapshotReader};
 use crate::trainer::{ServeStats, Trainer, TrainerConfig, TrainerMsg, WriteCtx};
 use crate::wal::{Wal, WalBoot, WalConfig};
 use seqge_backend::{BackendSpec, TrainBackend};
@@ -188,7 +189,7 @@ impl ServerHandle {
 pub fn start_backend(
     addr: &str,
     graph: Graph,
-    mut backend: Box<dyn TrainBackend>,
+    backend: Box<dyn TrainBackend>,
     config: ServeConfig,
 ) -> io::Result<ServerHandle> {
     assert!(config.workers >= 1, "need at least one worker");
@@ -209,18 +210,6 @@ pub fn start_backend(
         serde_json::from_str(&backend.descriptor())
             .unwrap_or_else(|_| Value::Str(backend.kind().as_str().to_string())),
     );
-    let boot = EmbeddingSnapshot {
-        version: 0,
-        emb: backend.publish_view(),
-        num_edges: graph.num_edges(),
-        walks_trained: 0,
-        edges_inserted: 0,
-        edges_removed: 0,
-        // The trainer's version-0 publish (inside `Trainer::new`, before
-        // workers spawn) replaces this indexless snapshot immediately.
-        ann: None,
-    };
-    let cell = Arc::new(SnapshotCell::new(boot));
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel::<TrainerMsg>();
     let dedup = Arc::new(Mutex::new(DedupTable::new(DEDUP_MAX_CLIENTS)));
@@ -228,16 +217,17 @@ pub fn start_backend(
     let mut threads = Vec::new();
 
     // Trainer thread — sole owner of graph + backend (model and
-    // incremental-training state).
+    // incremental-training state). Its cell is born holding the version-0
+    // snapshot, before any worker spawns.
     let trainer = Trainer::new(
         graph,
         backend,
-        cell.clone(),
         stats.clone(),
         config.trainer,
         config.wal.clone(),
         config.fault.clone(),
     );
+    let cell = trainer.cell();
     threads.push(
         thread::Builder::new().name("seqge-trainer".to_string()).spawn(move || trainer.run(rx))?,
     );
@@ -366,43 +356,6 @@ pub fn serve_lines(
     Ok(())
 }
 
-/// Every wire command, for pre-registering per-op request series.
-const OP_NAMES: [&str; 13] = [
-    "ping",
-    "stats",
-    "get_embedding",
-    "topk",
-    "score_link",
-    "add_edge",
-    "remove_edge",
-    "flush",
-    "snapshot",
-    "metrics",
-    "trace",
-    "flightrec",
-    "shutdown",
-];
-
-/// `"serve."`-prefixed span name for a wire op, precomputed so tracing-off
-/// dispatch never allocates.
-fn span_name(op: &str) -> &'static str {
-    match op {
-        "ping" => "serve.ping",
-        "stats" => "serve.stats",
-        "get_embedding" => "serve.get_embedding",
-        "topk" => "serve.topk",
-        "score_link" => "serve.score_link",
-        "add_edge" => "serve.add_edge",
-        "remove_edge" => "serve.remove_edge",
-        "flush" => "serve.flush",
-        "snapshot" => "serve.snapshot",
-        "metrics" => "serve.metrics",
-        "trace" => "serve.trace",
-        "flightrec" => "serve.flightrec",
-        _ => "serve.shutdown",
-    }
-}
-
 /// One op's telemetry handles:
 /// `(op, latency histogram, request counter, error-reply counter)`.
 type OpSeries = (&'static str, Arc<Histogram>, Arc<Counter>, Arc<Counter>);
@@ -419,9 +372,9 @@ struct OpMetrics {
 
 impl OpMetrics {
     fn new(registry: &Registry) -> Self {
-        let ops = OP_NAMES
+        let ops = WIRE_OPS
             .iter()
-            .map(|&op| {
+            .map(|&WireOp { name: op, .. }| {
                 (
                     op,
                     registry.histogram_with("seqge_serve_request_latency_ns", &[("op", op)]),
@@ -513,13 +466,13 @@ impl WorkerCtx {
                 return (Response::err(e), false);
             }
         };
-        let op = req.cmd_name();
+        let op = req.op();
         // Span + clock reads are both gated on the timing switch; the
         // request counter is always live (it backs throughput accounting).
-        let mut span = seqge_obs::trace::start_span(span_name(op), wire_ctx);
+        let mut span = seqge_obs::trace::start_span(op.serve_span, wire_ctx);
         let t0 = if seqge_obs::timing_enabled() { Some(Instant::now()) } else { None };
         let out = self.handle_request(req, reader, span.ctx());
-        if let Some((_, latency, count, errors)) = self.ops.get(op) {
+        if let Some((_, latency, count, errors)) = self.ops.get(op.name) {
             count.inc();
             // Compact rendering guarantees error replies start with this
             // prefix (asserted in the protocol tests), so shed + hard

@@ -340,12 +340,11 @@ pub struct Trainer {
 
 impl Trainer {
     /// Builds the trainer — resuming the sequence/refresh cursors from the
-    /// WAL's recovery report when there is one — and publishes the boot
-    /// snapshot (version 0).
+    /// WAL's recovery report when there is one — around a fresh
+    /// [`SnapshotCell`] that holds the boot snapshot (version 0).
     pub fn new(
         graph: Graph,
         backend: Box<dyn TrainBackend>,
-        cell: Arc<SnapshotCell>,
         stats: Arc<ServeStats>,
         cfg: TrainerConfig,
         wal: Option<Arc<Wal>>,
@@ -356,22 +355,30 @@ impl Trainer {
             stats.sync_wal(w);
         }
         let applied_seq = rec.next_seq.saturating_sub(1);
+        let mut fold = Fold::new(graph, backend, applied_seq, rec.since_refresh, cfg.refresh_every);
+        let mut ann = cfg.ann.map(AnnBuilder::new);
+        let boot = Self::render(&mut fold, ann.as_mut(), &stats, 0);
         let mut t = Trainer {
-            fold: Fold::new(graph, backend, applied_seq, rec.since_refresh, cfg.refresh_every),
-            cell,
+            fold,
+            cell: Arc::new(SnapshotCell::new(boot)),
             stats,
             batch_max: cfg.batch_max,
             wal,
             fault,
-            version: 0,
-            ann: cfg.ann.map(AnnBuilder::new),
+            version: 1,
+            ann,
             inflight_writes: Vec::new(),
             last_publish: None,
             applied_since_publish: 0,
         };
         t.sync_stats();
-        t.publish();
+        t.close_freshness();
         t
+    }
+
+    /// The cell this trainer publishes into.
+    pub fn cell(&self) -> Arc<SnapshotCell> {
+        self.cell.clone()
     }
 
     fn sync_stats(&self) {
@@ -380,35 +387,31 @@ impl Trainer {
         self.stats.walks_trained.set_to(self.fold.backend.outcome().walks_trained as u64);
     }
 
+    /// [`Fold::snapshot`], with what it refreshed — the cycle plan, the
+    /// shadow deviation, the index sync — mirrored into the registry.
+    fn render(
+        fold: &mut Fold,
+        ann: Option<&mut AnnBuilder>,
+        stats: &ServeStats,
+        version: u64,
+    ) -> EmbeddingSnapshot {
+        let (snapshot, report) = fold.snapshot(version, ann);
+        if let Some(plan) = fold.backend.planner() {
+            stats.backend_cycles.set_to(plan.cycles_total);
+            stats.backend_predicted_eps.set(plan.predicted_ingest_eps as i64);
+        }
+        if let Some(ppm) = fold.backend.deviation_ppm() {
+            stats.backend_deviation.set(ppm);
+        }
+        if let Some(rep) = &report {
+            stats.record_ann_sync(rep);
+        }
+        snapshot
+    }
+
     fn publish(&mut self) {
-        let out = self.fold.backend.outcome();
-        // `publish_view` is where a backend's deferred work lands (fpga-sim
-        // re-dequantizes dirty rows and re-measures the shadow deviation).
-        let emb = self.fold.backend.publish_view();
-        if let Some(plan) = self.fold.backend.planner() {
-            self.stats.backend_cycles.set_to(plan.cycles_total);
-            self.stats.backend_predicted_eps.set(plan.predicted_ingest_eps as i64);
-        }
-        if let Some(ppm) = self.fold.backend.deviation_ppm() {
-            self.stats.backend_deviation.set(ppm);
-        }
-        // Sync the ANN index against the matrix we are about to publish:
-        // index and embeddings travel in the same `Arc`, so a reader can
-        // never observe one without the other.
-        let ann = self.ann.as_mut().map(|b| {
-            let (index, rep) = b.sync(&emb);
-            self.stats.record_ann_sync(&rep);
-            index
-        });
-        self.cell.publish(EmbeddingSnapshot {
-            version: self.version,
-            emb,
-            num_edges: self.fold.graph.num_edges(),
-            walks_trained: out.walks_trained,
-            edges_inserted: out.edges_inserted,
-            edges_removed: self.fold.backend.edges_removed(),
-            ann,
-        });
+        let snapshot = Self::render(&mut self.fold, self.ann.as_mut(), &self.stats, self.version);
+        self.cell.publish(snapshot);
         self.version += 1;
         self.close_freshness();
     }

@@ -26,9 +26,6 @@ impl TrainBackend for Counting {
     fn num_nodes(&self) -> usize {
         4
     }
-    fn dim(&self) -> usize {
-        1
-    }
     fn bootstrap(&mut self, _: &Graph) {}
     fn ingest(&mut self, g: &mut Graph, event: EdgeEvent) -> Result<usize, GraphError> {
         self.ingests.fetch_add(1, Ordering::Relaxed);

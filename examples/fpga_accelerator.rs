@@ -8,7 +8,7 @@
 
 use seqge::core::{train_all_scenario, EmbeddingModel, OsElmConfig, TrainConfig};
 use seqge::eval::{evaluate_embedding, EvalConfig, LogRegConfig};
-use seqge::fpga::{estimate_resources, Accelerator, AcceleratorDesign, FpgaDevice};
+use seqge::fpga::{estimate_resources, Accelerator, AcceleratorDesign, FpgaDevice, CLOCK_MHZ};
 use seqge::graph::Dataset;
 
 fn main() {
@@ -22,8 +22,8 @@ fn main() {
     let est = estimate_resources(&design);
     let util = est.utilization(&FpgaDevice::XCZU7EV);
     println!(
-        "design d={dim}: {} MAC lanes @ {} MHz — BRAM {} ({:.1}%), DSP {} ({:.1}%)",
-        design.mac_lanes, design.clock_mhz, est.bram36, util.bram_pct, est.dsp, util.dsp_pct
+        "design d={dim}: {} MAC lanes @ {CLOCK_MHZ} MHz — BRAM {} ({:.1}%), DSP {} ({:.1}%)",
+        design.mac_lanes, est.bram36, util.bram_pct, est.dsp, util.dsp_pct
     );
 
     // The host side is the ordinary "all"-scenario driver: it pre-samples
@@ -34,7 +34,7 @@ fn main() {
     let mut accel = Accelerator::new(g.num_nodes(), ocfg);
     train_all_scenario(&g, &mut accel, &cfg, 17);
     let stats = accel.stats;
-    let accel_ms = stats.millis(design.clock_mhz);
+    let accel_ms = stats.millis();
     println!(
         "trained {} walks: modeled PL time {:.1} ms \
          ({:.3} ms/walk — paper Table 3: 0.777 ms/walk at d=32)",

@@ -15,15 +15,15 @@
 //! * [`eval`] — one-vs-rest logistic regression and F1 scoring.
 //! * [`backend`] — pluggable training backends behind the serve plane:
 //!   the float OS-ELM pipeline and the fixed-point fpga-sim kernel behind
-//!   one `TrainBackend` trait, with cycle-model planning and a live
-//!   accuracy-deviation probe.
+//!   one `TrainBackend` trait, with cycle-model planning and a float
+//!   shadow that measures fpga-sim's accuracy deviation live.
 //! * [`serve`] — online embedding service: live edge ingestion, incremental
 //!   sequential training, lock-free snapshot queries over TCP.
 //! * [`ann`] — incremental LSH index behind the serve plane's sublinear
 //!   `topk mode:"ann"` path, versioned with each published snapshot.
 //! * [`cluster`] — sharded, replicated serving: hash-partitioned shard
 //!   plane, scatter-gather router, WAL-fed read replicas.
-//! * [`bench`] — shared benchmark plumbing: scaled streamed-SBM edge
+//! * [`mod@bench`] — shared benchmark plumbing: scaled streamed-SBM edge
 //!   synthesis, clustered embedding geometry, JSON report writing.
 //! * [`loadgen`] — mixed-traffic load generator: Zipf-skewed op mixes,
 //!   pluggable arrival processes, the phased scenario matrix, and SLO

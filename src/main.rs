@@ -17,7 +17,7 @@ use seqge::core::{
     OsElmSkipGram, SkipGram, TrainConfig,
 };
 use seqge::eval::{evaluate_embedding, EdgeOp, EvalConfig, LinkPredSet};
-use seqge::fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, TimingModel};
+use seqge::fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, TimingModel, CLOCK_MHZ};
 use seqge::graph::{io as graph_io, Dataset, Graph};
 use seqge::sampling::UpdatePolicy;
 use seqge::serve;
@@ -961,11 +961,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let est = estimate_resources(&design);
     let util = est.utilization(&FpgaDevice::XCZU7EV);
     let timing = TimingModel::default();
-    println!(
-        "accelerator build d={dim} @ {} MHz on {}:",
-        design.clock_mhz,
-        FpgaDevice::XCZU7EV.name
-    );
+    println!("accelerator build d={dim} @ {CLOCK_MHZ} MHz on {}:", FpgaDevice::XCZU7EV.name);
     println!(
         "  BRAM {:>4} ({:5.2}%)   DSP {:>4} ({:5.2}%)",
         est.bram36, util.bram_pct, est.dsp, util.dsp_pct
