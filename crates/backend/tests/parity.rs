@@ -124,6 +124,53 @@ fn fpga_sim_matches_offline_functional_execution() {
     assert!(plan.cycles_total > 0 && plan.predicted_ingest_eps > 0.0, "{plan:?}");
 }
 
+/// `deviation_ppm()` after each walk-bearing publish of
+/// `publish_sequence_holds_the_accelerator_bits`' drive, as the always-on
+/// shadow (one re-sync per publish) measured it: index 0 is the boot window,
+/// index `k` the window closed by the publish after event `k`. One event's
+/// walks drift ≈ 0.24 ppm at this size, which rounds to 0.
+const ALWAYS_ON_DEVIATION_PPM: [i64; 105] = [
+    35, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+];
+
+/// The deviation probe's publish sequence: `scenario()` with a publish after
+/// bootstrap and after every event, each followed by one empty (flush
+/// barrier) publish. The accelerator's β / P words must match a bare
+/// `Accelerator` on the same driver throughout, an empty publish must hold
+/// the last measurement, and what the probe reports is pinned.
+#[test]
+fn publish_sequence_holds_the_accelerator_bits() {
+    let (mut g, events) = scenario();
+    let mut acc = Accelerator::new(g.num_nodes(), ocfg());
+    let mut inc =
+        IncrementalTrainer::new(g.num_nodes(), &train_cfg(), UpdatePolicy::every_edge(), SEED);
+    inc.bootstrap(&g, &mut acc);
+    let (mut g2, _) = scenario();
+    let mut be = FpgaSimBackend::cold(g2.num_nodes(), &spec(BackendKind::FpgaSim));
+    be.bootstrap(&g2);
+
+    let mut seen = Vec::new();
+    let mut publish = |be: &mut FpgaSimBackend, acc: &Accelerator| {
+        assert_eq!(be.publish_view().as_slice(), EmbeddingModel::embedding(acc).as_slice());
+        let dev = be.deviation_ppm();
+        assert_eq!(be.publish_view().as_slice(), EmbeddingModel::embedding(acc).as_slice());
+        assert_eq!(be.deviation_ppm(), dev, "an empty publish holds the last measurement");
+        assert_eq!(be.accel().beta_bits(), acc.beta_bits(), "window {}: β words", seen.len());
+        assert_eq!(be.accel().p_bits(), acc.p_bits(), "window {}: P words", seen.len());
+        seen.push(dev.expect("the boot window is always measured"));
+    };
+    publish(&mut be, &acc);
+    for &e in &events {
+        assert!(inc.ingest(&mut g, e, &mut acc).unwrap() > 0, "every event trains walks");
+        be.ingest(&mut g2, e).unwrap();
+        publish(&mut be, &acc);
+    }
+    assert_eq!(seen, ALWAYS_ON_DEVIATION_PPM);
+}
+
 /// The SGE1 model container is an on-disk contract: a store written before a
 /// change to the writer must boot after it. Pins every byte `save_state`
 /// writes (magic, kind, config blob, shape, words) for both payload kinds.
