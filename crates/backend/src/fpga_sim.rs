@@ -16,18 +16,28 @@
 //!   into [`CyclePlan`]: predicted sustainable ingest rate at the configured
 //!   clock, exported next to the measured rate so capacity headroom is a
 //!   metric, not a guess.
-//! * **Deviation probe** (Fig. 4 live) — a float [`DataflowOsElm`] shadow
-//!   trains on the *same walks and negative draws* (it consumes a cloned
-//!   RNG, so the accelerator's stream — and replay bit-identity — is
-//!   untouched), and every publish measures the fixed-vs-float embedding
-//!   deviation in ppm. After each measurement the shadow re-syncs to the
-//!   dequantized fixed-point state: two numeric trajectories run
-//!   chaotically apart over thousands of events however correct both are
-//!   (tiny rounding differences compound through P), so the *cumulative*
-//!   distance says nothing actionable. The per-publish-window drift stays
-//!   in the ppm band Fig. 4 implies — a wrong quantization scale or a
-//!   saturation storm blows it up immediately — which is what
-//!   `tests/parity.rs` puts a ceiling on.
+//! * **Deviation probe** (Fig. 4 live) — during a *shadowed* publish window
+//!   a float [`DataflowOsElm`] shadow trains on the *same walks and negative
+//!   draws* (it consumes a cloned RNG, so the accelerator's stream — and
+//!   replay bit-identity — is untouched), and the publish closing the window
+//!   measures the fixed-vs-float embedding deviation in ppm. A window runs
+//!   from one publish that trained walks to the next; the shadow starts at
+//!   the window's opening publish from the dequantized fixed-point state,
+//!   because two numeric trajectories run chaotically apart over thousands
+//!   of events however correct both are (tiny rounding differences compound
+//!   through P), so only the *per-window* drift is actionable: it stays in
+//!   the ppm band Fig. 4 implies, and a wrong quantization scale blows it up
+//!   immediately — which is what `tests/parity.rs` puts a ceiling on.
+//!
+//!   Window 0 — from construction to the first publish that trained walks,
+//!   so bootstrap, WAL replay or a loaded snapshot — is always shadowed;
+//!   after it, one window in [`SHADOW_EVERY`]. The rest run the accelerator
+//!   alone. A sampled window starts from the state the always-on shadow
+//!   re-synced to at the same publish and draws the same cloned RNG, so each
+//!   value reported is the one an always-on probe reports there; between
+//!   samples the last one holds. Saturation storms, which the shadow would
+//!   see up to seven windows late, are counted by the kernel on every walk
+//!   instead ([`TrainBackend::saturations`]).
 
 use crate::{BackendKind, CyclePlan, TrainBackend};
 use seqge_core::model::EmbeddingModel;
@@ -39,28 +49,37 @@ use seqge_sampling::{NegativeTable, Rng64};
 use std::io;
 use std::path::Path;
 
+/// One publish window in this many (after the always-shadowed window 0)
+/// trains the float shadow.
+pub const SHADOW_EVERY: u64 = 8;
+
 /// The accelerator plus its float shadow, presented to the sequential driver
-/// as one [`EmbeddingModel`]: the driver stays unaware that each walk is
-/// trained twice.
+/// as one [`EmbeddingModel`]: the driver stays unaware that a shadowed
+/// window's walks are trained twice.
 struct ProbeModel {
     accel: Accelerator,
-    shadow: DataflowOsElm,
+    /// `Some` only during a shadowed publish window.
+    shadow: Option<DataflowOsElm>,
 }
 
-/// A shadow (re)started from the accelerator's dequantized state. It runs
-/// the accelerator's own (PerWalk-forced) config, so both consume the
-/// identical negative-draw schedule.
+/// A shadowed window's shadow, started from the accelerator's dequantized
+/// state at the publish that opens the window. It runs the accelerator's own
+/// (PerWalk-forced) config, so both consume the identical negative-draw
+/// schedule.
 fn shadow_of(accel: &Accelerator) -> DataflowOsElm {
     DataflowOsElm::from_parts(*accel.config(), accel.beta_f32(), accel.p_f32())
 }
 
 impl EmbeddingModel for ProbeModel {
     fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
+        let Some(shadow) = &mut self.shadow else {
+            return self.accel.train_walk(walk, negatives, rng);
+        };
         // The shadow replays the identical draw schedule from a clone; the
         // real stream advances exactly as it would on a bare accelerator.
         let mut shadow_rng = rng.clone();
         self.accel.train_walk(walk, negatives, rng);
-        self.shadow.train_walk(walk, negatives, &mut shadow_rng);
+        shadow.train_walk(walk, negatives, &mut shadow_rng);
     }
 
     fn embedding(&self) -> Mat<f32> {
@@ -92,10 +111,12 @@ pub struct FpgaSimBackend {
     /// it in full.
     view: Option<Mat<f32>>,
     deviation_ppm: Option<i64>,
-    /// Kernel walk count at the last shadow sync: a publish with no walks
-    /// trained since (flush barriers publish freely) keeps the previous
-    /// measurement instead of reporting a trivial zero.
-    shadow_synced_walks: u64,
+    /// Index of the current publish window (0 from construction).
+    window: u64,
+    /// Kernel walk count at the publish that opened the current window: a
+    /// publish with no walks trained since (flush barriers publish freely)
+    /// neither closes it nor opens another.
+    window_walks: u64,
     seed: u64,
 }
 
@@ -116,30 +137,31 @@ fn deviation_ppm(fixed: &Mat<f32>, float: &Mat<f32>) -> i64 {
 
 impl FpgaSimBackend {
     fn assemble(accel: Accelerator, spec: &crate::BackendSpec) -> FpgaSimBackend {
-        let shadow = shadow_of(&accel);
+        let shadow = Some(shadow_of(&accel));
         let inc = IncrementalTrainer::new(accel.num_nodes(), &spec.train, spec.policy, spec.seed);
-        let shadow_synced_walks = accel.stats.walks;
+        let window_walks = accel.stats.walks;
         FpgaSimBackend {
             probe: ProbeModel { accel, shadow },
             inc,
             view: None,
             deviation_ppm: None,
-            shadow_synced_walks,
+            window: 0,
+            window_walks,
             seed: spec.seed,
         }
     }
 
     /// Cold (untrained) engine over `num_nodes` nodes. The accelerator
-    /// quantizes the same float init the CPU models use, and the shadow
-    /// starts from the accelerator's dequantized state, so the first
+    /// quantizes the same float init the CPU models use, and the window-0
+    /// shadow starts from the accelerator's dequantized state, so the first
     /// deviation measurement covers exactly the walks up to that publish.
     pub fn cold(num_nodes: usize, spec: &crate::BackendSpec) -> FpgaSimBackend {
         FpgaSimBackend::assemble(Accelerator::new(num_nodes, spec.oselm), spec)
     }
 
     /// Engine over a persisted kind-3 snapshot (raw Q8.24 words) with a
-    /// fresh sequential driver (WAL replay semantics). The shadow restarts
-    /// from the restored fixed-point state.
+    /// fresh sequential driver (WAL replay semantics). The window-0 shadow
+    /// starts from the restored fixed-point state.
     pub fn load(path: &Path, spec: &crate::BackendSpec) -> io::Result<FpgaSimBackend> {
         Ok(FpgaSimBackend::assemble(crate::fixedstate::load_fixed(path)?, spec))
     }
@@ -197,13 +219,19 @@ impl TrainBackend for FpgaSimBackend {
                 full
             }
         };
-        if self.probe.accel.stats.walks > self.shadow_synced_walks {
-            self.deviation_ppm = Some(deviation_ppm(&view, &self.probe.shadow.embedding()));
-            // Re-sync: the next measurement covers only the walks trained
-            // between this publish and the next (see module docs). Walk-free
-            // publishes (flush barriers) keep the last measurement.
-            self.probe.shadow = shadow_of(&self.probe.accel);
-            self.shadow_synced_walks = self.probe.accel.stats.walks;
+        // A publish that trained walks closes the current window (measuring
+        // it if it was shadowed) and opens the next (with a fresh shadow
+        // one window in SHADOW_EVERY); see module docs. Walk-free publishes
+        // (flush barriers) keep the last measurement.
+        if self.probe.accel.stats.walks > self.window_walks {
+            if let Some(shadow) = self.probe.shadow.take() {
+                self.deviation_ppm = Some(deviation_ppm(&view, &shadow.embedding()));
+            }
+            self.window += 1;
+            self.window_walks = self.probe.accel.stats.walks;
+            if self.window.is_multiple_of(SHADOW_EVERY) {
+                self.probe.shadow = Some(shadow_of(&self.probe.accel));
+            }
         }
         view
     }
@@ -227,5 +255,9 @@ impl TrainBackend for FpgaSimBackend {
 
     fn deviation_ppm(&self) -> Option<i64> {
         self.deviation_ppm
+    }
+
+    fn saturations(&self) -> Option<u64> {
+        Some(self.probe.accel.stats.saturations)
     }
 }

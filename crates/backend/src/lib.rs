@@ -17,9 +17,11 @@
 //!   accounting per walk), the dequantized float serving view is refreshed
 //!   *lazily at publish time* over only the rows the kernel dirtied (the
 //!   host-side analogue of the accelerator's batched DRAM write-back), the
-//!   cycle model doubles as a live throughput planner ([`CyclePlan`]), and a
-//!   float shadow trained on the same walks/negatives measures the Fig.
-//!   4-style accuracy deviation as a live metric.
+//!   cycle model doubles as a live throughput planner ([`CyclePlan`]), a
+//!   float shadow trained on the same walks/negatives in the boot window and
+//!   one publish window in [`fpga_sim::SHADOW_EVERY`] after it measures the
+//!   Fig. 4-style accuracy deviation as a live metric, and the kernel's
+//!   saturation count is exported on every walk.
 //!
 //! The contract every backend must honor (the serve/WAL planes rely on it):
 //!
@@ -177,9 +179,16 @@ pub trait TrainBackend: Send {
     }
 
     /// Latest measured float-vs-fixed embedding deviation in parts-per-
-    /// million (refreshed by [`TrainBackend::publish_view`]), if this
-    /// backend runs a float shadow.
+    /// million (refreshed by the [`TrainBackend::publish_view`] that closes
+    /// a shadowed window), if this backend runs a float shadow.
     fn deviation_ppm(&self) -> Option<i64> {
+        None
+    }
+
+    /// Fixed-point saturation events the kernel has counted on write-back
+    /// since this backend was built — on every walk, not only in shadowed
+    /// windows — if this backend has a fixed-point kernel.
+    fn saturations(&self) -> Option<u64> {
         None
     }
 }

@@ -5,17 +5,22 @@
 //!   hand (the pre-refactor serve trainer) — snapshot **bytes** compared.
 //! * [`FpgaSimBackend`] vs. the offline `seqge-fpga` functional execution of
 //!   the same event stream — raw Q8.24 words compared.
-//! * fpga-sim's float shadow must not perturb the accelerator's RNG stream.
+//! * fpga-sim's float shadow must not perturb the accelerator's RNG stream,
+//!   and sampling it one window in eight reports the always-on values.
+//! * The kernel's saturation count runs on every walk.
 //! * Save → load → replay is deterministic (the WAL recovery contract).
 //! * The bytes `save_state` writes — the SGE1 container — are pinned by hash.
 
+use seqge_backend::fixedstate::save_fixed;
+use seqge_backend::fpga_sim::SHADOW_EVERY;
 use seqge_backend::{BackendKind, BackendSpec, FpgaSimBackend, TrainBackend};
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{persist, IncrementalTrainer, OsElmConfig, OsElmSkipGram, TrainConfig};
+use seqge_fixed::Q8_24;
 use seqge_fpga::Accelerator;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::{spanning_forest, EdgeEvent, Graph};
-use seqge_sampling::UpdatePolicy;
+use seqge_sampling::{Rng64, UpdatePolicy};
 use std::path::PathBuf;
 
 const DIM: usize = 8;
@@ -168,7 +173,52 @@ fn publish_sequence_holds_the_accelerator_bits() {
         be.ingest(&mut g2, e).unwrap();
         publish(&mut be, &acc);
     }
-    assert_eq!(seen, ALWAYS_ON_DEVIATION_PPM);
+    // Windows 0, SHADOW_EVERY, 2·SHADOW_EVERY, … are shadowed and report
+    // what the always-on probe reported there; every other one holds it.
+    let every = SHADOW_EVERY as usize;
+    let sampled =
+        (0..ALWAYS_ON_DEVIATION_PPM.len()).map(|k| ALWAYS_ON_DEVIATION_PPM[k - k % every]);
+    assert_eq!(seen, sampled.collect::<Vec<_>>());
+}
+
+/// The kernel's saturation count is the health signal that does not wait
+/// for a shadowed window: zero on a healthy stream, and rising in the
+/// unshadowed windows of a backend loaded on the rails (`stream_pin.rs`'s
+/// regime: μ = 1, β in ±120, P = 100·I).
+#[test]
+fn saturations_are_counted_on_every_walk() {
+    let (mut g, events) = scenario();
+    let mut be = FpgaSimBackend::cold(g.num_nodes(), &spec(BackendKind::FpgaSim));
+    be.bootstrap(&g);
+    for &e in &events {
+        be.ingest(&mut g, e).unwrap();
+        be.publish_view();
+    }
+    assert_eq!(be.saturations(), Some(0), "a healthy stream never saturates");
+    assert_eq!(spec(BackendKind::Float).cold(g.num_nodes()).saturations(), None);
+
+    let (mut g, events) = scenario();
+    let n = g.num_nodes();
+    let cfg = OsElmConfig { mu: 1.0, ..ocfg() };
+    let mut rng = Rng64::seed_from_u64(9);
+    let beta = (0..n * DIM).map(|_| Q8_24::from_f64((rng.next_f64() - 0.5) * 240.0)).collect();
+    let mut p = vec![Q8_24::ZERO; DIM * DIM];
+    for i in 0..DIM {
+        p[i * DIM + i] = Q8_24::from_f64(100.0);
+    }
+    let path = tmp("rails.sge");
+    save_fixed(&Accelerator::from_raw_parts(n, cfg, beta, p), &path).unwrap();
+    let mut be = FpgaSimBackend::load(&path, &spec(BackendKind::FpgaSim)).unwrap();
+    let _ = std::fs::remove_file(&path);
+    // One event per window: window 0 (the load plus the first event) is
+    // shadowed, windows 1 to SHADOW_EVERY − 1 are not.
+    let mut counts = vec![be.saturations().unwrap()];
+    for &e in &events[..SHADOW_EVERY as usize] {
+        be.ingest(&mut g, e).unwrap();
+        be.publish_view();
+        counts.push(be.saturations().unwrap());
+    }
+    assert!(counts.windows(2).all(|w| w[1] > w[0]), "every window saturates: {counts:?}");
 }
 
 /// The SGE1 model container is an on-disk contract: a store written before a

@@ -95,11 +95,12 @@ impl Fold {
     }
 
     /// Renders the fold as publication `version`: the backend's view (where
-    /// its deferred work lands — fpga-sim re-dequantizes dirty rows and
-    /// re-measures the shadow deviation), the backend's own counters, and,
-    /// given an index maintainer, the index synced against exactly that
-    /// matrix (with the sync's report) — index and embeddings travel in one
-    /// `Arc`, so a reader can never observe one without the other.
+    /// its deferred work lands — fpga-sim re-dequantizes dirty rows and,
+    /// closing a shadowed window, re-measures the shadow deviation), the
+    /// backend's own counters, and, given an index maintainer, the index
+    /// synced against exactly that matrix (with the sync's report) — index
+    /// and embeddings travel in one `Arc`, so a reader can never observe one
+    /// without the other.
     pub fn snapshot(
         &mut self,
         version: u64,

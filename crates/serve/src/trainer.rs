@@ -9,8 +9,9 @@
 //! is published, so query staleness is bounded by one batch rather than one
 //! connection's burst. Publication is also where a backend's deferred work
 //! lands: fpga-sim re-dequantizes only the β rows dirtied since the last
-//! publish, refreshes its cycle-model throughput plan, and re-measures the
-//! float-shadow deviation.
+//! publish, refreshes its cycle-model throughput plan and saturation count,
+//! and — closing one publish window in eight — re-measures the float-shadow
+//! deviation.
 //!
 //! Training itself is the shared [`Fold`] step. With a WAL, events arrive
 //! already logged (the worker appends before sending, holding the log lock
@@ -172,9 +173,14 @@ pub struct ServeStats {
     /// capacity headroom (`seqge_backend_measured_ingest_eps`).
     pub backend_measured_eps: Arc<Gauge>,
     /// Fixed-vs-float embedding deviation measured by the backend's shadow
-    /// probe at the last publish, in ppm — the paper's Fig. 4 accuracy gap
-    /// as a live series (`seqge_backend_deviation`).
+    /// probe at the last publish closing a shadowed window, in ppm — the
+    /// paper's Fig. 4 accuracy gap as a live series
+    /// (`seqge_backend_deviation`).
     pub backend_deviation: Arc<Gauge>,
+    /// Fixed-point saturation events the backend's kernel counted on
+    /// write-back, every walk (`seqge_backend_saturations_total`; zero for
+    /// backends without one).
+    pub backend_saturations: Arc<Counter>,
 }
 
 impl ServeStats {
@@ -229,6 +235,7 @@ impl ServeStats {
             backend_predicted_eps: registry.gauge("seqge_backend_predicted_ingest_eps"),
             backend_measured_eps: registry.gauge("seqge_backend_measured_ingest_eps"),
             backend_deviation: registry.gauge("seqge_backend_deviation"),
+            backend_saturations: registry.counter("seqge_backend_saturations_total"),
         }
     }
 
@@ -388,7 +395,8 @@ impl Trainer {
     }
 
     /// [`Fold::snapshot`], with what it refreshed — the cycle plan, the
-    /// shadow deviation, the index sync — mirrored into the registry.
+    /// sampled shadow deviation, the kernel's saturation count, the index
+    /// sync — mirrored into the registry.
     fn render(
         fold: &mut Fold,
         ann: Option<&mut AnnBuilder>,
@@ -402,6 +410,9 @@ impl Trainer {
         }
         if let Some(ppm) = fold.backend.deviation_ppm() {
             stats.backend_deviation.set(ppm);
+        }
+        if let Some(n) = fold.backend.saturations() {
+            stats.backend_saturations.set_to(n);
         }
         if let Some(rep) = &report {
             stats.record_ann_sync(rep);

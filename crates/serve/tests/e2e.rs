@@ -33,10 +33,18 @@ fn spec() -> BackendSpec {
 /// Boots a server over the spanning forest of a random graph; returns the
 /// handle plus the removed (held-out) edges.
 fn forest_server(config: ServeConfig) -> (seqge_serve::ServerHandle, Vec<(u32, u32)>) {
+    forest_server_on(backend_kind(), config)
+}
+
+/// [`forest_server`] on a given backend, whatever `SEQGE_BACKEND` says.
+fn forest_server_on(
+    kind: BackendKind,
+    config: ServeConfig,
+) -> (seqge_serve::ServerHandle, Vec<(u32, u32)>) {
     let full = erdos_renyi(40, 0.18, 7);
     let split = spanning_forest(&full);
     let initial = split.initial_graph(&full);
-    let mut backend = spec().cold(initial.num_nodes());
+    let mut backend = seqge_serve::shard_spec(kind, DIM, SEED).cold(initial.num_nodes());
     backend.bootstrap(&initial);
     let handle = start_backend("127.0.0.1:0", initial, backend, config).expect("server starts");
     (handle, split.removed_edges)
@@ -234,6 +242,29 @@ fn metrics_op_exposes_request_latency_after_traffic() {
     // Unknown format is a clean protocol error.
     assert!(c.call(r#"{"cmd":"metrics","format":"xml"}"#).is_err());
 
+    handle.shutdown().unwrap();
+}
+
+/// The fpga-sim series reach a live registry: the cycle planner, the
+/// sampled deviation (the boot window is always shadowed) and the kernel's
+/// saturation count, zero on a healthy stream.
+#[test]
+fn fpga_sim_series_reach_the_metrics_op() {
+    let (handle, removed) = forest_server_on(BackendKind::FpgaSim, ServeConfig::default());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    for &(u, v) in removed.iter().take(8) {
+        c.add_edge(u, v).unwrap();
+    }
+    c.flush().unwrap();
+    let text = c.metrics("prometheus").unwrap();
+    let value = |id: &str| -> f64 {
+        let line = text.lines().find(|l| l.strip_prefix(id).is_some_and(|v| v.starts_with(' ')));
+        let line = line.unwrap_or_else(|| panic!("missing `{id}` in:\n{text}"));
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    assert!(value("seqge_backend_cycles_total") > 0.0, "{text}");
+    assert!(value("seqge_backend_deviation") > 0.0, "{text}");
+    assert_eq!(value("seqge_backend_saturations_total"), 0.0, "{text}");
     handle.shutdown().unwrap();
 }
 

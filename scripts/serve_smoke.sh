@@ -3,8 +3,9 @@
 # generated graph, run a scripted client session over the line-delimited
 # JSON protocol, scrape the metrics registry, kill -9 the server, restart it
 # from the store alone (the log replays; acked writes survive), and SIGINT
-# that one gracefully. Exits non-zero on any failed assertion. CI runs this
-# as the `serve-smoke` job.
+# that one gracefully; then boot the same graph under `--backend fpga-sim`
+# and scrape its backend series. Exits non-zero on any failed assertion. CI
+# runs this as the `serve-smoke` job.
 #
 # The server logs structured JSONL to stderr (seqge-obs), so readiness and
 # lifecycle checks match on the "msg" field rather than raw lines.
@@ -40,11 +41,12 @@ listen_addr() {
 }
 
 # Asserts that a Prometheus series (exact id, including any label block) is
-# present in $work/metrics.txt with a value > 0.
+# present in the scrape ($2, default $work/metrics.txt) with a value > 0.
 check_series() {
+  local file=${2:-$work/metrics.txt}
   awk -v id="$1" '{v=$NF; sub(/ [^ ]*$/, ""); if ($0 == id && v + 0 > 0) found = 1}
-                  END {exit !found}' "$work/metrics.txt" ||
-    { echo "FAIL: metrics series missing or zero: $1"; cat "$work/metrics.txt"; exit 1; }
+                  END {exit !found}' "$file" ||
+    { echo "FAIL: metrics series missing or zero: $1"; cat "$file"; exit 1; }
 }
 
 "$BIN" generate --dataset cora --scale 0.05 --out "$work/g.edges"
@@ -222,5 +224,31 @@ grep -q '^replay: 0 applied' "$work/replay_check.out" ||
   { echo "FAIL: graceful stop left events to replay"; exit 1; }
 grep -q 'deterministic: true' "$work/replay_check.out" ||
   { echo "FAIL: replay audit not deterministic"; exit 1; }
+
+# The fpga-sim leg: same graph, the fixed-point backend, one write + flush,
+# and its series must reach the live registry — the cycle planner, the
+# deviation (the boot window is always shadowed) and the saturation counter
+# (present; 0 on a healthy stream).
+"$BIN" serve --graph "$work/g.edges" --port 0 --dim 8 --backend fpga-sim \
+  --wal-dir "$work/wal-fpga" >"$work/serve-fpga.log" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 1 150); do
+  grep -q '"msg":"listening on ' "$work/serve-fpga.log" && break
+  sleep 0.2
+done
+ADDR3=$(listen_addr "$work/serve-fpga.log")
+[[ -n $ADDR3 ]] || { echo "FAIL: fpga-sim server never came up"; cat "$work/serve-fpga.log"; exit 1; }
+printf '%s\n' '{"cmd":"add_edge","u":0,"v":5}' '{"cmd":"flush"}' |
+  "$BIN" client --addr "$ADDR3" >"$work/session-fpga.out"
+[[ $(grep -c '"ok":true' "$work/session-fpga.out") -eq 2 ]] ||
+  { echo "FAIL: fpga-sim write not acked"; cat "$work/session-fpga.out"; exit 1; }
+"$BIN" obs dump --addr "$ADDR3" --format prometheus >"$work/metrics-fpga.txt"
+check_series 'seqge_backend_cycles_total' "$work/metrics-fpga.txt"
+check_series 'seqge_backend_deviation' "$work/metrics-fpga.txt"
+grep -q '^seqge_backend_saturations_total ' "$work/metrics-fpga.txt" ||
+  { echo "FAIL: no saturation counter"; cat "$work/metrics-fpga.txt"; exit 1; }
+kill -INT "$SERVER_PID"
+wait "$SERVER_PID" || { echo "FAIL: fpga-sim server exited non-zero"; exit 1; }
+SERVER_PID=""
 
 echo "serve smoke OK"

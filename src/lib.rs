@@ -15,8 +15,9 @@
 //! * [`eval`] — one-vs-rest logistic regression and F1 scoring.
 //! * [`backend`] — pluggable training backends behind the serve plane:
 //!   the float OS-ELM pipeline and the fixed-point fpga-sim kernel behind
-//!   one `TrainBackend` trait, with cycle-model planning and a float
-//!   shadow that measures fpga-sim's accuracy deviation live.
+//!   one `TrainBackend` trait, with cycle-model planning, a float shadow
+//!   that samples fpga-sim's accuracy deviation one publish window in
+//!   eight, and the kernel's saturation count on every walk.
 //! * [`serve`] — online embedding service: live edge ingestion, incremental
 //!   sequential training, lock-free snapshot queries over TCP.
 //! * [`ann`] — incremental LSH index behind the serve plane's sublinear

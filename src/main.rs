@@ -93,8 +93,11 @@ commands:
             pipeline in f32; `fpga-sim` runs the paper's deferred-delta
             fixed-point accelerator kernel online, exporting its cycle
             model as a live ingest planner (seqge_backend_cycles_total /
-            predicted vs measured eps) and its accuracy deviation from
-            the float shadow as seqge_backend_deviation (ppm). Without
+            predicted vs measured eps), its accuracy deviation from a
+            float shadow trained in the boot window and one publish
+            window in eight as seqge_backend_deviation (ppm), and its
+            per-walk Q8.24 saturation count as
+            seqge_backend_saturations_total. Without
             --wal-dir the server is ephemeral: it bootstraps from --graph
             and its state dies with the process. With --wal-dir DIR is the
             node: --graph seeds it on first boot only, every acknowledged
