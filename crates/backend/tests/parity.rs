@@ -8,9 +8,12 @@
 //! * fpga-sim's float shadow must not perturb the accelerator's RNG stream,
 //!   and sampling it one window in eight reports the always-on values.
 //! * The kernel's saturation count runs on every walk.
+//! * The float backend's publish sequence — every view's bits and what an
+//!   index sync on it finds dirty — is pinned by hash.
 //! * Save → load → replay is deterministic (the WAL recovery contract).
 //! * The bytes `save_state` writes — the SGE1 container — are pinned by hash.
 
+use seqge_ann::{AnnBuilder, AnnConfig};
 use seqge_backend::fixedstate::save_fixed;
 use seqge_backend::fpga_sim::SHADOW_EVERY;
 use seqge_backend::{BackendKind, BackendSpec, FpgaSimBackend, TrainBackend};
@@ -20,6 +23,7 @@ use seqge_fixed::Q8_24;
 use seqge_fpga::Accelerator;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::{spanning_forest, EdgeEvent, Graph};
+use seqge_linalg::Mat;
 use seqge_sampling::{Rng64, UpdatePolicy};
 use std::path::PathBuf;
 
@@ -179,6 +183,73 @@ fn publish_sequence_holds_the_accelerator_bits() {
     let sampled =
         (0..ALWAYS_ON_DEVIATION_PPM.len()).map(|k| ALWAYS_ON_DEVIATION_PPM[k - k % every]);
     assert_eq!(seen, sampled.collect::<Vec<_>>());
+}
+
+/// 32-bit FNV-1a over a view's `f32` bit patterns, one word at a time.
+fn bits_hash(view: &Mat<f32>) -> u32 {
+    view.as_slice().iter().fold(0x811c_9dc5, |h, x| (h ^ x.to_bits()).wrapping_mul(0x0100_0193))
+}
+
+/// [`bits_hash`] of the view `float_publish_sequence_is_pinned` publishes
+/// after bootstrap (index 0) and after event `k` (index `k`).
+const FLOAT_VIEW_HASHES: [u32; 105] = [
+    0x9d5e9f4a, 0x9112ae46, 0x11e57acc, 0x6148ffee, 0x73ccc349, 0x08a899ec, 0xb497cb66, 0xcc04bfeb,
+    0x8cb67c22, 0xb0694ccd, 0x7b2d38d1, 0x658f7872, 0x50598da8, 0xc59387c6, 0x38db5346, 0xf6556766,
+    0xa1d4213c, 0x25daa63f, 0x776c4c6a, 0x4bba7d5d, 0x663886c4, 0x65a1ab83, 0xb9c3f23d, 0x5fe762af,
+    0x7c056ffe, 0xe94af7e8, 0x68eaf0a0, 0xb5af42ab, 0xa7979ddd, 0xe17f02b2, 0x89ebe2dd, 0xb51a6c8a,
+    0xb52aecec, 0x4e4412c2, 0x05ec549d, 0x85f277b1, 0x6ea471d0, 0xde5ca6a3, 0xa016725f, 0xccde4160,
+    0xe6369743, 0x700c3e1d, 0x9d423b80, 0xce501e1f, 0xb263dd4a, 0x772611b3, 0x71d0b558, 0x60a4d188,
+    0xeb29c1a9, 0xa6e1bc25, 0x6b68aa75, 0x2f2f183d, 0x854cd453, 0x1182b1ec, 0xff86b884, 0x0e62832e,
+    0x5e4d4c0d, 0x059ba8f5, 0xa80509ab, 0xf9783b63, 0xebf394bf, 0x142da48c, 0x9c3382f3, 0x58a2ce34,
+    0x5f451c96, 0x8aa6ee8a, 0x75b9f5ff, 0x87893eec, 0x738a91e0, 0x2999e77a, 0x1d3ab780, 0xb8844383,
+    0x110f2000, 0xeaecad07, 0x1f5b8686, 0xf1177448, 0x1c525da0, 0x78a65b57, 0x2d2ff775, 0xca5f5ad1,
+    0x0dc204b7, 0xd6b0a3d5, 0x4e8b72bf, 0x5dab2300, 0x51f2598f, 0xe19cc6f4, 0xc49a14ca, 0x954794fd,
+    0x0edeaf3f, 0xdefb532f, 0xb5656b80, 0x08988a29, 0x554a2278, 0x4bf7dd14, 0x38390f92, 0x4c42caad,
+    0x5f8cd7f9, 0xbc46297a, 0xa475471d, 0xfec7de13, 0xf52f62cd, 0xf2cb6dc8, 0x3422f016, 0x4df2b729,
+    0xebf3d867,
+];
+
+/// The rows the index sync on each of those views found dirty (per-position
+/// negatives touch nearly every row of a 40-node graph per event).
+const FLOAT_DIRTY: [usize; 105] = [
+    40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40,
+    40, 40, 40, 40, 39, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40,
+    40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40,
+    40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40,
+    40, 40, 40, 40, 40, 40, 40, 40, 40,
+];
+
+/// `FloatBackend`'s publish sequence: `scenario()` with a publish after
+/// bootstrap and after every event, each followed by one empty (flush
+/// barrier) publish, and one `AnnBuilder` synced on every view. Pins the
+/// bits of every view and what every sync reports as `(total, dirty,
+/// rehashed)`: the publish's, then the empty publish's.
+#[test]
+fn float_publish_sequence_is_pinned() {
+    let (mut g, events) = scenario();
+    let mut be = spec(BackendKind::Float).cold(g.num_nodes());
+    be.bootstrap(&g);
+    let mut ann = AnnBuilder::new(AnnConfig::default());
+    let (mut views, mut syncs) = (Vec::new(), Vec::new());
+    let mut publish = |be: &mut dyn TrainBackend| {
+        let view = be.publish_view();
+        let (_, rep) = ann.sync(&view);
+        let empty = be.publish_view();
+        let (_, again) = ann.sync(&empty);
+        assert_eq!(bits_hash(&empty), bits_hash(&view), "an empty publish moves no bit");
+        views.push(bits_hash(&view));
+        syncs.push([
+            (rep.total, rep.dirty, rep.rehashed),
+            (again.total, again.dirty, again.rehashed),
+        ]);
+    };
+    publish(&mut *be);
+    for &e in &events {
+        be.ingest(&mut g, e).unwrap();
+        publish(&mut *be);
+    }
+    assert_eq!(views, FLOAT_VIEW_HASHES);
+    assert_eq!(syncs, FLOAT_DIRTY.map(|d| [(40, d, d), (40, 0, 0)]));
 }
 
 /// The kernel's saturation count is the health signal that does not wait
