@@ -117,71 +117,65 @@ impl SyncReport {
     }
 }
 
-/// The trainer-side maintainer: owns the per-row change-detection hashes
-/// and signatures, and renders an immutable [`AnnIndex`] per snapshot
-/// publication.
+/// The trainer-side maintainer: keeps the last view it synced, the per-row
+/// signatures and the index built from them, and renders an immutable
+/// [`AnnIndex`] per snapshot publication.
 ///
-/// Change detection compares a word-wise hash of each row's bit patterns
-/// (`row_hash`) against the previous sync — O(n·d) reads per publish, an
-/// order of magnitude cheaper than re-hashing every row through
-/// `bands × bits` hyperplanes. (A hash collision would leave one vertex
-/// filed under a stale signature: a recall blip on that vertex until its
-/// row changes again, never a scoring error — candidates are always
-/// re-ranked against the snapshot's true embeddings.)
+/// Change detection is pointer-first, then exact. Handed the very `Arc` it
+/// synced last, a sync reads no row: views are immutable behind their `Arc`,
+/// so the same pointer means the same bits. Otherwise a row is dirty when
+/// its `f32` bit patterns differ from the last view's — one O(n·d) compare,
+/// an order of magnitude cheaper than re-hashing every row through
+/// `bands × bits` hyperplanes, and never wrong.
 #[derive(Debug)]
 pub struct AnnBuilder {
     cfg: AnnConfig,
-    row_hash: Vec<u64>,
     sigs: Vec<u32>,
-    /// The last index handed out; also the record of the geometry `sigs`
-    /// and `row_hash` describe.
-    index: Option<Arc<AnnIndex>>,
+    /// The last view synced and the index handed out for it; also the record
+    /// of the geometry `sigs` describes.
+    last: Option<(Arc<Mat<f32>>, Arc<AnnIndex>)>,
 }
 
 impl AnnBuilder {
     /// A builder with no points; dimensions are fixed by the first
     /// [`AnnBuilder::sync`].
     pub fn new(cfg: AnnConfig) -> Self {
-        AnnBuilder { cfg, row_hash: Vec::new(), sigs: Vec::new(), index: None }
+        AnnBuilder { cfg, sigs: Vec::new(), last: None }
     }
 
     /// Brings the index in line with `emb` and returns the immutable
-    /// version to publish. Only rows whose bits changed since the last
-    /// sync are re-hashed, after which the buckets are regrouped from the
+    /// version to publish. The `Arc` synced last returns the previous index
+    /// at once. Otherwise only rows whose bits changed since the last sync
+    /// are re-hashed, after which the buckets are regrouped from the
     /// retained signatures (O(n·bands) `u32` moves); a sync that finds no
-    /// row changed returns the previous `Arc`. The first sync (or a
-    /// geometry change — row or column count) is a full rebuild.
-    pub fn sync(&mut self, emb: &Mat<f32>) -> (Arc<AnnIndex>, SyncReport) {
+    /// row changed returns the previous `Arc`. The first sync (or a geometry
+    /// change — row or column count) is a full rebuild.
+    pub fn sync(&mut self, emb: &Arc<Mat<f32>>) -> (Arc<AnnIndex>, SyncReport) {
         let t0 = Instant::now();
         let n = emb.rows();
-        let kept = self.index.take().filter(|ix| ix.dim() == emb.cols() && ix.num_points() == n);
-        let full = kept.is_none();
-        let planes = match &kept {
-            Some(index) => index.planes.clone(),
+        let kept =
+            self.last.take().filter(|(seen, _)| (seen.rows(), seen.cols()) == (n, emb.cols()));
+        let mut dirty = 0;
+        let index = match kept {
+            Some((seen, index)) if Arc::ptr_eq(&seen, emb) => index,
+            Some((seen, index)) => {
+                dirty =
+                    self.rehash(&index.planes, emb, |row| !same_bits(seen.row(row), emb.row(row)));
+                match dirty {
+                    0 => index,
+                    _ => Arc::new(AnnIndex::build(index.planes.clone(), &self.sigs, n)),
+                }
+            }
             None => {
                 let (bands, bits) = (self.cfg.bands.max(1), self.cfg.bits_for(n));
-                self.row_hash = vec![0; n];
+                let planes =
+                    Arc::new(Hyperplanes::generate(emb.cols(), bands, bits, self.cfg.seed));
                 self.sigs = vec![0; n * bands];
-                Arc::new(Hyperplanes::generate(emb.cols(), bands, bits, self.cfg.seed))
+                dirty = self.rehash(&planes, emb, |_| true);
+                Arc::new(AnnIndex::build(planes, &self.sigs, n))
             }
         };
-        let mut dirty = 0usize;
-        let mut acc = Vec::new();
-        for (row, seen) in self.row_hash.iter_mut().enumerate() {
-            let h = row_hash(emb.row(row));
-            if full || *seen != h {
-                dirty += 1;
-                planes.probe_signatures(emb.row(row), 0, &mut acc, |band, sig| {
-                    self.sigs[band * n + row] = sig;
-                });
-                *seen = h;
-            }
-        }
-        let index = match kept {
-            Some(index) if dirty == 0 => index,
-            _ => Arc::new(AnnIndex::build(planes, &self.sigs, n)),
-        };
-        self.index = Some(index.clone());
+        self.last = Some((emb.clone(), index.clone()));
         let report = SyncReport {
             total: n,
             dirty,
@@ -190,31 +184,32 @@ impl AnnBuilder {
         };
         (index, report)
     }
+
+    /// Re-hashes the rows of `emb` that `changed` picks into `sigs`;
+    /// returns how many.
+    fn rehash(
+        &mut self,
+        planes: &Hyperplanes,
+        emb: &Mat<f32>,
+        changed: impl Fn(usize) -> bool,
+    ) -> usize {
+        let n = emb.rows();
+        let mut acc = Vec::new();
+        let mut dirty = 0;
+        for row in (0..n).filter(|&row| changed(row)) {
+            dirty += 1;
+            planes.probe_signatures(emb.row(row), 0, &mut acc, |band, sig| {
+                self.sigs[band * n + row] = sig;
+            });
+        }
+        dirty
+    }
 }
 
-/// Change-detection hash of one row: the `f32` bit patterns, two to a
-/// 64-bit word, folded into four independent multiply-rotate lanes (word
-/// `i` into lane `i % 4`), then the lanes into one another. Every step is
-/// a bijection of the state it updates (xor, multiply by an odd constant,
-/// rotate), so two rows that differ in exactly one `f32` always hash
-/// differently; the four lanes keep four multiplies in flight where a
-/// byte-serial FNV has one.
-fn row_hash(row: &[f32]) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mix = |state: u64, word: u64| (state ^ word).wrapping_mul(K).rotate_left(29);
-    let word =
-        |p: &[f32]| p[0].to_bits() as u64 | (p.get(1).map_or(0, |v| v.to_bits()) as u64) << 32;
-    let mut lanes = [K, !K, K.rotate_left(21), K.rotate_left(42)];
-    let mut blocks = row.chunks_exact(8);
-    for block in &mut blocks {
-        for (lane, p) in lanes.iter_mut().zip(block.chunks_exact(2)) {
-            *lane = mix(*lane, word(p));
-        }
-    }
-    for (lane, p) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
-        *lane = mix(*lane, word(p));
-    }
-    lanes.into_iter().fold(0, mix)
+/// Whether two rows hold the same `f32` bit patterns (so `0.0` and `-0.0`
+/// differ). Branch-free over the row, so it vectorizes.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.iter().zip(b).fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits())) == 0
 }
 
 #[cfg(test)]
@@ -232,7 +227,7 @@ mod tests {
 
     #[test]
     fn first_sync_indexes_everything() {
-        let emb = clustered(100, 8);
+        let emb = Arc::new(clustered(100, 8));
         let mut b = AnnBuilder::new(AnnConfig::default());
         let (idx, rep) = b.sync(&emb);
         assert_eq!(rep, SyncReport { total: 100, dirty: 100, rehashed: 100, ..rep });
@@ -247,12 +242,12 @@ mod tests {
     fn resync_rehashes_only_dirty_rows() {
         let mut emb = clustered(200, 8);
         let mut b = AnnBuilder::new(AnnConfig::default());
-        let (idx0, _) = b.sync(&emb);
+        let (idx0, _) = b.sync(&Arc::new(emb.clone()));
         // Move one vertex to the other cluster.
         for c in 0..8 {
             emb.row_mut(42)[c] = -1.0 - c as f32 * 0.01;
         }
-        let (idx1, rep) = b.sync(&emb);
+        let (idx1, rep) = b.sync(&Arc::new(emb.clone()));
         assert_eq!((rep.total, rep.dirty, rep.rehashed), (200, 1, 1));
         assert_eq!(rep.dirty_ppm(), 5_000);
         // The new index files 42 under its new signature…
@@ -260,25 +255,25 @@ mod tests {
         // …while the previously published index is untouched (old home).
         assert!(idx0.candidates(clustered(200, 8).row(42), 0).contains(&42));
         // A no-op sync is free.
-        let (_, rep) = b.sync(&emb);
+        let (_, rep) = b.sync(&Arc::new(emb));
         assert_eq!(rep.dirty, 0);
     }
 
     #[test]
     fn geometry_change_forces_full_rebuild() {
         let mut b = AnnBuilder::new(AnnConfig::default());
-        let (_, rep) = b.sync(&clustered(50, 8));
+        let (_, rep) = b.sync(&Arc::new(clustered(50, 8)));
         assert_eq!(rep.dirty, 50);
-        let (_, rep) = b.sync(&clustered(60, 8));
+        let (_, rep) = b.sync(&Arc::new(clustered(60, 8)));
         assert_eq!((rep.total, rep.dirty), (60, 60));
-        let (idx, rep) = b.sync(&clustered(60, 4));
+        let (idx, rep) = b.sync(&Arc::new(clustered(60, 4)));
         assert_eq!(rep.dirty, 60);
         assert!(idx.candidates(clustered(60, 4).row(3), 0).contains(&3));
     }
 
     #[test]
     fn candidates_are_sorted_dedup_and_cluster_local() {
-        let emb = clustered(300, 16);
+        let emb = Arc::new(clustered(300, 16));
         let mut b = AnnBuilder::new(AnnConfig { bands: 6, bits: 4, seed: 9 });
         let (idx, _) = b.sync(&emb);
         let cands = idx.candidates(emb.row(10), 2);
@@ -297,28 +292,30 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs_are_fine() {
         let mut b = AnnBuilder::new(AnnConfig::default());
-        let (idx, rep) = b.sync(&Mat::zeros(0, 8));
+        let (idx, rep) = b.sync(&Arc::new(Mat::zeros(0, 8)));
         assert_eq!((idx.num_points(), rep.total), (0, 0));
         assert_eq!(rep.dirty_ppm(), 0);
         assert!(idx.candidates(&[0.0; 8], 4).is_empty());
-        let (idx, _) = b.sync(&Mat::filled(1, 8, 0.5));
+        let (idx, _) = b.sync(&Arc::new(Mat::filled(1, 8, 0.5)));
         assert_eq!(idx.candidates(&[0.5; 8], 0), vec![0]);
     }
 
     #[test]
-    fn row_hash_sees_every_single_word_change() {
+    fn exact_compare_sees_every_single_word_change() {
         for len in [1usize, 3, 4, 5, 8, 31, 32, 33] {
             let base: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+            assert!(same_bits(&base, &base.clone()), "len {len}");
             for i in 0..len {
                 for flip in [1u32, 1 << 22, 1 << 31, u32::MAX] {
                     let mut edited = base.clone();
                     edited[i] = f32::from_bits(base[i].to_bits() ^ flip);
-                    assert_ne!(row_hash(&base), row_hash(&edited), "len {len}, word {i}");
+                    assert!(!same_bits(&base, &edited), "len {len}, word {i}");
                 }
             }
         }
-        // Bit patterns, not values: the two zeros differ.
-        assert_ne!(row_hash(&[0.0, 1.0]), row_hash(&[-0.0, 1.0]));
+        // Bit patterns, not values: the two zeros differ, and a NaN is itself.
+        assert!(!same_bits(&[0.0, 1.0], &[-0.0, 1.0]));
+        assert!(same_bits(&[f32::NAN, 1.0], &[f32::NAN, 1.0]));
     }
 
     /// Every bucket of every band is strictly ascending and each band
@@ -356,8 +353,9 @@ mod tests {
         /// After any sequence of row edits and syncs the incrementally
         /// maintained index answers exactly like a fresh build of the
         /// final matrix, every sync re-hashes exactly the rows whose bit
-        /// patterns changed, and a sync that finds none returns the very
-        /// same `Arc`.
+        /// patterns changed, and a sync that finds none — handed the same
+        /// view `Arc` again or a new one with equal bits — returns the very
+        /// same index `Arc`.
         #[test]
         fn incremental_sync_equals_fresh_build(
             rows in 1usize..48,
@@ -373,7 +371,7 @@ mod tests {
             let cfg = AnnConfig { bands, bits, seed: 5 };
             let mut emb = Mat::from_vec(rows, dim, cells[..rows * dim].to_vec());
             let mut builder = AnnBuilder::new(cfg);
-            let (_, rep) = builder.sync(&emb);
+            let (_, rep) = builder.sync(&Arc::new(emb.clone()));
             prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, rows, rows));
             for edits in rounds {
                 let before = emb.clone();
@@ -382,15 +380,19 @@ mod tests {
                 }
                 let bits_of = |m: &Mat<f32>, r: usize| m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 let changed = (0..rows).filter(|&r| bits_of(&before, r) != bits_of(&emb, r)).count();
-                let (index, rep) = builder.sync(&emb);
+                let (index, rep) = builder.sync(&Arc::new(emb.clone()));
                 prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, changed, changed));
                 check_buckets(&index)?;
             }
-            let (index, _) = builder.sync(&emb);
-            let (again, rep) = builder.sync(&emb);
+            let view = Arc::new(emb.clone());
+            let (index, _) = builder.sync(&view);
+            let (again, rep) = builder.sync(&view);
             prop_assert!(Arc::ptr_eq(&index, &again));
             prop_assert_eq!((rep.dirty, rep.rehashed), (0, 0));
-            let (fresh, _) = AnnBuilder::new(cfg).sync(&emb);
+            let (equal, rep) = builder.sync(&Arc::new(emb.clone()));
+            prop_assert!(Arc::ptr_eq(&index, &equal));
+            prop_assert_eq!((rep.dirty, rep.rehashed), (0, 0));
+            let (fresh, _) = AnnBuilder::new(cfg).sync(&view);
             for row in 0..rows {
                 for probes in [0usize, 3] {
                     prop_assert_eq!(

@@ -19,14 +19,16 @@
 //!   ids grouped by signature, two flat allocations per version. Readers
 //!   holding an old snapshot keep a consistent index/embedding pair
 //!   forever.
-//! * [`AnnBuilder`] — the trainer-side maintainer. On every snapshot
-//!   republish it detects the *dirty region* (rows whose bits actually
-//!   changed, via a word-wise per-row hash) and re-hashes only those
-//!   vertices through one lane-parallel projection kernel —
+//! * [`AnnBuilder`] — the trainer-side maintainer. It keeps the last view
+//!   it synced: handed the same `Arc<Mat<f32>>` again (a publish with no
+//!   training since) it returns the previous `Arc<AnnIndex>` without
+//!   reading a row. Otherwise it detects the *dirty region* (rows whose
+//!   bits differ from the last view's, compared exactly) and re-hashes only
+//!   those vertices through one lane-parallel projection kernel —
 //!   O(dirty·bands·bits·d) instead of a full rebuild — then regroups the
 //!   buckets from the retained signatures with a counting sort per band
-//!   (O(n·bands) `u32` moves). A sync that finds nothing dirty returns the
-//!   previous `Arc<AnnIndex>`.
+//!   (O(n·bands) `u32` moves). A sync that finds nothing dirty also returns
+//!   the previous index.
 //!
 //! The exemplar shape is SNIPPETS.md snippets 2–3 (`ATree`, `LayeredLsh`,
 //! `DynamicQuery` from the wembed/rembed line of work): a spatial index

@@ -9,6 +9,7 @@
 
 use seqge_ann::{AnnBuilder, AnnConfig, AnnIndex, SyncReport};
 use seqge_linalg::Mat;
+use std::sync::Arc;
 
 const ROWS: usize = 3_000;
 const DIM: usize = 32;
@@ -62,7 +63,7 @@ fn index_is_pinned_through_every_kind_of_sync() {
     let mut builder = AnnBuilder::new(AnnConfig::default());
     let mut seen = Vec::new();
     let mut step = |builder: &mut AnnBuilder, emb: &Mat<f32>| {
-        let (index, rep) = builder.sync(emb);
+        let (index, rep) = builder.sync(&Arc::new(emb.clone()));
         seen.push(((rep.total, rep.dirty, rep.rehashed), fingerprint(&index, &rep, emb)));
     };
 

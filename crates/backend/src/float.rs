@@ -2,7 +2,7 @@
 //! trait, bit-identical to driving [`OsElmSkipGram`] +
 //! [`IncrementalTrainer`] by hand: every trait method delegates exactly the
 //! call the serve trainer used to make, in the same order, on the same RNG
-//! stream.
+//! stream. The published view is cached until the next training call.
 
 use crate::{BackendKind, TrainBackend};
 use seqge_core::model::EmbeddingModel;
@@ -11,11 +11,14 @@ use seqge_graph::{EdgeEvent, Graph, GraphError};
 use seqge_linalg::Mat;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Float OS-ELM ([`OsElmSkipGram`]) driven by [`IncrementalTrainer`].
 pub struct FloatBackend {
     model: OsElmSkipGram,
     inc: IncrementalTrainer,
+    /// The last published view; dropped by every call that trains.
+    view: Option<Arc<Mat<f32>>>,
 }
 
 impl FloatBackend {
@@ -24,6 +27,7 @@ impl FloatBackend {
         FloatBackend {
             model: OsElmSkipGram::new(num_nodes, spec.oselm),
             inc: IncrementalTrainer::new(num_nodes, &spec.train, spec.policy, spec.seed),
+            view: None,
         }
     }
 
@@ -32,7 +36,7 @@ impl FloatBackend {
     pub fn load(path: &Path, spec: &crate::BackendSpec) -> io::Result<FloatBackend> {
         let model = persist::load_oselm(path)?;
         let inc = IncrementalTrainer::new(model.num_nodes(), &spec.train, spec.policy, spec.seed);
-        Ok(FloatBackend { model, inc })
+        Ok(FloatBackend { model, inc, view: None })
     }
 }
 
@@ -54,19 +58,24 @@ impl TrainBackend for FloatBackend {
     }
 
     fn bootstrap(&mut self, g: &Graph) {
+        self.view = None;
         self.inc.bootstrap(g, &mut self.model);
     }
 
     fn ingest(&mut self, g: &mut Graph, event: EdgeEvent) -> Result<usize, GraphError> {
-        self.inc.ingest(g, event, &mut self.model)
+        // A rejected event leaves all state untouched, the view included.
+        let walks = self.inc.ingest(g, event, &mut self.model)?;
+        self.view = None;
+        Ok(walks)
     }
 
     fn refresh(&mut self, g: &Graph) -> usize {
+        self.view = None;
         self.inc.refresh(g, &mut self.model)
     }
 
-    fn publish_view(&mut self) -> Mat<f32> {
-        self.model.embedding()
+    fn publish_view(&mut self) -> Arc<Mat<f32>> {
+        self.view.get_or_insert_with(|| Arc::new(self.model.embedding())).clone()
     }
 
     fn outcome(&self) -> SeqOutcome {

@@ -6,9 +6,12 @@
 //! (Algorithm 2 line 20), cycle accounting per walk. The dequantized float
 //! serving view is **not** maintained per walk: the kernel tracks which β
 //! rows each walk's commit dirtied, and [`TrainBackend::publish_view`]
-//! re-dequantizes only those rows into a cached matrix — the host-side
+//! re-dequantizes only those rows into its cached `Arc` — the host-side
 //! analogue of the accelerator's batched DRAM write-back, amortizing the
-//! per-walk cost across a publish batch exactly as the hardware does.
+//! per-walk cost across a publish batch exactly as the hardware does. The
+//! patch goes through [`Arc::make_mut`], so the one copy made is the one
+//! that keeps published snapshots immutable, and a publish with no row
+//! dirty hands out the same `Arc` again.
 //!
 //! Two live by-products:
 //!
@@ -48,6 +51,7 @@ use seqge_linalg::Mat;
 use seqge_sampling::{NegativeTable, Rng64};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One publish window in this many (after the always-shadowed window 0)
 /// trains the float shadow.
@@ -107,9 +111,9 @@ impl EmbeddingModel for ProbeModel {
 pub struct FpgaSimBackend {
     probe: ProbeModel,
     inc: IncrementalTrainer,
-    /// Cached dequantized serving view; `None` until the first publish builds
-    /// it in full.
-    view: Option<Mat<f32>>,
+    /// Cached dequantized serving view, shared with the snapshots published
+    /// from it; `None` until the first publish builds it in full.
+    view: Option<Arc<Mat<f32>>>,
     deviation_ppm: Option<i64>,
     /// Index of the current publish window (0 from construction).
     window: u64,
@@ -202,22 +206,22 @@ impl TrainBackend for FpgaSimBackend {
         self.inc.refresh(g, &mut self.probe)
     }
 
-    fn publish_view(&mut self) -> Mat<f32> {
+    fn publish_view(&mut self) -> Arc<Mat<f32>> {
         let dirty = self.probe.accel.take_dirty();
         let view = match &mut self.view {
             Some(view) => {
                 // The Δ-batch application: only rows committed since the
-                // last publish are re-dequantized.
-                for &node in &dirty {
-                    self.probe.accel.embed_row(node, view.row_mut(node as usize));
+                // last publish are re-dequantized, into a copy of the view
+                // if a snapshot still holds it.
+                if !dirty.is_empty() {
+                    let rows = Arc::make_mut(view);
+                    for &node in &dirty {
+                        self.probe.accel.embed_row(node, rows.row_mut(node as usize));
+                    }
                 }
                 view.clone()
             }
-            None => {
-                let full = self.probe.accel.embedding();
-                self.view = Some(full.clone());
-                full
-            }
+            None => self.view.insert(Arc::new(self.probe.accel.embedding())).clone(),
         };
         // A publish that trained walks closes the current window (measuring
         // it if it was shadowed) and opens the next (with a fresh shadow

@@ -31,6 +31,10 @@
 //!    Q8.24 words* (an f32 round-trip would not be bit-faithful).
 //! 2. **Publish-view purity** — [`publish_view`] returns the current
 //!    embedding without changing training state (it may flush caches).
+//! 3. **No training between two [`publish_view`]s means the same `Arc`** —
+//!    a publish with nothing trained since the last one (a flush barrier)
+//!    hands out the very view it handed out before, so the index sync and
+//!    the snapshot behind it cost a pointer compare, not a matrix.
 //!
 //! [`save_state`]: TrainBackend::save_state
 //! [`publish_view`]: TrainBackend::publish_view
@@ -48,6 +52,7 @@ use seqge_linalg::Mat;
 use seqge_sampling::UpdatePolicy;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 pub use float::FloatBackend;
 pub use fpga_sim::FpgaSimBackend;
@@ -159,10 +164,12 @@ pub trait TrainBackend: Send {
     /// Full corpus resample + retrain (the drift arm). Returns walks trained.
     fn refresh(&mut self, g: &Graph) -> usize;
 
-    /// The current embedding for publication. May flush internal caches
-    /// (fpga-sim re-dequantizes dirty rows here — the Δ-batch application
-    /// that amortizes per-walk cost) but must not advance training state.
-    fn publish_view(&mut self) -> Mat<f32>;
+    /// The current embedding for publication, shared: the backend keeps the
+    /// `Arc` it hands out and returns the same one until training changes a
+    /// row (contract item 3). May flush internal caches (fpga-sim
+    /// re-dequantizes dirty rows here — the Δ-batch application that
+    /// amortizes per-walk cost) but must not advance training state.
+    fn publish_view(&mut self) -> Arc<Mat<f32>>;
 
     /// Training telemetry so far.
     fn outcome(&self) -> SeqOutcome;

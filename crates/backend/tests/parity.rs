@@ -26,6 +26,7 @@ use seqge_graph::{spanning_forest, EdgeEvent, Graph};
 use seqge_linalg::Mat;
 use seqge_sampling::{Rng64, UpdatePolicy};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const DIM: usize = 8;
 const SEED: u64 = 11;
@@ -163,9 +164,12 @@ fn publish_sequence_holds_the_accelerator_bits() {
 
     let mut seen = Vec::new();
     let mut publish = |be: &mut FpgaSimBackend, acc: &Accelerator| {
-        assert_eq!(be.publish_view().as_slice(), EmbeddingModel::embedding(acc).as_slice());
+        let view = be.publish_view();
+        assert_eq!(view.as_slice(), EmbeddingModel::embedding(acc).as_slice());
         let dev = be.deviation_ppm();
-        assert_eq!(be.publish_view().as_slice(), EmbeddingModel::embedding(acc).as_slice());
+        let empty = be.publish_view();
+        assert_eq!(empty.as_slice(), EmbeddingModel::embedding(acc).as_slice());
+        assert!(Arc::ptr_eq(&empty, &view), "an empty publish hands out the same view");
         assert_eq!(be.deviation_ppm(), dev, "an empty publish holds the last measurement");
         assert_eq!(be.accel().beta_bits(), acc.beta_bits(), "window {}: β words", seen.len());
         assert_eq!(be.accel().p_bits(), acc.p_bits(), "window {}: P words", seen.len());
@@ -235,6 +239,7 @@ fn float_publish_sequence_is_pinned() {
         let view = be.publish_view();
         let (_, rep) = ann.sync(&view);
         let empty = be.publish_view();
+        assert!(Arc::ptr_eq(&empty, &view), "an empty publish hands out the same view");
         let (_, again) = ann.sync(&empty);
         assert_eq!(bits_hash(&empty), bits_hash(&view), "an empty publish moves no bit");
         views.push(bits_hash(&view));

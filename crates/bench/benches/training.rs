@@ -1,10 +1,11 @@
 //! Per-walk training-kernel throughput: every model × the paper's three
 //! embedding dimensions (the microbenchmark behind Tables 3/4), plus the
 //! linalg inner kernels the models are built from — fused vs multi-pass
-//! `P` maintenance and unrolled vs sequential-fold dot — and the read path's
-//! scan kernel in ns per row scored.
+//! `P` maintenance and unrolled vs sequential-fold dot — the read path's
+//! scan kernel in ns per row scored, and the publish path's index sync.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use seqge_ann::{AnnBuilder, AnnConfig};
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, SkipGram, TrainConfig};
@@ -14,6 +15,7 @@ use seqge_graph::Dataset;
 use seqge_linalg::{ops, Mat};
 use seqge_sampling::Rng64;
 use seqge_serve::EmbeddingSnapshot;
+use std::sync::Arc;
 
 fn bench_training(c: &mut Criterion) {
     let cfg32 = TrainConfig::paper_defaults(32);
@@ -109,7 +111,7 @@ fn bench_scan(c: &mut Criterion) {
     let mut rng = Rng64::seed_from_u64(22);
     let snap = EmbeddingSnapshot {
         version: 1,
-        emb: Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0),
+        emb: Arc::new(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0)),
         num_edges: 0,
         walks_trained: 0,
         edges_inserted: 0,
@@ -139,5 +141,56 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_training, bench_p_maintenance, bench_dot, bench_scan);
+/// `AnnBuilder::sync` at the `large_float` size (n = 50 000, d = 32), the
+/// index half of a publish: `same_arc` is a flush barrier's sync (the view
+/// `Arc` synced last — a pointer compare), `equal_bits` a new `Arc` with the
+/// same bits (the exact row compare alone), and `nudged_18pct` one event's
+/// sync under Algorithm 1's per-position negatives (18 % of rows moved, each
+/// sync alternating between two such views).
+fn bench_publish(c: &mut Criterion) {
+    let (n, dim) = (50_000usize, 32usize);
+    let mut rng = Rng64::seed_from_u64(26);
+    let a = Arc::new(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0));
+    let mut b = (*a).clone();
+    for row in 0..n {
+        if rng.gen_index(100) < 18 {
+            for x in b.row_mut(row) {
+                *x += 0.05 * (rng.next_f32() * 2.0 - 1.0);
+            }
+        }
+    }
+    let b = Arc::new(b);
+    let mut group = c.benchmark_group("publish");
+    group.throughput(Throughput::Elements(n as u64));
+    let mut builder = AnnBuilder::new(AnnConfig::default());
+    builder.sync(&a);
+    group.bench_function(BenchmarkId::new("same_arc", n), |bench| {
+        bench.iter(|| builder.sync(black_box(&a)));
+    });
+    let copy = Arc::new((*a).clone());
+    group.bench_function(BenchmarkId::new("equal_bits", n), |bench| {
+        let mut flip = false;
+        bench.iter(|| {
+            flip = !flip;
+            builder.sync(black_box(if flip { &copy } else { &a }))
+        });
+    });
+    group.bench_function(BenchmarkId::new("nudged_18pct", n), |bench| {
+        let mut flip = false;
+        bench.iter(|| {
+            flip = !flip;
+            builder.sync(black_box(if flip { &b } else { &a }))
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_training,
+    bench_p_maintenance,
+    bench_dot,
+    bench_scan,
+    bench_publish
+);
 criterion_main!(benches);

@@ -291,10 +291,10 @@ impl EmbeddingModel for OsElmSkipGram {
     }
 
     fn embedding(&self) -> Mat<f32> {
-        // W_in = μ·βᵀ — a scaled copy of the transposed-β storage.
-        let mut e = self.beta_t.clone();
-        ops::scal(self.cfg.mu, e.as_mut_slice());
-        e
+        // W_in = μ·βᵀ — one scaled pass over the transposed-β storage (the
+        // same bits `scal` on a copy gives: each entry is one `b * μ`).
+        let (mu, beta) = (self.cfg.mu, &self.beta_t);
+        Mat::from_vec(beta.rows(), beta.cols(), beta.as_slice().iter().map(|&b| b * mu).collect())
     }
 
     fn num_nodes(&self) -> usize {

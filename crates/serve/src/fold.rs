@@ -100,7 +100,9 @@ impl Fold {
     /// backend's own counters, and, given an index maintainer, the index
     /// synced against exactly that matrix (with the sync's report) — index
     /// and embeddings travel in one `Arc`, so a reader can never observe one
-    /// without the other.
+    /// without the other. With nothing trained since the last render, the
+    /// backend hands out the same view `Arc` and the sync returns the same
+    /// index `Arc`, so the new snapshot shares both with the last one.
     pub fn snapshot(
         &mut self,
         version: u64,

@@ -24,8 +24,9 @@ use std::time::Instant;
 pub struct EmbeddingSnapshot {
     /// Monotonic publication version (0 = boot snapshot).
     pub version: u64,
-    /// One embedding row per node.
-    pub emb: Mat<f32>,
+    /// One embedding row per node — the backend's published view, shared
+    /// with every snapshot taken with no training in between.
+    pub emb: Arc<Mat<f32>>,
     /// Edges in the graph when the snapshot was taken.
     pub num_edges: usize,
     /// Walks trained since boot.
@@ -258,11 +259,16 @@ impl SnapshotCell {
 
     /// Publishes a snapshot: swaps the `Arc` and bumps the version counter.
     /// The lock guards only the pointer store; readers holding the previous
-    /// `Arc` keep it alive without any coordination.
+    /// `Arc` keep it alive without any coordination, and when none does it
+    /// is freed after the lock is released.
     pub fn publish(&self, snapshot: EmbeddingSnapshot) {
         let v = snapshot.version;
-        *self.slot.lock().expect("snapshot slot poisoned") = Arc::new(snapshot);
+        let replaced = {
+            let mut slot = self.slot.lock().expect("snapshot slot poisoned");
+            std::mem::replace(&mut *slot, Arc::new(snapshot))
+        };
         self.version.store(v, Ordering::Release);
+        drop(replaced);
     }
 
     /// Current published version — a single lock-free atomic load.
@@ -308,7 +314,7 @@ mod tests {
     fn snap(version: u64, rows: usize) -> EmbeddingSnapshot {
         EmbeddingSnapshot {
             version,
-            emb: Mat::from_fn(rows, 4, |r, c| (r * 4 + c) as f32 / 10.0),
+            emb: Arc::new(Mat::from_fn(rows, 4, |r, c| (r * 4 + c) as f32 / 10.0)),
             num_edges: 0,
             walks_trained: 0,
             edges_inserted: 0,
@@ -331,7 +337,7 @@ mod tests {
     fn topk_orders_best_first_and_excludes_self() {
         // Rows: e0 = [1,0], e1 = [1,0], e2 = [0.5,0], e3 = [-1,0].
         let emb = Mat::from_vec(4, 2, vec![1.0, 0.0, 1.0, 0.0, 0.5, 0.0, -1.0, 0.0]);
-        let s = EmbeddingSnapshot { emb, ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
         let top = s.topk(0, 2, EdgeOp::Dot).unwrap();
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, 1, "identical row is nearest");
@@ -346,7 +352,7 @@ mod tests {
     fn topk_ties_break_by_ascending_node_id() {
         // Nodes 1, 2, 3 are identical: scores tie, ids decide.
         let emb = Mat::from_vec(4, 2, vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let s = EmbeddingSnapshot { emb, ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
         let top = s.topk(0, 2, EdgeOp::Dot).unwrap();
         assert_eq!(top.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 2]);
     }
@@ -354,7 +360,7 @@ mod tests {
     #[test]
     fn topk_filter_restricts_to_residue_class() {
         let emb = Mat::from_fn(10, 2, |r, _| 1.0 - r as f32 / 10.0);
-        let s = EmbeddingSnapshot { emb, ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
         // Only v ≡ 1 (mod 3) compete for node 0's neighbors: 1, 4, 7.
         let hits = s.topk_filtered(0, 10, EdgeOp::Dot, Some((3, 1))).unwrap();
         assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 4, 7]);
@@ -372,7 +378,7 @@ mod tests {
     #[test]
     fn topk_ann_without_index_falls_back_to_exact() {
         let emb = Mat::from_fn(20, 4, |r, c| ((r * 5 + c) % 7) as f32 - 3.0);
-        let s = EmbeddingSnapshot { emb, ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
         let got = s.topk_ann(3, 5, EdgeOp::Cosine, None, 4).unwrap();
         assert!(got.fallback);
         assert_eq!(got.candidates, 19);
@@ -387,10 +393,10 @@ mod tests {
         use seqge_ann::{AnnBuilder, AnnConfig};
         // Two tight antipodal clusters: candidate recall is perfect, so
         // ANN and exact must agree bit-for-bit.
-        let emb = Mat::from_fn(64, 8, |r, c| {
+        let emb = Arc::new(Mat::from_fn(64, 8, |r, c| {
             let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
             sign * (1.0 + (r * 3 + c) as f32 * 0.003)
-        });
+        }));
         let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&emb);
         let s = EmbeddingSnapshot { emb, ann: Some(index), ..snap(1, 0) };
         for node in [0, 7, 31] {
@@ -409,16 +415,16 @@ mod tests {
     fn topk_ann_geometry_mismatch_falls_back() {
         use seqge_ann::{AnnBuilder, AnnConfig};
         let stale = Mat::from_fn(10, 4, |r, c| (r + c) as f32);
-        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&stale);
+        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(stale));
         let emb = Mat::from_fn(12, 4, |r, c| (r + c) as f32);
-        let s = EmbeddingSnapshot { emb, ann: Some(index), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb), ann: Some(index), ..snap(1, 0) };
         let got = s.topk_ann(0, 3, EdgeOp::Dot, None, 4).unwrap();
         assert!(got.fallback, "index covers 10 points, snapshot has 12");
         assert_eq!(got.hits, s.topk(0, 3, EdgeOp::Dot).unwrap());
         // Same rows, different columns: the index hashes 4 coordinates,
         // the snapshot's rows have 6.
         let emb = Mat::from_fn(10, 6, |r, c| (r + c) as f32);
-        let s = EmbeddingSnapshot { emb, ann: s.ann.clone(), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb), ann: s.ann.clone(), ..snap(1, 0) };
         let got = s.topk_ann(0, 3, EdgeOp::Dot, None, 4).unwrap();
         assert!(got.fallback, "index hashes 4 columns, snapshot has 6");
         assert_eq!(got.hits, s.topk(0, 3, EdgeOp::Dot).unwrap());

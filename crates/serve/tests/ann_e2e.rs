@@ -7,8 +7,11 @@ use seqge_backend::BackendSpec;
 use seqge_core::{OsElmConfig, TrainConfig};
 use seqge_eval::EdgeOp;
 use seqge_graph::generators::sbm::{PlantedPartition, SbmParams};
+use seqge_graph::Graph;
 use seqge_sampling::UpdatePolicy;
 use seqge_serve::{start_backend, Client, ServeConfig, DEFAULT_PROBES};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 8;
 const SEED: u64 = 11;
@@ -21,13 +24,15 @@ fn train_cfg() -> TrainConfig {
     cfg
 }
 
+fn sbm_graph() -> Graph {
+    PlantedPartition::new(SbmParams::new(180, 1200, 4)).expect("valid SBM params").generate(SEED)
+}
+
 /// Boots a server over a seeded SBM: clustered geometry is exactly what the
-/// LSH index is supposed to exploit, so recall here is the regression floor
-/// the ISSUE names, not a lucky draw.
+/// LSH index is supposed to exploit, so recall here is the regression floor,
+/// not a lucky draw.
 fn sbm_server() -> seqge_serve::ServerHandle {
-    let graph = PlantedPartition::new(SbmParams::new(180, 1200, 4))
-        .expect("valid SBM params")
-        .generate(SEED);
+    let graph = sbm_graph();
     let cfg = train_cfg();
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(DIM) };
     let mut backend =
@@ -130,7 +135,7 @@ fn republish_with_sparse_dirt_rehashes_only_the_dirty_region() {
 
     let emb = Mat::from_fn(n, DIM, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
     let mut builder = AnnBuilder::new(AnnConfig::default());
-    let (_, full) = builder.sync(&emb);
+    let (_, full) = builder.sync(&Arc::new(emb.clone()));
     stats.record_ann_sync(&full);
     assert_eq!((full.total, full.dirty, full.rehashed), (n, n, n), "first sync is a full build");
 
@@ -139,7 +144,7 @@ fn republish_with_sparse_dirt_rehashes_only_the_dirty_region() {
     for r in [3usize, 150, 311, 500, 747, 900, 999] {
         emb2.row_mut(r)[0] += 1.0;
     }
-    let (_, incr) = builder.sync(&emb2);
+    let (_, incr) = builder.sync(&Arc::new(emb2.clone()));
     stats.record_ann_sync(&incr);
     assert_eq!(incr.rehashed, 7, "only the dirty region is re-hashed");
     assert!(incr.rehashed * 100 < n, "dirty region stays under 1%");
@@ -160,7 +165,7 @@ fn republish_with_sparse_dirt_rehashes_only_the_dirty_region() {
     assert_eq!(series("seqge_ann_dirty_ppm"), 7_000, "7/1000 dirty = 7000 ppm");
 
     // A no-op republish touches nothing.
-    let (_, quiet) = builder.sync(&emb2);
+    let (_, quiet) = builder.sync(&Arc::new(emb2));
     stats.record_ann_sync(&quiet);
     assert_eq!((quiet.dirty, quiet.rehashed), (0, 0));
     let text = seqge_obs::export::prometheus(&[&registry]);
@@ -168,4 +173,39 @@ fn republish_with_sparse_dirt_rehashes_only_the_dirty_region() {
         text.contains("seqge_ann_dirty_ppm 0"),
         "quiet republish must export zero dirty ppm:\n{text}"
     );
+}
+
+/// A flush with nothing trained since the write's publish re-publishes the
+/// same model: its snapshot is one version newer, shares the write's
+/// embedding and index `Arc`s, and its index sync re-hashes nothing.
+#[test]
+fn flush_after_a_write_shares_the_writes_view_and_index() {
+    let graph = sbm_graph();
+    let (u, v) = (0..180u32)
+        .flat_map(|u| (u + 1..180).map(move |v| (u, v)))
+        .find(|&(u, v)| !graph.has_edge(u, v))
+        .expect("the SBM is not complete");
+    let handle = sbm_server();
+    let (cell, stats) = (handle.cell(), handle.stats());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let boot = cell.version();
+    c.add_edge(u, v).unwrap();
+    // The write's own publish: the trainer folds the event in and publishes.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while cell.version() == boot {
+        assert!(Instant::now() < deadline, "the write was never published");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let write = cell.load();
+    let rehashed = stats.ann_rehashed.get();
+    assert!(rehashed > 0, "boot and the write re-hash rows");
+
+    let version = c.flush().unwrap();
+    let flush = cell.load();
+    assert_eq!((version, flush.version), (write.version + 1, write.version + 1));
+    assert!(Arc::ptr_eq(&flush.emb, &write.emb), "the flush shares the write's view");
+    let (flush_ann, write_ann) = (flush.ann.as_ref().unwrap(), write.ann.as_ref().unwrap());
+    assert!(Arc::ptr_eq(flush_ann, write_ann), "the flush shares the write's index");
+    assert_eq!(stats.ann_rehashed.get(), rehashed, "the flush's sync re-hashes nothing");
+    handle.shutdown().unwrap();
 }

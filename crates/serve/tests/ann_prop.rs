@@ -13,6 +13,7 @@ use seqge_ann::{AnnBuilder, AnnConfig};
 use seqge_eval::EdgeOp;
 use seqge_linalg::Mat;
 use seqge_serve::EmbeddingSnapshot;
+use std::sync::Arc;
 
 const MAX_ROWS: usize = 40;
 const MAX_COLS: usize = 6;
@@ -38,7 +39,7 @@ fn reference_topk(
 fn snap(emb: Mat<f32>) -> EmbeddingSnapshot {
     EmbeddingSnapshot {
         version: 1,
-        emb,
+        emb: Arc::new(emb),
         num_edges: 0,
         walks_trained: 0,
         edges_inserted: 0,
@@ -166,7 +167,7 @@ proptest! {
     ) {
         let emb = matrix(rows, cols, &vals);
         let node = (node_pick % rows) as u32;
-        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&emb);
+        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(emb.clone()));
         let s = EmbeddingSnapshot { ann: Some(index), ..snap(emb) };
         let got = s.topk_ann(node, k, op, None, probes).expect("node in range");
         for &(v, score) in &got.hits {

@@ -35,8 +35,8 @@ impl TrainBackend for Counting {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         0
     }
-    fn publish_view(&mut self) -> Mat<f32> {
-        Mat::zeros(4, 1)
+    fn publish_view(&mut self) -> Arc<Mat<f32>> {
+        Arc::new(Mat::zeros(4, 1))
     }
     fn outcome(&self) -> SeqOutcome {
         SeqOutcome { edges_inserted: 0, walks_trained: 0, table_rebuilds: 0 }

@@ -14,6 +14,7 @@ use seqge_ann::{AnnBuilder, AnnConfig};
 use seqge_eval::EdgeOp;
 use seqge_linalg::Mat;
 use seqge_serve::EmbeddingSnapshot;
+use std::sync::Arc;
 
 const ROWS: usize = 3_000;
 const OPS: [EdgeOp; 3] = [EdgeOp::Dot, EdgeOp::NegL2, EdgeOp::Cosine];
@@ -62,10 +63,10 @@ fn snapshot(dim: usize) -> EmbeddingSnapshot {
     for x in emb.row_mut(TINY_ROW as usize) {
         *x *= 1e-20;
     }
-    let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&emb);
+    let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(emb.clone()));
     EmbeddingSnapshot {
         version: 1,
-        emb,
+        emb: Arc::new(emb),
         num_edges: 0,
         walks_trained: 0,
         edges_inserted: 0,
