@@ -113,7 +113,7 @@ impl EmbeddingSnapshot {
         if node as usize >= self.emb.rows() {
             return None;
         }
-        Some(self.rank_top_k(node, k, op, self.residue_class(node, filter)).0)
+        Some(Self::rank_top_k(&self.emb, node, k, op, self.residue_class(node, filter)).0)
     }
 
     /// Every vertex but `node`, restricted to `filter`'s residue class
@@ -159,11 +159,13 @@ impl EmbeddingSnapshot {
             let mut cands = index.candidates(self.emb.row(node as usize), probes);
             cands.retain(|&v| v != node && filter.is_none_or(|(m, r)| v % m == r));
             if cands.len() >= k {
-                let (hits, candidates) = self.rank_top_k(node, k, op, cands.into_iter());
+                let (hits, candidates) =
+                    Self::rank_top_k(&self.emb, node, k, op, cands.into_iter());
                 return Some(AnnTopK { hits, candidates, fallback: false });
             }
         }
-        let (hits, candidates) = self.rank_top_k(node, k, op, self.residue_class(node, filter));
+        let (hits, candidates) =
+            Self::rank_top_k(&self.emb, node, k, op, self.residue_class(node, filter));
         Some(AnnTopK { hits, candidates, fallback: true })
     }
 
@@ -174,8 +176,13 @@ impl EmbeddingSnapshot {
     /// is allocated per candidate. Returns the hits best first under the
     /// total order of [`Ranked`], so the same snapshot always returns the
     /// same list, and the number of candidates scored.
+    ///
+    /// It takes the matrix, not the snapshot that holds it behind an `Arc`:
+    /// a reference argument cannot change during the call, so the row loop
+    /// keeps the matrix's pointer and shape across the out-of-line scorer
+    /// calls instead of re-reading them through the `Arc` for every row.
     fn rank_top_k(
-        &self,
+        emb: &Mat<f32>,
         node: NodeId,
         k: usize,
         op: EdgeOp,
@@ -184,13 +191,13 @@ impl EmbeddingSnapshot {
         if k == 0 {
             return (Vec::new(), 0);
         }
-        let scorer = op.scorer(self.emb.row(node as usize));
+        let scorer = op.scorer(emb.row(node as usize));
         // Candidates are distinct rows, so no more than `rows` are ever kept.
-        let mut kept = BinaryHeap::with_capacity(k.min(self.emb.rows()));
+        let mut kept = BinaryHeap::with_capacity(k.min(emb.rows()));
         let mut scored = 0;
         for v in candidates {
             scored += 1;
-            let hit = Ranked(v, scorer.score(self.emb.row(v as usize)));
+            let hit = Ranked(v, scorer.score(emb.row(v as usize)));
             if kept.len() < k {
                 kept.push(hit);
             } else if let Some(mut worst) = kept.peek_mut().filter(|worst| hit < **worst) {
