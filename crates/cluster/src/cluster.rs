@@ -13,7 +13,7 @@ use crate::shard::{publish_incarnation, shard_table, ChildShard, ChildSpec, Shar
 use seqge_backend::BackendKind;
 use seqge_graph::Graph;
 use seqge_serve::wal::{FsyncPolicy, Wal, WalConfig};
-use seqge_serve::{shard_spec, start_node, ServeConfig, ServerHandle, TrainerConfig};
+use seqge_serve::{shard_spec, start_node, ServeConfig, ServerHandle};
 use std::io::{self, ErrorKind};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -138,13 +138,8 @@ impl Cluster {
             }
             match &cfg.backend {
                 Backend::InProcess => {
-                    let scfg = ServeConfig {
-                        trainer: TrainerConfig {
-                            refresh_every: cfg.refresh_every,
-                            ..TrainerConfig::default()
-                        },
-                        ..ServeConfig::default()
-                    };
+                    let scfg =
+                        ServeConfig { refresh_every: cfg.refresh_every, ..ServeConfig::default() };
                     let handle = start_node("127.0.0.1:0", &wcfg, None, &spec, scfg)?;
                     addrs.push(handle.addr());
                     inproc.push(handle);

@@ -24,12 +24,13 @@
 //!   on failure the router falls back to the peer owner (`score_link`)
 //!   and then to the shard's read replica snapshot, tagging the response
 //!   `"source": "replica"`.
-//! * **fan-out reads** (`stats`, `flush`, `snapshot`) — sent
-//!   to every shard with one shared deadline; responses that miss it are
-//!   dropped and the reply carries `"degraded": true` plus the missing
-//!   shard list. `flush` is the exception: it is a barrier, so a missing
-//!   shard turns the whole call into `overloaded` (retryable) rather
-//!   than a silently partial barrier.
+//! * **fan-outs** (`stats`, `metrics`, `flush`, `snapshot`, `flightrec`,
+//!   `cluster_status`) — one `gather` sends the line to every shard with
+//!   one shared deadline; responses that miss it are dropped and the reply
+//!   carries `"degraded": true` plus the missing shard list. `flush` is
+//!   the exception: it is a barrier, so a missing shard turns the whole
+//!   call into `overloaded` (retryable) rather than a silently partial
+//!   barrier.
 //!
 //! Partial and fallback replies are classifiable without string-matching:
 //! every degraded success (`degraded:true`, `source:"replica"`) and every
@@ -43,24 +44,25 @@
 //! not the sum. Per-worker connections are cached and tagged with the
 //! shard's incarnation epoch; a respawned shard (new epoch, possibly new
 //! port) invalidates the cache lazily on next use.
+//!
+//! Accepting, queueing, line framing, parsing and per-op telemetry
+//! (`seqge_cluster_*`) are the serve front end's ([`seqge_serve::front`]);
+//! the router is the [`Service`] behind it.
 
 use crate::partition::{edge_owner, owner};
 use crate::shard::{mark_unhealthy, shard_info, ShardTable};
 use seqge_eval::EdgeOp;
-use seqge_obs::{export, Counter, Registry};
+use seqge_obs::{Counter, Registry, TraceCtx};
+use seqge_serve::front::{self, FrontHandle, Plane, Service};
 use seqge_serve::protocol::{
-    self, op_name, span_value, MetricsFormat, Request, Response, CODE_DEGRADED, CODE_OVERLOADED,
+    self, op_name, MetricsFormat, Request, Response, CODE_DEGRADED, CODE_OVERLOADED,
 };
-use seqge_serve::server::serve_lines;
 use seqge_serve::snapshot::SnapshotCell;
 use seqge_serve::{Client, ClientConfig};
 use serde_json::Value;
-use std::collections::VecDeque;
-use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Router knobs.
@@ -88,48 +90,8 @@ pub struct ReplicaView {
     pub applied: Arc<AtomicU64>,
 }
 
-/// A running router. Dropping without [`RouterHandle::shutdown`] detaches
-/// the threads.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    registry: Arc<Registry>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound front-end address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The stop flag (a `shutdown` command or signal handler sets it).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        self.stop.clone()
-    }
-
-    /// The router's metrics registry.
-    pub fn registry(&self) -> Arc<Registry> {
-        self.registry.clone()
-    }
-
-    /// Blocks until the stop flag is set, then joins the threads.
-    pub fn wait(self) -> io::Result<()> {
-        while !self.stop.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(50));
-        }
-        self.shutdown()
-    }
-
-    /// Stops accepting and joins every router thread.
-    pub fn shutdown(self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads {
-            t.join().map_err(|_| io::Error::other("router thread panicked"))?;
-        }
-        Ok(())
-    }
-}
+/// A running router: the serve front end with the router behind it.
+pub type RouterHandle = FrontHandle;
 
 /// Starts the router on `addr` over an existing shard table. `replicas`
 /// holds one optional [`ReplicaView`] per shard (index-aligned).
@@ -139,70 +101,40 @@ pub fn start_router(
     replicas: Vec<Option<ReplicaView>>,
     cfg: RouterConfig,
 ) -> io::Result<RouterHandle> {
-    assert!(cfg.workers >= 1, "need at least one router worker");
     assert_eq!(replicas.len(), shards.len(), "one replica slot per shard");
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
     let registry = Arc::new(Registry::new());
     let stop = Arc::new(AtomicBool::new(false));
-    let queue: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)> =
-        Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
-    let mut threads = Vec::new();
-
-    for i in 0..cfg.workers {
-        let ctx = RouterCtx {
-            queue: queue.clone(),
-            stop: stop.clone(),
-            shards: shards.clone(),
-            replicas: replicas.clone(),
-            registry: registry.clone(),
-            degraded_total: registry.counter("seqge_cluster_degraded_total"),
-            shard_errors: registry.counter("seqge_cluster_shard_errors_total"),
-            protocol_errors: registry.counter("seqge_cluster_protocol_errors_total"),
-            started: Instant::now(),
-            cfg: cfg.clone(),
-        };
-        threads.push(
-            thread::Builder::new().name(format!("seqge-router-{i}")).spawn(move || ctx.run())?,
-        );
-    }
-
-    // Acceptor (same shed-at-the-door shape as the serve front end).
-    {
-        let queue = queue.clone();
-        let stop = stop.clone();
-        threads.push(thread::Builder::new().name("seqge-router-accept".to_string()).spawn(
-            move || loop {
-                if stop.load(Ordering::SeqCst) {
-                    queue.1.notify_all();
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let mut q = queue.0.lock().expect("router conn queue poisoned");
-                        q.push_back(stream);
-                        queue.1.notify_one();
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(20)),
-                }
-            },
-        )?);
-    }
-
-    Ok(RouterHandle { addr, stop, registry, threads })
+    let router = Router {
+        shards,
+        replicas,
+        registry: registry.clone(),
+        degraded_total: registry.counter("seqge_cluster_degraded_total"),
+        shard_errors: registry.counter("seqge_cluster_shard_errors_total"),
+        protocol_errors: registry.counter("seqge_cluster_protocol_errors_total"),
+        started: Instant::now(),
+        deadline: cfg.deadline,
+        stop: stop.clone(),
+    };
+    front::start(addr, cfg.workers, registry, stop, router)
 }
 
 /// Per-worker cached shard connections, tagged with the incarnation
 /// epoch they were dialed against.
 type Conns = Vec<Option<(u64, Client)>>;
 
-struct RouterCtx {
-    queue: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)>,
-    stop: Arc<AtomicBool>,
+/// One all-shard fan-out's outcome: each shard's picked reply (`null`
+/// where none arrived) and the shards that gave none.
+struct Gathered {
+    shards: Vec<Value>,
+    missing: Vec<usize>,
+}
+
+/// `v` if it is an `ok:true` reply.
+fn ok(v: Value) -> Option<Value> {
+    (v.get("ok") == Some(&Value::Bool(true))).then_some(v)
+}
+
+struct Router {
     shards: ShardTable,
     replicas: Vec<Option<ReplicaView>>,
     registry: Arc<Registry>,
@@ -210,108 +142,67 @@ struct RouterCtx {
     shard_errors: Arc<Counter>,
     protocol_errors: Arc<Counter>,
     started: Instant,
-    cfg: RouterConfig,
+    deadline: Duration,
+    stop: Arc<AtomicBool>,
 }
 
-impl RouterCtx {
-    fn num_shards(&self) -> usize {
-        self.shards.len()
+impl Service for Router {
+    const PLANE: Plane = Plane::Cluster;
+    type Worker = Conns;
+
+    fn worker(&self) -> Conns {
+        (0..self.num_shards()).map(|_| None).collect()
     }
 
-    fn run(self) {
-        let mut conns: Conns = (0..self.num_shards()).map(|_| None).collect();
-        loop {
-            let conn = {
-                let guard = self.queue.0.lock().expect("router conn queue poisoned");
-                let (mut guard, _) = self
-                    .queue
-                    .1
-                    .wait_timeout_while(guard, Duration::from_millis(100), |q| q.is_empty())
-                    .expect("router conn queue poisoned");
-                guard.pop_front()
-            };
-            if let Some(stream) = conn {
-                // Identical framing to the serve front end: its loop.
-                let _ =
-                    serve_lines(stream, &self.stop, |line| Some(self.dispatch(line, &mut conns)));
-            }
-            if self.stop.load(Ordering::SeqCst) {
-                return;
-            }
-        }
-    }
-
-    fn dispatch(&self, line: &str, conns: &mut Conns) -> (String, bool) {
-        if line.is_empty() {
-            self.protocol_errors.inc();
-            return (Response::err("empty request line"), false);
-        }
-        // Router-only command, not part of the shard grammar.
-        if let Ok(v) = serde_json::from_str::<Value>(line) {
-            if v.get("cmd").and_then(Value::as_str) == Some("cluster_status") {
-                self.count_op("cluster_status");
-                return (self.cluster_status(conns), false);
-            }
-        }
-        let (req, wire_ctx) = match protocol::parse_request_traced(line) {
-            Ok(r) => r,
-            Err(e) => {
+    /// The op's `cluster.<op>` span is the fan-out root: per-shard children
+    /// open under it (via the thread-local stack) inside `gather` /
+    /// `forward_one`.
+    fn handle(
+        &self,
+        conns: &mut Conns,
+        req: Request,
+        line: &str,
+        _trace: Option<TraceCtx>,
+    ) -> (String, bool) {
+        let out = match req {
+            Request::Ping => Response::ok().field("pong", true).field("role", "router").build(),
+            Request::Stats => self.stats(conns),
+            Request::Metrics { format } => self.metrics(format, conns),
+            Request::GetEmbedding { node } => self.get_embedding(node, line, conns),
+            Request::TopK { filter: Some(_), .. } => {
                 self.protocol_errors.inc();
-                return (Response::err(e), false);
+                Response::err("mod/rem are router-internal: the cluster owns the shard filter")
             }
-        };
-        self.count_op(req.op().name);
-        // The fan-out root: per-shard children open under it (via the
-        // thread-local stack) inside `scatter_gather` / `forward_one`.
-        let mut span = seqge_obs::trace::start_span(req.op().cluster_span, wire_ctx);
-        let (out, close) = match req {
-            Request::Ping => {
-                (Response::ok().field("pong", true).field("role", "router").build(), false)
+            Request::TopK { node, k, op, filter: None, mode, probes } => {
+                self.topk(node, k, op, mode, probes, conns)
             }
-            Request::Stats => (self.stats(conns), false),
-            Request::Metrics { format } => (self.metrics(format, conns), false),
-            Request::GetEmbedding { node } => (self.get_embedding(node, line, conns), false),
-            Request::TopK { node, k, op, filter, mode, probes } => {
-                if filter.is_some() {
-                    self.protocol_errors.inc();
-                    return (
-                        Response::err(
-                            "mod/rem are router-internal: the cluster owns the shard filter",
-                        ),
-                        false,
-                    );
-                }
-                (self.topk(node, k, op, mode, probes, conns), false)
-            }
-            Request::ScoreLink { u, v, op } => (self.score_link(u, v, op, line, conns), false),
+            Request::ScoreLink { u, v, op } => self.score_link(u, v, op, line, conns),
             Request::AddEdge { u, v, .. } | Request::RemoveEdge { u, v, .. } => {
-                (self.write(u, v, line, conns), false)
+                self.write(u, v, line, conns)
             }
-            Request::Flush => (self.flush(conns), false),
-            Request::Snapshot => (self.snapshot(conns), false),
-            Request::Trace { after } => (self.trace_dump(after), false),
-            Request::Flightrec => (self.flightrec(conns), false),
+            Request::Flush => self.flush(conns),
+            Request::Snapshot => self.snapshot(conns),
+            Request::Trace { after } => {
+                // The in-process cluster (`seqge cluster`) runs router and
+                // shards in one process, so this one ring already holds the
+                // full cross-layer trees; a multi-process deployment
+                // scrapes each shard's own `trace` op.
+                Response::ok().field("role", "router").trace(after).build()
+            }
+            Request::Flightrec => self.flightrec(conns),
+            Request::ClusterStatus => self.cluster_status(conns),
             Request::Shutdown => {
                 self.stop.store(true, Ordering::SeqCst);
-                (Response::ok().field("stopping", true).build(), true)
+                return (Response::ok().field("stopping", true).build(), true);
             }
         };
-        if span.is_active() {
-            // Degraded and shed replies are the traces worth keeping
-            // regardless of the head-sampling rate.
-            if out.contains("\"code\":\"overloaded\"") {
-                span.force_sample();
-                span.tag("outcome", "shed");
-            } else if out.contains("\"code\":\"degraded\"") || out.contains("\"degraded\":true") {
-                span.force_sample();
-                span.tag("outcome", "degraded");
-            }
-        }
-        (out, close)
+        (out, false)
     }
+}
 
-    fn count_op(&self, op: &str) {
-        self.registry.counter_with("seqge_cluster_requests_total", &[("op", op)]).inc();
+impl Router {
+    fn num_shards(&self) -> usize {
+        self.shards.len()
     }
 
     /// Fetches (dialing if needed) the cached connection for shard `s`.
@@ -324,7 +215,7 @@ impl RouterCtx {
         }
         if conns[s].is_none() {
             let ccfg = ClientConfig {
-                timeout: self.cfg.deadline,
+                timeout: self.deadline,
                 retries: 0,
                 client_id: format!("router-s{s}"),
                 ..ClientConfig::default()
@@ -347,23 +238,24 @@ impl RouterCtx {
         mark_unhealthy(&self.shards, s);
     }
 
-    /// Pipelined scatter-gather: sends `line(s)` to every target shard,
-    /// then collects responses under one shared deadline. Returns one
-    /// `Option<Value>` per target (`None` = unreachable or past
-    /// deadline).
-    fn scatter_gather(
+    /// Pipelined scatter-gather over every shard: sends `line(s)` to each
+    /// shard `s`, then collects the replies under one shared deadline and
+    /// reduces each with `pick`. A shard that is unreachable, past the
+    /// deadline, or refused by `pick` is missing.
+    fn gather(
         &self,
         conns: &mut Conns,
-        targets: &[usize],
         line: impl Fn(usize) -> String,
-    ) -> Vec<Option<Value>> {
+        mut pick: impl FnMut(Value) -> Option<Value>,
+    ) -> Gathered {
         // All children share the dispatch root as their parent — explicit
         // ctx, because nested `start_span(.., None)` calls would chain the
         // siblings into a bogus ancestry.
         let parent = seqge_obs::trace::current_ctx();
-        let mut sent = vec![false; targets.len()];
-        let mut spans: Vec<Option<seqge_obs::Span>> = Vec::with_capacity(targets.len());
-        for (i, &s) in targets.iter().enumerate() {
+        let n = self.num_shards();
+        let mut legs = Vec::with_capacity(n);
+        for s in 0..n {
+            let mut sent = false;
             let mut sp = seqge_obs::trace::start_span("cluster.shard", parent);
             if sp.is_active() {
                 sp.tag("shard", s.to_string());
@@ -377,49 +269,44 @@ impl RouterCtx {
                     None => l,
                 };
                 match c.send_line(&l) {
-                    Ok(()) => sent[i] = true,
+                    Ok(()) => sent = true,
                     Err(_) => self.drop_conn(conns, s),
                 }
             }
-            spans.push(Some(sp));
+            legs.push((sp, sent));
         }
-        let deadline = Instant::now() + self.cfg.deadline;
-        let mut out = Vec::with_capacity(targets.len());
-        for (i, &s) in targets.iter().enumerate() {
-            let mut sp = spans[i].take().expect("one span per target");
-            if !sent[i] {
-                if sp.is_active() {
-                    sp.force_sample();
-                    sp.tag("outcome", "unreachable");
-                }
-                out.push(None);
-                continue;
-            }
-            let remaining =
-                deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-            let resp = {
+        let deadline = Instant::now() + self.deadline;
+        let mut g = Gathered { shards: Vec::with_capacity(n), missing: Vec::new() };
+        for (s, (mut sp, sent)) in legs.into_iter().enumerate() {
+            let reply = if sent {
                 let c = conns[s].as_mut().map(|(_, c)| c).expect("sent implies connected");
-                c.set_read_timeout(Some(remaining)).and_then(|()| c.recv_line())
-            };
-            match resp.ok().and_then(|r| serde_json::from_str::<Value>(&r).ok()) {
-                Some(v) => {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                let reply = c
+                    .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
+                    .and_then(|()| c.recv_line());
+                let reply = reply.ok().and_then(|r| serde_json::from_str::<Value>(&r).ok());
+                match reply {
                     // Restore the default timeout for future single calls.
-                    if let Some((_, c)) = conns[s].as_mut() {
-                        let _ = c.set_read_timeout(Some(self.cfg.deadline));
-                    }
-                    out.push(Some(v));
+                    Some(_) => _ = c.set_read_timeout(Some(self.deadline)),
+                    None => self.drop_conn(conns, s),
                 }
+                reply
+            } else {
+                None
+            };
+            if reply.is_none() && sp.is_active() {
+                sp.force_sample();
+                sp.tag("outcome", if sent { "missed_deadline" } else { "unreachable" });
+            }
+            match reply.and_then(&mut pick) {
+                Some(v) => g.shards.push(v),
                 None => {
-                    if sp.is_active() {
-                        sp.force_sample();
-                        sp.tag("outcome", "missed_deadline");
-                    }
-                    self.drop_conn(conns, s);
-                    out.push(None);
+                    g.shards.push(Value::Null);
+                    g.missing.push(s);
                 }
             }
         }
-        out
+        g
     }
 
     /// Forwards one raw request line to shard `s`, returning the raw
@@ -454,12 +341,18 @@ impl RouterCtx {
         }
     }
 
-    fn all_shards(&self) -> Vec<usize> {
-        (0..self.num_shards()).collect()
-    }
-
-    fn missing_field(missing: &[usize]) -> Value {
-        Value::Array(missing.iter().map(|&s| Value::U64(s as u64)).collect())
+    /// Appends `degraded`, `missing_shards` and — when degraded, that is
+    /// when a shard is missing or `also` holds — `code`, counting the
+    /// degradation once.
+    fn degrade(&self, resp: Response, missing: &[usize], also: bool) -> Response {
+        let degraded = !missing.is_empty() || also;
+        let missing = Value::Array(missing.iter().map(|&s| Value::U64(s as u64)).collect());
+        let resp = resp.field("degraded", degraded).field("missing_shards", missing);
+        if !degraded {
+            return resp;
+        }
+        self.degraded_total.inc();
+        resp.field("code", CODE_DEGRADED)
     }
 
     /// Folds the per-shard training-backend descriptors (from their stats
@@ -485,47 +378,26 @@ impl RouterCtx {
     }
 
     fn stats(&self, conns: &mut Conns) -> String {
-        let targets = self.all_shards();
-        let got = self.scatter_gather(conns, &targets, |_| r#"{"cmd":"stats"}"#.to_string());
-        let mut missing = Vec::new();
-        let shards: Vec<Value> = got
-            .into_iter()
-            .enumerate()
-            .map(|(s, v)| match v {
-                Some(v) => v,
-                None => {
-                    missing.push(s);
-                    Value::Null
-                }
-            })
-            .collect();
+        let Gathered { shards, missing } =
+            self.gather(conns, |_| r#"{"cmd":"stats"}"#.into(), Some);
         let backends: Vec<Value> =
             shards.iter().map(|s| s.get("backend").cloned().unwrap_or(Value::Null)).collect();
         let (backend, backend_mismatch) = Self::backend_consensus(&backends);
-        let degraded = !missing.is_empty() || backend_mismatch;
-        if degraded {
-            self.degraded_total.inc();
-        }
         // Every shard carries the full (global-id) node set, so any
         // reachable shard's count is the cluster's; surfacing it at the
         // top level lets clients (the load generator's node probe among
         // them) treat router and single-node stats uniformly.
         let nodes =
             shards.iter().filter_map(|s| s.get("nodes").and_then(Value::as_u64)).max().unwrap_or(0);
-        let mut resp = Response::ok()
+        let resp = Response::ok()
             .field("role", "router")
             .field("nodes", nodes)
             .field("num_shards", self.num_shards())
             .field("backend", backend)
             .field("backend_mismatch", backend_mismatch)
             .field("uptime_ms", self.started.elapsed().as_millis() as u64)
-            .field("shards", Value::Array(shards))
-            .field("degraded", degraded)
-            .field("missing_shards", Self::missing_field(&missing));
-        if degraded {
-            resp = resp.field("code", CODE_DEGRADED);
-        }
-        resp.build()
+            .field("shards", Value::Array(shards));
+        self.degrade(resp, &missing, backend_mismatch).build()
     }
 
     /// Scatters a JSON metrics scrape to every shard and sums the serve
@@ -537,38 +409,17 @@ impl RouterCtx {
     /// are not merged (per-shard quantiles don't sum); scrape a shard
     /// directly for its latency distribution.
     fn metrics(&self, format: MetricsFormat, conns: &mut Conns) -> String {
-        let targets = self.all_shards();
-        let got = self.scatter_gather(conns, &targets, |_| {
-            r#"{"cmd":"metrics","format":"json"}"#.to_string()
-        });
+        let g = self.gather(
+            conns,
+            |_| r#"{"cmd":"metrics","format":"json"}"#.into(),
+            |v| serde_json::from_str(ok(v)?.get("body")?.as_str()?).ok(),
+        );
         let merged = Registry::new();
-        let mut missing = Vec::new();
-        for (s, v) in got.into_iter().enumerate() {
-            let body = v
-                .filter(|v| v.get("ok") == Some(&Value::Bool(true)))
-                .and_then(|v| v.get("body").and_then(Value::as_str).map(str::to_string));
-            match body.and_then(|b| serde_json::from_str::<Value>(&b).ok()) {
-                Some(doc) => Self::merge_serve_series_into(&merged, &doc),
-                None => missing.push(s),
-            }
-        }
-        if !missing.is_empty() {
-            self.degraded_total.inc();
+        for doc in &g.shards {
+            Self::merge_serve_series_into(&merged, doc);
         }
         let regs: [&Registry; 3] = [&merged, self.registry.as_ref(), Registry::global()];
-        let body = match format {
-            MetricsFormat::Prometheus => export::prometheus(&regs),
-            MetricsFormat::Json => export::dump_json(&regs),
-        };
-        let mut resp = Response::ok()
-            .field("format", format.as_str())
-            .field("body", body)
-            .field("degraded", !missing.is_empty())
-            .field("missing_shards", Self::missing_field(&missing));
-        if !missing.is_empty() {
-            resp = resp.field("code", CODE_DEGRADED);
-        }
-        resp.build()
+        self.degrade(Response::ok().metrics(format, &regs), &g.missing, false).build()
     }
 
     fn get_embedding(&self, node: u32, line: &str, conns: &mut Conns) -> String {
@@ -580,14 +431,9 @@ impl RouterCtx {
         if let Some(view) = &self.replicas[s] {
             let snap = view.cell.load();
             if let Some(row) = snap.embedding(node) {
-                let vec: Vec<Value> = row.iter().map(|&x| Value::F64(x as f64)).collect();
-                return Response::ok()
-                    .field("node", node)
-                    .field("version", snap.version)
-                    .field("embedding", Value::Array(vec))
-                    .field("source", "replica")
-                    .field("code", CODE_DEGRADED)
-                    .build();
+                // The node's reply, marked as the replica's.
+                let reply = Response::embedding(node, snap.version, row);
+                return reply.field("source", "replica").field("code", CODE_DEGRADED).build();
             }
         }
         Response::err_code(
@@ -614,15 +460,8 @@ impl RouterCtx {
         if let Some(view) = &self.replicas[a] {
             let snap = view.cell.load();
             if let Some(score) = snap.score(u, v, op) {
-                return Response::ok()
-                    .field("u", u)
-                    .field("v", v)
-                    .field("op", op_name(op))
-                    .field("version", snap.version)
-                    .field("score", score)
-                    .field("source", "replica")
-                    .field("code", CODE_DEGRADED)
-                    .build();
+                let reply = Response::score(u, v, op, snap.version, score);
+                return reply.field("source", "replica").field("code", CODE_DEGRADED).build();
             }
         }
         Response::err_code(
@@ -641,79 +480,49 @@ impl RouterCtx {
         conns: &mut Conns,
     ) -> String {
         let n = self.num_shards();
-        let targets = self.all_shards();
         // The recall knob rides through scatter-gather verbatim: each
         // shard runs ANN over its own residue class, and because every
         // candidate is re-ranked exactly shard-side, the merged order is
         // still the protocol total order.
-        let got = self.scatter_gather(conns, &targets, |s| {
-            format!(
-                r#"{{"cmd":"topk","node":{node},"k":{k},"op":"{}","mode":"{}","probes":{probes},"mod":{n},"rem":{s}}}"#,
-                op_name(op),
-                mode.as_str()
-            )
-        });
-        let mut missing = Vec::new();
         let mut errors = Vec::new();
-        let mut merged: Vec<(u32, f64)> = Vec::new();
-        for (s, v) in got.into_iter().enumerate() {
-            let Some(v) = v else {
-                missing.push(s);
-                continue;
-            };
-            if v.get("ok") != Some(&Value::Bool(true)) {
-                let msg = v.get("error").and_then(Value::as_str).unwrap_or("unknown").to_string();
-                errors.push(msg);
-                missing.push(s);
-                continue;
-            }
-            if let Some(items) = v.get("results").and_then(Value::as_array) {
-                for item in items {
-                    let (Some(id), Some(score)) = (
-                        item.get("node").and_then(Value::as_u64),
-                        item.get("score").and_then(Value::as_f64),
-                    ) else {
-                        continue;
-                    };
-                    merged.push((id as u32, score));
+        let g = self.gather(
+            conns,
+            |s| {
+                format!(
+                    r#"{{"cmd":"topk","node":{node},"k":{k},"op":"{}","mode":"{}","probes":{probes},"mod":{n},"rem":{s}}}"#,
+                    op_name(op),
+                    mode.as_str()
+                )
+            },
+            |v| {
+                if v.get("ok") == Some(&Value::Bool(true)) {
+                    return Some(v.get("results").cloned().unwrap_or(Value::Null));
                 }
-            }
-        }
+                errors.push(v.get("error").and_then(Value::as_str).unwrap_or("unknown").to_string());
+                None
+            },
+        );
         // Every shard rejected the query (e.g. node out of range): that
         // is a real error, not degradation.
-        if missing.len() == self.num_shards() {
+        if g.missing.len() == n {
             if let Some(e) = errors.first() {
                 return Response::err(e);
             }
             self.degraded_total.inc();
             return Response::err_code(CODE_DEGRADED, "degraded: no shard reachable");
         }
+        let hits = g.shards.iter().filter_map(Value::as_array).flatten();
+        let mut merged: Vec<(u32, f64)> = hits
+            .filter_map(|hit| {
+                Some((hit.get("node")?.as_u64()? as u32, hit.get("score")?.as_f64()?))
+            })
+            .collect();
         // Protocol total order: score desc, node id asc. Cross-shard ties
         // are resolved here under the same rule every shard uses locally.
         merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         merged.truncate(k);
-        let items: Vec<Value> = merged
-            .into_iter()
-            .map(|(v, s)| {
-                Value::Object(vec![
-                    ("node".to_string(), Value::U64(v as u64)),
-                    ("score".to_string(), Value::F64(s)),
-                ])
-            })
-            .collect();
-        if !missing.is_empty() {
-            self.degraded_total.inc();
-        }
-        let mut resp = Response::ok()
-            .field("node", node)
-            .field("op", op_name(op))
-            .field("results", Value::Array(items))
-            .field("degraded", !missing.is_empty())
-            .field("missing_shards", Self::missing_field(&missing));
-        if !missing.is_empty() {
-            resp = resp.field("code", CODE_DEGRADED);
-        }
-        resp.build()
+        let resp = Response::ok().field("node", node).field("op", op_name(op)).results(merged);
+        self.degrade(resp, &g.missing, false).build()
     }
 
     fn write(&self, u: u32, v: u32, line: &str, conns: &mut Conns) -> String {
@@ -752,61 +561,30 @@ impl RouterCtx {
     }
 
     fn flush(&self, conns: &mut Conns) -> String {
-        let targets = self.all_shards();
-        let got = self.scatter_gather(conns, &targets, |_| r#"{"cmd":"flush"}"#.to_string());
-        let mut versions = Vec::with_capacity(targets.len());
-        for (s, v) in got.into_iter().enumerate() {
-            let version = v
-                .filter(|v| v.get("ok") == Some(&Value::Bool(true)))
-                .and_then(|v| v.get("version").and_then(Value::as_u64));
-            match version {
-                Some(ver) => versions.push(ver),
-                None => {
-                    self.degraded_total.inc();
-                    // A partial barrier is not a barrier; make it
-                    // retryable instead.
-                    return Response::err_code(
-                        CODE_OVERLOADED,
-                        format!("overloaded: shard {s} unavailable, retry"),
-                    );
-                }
-            }
+        let g = self.gather(
+            conns,
+            |_| r#"{"cmd":"flush"}"#.into(),
+            |v| Some(Value::U64(ok(v)?.get("version")?.as_u64()?)),
+        );
+        if let Some(s) = g.missing.first() {
+            self.degraded_total.inc();
+            // A partial barrier is not a barrier; make it retryable instead.
+            return Response::err_code(
+                CODE_OVERLOADED,
+                format!("overloaded: shard {s} unavailable, retry"),
+            );
         }
-        let max = versions.iter().copied().max().unwrap_or(0);
-        Response::ok()
-            .field("version", max)
-            .field("versions", Value::Array(versions.into_iter().map(Value::U64).collect()))
-            .build()
+        let max = g.shards.iter().filter_map(Value::as_u64).max().unwrap_or(0);
+        Response::ok().field("version", max).field("versions", Value::Array(g.shards)).build()
     }
 
     /// `snapshot` on every shard, reporting the per-shard replies plus
     /// degradation.
     fn snapshot(&self, conns: &mut Conns) -> String {
-        let targets = self.all_shards();
-        let got = self.scatter_gather(conns, &targets, |_| r#"{"cmd":"snapshot"}"#.to_string());
-        let mut missing = Vec::new();
-        let shards: Vec<Value> = got
-            .into_iter()
-            .enumerate()
-            .map(|(s, v)| match v {
-                Some(v) => v,
-                None => {
-                    missing.push(s);
-                    Value::Null
-                }
-            })
-            .collect();
-        if !missing.is_empty() {
-            self.degraded_total.inc();
-        }
-        let mut resp = Response::ok()
-            .field("shards", Value::Array(shards))
-            .field("degraded", !missing.is_empty())
-            .field("missing_shards", Self::missing_field(&missing));
-        if !missing.is_empty() {
-            resp = resp.field("code", CODE_DEGRADED);
-        }
-        resp.build()
+        let Gathered { shards, missing } =
+            self.gather(conns, |_| r#"{"cmd":"snapshot"}"#.into(), Some);
+        let resp = Response::ok().field("shards", Value::Array(shards));
+        self.degrade(resp, &missing, false).build()
     }
 
     /// See `metrics` for why only `seqge_serve_*` is summed and histograms
@@ -819,40 +597,22 @@ impl RouterCtx {
                 if !name.starts_with("seqge_serve_") {
                     continue;
                 }
-                let labels: Vec<(String, String)> = match item.get("labels") {
+                let labels: Vec<(&str, &str)> = match item.get("labels") {
                     Some(Value::Object(entries)) => entries
                         .iter()
-                        .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
+                        .filter_map(|(k, v)| Some((k.as_str(), v.as_str()?)))
                         .collect(),
                     _ => Vec::new(),
                 };
-                let refs: Vec<(&str, &str)> =
-                    labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
                 if is_counter {
                     if let Some(val) = item.get("value").and_then(Value::as_u64) {
-                        reg.counter_with(name, &refs).add(val);
+                        reg.counter_with(name, &labels).add(val);
                     }
                 } else if let Some(val) = item.get("value").and_then(Value::as_f64) {
-                    reg.gauge_with(name, &refs).add(val as i64);
+                    reg.gauge_with(name, &labels).add(val as i64);
                 }
             }
         }
-    }
-
-    /// Serves the `trace` op from this process's span ring. The in-process
-    /// cluster (`seqge cluster`) runs router and shards in one process, so
-    /// this one ring already holds the full cross-layer trees; a
-    /// multi-process deployment scrapes each shard's own `trace` op.
-    fn trace_dump(&self, after: u64) -> String {
-        let (spans, next) = seqge_obs::trace::snapshot_since(after);
-        let items: Vec<Value> = spans.iter().map(span_value).collect();
-        Response::ok()
-            .field("role", "router")
-            .field("spans", Value::Array(items))
-            .field("next", next)
-            .field("sample_every", seqge_obs::trace::sample_every() as u64)
-            .field("pid", std::process::id() as u64)
-            .build()
     }
 
     /// Fans `flightrec` out to every shard and merges: the router's own
@@ -860,38 +620,16 @@ impl RouterCtx {
     fn flightrec(&self, conns: &mut Conns) -> String {
         let own = seqge_obs::flightrec::document("router");
         let own = serde_json::from_str::<Value>(&own).unwrap_or(Value::Str(own));
-        let targets = self.all_shards();
-        let got = self.scatter_gather(conns, &targets, |_| r#"{"cmd":"flightrec"}"#.to_string());
-        let mut missing = Vec::new();
-        let shards: Vec<Value> = got
-            .into_iter()
-            .enumerate()
-            .map(|(s, v)| {
-                let body = v
-                    .filter(|v| v.get("ok") == Some(&Value::Bool(true)))
-                    .and_then(|v| v.get("body").cloned());
-                match body {
-                    Some(doc) => doc,
-                    None => {
-                        missing.push(s);
-                        Value::Null
-                    }
-                }
-            })
-            .collect();
-        if !missing.is_empty() {
-            self.degraded_total.inc();
-        }
-        let mut resp = Response::ok()
+        let Gathered { shards, missing } = self.gather(
+            conns,
+            |_| r#"{"cmd":"flightrec"}"#.into(),
+            |v| ok(v)?.get("body").cloned(),
+        );
+        let resp = Response::ok()
             .field("role", "router")
             .field("router", own)
-            .field("shards", Value::Array(shards))
-            .field("degraded", !missing.is_empty())
-            .field("missing_shards", Self::missing_field(&missing));
-        if !missing.is_empty() {
-            resp = resp.field("code", CODE_DEGRADED);
-        }
-        resp.build()
+            .field("shards", Value::Array(shards));
+        self.degrade(resp, &missing, false).build()
     }
 
     fn cluster_status(&self, conns: &mut Conns) -> String {
@@ -899,31 +637,25 @@ impl RouterCtx {
         // descriptor so the status reply can assert homogeneity;
         // unreachable shards contribute `null` (absence is not a
         // mismatch — the health loop deals with dead shards).
-        let targets = self.all_shards();
-        let got = self.scatter_gather(conns, &targets, |_| r#"{"cmd":"stats"}"#.to_string());
-        let backends: Vec<Value> = got
-            .iter()
-            .map(|v| v.as_ref().and_then(|v| v.get("backend").cloned()).unwrap_or(Value::Null))
-            .collect();
+        let backends = self
+            .gather(conns, |_| r#"{"cmd":"stats"}"#.into(), |v| v.get("backend").cloned())
+            .shards;
         let (backend, backend_mismatch) = Self::backend_consensus(&backends);
         let shards: Vec<Value> = (0..self.num_shards())
             .map(|s| {
                 let info = shard_info(&self.shards, s);
-                let mut fields = vec![
+                let replica_applied = match &self.replicas[s] {
+                    Some(view) => Value::U64(view.applied.load(Ordering::SeqCst)),
+                    None => Value::Null,
+                };
+                Value::Object(vec![
                     ("shard".to_string(), Value::U64(s as u64)),
                     ("addr".to_string(), Value::Str(info.addr.to_string())),
                     ("epoch".to_string(), Value::U64(info.epoch)),
                     ("healthy".to_string(), Value::Bool(info.healthy)),
                     ("backend".to_string(), backends[s].clone()),
-                ];
-                match &self.replicas[s] {
-                    Some(view) => fields.push((
-                        "replica_applied_seq".to_string(),
-                        Value::U64(view.applied.load(Ordering::SeqCst)),
-                    )),
-                    None => fields.push(("replica_applied_seq".to_string(), Value::Null)),
-                }
-                Value::Object(fields)
+                    ("replica_applied_seq".to_string(), replica_applied),
+                ])
             })
             .collect();
         let healthy =
@@ -944,5 +676,26 @@ impl RouterCtx {
             resp = resp.field("code", CODE_DEGRADED);
         }
         resp.build()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seqge_serve::protocol::WIRE_OPS;
+
+    #[test]
+    fn metrics_lists_every_op_before_any_traffic() {
+        let table = crate::shard::shard_table(&[]);
+        let router = start_router("127.0.0.1:0", table, Vec::new(), RouterConfig::default())
+            .expect("router boots");
+        let body = Client::connect(router.addr())
+            .and_then(|mut c| c.metrics("prometheus"))
+            .expect("metrics answered");
+        for op in WIRE_OPS {
+            let series = format!("seqge_cluster_requests_total{{op=\"{}\"}} 0", op.name);
+            assert!(body.contains(&series), "{series} missing:\n{body}");
+        }
+        router.shutdown().expect("router stops");
     }
 }

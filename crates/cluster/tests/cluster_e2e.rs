@@ -688,7 +688,7 @@ fn traced_topk_produces_cross_layer_span_tree() {
 #[test]
 fn live_trainer_recovery_and_replica_agree_under_a_refresh_cadence() {
     use seqge_serve::wal::{self, FsyncPolicy, Wal, WalConfig};
-    use seqge_serve::{ServeConfig, TrainerConfig};
+    use seqge_serve::ServeConfig;
     const REFRESH_EVERY: u64 = 3;
 
     // A store committed, then booted through recovery (what a cluster shard
@@ -701,10 +701,7 @@ fn live_trainer_recovery_and_replica_agree_under_a_refresh_cadence() {
     let mut cold = spec().cold(initial.num_nodes());
     cold.bootstrap(&initial);
     drop(Wal::init(&wcfg, &*cold, &initial).expect("store commits"));
-    let config = ServeConfig {
-        trainer: TrainerConfig { refresh_every: REFRESH_EVERY, ..TrainerConfig::default() },
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { refresh_every: REFRESH_EVERY, ..ServeConfig::default() };
     let handle = seqge_serve::start_node("127.0.0.1:0", &wcfg, None, &spec(), config)
         .expect("node boots through recovery");
 

@@ -91,7 +91,7 @@ const NODE_REPLIES: [u64; 27] = [
     0x9e746187a06af589,
     0x61bd2f4f9c8e6c38,
     0xa65b4e4cd49078b1,
-    0x2fd13e2272f084a8,
+    0x2f5165b12633f1f4,
     0xf0fd841b4e8d6294,
     0x2d624342a9631ddc,
     0x8e21b5a79debf372,
@@ -187,8 +187,12 @@ const NODE_SERIES: &[&str] = &[
 /// The same for the router (its own, the shards' merged `seqge_serve_*`
 /// counters and gauges, and the process-global registry).
 const ROUTER_SERIES: &[&str] = &[
+    "seqge_cluster_conn_shed_total",
     "seqge_cluster_degraded_total",
+    "seqge_cluster_errors_total",
+    "seqge_cluster_open_connections",
     "seqge_cluster_protocol_errors_total",
+    "seqge_cluster_request_latency_ns",
     "seqge_cluster_requests_total",
     "seqge_cluster_shard_errors_total",
     "seqge_core_bootstrap_ns",

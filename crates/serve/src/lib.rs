@@ -30,7 +30,8 @@
 //!
 //! Modules: [`protocol`] (wire grammar), [`snapshot`] (read-optimized
 //! state + publication cell), [`fold`] (the one event-apply rule),
-//! [`trainer`] (write plane), [`server`] (TCP front end), [`node`] (the one
+//! [`trainer`] (write plane), [`front`] (the line-protocol front end the
+//! node and the cluster router share), [`server`] (the node), [`node`] (the one
 //! boot path of a durable node, and the shard daemons' `main`), [`client`]
 //! (scriptable reference client), [`wal`] (durability), [`fault`] (failure
 //! injection), [`dedup`] (bounded retry-dedup table), [`ready`] (port-0
@@ -43,6 +44,7 @@ pub mod client;
 pub mod dedup;
 pub mod fault;
 pub mod fold;
+pub mod front;
 pub mod node;
 pub mod protocol;
 pub mod ready;
@@ -62,5 +64,5 @@ pub use protocol::{
 };
 pub use server::{boot_wal, start_backend, ServeConfig, ServerHandle};
 pub use snapshot::{AnnTopK, EmbeddingSnapshot, SnapshotCell, SnapshotReader};
-pub use trainer::{ServeStats, Trainer, TrainerConfig, TrainerMsg};
+pub use trainer::{ServeStats, Trainer, TrainerMsg};
 pub use wal::{FsyncPolicy, RecoveryReport, Wal, WalBoot, WalConfig};

@@ -8,7 +8,6 @@
 
 use crate::fault::FaultInjector;
 use crate::server::{boot_wal, start_backend, ServeConfig, ServerHandle};
-use crate::trainer::TrainerConfig;
 use crate::wal::{FsyncPolicy, WalConfig};
 use seqge_backend::{BackendKind, BackendSpec};
 use seqge_core::{OsElmConfig, TrainConfig};
@@ -31,7 +30,7 @@ pub fn start_node(
 ) -> io::Result<ServerHandle> {
     let fault =
         FaultInjector::from_env().map_err(|e| io::Error::new(ErrorKind::InvalidInput, e))?;
-    let boot = boot_wal(wcfg, cold_graph, spec, config.trainer.refresh_every)?;
+    let boot = boot_wal(wcfg, cold_graph, spec, config.refresh_every)?;
     seqge_obs::info!(
         "serve",
         "wal boot ({}): gen {} segment {}, {} replayed, {} skipped, torn tail: {}",
@@ -106,10 +105,7 @@ fn run_daemon(name: &str) -> Result<(), String> {
         }
     }
     let wcfg = WalConfig { dir: dir.ok_or("--dir is required")?, fsync };
-    let config = ServeConfig {
-        trainer: TrainerConfig { refresh_every, ..TrainerConfig::default() },
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { refresh_every, ..ServeConfig::default() };
     let handle = start_node(&addr, &wcfg, None, &shard_spec(backend, dim, seed), config)
         .map_err(|e| format!("boot: {e}"))?;
     crate::ready::announce(handle.addr());

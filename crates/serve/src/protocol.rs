@@ -23,6 +23,7 @@
 //! | `trace`         | `after?=0`                    | read   |
 //! | `flightrec`     | —                             | read   |
 //! | `shutdown`      | —                             | ctrl   |
+//! | `cluster_status`| — (router only: a node errors) | read |
 //!
 //! Any request may additionally carry a `trace` object —
 //! `{"trace":{"id":"<16 hex>","span":"<16 hex>","sampled":bool}}` — the
@@ -75,7 +76,7 @@
 
 use seqge_eval::EdgeOp;
 use seqge_graph::NodeId;
-use seqge_obs::TraceCtx;
+use seqge_obs::{export, Registry, TraceCtx};
 use serde_json::Value;
 
 /// Hard cap on one request line (including the newline).
@@ -229,6 +230,9 @@ pub enum Request {
     Flightrec,
     /// Graceful shutdown of the whole server.
     Shutdown,
+    /// Per-shard health and the cluster's backend (answered by the
+    /// cluster router; a node refuses it).
+    ClusterStatus,
 }
 
 /// One wire op as telemetry names it. The span names are spelled out at
@@ -282,6 +286,7 @@ wire_ops! {
     Trace => "trace",
     Flightrec => "flightrec",
     Shutdown => "shutdown",
+    ClusterStatus => "cluster_status",
 }
 
 fn get_u32(v: &Value, key: &str) -> Result<u32, String> {
@@ -342,9 +347,8 @@ fn get_trace(v: &Value) -> Option<TraceCtx> {
 }
 
 /// Renders one completed span as the `trace` op's wire object (mirrors the
-/// JSONL exporter's field names so the CLI can treat both alike). Shared by
-/// the shard server and the cluster router.
-pub fn span_value(rec: &seqge_obs::SpanRecord) -> Value {
+/// JSONL exporter's field names so the CLI can treat both alike).
+fn span_value(rec: &seqge_obs::SpanRecord) -> Value {
     use seqge_obs::trace::fmt_id;
     let mut fields = vec![
         ("trace".to_string(), Value::Str(fmt_id(rec.trace_id))),
@@ -504,6 +508,7 @@ pub fn parse_request_traced(line: &str) -> Result<(Request, Option<TraceCtx>), S
         }
         "flightrec" => Ok(Request::Flightrec),
         "shutdown" => Ok(Request::Shutdown),
+        "cluster_status" => Ok(Request::ClusterStatus),
         other => Err(format!("unknown command `{other}`")),
     }?;
     Ok((req, trace))
@@ -605,6 +610,60 @@ impl Response {
     pub fn build(self) -> String {
         serde_json::to_string(&Value::Object(self.fields)).expect("response serializes")
     }
+
+    /// The `get_embedding` reply: `node`'s `row` at snapshot `version`.
+    pub fn embedding(node: NodeId, version: u64, row: &[f32]) -> Self {
+        let row = row.iter().map(|&x| Value::F64(x as f64)).collect();
+        Response::ok()
+            .field("node", node)
+            .field("version", version)
+            .field("embedding", Value::Array(row))
+    }
+
+    /// The `score_link` reply: `(u, v)` scored `score` under `op` at
+    /// snapshot `version`.
+    pub fn score(u: NodeId, v: NodeId, op: EdgeOp, version: u64, score: f64) -> Self {
+        Response::ok()
+            .field("u", u)
+            .field("v", v)
+            .field("op", op_name(op))
+            .field("version", version)
+            .field("score", score)
+    }
+
+    /// Appends a `topk` hit list, best first, as `results`.
+    pub fn results(self, hits: Vec<(NodeId, f64)>) -> Self {
+        let items = hits
+            .into_iter()
+            .map(|(v, s)| {
+                Value::Object(vec![
+                    ("node".to_string(), Value::U64(v as u64)),
+                    ("score".to_string(), Value::F64(s)),
+                ])
+            })
+            .collect();
+        self.field("results", Value::Array(items))
+    }
+
+    /// Appends the `trace` op's fields: this process's completed sampled
+    /// spans past `after`, the cursor to pass next, the sampling rate and
+    /// the process id.
+    pub fn trace(self, after: u64) -> Self {
+        let (spans, next) = seqge_obs::trace::snapshot_since(after);
+        self.field("spans", Value::Array(spans.iter().map(span_value).collect()))
+            .field("next", next)
+            .field("sample_every", seqge_obs::trace::sample_every() as u64)
+            .field("pid", std::process::id() as u64)
+    }
+
+    /// Appends the `metrics` op's fields: `regs` rendered in `format`.
+    pub fn metrics(self, format: MetricsFormat, regs: &[&Registry]) -> Self {
+        let body = match format {
+            MetricsFormat::Prometheus => export::prometheus(regs),
+            MetricsFormat::Json => export::dump_json(regs),
+        };
+        self.field("format", format.as_str()).field("body", body)
+    }
 }
 
 /// The wire name of an [`EdgeOp`] (inverse of the `op` parameter).
@@ -704,6 +763,7 @@ mod tests {
         );
         assert_eq!(parse_request(r#"{"cmd":"flightrec"}"#).unwrap(), Request::Flightrec);
         assert_eq!(parse_request(r#"{"cmd":"shutdown"}"#).unwrap(), Request::Shutdown);
+        assert_eq!(parse_request(r#"{"cmd":"cluster_status"}"#).unwrap(), Request::ClusterStatus);
     }
 
     #[test]
@@ -713,8 +773,8 @@ mod tests {
             .contains("format"));
         // `Request::op` matches every variant, so a variant cannot lack a
         // row; that every row parses back to itself makes the table and the
-        // grammar agree on all thirteen.
-        assert_eq!(WIRE_OPS.len(), 13);
+        // grammar agree on all fourteen.
+        assert_eq!(WIRE_OPS.len(), 14);
         for op in WIRE_OPS {
             let line = format!(r#"{{"cmd":"{}","node":0,"u":0,"v":1}}"#, op.name);
             assert_eq!(parse_request(&line).unwrap().op(), op);

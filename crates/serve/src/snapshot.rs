@@ -37,9 +37,9 @@ pub struct EmbeddingSnapshot {
     pub edges_removed: usize,
     /// ANN index over `emb`, built by the trainer *for this exact matrix*
     /// and published inside the same `Arc` — a reader can never pair a
-    /// stale index with fresh embeddings or vice versa. `None` when ANN is
-    /// disabled (queries with `mode:"ann"` then fall back to the exact
-    /// scan).
+    /// stale index with fresh embeddings or vice versa. `None` on a
+    /// replica's snapshots, which publish without an index (queries with
+    /// `mode:"ann"` then fall back to the exact scan).
     pub ann: Option<Arc<AnnIndex>>,
 }
 

@@ -5,7 +5,7 @@
 //! [`seqge_backend::TrainBackend`]: float OS-ELM or the fixed-point fpga-sim
 //! kernel); everything else talks to it through an MPSC channel. Events are
 //! batched opportunistically — whatever has queued up since the last
-//! training step is drained in one go (up to `batch_max`), then a snapshot
+//! training step is drained in one go (up to [`BATCH_MAX`]), then a snapshot
 //! is published, so query staleness is bounded by one batch rather than one
 //! connection's burst. Publication is also where a backend's deferred work
 //! lands: fpga-sim re-dequantizes only the β rows dirtied since the last
@@ -123,9 +123,6 @@ pub struct ServeStats {
     /// Retried writes answered from the dedup table instead of re-applied
     /// (`seqge_serve_deduped_total`).
     pub deduped: Arc<Counter>,
-    /// Connections dropped by the acceptor because the worker queue was
-    /// full (`seqge_serve_conn_shed_total`).
-    pub conn_shed: Arc<Counter>,
     /// Injected faults that actually fired, labelled by point
     /// (`seqge_serve_fault_injected_total{point=...}`).
     pub faults: Vec<(FaultPoint, Arc<Counter>)>,
@@ -205,7 +202,6 @@ impl ServeStats {
             wal_append_ns: registry.histogram("seqge_serve_wal_append_ns"),
             overloaded: registry.counter("seqge_serve_overloaded_total"),
             deduped: registry.counter("seqge_serve_deduped_total"),
-            conn_shed: registry.counter("seqge_serve_conn_shed_total"),
             faults: FaultPoint::ALL
                 .iter()
                 .map(|&p| {
@@ -303,37 +299,19 @@ pub enum TrainerMsg {
     Shutdown(Sender<u64>),
 }
 
-/// Trainer-side configuration.
-pub struct TrainerConfig {
-    /// Max events folded into the model between two snapshot publications.
-    pub batch_max: usize,
-    /// Resample the full walk corpus after this many applied events
-    /// (0 = never). Counters the staleness of per-edge walks under heavy
-    /// drift — see [`Fold::apply`].
-    pub refresh_every: u64,
-    /// ANN index maintenance: `Some(cfg)` keeps an LSH index in sync with
-    /// every published snapshot (incremental — only dirty rows re-hash);
-    /// `None` disables it and `mode:"ann"` queries answer exactly.
-    pub ann: Option<AnnConfig>,
-}
-
-impl Default for TrainerConfig {
-    fn default() -> Self {
-        TrainerConfig { batch_max: 256, refresh_every: 0, ann: Some(AnnConfig::default()) }
-    }
-}
+/// Max events folded into the model between two snapshot publications.
+pub const BATCH_MAX: usize = 256;
 
 /// The trainer thread's whole world.
 pub struct Trainer {
     fold: Fold,
     cell: Arc<SnapshotCell>,
     stats: Arc<ServeStats>,
-    batch_max: usize,
     wal: Option<Arc<Wal>>,
     fault: Arc<FaultInjector>,
     version: u64,
-    /// Incremental ANN index maintainer (`None` when ANN is disabled).
-    ann: Option<AnnBuilder>,
+    /// Incremental ANN index maintainer: only dirty rows re-hash.
+    ann: AnnBuilder,
     /// Write contexts consumed since the last publish; closed (freshness
     /// histogram + `write.visible` spans) when the next snapshot goes out.
     inflight_writes: Vec<WriteCtx>,
@@ -349,11 +327,12 @@ impl Trainer {
     /// Builds the trainer — resuming the sequence/refresh cursors from the
     /// WAL's recovery report when there is one — around a fresh
     /// [`SnapshotCell`] that holds the boot snapshot (version 0).
+    /// `refresh_every` is the corpus-resample cadence [`Fold::apply`] runs.
     pub fn new(
         graph: Graph,
         backend: Box<dyn TrainBackend>,
         stats: Arc<ServeStats>,
-        cfg: TrainerConfig,
+        refresh_every: u64,
         wal: Option<Arc<Wal>>,
         fault: Arc<FaultInjector>,
     ) -> Self {
@@ -362,14 +341,13 @@ impl Trainer {
             stats.sync_wal(w);
         }
         let applied_seq = rec.next_seq.saturating_sub(1);
-        let mut fold = Fold::new(graph, backend, applied_seq, rec.since_refresh, cfg.refresh_every);
-        let mut ann = cfg.ann.map(AnnBuilder::new);
-        let boot = Self::render(&mut fold, ann.as_mut(), &stats, 0);
+        let mut fold = Fold::new(graph, backend, applied_seq, rec.since_refresh, refresh_every);
+        let mut ann = AnnBuilder::new(AnnConfig::default());
+        let boot = Self::render(&mut fold, &mut ann, &stats, 0);
         let mut t = Trainer {
             fold,
             cell: Arc::new(SnapshotCell::new(boot)),
             stats,
-            batch_max: cfg.batch_max,
             wal,
             fault,
             version: 1,
@@ -399,11 +377,11 @@ impl Trainer {
     /// sync — mirrored into the registry.
     fn render(
         fold: &mut Fold,
-        ann: Option<&mut AnnBuilder>,
+        ann: &mut AnnBuilder,
         stats: &ServeStats,
         version: u64,
     ) -> EmbeddingSnapshot {
-        let (snapshot, report) = fold.snapshot(version, ann);
+        let (snapshot, report) = fold.snapshot(version, Some(ann));
         if let Some(plan) = fold.backend.planner() {
             stats.backend_cycles.set_to(plan.cycles_total);
             stats.backend_predicted_eps.set(plan.predicted_ingest_eps as i64);
@@ -421,7 +399,7 @@ impl Trainer {
     }
 
     fn publish(&mut self) {
-        let snapshot = Self::render(&mut self.fold, self.ann.as_mut(), &self.stats, self.version);
+        let snapshot = Self::render(&mut self.fold, &mut self.ann, &self.stats, self.version);
         self.cell.publish(snapshot);
         self.version += 1;
         self.close_freshness();
@@ -544,7 +522,7 @@ impl Trainer {
                     let mut drained = false;
                     // Opportunistic batch: drain whatever queued up while
                     // training, then publish once.
-                    while batched < self.batch_max {
+                    while batched < BATCH_MAX {
                         match rx.try_recv() {
                             Ok(TrainerMsg::Event(seq, e, ctx)) => {
                                 self.apply(seq, e, ctx);

@@ -14,6 +14,8 @@
 #     windows must pass the SLO verdict outright (`seqge loadgen` exits
 #     non-zero on a steady-state SLO failure)
 #   * results/bench_load.json is produced and schema-valid
+#   * the router's own metrics count the storms' topk requests and export
+#     the request-latency summary
 #
 # CI runs this as the `load-smoke` job.
 set -euo pipefail
@@ -140,6 +142,18 @@ run_scenario edge_churn "$work/results/bench_load_churn.json"
 printf '%s\n' '{"cmd":"ping"}' '{"cmd":"cluster_status"}' |
   "$BIN" client --addr "$ADDR" >"$work/after.out"
 grep -q '"pong":true' "$work/after.out" || { echo "FAIL: router dead after load"; exit 1; }
+
+# The router's own request telemetry, booked by the front end it shares
+# with the node (serve_smoke.sh checks the node's): the storms' topk
+# requests are counted, and the latency family is exported as a summary.
+"$BIN" obs dump --addr "$ADDR" --format prometheus >"$work/router_metrics.txt"
+awk -v id='seqge_cluster_requests_total{op="topk"}' \
+  '{v=$NF; sub(/ [^ ]*$/, ""); if ($0 == id && v + 0 > 0) found = 1} END {exit !found}' \
+  "$work/router_metrics.txt" ||
+  { echo "FAIL: router counted no topk requests"; cat "$work/router_metrics.txt"; exit 1; }
+grep -q '^# TYPE seqge_cluster_request_latency_ns summary$' "$work/router_metrics.txt" ||
+  { echo "FAIL: router latency summary missing"; exit 1; }
+echo "router telemetry OK"
 
 # Chaos-kill the cluster (no drain, no hooks) — the flight recorder's
 # periodic dump must still leave a parseable post-mortem on disk.

@@ -31,37 +31,19 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `obs` takes a positional subcommand, so it parses its own flags.
-    if cmd == "obs" {
-        return match cmd_obs(rest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
     let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "train" => cmd_train(&flags),
-        "eval" => cmd_eval(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "serve" => cmd_serve(&flags),
-        "cluster" => cmd_cluster(&flags),
-        "client" => cmd_client(&flags),
-        "loadgen" => cmd_loadgen(&flags),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        // `obs` takes a positional subcommand, so it parses its own flags.
+        "obs" => cmd_obs(rest),
+        _ => match COMMANDS.iter().find(|c| c.0 == cmd) {
+            Some(&(name, run, known)) => parse_flags(rest, name, known)
+                .map_err(|e| format!("{e}\n{USAGE}"))
+                .and_then(|flags| run(&flags)),
+            None => Err(format!("unknown command `{cmd}`")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -84,8 +66,7 @@ commands:
   eval     --graph FILE --emb FILE [--linkpred] [--seed n]
   simulate [--dim n]
   serve    --graph FILE [--port n] [--dim n] [--seed n] [--workers n]
-           [--batch n] [--refresh-every n] [--mu f] [--forgetting f]
-           [--backend float|fpga-sim] [--no-ann] [--ann-bands n] [--ann-bits n]
+           [--refresh-every n] [--mu f] [--forgetting f] [--backend float|fpga-sim]
            [--log-level error|warn|info|debug|trace]
            [--wal-dir DIR] [--fsync always|batch|never] [--wal-replay-check]
            (long-running daemon; line-delimited JSON over TCP.
@@ -110,12 +91,8 @@ commands:
             --wal-replay-check replays the store twice, verifies the
             result is deterministic, prints a report, and exits.
             Every published snapshot carries an incrementally maintained
-            LSH index answering `topk` with `\"mode\":\"ann\"` in sublinear
-            time; --ann-bands/--ann-bits shape it (bits 0 = auto-sized
-            from the node count; an explicit width is honoured up to
-            max(4, ceil(log2 nodes)), one expected node per bucket) and
-            --no-ann disables it, making ANN queries fall back to the
-            exact scan.
+            LSH index (8 bands, width sized from the node count) answering
+            `topk` with `\"mode\":\"ann\"` in sublinear time.
             SIGINT/SIGTERM drain the in-flight batch before exiting.
             --port 0 = ephemeral)
   cluster  --graph FILE --base-dir DIR [--shards n] [--replicas n]
@@ -177,31 +154,48 @@ observability: the serve daemon logs structured JSONL to stderr
   `flightrec` protocol op.";
 
 type Flags = HashMap<String, String>;
+type Command = fn(&Flags) -> Result<(), String>;
 
-fn parse_flags(rest: &[String]) -> Result<Flags, String> {
+/// Every command, with the flags USAGE documents for it — the only ones it
+/// accepts.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("generate", cmd_generate, "dataset scale seed out"),
+    ("train", cmd_train, "graph model dim seq threads mu forgetting seed out emb tsv"),
+    ("eval", cmd_eval, "graph emb linkpred seed"),
+    ("simulate", cmd_simulate, "dim"),
+    ("serve", cmd_serve, "graph port dim seed workers refresh-every mu forgetting backend log-level wal-dir fsync wal-replay-check"),
+    ("cluster", cmd_cluster, "graph base-dir shards replicas port dim seed fsync refresh-every backend log-level"),
+    ("client", cmd_client, "addr timeout-ms retries"),
+    ("loadgen", cmd_loadgen, "scenario target seed connections scale nodes k timeout-ms json list dry-run"),
+];
+
+/// `obs`'s subcommands, likewise.
+const OBS_COMMANDS: &[(&str, Command, &str)] = &[
+    ("dump", cmd_obs_dump, "addr format filter by-shard"),
+    ("trace", cmd_obs_trace, "addr after follow chrome"),
+];
+
+/// Flags that take no value.
+const SWITCHES: &str = "seq linkpred wal-replay-check list dry-run follow by-shard";
+
+/// Parses `--key value` pairs (and bare switches) for command `cmd`,
+/// refusing any key outside the space-separated `known`.
+fn parse_flags(rest: &[String], cmd: &str, known: &str) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{flag}`"));
         };
-        // Boolean flags have no value.
-        if matches!(
-            key,
-            "seq"
-                | "linkpred"
-                | "wal-replay-check"
-                | "no-ann"
-                | "list"
-                | "dry-run"
-                | "follow"
-                | "by-shard"
-        ) {
-            flags.insert(key.to_string(), "true".to_string());
-            continue;
+        if !known.split(' ').any(|k| k == key) {
+            return Err(format!("unknown flag --{key} for {cmd}"));
         }
-        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
+        let value = if SWITCHES.split(' ').any(|k| k == key) {
+            "true".to_string()
+        } else {
+            it.next().ok_or_else(|| format!("--{key} needs a value"))?.clone()
+        };
+        flags.insert(key.to_string(), value);
     }
     Ok(flags)
 }
@@ -449,13 +443,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
 
     let refresh_every: u64 = get(flags, "refresh-every", 0)?;
-    let trainer = serve::TrainerConfig {
-        batch_max: get(flags, "batch", 256)?,
+    let mut config = serve::ServeConfig {
+        workers: get(flags, "workers", 4)?,
         refresh_every,
-        ann: ann_config(flags)?,
+        ..Default::default()
     };
-    let mut config =
-        serve::ServeConfig { workers: get(flags, "workers", 4)?, trainer, ..Default::default() };
     if config.workers == 0 {
         return Err("--workers must be at least 1".into());
     }
@@ -505,33 +497,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let handle = handle.map_err(|e| e.to_string())?;
     seqge::obs::info!("serve", "listening on {}", handle.addr());
     run_until_stopped("serve", handle.stop_flag(), || handle.wait())
-}
-
-/// ANN knobs for the serve trainer: `--no-ann` publishes snapshots without
-/// an index (ANN queries then fall back to the exact scan), `--ann-bands` /
-/// `--ann-bits` reshape the LSH tables (`bits 0` = auto-sized from the
-/// node count at first sync; `AnnConfig::bits_for` caps an explicit width
-/// at `max(4, ceil(log2 n))`).
-fn ann_config(flags: &Flags) -> Result<Option<seqge::ann::AnnConfig>, String> {
-    if flags.contains_key("no-ann") {
-        if flags.contains_key("ann-bands") || flags.contains_key("ann-bits") {
-            return Err("--no-ann cannot combine with --ann-bands/--ann-bits".into());
-        }
-        return Ok(None);
-    }
-    let default = seqge::ann::AnnConfig::default();
-    let cfg = seqge::ann::AnnConfig {
-        bands: get(flags, "ann-bands", default.bands)?,
-        bits: get(flags, "ann-bits", default.bits)?,
-        ..default
-    };
-    if cfg.bands == 0 {
-        return Err("--ann-bands must be at least 1".into());
-    }
-    if cfg.bits > seqge::ann::lsh::MAX_BITS {
-        return Err(format!("--ann-bits is capped at {}", seqge::ann::lsh::MAX_BITS));
-    }
-    Ok(Some(cfg))
 }
 
 /// `seqge cluster`: boots N in-process shards plus the router and blocks
@@ -612,12 +577,10 @@ fn cmd_obs(rest: &[String]) -> Result<(), String> {
     let Some((sub, rest)) = rest.split_first() else {
         return Err("obs needs a subcommand: `dump` or `trace`".into());
     };
-    let flags = parse_flags(rest)?;
-    match sub.as_str() {
-        "dump" => cmd_obs_dump(&flags),
-        "trace" => cmd_obs_trace(&flags),
-        other => Err(format!("unknown obs subcommand `{other}` (expected `dump` or `trace`)")),
-    }
+    let Some(&(name, run, known)) = OBS_COMMANDS.iter().find(|c| c.0 == sub) else {
+        return Err(format!("unknown obs subcommand `{sub}` (expected `dump` or `trace`)"));
+    };
+    run(&parse_flags(rest, &format!("obs {name}"), known)?)
 }
 
 fn cmd_obs_dump(flags: &Flags) -> Result<(), String> {
