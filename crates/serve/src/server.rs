@@ -139,11 +139,11 @@ impl ServerHandle {
         self.shutdown()
     }
 
-    /// Graceful shutdown: stop accepting and join the workers, then drain
-    /// the in-flight training batch, commit a final snapshot generation
-    /// (WAL only) and join the trainer.
+    /// Graceful shutdown: stop accepting, drain the in-flight training
+    /// batch, commit a final snapshot generation (WAL only), join every
+    /// thread.
     pub fn shutdown(self) -> io::Result<()> {
-        let front = self.front.shutdown();
+        self.front.stop_flag().store(true, Ordering::SeqCst);
         let (ack_tx, ack_rx) = channel();
         // The trainer may already be gone if every sender dropped; both
         // outcomes mean "drained".
@@ -152,7 +152,7 @@ impl ServerHandle {
         }
         drop(self.trainer_tx);
         let trainer = self.trainer.join().map_err(|_| io::Error::other("trainer thread panicked"));
-        front.and(trainer)
+        trainer.and(self.front.shutdown())
     }
 }
 
@@ -202,9 +202,9 @@ pub fn start_backend(
         dedup: Mutex::new(DedupTable::new(DEDUP_MAX_CLIENTS)),
         max_backlog: config.max_backlog,
     };
-    let front = front::start(addr, config.workers, registry, stop, node)?;
     let trainer =
         thread::Builder::new().name("seqge-trainer".to_string()).spawn(move || trainer.run(rx))?;
+    let front = front::start(addr, config.workers, registry, stop, node)?;
     Ok(ServerHandle { front, stats, cell, trainer_tx: tx, trainer })
 }
 
