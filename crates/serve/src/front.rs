@@ -39,7 +39,7 @@ const READ_DEADLINE: Duration = Duration::from_secs(300);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Which server a front end is: names its telemetry and its threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Plane {
     /// A node: `seqge_serve_*` series, `serve.<op>` spans.
     Serve,
