@@ -48,8 +48,59 @@ impl AnnIndex {
         AnnIndex { planes, offsets, ids, num_points }
     }
 
+    /// This index after some rows changed signature: `moved[band]` holds
+    /// two [`move_key`]s per row whose signature in `band` changed, one for
+    /// the bucket it left and one for the bucket it joined. A band with no
+    /// key is copied in one piece. In a band with keys every untouched run
+    /// of buckets is copied in one piece, and each touched bucket is one
+    /// linear merge of its old rows with its keys' rows, both ascending: a
+    /// key's row found among the old rows left, any other joined. Buckets
+    /// stay sorted. O(n + m log m) per band with `m` keys.
+    fn regroup(&self, moved: Vec<Vec<u64>>) -> Self {
+        let (n, slots) = (self.num_points, self.slots());
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut ids = Vec::with_capacity(self.ids.len());
+        for (band, mut keys) in moved.into_iter().enumerate() {
+            keys.sort_unstable();
+            let (table, old) = (&self.offsets[band * slots..][..slots], &self.ids[band * n..][..n]);
+            let base = ids.len();
+            // Copies buckets `from..to` unchanged and writes the offsets of
+            // `from..=to`, shifted to where the output is.
+            let mut copy = |ids: &mut Vec<u32>, from: usize, to: usize| {
+                let (lo, hi) = (table[from] as usize, table[to] as usize);
+                let at = (ids.len() - base) as u32;
+                offsets.extend(table[from..=to].iter().map(|&o| o - table[from] + at));
+                ids.extend_from_slice(&old[lo..hi]);
+            };
+            let mut next = 0;
+            for group in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+                let sig = (group[0] >> 32) as usize;
+                copy(&mut ids, next, sig);
+                let mut rows = group.iter().map(|&key| key as u32).peekable();
+                for &row in &old[table[sig] as usize..table[sig + 1] as usize] {
+                    while let Some(joined) = rows.next_if(|&r| r < row) {
+                        ids.push(joined);
+                    }
+                    if rows.next_if_eq(&row).is_none() {
+                        ids.push(row);
+                    }
+                }
+                ids.extend(rows);
+                next = sig + 1;
+            }
+            copy(&mut ids, next, slots - 1);
+            debug_assert_eq!(ids.len() - base, n, "band {band} files every row once");
+        }
+        AnnIndex { planes: self.planes.clone(), offsets, ids, num_points: n }
+    }
+
+    /// Entries per band's offsets table: one per signature, plus the end.
+    fn slots(&self) -> usize {
+        (1usize << self.bits()) + 1
+    }
+
     fn bucket(&self, band: usize, sig: u32) -> &[u32] {
-        let table = &self.offsets[band * ((1usize << self.bits()) + 1)..];
+        let table = &self.offsets[band * self.slots()..];
         let (lo, hi) = (table[sig as usize] as usize, table[sig as usize + 1] as usize);
         &self.ids[band * self.num_points..][lo..hi]
     }
@@ -99,11 +150,13 @@ pub struct SyncReport {
     /// Vertices whose embedding bytes changed since the previous sync
     /// (on the first sync: every vertex).
     pub dirty: usize,
-    /// Vertices actually re-hashed. Equals `dirty` — reported separately
-    /// so the metrics assert the incremental invariant rather than assume
-    /// it.
+    /// Vertices projected through the hyperplanes: the dirty ones whose
+    /// margin budget could not prove their signatures unchanged (on the
+    /// first sync: every vertex). At most `dirty`; a rising share of it
+    /// means rows move by more than their margins.
     pub rehashed: usize,
-    /// Wall time of the sync (dirty scan + re-hash + bucket regroup).
+    /// Wall time of the sync (dirty scan + budget checks + re-projection +
+    /// bucket regroup).
     pub build_ns: u64,
 }
 
@@ -118,19 +171,32 @@ impl SyncReport {
 }
 
 /// The trainer-side maintainer: keeps the last view it synced, the per-row
-/// signatures and the index built from them, and renders an immutable
-/// [`AnnIndex`] per snapshot publication.
+/// signatures and margin budgets, and the index built from them, and
+/// renders an immutable [`AnnIndex`] per snapshot publication.
 ///
 /// Change detection is pointer-first, then exact. Handed the very `Arc` it
 /// synced last, a sync reads no row: views are immutable behind their `Arc`,
 /// so the same pointer means the same bits. Otherwise a row is dirty when
 /// its `f32` bit patterns differ from the last view's — one O(n·d) compare,
-/// an order of magnitude cheaper than re-hashing every row through
-/// `bands × bits` hyperplanes, and never wrong.
+/// and never wrong.
+///
+/// A dirty row is projected only when its signatures might have moved.
+/// Each row keeps a budget, set whenever it is projected to its margin
+/// (`Hyperplanes::margin`): a distance it can travel without any projection
+/// changing sign, rounding included. Every sync that finds the row dirty
+/// spends its movement since the last view from the budget; by the triangle
+/// inequality the row is then still within budget of where it was last
+/// projected, so its stored signatures are the ones a projection would
+/// compute. Only a row whose budget runs out is projected, and its budget
+/// reset.
 #[derive(Debug)]
 pub struct AnnBuilder {
     cfg: AnnConfig,
+    /// Per band, every row's signature (band-major).
     sigs: Vec<u32>,
+    /// Per row, what is left of its margin budget (≤ 0: project on its next
+    /// change).
+    budgets: Vec<f64>,
     /// The last view synced and the index handed out for it; also the record
     /// of the geometry `sigs` describes.
     last: Option<(Arc<Mat<f32>>, Arc<AnnIndex>)>,
@@ -140,30 +206,52 @@ impl AnnBuilder {
     /// A builder with no points; dimensions are fixed by the first
     /// [`AnnBuilder::sync`].
     pub fn new(cfg: AnnConfig) -> Self {
-        AnnBuilder { cfg, sigs: Vec::new(), last: None }
+        AnnBuilder { cfg, sigs: Vec::new(), budgets: Vec::new(), last: None }
     }
 
     /// Brings the index in line with `emb` and returns the immutable
     /// version to publish. The `Arc` synced last returns the previous index
-    /// at once. Otherwise only rows whose bits changed since the last sync
-    /// are re-hashed, after which the buckets are regrouped from the
-    /// retained signatures (O(n·bands) `u32` moves); a sync that finds no
-    /// row changed returns the previous `Arc`. The first sync (or a geometry
-    /// change — row or column count) is a full rebuild.
+    /// at once. Otherwise the dirty rows spend their budgets, the ones that
+    /// run out are projected, and only the `(band, row)` signatures that
+    /// changed are regrouped ([`AnnIndex`]'s merge, O(n + m log m) per band
+    /// with `m` moves); a sync where no signature changed returns the
+    /// previous `Arc`. The first sync (or a geometry change — row or column
+    /// count) projects every row and groups them by a counting sort.
     pub fn sync(&mut self, emb: &Arc<Mat<f32>>) -> (Arc<AnnIndex>, SyncReport) {
         let t0 = Instant::now();
         let n = emb.rows();
         let kept =
             self.last.take().filter(|(seen, _)| (seen.rows(), seen.cols()) == (n, emb.cols()));
-        let mut dirty = 0;
+        let (mut dirty, mut rehashed) = (0, 0);
         let index = match kept {
             Some((seen, index)) if Arc::ptr_eq(&seen, emb) => index,
             Some((seen, index)) => {
-                dirty =
-                    self.rehash(&index.planes, emb, |row| !same_bits(seen.row(row), emb.row(row)));
-                match dirty {
-                    0 => index,
-                    _ => Arc::new(AnnIndex::build(index.planes.clone(), &self.sigs, n)),
+                let (mut acc, mut moved) = (Vec::new(), vec![Vec::new(); index.bands()]);
+                for row in 0..n {
+                    let (was, now) = (seen.row(row), emb.row(row));
+                    if same_bits(was, now) {
+                        continue;
+                    }
+                    dirty += 1;
+                    // Rounded down, so the budget never outlasts the bound.
+                    let left = (self.budgets[row] - index.planes.movement(was, now)).next_down();
+                    if left > 0.0 {
+                        self.budgets[row] = left;
+                        continue;
+                    }
+                    rehashed += 1;
+                    self.budgets[row] = index.planes.hash(now, &mut acc, |band, sig| {
+                        let slot = &mut self.sigs[band * n + row];
+                        if *slot != sig {
+                            moved[band].extend([move_key(*slot, row), move_key(sig, row)]);
+                            *slot = sig;
+                        }
+                    });
+                }
+                if moved.iter().all(Vec::is_empty) {
+                    index
+                } else {
+                    Arc::new(index.regroup(moved))
                 }
             }
             None => {
@@ -171,7 +259,15 @@ impl AnnBuilder {
                 let planes =
                     Arc::new(Hyperplanes::generate(emb.cols(), bands, bits, self.cfg.seed));
                 self.sigs = vec![0; n * bands];
-                dirty = self.rehash(&planes, emb, |_| true);
+                let mut acc = Vec::new();
+                self.budgets = (0..n)
+                    .map(|row| {
+                        planes.hash(emb.row(row), &mut acc, |band, sig| {
+                            self.sigs[band * n + row] = sig;
+                        })
+                    })
+                    .collect();
+                (dirty, rehashed) = (n, n);
                 Arc::new(AnnIndex::build(planes, &self.sigs, n))
             }
         };
@@ -179,31 +275,17 @@ impl AnnBuilder {
         let report = SyncReport {
             total: n,
             dirty,
-            rehashed: dirty,
+            rehashed,
             build_ns: t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
         };
         (index, report)
     }
+}
 
-    /// Re-hashes the rows of `emb` that `changed` picks into `sigs`;
-    /// returns how many.
-    fn rehash(
-        &mut self,
-        planes: &Hyperplanes,
-        emb: &Mat<f32>,
-        changed: impl Fn(usize) -> bool,
-    ) -> usize {
-        let n = emb.rows();
-        let mut acc = Vec::new();
-        let mut dirty = 0;
-        for row in (0..n).filter(|&row| changed(row)) {
-            dirty += 1;
-            planes.probe_signatures(emb.row(row), 0, &mut acc, |band, sig| {
-                self.sigs[band * n + row] = sig;
-            });
-        }
-        dirty
-    }
+/// `sig << 32 | row`: sorting a band's keys groups them by bucket, rows
+/// ascending inside.
+fn move_key(sig: u32, row: usize) -> u64 {
+    (sig as u64) << 32 | row as u64
 }
 
 /// Whether two rows hold the same `f32` bit patterns (so `0.0` and `-0.0`
@@ -318,6 +400,109 @@ mod tests {
         assert!(same_bits(&[f32::NAN, 1.0], &[f32::NAN, 1.0]));
     }
 
+    /// The index a fresh builder makes of `emb`, for comparison.
+    fn fresh(cfg: AnnConfig, emb: &Mat<f32>) -> Arc<AnnIndex> {
+        AnnBuilder::new(cfg).sync(&Arc::new(emb.clone())).0
+    }
+
+    /// Whether two indexes file every row under the same signatures.
+    fn same_layout(a: &AnnIndex, b: &AnnIndex) -> bool {
+        (&a.offsets, &a.ids) == (&b.offsets, &b.ids)
+    }
+
+    #[test]
+    fn one_ulp_nudge_far_from_every_plane_projects_nothing() {
+        let mut emb = clustered(200, 8);
+        let mut b = AnnBuilder::new(AnnConfig::default());
+        let (before, _) = b.sync(&Arc::new(emb.clone()));
+        let row = (0..200).max_by(|&x, &y| b.budgets[x].total_cmp(&b.budgets[y])).unwrap();
+        assert!(b.budgets[row] > 1e-3, "row {row} budget {}", b.budgets[row]);
+        emb.row_mut(row)[3] = emb.row(row)[3].next_up();
+        let (after, rep) = b.sync(&Arc::new(emb.clone()));
+        assert_eq!((rep.total, rep.dirty, rep.rehashed), (200, 1, 0));
+        assert!(Arc::ptr_eq(&before, &after), "no signature moved: the same index");
+        assert!(same_layout(&after, &fresh(AnnConfig::default(), &emb)));
+    }
+
+    #[test]
+    fn a_chain_of_sub_margin_nudges_is_projected_once_a_crossing_is_possible() {
+        let cfg = AnnConfig::default();
+        let mut emb = clustered(200, 8);
+        let mut b = AnnBuilder::new(cfg);
+        let (mut index, _) = b.sync(&Arc::new(emb.clone()));
+        let (row, planes) = (10, index.planes.clone());
+        let start = emb.row(row).to_vec();
+        // Every plane as a unit normal; the row's signed distance to each.
+        let normals: Vec<Vec<f64>> = (0..cfg.bands * planes.bits())
+            .map(|lane| {
+                let w = planes.plane(lane);
+                let norm = w.iter().map(|&v| v as f64 * v as f64).sum::<f64>().sqrt();
+                w.iter().map(|&v| v as f64 / norm).collect()
+            })
+            .collect();
+        let side = |x: &[f32], lane: usize| -> f64 {
+            normals[lane].iter().zip(x).map(|(&w, &v)| w * v as f64).sum()
+        };
+        let lane = (0..normals.len())
+            .min_by(|&p, &q| side(&start, p).abs().total_cmp(&side(&start, q).abs()))
+            .unwrap();
+        let distance = side(&start, lane).abs();
+        let budget = b.budgets[row];
+        assert!(distance / 1.1 < budget && budget < distance, "{budget} vs {distance}");
+        // Steps of 0.3 budget towards the nearest plane: three fit in the
+        // budget, and the fourth crosses the plane.
+        let sign = side(&start, lane).signum();
+        for step in 1..=4 {
+            let to = step as f64 * 0.3 * budget;
+            for (x, (&s, &w)) in emb.row_mut(row).iter_mut().zip(start.iter().zip(&normals[lane])) {
+                *x = (s as f64 - sign * to * w) as f32;
+            }
+            let (next, rep) = b.sync(&Arc::new(emb.clone()));
+            assert_eq!((rep.dirty, rep.rehashed), (1, usize::from(step == 4)), "step {step}");
+            assert_eq!(Arc::ptr_eq(&next, &index), step < 4, "step {step}: moved bucket");
+            assert!(same_layout(&next, &fresh(cfg, &emb)), "step {step}");
+            index = next;
+        }
+        assert_ne!(side(emb.row(row), lane).signum(), sign, "the fourth step crossed");
+    }
+
+    #[test]
+    fn corner_case_rows_are_always_projected() {
+        let tiny = f32::MIN_POSITIVE;
+        let corners: [[f32; 4]; 5] = [
+            [f32::NAN, 0.5, -0.25, 1.0],
+            [0.0; 4],
+            [-0.0, 0.0, -0.0, 0.0],
+            [tiny / 8.0, -tiny / 1024.0, tiny / 3.0, -tiny / 2.0],
+            [1e30, -1e30, 1e30, 5e29],
+        ];
+        let cfg = AnnConfig::default();
+        let mut emb = clustered(50, 4);
+        let mut b = AnnBuilder::new(cfg);
+        b.sync(&Arc::new(emb.clone()));
+        for round in 0..8 {
+            for (row, corner) in corners.iter().enumerate() {
+                let x = emb.row_mut(row);
+                if round == 0 {
+                    x.copy_from_slice(corner);
+                    continue;
+                }
+                // One ulp, or a zero's sign, at a finite coordinate.
+                let c = 1 + round % 3;
+                x[c] = match x[c] {
+                    0.0 => -x[c],
+                    v => v.next_up(),
+                };
+            }
+            let (index, rep) = b.sync(&Arc::new(emb.clone()));
+            assert_eq!((rep.dirty, rep.rehashed), (5, 5), "round {round}");
+            for row in 0..corners.len() {
+                assert!(b.budgets[row] <= 0.0, "round {round} row {row}: {}", b.budgets[row]);
+            }
+            assert!(same_layout(&index, &fresh(cfg, &emb)), "round {round}");
+        }
+    }
+
     /// Every bucket of every band is strictly ascending and each band
     /// files every vertex exactly once.
     fn check_buckets(index: &AnnIndex) -> Result<(), proptest::TestCaseError> {
@@ -347,15 +532,40 @@ mod tests {
         ]
     }
 
+    /// One edit between syncs.
+    #[derive(Debug, Clone, Copy)]
+    enum Edit {
+        /// Overwrite a cell.
+        Set(usize, usize, f32),
+        /// Step a cell 1–4 ulps up (`true`) or down.
+        Nudge(usize, usize, u32, bool),
+        /// Take out the row's component along one plane, which leaves the
+        /// row a few ulps (the `f32` rounding) from that plane.
+        OntoPlane(usize, usize),
+    }
+
+    fn edit() -> impl Strategy<Value = Edit> {
+        prop_oneof![
+            (0usize..48, 0usize..6, cell()).prop_map(|(r, c, v)| Edit::Set(r, c, v)),
+            (0usize..48, 0usize..6, 1u32..=4, any::<bool>())
+                .prop_map(|(r, c, k, up)| Edit::Nudge(r, c, k, up)),
+            (0usize..48, 0usize..6, 1u32..=4, any::<bool>())
+                .prop_map(|(r, c, k, up)| Edit::Nudge(r, c, k, up)),
+            (0usize..48, 0usize..64).prop_map(|(r, lane)| Edit::OntoPlane(r, lane)),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// After any sequence of row edits and syncs the incrementally
-        /// maintained index answers exactly like a fresh build of the
-        /// final matrix, every sync re-hashes exactly the rows whose bit
-        /// patterns changed, and a sync that finds none — handed the same
-        /// view `Arc` again or a new one with equal bits — returns the very
-        /// same index `Arc`.
+        /// After every sync of any sequence of row edits — overwrites,
+        /// 1–4-ulp nudges, rows put a few ulps from a plane and nudged
+        /// across it — the incrementally maintained index files every row
+        /// exactly where a fresh build of the same matrix does. Every sync
+        /// finds exactly the rows whose bit patterns changed dirty and
+        /// projects at most those, and it returns the previous index `Arc`
+        /// exactly when no signature moved — in particular when handed the
+        /// same view `Arc` again or a new one with equal bits.
         #[test]
         fn incremental_sync_equals_fresh_build(
             rows in 1usize..48,
@@ -364,25 +574,49 @@ mod tests {
             bits in 0usize..7,
             cells in proptest::collection::vec(cell(), 48 * 6),
             rounds in proptest::collection::vec(
-                proptest::collection::vec((0usize..48, 0usize..6, cell()), 0usize..10),
-                1usize..6,
+                proptest::collection::vec(edit(), 0usize..10),
+                1usize..10,
             ),
         ) {
             let cfg = AnnConfig { bands, bits, seed: 5 };
             let mut emb = Mat::from_vec(rows, dim, cells[..rows * dim].to_vec());
             let mut builder = AnnBuilder::new(cfg);
-            let (_, rep) = builder.sync(&Arc::new(emb.clone()));
+            let (mut index, rep) = builder.sync(&Arc::new(emb.clone()));
             prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, rows, rows));
+            let planes = index.planes.clone();
             for edits in rounds {
                 let before = emb.clone();
-                for (r, c, v) in edits {
-                    emb.row_mut(r % rows)[c % dim] = v;
+                for edit in edits {
+                    match edit {
+                        Edit::Set(r, c, v) => emb.row_mut(r % rows)[c % dim] = v,
+                        Edit::Nudge(r, c, k, up) => {
+                            let x = &mut emb.row_mut(r % rows)[c % dim];
+                            for _ in 0..k {
+                                *x = if up { x.next_up() } else { x.next_down() };
+                            }
+                        }
+                        Edit::OntoPlane(r, lane) => {
+                            let w = planes.plane(lane % (planes.bands() * planes.bits()));
+                            let x = emb.row_mut(r % rows);
+                            let dot = |a: &[f32], b: &[f32]| -> f64 {
+                                a.iter().zip(b).map(|(&a, &b)| a as f64 * b as f64).sum()
+                            };
+                            let along = dot(&w, x) / dot(&w, &w);
+                            for (x, &w) in x.iter_mut().zip(&w) {
+                                *x = (*x as f64 - along * w as f64) as f32;
+                            }
+                        }
+                    }
                 }
                 let bits_of = |m: &Mat<f32>, r: usize| m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 let changed = (0..rows).filter(|&r| bits_of(&before, r) != bits_of(&emb, r)).count();
-                let (index, rep) = builder.sync(&Arc::new(emb.clone()));
-                prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, changed, changed));
-                check_buckets(&index)?;
+                let (next, rep) = builder.sync(&Arc::new(emb.clone()));
+                prop_assert_eq!((rep.total, rep.dirty), (rows, changed));
+                prop_assert!(rep.rehashed <= changed, "{} > {}", rep.rehashed, changed);
+                check_buckets(&next)?;
+                prop_assert!(same_layout(&next, &fresh(cfg, &emb)), "differs from a fresh build");
+                prop_assert_eq!(Arc::ptr_eq(&next, &index), same_layout(&next, &index));
+                index = next;
             }
             let view = Arc::new(emb.clone());
             let (index, _) = builder.sync(&view);
@@ -392,7 +626,7 @@ mod tests {
             let (equal, rep) = builder.sync(&Arc::new(emb.clone()));
             prop_assert!(Arc::ptr_eq(&index, &equal));
             prop_assert_eq!((rep.dirty, rep.rehashed), (0, 0));
-            let (fresh, _) = AnnBuilder::new(cfg).sync(&view);
+            let fresh = fresh(cfg, &emb);
             for row in 0..rows {
                 for probes in [0usize, 3] {
                     prop_assert_eq!(

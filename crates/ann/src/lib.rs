@@ -23,12 +23,13 @@
 //!   it synced: handed the same `Arc<Mat<f32>>` again (a publish with no
 //!   training since) it returns the previous `Arc<AnnIndex>` without
 //!   reading a row. Otherwise it detects the *dirty region* (rows whose
-//!   bits differ from the last view's, compared exactly) and re-hashes only
-//!   those vertices through one lane-parallel projection kernel —
-//!   O(dirty·bands·bits·d) instead of a full rebuild — then regroups the
-//!   buckets from the retained signatures with a counting sort per band
-//!   (O(n·bands) `u32` moves). A sync that finds nothing dirty also returns
-//!   the previous index.
+//!   bits differ from the last view's, compared exactly). A dirty row is
+//!   projected through the lane-parallel kernel only once its movements
+//!   since its last projection add up to its margin budget, the distance
+//!   it can travel without any projection changing sign, rounding included
+//!   (`Hyperplanes::margin` derives it). Then only the signatures that
+//!   changed are moved: a linear merge per band that has moves, O(n + m log
+//!   m). A sync where no signature moved returns the previous index.
 //!
 //! The exemplar shape is SNIPPETS.md snippets 2–3 (`ATree`, `LayeredLsh`,
 //! `DynamicQuery` from the wembed/rembed line of work): a spatial index

@@ -65,9 +65,22 @@ impl AnnConfig {
 #[derive(Debug)]
 pub struct Hyperplanes {
     lanes: Mat<f32>,
+    /// `1 / ‖plane‖` per lane, for [`Hyperplanes::margin`].
+    inv_norms: Vec<f64>,
     bands: usize,
     bits: usize,
 }
+
+/// Unit roundoff of `f32` round-to-nearest.
+const U: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// Relative slack on top of the `f32` accumulation bound; see
+/// [`Hyperplanes::margin`].
+const SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Rows with a larger norm get no margin budget; see
+/// [`Hyperplanes::margin`].
+const MAX_NORM: f64 = (1u128 << 64) as f64;
 
 impl Hyperplanes {
     /// Draws `bands * bits` planes of dimension `dim` from `seed`
@@ -77,7 +90,8 @@ impl Hyperplanes {
     pub fn generate(dim: usize, bands: usize, bits: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let planes = Mat::from_fn(bands * bits, dim, |_, _| rng.gen_range(-1.0f64..1.0) as f32);
-        Hyperplanes { lanes: planes.transpose(), bands, bits }
+        let inv_norms = (0..planes.rows()).map(|lane| 1.0 / norm(planes.row(lane))).collect();
+        Hyperplanes { lanes: planes.transpose(), inv_norms, bands, bits }
     }
 
     /// Number of bands.
@@ -145,6 +159,102 @@ impl Hyperplanes {
             }
         }
     }
+
+    /// γ of [`Hyperplanes::margin`]: the `f32` accumulation bound
+    /// `d·u / (1 − d·u)` plus [`SLACK`]; infinite from `d·u = 1/16` (d =
+    /// 2²⁰) on, where no row gets a budget.
+    fn gamma(&self) -> f64 {
+        let du = self.dim() as f64 * U;
+        if du < 1.0 / 16.0 {
+            du / (1.0 - du) + SLACK
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// [`Hyperplanes::probe_signatures`] of `x` at zero probes, returning
+    /// `x`'s margin budget.
+    pub(crate) fn hash(&self, x: &[f32], acc: &mut Vec<f32>, visit: impl FnMut(usize, u32)) -> f64 {
+        self.probe_signatures(x, 0, acc, visit);
+        self.margin(x, acc)
+    }
+
+    /// The margin budget of row `x` with projections `acc`: every row `y`
+    /// that [`Hyperplanes::movement`] puts less than this away from `x`
+    /// gets the same signature as `x` in every band, so the builder need
+    /// not project it.
+    ///
+    /// Lane `l` computes `p̂ = fl(Σ wᵢxᵢ)` for its plane `w`: `d` products
+    /// and `d − 1` additions in `f32` round-to-nearest (the first addition,
+    /// to `0.0`, is exact). The bound for a recursively summed dot product
+    /// (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1),
+    /// with the gradual-underflow model's absolute error of at most half a
+    /// subnormal per product, gives
+    ///
+    /// ```text
+    /// |p̂ − ⟨w, x⟩| ≤ γ_d·Σ|wᵢxᵢ| + d·μ ≤ γ_d·‖w‖·‖x‖ + d·μ =: E(x),
+    /// γ_d = d·u / (1 − d·u),  u = 2⁻²⁴,  μ = f32::MIN_POSITIVE,
+    /// ```
+    ///
+    /// μ being far more than the half-subnormal the model needs. For `y`
+    /// with `‖y − x‖ ≤ δ`, `|⟨w, y⟩ − ⟨w, x⟩| ≤ ‖w‖·δ` and
+    /// `E(y) ≤ γ_d·‖w‖·(‖x‖ + δ) + d·μ`, so `p̂(y)` has the strict sign of
+    /// `p̂(x)`, hence the same bit, whenever `|p̂(x)| > E(x) + ‖w‖·δ + E(y)`,
+    /// which follows from
+    ///
+    /// ```text
+    /// (1 + γ_d)·δ < (|p̂(x)| − 2d·μ) / ‖w‖ − 2γ_d·‖x‖.
+    /// ```
+    ///
+    /// The budget is the right side minimised over the lanes, evaluated in
+    /// `f64` with γ = γ_d + 2⁻²⁰. The slack covers every `f64` rounding in
+    /// the budget and the spend (each a relative error under (d + 8)·2⁻⁵³,
+    /// so under 2⁻³² for d < 2²⁰) and the `f32` rounding of the differences
+    /// the spend measures (2⁻²⁴). It is a property of the kernel, not a
+    /// setting.
+    ///
+    /// The bound assumes that nothing overflows. A row with a norm above
+    /// 2⁶⁴ gets no budget (nor does a non-finite one: its norm is not
+    /// finite). Below that, with plane coordinates under 1 in magnitude and
+    /// d < 2²⁰, every product and partial sum for `x` and for any `y` within
+    /// its budget stays under 2⁷⁶. The floor `2d·μ` makes the budget
+    /// negative for a projection of ±0.0 and for a row whose coordinates
+    /// are all subnormal (then `|p̂| < 2d·μ`), so those rows are always
+    /// projected.
+    fn margin(&self, x: &[f32], acc: &[f32]) -> f64 {
+        let norm = norm(x);
+        if norm.is_nan() || norm > MAX_NORM {
+            return f64::NEG_INFINITY;
+        }
+        // `max(1)`: the floor stays positive for zero-width rows too.
+        let floor = 2.0 * self.dim().max(1) as f64 * f32::MIN_POSITIVE as f64;
+        let nearest = acc
+            .iter()
+            .zip(&self.inv_norms)
+            .map(|(&p, &inv)| (p.abs() as f64 - floor) * inv)
+            .fold(f64::INFINITY, f64::min);
+        nearest - 2.0 * self.gamma() * norm
+    }
+
+    /// What moving a row from `from` to `to` spends from its
+    /// [`Hyperplanes::margin`] budget: `(1 + γ)·‖to − from‖`, rounded up.
+    /// `ops::scan_dist2` takes each difference in `f32` (relative error at
+    /// most 2⁻²⁴, exact when subnormal) and sums exact squares in `f64`;
+    /// γ's slack covers both. Not finite when either row is not.
+    pub(crate) fn movement(&self, from: &[f32], to: &[f32]) -> f64 {
+        ops::scan_dist2(to, from).sqrt() * (1.0 + self.gamma())
+    }
+
+    /// Plane `lane`'s coordinates.
+    #[cfg(test)]
+    pub(crate) fn plane(&self, lane: usize) -> Vec<f32> {
+        (0..self.dim()).map(|i| self.lanes[(i, lane)]).collect()
+    }
+}
+
+/// `‖x‖`, squares and sum in `f64`.
+fn norm(x: &[f32]) -> f64 {
+    x.iter().map(|&v| v as f64 * v as f64).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]

@@ -144,9 +144,12 @@ fn bench_scan(c: &mut Criterion) {
 /// `AnnBuilder::sync` at the `large_float` size (n = 50 000, d = 32), the
 /// index half of a publish: `same_arc` is a flush barrier's sync (the view
 /// `Arc` synced last — a pointer compare), `equal_bits` a new `Arc` with the
-/// same bits (the exact row compare alone), and `nudged_18pct` one event's
-/// sync under Algorithm 1's per-position negatives (18 % of rows moved, each
-/// sync alternating between two such views).
+/// same bits (the exact row compare alone), `drift_18pct` one event's sync
+/// under Algorithm 1's per-position negatives (18 % of rows moved by the
+/// relative amounts [`drift`] draws), and `nudged_18pct` the worst case for
+/// the margin budgets: the same 18 % moved by up to 5 % of the coordinate
+/// range, which crosses most rows' nearest plane. Each of the last two
+/// alternates between two such views.
 fn bench_publish(c: &mut Criterion) {
     let (n, dim) = (50_000usize, 32usize);
     let mut rng = Rng64::seed_from_u64(26);
@@ -160,6 +163,7 @@ fn bench_publish(c: &mut Criterion) {
         }
     }
     let b = Arc::new(b);
+    let drifted = Arc::new(drift(&a, &mut rng));
     let mut group = c.benchmark_group("publish");
     group.throughput(Throughput::Elements(n as u64));
     let mut builder = AnnBuilder::new(AnnConfig::default());
@@ -175,14 +179,50 @@ fn bench_publish(c: &mut Criterion) {
             builder.sync(black_box(if flip { &copy } else { &a }))
         });
     });
-    group.bench_function(BenchmarkId::new("nudged_18pct", n), |bench| {
-        let mut flip = false;
-        bench.iter(|| {
-            flip = !flip;
-            builder.sync(black_box(if flip { &b } else { &a }))
+    for (name, moved) in [("drift_18pct", &drifted), ("nudged_18pct", &b)] {
+        group.bench_function(BenchmarkId::new(name, n), |bench| {
+            let mut flip = false;
+            bench.iter(|| {
+                flip = !flip;
+                builder.sync(black_box(if flip { moved } else { &a }))
+            });
         });
-    });
+    }
     group.finish();
+}
+
+/// `view` with 18 % of its rows moved in a random direction by a relative
+/// amount `‖Δ‖ / ‖x‖` drawn log-uniformly between the knots of the spread
+/// one `large_float` event produces (p50 1.4e-7, p90 1.5e-6, p99 2.2e-3;
+/// the ends, 1e-8 and 1e-2, bracket one ulp and the largest moves). A row
+/// the rounding leaves unchanged gets a one-ulp step, so every moved row is
+/// dirty.
+fn drift(view: &Mat<f32>, rng: &mut Rng64) -> Mat<f32> {
+    const KNOTS: [(f64, f64); 5] =
+        [(0.0, 1e-8), (0.5, 1.4e-7), (0.9, 1.5e-6), (0.99, 2.2e-3), (1.0, 1e-2)];
+    let mut out = view.clone();
+    for row in 0..out.rows() {
+        if rng.gen_index(100) >= 18 {
+            continue;
+        }
+        let q = rng.next_f64();
+        let k = KNOTS.windows(2).position(|w| q < w[1].0).unwrap_or(KNOTS.len() - 2);
+        let ((q0, v0), (q1, v1)) = (KNOTS[k], KNOTS[k + 1]);
+        let rel = (v0.ln() + (v1 / v0).ln() * (q - q0) / (q1 - q0)).exp();
+        let dir: Vec<f64> = (0..out.cols()).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+        let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
+        let scale = rel * norm(&mut out.row(row).iter().map(|&x| x as f64))
+            / norm(&mut dir.iter().copied());
+        let x = out.row_mut(row);
+        let before = x.to_vec();
+        for (x, d) in x.iter_mut().zip(&dir) {
+            *x = (*x as f64 + scale * d) as f32;
+        }
+        if x == before.as_slice() {
+            x[0] = x[0].next_up();
+        }
+    }
+    out
 }
 
 criterion_group!(

@@ -137,9 +137,9 @@ pub struct ServeStats {
     /// Wall time of each index sync at snapshot publication
     /// (`seqge_ann_sync_ns`).
     pub ann_sync_ns: Arc<Histogram>,
-    /// Vertices re-hashed across all syncs — the incremental invariant is
-    /// that this tracks *dirty* vertices, not total republishes × n
-    /// (`seqge_ann_rehashed_total`).
+    /// Vertices projected through the hyperplanes across all syncs: the
+    /// dirty ones whose margin budget ran out, never more than the dirty
+    /// vertices (`seqge_ann_rehashed_total`).
     pub ann_rehashed: Arc<Counter>,
     /// Vertices covered by the most recent published index
     /// (`seqge_ann_indexed_points`).
