@@ -210,10 +210,9 @@ fn drift(view: &Mat<f32>, rng: &mut Rng64) -> Mat<f32> {
         let ((q0, v0), (q1, v1)) = (KNOTS[k], KNOTS[k + 1]);
         let rel = (v0.ln() + (v1 / v0).ln() * (q - q0) / (q1 - q0)).exp();
         let dir: Vec<f64> = (0..out.cols()).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
-        let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
-        let scale = rel * norm(&mut out.row(row).iter().map(|&x| x as f64))
-            / norm(&mut dir.iter().copied());
         let x = out.row_mut(row);
+        let norm_x = x.iter().map(|&v| v as f64 * v as f64).sum::<f64>().sqrt();
+        let scale = rel * norm_x / dir.iter().map(|d| d * d).sum::<f64>().sqrt();
         let before = x.to_vec();
         for (x, d) in x.iter_mut().zip(&dir) {
             *x = (*x as f64 + scale * d) as f32;
