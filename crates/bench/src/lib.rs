@@ -5,8 +5,9 @@
 //! module under [`experiments`] returning a [`report::Report`], and
 //! [`repro`] runs a row into `results/`, checks `results/` against the code,
 //! and renders EXPERIMENTS.md's tables (DESIGN.md §3 has the index).
-//! Criterion micro-benchmarks live under `benches/`; `bench_cluster` and
-//! `bench_obs` are the two serving-side measurement binaries.
+//! Criterion micro-benchmarks live under `benches/`; `bench_cluster` is the
+//! one serving-side measurement binary (the cluster floor of
+//! `scripts/bench_gate.sh`).
 
 #![forbid(unsafe_code)]
 
@@ -36,8 +37,8 @@ pub fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> std::io::Resul
     Ok(())
 }
 
-/// Banner and `--scale <f in (0,1]>` / `--json <path>` of the two `bench_*`
-/// binaries: the scale to run at and where to write the record.
+/// Banner and `--scale <f in (0,1]>` / `--json <path>` of `bench_cluster`:
+/// the scale to run at and where to write the record.
 pub fn bench_args(what: &str, default_scale: f64, default_json: &str) -> (f64, PathBuf) {
     let (mut scale, mut json) = (default_scale, PathBuf::from(default_json));
     let mut args = std::env::args().skip(1);

@@ -83,7 +83,7 @@ fn results_markers_and_table_name_the_same_experiments() {
         files
             .filter(|p| p.extension().is_some_and(|e| e == ext))
             .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
-            .filter(|s| !["bench_cluster", "bench_load", "bench_obs"].contains(&s.as_str()))
+            .filter(|s| s != "bench_cluster")
             .collect()
     };
     assert_eq!(stems("json"), table);

@@ -171,7 +171,6 @@ pub fn train_all_pipelined<M: EmbeddingModel>(
                 let t0 = Instant::now();
                 let burst = pending.len();
                 for w in pending.drain(..) {
-                    let _t = seqge_obs::span!("seqge_core_train_walk_ns");
                     model.train_walk(&w, &table, &mut rng);
                 }
                 walks_trained += burst;

@@ -22,7 +22,8 @@
 //! * [`slo`] — per-op p99 targets and the error budget.
 //! * [`report`] — reply classification (`ok` / `degraded` / `shed` /
 //!   `hard_error` / `transport`) via the protocol `code` field, per-op
-//!   log-histogram latency, and the `results/bench_load.json` schema.
+//!   log-histogram latency, and the JSON run report `seqge loadgen --json`
+//!   writes.
 //! * [`driver`] — the connection fleet: phase barriers, reconnects,
 //!   flush points, aggregation.
 //!

@@ -1,5 +1,5 @@
 //! The accounting plane: reply classification, per-op/per-window metrics,
-//! and the machine-readable `results/bench_load.json` report.
+//! and the machine-readable run report (`seqge loadgen --json FILE`).
 //!
 //! Every reply is classified into an [`Outcome`] by the protocol's `code`
 //! field (see `seqge_serve::protocol`). Latencies land in
@@ -304,7 +304,7 @@ pub struct RunMeta {
     pub wall_s: f64,
 }
 
-/// The machine-readable run report (`results/bench_load.json`).
+/// The machine-readable run report (`seqge loadgen --json FILE`).
 #[derive(Serialize)]
 pub struct Report {
     /// Scenario name.

@@ -84,9 +84,6 @@ impl Histogram {
     /// consistent-enough view for monitoring, never torn per-cell values).
     #[inline]
     pub fn record(&self, v: u64) {
-        if !crate::COMPILED {
-            return;
-        }
         saturating_fetch_add(&self.count, 1);
         saturating_fetch_add(&self.sum, v);
         self.max.fetch_max(v, Ordering::Relaxed);

@@ -38,9 +38,6 @@ impl Counter {
     /// Adds `v` (saturating at `u64::MAX`).
     #[inline]
     pub fn add(&self, v: u64) {
-        if !crate::COMPILED {
-            return;
-        }
         let prev = self.0.fetch_add(v, Ordering::Relaxed);
         if prev > u64::MAX - v {
             self.0.store(u64::MAX, Ordering::Relaxed);
@@ -51,9 +48,6 @@ impl Counter {
     /// monotone when syncing from an external absolute count).
     #[inline]
     pub fn set_to(&self, v: u64) {
-        if !crate::COMPILED {
-            return;
-        }
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -77,9 +71,6 @@ impl Gauge {
     /// Adds `d` (may be negative).
     #[inline]
     pub fn add(&self, d: i64) {
-        if !crate::COMPILED {
-            return;
-        }
         self.0.fetch_add(d, Ordering::Relaxed);
     }
 
@@ -98,9 +89,6 @@ impl Gauge {
     /// Sets the gauge to `v`.
     #[inline]
     pub fn set(&self, v: i64) {
-        if !crate::COMPILED {
-            return;
-        }
         self.0.store(v, Ordering::Relaxed);
     }
 

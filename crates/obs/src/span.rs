@@ -1,8 +1,8 @@
 //! RAII span timers feeding histograms.
 //!
 //! ```ignore
-//! let _g = seqge_obs::span!("seqge_core_train_walk_ns");
-//! train_one_walk(...); // duration recorded in ns when _g drops
+//! let _g = seqge_obs::span!("seqge_core_ingest_ns");
+//! ingest_batch(...); // duration recorded in ns when _g drops
 //! ```
 //!
 //! The clock read is gated on [`crate::timing_enabled`] (one atomic load),
@@ -105,12 +105,8 @@ mod tests {
             let _g = SpanGuard::start(&h);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        if crate::COMPILED {
-            assert_eq!(h.count(), 1);
-            assert!(h.max() >= 1_000_000, "slept 2ms, recorded {}ns", h.max());
-        } else {
-            assert_eq!(h.count(), 0);
-        }
+        assert_eq!(h.count(), 1);
+        assert!(h.max() >= 1_000_000, "slept 2ms, recorded {}ns", h.max());
     }
 
     #[test]
@@ -133,21 +129,17 @@ mod tests {
             let _g = crate::span!("seqge_obs_test_span_ns");
         }
         let h = crate::Registry::global().histogram("seqge_obs_test_span_ns");
-        if crate::COMPILED {
-            assert!(h.count() >= 1);
-        }
+        assert!(h.count() >= 1);
         static_counter!("seqge_obs_test_total").inc();
         static_counter!("seqge_obs_test_ops_total", "op" => "x").add(2);
         static_gauge!("seqge_obs_test_depth").inc();
         static_histogram!("seqge_obs_test_sizes").record(7);
-        if crate::COMPILED {
-            assert_eq!(crate::Registry::global().counter("seqge_obs_test_total").get(), 1);
-            assert_eq!(
-                crate::Registry::global()
-                    .counter_with("seqge_obs_test_ops_total", &[("op", "x")])
-                    .get(),
-                2
-            );
-        }
+        assert_eq!(crate::Registry::global().counter("seqge_obs_test_total").get(), 1);
+        assert_eq!(
+            crate::Registry::global()
+                .counter_with("seqge_obs_test_ops_total", &[("op", "x")])
+                .get(),
+            2
+        );
     }
 }

@@ -19,12 +19,11 @@
 //!
 //! When [`crate::timing_enabled`] is off (`SEQGE_OBS=off`), `start_span`
 //! returns an inert guard: no clock read, no id generation, no stack push —
-//! the same discipline as [`crate::SpanGuard`], keeping the tracing-off
-//! overhead inside the <2% obs budget. When on, completed sampled spans are
-//! pushed into a fixed-size ring of `RING_CAP` slots claimed by one atomic
-//! `fetch_add` (per-slot mutexes are touched only for the single uncontended
-//! store/load), so the buffer is bounded and never blocks the hot path on a
-//! global lock.
+//! the same discipline as [`crate::SpanGuard`]. When on, completed sampled
+//! spans are pushed into a fixed-size ring of `RING_CAP` slots claimed by one
+//! atomic `fetch_add` (per-slot mutexes are touched only for the single
+//! uncontended store/load), so the buffer is bounded and never blocks the hot
+//! path on a global lock.
 
 use crate::log::escape_into;
 use std::cell::RefCell;

@@ -13,7 +13,7 @@
 #     into total collapse (>90% of its ops violating), and the steady
 #     windows must pass the SLO verdict outright (`seqge loadgen` exits
 #     non-zero on a steady-state SLO failure)
-#   * results/bench_load.json is produced and schema-valid
+#   * each run's --json report is produced and schema-valid
 #   * the router's own metrics count the storms' topk requests and export
 #     the request-latency summary
 #
@@ -93,7 +93,7 @@ run_scenario() {
     --connections 2 --scale 0.3 --json "$out" ||
     { echo "FAIL: $scenario run failed (steady-state SLO or transport)"; cat "$out" 2>/dev/null; exit 1; }
 
-  # Schema: the keys the bench gate and dashboards scrape.
+  # Schema: the keys dashboards scrape.
   for key in scenario schedule_hash steady_ok_rate steady_topk_p99_ms slo_pass \
              windows slo_violations per_op hard_errors transport_errors exemplars; do
     grep -q "\"$key\"" "$out" ||

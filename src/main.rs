@@ -128,8 +128,8 @@ commands:
             accounting split by steady-vs-fault window. The generated
             schedule is bit-deterministic under --seed; --dry-run (with
             --nodes) prints the schedule hash without sending traffic.
-            Writes the machine-readable report to --json, default
-            results/bench_load.json)
+            --json FILE writes the machine-readable report there; without
+            it no file is written)
   obs      dump  [--addr HOST:PORT] [--format json|prometheus|table]
                  [--filter PREFIX] [--by-shard]
            trace [--addr HOST:PORT] [--after n] [--follow] [--chrome FILE]
@@ -890,8 +890,10 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
         opts.seed
     );
     let report = loadgen::run(&scenario, &opts).map_err(|e| e.to_string())?;
-    let path = flags.get("json").map(String::as_str).unwrap_or("results/bench_load.json");
-    seqge::bench::write_json(std::path::Path::new(path), &report).map_err(|e| e.to_string())?;
+    let path = flags.get("json");
+    if let Some(path) = path {
+        seqge::bench::write_json(std::path::Path::new(path), &report).map_err(|e| e.to_string())?;
+    }
     let steady = &report.windows[0];
     let fault = &report.windows[1];
     println!(
@@ -912,9 +914,12 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
         fault.slo_violations,
     );
     println!(
-        "steady topk p99 {:.2} ms, ok-rate {:.4}, slo_pass {}; report: {path}",
+        "steady topk p99 {:.2} ms, ok-rate {:.4}, slo_pass {}",
         report.steady_topk_p99_ms, report.steady_ok_rate, report.slo_pass
     );
+    if let Some(path) = path {
+        println!("report: {path}");
+    }
     if !report.slo_pass {
         return Err("steady-state SLO violated (see report)".into());
     }
