@@ -16,7 +16,7 @@
 //! Two live by-products:
 //!
 //! * **Cycle planner** — the calibrated per-walk cycle model accumulates
-//!   into [`CyclePlan`]: predicted sustainable ingest rate at the configured
+//!   into [`CyclePlan`]: predicted sustainable ingest rate at the paper's
 //!   clock, exported next to the measured rate so capacity headroom is a
 //!   metric, not a guess.
 //! * **Deviation probe** (Fig. 4 live) — during a *shadowed* publish window
@@ -254,7 +254,7 @@ impl TrainBackend for FpgaSimBackend {
 
     fn planner(&self) -> Option<CyclePlan> {
         let s = &self.probe.accel.stats;
-        Some(CyclePlan::from_cycles(s.cycles, s.walks, CLOCK_MHZ))
+        Some(CyclePlan::from_cycles(s.cycles, s.walks))
     }
 
     fn deviation_ppm(&self) -> Option<i64> {

@@ -107,17 +107,16 @@ impl std::fmt::Display for BackendKind {
 }
 
 /// The live throughput plan derived from the accelerator's cycle model: what
-/// ingest rate the modeled hardware *should* sustain at the configured clock,
-/// to compare against what the server measures. Float backends have no cycle
-/// model and return `None` from [`TrainBackend::planner`].
+/// ingest rate the modeled hardware *should* sustain at
+/// [`seqge_fpga::CLOCK_MHZ`], to compare against what the server measures.
+/// Float backends have no cycle model and return `None` from
+/// [`TrainBackend::planner`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CyclePlan {
     /// Modeled PL cycles accumulated so far.
     pub cycles_total: u64,
     /// Walks priced into `cycles_total`.
     pub walks: u64,
-    /// The clock the plan is evaluated at.
-    pub clock_mhz: u32,
     /// Modeled mean per-walk latency in microseconds.
     pub predicted_walk_us: f64,
     /// Predicted sustainable ingest rate in edge events/s: each event
@@ -128,14 +127,14 @@ pub struct CyclePlan {
 
 impl CyclePlan {
     /// Builds a plan from accumulated cycle telemetry.
-    pub fn from_cycles(cycles_total: u64, walks: u64, clock_mhz: u32) -> CyclePlan {
+    pub fn from_cycles(cycles_total: u64, walks: u64) -> CyclePlan {
         let (predicted_walk_us, predicted_ingest_eps) = if walks == 0 {
             (0.0, 0.0)
         } else {
-            let walk_us = cycles_total as f64 / walks as f64 / clock_mhz as f64;
+            let walk_us = seqge_fpga::cycles_to_millis(cycles_total) * 1e3 / walks as f64;
             (walk_us, 1e6 / (walk_us * 2.0))
         };
-        CyclePlan { cycles_total, walks, clock_mhz, predicted_walk_us, predicted_ingest_eps }
+        CyclePlan { cycles_total, walks, predicted_walk_us, predicted_ingest_eps }
     }
 }
 

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{OsElmConfig, TrainConfig};
-use seqge_fpga::{Accelerator, AcceleratorDesign, TimingModel};
+use seqge_fpga::{Accelerator, TimingModel};
 use seqge_graph::Dataset;
 use seqge_sampling::Rng64;
 
@@ -32,8 +32,7 @@ fn bench_fpga(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("timing_model_only", dim), |b| {
             let timing = TimingModel::default();
-            let design = AcceleratorDesign::for_dim(dim);
-            b.iter(|| timing.walk_timing(&design, 73, 77).total_cycles);
+            b.iter(|| timing.walk_cycles(dim, 73, 77));
         });
     }
     group.finish();

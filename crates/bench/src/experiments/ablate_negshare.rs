@@ -13,11 +13,9 @@
 use super::{micro_f1, train_prepared, Setting, SEED};
 use crate::report::{int, num, text, Report};
 use crate::{prepared_walks, time_walk_training};
-use seqge_core::model::EmbeddingModel;
 use seqge_core::{NegativeMode, OsElmConfig, OsElmSkipGram, TrainConfig};
 use seqge_fpga::bram::TileManager;
-use seqge_fpga::Accelerator;
-use seqge_sampling::{contexts, Rng64};
+use seqge_sampling::Rng64;
 
 pub fn run(s: &Setting) -> Report {
     let dim = s.dim();
@@ -44,32 +42,12 @@ pub fn run(s: &Setting) -> Report {
         let mut rng = Rng64::seed_from_u64(SEED);
         let t_walk = time_walk_training(&mut timed, timed_walks, &prep.table, &mut rng, 0.5) * 1e3;
 
-        // Tile traffic. The accelerator is the PerWalk design, so that row
-        // runs on it; the fresh mode replays the float model's access stream
-        // (centre, positives, fresh negatives) through the same tile manager.
-        let mut rng = Rng64::seed_from_u64(SEED);
-        let (hit_rate, fetches) = if mode == NegativeMode::PerWalk {
-            let mut acc = Accelerator::new(n, ocfg);
-            for w in traffic_walks {
-                acc.train_walk(w, &prep.table, &mut rng);
-            }
-            let total = acc.stats.tile_hits + acc.stats.dram_fetches;
-            (acc.stats.tile_hits as f64 / total.max(1) as f64, acc.stats.dram_fetches)
-        } else {
-            let mut tile = TileManager::from_banks(127, dim);
-            for w in traffic_walks {
-                for ctx in contexts(w, cfg.model.window) {
-                    tile.touch(ctx.center);
-                    for &pos in &ctx.positives {
-                        tile.touch(pos);
-                        for _ in 0..cfg.model.negative_samples {
-                            tile.touch(prep.table.sample(pos, &mut rng));
-                        }
-                    }
-                }
-            }
-            (tile.hit_rate(), tile.misses)
-        };
+        // Tile traffic: the kernel's access stream (centre, then each
+        // positive and its negatives, drawn in this mode) through the
+        // accelerator's weight tile.
+        let mut tile = TileManager::for_dim(dim);
+        tile.replay(traffic_walks, &ocfg.model, &prep.table, &mut Rng64::seed_from_u64(SEED));
+        let (hit_rate, fetches) = (tile.hit_rate(), tile.misses);
         r.row(vec![text(name), num(f1, 4), num(hit_rate, 3), int(fetches), num(t_walk, 3)]);
     }
     r.note("(expectation: shared negatives keep F1 within noise while cutting DRAM traffic)");

@@ -32,6 +32,7 @@ pub fn run(s: &Setting) -> Report {
         }
     }
     r.note("(the paper's own build is the XCZU7EV baseline row; larger parts admit");
-    r.note(" wider β ports and more MAC lanes, cutting the traffic-bound walk latency)");
+    r.note(" wider β ports, cutting the traffic-bound walk latency; column traffic");
+    r.note(" bounds every explored point, so more MAC lanes only cost DSP)");
     r
 }

@@ -7,7 +7,7 @@
 use super::{micro_f1, Setting, SEED};
 use crate::report::{int, num, text, Report};
 use seqge_core::{train_all_scenario, OsElmConfig, OsElmSkipGram, TrainConfig};
-use seqge_fpga::{AcceleratorDesign, TimingModel};
+use seqge_fpga::{cycles_to_millis, TimingModel};
 
 /// Table 2's (l, w, ns).
 const PAPER: (usize, usize, usize) = (80, 8, 10);
@@ -16,7 +16,6 @@ pub fn run(s: &Setting) -> Report {
     let dim = s.dim();
     let g = s.dataset().generate_scaled(s.scale, SEED);
     let timing = TimingModel::default();
-    let design = AcceleratorDesign::for_dim(dim);
 
     // One axis varies at a time around Table 2's point.
     let mut grid = vec![PAPER];
@@ -36,7 +35,7 @@ pub fn run(s: &Setting) -> Report {
         // Modeled FPGA cost of one walk at these knobs.
         let contexts = l.saturating_sub(cfg.model.window) + 1;
         let samples = (cfg.model.window - 1) * (ns + 1);
-        let walk_ms = timing.walk_timing(&design, contexts, samples).millis();
+        let walk_ms = cycles_to_millis(timing.walk_cycles(dim, contexts, samples));
         r.row(vec![
             int(l),
             int(w),

@@ -1,17 +1,17 @@
-//! The functional accelerator: Algorithm 2 in Q8.24 fixed point with cycle
-//! accounting.
+//! The functional accelerator: Algorithm 2 in Q8.24 fixed point, counting
+//! what it did.
 //!
 //! This is the bit-level twin of `seqge_core::DataflowOsElm`: same deferred
 //! `ΔP`/`Δβ` schedule, same seeds and initial weights, but every arithmetic
 //! operation goes through the `seqge-fixed` datapath (saturating Q8.24,
 //! DSP-style wide accumulation). The difference between this model's
 //! embedding and the float model's embedding *is* the quantization effect
-//! the paper's Fig. 4 measures, and `stats.cycles` prices each walk with the
-//! calibrated [`TimingModel`].
+//! the paper's Fig. 4 measures, and `stats.cycles` prices each walk with
+//! [`TimingModel::walk_cycles`]. The kernel only trains and counts: the BRAM
+//! tile traffic of its access stream is replayed outside it
+//! ([`crate::bram::TileManager::replay`]).
 
-use crate::bram::TileManager;
-use crate::resources::AcceleratorDesign;
-use crate::timing::{TimingModel, CLOCK_MHZ};
+use crate::timing::TimingModel;
 use seqge_core::model::{init_weight, EmbeddingModel, NegativeDraw};
 use seqge_core::oselm::DeltaBeta;
 use seqge_core::{NegativeMode, OsElmConfig};
@@ -23,41 +23,16 @@ use seqge_sampling::{context_windows, NegativeTable, Rng64};
 use std::iter::once;
 
 /// Run statistics accumulated across walks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccelStats {
     /// Walks trained.
     pub walks: u64,
-    /// Contexts trained.
-    pub contexts: u64,
-    /// Modeled PL cycles.
+    /// Modeled PL cycles: [`TimingModel::walk_cycles`] summed over walks.
     pub cycles: u64,
     /// Saturation events observed on write-back (overflow telemetry).
     pub saturations: u64,
-    /// DRAM column fetches (tile misses).
-    pub dram_fetches: u64,
-    /// Tile hits.
-    pub tile_hits: u64,
     /// Contexts whose P downdate was skipped by the positivity guard.
     pub guarded: u64,
-    /// Modeled cycles attributed to stage 1 (H fetch/scale): II × contexts,
-    /// summed over walks. With `s2..s4` this is the runtime-queryable
-    /// Table 4-style stage breakdown.
-    pub s1_cycles: u64,
-    /// Stage 2 (P·Hᵀ / HPHᵀ) modeled cycles.
-    pub s2_cycles: u64,
-    /// Stage 3 (sample dot products) modeled cycles.
-    pub s3_cycles: u64,
-    /// Stage 4 (ΔP / Δβ accumulation) modeled cycles.
-    pub s4_cycles: u64,
-    /// Serial per-walk DMA cycles (P round-trips), summed over walks.
-    pub dma_cycles: u64,
-}
-
-impl AccelStats {
-    /// Modeled wall-clock in milliseconds at [`CLOCK_MHZ`].
-    pub fn millis(&self) -> f64 {
-        self.cycles as f64 / (CLOCK_MHZ as f64 * 1e3)
-    }
 }
 
 /// The simulated accelerator.
@@ -73,9 +48,6 @@ pub struct Accelerator {
     dim: usize,
     num_nodes: usize,
     regularized: bool,
-    design: AcceleratorDesign,
-    timing: TimingModel,
-    tile: TileManager,
     draw: NegativeDraw,
     cfg: OsElmConfig,
     // Per-walk Δβ accumulators (stage-3/4 BRAM) and the per-context frozen
@@ -148,8 +120,6 @@ impl Accelerator {
         if p.len() != d * d {
             return Err(format!("P holds {} words, expected {d}x{d}", p.len()));
         }
-        let design = AcceleratorDesign::for_dim(d);
-        let (_, _, cache_banks, _) = crate::resources::estimate_resources(&design).bram_parts;
         Ok(Accelerator {
             beta,
             p,
@@ -159,9 +129,6 @@ impl Accelerator {
             dim: d,
             num_nodes,
             regularized: cfg.regularized,
-            design,
-            timing: TimingModel::default(),
-            tile: TileManager::from_banks(cache_banks, d),
             draw: NegativeDraw::new(&cfg.model),
             delta_beta: DeltaBeta::new(num_nodes, d),
             is_dirty: vec![false; num_nodes],
@@ -229,7 +196,6 @@ impl Accelerator {
     #[inline(always)]
     fn context_fixed(&mut self, center: NodeId, positives: &[NodeId]) {
         let d = self.dim;
-        self.tile.touch(center);
         // Stage 1: H = μ·β[center].
         for i in 0..d {
             self.h[i] = self.mu.sat_mul(self.beta[center as usize * d + i]);
@@ -256,7 +222,7 @@ impl Accelerator {
         // pipeline-register staleness (see `seqge_core::oselm::PVisibility`
         // — whole-walk freezing diverges), so the on-chip running P absorbs
         // each context's downdate immediately; DRAM write-back still happens
-        // once per walk (the DMA model prices exactly one P round-trip).
+        // once per walk (the timing model prices exactly one P round-trip).
         if healthy {
             vector::rank1_downdate(&mut self.p, d, &self.ph, &self.ph, inv);
         } else {
@@ -305,7 +271,6 @@ impl Accelerator {
         for &pos in positives {
             let negs = self.negs.iter().map(|&neg| (neg, Q8_24::ZERO));
             for (sample, y) in once((pos, Q8_24::ONE)).chain(negs) {
-                self.tile.touch(sample);
                 let slot = self.delta_beta.slot(sample);
                 let frozen = self.delta_beta.frozen_score(slot, || {
                     gated_dot(wide, &self.h, &self.beta[sample as usize * d..][..d])
@@ -315,12 +280,11 @@ impl Accelerator {
                 mul_add(e, &self.phn, phn_max, column);
             }
         }
-        self.stats.contexts += 1;
     }
 
     /// Applies the per-walk Δβ (Algorithm 2 line 20) and counts saturation
     /// events (the running P was updated in place; line 19's commit is the
-    /// DRAM write-back, priced by the DMA model).
+    /// DRAM write-back, priced by the timing model).
     #[inline(always)]
     fn commit_walk(&mut self) {
         let d = self.dim;
@@ -368,17 +332,8 @@ impl Accelerator {
             self.context_fixed(center, positives);
         }
         self.commit_walk();
-        let t = self.timing.walk_timing(&self.design, n_ctx, max_samples);
-        self.stats.cycles += t.total_cycles;
         self.stats.walks += 1;
-        self.stats.dram_fetches = self.tile.misses;
-        self.stats.tile_hits = self.tile.hits;
-        let n_ctx = n_ctx as u64;
-        self.stats.s1_cycles += t.stages.s1 * n_ctx;
-        self.stats.s2_cycles += t.stages.s2 * n_ctx;
-        self.stats.s3_cycles += t.stages.s3 * n_ctx;
-        self.stats.s4_cycles += t.stages.s4 * n_ctx;
-        self.stats.dma_cycles += t.dma_cycles;
+        self.stats.cycles += TimingModel::default().walk_cycles(self.dim, n_ctx, max_samples);
     }
 
     /// [`Self::train_walk_body`] instantiated with AVX2: baseline x86-64
@@ -531,7 +486,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(5);
         let walk: Vec<NodeId> = (0..80).map(|i| i % n as u32).collect();
         acc.train_walk(&walk, &table, &mut rng);
-        let ms = acc.stats.millis();
+        let ms = crate::cycles_to_millis(acc.stats.cycles);
         assert!((ms - 0.777).abs() / 0.777 < 0.02, "walk latency {ms:.3} ms");
     }
 
@@ -547,16 +502,6 @@ mod tests {
         assert_eq!(acc.stats.saturations, 0, "healthy training must not saturate");
         let emb = acc.embedding();
         assert!(emb.all_finite());
-    }
-
-    #[test]
-    fn tile_reuse_is_observed() {
-        let table = ready_table(30);
-        let mut acc = Accelerator::new(30, cfg(8));
-        let mut rng = Rng64::seed_from_u64(2);
-        let walk: Vec<NodeId> = (0..20u32).collect();
-        acc.train_walk(&walk, &table, &mut rng);
-        assert!(acc.stats.tile_hits > 0, "shared negatives must hit the tile");
     }
 
     #[test]

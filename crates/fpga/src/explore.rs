@@ -52,15 +52,13 @@ pub fn explore(dim: usize, device: &FpgaDevice) -> Vec<DesignPoint> {
             let mut est = estimate_resources(&design);
             // Port widening adds β-bandwidth banks beyond the cache growth.
             est.bram36 += 16 * (port_mult - 1);
-            let timing = TimingModel { port_bytes, ..TimingModel::default() };
-            // More lanes shorten the compute II; the timing model takes the
-            // max of traffic and compute, so faster ports translate directly
-            // until compute binds.
-            let walk = timing.walk_timing(&design, 73, 77);
+            // Column traffic bounds every point explored (the timing model's
+            // `column_traffic_dominates_compute`), so only the port width
+            // moves the walk latency; more lanes cost DSP and buy nothing.
             points.push(DesignPoint {
                 design,
                 port_bytes,
-                walk_ms: walk.millis(),
+                walk_ms: TimingModel { port_bytes }.paper_walk_millis(dim),
                 fits: device.fits(est.bram36, est.dsp, est.ff, est.lut),
                 dsp: est.dsp,
                 bram: est.bram36,

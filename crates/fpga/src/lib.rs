@@ -11,16 +11,19 @@
 //!   Q8.24 fixed point with DSP-accumulator semantics (`seqge-fixed`), so
 //!   accuracy experiments (Fig. 4) see the same quantization + deferred-
 //!   update behaviour the hardware produces.
-//! * **Performance** — [`timing`] + [`dma`] + [`pipeline`] form a
-//!   cycle-approximate model of the walk-training latency, calibrated to the
-//!   paper's Table 3 FPGA row; [`resources`] is a component-level utilization
-//!   estimator calibrated to Table 6.
+//! * **Performance** — [`timing`] prices a walk from `(dim, contexts,
+//!   samples)` with one cycle-approximate model of the four-stage pipeline,
+//!   its β-port traffic and its DMA, calibrated to the paper's Table 3 FPGA
+//!   row; [`bram`] replays the kernel's β-column access stream through the
+//!   on-chip weight tile (§3.2's DRAM↔BRAM traffic); [`resources`] is a
+//!   component-level utilization estimator calibrated to Table 6.
 //!
 //! The CPU side of the paper's system (§3.2: random walks, negative
 //! pre-sampling, one walk at a time into the fabric) is `seqge-core`'s
 //! scenario drivers — [`Accelerator`] is an `EmbeddingModel` like the float
 //! models, so `train_all_scenario(&g, &mut accel, ..)` *is* the host driver
-//! and `accel.stats` its report.
+//! and `accel.stats` its report: walks, modeled cycles, saturations and
+//! guarded contexts.
 
 // Every other crate is `#![forbid(unsafe_code)]`; this one has one block, the
 // CPUID-guarded call into the AVX2 instantiation in `accelerator.rs`.
@@ -29,14 +32,12 @@
 pub mod accelerator;
 pub mod bram;
 pub mod device;
-pub mod dma;
 pub mod energy;
 pub mod explore;
-pub mod pipeline;
 pub mod resources;
 pub mod timing;
 
 pub use accelerator::{kernel_isa, AccelStats, Accelerator};
 pub use device::{FpgaDevice, Utilization};
 pub use resources::{estimate_resources, AcceleratorDesign, ResourceEstimate};
-pub use timing::{TimingModel, WalkTiming, CLOCK_MHZ};
+pub use timing::{cycles_to_millis, TimingModel, CLOCK_MHZ};

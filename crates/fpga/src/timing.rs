@@ -1,4 +1,19 @@
-//! Walk-level latency model, calibrated to the paper's Table 3 FPGA row.
+//! The price of a walk, calibrated to the paper's Table 3 FPGA row: the
+//! four-stage dataflow kernel, its β-port column traffic and its DMA, in one
+//! function ([`TimingModel::walk_cycles`]).
+//!
+//! Algorithm 2 splits one context into four stages (the `STAGES` table):
+//!
+//! 1. fetch `β[center]`, scale by `μ` → `H`
+//! 2. `P·Hᵀ`, `H·P·Hᵀ` (matrix–vector + reduction)
+//! 3. per-sample errors `y − H·β[sample]` (77 dot products at paper params)
+//! 4. `hpht_inv`, `ΔP`, `Δβ` accumulation
+//!
+//! With the dataflow pragma the stages overlap across contexts, so the
+//! steady-state interval is the *slowest* stage's, and filling the pipeline
+//! costs every stage once. §4.5: the base lane count is 32, raised to 48/64
+//! for parts of the d = 64/96 builds "so that execution times of pipeline
+//! stages are equalized".
 //!
 //! Observation driving the model: at the paper's parameters one context
 //! touches 78 weight columns (1 center + 7 positives × (1 + 10 negatives)),
@@ -7,116 +22,121 @@
 //! spends ≈ 2 100 cycles per context — an order of magnitude more than the
 //! MAC work — so the kernel is *column-traffic bound*, consistent with the
 //! paper's emphasis on reducing DRAM↔BRAM transfers (§3.2, negative-sample
-//! reuse). The model therefore prices a context as
+//! reuse). A walk is therefore priced as
 //!
 //! ```text
-//! cycles(ctx) = ⌈n_cols · 4d / port_bytes⌉ + n_cols · column_overhead
+//! column(ctx) = ⌈n_cols · 4d / port_bytes⌉ + n_cols · column_overhead
+//! cycles(walk) = contexts · max(column(ctx), slowest stage)
+//!              + Σ stages (fill) + 2 · DMA(P)
 //! ```
 //!
-//! overlapped with the compute-stage IIs ([`crate::pipeline`]). The tile
-//! port is 288 bits wide (four BRAM36 ports of 72 b) ⇒ 36 B/cycle. Sample
-//! upload and Δ write-back are double-buffered behind the previous walk's
-//! compute; only the `P` round-trip is serial ([`crate::dma`]). With a
-//! 23.7-cycle column overhead the model lands within ~1 % of all three
+//! The tile port is 288 bits wide (four BRAM36 ports of 72 b) ⇒ 36 B/cycle.
+//! Sample upload and Δ write-back are double-buffered behind the previous
+//! walk's compute; only the `P` round-trip over the AXI HP port is serial.
+//! With a 23.7-cycle column overhead the model lands within ~1 % of all three
 //! Table 3 FPGA entries.
-
-use crate::dma::DmaModel;
-use crate::pipeline::{stage_intervals, StageIntervals};
-use crate::resources::AcceleratorDesign;
 
 /// The PL clock in MHz every modeled cycle count is turned into time at: the
 /// paper's 200.
 pub const CLOCK_MHZ: u32 = 200;
 
-/// The calibrated timing model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Modeled cycles in milliseconds at [`CLOCK_MHZ`].
+pub fn cycles_to_millis(cycles: u64) -> f64 {
+    cycles as f64 / (CLOCK_MHZ as f64 * 1e3)
+}
+
+/// One stage of the kernel.
+struct Stage {
+    /// Lane width at d ≤ 32, d ≤ 64 and d > 64.
+    lanes: [u64; 3],
+    /// Initiation interval (cycles per context) from `(d, lanes, samples)`.
+    ii: fn(u64, u64, u64) -> u64,
+}
+
+/// The four stages, in Algorithm 2's order.
+const STAGES: [Stage; 4] = [
+    // Read and scale the d values of β[center], lanes-wide.
+    Stage { lanes: [32, 32, 32], ii: |d, l, _| d.div_ceil(l) + 2 },
+    // P·Hᵀ as d pipelined rows, then the HPHᵀ reduction.
+    Stage { lanes: [32, 48, 64], ii: |d, l, _| rows(d, l) + d.div_ceil(l) + REDUCTION_LATENCY },
+    // One dot product per sample, lanes-wide reduction.
+    Stage { lanes: [32, 48, 48], ii: |d, l, s| s * d.div_ceil(l) + REDUCTION_LATENCY },
+    // The reciprocal, the rank-1 ΔP rows and the Δβ columns.
+    Stage { lanes: [32, 48, 64], ii: |d, l, s| DIVIDER_LATENCY + rows(d, l) + s * d.div_ceil(l) },
+];
+
+const DIVIDER_LATENCY: u64 = 28; // 32-bit fixed reciprocal
+const REDUCTION_LATENCY: u64 = 6; // adder tree depth at 32–64 lanes
+
+/// d rows of a d-wide MAC on `lanes` lanes, rows pipelined.
+fn rows(d: u64, lanes: u64) -> u64 {
+    d * d.div_ceil(lanes) / d.min(lanes).max(1)
+}
+
+/// Each stage's II for a `dim`-wide build training `samples` columns per
+/// context beyond the center.
+fn stage_intervals(dim: usize, samples: usize) -> [u64; 4] {
+    let class = match dim {
+        d if d <= 32 => 0,
+        d if d <= 64 => 1,
+        _ => 2,
+    };
+    STAGES.map(|s| (s.ii)(dim as u64, s.lanes[class], samples as u64))
+}
+
+/// Per-column β-port overhead in tenths of a cycle (arbitration + address +
+/// pipeline restart, amortized); calibrated to Table 3.
+const COLUMN_OVERHEAD_TENTHS: u64 = 237;
+
+/// AXI HP burst transfers: payload bytes per cycle once a burst streams
+/// (128-bit AXI4 at the PL clock is 16 B; the HP ports run wider bursts with
+/// outstanding transactions, so 32 B effective), cycles to open one burst
+/// (address phase + DRAM latency), and the largest burst (256 beats).
+const DMA_BYTES_PER_CYCLE: u64 = 32;
+const DMA_BURST_LATENCY: u64 = 40;
+const DMA_MAX_BURST_BYTES: u64 = 4096;
+
+/// Cycles to move `bytes` between DRAM and the PL as one contiguous transfer
+/// (§3.2's DMA controller), split into bursts.
+pub fn transfer_cycles(bytes: u64) -> u64 {
+    bytes.div_ceil(DMA_MAX_BURST_BYTES) * DMA_BURST_LATENCY + bytes.div_ceil(DMA_BYTES_PER_CYCLE)
+}
+
+/// The calibrated timing model. Its one setting is the β-port width, which
+/// [`crate::explore`] sweeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingModel {
     /// β-port payload bytes per cycle (288-bit tile port = 36 B).
     pub port_bytes: u32,
-    /// Per-column access overhead in tenths of a cycle (arbitration +
-    /// address + pipeline restart, amortized). Calibrated: 237 (23.7 cyc).
-    pub column_overhead_tenths: u32,
-    /// DRAM DMA model for per-walk transfers.
-    pub dma: DmaModel,
 }
 
 impl Default for TimingModel {
     fn default() -> Self {
-        TimingModel { port_bytes: 36, column_overhead_tenths: 237, dma: DmaModel::default() }
-    }
-}
-
-/// Cycle breakdown for training one random walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct WalkTiming {
-    /// Contexts in the walk.
-    pub contexts: u64,
-    /// Column-traffic cycles per context.
-    pub column_cycles_per_context: u64,
-    /// Compute bottleneck II per context.
-    pub compute_ii: u64,
-    /// Serial per-walk DMA cycles (the P round-trip; sample upload and Δ
-    /// write-back overlap the previous walk's compute).
-    pub dma_cycles: u64,
-    /// Overlapped DMA cycles (reported for the traffic accounting; not on
-    /// the critical path).
-    pub overlapped_dma_cycles: u64,
-    /// Pipeline fill cycles.
-    pub fill_cycles: u64,
-    /// Total cycles.
-    pub total_cycles: u64,
-    /// Per-stage initiation intervals behind `compute_ii` (Table 4's
-    /// breakdown; occupancy = stage II / bottleneck).
-    pub stages: StageIntervals,
-}
-
-impl WalkTiming {
-    /// Milliseconds at [`CLOCK_MHZ`].
-    pub fn millis(&self) -> f64 {
-        self.total_cycles as f64 / (CLOCK_MHZ as f64 * 1e3)
+        TimingModel { port_bytes: 36 }
     }
 }
 
 impl TimingModel {
-    /// Prices one walk: `contexts` outer iterations, `samples_per_context`
-    /// β-column touches beyond the center node.
-    pub fn walk_timing(
-        &self,
-        design: &AcceleratorDesign,
-        contexts: usize,
-        samples_per_context: usize,
-    ) -> WalkTiming {
-        let d = design.dim as u64;
-        let cols = samples_per_context as u64 + 1; // + center column
-        let col_cycles = (cols * 4 * d).div_ceil(self.port_bytes as u64)
-            + (cols * self.column_overhead_tenths as u64).div_ceil(10);
-        let ii: StageIntervals = stage_intervals(design.dim, samples_per_context);
-        let per_ctx = col_cycles.max(ii.bottleneck());
-        // Serial transfer: P both ways. Samples and Δβ double-buffer behind
-        // the previous walk's compute.
-        let p_bytes = d * d * 4;
-        let dma_cycles = 2 * self.dma.transfer_cycles(p_bytes);
-        let sample_bytes = (contexts as u64 * cols) * 4;
-        let delta_bytes = cols * d * 4;
-        let overlapped =
-            self.dma.transfer_cycles(sample_bytes) + self.dma.transfer_cycles(delta_bytes);
-        let total = contexts as u64 * per_ctx + ii.fill() + dma_cycles;
-        WalkTiming {
-            contexts: contexts as u64,
-            column_cycles_per_context: col_cycles,
-            compute_ii: ii.bottleneck(),
-            dma_cycles,
-            overlapped_dma_cycles: overlapped,
-            fill_cycles: ii.fill(),
-            total_cycles: total,
-            stages: ii,
-        }
+    /// Cycles to train one walk of `contexts` contexts on a `dim`-wide build,
+    /// each context touching `samples` β columns beyond its center.
+    pub fn walk_cycles(&self, dim: usize, contexts: usize, samples: usize) -> u64 {
+        let ii = stage_intervals(dim, samples);
+        let slowest = ii.into_iter().max().unwrap_or(0);
+        let per_ctx = self.column_cycles(dim, samples).max(slowest);
+        let p_bytes = (dim * dim * 4) as u64;
+        contexts as u64 * per_ctx + ii.iter().sum::<u64>() + 2 * transfer_cycles(p_bytes)
+    }
+
+    /// β-port cycles per context: the center plus `samples` columns.
+    fn column_cycles(&self, dim: usize, samples: usize) -> u64 {
+        let cols = samples as u64 + 1;
+        (cols * 4 * dim as u64).div_ceil(self.port_bytes as u64)
+            + (cols * COLUMN_OVERHEAD_TENTHS).div_ceil(10)
     }
 
     /// Paper-protocol walk latency in ms: 73 contexts × 77 samples.
     pub fn paper_walk_millis(&self, dim: usize) -> f64 {
-        let design = AcceleratorDesign::for_dim(dim);
-        self.walk_timing(&design, 73, 77).millis()
+        cycles_to_millis(self.walk_cycles(dim, 73, 77))
     }
 }
 
@@ -143,15 +163,12 @@ mod tests {
 
     #[test]
     fn column_traffic_dominates_compute() {
+        // Why `explore`'s lane sweep moves only DSP: no stage binds.
         let model = TimingModel::default();
         for dim in [32usize, 64, 96] {
-            let t = model.walk_timing(&AcceleratorDesign::for_dim(dim), 73, 77);
-            assert!(
-                t.column_cycles_per_context > t.compute_ii,
-                "d={dim}: traffic {} vs compute {}",
-                t.column_cycles_per_context,
-                t.compute_ii
-            );
+            let traffic = model.column_cycles(dim, 77);
+            let ii = stage_intervals(dim, 77);
+            assert!(ii.iter().all(|&s| traffic > s), "d={dim}: traffic {traffic} vs {ii:?}");
         }
     }
 
@@ -170,31 +187,68 @@ mod tests {
         // The negative-share ablation leans on this: fewer sample columns →
         // proportionally fewer cycles.
         let model = TimingModel::default();
-        let design = AcceleratorDesign::for_dim(32);
-        let full = model.walk_timing(&design, 73, 77);
-        let light = model.walk_timing(&design, 73, 14); // ns=1
-        assert!(light.total_cycles < full.total_cycles / 3);
+        let light = model.walk_cycles(32, 73, 14); // ns=1
+        assert!(light < model.walk_cycles(32, 73, 77) / 3);
     }
 
     #[test]
     fn dma_is_minor_fraction() {
-        let model = TimingModel::default();
-        let t = model.walk_timing(&AcceleratorDesign::for_dim(64), 73, 77);
-        assert!(t.dma_cycles * 10 < t.total_cycles, "DMA must not dominate: {t:?}");
+        let dma = 2 * transfer_cycles(64 * 64 * 4);
+        let total = TimingModel::default().walk_cycles(64, 73, 77);
+        assert!(dma * 10 < total, "DMA must not dominate: {dma} of {total}");
     }
 
     #[test]
     fn millis_conversion() {
-        let t = WalkTiming {
-            contexts: 1,
-            column_cycles_per_context: 0,
-            compute_ii: 0,
-            dma_cycles: 0,
-            overlapped_dma_cycles: 0,
-            fill_cycles: 0,
-            total_cycles: 200_000,
-            stages: StageIntervals { s1: 0, s2: 0, s3: 0, s4: 0 },
-        };
-        assert!((t.millis() - 1.0).abs() < 1e-12);
+        assert!((cycles_to_millis(200_000) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lane_config_matches_paper() {
+        let lanes = |class: usize| STAGES.map(|s| s.lanes[class]);
+        assert_eq!(lanes(0), [32; 4]);
+        assert_eq!(lanes(1), [32, 48, 48, 48], "d=64 uses partial 48 lanes");
+        assert_eq!(lanes(2), [32, 64, 48, 64], "d=96 uses partial 64 lanes");
+    }
+
+    #[test]
+    fn intervals_grow_with_dim_sublinearly() {
+        // Lane widening is exactly what keeps stage times near-equal across
+        // dims (§4.5) — check II growth is well below 3× from d=32→96.
+        let slowest = |dim| stage_intervals(dim, 77).into_iter().max().unwrap();
+        let (i32_, i96) = (slowest(32), slowest(96));
+        assert!(i96 > i32_, "more work at higher dim");
+        assert!((i96 as f64) < 3.0 * i32_ as f64, "lane widening must damp growth: {i32_} → {i96}");
+    }
+
+    #[test]
+    fn stage3_dominates_compute_at_paper_params() {
+        // 77 samples per context make the sample stages the slowest in
+        // every build.
+        for dim in [32usize, 64, 96] {
+            let [s1, s2, s3, s4] = stage_intervals(dim, 77);
+            assert!(s3.max(s4) > s1.max(s2), "d={dim}: {:?}", [s1, s2, s3, s4]);
+        }
+    }
+
+    #[test]
+    fn fill_exceeds_bottleneck() {
+        let ii = stage_intervals(64, 77);
+        assert!(ii.iter().sum::<u64>() > ii.into_iter().max().unwrap());
+    }
+
+    #[test]
+    fn fewer_samples_shrink_stage3() {
+        assert!(stage_intervals(32, 11)[2] < stage_intervals(32, 77)[2]);
+    }
+
+    #[test]
+    fn zero_bytes_is_free() {
+        assert_eq!(transfer_cycles(0), 0);
+    }
+
+    #[test]
+    fn transfer_scales_linearly_in_payload() {
+        assert_eq!(transfer_cycles(4 * 4096), 4 * transfer_cycles(4096));
     }
 }

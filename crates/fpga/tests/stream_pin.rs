@@ -15,6 +15,7 @@
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{full_corpus, train_all_scenario, ModelConfig, OsElmConfig, TrainConfig};
 use seqge_fixed::Q8_24;
+use seqge_fpga::bram::TileManager;
 use seqge_fpga::{AccelStats, Accelerator};
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::NodeId;
@@ -100,9 +101,8 @@ fn run_regime(mut accel: Accelerator, l: usize, walks: usize, seed: u64) -> Pin 
         }
     }
     dirty.extend(accel.take_dirty());
-    // The counters a reader outside this file uses; the tile and per-stage
-    // counters are left out.
-    let AccelStats { walks, cycles, saturations, guarded, .. } = accel.stats;
+    // Destructured so that a new field cannot be left out of the pin.
+    let AccelStats { walks, cycles, saturations, guarded } = accel.stats;
     let stats = [
         walks,
         cycles,
@@ -142,13 +142,11 @@ fn paper_geometry_is_pinned() {
 /// negatives, drawn off the same RNG stream as the kernel draws them.
 #[test]
 fn paper_geometry_tile_traffic_is_pinned() {
-    let cfg = OsElmConfig::paper_defaults(32);
-    let mut accel = Accelerator::new(1000, cfg);
-    let (corpus, table, mut rng) = regime_corpus(1000, accel.config().model, 80, 208, 3);
-    for walk in &corpus {
-        accel.train_walk(walk, &table, &mut rng);
-    }
-    assert_eq!((accel.stats.tile_hits, accel.stats.dram_fetches), (1_183_358, 994));
+    let model = Accelerator::new(1000, OsElmConfig::paper_defaults(32)).config().model;
+    let (corpus, table, mut rng) = regime_corpus(1000, model, 80, 208, 3);
+    let mut tile = TileManager::for_dim(32);
+    tile.replay(&corpus, &model, &table, &mut rng);
+    assert_eq!((tile.hits, tile.misses), (1_183_358, 994));
 }
 
 /// (b) Dimensions that are not a multiple of any unroll width.

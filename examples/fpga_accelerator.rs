@@ -6,9 +6,11 @@
 //! cargo run --release --example fpga_accelerator
 //! ```
 
-use seqge::core::{train_all_scenario, EmbeddingModel, OsElmConfig, TrainConfig};
+use seqge::core::{full_corpus, train_all_scenario, EmbeddingModel, OsElmConfig, TrainConfig};
 use seqge::eval::{evaluate_embedding, EvalConfig, LogRegConfig};
-use seqge::fpga::{estimate_resources, Accelerator, AcceleratorDesign, FpgaDevice, CLOCK_MHZ};
+use seqge::fpga::bram::TileManager;
+use seqge::fpga::{cycles_to_millis, estimate_resources, Accelerator, AcceleratorDesign};
+use seqge::fpga::{FpgaDevice, CLOCK_MHZ};
 use seqge::graph::Dataset;
 
 fn main() {
@@ -34,7 +36,7 @@ fn main() {
     let mut accel = Accelerator::new(g.num_nodes(), ocfg);
     train_all_scenario(&g, &mut accel, &cfg, 17);
     let stats = accel.stats;
-    let accel_ms = stats.millis();
+    let accel_ms = cycles_to_millis(stats.cycles);
     println!(
         "trained {} walks: modeled PL time {:.1} ms \
          ({:.3} ms/walk — paper Table 3: 0.777 ms/walk at d=32)",
@@ -42,11 +44,15 @@ fn main() {
         accel_ms,
         accel_ms / stats.walks as f64
     );
+    // The same walks and negative draws, replayed through the weight tile.
+    let (_, walks, table, mut rng) = full_corpus(&g, &cfg, 17);
+    let mut tile = TileManager::for_dim(dim);
+    tile.replay(&walks, &accel.config().model, &table, &mut rng);
     println!(
         "tile traffic: {} DRAM column fetches, {} on-chip hits ({:.1}% hit rate), {} saturations",
-        stats.dram_fetches,
-        stats.tile_hits,
-        100.0 * stats.tile_hits as f64 / (stats.tile_hits + stats.dram_fetches).max(1) as f64,
+        tile.misses,
+        tile.hits,
+        100.0 * tile.hit_rate(),
         stats.saturations
     );
 
