@@ -2,46 +2,28 @@
 //!
 //! Retried writes carry a [`crate::protocol::WriteId`] (`client` + `seq`),
 //! and the server answers `deduped: true` for any sequence number at or
-//! below the client's high-water mark instead of double-applying. PR 4
-//! stored those marks in a plain `HashMap` that was wholesale cleared when
-//! it filled — correct (the graph invariants are the real backstop) but
-//! with a nasty cliff: one clear forgot *every* client at once.
+//! below the client's high-water mark instead of applying it again.
 //!
-//! This table bounds memory with a sliding recency window instead. Each
-//! `record` stamps the client with a monotone tick and pushes the stamp on
-//! a queue; once more than `max_clients` distinct clients are tracked, the
-//! stalest clients (by last stamp) are evicted as the window slides over
-//! them. Active clients keep their marks indefinitely; only clients idle
-//! for a full window's worth of writes fall out. The queue uses lazy
-//! invalidation (stale stamps are skipped on pop), so both structures stay
-//! within a constant factor of `max_clients` no matter how many writes —
-//! or retries — pass through. The 1M-retry unit test below pins that down.
+//! The table is an LRU over clients. Every `record` moves its client to a
+//! fresh tick; once more than `max_clients` clients are tracked, the
+//! least recently recorded ones are evicted. A client that keeps writing is
+//! never evicted, and memory stays at `max_clients` entries however many
+//! writes or retries pass through (the 1M-retry unit test below).
 
 use crate::protocol::WriteId;
-use std::collections::HashMap;
-
-/// Per-client entry: high-water sequence number + last-touch tick.
-struct Entry {
-    seq: u64,
-    tick: u64,
-}
+use std::collections::{BTreeMap, HashMap};
 
 /// A bounded map from client id to highest acked write sequence number.
 ///
-/// Not internally synchronized — the server wraps it in a `Mutex` (the
-/// critical section is a hash probe, far from contended next to a WAL
-/// append).
+/// Not internally synchronized: the server holds it under one `Mutex`
+/// from the check through the log append to the record.
 pub struct DedupTable {
     max_clients: usize,
     tick: u64,
-    map: HashMap<String, Entry>,
-    /// Recency window: `(tick, client)` stamps in issue order. A client's
-    /// live stamp is the one matching `map[client].tick`; older stamps are
-    /// skipped when they surface (lazy invalidation).
-    window: Vec<(u64, String)>,
-    /// Index of the first unconsumed stamp in `window` (the window is
-    /// compacted once the consumed prefix dominates).
-    head: usize,
+    /// Client → (high-water `seq`, tick of its latest `record`).
+    marks: HashMap<String, (u64, u64)>,
+    /// Tick → client, oldest first: the eviction order.
+    recency: BTreeMap<u64, String>,
     evictions: u64,
 }
 
@@ -52,9 +34,8 @@ impl DedupTable {
         DedupTable {
             max_clients: max_clients.max(1),
             tick: 0,
-            map: HashMap::new(),
-            window: Vec::new(),
-            head: 0,
+            marks: HashMap::new(),
+            recency: BTreeMap::new(),
             evictions: 0,
         }
     }
@@ -62,84 +43,46 @@ impl DedupTable {
     /// Whether `id` is a retry of an already-acked write (its `seq` is at
     /// or below the client's high-water mark).
     pub fn already_acked(&self, id: &WriteId) -> bool {
-        self.map.get(&id.client).is_some_and(|e| id.seq <= e.seq)
+        self.marks.get(&id.client).is_some_and(|&(seq, _)| id.seq <= seq)
     }
 
-    /// Records an acked write, advancing the client's high-water mark and
-    /// sliding the recency window (possibly evicting stale clients).
+    /// Records an acked write: advances the client's high-water mark, makes
+    /// it the most recent client, and evicts the least recent ones past
+    /// the cap.
     pub fn record(&mut self, id: &WriteId) {
         self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(&id.client) {
-            Some(e) => {
-                e.seq = e.seq.max(id.seq);
-                e.tick = tick;
+        let client = match self.marks.get_mut(&id.client) {
+            Some(mark) => {
+                let client = self.recency.remove(&mark.1).expect("a tracked client has a tick");
+                *mark = (mark.0.max(id.seq), self.tick);
+                client
             }
             None => {
-                self.map.insert(id.client.clone(), Entry { seq: id.seq, tick });
+                self.marks.insert(id.client.clone(), (id.seq, self.tick));
+                id.client.clone()
             }
-        }
-        self.window.push((tick, id.client.clone()));
-        self.slide();
-    }
-
-    /// Evicts stalest clients until at most `max_clients` remain, then
-    /// compacts the consumed window prefix. Every pop retires one stamp, so
-    /// the amortized cost per `record` is O(1) and `window` never holds
-    /// more than `2 * max_clients + 1` live-or-stale stamps after a slide
-    /// settles (each tracked client has exactly one live stamp; stale
-    /// stamps are bounded by the compaction threshold).
-    fn slide(&mut self) {
-        while self.map.len() > self.max_clients
-            || self.window.len() - self.head > 2 * self.max_clients
-        {
-            let (tick, client) = {
-                let s = &self.window[self.head];
-                (s.0, s.1.clone())
-            };
-            self.head += 1;
-            // Only a client's *latest* stamp is live; an older one means the
-            // client was touched again later and must not be evicted here.
-            let live = self.map.get(&client).is_some_and(|e| e.tick == tick);
-            if live && self.map.len() > self.max_clients {
-                self.map.remove(&client);
-                self.evictions += 1;
-            } else if live {
-                // Live stamp surfaced while only compacting: re-stamp at the
-                // tail so the client stays tracked with a fresh stamp.
-                self.tick += 1;
-                let t = self.tick;
-                if let Some(e) = self.map.get_mut(&client) {
-                    e.tick = t;
-                }
-                self.window.push((t, client));
-            }
-        }
-        if self.head > self.max_clients && self.head * 2 >= self.window.len() {
-            self.window.drain(..self.head);
-            self.head = 0;
+        };
+        self.recency.insert(self.tick, client);
+        while self.marks.len() > self.max_clients {
+            let (_, stalest) = self.recency.pop_first().expect("a tracked client has a tick");
+            self.marks.remove(&stalest);
+            self.evictions += 1;
         }
     }
 
     /// Distinct clients currently tracked.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.marks.len()
     }
 
     /// Whether no client is tracked.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.marks.is_empty()
     }
 
-    /// Clients evicted by the sliding window since creation.
+    /// Clients evicted as least recently recorded since creation.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Stamps currently buffered (live + stale); exposed so tests can
-    /// assert memory stays flat.
-    pub fn window_len(&self) -> usize {
-        self.window.len() - self.head
     }
 }
 
@@ -168,7 +111,7 @@ mod tests {
         t.record(&id("a", 1));
         t.record(&id("b", 1));
         t.record(&id("a", 2)); // refresh a: b is now the stalest
-        t.record(&id("c", 1)); // window slides over b
+        t.record(&id("c", 1)); // evicts b
         assert_eq!(t.len(), 2);
         assert!(t.already_acked(&id("a", 2)));
         assert!(t.already_acked(&id("c", 1)));
@@ -176,14 +119,30 @@ mod tests {
         assert_eq!(t.evictions(), 1);
     }
 
-    /// The satellite's acceptance test: a million retried writes (heavy
-    /// re-stamping of a bounded client population plus a drifting tail of
-    /// one-shot clients) must keep both the map and the stamp window flat.
+    /// Eviction follows the latest `record`, however many records a
+    /// client has made: `a`'s four refreshes leave `b` the stalest client.
+    #[test]
+    fn eviction_follows_the_latest_record() {
+        let mut t = DedupTable::new(2);
+        t.record(&id("a", 1));
+        t.record(&id("b", 1));
+        for seq in 2..=5 {
+            t.record(&id("a", seq));
+        }
+        t.record(&id("c", 1));
+        assert!(t.already_acked(&id("a", 5)), "the most active client was evicted");
+        assert!(t.already_acked(&id("c", 1)));
+        assert!(!t.already_acked(&id("b", 1)), "the stalest client was kept");
+        assert_eq!(t.evictions(), 1);
+    }
+
+    /// A million retried writes (a hot client population twice the cap
+    /// plus a drifting tail of one-shot clients) keep the table at its cap,
+    /// and every write is remembered right after its record.
     #[test]
     fn memory_stays_flat_over_one_million_retried_writes() {
         const CAP: usize = 512;
         let mut t = DedupTable::new(CAP);
-        let mut max_window = 0usize;
         for i in 0u64..1_000_000 {
             // 3/4 of traffic: retries from a hot pool twice the cap wide, so
             // eviction runs continuously; 1/4: fresh one-shot clients.
@@ -199,12 +158,8 @@ mod tests {
             }
             assert!(t.already_acked(&w), "write {i} not remembered immediately after record");
             assert!(t.len() <= CAP, "map grew past cap at write {i}: {}", t.len());
-            max_window = max_window.max(t.window_len());
+            assert_eq!(t.recency.len(), t.len(), "one recency tick per tracked client");
         }
-        assert!(
-            max_window <= 2 * CAP + 2,
-            "stamp window not flat: peaked at {max_window} (cap {CAP})"
-        );
         assert!(t.evictions() > 0, "eviction never exercised");
     }
 

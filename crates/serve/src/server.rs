@@ -34,12 +34,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Distinct clients the write-dedup table remembers; stalest clients fall
-/// out of the sliding window past this (see [`crate::dedup::DedupTable`]).
-/// An evicted client's replayed retry is no longer recognized, but the
-/// graph invariants (duplicate add / missing remove are rejected) still
-/// stop it from training twice — the table is an optimization for crisp
-/// `deduped` acks, not the correctness backstop.
+/// Distinct clients the write-dedup table remembers; past this the least
+/// recently recorded client is evicted (see [`crate::dedup::DedupTable`]).
+/// A retry from an evicted client is no longer recognized; the graph still
+/// rejects it if it is a duplicate add or a missing remove.
 const DEDUP_MAX_CLIENTS: usize = 65_536;
 
 /// Server-side configuration.
@@ -222,7 +220,7 @@ struct Node {
     wal: Option<Arc<Wal>>,
     fault: Arc<FaultInjector>,
     /// Per-client highest acked write `seq` (see [`protocol::WriteId`]),
-    /// bounded by a sliding recency window.
+    /// an LRU of [`DEDUP_MAX_CLIENTS`] clients.
     dedup: Mutex<DedupTable>,
     max_backlog: u64,
 }
@@ -447,17 +445,17 @@ impl Node {
         if u == v {
             return (Response::err("self loops are not allowed"), false);
         }
-        // A retry of an already-acked write: answer success without
-        // re-applying (the original ack was lost, not the write).
-        if let Some(wid) = &write_id {
-            let table = self.dedup.lock().expect("dedup table poisoned");
+        // A write carrying a WriteId is decided under one dedup lock, held
+        // from the check through the append to the record, so concurrent
+        // retries of one write log it once. Lock order is dedup → WAL; the
+        // trainer never takes the dedup lock.
+        let dedup = write_id.as_ref().map(|wid| (wid, self.dedup.lock().expect("dedup poisoned")));
+        if let Some((wid, table)) = &dedup {
             if table.already_acked(wid) {
-                drop(table);
+                // A retry of an acked write: the ack was lost, not the write.
                 self.stats.deduped.inc();
-                return (
-                    Response::ok().field("queued", true).field("deduped", true).build(),
-                    false,
-                );
+                let reply = Response::ok().field("queued", true).field("deduped", true);
+                return (reply.build(), false);
             }
         }
         // The write's observability context rides the in-memory queue only
@@ -468,24 +466,17 @@ impl Node {
         // `Some(seq)` when WAL-logged, `None` when queued directly.
         let queued: Option<u64> = match &self.wal {
             Some(wal) => {
-                let t0 = if seqge_obs::timing_enabled() { Some(Instant::now()) } else { None };
+                let span = seqge_obs::SpanGuard::start(&self.stats.wal_append_ns);
                 let appended = wal.append_then(event, &self.fault, |seq| {
                     self.trainer_tx.send(TrainerMsg::Event(seq, event, wctx.clone()))
                 });
-                if let Some(t0) = t0 {
-                    self.stats
-                        .wal_append_ns
-                        .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
+                span.finish();
                 match appended {
                     Ok(seq) => Some(seq),
                     Err(e) if e.kind() == ErrorKind::BrokenPipe => {
                         return (Response::err("trainer is shut down"), true);
                     }
-                    Err(e) => {
-                        self.stats.wal_append_errors.set_to(wal.append_errors());
-                        return (Response::err(format!("wal append failed: {e}")), false);
-                    }
+                    Err(e) => return (Response::err(format!("wal append failed: {e}")), false),
                 }
             }
             None => match self.trainer_tx.send(TrainerMsg::Event(0, event, wctx)) {
@@ -493,11 +484,10 @@ impl Node {
                 Err(_) => return (Response::err("trainer is shut down"), true),
             },
         };
-        // Only now — after the event is durably logged and queued — does
-        // the write count as acked for dedup purposes. A failed append
-        // above must leave the retry replayable.
-        if let Some(wid) = &write_id {
-            self.dedup.lock().expect("dedup table poisoned").record(wid);
+        // Only a logged and queued write counts as acked: a failed append
+        // above leaves the retry replayable.
+        if let Some((wid, mut table)) = dedup {
+            table.record(wid);
         }
         self.stats.enqueued.inc();
         self.stats.update_backlog();

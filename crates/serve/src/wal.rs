@@ -525,8 +525,9 @@ struct Inner {
     file: File,
     segment: u64,
     gen: u64,
-    /// End offset of the last fully-written record; anything past this is
-    /// a torn tail from a failed append, healed before the next write.
+    /// End offset of the last record written and synced as the policy
+    /// requires; anything past this is left by a failed append (a torn
+    /// write or a failed sync) and truncated before the next write.
     tail_valid: u64,
     /// Appends since the last fsync.
     dirty: usize,
@@ -682,32 +683,17 @@ impl Wal {
             return Err(io::Error::other("injected short write (torn wal tail)"));
         }
         inner.file.write_all(&rec)?;
-        inner.tail_valid += rec.len() as u64;
+        // A failed sync returns here with `tail_valid` unmoved, so the next
+        // append truncates the unsynced record rather than logging its seq
+        // twice.
         inner.dirty += 1;
-        match self.fsync {
-            FsyncPolicy::Always => {
-                inner.file.sync_data()?;
-                inner.dirty = 0;
-                inner.last_sync = Instant::now();
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            FsyncPolicy::Batch => {
-                if inner.dirty >= BATCH_FSYNC_EVERY || inner.last_sync.elapsed() >= BATCH_FSYNC_AGE
-                {
-                    inner.file.sync_data()?;
-                    inner.dirty = 0;
-                    inner.last_sync = Instant::now();
-                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
+        self.sync_if_due(&mut inner, false)?;
         if send(seq).is_err() {
-            let valid = inner.tail_valid - rec.len() as u64;
-            inner.tail_valid = valid;
+            let valid = inner.tail_valid;
             let _ = inner.file.set_len(valid);
             return Err(io::Error::new(ErrorKind::BrokenPipe, "trainer is shut down"));
         }
+        inner.tail_valid += rec.len() as u64;
         inner.next_seq = seq + 1;
         self.appended.fetch_add(1, Ordering::Relaxed);
         Ok(seq)
@@ -718,7 +704,7 @@ impl Wal {
     /// batch boundary; under sustained load most boundaries skip the sync,
     /// which is what keeps the WAL's steady-state ingest tax small.
     pub fn batch_commit(&self) -> io::Result<()> {
-        self.commit_pending(false)
+        self.sync_if_due(&mut self.inner.lock().expect("wal lock poisoned"), false)
     }
 
     /// Unconditional fsync of pending appends — the trainer calls this
@@ -726,16 +712,23 @@ impl Wal {
     /// power-loss exposure of an idle server is zero, not "until the next
     /// batch".
     pub fn commit(&self) -> io::Result<()> {
-        self.commit_pending(true)
+        self.sync_if_due(&mut self.inner.lock().expect("wal lock poisoned"), true)
     }
 
-    fn commit_pending(&self, force: bool) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("wal lock poisoned");
-        if inner.dirty == 0 || self.fsync == FsyncPolicy::Never {
-            return Ok(());
-        }
-        if force || inner.dirty >= BATCH_FSYNC_EVERY || inner.last_sync.elapsed() >= BATCH_FSYNC_AGE
-        {
+    /// The one group-commit rule: fsyncs the segment when the policy says
+    /// its unsynced records are due (`force`: a barrier, not a threshold).
+    fn sync_if_due(&self, inner: &mut Inner, force: bool) -> io::Result<()> {
+        let due = inner.dirty > 0
+            && match self.fsync {
+                FsyncPolicy::Always => true,
+                FsyncPolicy::Batch => {
+                    force
+                        || inner.dirty >= BATCH_FSYNC_EVERY
+                        || inner.last_sync.elapsed() >= BATCH_FSYNC_AGE
+                }
+                FsyncPolicy::Never => false,
+            };
+        if due {
             inner.file.sync_data()?;
             inner.dirty = 0;
             inner.last_sync = Instant::now();

@@ -371,6 +371,63 @@ fn retried_writes_dedup_by_client_sequence() {
     handle.shutdown().unwrap();
 }
 
+/// Eight connections race the identical write: one appends, seven dedup.
+/// The check, the log append and the record happen under one lock, so a
+/// retry in flight beside its original is never logged a second time.
+#[test]
+fn concurrent_retries_of_one_write_are_logged_once() {
+    use seqge_serve::wal::{FsyncPolicy, WalConfig};
+    use std::sync::{Arc, Barrier};
+    const CONNS: usize = 8;
+    const ROUNDS: usize = 20;
+    let dir = std::env::temp_dir().join(format!("seqge_serve_dup_race_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wcfg = WalConfig { dir: dir.clone(), fsync: FsyncPolicy::Always };
+    let full = erdos_renyi(40, 0.18, 7);
+    let split = spanning_forest(&full);
+    let initial = split.initial_graph(&full);
+    let removed = split.removed_edges;
+    assert!(removed.len() >= ROUNDS, "one fresh edge per round");
+    let boot = seqge_serve::boot_wal(&wcfg, Some(initial), &spec(), 0).expect("store commits");
+    let config =
+        ServeConfig { workers: CONNS, wal: Some(Arc::new(boot.wal)), ..Default::default() };
+    let handle = start_backend("127.0.0.1:0", boot.graph, boot.backend, config).unwrap();
+    let addr = handle.addr();
+
+    let barrier = Barrier::new(CONNS);
+    let send_all = || {
+        let mut c = Client::connect(addr).unwrap();
+        let mut replies = Vec::new();
+        for (&(u, v), seq) in removed[..ROUNDS].iter().zip(1..) {
+            let line =
+                format!(r#"{{"cmd":"add_edge","u":{u},"v":{v},"client":"dup","seq":{seq}}}"#);
+            barrier.wait();
+            replies.push(c.call_raw(&line).unwrap());
+        }
+        replies
+    };
+    let replies: Vec<Vec<String>> = std::thread::scope(|s| {
+        let senders: Vec<_> = (0..CONNS).map(|_| s.spawn(send_all)).collect();
+        senders.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for round in 0..ROUNDS {
+        let round_replies: Vec<&String> = replies.iter().map(|r| &r[round]).collect();
+        let logged = round_replies.iter().filter(|r| r.contains("\"seq\":")).count();
+        let deduped = round_replies.iter().filter(|r| r.contains("\"deduped\":true")).count();
+        assert_eq!((logged, deduped), (1, CONNS - 1), "round {}: {round_replies:?}", round + 1);
+    }
+
+    let mut c = Client::connect(addr).unwrap();
+    c.flush().unwrap();
+    let stats = c.stats().unwrap();
+    let count = |key: &str| stats.get(key).and_then(|s| s.as_u64());
+    assert_eq!(count("wal_appends"), Some(ROUNDS as u64), "{stats:?}");
+    assert_eq!(count("deduped"), Some((ROUNDS * (CONNS - 1)) as u64), "{stats:?}");
+    assert_eq!(count("rejected"), Some(0), "{stats:?}");
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn wal_mode_survives_graceful_shutdown_bit_identically() {
     use seqge_serve::wal::{FsyncPolicy, WalConfig};

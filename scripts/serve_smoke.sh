@@ -71,10 +71,12 @@ echo "server at $ADDR"
 grep -q '"level":"info".*"msg":"wal boot (float): gen 0 segment 0, 0 replayed' "$work/serve.log" ||
   { echo "FAIL: no structured cold-boot record"; cat "$work/serve.log"; exit 1; }
 
-# One scripted session exercising both planes plus an error path.
+# One scripted session exercising both planes plus an error path. The
+# write is sent twice under one client/seq: the second is a retry.
 "$BIN" client --addr "$ADDR" >"$work/session.out" <<'EOF'
 {"cmd":"ping"}
-{"cmd":"add_edge","u":0,"v":5}
+{"cmd":"add_edge","u":0,"v":5,"client":"smoke","seq":1}
+{"cmd":"add_edge","u":0,"v":5,"client":"smoke","seq":1}
 {"cmd":"flush"}
 {"cmd":"get_embedding","node":5}
 {"cmd":"topk","node":0,"k":3,"op":"cosine"}
@@ -88,7 +90,9 @@ cat "$work/session.out"
 
 grep -q '"pong":true' "$work/session.out" || { echo "FAIL: no pong"; exit 1; }
 ok_count=$(grep -c '"ok":true' "$work/session.out")
-[[ $ok_count -eq 9 ]] || { echo "FAIL: expected 9 ok responses, got $ok_count"; exit 1; }
+[[ $ok_count -eq 10 ]] || { echo "FAIL: expected 10 ok responses, got $ok_count"; exit 1; }
+sed -n 3p "$work/session.out" | jq -e '.deduped == true' >/dev/null ||
+  { echo "FAIL: retried write not deduped"; exit 1; }
 grep -q '"ok":false' "$work/session.out" || { echo "FAIL: unknown command not rejected"; exit 1; }
 grep -q '"embedding":' "$work/session.out" || { echo "FAIL: no embedding row"; exit 1; }
 grep -q '"edges_inserted":1' "$work/session.out" || { echo "FAIL: edge not applied"; exit 1; }
@@ -110,6 +114,8 @@ check_series 'seqge_serve_ingest_batch_size_count'
 check_series 'seqge_serve_snapshot_write_ns_count'
 check_series 'seqge_core_walks_trained_total'
 check_series 'seqge_core_contexts_total'
+grep -qx 'seqge_serve_deduped_total 1' "$work/metrics.txt" ||
+  { echo "FAIL: deduped counter is not 1"; grep deduped "$work/metrics.txt"; exit 1; }
 grep -q '^# TYPE seqge_serve_request_latency_ns summary$' "$work/metrics.txt" ||
   { echo "FAIL: latency family untyped"; exit 1; }
 
