@@ -174,11 +174,14 @@ impl SyncReport {
 /// signatures and margin budgets, and the index built from them, and
 /// renders an immutable [`AnnIndex`] per snapshot publication.
 ///
-/// Change detection is pointer-first, then exact. Handed the very `Arc` it
-/// synced last, a sync reads no row: views are immutable behind their `Arc`,
-/// so the same pointer means the same bits. Otherwise a row is dirty when
-/// its `f32` bit patterns differ from the last view's — one O(n·d) compare,
-/// and never wrong.
+/// Change detection is pointer first, then the backend's row list, then
+/// exact. Handed the very `Arc` it synced last, a sync reads no row: views
+/// are immutable behind their `Arc`, so the same pointer means the same
+/// bits. Handed a view together with the view it replaced and the rows that
+/// may differ between the two ([`AnnBuilder::sync_rows`]), and the replaced
+/// view is the one synced last, it compares only those rows. Otherwise it
+/// compares every row. Either way a row is dirty when its `f32` bit patterns
+/// differ from the last view's, which is never wrong.
 ///
 /// A dirty row is projected only when its signatures might have moved.
 /// Each row keeps a budget, set whenever it is projected to its margin
@@ -218,6 +221,33 @@ impl AnnBuilder {
     /// previous `Arc`. The first sync (or a geometry change — row or column
     /// count) projects every row and groups them by a counting sort.
     pub fn sync(&mut self, emb: &Arc<Mat<f32>>) -> (Arc<AnnIndex>, SyncReport) {
+        self.sync_over(emb, None)
+    }
+
+    /// [`AnnBuilder::sync`] told which rows can have changed: `emb` differs
+    /// from the view `from` only in `rows` (ascending, no duplicates). When
+    /// `from` is the view synced last, only `rows` are compared, with the
+    /// same bit compare, budget spend and projection as a full sync, so the
+    /// index and the report are the ones [`AnnBuilder::sync`] returns.
+    /// Otherwise the row list says nothing about the last view, and this is
+    /// [`AnnBuilder::sync`].
+    pub fn sync_rows(
+        &mut self,
+        emb: &Arc<Mat<f32>>,
+        from: &Arc<Mat<f32>>,
+        rows: &[u32],
+    ) -> (Arc<AnnIndex>, SyncReport) {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascending, once each");
+        self.sync_over(emb, Some((from, rows)))
+    }
+
+    /// The one sync loop: every row, or `delta`'s rows when its view is the
+    /// one synced last.
+    fn sync_over(
+        &mut self,
+        emb: &Arc<Mat<f32>>,
+        delta: Option<(&Arc<Mat<f32>>, &[u32])>,
+    ) -> (Arc<AnnIndex>, SyncReport) {
         let t0 = Instant::now();
         let n = emb.rows();
         let kept =
@@ -227,17 +257,17 @@ impl AnnBuilder {
             Some((seen, index)) if Arc::ptr_eq(&seen, emb) => index,
             Some((seen, index)) => {
                 let (mut acc, mut moved) = (Vec::new(), vec![Vec::new(); index.bands()]);
-                for row in 0..n {
+                let mut visit = |row: usize| {
                     let (was, now) = (seen.row(row), emb.row(row));
                     if same_bits(was, now) {
-                        continue;
+                        return;
                     }
                     dirty += 1;
                     // Rounded down, so the budget never outlasts the bound.
                     let left = (self.budgets[row] - index.planes.movement(was, now)).next_down();
                     if left > 0.0 {
                         self.budgets[row] = left;
-                        continue;
+                        return;
                     }
                     rehashed += 1;
                     self.budgets[row] = index.planes.hash(now, &mut acc, |band, sig| {
@@ -247,6 +277,12 @@ impl AnnBuilder {
                             *slot = sig;
                         }
                     });
+                };
+                match delta {
+                    Some((from, rows)) if Arc::ptr_eq(from, &seen) => {
+                        rows.iter().for_each(|&row| visit(row as usize))
+                    }
+                    _ => (0..n).for_each(visit),
                 }
                 if moved.iter().all(Vec::is_empty) {
                     index
@@ -339,6 +375,49 @@ mod tests {
         // A no-op sync is free.
         let (_, rep) = b.sync(&Arc::new(emb));
         assert_eq!(rep.dirty, 0);
+    }
+
+    #[test]
+    fn sync_rows_visits_only_the_listed_rows_of_the_view_synced_last() {
+        let cfg = AnnConfig::default();
+        let base = clustered(200, 8);
+        let mut moved = base.clone();
+        for (row, c) in [(7, 0), (42, 3), (150, 5)] {
+            moved.row_mut(row)[c] = -moved.row(row)[c];
+        }
+        let (from, to) = (Arc::new(base.clone()), Arc::new(moved.clone()));
+        let mut full = AnnBuilder::new(cfg);
+        full.sync(&from);
+        let (want, want_rep) = full.sync(&to);
+        assert_eq!((want_rep.dirty, want_rep.rehashed), (3, 3));
+        let reports = |rep: SyncReport| (rep.total, rep.dirty, rep.rehashed);
+
+        // The listed rows of the view synced last: the rows outside the list
+        // are trusted, so a list missing a changed row misses it.
+        let mut delta = AnnBuilder::new(cfg);
+        delta.sync(&from);
+        let (index, rep) = delta.sync_rows(&to, &from, &[3, 7, 42, 150]);
+        assert_eq!(reports(rep), reports(want_rep));
+        assert!(same_layout(&index, &want));
+        let mut short = AnnBuilder::new(cfg);
+        short.sync(&from);
+        let (_, rep) = short.sync_rows(&to, &from, &[7, 42]);
+        assert_eq!(rep.dirty, 2, "only the listed rows are compared");
+
+        // A `from` that is not the view synced last — another `Arc` with the
+        // same bits, or the new view itself — gets the full compare of
+        // `sync`, whatever the list says.
+        for stale in [Arc::new(base.clone()), to.clone()] {
+            let mut b = AnnBuilder::new(cfg);
+            b.sync(&from);
+            let (index, rep) = b.sync_rows(&to, &stale, &[]);
+            assert_eq!(reports(rep), reports(want_rep));
+            assert!(same_layout(&index, &want));
+        }
+        // The view synced last again reads nothing, whatever the list says.
+        let (again, rep) = delta.sync_rows(&to, &from, &[0, 1, 2]);
+        assert!(Arc::ptr_eq(&again, &index));
+        assert_eq!((rep.dirty, rep.rehashed), (0, 0));
     }
 
     #[test]
@@ -565,7 +644,9 @@ mod tests {
         /// finds exactly the rows whose bit patterns changed dirty and
         /// projects at most those, and it returns the previous index `Arc`
         /// exactly when no signature moved — in particular when handed the
-        /// same view `Arc` again or a new one with equal bits.
+        /// same view `Arc` again or a new one with equal bits. A second
+        /// builder told a random superset of the changed rows
+        /// ([`AnnBuilder::sync_rows`]) reports and files the same.
         #[test]
         fn incremental_sync_equals_fresh_build(
             rows in 1usize..48,
@@ -574,7 +655,7 @@ mod tests {
             bits in 0usize..7,
             cells in proptest::collection::vec(cell(), 48 * 6),
             rounds in proptest::collection::vec(
-                proptest::collection::vec(edit(), 0usize..10),
+                (proptest::collection::vec(edit(), 0usize..10), any::<u64>()),
                 1usize..10,
             ),
         ) {
@@ -583,8 +664,11 @@ mod tests {
             let mut builder = AnnBuilder::new(cfg);
             let (mut index, rep) = builder.sync(&Arc::new(emb.clone()));
             prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, rows, rows));
+            let mut told = AnnBuilder::new(cfg);
+            let mut told_view = Arc::new(emb.clone());
+            told.sync(&told_view);
             let planes = index.planes.clone();
-            for edits in rounds {
+            for (edits, extra) in rounds {
                 let before = emb.clone();
                 for edit in edits {
                     match edit {
@@ -609,13 +693,27 @@ mod tests {
                     }
                 }
                 let bits_of = |m: &Mat<f32>, r: usize| m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                let changed = (0..rows).filter(|&r| bits_of(&before, r) != bits_of(&emb, r)).count();
+                let differs = |r: usize| bits_of(&before, r) != bits_of(&emb, r);
+                let changed = (0..rows).filter(|&r| differs(r)).count();
                 let (next, rep) = builder.sync(&Arc::new(emb.clone()));
                 prop_assert_eq!((rep.total, rep.dirty), (rows, changed));
                 prop_assert!(rep.rehashed <= changed, "{} > {}", rep.rehashed, changed);
                 check_buckets(&next)?;
                 prop_assert!(same_layout(&next, &fresh(cfg, &emb)), "differs from a fresh build");
                 prop_assert_eq!(Arc::ptr_eq(&next, &index), same_layout(&next, &index));
+                // Every changed row, plus the unchanged rows `extra` picks.
+                let listed: Vec<u32> = (0..rows)
+                    .filter(|&r| differs(r) || extra >> (r % 64) & 1 == 1)
+                    .map(|r| r as u32)
+                    .collect();
+                let view = Arc::new(emb.clone());
+                let (told_next, told_rep) = told.sync_rows(&view, &told_view, &listed);
+                prop_assert_eq!(
+                    (told_rep.total, told_rep.dirty, told_rep.rehashed),
+                    (rep.total, rep.dirty, rep.rehashed)
+                );
+                prop_assert!(same_layout(&told_next, &next), "told the rows, files differently");
+                told_view = view;
                 index = next;
             }
             let view = Arc::new(emb.clone());

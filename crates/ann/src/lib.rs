@@ -22,8 +22,10 @@
 //! * [`AnnBuilder`] — the trainer-side maintainer. It keeps the last view
 //!   it synced: handed the same `Arc<Mat<f32>>` again (a publish with no
 //!   training since) it returns the previous `Arc<AnnIndex>` without
-//!   reading a row. Otherwise it detects the *dirty region* (rows whose
-//!   bits differ from the last view's, compared exactly). A dirty row is
+//!   reading a row. Otherwise it detects the *dirty region*: rows whose
+//!   bits differ from the last view's, compared exactly — over the rows the
+//!   backend says it re-rendered when it names the view it replaced
+//!   ([`AnnBuilder::sync_rows`]), over every row otherwise. A dirty row is
 //!   projected through the lane-parallel kernel only once its movements
 //!   since its last projection add up to its margin budget, the distance
 //!   it can travel without any projection changing sign, rounding included

@@ -2,12 +2,14 @@
 //! trait, bit-identical to driving [`OsElmSkipGram`] +
 //! [`IncrementalTrainer`] by hand: every trait method delegates exactly the
 //! call the serve trainer used to make, in the same order, on the same RNG
-//! stream. The published view is cached until the next training call.
+//! stream. The published view lives in a [`ViewBuffer`]: a publish
+//! re-renders only the rows of `μ·βᵀ` whose β the model wrote since the last
+//! one.
 
-use crate::{BackendKind, TrainBackend};
+use crate::{BackendKind, TrainBackend, ViewBuffer};
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{persist, IncrementalTrainer, OsElmSkipGram, SeqOutcome};
-use seqge_graph::{EdgeEvent, Graph, GraphError};
+use seqge_graph::{EdgeEvent, Graph, GraphError, NodeId};
 use seqge_linalg::Mat;
 use std::io;
 use std::path::Path;
@@ -17,26 +19,25 @@ use std::sync::Arc;
 pub struct FloatBackend {
     model: OsElmSkipGram,
     inc: IncrementalTrainer,
-    /// The last published view; dropped by every call that trains.
-    view: Option<Arc<Mat<f32>>>,
+    view: ViewBuffer,
 }
 
 impl FloatBackend {
     /// Cold (untrained) engine over `num_nodes` nodes.
     pub fn cold(num_nodes: usize, spec: &crate::BackendSpec) -> FloatBackend {
-        FloatBackend {
-            model: OsElmSkipGram::new(num_nodes, spec.oselm),
-            inc: IncrementalTrainer::new(num_nodes, &spec.train, spec.policy, spec.seed),
-            view: None,
-        }
+        FloatBackend::assemble(OsElmSkipGram::new(num_nodes, spec.oselm), spec)
     }
 
     /// Engine over a persisted snapshot with a fresh sequential driver
     /// (WAL replay semantics).
     pub fn load(path: &Path, spec: &crate::BackendSpec) -> io::Result<FloatBackend> {
-        let model = persist::load_oselm(path)?;
-        let inc = IncrementalTrainer::new(model.num_nodes(), &spec.train, spec.policy, spec.seed);
-        Ok(FloatBackend { model, inc, view: None })
+        Ok(FloatBackend::assemble(persist::load_oselm(path)?, spec))
+    }
+
+    fn assemble(model: OsElmSkipGram, spec: &crate::BackendSpec) -> FloatBackend {
+        let (n, dim) = (model.num_nodes(), model.dim());
+        let inc = IncrementalTrainer::new(n, &spec.train, spec.policy, spec.seed);
+        FloatBackend { model, inc, view: ViewBuffer::new(n, dim) }
     }
 }
 
@@ -58,24 +59,25 @@ impl TrainBackend for FloatBackend {
     }
 
     fn bootstrap(&mut self, g: &Graph) {
-        self.view = None;
         self.inc.bootstrap(g, &mut self.model);
     }
 
     fn ingest(&mut self, g: &mut Graph, event: EdgeEvent) -> Result<usize, GraphError> {
-        // A rejected event leaves all state untouched, the view included.
-        let walks = self.inc.ingest(g, event, &mut self.model)?;
-        self.view = None;
-        Ok(walks)
+        self.inc.ingest(g, event, &mut self.model)
     }
 
     fn refresh(&mut self, g: &Graph) -> usize {
-        self.view = None;
         self.inc.refresh(g, &mut self.model)
     }
 
     fn publish_view(&mut self) -> Arc<Mat<f32>> {
-        self.view.get_or_insert_with(|| Arc::new(self.model.embedding())).clone()
+        let dirty = self.model.take_dirty();
+        let model = &self.model;
+        self.view.publish(dirty, |row, out| model.embed_row(row, out))
+    }
+
+    fn last_delta(&self) -> Option<(&Arc<Mat<f32>>, &[NodeId])> {
+        self.view.last_delta()
     }
 
     fn outcome(&self) -> SeqOutcome {

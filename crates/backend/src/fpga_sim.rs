@@ -6,12 +6,11 @@
 //! (Algorithm 2 line 20), cycle accounting per walk. The dequantized float
 //! serving view is **not** maintained per walk: the kernel tracks which β
 //! rows each walk's commit dirtied, and [`TrainBackend::publish_view`]
-//! re-dequantizes only those rows into its cached `Arc` — the host-side
-//! analogue of the accelerator's batched DRAM write-back, amortizing the
-//! per-walk cost across a publish batch exactly as the hardware does. The
-//! patch goes through [`Arc::make_mut`], so the one copy made is the one
-//! that keeps published snapshots immutable, and a publish with no row
-//! dirty hands out the same `Arc` again.
+//! re-dequantizes only those rows into the backend's [`ViewBuffer`] — the
+//! host-side analogue of the accelerator's batched DRAM write-back,
+//! amortizing the per-walk cost across a publish batch exactly as the
+//! hardware does. A publish with no row dirty hands out the same `Arc`
+//! again.
 //!
 //! Two live by-products:
 //!
@@ -42,7 +41,7 @@
 //!   see up to seven windows late, are counted by the kernel on every walk
 //!   instead ([`TrainBackend::saturations`]).
 
-use crate::{BackendKind, CyclePlan, TrainBackend};
+use crate::{BackendKind, CyclePlan, TrainBackend, ViewBuffer};
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{DataflowOsElm, IncrementalTrainer, SeqOutcome};
 use seqge_fpga::{Accelerator, CLOCK_MHZ};
@@ -111,9 +110,9 @@ impl EmbeddingModel for ProbeModel {
 pub struct FpgaSimBackend {
     probe: ProbeModel,
     inc: IncrementalTrainer,
-    /// Cached dequantized serving view, shared with the snapshots published
-    /// from it; `None` until the first publish builds it in full.
-    view: Option<Arc<Mat<f32>>>,
+    /// The dequantized serving view, shared with the snapshots published
+    /// from it.
+    view: ViewBuffer,
     deviation_ppm: Option<i64>,
     /// Index of the current publish window (0 from construction).
     window: u64,
@@ -145,9 +144,9 @@ impl FpgaSimBackend {
         let inc = IncrementalTrainer::new(accel.num_nodes(), &spec.train, spec.policy, spec.seed);
         let window_walks = accel.stats.walks;
         FpgaSimBackend {
+            view: ViewBuffer::new(accel.num_nodes(), accel.dim()),
             probe: ProbeModel { accel, shadow },
             inc,
-            view: None,
             deviation_ppm: None,
             window: 0,
             window_walks,
@@ -207,22 +206,11 @@ impl TrainBackend for FpgaSimBackend {
     }
 
     fn publish_view(&mut self) -> Arc<Mat<f32>> {
+        // The Δ-batch application: only rows committed since the last
+        // publish are re-dequantized.
         let dirty = self.probe.accel.take_dirty();
-        let view = match &mut self.view {
-            Some(view) => {
-                // The Δ-batch application: only rows committed since the
-                // last publish are re-dequantized, into a copy of the view
-                // if a snapshot still holds it.
-                if !dirty.is_empty() {
-                    let rows = Arc::make_mut(view);
-                    for &node in &dirty {
-                        self.probe.accel.embed_row(node, rows.row_mut(node as usize));
-                    }
-                }
-                view.clone()
-            }
-            None => self.view.insert(Arc::new(self.probe.accel.embedding())).clone(),
-        };
+        let accel = &self.probe.accel;
+        let view = self.view.publish(dirty, |row, out| accel.embed_row(row, out));
         // A publish that trained walks closes the current window (measuring
         // it if it was shadowed) and opens the next (with a fresh shadow
         // one window in SHADOW_EVERY); see module docs. Walk-free publishes
@@ -238,6 +226,10 @@ impl TrainBackend for FpgaSimBackend {
             }
         }
         view
+    }
+
+    fn last_delta(&self) -> Option<(&Arc<Mat<f32>>, &[NodeId])> {
+        self.view.last_delta()
     }
 
     fn outcome(&self) -> SeqOutcome {

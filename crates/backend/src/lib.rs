@@ -14,14 +14,19 @@
 //! * [`FpgaSimBackend`] — the paper's accelerator semantics online: every
 //!   walk runs through the Q8.24 functional kernel
 //!   ([`seqge_fpga::Accelerator`], deferred Δβ committed per walk, cycle
-//!   accounting per walk), the dequantized float serving view is refreshed
-//!   *lazily at publish time* over only the rows the kernel dirtied (the
-//!   host-side analogue of the accelerator's batched DRAM write-back), the
-//!   cycle model doubles as a live throughput planner ([`CyclePlan`]), a
-//!   float shadow trained on the same walks/negatives in the boot window and
-//!   one publish window in [`fpga_sim::SHADOW_EVERY`] after it measures the
-//!   Fig. 4-style accuracy deviation as a live metric, and the kernel's
-//!   saturation count is exported on every walk.
+//!   accounting per walk), the cycle model doubles as a live throughput
+//!   planner ([`CyclePlan`]), a float shadow trained on the same
+//!   walks/negatives in the boot window and one publish window in
+//!   [`fpga_sim::SHADOW_EVERY`] after it measures the Fig. 4-style accuracy
+//!   deviation as a live metric, and the kernel's saturation count is
+//!   exported on every walk.
+//!
+//! Both keep their float serving view in one [`ViewBuffer`]: a publish
+//! re-renders only the rows the kernel wrote since the last one (the
+//! host-side analogue of the accelerator's batched DRAM write-back), into
+//! the view it replaced once no reader holds that one, and
+//! [`TrainBackend::last_delta`] names those rows so the index sync behind
+//! the publish visits them alone.
 //!
 //! The contract every backend must honor (the serve/WAL planes rely on it):
 //!
@@ -45,9 +50,10 @@
 pub mod fixedstate;
 pub mod float;
 pub mod fpga_sim;
+pub mod view;
 
 use seqge_core::{persist, OsElmConfig, SeqOutcome, TrainConfig};
-use seqge_graph::{EdgeEvent, Graph, GraphError};
+use seqge_graph::{EdgeEvent, Graph, GraphError, NodeId};
 use seqge_linalg::Mat;
 use seqge_sampling::UpdatePolicy;
 use std::io;
@@ -56,6 +62,7 @@ use std::sync::Arc;
 
 pub use float::FloatBackend;
 pub use fpga_sim::FpgaSimBackend;
+pub use view::ViewBuffer;
 
 /// Which training engine a server runs. The wire `stats` reply and
 /// `cluster_status` carry the name so operators can see what a node is
@@ -165,10 +172,20 @@ pub trait TrainBackend: Send {
 
     /// The current embedding for publication, shared: the backend keeps the
     /// `Arc` it hands out and returns the same one until training changes a
-    /// row (contract item 3). May flush internal caches (fpga-sim
-    /// re-dequantizes dirty rows here — the Δ-batch application that
+    /// row (contract item 3). Renders the rows training wrote since the last
+    /// call (fpga-sim re-dequantizes them — the Δ-batch application that
     /// amortizes per-walk cost) but must not advance training state.
     fn publish_view(&mut self) -> Arc<Mat<f32>>;
+
+    /// The view the last [`TrainBackend::publish_view`] that changed a row
+    /// replaced, and the rows it re-rendered, ascending: outside those rows
+    /// that view and the current one hold the same bits, so an index synced
+    /// on the replaced view only has to visit them
+    /// (`seqge_ann::AnnBuilder::sync_rows`). `None` when the backend keeps
+    /// no such record; the sync then compares every row.
+    fn last_delta(&self) -> Option<(&Arc<Mat<f32>>, &[NodeId])> {
+        None
+    }
 
     /// Training telemetry so far.
     fn outcome(&self) -> SeqOutcome;

@@ -9,7 +9,9 @@
 //!   and sampling it one window in eight reports the always-on values.
 //! * The kernel's saturation count runs on every walk.
 //! * The float backend's publish sequence — every view's bits and what an
-//!   index sync on it finds dirty and re-projects — is pinned.
+//!   index sync on it finds dirty and re-projects — is pinned, and both
+//!   backends reproduce it with the index told the rows each publish
+//!   re-rendered.
 //! * Save → load → replay is deterministic (the WAL recovery contract).
 //! * The bytes `save_state` writes — the SGE1 container — are pinned by hash.
 
@@ -267,6 +269,108 @@ fn float_publish_sequence_is_pinned() {
     let want: [_; 105] =
         std::array::from_fn(|k| [(40, FLOAT_DIRTY[k], FLOAT_REHASHED[k]), (40, 0, 0)]);
     assert_eq!(syncs, want);
+}
+
+/// One publish's `(total, dirty, rehashed)` sync reports: the publish's,
+/// then the empty publish's.
+type Syncs = [(usize, usize, usize); 2];
+
+/// Every view's `f32` bit patterns.
+fn bits(view: &Mat<f32>) -> Vec<u32> {
+    view.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// `float_publish_sequence_is_pinned`'s drive on `kind`, with the index
+/// synced the way `Fold::snapshot` syncs it: told the rows the backend
+/// re-rendered ([`TrainBackend::last_delta`] → `AnnBuilder::sync_rows`). A
+/// reader holds every third view across the publish that would render into
+/// it next, so the clone path runs as well as the reuse path. After every
+/// publish the view holds `model`'s bits (driven by hand on the same
+/// stream), the sync reports what a full-compare sync reports, and every
+/// row's candidates equal the full-compare index's. Returns each view's
+/// [`bits_hash`] and its [`Syncs`].
+fn delta_publish_sequence<M: EmbeddingModel>(
+    kind: BackendKind,
+    mut model: M,
+) -> (Vec<u32>, Vec<Syncs>) {
+    let (mut g, events) = scenario();
+    let mut inc =
+        IncrementalTrainer::new(g.num_nodes(), &train_cfg(), UpdatePolicy::every_edge(), SEED);
+    inc.bootstrap(&g, &mut model);
+    let (mut g2, _) = scenario();
+    let mut be = spec(kind).cold(g2.num_nodes());
+    be.bootstrap(&g2);
+    let (mut told, mut full) =
+        (AnnBuilder::new(AnnConfig::default()), AnnBuilder::new(AnnConfig::default()));
+    let (mut views, mut syncs) = (Vec::new(), Vec::new());
+    // Where the rows of the last two publishes' views live, and the
+    // reader's view with its bits and the publish it was taken at.
+    let mut recent: [*const f32; 2] = [std::ptr::null(); 2];
+    let mut reader: Option<(Arc<Mat<f32>>, Vec<u32>, usize)> = None;
+    for k in 0..=events.len() {
+        if k > 0 {
+            inc.ingest(&mut g, events[k - 1], &mut model).unwrap();
+            be.ingest(&mut g2, events[k - 1]).unwrap();
+        }
+        let held = reader.as_ref().map(|(view, _, _)| view.as_slice().as_ptr());
+        let mut reports: Syncs = Default::default();
+        for report in &mut reports {
+            let view = be.publish_view();
+            assert_eq!(bits(&view), bits(&model.embedding()), "{kind}: publish {k}");
+            let (index, rep) = match be.last_delta() {
+                Some((from, rows)) => told.sync_rows(&view, from, rows),
+                None => told.sync(&view),
+            };
+            let (reference, want) = full.sync(&view);
+            *report = (rep.total, rep.dirty, rep.rehashed);
+            assert_eq!(*report, (want.total, want.dirty, want.rehashed), "{kind}: publish {k}");
+            for row in 0..view.rows() {
+                for probes in [0, 3] {
+                    assert_eq!(
+                        index.candidates(view.row(row), probes),
+                        reference.candidates(view.row(row), probes),
+                        "{kind}: publish {k}, row {row}, {probes} probes"
+                    );
+                }
+            }
+        }
+        let view = be.publish_view();
+        // Two publishes back is the view this one replaced the replaced
+        // view of: rendered into unless the reader holds it.
+        if k >= 2 {
+            let reused = view.as_slice().as_ptr() == recent[0];
+            assert_eq!(reused, held != Some(recent[0]), "{kind}: publish {k}");
+        }
+        recent = [recent[1], view.as_slice().as_ptr()];
+        if let Some((held, held_bits, _)) = &reader {
+            assert_eq!(bits(held), *held_bits, "{kind}: publish {k} wrote a held view");
+        }
+        if reader.as_ref().is_some_and(|&(_, _, at)| at + 2 <= k) {
+            reader = None;
+        }
+        if k % 3 == 0 {
+            reader = Some((view.clone(), bits(&view), k));
+        }
+        views.push(bits_hash(&view));
+        syncs.push(reports);
+    }
+    (views, syncs)
+}
+
+/// Both backends' publish sequences through the row lists: the float one
+/// reproduces the pins unedited.
+#[test]
+fn delta_publish_sequence_reproduces_the_pins() {
+    let (g, _) = scenario();
+    let (views, syncs) =
+        delta_publish_sequence(BackendKind::Float, OsElmSkipGram::new(g.num_nodes(), ocfg()));
+    assert_eq!(views, FLOAT_VIEW_HASHES);
+    let want: [_; 105] =
+        std::array::from_fn(|k| [(40, FLOAT_DIRTY[k], FLOAT_REHASHED[k]), (40, 0, 0)]);
+    assert_eq!(syncs, want);
+    let (_, syncs) =
+        delta_publish_sequence(BackendKind::FpgaSim, Accelerator::new(g.num_nodes(), ocfg()));
+    assert!(syncs.iter().all(|[_, empty]| *empty == (40, 0, 0)), "{syncs:?}");
 }
 
 /// The kernel's saturation count is the health signal that does not wait

@@ -2,10 +2,12 @@
 //! embedding dimensions (the microbenchmark behind Tables 3/4), plus the
 //! linalg inner kernels the models are built from — fused vs multi-pass
 //! `P` maintenance and unrolled vs sequential-fold dot — the read path's
-//! scan kernel in ns per row scored, and the publish path's index sync.
+//! scan kernel in ns per row scored, and the publish path: the view render
+//! and the index sync.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use seqge_ann::{AnnBuilder, AnnConfig};
+use seqge_backend::ViewBuffer;
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, SkipGram, TrainConfig};
@@ -141,15 +143,19 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-/// `AnnBuilder::sync` at the `large_float` size (n = 50 000, d = 32), the
-/// index half of a publish: `same_arc` is a flush barrier's sync (the view
-/// `Arc` synced last — a pointer compare), `equal_bits` a new `Arc` with the
-/// same bits (the exact row compare alone), `drift_18pct` one event's sync
-/// under Algorithm 1's per-position negatives (18 % of rows moved by the
-/// relative amounts [`drift`] draws), and `nudged_18pct` the worst case for
-/// the margin budgets: the same 18 % moved by up to 5 % of the coordinate
-/// range, which crosses most rows' nearest plane. Each of the last two
-/// alternates between two such views.
+/// A publish at the `large_float` size (n = 50 000, d = 32). The index half,
+/// `AnnBuilder::sync`: `same_arc` is a flush barrier's sync (the view `Arc`
+/// synced last — a pointer compare), `equal_bits` a new `Arc` with the same
+/// bits (the exact row compare alone), `drift_18pct` one event's sync under
+/// Algorithm 1's per-position negatives (18 % of rows moved by the relative
+/// amounts [`drift`] draws), and `nudged_18pct` the worst case for the
+/// margin budgets: the same 18 % moved by up to 5 % of the coordinate range,
+/// which crosses most rows' nearest plane. `delta_18pct` is `drift_18pct`
+/// told the moved rows (`AnnBuilder::sync_rows`, what a served publish
+/// runs). Each of these alternates between two views. The view half,
+/// `view_18pct`: a [`ViewBuffer`] publish of one event's dirty rows with no
+/// reader holding the replaced view, so it re-renders that view's stale rows
+/// and the new dirty ones.
 fn bench_publish(c: &mut Criterion) {
     let (n, dim) = (50_000usize, 32usize);
     let mut rng = Rng64::seed_from_u64(26);
@@ -163,7 +169,8 @@ fn bench_publish(c: &mut Criterion) {
         }
     }
     let b = Arc::new(b);
-    let drifted = Arc::new(drift(&a, &mut rng));
+    let (drifted, rows) = drift(&a, &mut rng);
+    let drifted = Arc::new(drifted);
     let mut group = c.benchmark_group("publish");
     group.throughput(Throughput::Elements(n as u64));
     let mut builder = AnnBuilder::new(AnnConfig::default());
@@ -179,6 +186,19 @@ fn bench_publish(c: &mut Criterion) {
             builder.sync(black_box(if flip { &copy } else { &a }))
         });
     });
+    // Two events' dirty rows, drawn independently: the replaced view is stale
+    // in one list, and the next publish dirties the other.
+    let other: Vec<u32> = (0..n as u32).filter(|_| rng.gen_index(100) < 18).collect();
+    let mut view = ViewBuffer::new(n, dim);
+    view.publish(Vec::new(), |row, out| out.copy_from_slice(a.row(row as usize)));
+    group.bench_function(BenchmarkId::new("view_18pct", n), |bench| {
+        let mut flip = false;
+        bench.iter(|| {
+            flip = !flip;
+            let (src, dirty) = if flip { (&drifted, &rows) } else { (&a, &other) };
+            view.publish(dirty.clone(), |row, out| out.copy_from_slice(src.row(row as usize)))
+        });
+    });
     for (name, moved) in [("drift_18pct", &drifted), ("nudged_18pct", &b)] {
         group.bench_function(BenchmarkId::new(name, n), |bench| {
             let mut flip = false;
@@ -188,6 +208,15 @@ fn bench_publish(c: &mut Criterion) {
             });
         });
     }
+    builder.sync(&a);
+    group.bench_function(BenchmarkId::new("delta_18pct", n), |bench| {
+        let mut flip = false;
+        bench.iter(|| {
+            flip = !flip;
+            let (to, from) = if flip { (&drifted, &a) } else { (&a, &drifted) };
+            builder.sync_rows(black_box(to), from, &rows)
+        });
+    });
     group.finish();
 }
 
@@ -196,15 +225,16 @@ fn bench_publish(c: &mut Criterion) {
 /// one `large_float` event produces (p50 1.4e-7, p90 1.5e-6, p99 2.2e-3;
 /// the ends, 1e-8 and 1e-2, bracket one ulp and the largest moves). A row
 /// the rounding leaves unchanged gets a one-ulp step, so every moved row is
-/// dirty.
-fn drift(view: &Mat<f32>, rng: &mut Rng64) -> Mat<f32> {
+/// dirty. Returns the moved rows too, ascending.
+fn drift(view: &Mat<f32>, rng: &mut Rng64) -> (Mat<f32>, Vec<u32>) {
     const KNOTS: [(f64, f64); 5] =
         [(0.0, 1e-8), (0.5, 1.4e-7), (0.9, 1.5e-6), (0.99, 2.2e-3), (1.0, 1e-2)];
-    let mut out = view.clone();
+    let (mut out, mut moved) = (view.clone(), Vec::new());
     for row in 0..out.rows() {
         if rng.gen_index(100) >= 18 {
             continue;
         }
+        moved.push(row as u32);
         let q = rng.next_f64();
         let k = KNOTS.windows(2).position(|w| q < w[1].0).unwrap_or(KNOTS.len() - 2);
         let ((q0, v0), (q1, v1)) = (KNOTS[k], KNOTS[k + 1]);
@@ -221,7 +251,7 @@ fn drift(view: &Mat<f32>, rng: &mut Rng64) -> Mat<f32> {
             x[0] = x[0].next_up();
         }
     }
-    out
+    (out, moved)
 }
 
 criterion_group!(

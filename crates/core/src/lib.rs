@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod dirty;
 pub mod embedding;
 pub mod model;
 pub mod model_size;
@@ -39,6 +40,7 @@ pub mod sequential;
 pub mod skipgram;
 
 pub use config::{ModelConfig, NegativeMode, TrainConfig};
+pub use dirty::DirtyRows;
 pub use embedding::EmbeddingSource;
 pub use model::EmbeddingModel;
 pub use oselm::{AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, PVisibility};

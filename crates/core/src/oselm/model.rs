@@ -25,6 +25,7 @@
 //! a contiguous row.
 
 use crate::config::ModelConfig;
+use crate::dirty::DirtyRows;
 use crate::model::{init_weight, EmbeddingModel, NegativeDraw};
 use seqge_graph::NodeId;
 use seqge_linalg::{ops, Mat};
@@ -112,6 +113,8 @@ pub struct OsElmSkipGram {
     scratch: Scratch,
     /// Count of contexts whose denominator was clamped (stability telemetry).
     clamped: u64,
+    /// Rows of `βᵀ` written since the last [`OsElmSkipGram::take_dirty`].
+    dirty: DirtyRows,
 }
 
 // Why P's exact symmetry is an enforced invariant: the RLS downdate is
@@ -150,6 +153,7 @@ impl OsElmSkipGram {
             draw: NegativeDraw::new(&cfg.model),
             scratch: Scratch::new(d),
             clamped: 0,
+            dirty: DirtyRows::new(num_nodes),
             cfg,
         }
     }
@@ -175,6 +179,7 @@ impl OsElmSkipGram {
         let mut p = p;
         p.symmetrize();
         Ok(OsElmSkipGram {
+            dirty: DirtyRows::new(beta_t.rows()),
             beta_t,
             p,
             draw: NegativeDraw::new(&cfg.model),
@@ -202,6 +207,23 @@ impl OsElmSkipGram {
     /// How many context updates hit the denominator floor.
     pub fn clamped_updates(&self) -> u64 {
         self.clamped
+    }
+
+    /// Drains the set of rows whose `β` column was written since the last
+    /// call, ascending — the same contract as the accelerator's
+    /// `take_dirty`. A host keeping a float view only needs to re-render
+    /// these rows ([`OsElmSkipGram::embed_row`]).
+    pub fn take_dirty(&mut self) -> Vec<NodeId> {
+        self.dirty.take()
+    }
+
+    /// One embedding row (`μ·β[:, node]`) into `out`; bit-identical to the
+    /// corresponding row of [`EmbeddingModel::embedding`].
+    pub fn embed_row(&self, node: NodeId, out: &mut [f32]) {
+        let mu = self.cfg.mu;
+        for (o, &b) in out.iter_mut().zip(self.beta_t.row(node as usize)) {
+            *o = b * mu;
+        }
     }
 
     /// Trains one context against the positives/negatives the caller left in
@@ -265,6 +287,11 @@ impl OsElmSkipGram {
             let row = self.beta_t.row_mut(sample as usize);
             let e = y - ops::dot(h, row);
             ops::axpy(e, phn, row);
+        }
+        // Marked after the update loop, not inside it: one byte store per
+        // sample keeps the dot → axpy chain free of extra memory traffic.
+        for &(sample, _) in samples.iter() {
+            self.dirty.mark(sample);
         }
     }
 }
@@ -441,6 +468,30 @@ mod tests {
         for r in 0..10 {
             for c in 0..4 {
                 assert!((e[(r, c)] - 0.01 * m.beta_t()[(r, c)]).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_rows_cover_all_beta_changes() {
+        let mut m = OsElmSkipGram::new(60, cfg(8));
+        let table = ready_table(60);
+        let mut rng = Rng64::seed_from_u64(4);
+        let mut row = vec![0f32; 8];
+        for walk in [vec![0u32, 1, 2, 3, 4, 5, 6], vec![10, 11, 10, 12], vec![7]] {
+            let before = m.beta_t().clone();
+            m.train_walk(&walk, &table, &mut rng);
+            let dirty = m.take_dirty();
+            assert!(dirty.windows(2).all(|w| w[0] < w[1]), "ascending, no duplicates: {dirty:?}");
+            for node in 0..60u32 {
+                if m.beta_t().row(node as usize) != before.row(node as usize) {
+                    assert!(dirty.contains(&node), "node {node} changed but is not dirty");
+                }
+            }
+            assert!(m.take_dirty().is_empty(), "take_dirty drains");
+            for node in 0..60 {
+                m.embed_row(node, &mut row);
+                assert_eq!(row, m.embedding().row(node as usize), "row {node}");
             }
         }
     }

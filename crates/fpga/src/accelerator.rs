@@ -14,7 +14,7 @@
 use crate::timing::TimingModel;
 use seqge_core::model::{init_weight, EmbeddingModel, NegativeDraw};
 use seqge_core::oselm::DeltaBeta;
-use seqge_core::{NegativeMode, OsElmConfig};
+use seqge_core::{DirtyRows, NegativeMode, OsElmConfig};
 use seqge_fixed::ops::{dot_headroom, gated_dot, max_abs_bits, mul_add, MacAccumulator};
 use seqge_fixed::{vector, Q8_24};
 use seqge_graph::NodeId;
@@ -54,10 +54,8 @@ pub struct Accelerator {
     // scores read next to them.
     delta_beta: DeltaBeta<Q8_24>,
     // Rows whose β changed since the last `take_dirty` — the DRAM write-back
-    // set a host would have to re-fetch to refresh a dequantized view — as a
-    // flag per node plus the list of set flags.
-    is_dirty: Vec<bool>,
-    dirty: Vec<NodeId>,
+    // set a host would have to re-fetch to refresh a dequantized view.
+    dirty: DirtyRows,
     // The walk's shared negative set, copied out of `draw` once per walk.
     negs: Vec<NodeId>,
     h: Vec<Q8_24>,
@@ -131,8 +129,7 @@ impl Accelerator {
             regularized: cfg.regularized,
             draw: NegativeDraw::new(&cfg.model),
             delta_beta: DeltaBeta::new(num_nodes, d),
-            is_dirty: vec![false; num_nodes],
-            dirty: Vec::new(),
+            dirty: DirtyRows::new(num_nodes),
             negs: Vec::new(),
             h: vec![Q8_24::ZERO; d],
             ph: vec![Q8_24::ZERO; d],
@@ -162,12 +159,7 @@ impl Accelerator {
     /// A host mirroring the accelerator's DRAM into a float serving view
     /// only needs to re-dequantize these rows.
     pub fn take_dirty(&mut self) -> Vec<NodeId> {
-        let mut rows = std::mem::take(&mut self.dirty);
-        rows.sort_unstable();
-        for &row in &rows {
-            self.is_dirty[row as usize] = false;
-        }
-        rows
+        self.dirty.take()
     }
 
     /// Dequantizes one embedding row (μ·β) into `out`; bit-identical to the
@@ -294,9 +286,7 @@ impl Accelerator {
             }
         }
         self.delta_beta.commit(|node, delta| {
-            if !std::mem::replace(&mut self.is_dirty[node as usize], true) {
-                self.dirty.push(node);
-            }
+            self.dirty.mark(node);
             let base = node as usize * d;
             for (b, &dv) in self.beta[base..base + d].iter_mut().zip(delta) {
                 *b = b.sat_add(dv);

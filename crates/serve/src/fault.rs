@@ -31,6 +31,9 @@ pub enum FaultPoint {
     WalShortWrite,
     /// WAL append fails cleanly before writing anything.
     WalAppendError,
+    /// The fsync of a WAL append fails after the record was written: the
+    /// append is refused and the record is truncated by the next one.
+    WalSyncFail,
     /// The server drops a connection after reading a request, before
     /// answering (the client sees EOF mid-call).
     ConnDrop,
@@ -46,9 +49,10 @@ pub enum FaultPoint {
 
 impl FaultPoint {
     /// Every point, in a fixed order (index = counter slot).
-    pub const ALL: [FaultPoint; 6] = [
+    pub const ALL: [FaultPoint; 7] = [
         FaultPoint::WalShortWrite,
         FaultPoint::WalAppendError,
+        FaultPoint::WalSyncFail,
         FaultPoint::ConnDrop,
         FaultPoint::ConnStall,
         FaultPoint::TrainerPanic,
@@ -60,6 +64,7 @@ impl FaultPoint {
         match self {
             FaultPoint::WalShortWrite => "wal_short_write",
             FaultPoint::WalAppendError => "wal_append_error",
+            FaultPoint::WalSyncFail => "wal_sync_fail",
             FaultPoint::ConnDrop => "conn_drop",
             FaultPoint::ConnStall => "conn_stall",
             FaultPoint::TrainerPanic => "trainer_panic",

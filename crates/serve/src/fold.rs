@@ -95,14 +95,17 @@ impl Fold {
     }
 
     /// Renders the fold as publication `version`: the backend's view (where
-    /// its deferred work lands — fpga-sim re-dequantizes dirty rows and,
-    /// closing a shadowed window, re-measures the shadow deviation), the
-    /// backend's own counters, and, given an index maintainer, the index
-    /// synced against exactly that matrix (with the sync's report) — index
-    /// and embeddings travel in one `Arc`, so a reader can never observe one
-    /// without the other. With nothing trained since the last render, the
-    /// backend hands out the same view `Arc` and the sync returns the same
-    /// index `Arc`, so the new snapshot shares both with the last one.
+    /// its deferred work lands — the rows training wrote are re-rendered,
+    /// and fpga-sim, closing a shadowed window, re-measures the shadow
+    /// deviation), the backend's own counters, and, given an index
+    /// maintainer, the index synced against exactly that matrix (with the
+    /// sync's report) — index and embeddings travel in one `Arc`, so a
+    /// reader can never observe one without the other. The sync visits only
+    /// the rows the backend re-rendered ([`TrainBackend::last_delta`]) when
+    /// the index was synced on the view they replaced. With nothing trained
+    /// since the last render, the backend hands out the same view `Arc` and
+    /// the sync returns the same index `Arc`, so the new snapshot shares
+    /// both with the last one.
     pub fn snapshot(
         &mut self,
         version: u64,
@@ -110,7 +113,12 @@ impl Fold {
     ) -> (EmbeddingSnapshot, Option<SyncReport>) {
         let out = self.backend.outcome();
         let emb = self.backend.publish_view();
-        let (ann, report) = ann.map(|b| b.sync(&emb)).unzip();
+        let (ann, report) = ann
+            .map(|b| match self.backend.last_delta() {
+                Some((from, rows)) => b.sync_rows(&emb, from, rows),
+                None => b.sync(&emb),
+            })
+            .unzip();
         let snapshot = EmbeddingSnapshot {
             version,
             emb,

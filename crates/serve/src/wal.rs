@@ -687,7 +687,10 @@ impl Wal {
         // append truncates the unsynced record rather than logging its seq
         // twice.
         inner.dirty += 1;
-        self.sync_if_due(&mut inner, false)?;
+        if let Err(e) = self.sync_if_due(&mut inner, false, Some(fault)) {
+            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         if send(seq).is_err() {
             let valid = inner.tail_valid;
             let _ = inner.file.set_len(valid);
@@ -704,7 +707,7 @@ impl Wal {
     /// batch boundary; under sustained load most boundaries skip the sync,
     /// which is what keeps the WAL's steady-state ingest tax small.
     pub fn batch_commit(&self) -> io::Result<()> {
-        self.sync_if_due(&mut self.inner.lock().expect("wal lock poisoned"), false)
+        self.sync_if_due(&mut self.inner.lock().expect("wal lock poisoned"), false, None)
     }
 
     /// Unconditional fsync of pending appends — the trainer calls this
@@ -712,12 +715,19 @@ impl Wal {
     /// power-loss exposure of an idle server is zero, not "until the next
     /// batch".
     pub fn commit(&self) -> io::Result<()> {
-        self.sync_if_due(&mut self.inner.lock().expect("wal lock poisoned"), true)
+        self.sync_if_due(&mut self.inner.lock().expect("wal lock poisoned"), true, None)
     }
 
     /// The one group-commit rule: fsyncs the segment when the policy says
     /// its unsynced records are due (`force`: a barrier, not a threshold).
-    fn sync_if_due(&self, inner: &mut Inner, force: bool) -> io::Result<()> {
+    /// An append passes its `fault` schedule, whose
+    /// [`FaultPoint::WalSyncFail`] fails the fsync before it is issued.
+    fn sync_if_due(
+        &self,
+        inner: &mut Inner,
+        force: bool,
+        fault: Option<&FaultInjector>,
+    ) -> io::Result<()> {
         let due = inner.dirty > 0
             && match self.fsync {
                 FsyncPolicy::Always => true,
@@ -729,6 +739,9 @@ impl Wal {
                 FsyncPolicy::Never => false,
             };
         if due {
+            if fault.is_some_and(|f| f.should(FaultPoint::WalSyncFail)) {
+                return Err(io::Error::other("injected wal fsync failure"));
+            }
             inner.file.sync_data()?;
             inner.dirty = 0;
             inner.last_sync = Instant::now();

@@ -264,3 +264,51 @@ fn empty_and_zero_byte_segments_recover_to_snapshot_state() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// A failed fsync under `FsyncPolicy::Always` refuses the append after its
+/// record was written. The next append truncates that record and reuses its
+/// seq, so the log holds each acked record once, in ack order, and recovery
+/// replays exactly those.
+#[test]
+fn failed_fsync_refuses_the_append_and_the_next_one_reuses_its_seq() {
+    let dir = scratch("syncfail");
+    std::fs::create_dir_all(&dir).unwrap();
+    let full = erdos_renyi(12, 0.3, 4);
+    let split = spanning_forest(&full);
+    let initial = split.initial_graph(&full);
+    let mut backend = spec().cold(initial.num_nodes());
+    backend.bootstrap(&initial);
+    let wcfg = WalConfig { dir: dir.to_path_buf(), fsync: FsyncPolicy::Always };
+    let wal = Wal::init(&wcfg, &*backend, &initial).unwrap();
+    let (none, fail) =
+        (FaultInjector::disabled(), FaultInjector::parse("wal_sync_fail=1.0", 0).unwrap());
+    let edges: Vec<EdgeEvent> =
+        split.removed_edges.iter().take(3).map(|&(u, v)| EdgeEvent::Add(u, v)).collect();
+    assert_eq!(edges.len(), 3, "the graph holds out three edges");
+
+    let mut sent = Vec::new();
+    let mut append = |event, fault: &FaultInjector| {
+        wal.append_then(event, fault, |seq| {
+            sent.push(seq);
+            Ok::<(), ()>(())
+        })
+    };
+    assert_eq!(append(edges[0], &none).unwrap(), 1);
+    let refused = append(edges[1], &fail).expect_err("the fsync failed");
+    assert!(refused.to_string().contains("fsync"), "{refused}");
+    assert_eq!(fail.fired(seqge_serve::FaultPoint::WalSyncFail), 1);
+    assert_eq!(append(edges[2], &none).unwrap(), 2, "the refused record's seq is reused");
+    assert_eq!(sent, [1, 2], "the refused append never reached the trainer");
+    assert_eq!((wal.appended(), wal.append_errors()), (2, 1));
+    drop(wal);
+
+    let scan = read_segment(&dir.join("wal.0.log")).unwrap();
+    let logged: Vec<_> = scan.records.iter().map(|r| (r.seq, r.event)).collect();
+    assert_eq!(logged, [(1, edges[0]), (2, edges[2])], "the refused record was truncated");
+    assert!(!scan.torn);
+    let boot = recover(&dir);
+    assert_eq!((boot.report.replayed, boot.report.duplicates), (2, 0));
+    assert_eq!(boot.report.next_seq, 3);
+    assert_eq!(boot.graph.num_edges(), initial.num_edges() + 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
