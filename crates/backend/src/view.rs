@@ -4,7 +4,9 @@
 //! (its [`seqge_core::DirtyRows`]). [`ViewBuffer`] keeps the current view
 //! and the view it replaced, with the rows where the two differ. Once no
 //! reader holds the replaced view, the next publish renders into it: first
-//! the rows where it is stale, then the new dirty rows. A view a reader still
+//! the rows where it is stale, then the new dirty rows, or every row in one
+//! sequential pass when those name half the view or more (the crossover
+//! measured at 50 000 rows; DESIGN.md). A view a reader still
 //! holds is never written; the publish clones the current view instead and
 //! patches the dirty rows. Every view handed out is immutable from then on.
 
@@ -35,8 +37,9 @@ impl ViewBuffer {
     /// With nothing dirty (and a view already rendered) the current `Arc`
     /// is handed out again. Otherwise the new view is the replaced one
     /// re-rendered over its stale rows and `dirty` — in one sequential pass
-    /// when the two lists together cover the view — or, when a reader still
-    /// holds it, a clone of the current view patched over `dirty`.
+    /// when the two lists together name half the rows or more — or, when a
+    /// reader still holds it, a clone of the current view patched over
+    /// `dirty`.
     pub fn publish(
         &mut self,
         dirty: Vec<NodeId>,
@@ -61,19 +64,24 @@ impl ViewBuffer {
             .take()
             .and_then(|(view, stale)| Some((Arc::try_unwrap(view).ok()?, stale)));
         let next = match free {
-            Some((mut view, stale)) => {
-                if stale.len() + dirty.len() >= self.rows {
-                    render_rows(&mut view, &mut (0..self.rows as NodeId));
-                } else {
-                    // A stale row that is dirty again is rendered once, with
-                    // the dirty rows, which go last so the index sync that
-                    // reads them next finds them in cache.
+            Some((mut view, mut stale)) => {
+                // A stale row that is dirty again is rendered once, with the
+                // dirty rows, which go last so the index sync that reads them
+                // next finds them in cache. (When either list alone names
+                // half the view, the full pass below is settled already.)
+                if 2 * stale.len().max(dirty.len()) < self.rows {
                     let mut again = dirty.iter().peekable();
-                    let stale = stale.into_iter().filter(|&row| {
+                    stale.retain(|&row| {
                         while again.next_if(|&&d| d < row).is_some() {}
                         again.peek() != Some(&&row)
                     });
-                    render_rows(&mut view, &mut stale.chain(dirty.iter().copied()));
+                }
+                if 2 * (stale.len() + dirty.len()) >= self.rows {
+                    // Half the view or more: one sequential pass is cheaper
+                    // than that many scattered rows.
+                    render_rows(&mut view, &mut (0..self.rows as NodeId));
+                } else {
+                    render_rows(&mut view, &mut stale.into_iter().chain(dirty.iter().copied()));
                 }
                 view
             }
@@ -113,55 +121,77 @@ mod tests {
         }
     }
 
-    fn publish(buf: &mut ViewBuffer, model: &Model, dirty: &[NodeId]) -> Arc<Mat<f32>> {
-        buf.publish(dirty.to_vec(), |r, out| out.copy_from_slice(model.0.row(r as usize)))
+    /// Publishes `dirty`; returns the new view and the rows rendered, in
+    /// order, which tell the paths apart.
+    fn publish(
+        buf: &mut ViewBuffer,
+        model: &Model,
+        dirty: &[NodeId],
+    ) -> (Arc<Mat<f32>>, Vec<NodeId>) {
+        let mut rendered = Vec::new();
+        let view = buf.publish(dirty.to_vec(), |r, out| {
+            rendered.push(r);
+            out.copy_from_slice(model.0.row(r as usize))
+        });
+        (view, rendered)
     }
 
     #[test]
     fn every_path_renders_the_model() {
-        let mut model = Model(Mat::zeros(6, 2));
-        let mut buf = ViewBuffer::new(6, 2);
-        model.write(1, &[0, 1, 2, 3, 4, 5]);
-        let v1 = publish(&mut buf, &model, &[]);
-        assert_eq!(*v1, model.0);
+        let all: Vec<NodeId> = (0..8).collect();
+        let mut model = Model(Mat::zeros(8, 2));
+        let mut buf = ViewBuffer::new(8, 2);
+        model.write(1, &all);
+        let (v1, rendered) = publish(&mut buf, &model, &[]);
+        assert_eq!((&*v1, rendered), (&model.0, all.clone()));
         assert!(buf.last_delta().is_none());
-        assert!(Arc::ptr_eq(&publish(&mut buf, &model, &[]), &v1), "nothing dirty: same view");
+        let (same, rendered) = publish(&mut buf, &model, &[]);
+        assert!(Arc::ptr_eq(&same, &v1) && rendered.is_empty(), "nothing dirty: same view");
 
         // No replaced view yet: the current one is cloned and patched.
-        model.write(2, &[1, 4]);
-        let v2 = publish(&mut buf, &model, &[1, 4]);
-        assert_eq!(*v2, model.0);
+        model.write(2, &[1, 6]);
+        let (v2, rendered) = publish(&mut buf, &model, &[1, 6]);
+        assert_eq!((&*v2, rendered), (&model.0, vec![1, 6]));
         let (from, rows) = buf.last_delta().unwrap();
         assert!(Arc::ptr_eq(from, &v1));
-        assert_eq!(rows, [1, 4]);
+        assert_eq!(rows, [1, 6]);
 
         // v1 is free once its reader lets go: it becomes v3, stale rows
-        // first (row 4 with the dirty ones), then the new dirty ones.
+        // first (row 6 with the dirty ones), then the new dirty ones.
         let v1_rows = v1.as_slice().as_ptr();
-        drop(v1);
-        model.write(3, &[0, 4]);
-        let v3 = publish(&mut buf, &model, &[0, 4]);
-        assert_eq!(*v3, model.0);
+        drop((v1, same));
+        model.write(3, &[0, 6]);
+        let (v3, rendered) = publish(&mut buf, &model, &[0, 6]);
+        assert_eq!((&*v3, rendered), (&model.0, vec![1, 0, 6]));
         assert_eq!(v3.as_slice().as_ptr(), v1_rows, "rendered into the replaced view");
         let (from, rows) = buf.last_delta().unwrap();
         assert!(Arc::ptr_eq(from, &v2));
-        assert_eq!(rows, [0, 4]);
+        assert_eq!(rows, [0, 6]);
 
         // A reader holds v2: the publish leaves it alone and clones v3.
         let v2_bits = (*v2).clone();
         model.write(4, &[2, 5]);
-        let v4 = publish(&mut buf, &model, &[2, 5]);
-        assert_eq!(*v4, model.0);
+        let (v4, rendered) = publish(&mut buf, &model, &[2, 5]);
+        assert_eq!((&*v4, rendered), (&model.0, vec![2, 5]));
         assert_eq!(*v2, v2_bits, "a held view is never written");
         assert!(!Arc::ptr_eq(&v4, &v2) && !Arc::ptr_eq(&v4, &v3));
         drop((v2, v3));
 
-        // Stale + dirty cover the view: one sequential pass into v3.
-        model.write(5, &[0, 1, 3, 4]);
-        let v5 = publish(&mut buf, &model, &[0, 1, 3, 4]);
-        assert_eq!(*v5, model.0);
-        assert_eq!(buf.last_delta().unwrap().1, [0, 1, 3, 4]);
-        assert!(Arc::ptr_eq(&publish(&mut buf, &model, &[]), &v5));
-        assert!(Arc::ptr_eq(buf.last_delta().unwrap().0, &v4), "an empty publish keeps the delta");
+        // v3 is free again, and its stale rows are dirty again: the union
+        // of the two lists, 2 of 8 rows, decides, not their sum.
+        model.write(5, &[2, 5]);
+        let (v5, rendered) = publish(&mut buf, &model, &[2, 5]);
+        assert_eq!((&*v5, rendered), (&model.0, vec![2, 5]));
+        assert_eq!(v5.as_slice().as_ptr(), v1_rows, "rendered into the replaced view");
+
+        // Stale [2, 5] and dirty [0, 3, 4] name half the rows or more: one
+        // sequential pass into v4.
+        drop(v4);
+        model.write(6, &[0, 3, 4]);
+        let (v6, rendered) = publish(&mut buf, &model, &[0, 3, 4]);
+        assert_eq!((&*v6, rendered), (&model.0, all));
+        assert_eq!(buf.last_delta().unwrap().1, [0, 3, 4]);
+        assert!(Arc::ptr_eq(&publish(&mut buf, &model, &[]).0, &v6));
+        assert!(Arc::ptr_eq(buf.last_delta().unwrap().0, &v5), "an empty publish keeps the delta");
     }
 }

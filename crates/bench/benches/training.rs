@@ -155,7 +155,9 @@ fn bench_scan(c: &mut Criterion) {
 /// runs). Each of these alternates between two views. The view half,
 /// `view_18pct`: a [`ViewBuffer`] publish of one event's dirty rows with no
 /// reader holding the replaced view, so it re-renders that view's stale rows
-/// and the new dirty ones.
+/// and the new dirty ones; `view_99pct` the same at `small_float`'s density,
+/// where the two lists cover the view and the publish is one sequential
+/// pass.
 fn bench_publish(c: &mut Criterion) {
     let (n, dim) = (50_000usize, 32usize);
     let mut rng = Rng64::seed_from_u64(26);
@@ -196,6 +198,17 @@ fn bench_publish(c: &mut Criterion) {
         bench.iter(|| {
             flip = !flip;
             let (src, dirty) = if flip { (&drifted, &rows) } else { (&a, &other) };
+            view.publish(dirty.clone(), |row, out| out.copy_from_slice(src.row(row as usize)))
+        });
+    });
+    // `small_float`'s density: two events' lists of 99 % of the rows each.
+    let dense: [Vec<u32>; 2] =
+        std::array::from_fn(|_| (0..n as u32).filter(|_| rng.gen_index(100) < 99).collect());
+    group.bench_function(BenchmarkId::new("view_99pct", n), |bench| {
+        let mut flip = false;
+        bench.iter(|| {
+            flip = !flip;
+            let (src, dirty) = if flip { (&drifted, &dense[0]) } else { (&a, &dense[1]) };
             view.publish(dirty.clone(), |row, out| out.copy_from_slice(src.row(row as usize)))
         });
     });

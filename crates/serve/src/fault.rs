@@ -31,9 +31,6 @@ pub enum FaultPoint {
     WalShortWrite,
     /// WAL append fails cleanly before writing anything.
     WalAppendError,
-    /// The fsync of a WAL append fails after the record was written: the
-    /// append is refused and the record is truncated by the next one.
-    WalSyncFail,
     /// The server drops a connection after reading a request, before
     /// answering (the client sees EOF mid-call).
     ConnDrop,
@@ -45,18 +42,23 @@ pub enum FaultPoint {
     /// The trainer sleeps per applied event (builds real backlog, which is
     /// how backpressure shedding is tested deterministically).
     TrainerStall,
+    /// The fsync of a WAL append fails after the record was written: the
+    /// append is refused and its record truncated at once.
+    WalSyncFail,
 }
 
 impl FaultPoint {
-    /// Every point, in a fixed order (index = counter slot).
+    /// Every point, in a fixed order (index = counter slot). The index
+    /// enters the schedule hash, so a new point goes last and every
+    /// existing seed keeps its schedule.
     pub const ALL: [FaultPoint; 7] = [
         FaultPoint::WalShortWrite,
         FaultPoint::WalAppendError,
-        FaultPoint::WalSyncFail,
         FaultPoint::ConnDrop,
         FaultPoint::ConnStall,
         FaultPoint::TrainerPanic,
         FaultPoint::TrainerStall,
+        FaultPoint::WalSyncFail,
     ];
 
     /// The spec / metric-label name of this point.
@@ -64,11 +66,11 @@ impl FaultPoint {
         match self {
             FaultPoint::WalShortWrite => "wal_short_write",
             FaultPoint::WalAppendError => "wal_append_error",
-            FaultPoint::WalSyncFail => "wal_sync_fail",
             FaultPoint::ConnDrop => "conn_drop",
             FaultPoint::ConnStall => "conn_stall",
             FaultPoint::TrainerPanic => "trainer_panic",
             FaultPoint::TrainerStall => "trainer_stall",
+            FaultPoint::WalSyncFail => "wal_sync_fail",
         }
     }
 

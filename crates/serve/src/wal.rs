@@ -683,11 +683,13 @@ impl Wal {
             return Err(io::Error::other("injected short write (torn wal tail)"));
         }
         inner.file.write_all(&rec)?;
-        // A failed sync returns here with `tail_valid` unmoved, so the next
-        // append truncates the unsynced record rather than logging its seq
-        // twice.
         inner.dirty += 1;
         if let Err(e) = self.sync_if_due(&mut inner, false, Some(fault)) {
+            // A refused append takes its record back out at once, so a
+            // later commit cannot make it durable nor replay resurface it.
+            let valid = inner.tail_valid;
+            let _ = inner.file.set_len(valid);
+            inner.dirty -= 1;
             self.append_errors.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }

@@ -266,9 +266,10 @@ fn empty_and_zero_byte_segments_recover_to_snapshot_state() {
 }
 
 /// A failed fsync under `FsyncPolicy::Always` refuses the append after its
-/// record was written. The next append truncates that record and reuses its
-/// seq, so the log holds each acked record once, in ack order, and recovery
-/// replays exactly those.
+/// record was written and takes the record back out at once: a commit and a
+/// crash right after the refusal recover only the acked record, and in a
+/// live log the next append reuses the refused seq. Either way recovery
+/// replays each acked record once, in ack order.
 #[test]
 fn failed_fsync_refuses_the_append_and_the_next_one_reuses_its_seq() {
     let dir = scratch("syncfail");
@@ -285,27 +286,39 @@ fn failed_fsync_refuses_the_append_and_the_next_one_reuses_its_seq() {
     let edges: Vec<EdgeEvent> =
         split.removed_edges.iter().take(3).map(|&(u, v)| EdgeEvent::Add(u, v)).collect();
     assert_eq!(edges.len(), 3, "the graph holds out three edges");
-
     let mut sent = Vec::new();
-    let mut append = |event, fault: &FaultInjector| {
+    let mut append = |wal: &Wal, event, fault: &FaultInjector| {
         wal.append_then(event, fault, |seq| {
             sent.push(seq);
             Ok::<(), ()>(())
         })
     };
-    assert_eq!(append(edges[0], &none).unwrap(), 1);
-    let refused = append(edges[1], &fail).expect_err("the fsync failed");
-    assert!(refused.to_string().contains("fsync"), "{refused}");
-    assert_eq!(fail.fired(seqge_serve::FaultPoint::WalSyncFail), 1);
-    assert_eq!(append(edges[2], &none).unwrap(), 2, "the refused record's seq is reused");
-    assert_eq!(sent, [1, 2], "the refused append never reached the trainer");
-    assert_eq!((wal.appended(), wal.append_errors()), (2, 1));
-    drop(wal);
+    let logged = || -> Vec<(u64, EdgeEvent)> {
+        let scan = read_segment(&dir.join("wal.0.log")).unwrap();
+        assert!(!scan.torn);
+        scan.records.iter().map(|r| (r.seq, r.event)).collect()
+    };
 
-    let scan = read_segment(&dir.join("wal.0.log")).unwrap();
-    let logged: Vec<_> = scan.records.iter().map(|r| (r.seq, r.event)).collect();
-    assert_eq!(logged, [(1, edges[0]), (2, edges[2])], "the refused record was truncated");
-    assert!(!scan.torn);
+    // Refused, committed, then killed before another append.
+    assert_eq!(append(&wal, edges[0], &none).unwrap(), 1);
+    let refused = append(&wal, edges[1], &fail).expect_err("the fsync failed");
+    assert!(refused.to_string().contains("fsync"), "{refused}");
+    assert_eq!((wal.appended(), wal.append_errors()), (1, 1));
+    wal.commit().unwrap();
+    drop(wal);
+    assert_eq!(logged(), [(1, edges[0])], "the refused record is gone at once");
+    let boot = Wal::recover(&wcfg, &spec(), 0).unwrap().expect("store is committed");
+    assert_eq!((boot.report.replayed, boot.report.duplicates), (1, 0));
+    assert_eq!(boot.report.next_seq, 2);
+    assert_eq!(boot.graph.num_edges(), initial.num_edges() + 1);
+
+    // Refused again in the recovered log, then the next append takes its seq.
+    append(&boot.wal, edges[1], &fail).expect_err("the fsync failed");
+    assert_eq!(append(&boot.wal, edges[2], &none).unwrap(), 2, "the refused seq is reused");
+    assert_eq!(fail.fired(seqge_serve::FaultPoint::WalSyncFail), 2);
+    assert_eq!(sent, [1, 2], "a refused append never reaches the trainer");
+    drop(boot);
+    assert_eq!(logged(), [(1, edges[0]), (2, edges[2])]);
     let boot = recover(&dir);
     assert_eq!((boot.report.replayed, boot.report.duplicates), (2, 0));
     assert_eq!(boot.report.next_seq, 3);
