@@ -1,5 +1,6 @@
 //! Per-walk training-kernel throughput: every model × the paper's three
-//! embedding dimensions (the microbenchmark behind Tables 3/4), plus the
+//! embedding dimensions (the microbenchmark behind Tables 3/4) and
+//! Algorithm 1 at the `large_float` size (n = 50 000), plus the
 //! linalg inner kernels the models are built from — fused vs multi-pass
 //! `P` maintenance and unrolled vs sequential-fold dot — the read path's
 //! scan kernel in ns per row scored, and the publish path: the view render
@@ -10,9 +11,12 @@ use seqge_ann::{AnnBuilder, AnnConfig};
 use seqge_backend::ViewBuffer;
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
-use seqge_core::{AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, SkipGram, TrainConfig};
+use seqge_core::{
+    full_corpus, AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, SkipGram, TrainConfig,
+};
 use seqge_eval::EdgeOp;
 use seqge_fpga::Accelerator;
+use seqge_graph::generators::{PlantedPartition, SbmParams};
 use seqge_graph::Dataset;
 use seqge_linalg::{ops, Mat};
 use seqge_sampling::Rng64;
@@ -26,29 +30,43 @@ fn bench_training(c: &mut Criterion) {
     let n = prep.graph.num_nodes();
 
     let mut group = c.benchmark_group("train_walk");
+    macro_rules! bench_model {
+        ($name:expr, $dim:expr, $walks:expr, $table:expr, $make:expr) => {
+            group.bench_function(BenchmarkId::new($name, $dim), |b| {
+                let mut m = $make;
+                let mut rng = Rng64::seed_from_u64(7);
+                let mut i = 0;
+                b.iter(|| {
+                    m.train_walk(&$walks[i % $walks.len()], $table, &mut rng);
+                    i += 1;
+                });
+            });
+        };
+    }
     for &dim in &[32usize, 64, 96] {
         let cfg = TrainConfig::paper_defaults(dim);
         let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(dim) };
-
-        macro_rules! bench_model {
-            ($name:expr, $make:expr) => {
-                group.bench_function(BenchmarkId::new($name, dim), |b| {
-                    let mut m = $make;
-                    let mut rng = Rng64::seed_from_u64(7);
-                    let mut i = 0;
-                    b.iter(|| {
-                        m.train_walk(&walks[i % walks.len()], &prep.table, &mut rng);
-                        i += 1;
-                    });
-                });
-            };
-        }
-        bench_model!("original_sgd", SkipGram::new(n, cfg.model));
-        bench_model!("proposed_oselm", OsElmSkipGram::new(n, ocfg));
-        bench_model!("dataflow_oselm", DataflowOsElm::new(n, ocfg));
-        bench_model!("alpha_oselm", AlphaOsElm::new(n, ocfg));
-        bench_model!("fpga_functional", Accelerator::new(n, ocfg));
+        let table = &prep.table;
+        bench_model!("original_sgd", dim, walks, table, SkipGram::new(n, cfg.model));
+        bench_model!("proposed_oselm", dim, walks, table, OsElmSkipGram::new(n, ocfg));
+        bench_model!("dataflow_oselm", dim, walks, table, DataflowOsElm::new(n, ocfg));
+        bench_model!("alpha_oselm", dim, walks, table, AlphaOsElm::new(n, ocfg));
+        bench_model!("fpga_functional", dim, walks, table, Accelerator::new(n, ocfg));
     }
+
+    // Algorithm 1 at `large_float`'s size, where the 6.4 MB β matrix misses
+    // L2 and every sample's row is a cold read; the ≈ 810-row Cora graph
+    // above stays cache-resident, the control. A planted partition of
+    // 50 000 nodes in blocks of ≈ 224, 3.5 edges per node, r = 1, an
+    // every-edge table, every walk in turn.
+    let mut cfg = TrainConfig::paper_defaults(32);
+    cfg.walk.walks_per_node = 1;
+    let params = SbmParams::new(50_000, 175_000, 223);
+    let graph = PlantedPartition::new(params).expect("valid SBM params").generate(7);
+    let (_, walks, table, _) = full_corpus(&graph, &cfg, 7);
+    let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(32) };
+    let n = graph.num_nodes();
+    bench_model!("proposed_oselm_50k", 32, walks, &table, OsElmSkipGram::new(n, ocfg));
     group.finish();
 }
 

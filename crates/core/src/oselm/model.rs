@@ -278,11 +278,13 @@ impl OsElmSkipGram {
         }
         // Column updates: per-sample dot → axpy interleave, exactly
         // Algorithm 1 lines 9–10. Each dot and axpy is internally unrolled,
-        // and touching a row's 128 cache-hot bytes for both its read and
-        // its update in one pass beats the gather-then-scatter block form
-        // that the dataflow model uses — there the gather is *semantic*
-        // (stage 3 reads frozen β), here it would only add a second pass
-        // plus duplicate-row bookkeeping.
+        // and touching a row's 128 bytes for both its read and its update
+        // in one pass beats the gather-then-scatter block form that the
+        // dataflow model uses — there the gather is *semantic* (stage 3
+        // reads frozen β), here it would only add a second pass plus
+        // duplicate-row bookkeeping. At n = 50 000 those bytes are cold; they
+        // are in L1 here only because `train_walk` prefetched each row as it
+        // was drawn.
         for &(sample, y) in samples.iter() {
             let row = self.beta_t.row_mut(sample as usize);
             let e = y - ops::dot(h, row);
@@ -301,12 +303,21 @@ impl EmbeddingModel for OsElmSkipGram {
         self.draw.begin_walk(walk, negatives, rng);
         let mut ctxs = 0u64;
         for (center, positives) in context_windows(walk, self.cfg.model.window) {
+            // Every β row the context will touch is hinted into L1 the moment
+            // it is known, as the paper's host streams pre-sampled rows into
+            // the fabric: at n = 50 000 they are cold, random reads into a
+            // 6.4 MB matrix, and the draws between a row's prefetch and its
+            // dot product hide the miss. Drawing reads only the RNG and the
+            // alias table, so no sample, RNG word or update moves.
+            ops::prefetch_row(self.beta_t.row(center as usize));
             let samples = &mut self.scratch.samples;
             samples.clear();
             for &pos in positives {
                 samples.push((pos, 1.0));
+                ops::prefetch_row(self.beta_t.row(pos as usize));
                 for &neg in self.draw.for_positive(pos, negatives, rng) {
                     samples.push((neg, 0.0));
+                    ops::prefetch_row(self.beta_t.row(neg as usize));
                 }
             }
             self.train_context(center);

@@ -25,9 +25,13 @@
 //! and `accel.stats` its report: walks, modeled cycles, saturations and
 //! guarded contexts.
 
-// Every other crate is `#![forbid(unsafe_code)]`; this one has one block, the
-// CPUID-guarded call into the AVX2 instantiation in `accelerator.rs`.
+// This crate has one `unsafe` block, the CPUID-guarded call into the AVX2
+// instantiation in `accelerator.rs`. The only other one in the workspace is
+// `seqge-linalg`'s `ops::prefetch_row`, a cache hint (that crate is
+// `#![deny(unsafe_code)]` with the one function allowed); every other crate
+// is `#![forbid(unsafe_code)]`.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod accelerator;
 pub mod bram;

@@ -12,7 +12,10 @@
 //! * [`ops`] — dot / axpy / gemv / rank-1 update kernels.
 //! * [`solve`] — Cholesky and Gauss–Jordan inversion for the `P₀` init.
 
-#![forbid(unsafe_code)]
+// One function holds `unsafe`: `ops::prefetch_row`, a cache hint with no
+// safe form on stable Rust.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod matrix;
 pub mod ops;

@@ -194,6 +194,40 @@ pub fn axpy<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
     }
 }
 
+/// Asks the CPU to pull every 64-byte cache line `row` spans into L1, so a
+/// random row read soon after (Algorithm 1's β column of a sample drawn
+/// several samples earlier) finds it there. A hint only: no value is read
+/// or written, and it does nothing off x86_64 or on an empty slice.
+///
+/// Every line is covered, from the one holding the first byte to the one
+/// holding the last: an allocation need not start on a line, so a
+/// 128-byte row (d = 32 `f32`) at a line offset of 16 spans three lines,
+/// and hinting only its first and last leaves the middle one cold.
+#[inline]
+#[allow(unsafe_code)]
+pub fn prefetch_row<T>(row: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        if row.is_empty() {
+            return;
+        }
+        let start = row.as_ptr().cast::<i8>();
+        let head = start as usize & 63;
+        let line = start.wrapping_sub(head);
+        for offset in (0..head + std::mem::size_of_val(row)).step_by(64) {
+            // SAFETY: `_mm_prefetch` is `unsafe` only because it takes a raw
+            // pointer and needs SSE, which every x86_64 target has. A
+            // prefetch never faults and has no architectural effect, and
+            // `line + offset` lies in a cache line that holds a byte of
+            // the live slice `row`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line.wrapping_add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 /// `x *= a`. Elementwise: bit-identical to the sequential loop.
 #[inline]
 pub fn scal<T: Scalar>(a: T, x: &mut [T]) {
@@ -626,6 +660,29 @@ mod tests {
         assert!((s.to_f64() - 1.0 / (1.0 + (-2.0f64).exp())).abs() < 1e-6);
         // Symmetry: σ(-x) = 1 - σ(x)
         assert!((sigmoid(-1.3f64) - (1.0 - sigmoid(1.3f64))).abs() < 1e-12);
+    }
+
+    #[test]
+    fn prefetch_row_returns_and_leaves_every_bit() {
+        let v: Vec<f32> = (0..67).map(|i| (i as f32 * 0.37).sin()).collect();
+        let before: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
+        prefetch_row::<f32>(&[]);
+        prefetch_row(&v[..0]);
+        prefetch_row(&v[66..]);
+        // A 32-element row that starts mid-line, so it spans three lines.
+        let s = (1..16).find(|&s| !(v[s..].as_ptr() as usize).is_multiple_of(64)).unwrap();
+        prefetch_row(&v[s..s + 32]);
+        assert_eq!(v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), before);
+    }
+
+    #[test]
+    fn prefetch_row_reaches_the_last_row_of_a_mat() {
+        // 7 × 5 f64 is 280 bytes, not a whole number of lines: the last
+        // row's final line runs past the end of the allocation.
+        let m = Mat::<f64>::from_fn(7, 5, |r, c| (r * 5 + c) as f64 * 0.5);
+        let before = m.clone();
+        prefetch_row(m.row(6));
+        assert_eq!(m.as_slice(), before.as_slice());
     }
 
     #[test]
