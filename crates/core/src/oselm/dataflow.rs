@@ -15,8 +15,8 @@
 //! computes it, so the natural design forwards it with pipeline-register
 //! staleness only. [`PVisibility::Running`] (default) models that; the
 //! paper-literal whole-walk freeze is kept as [`PVisibility::PerWalk`] for
-//! the ablation, protected by a denominator guard so it degrades instead of
-//! exploding.
+//! the ablation, where the positivity guard drops each context whose
+//! denominator shows the overshoot, so it degrades instead of exploding.
 //!
 //! This is the float-exact functional model of what the FPGA executes; the
 //! fixed-point + cycle-timed version lives in `seqge-fpga`.
@@ -34,9 +34,9 @@ pub enum PVisibility {
     /// `ΔP` forwarded with pipeline-register staleness: each context sees
     /// the previous context's downdate (hardware-accurate, stable).
     Running,
-    /// Paper-literal whole-walk freeze: every context reads the walk-entry
-    /// `P`. Unstable when walk directions repeat; guarded by
-    /// [`DataflowOsElm::DENOM_GUARD`] so it degrades rather than diverges.
+    /// Paper-literal whole-walk freeze: stage 2 reads the walk-entry `P`.
+    /// Unstable when walk directions repeat; the positivity guard drops the
+    /// contexts that overshoot, so it degrades rather than diverges.
     PerWalk,
 }
 
@@ -148,7 +148,6 @@ pub struct DataflowOsElm {
     cfg: OsElmConfig,
     p_visibility: PVisibility,
     draw: NegativeDraw,
-    delta_p: Mat<f32>,
     delta_beta: DeltaBeta<f32>,
     h: Vec<f32>,
     ph: Vec<f32>,
@@ -185,7 +184,6 @@ impl DataflowOsElm {
             p,
             p_visibility: PVisibility::Running,
             draw: NegativeDraw::new(&cfg.model),
-            delta_p: Mat::zeros(d, d),
             delta_beta: DeltaBeta::new(beta_t.rows(), d),
             beta_t,
             h: vec![0.0; d],
@@ -217,11 +215,7 @@ impl DataflowOsElm {
         self.clamped
     }
 
-    /// Denominator floor below which the `PerWalk` variant skips the `P`
-    /// downdate for a context (keeps the ablation bounded).
-    pub const DENOM_GUARD: f32 = 0.25;
-
-    /// Number of contexts whose `P` downdate was skipped by the guard.
+    /// Number of contexts the positivity guard dropped.
     pub fn guarded_updates(&self) -> u64 {
         self.guarded
     }
@@ -236,9 +230,13 @@ impl DataflowOsElm {
 impl EmbeddingModel for DataflowOsElm {
     fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
         let d = self.cfg.model.dim;
+        let windows = context_windows(walk, self.cfg.model.window);
+        if windows.len() == 0 {
+            return;
+        }
         self.draw.begin_walk(walk, negatives, rng);
         debug_assert_eq!(self.delta_beta.touched_count(), 0);
-        for (center, positives) in context_windows(walk, self.cfg.model.window) {
+        for (center, positives) in windows {
             // Stage 1: H from the walk-entry β (the center column's Δ is in
             // the stage-3/4 accumulators, not visible to stage 1).
             let brow = self.beta_t.row(center as usize);
@@ -254,54 +252,29 @@ impl EmbeddingModel for DataflowOsElm {
             let hph = ops::dot(&self.h, &self.ph);
             let lambda = self.cfg.forgetting;
             let mut denom = if self.cfg.regularized { lambda + hph } else { hph };
-            let drift_guard = self.cfg.regularized && denom < 0.5 * lambda;
+            // Positivity guard (a comparator in hardware): once P is no
+            // longer healthy along H, drop the context entirely.
+            if self.cfg.regularized && denom < 0.5 * lambda {
+                self.guarded += 1;
+                continue;
+            }
             if denom.abs() < DENOM_FLOOR {
                 denom = if denom < 0.0 { -DENOM_FLOOR } else { DENOM_FLOOR };
                 self.clamped += 1;
             }
-            // Stage 4a: ΔP ← ΔP − Pʜ·Pʜᵀ / denom (line 17). Under PerWalk
-            // visibility the guard skips downdates once P is no longer
-            // positive along H (denominator too small) — a cheap comparator
-            // in hardware, and the difference between "degrades" and
-            // "diverges" in the ablation.
-            let guard = drift_guard
-                || (self.p_visibility == PVisibility::PerWalk && denom < Self::DENOM_GUARD);
-            if guard {
-                // P is no longer healthy along H: drop the context entirely
-                // (cheap comparator in hardware; keeps the ablation bounded).
-                self.guarded += 1;
-                continue;
-            }
+            // Stage 4a: the running P absorbs the downdate (line 17).
             {
-                match self.p_visibility {
-                    PVisibility::Running => {
-                        if lambda < 1.0 {
-                            // EW-RLS downdate + inflation with PSD-preserving
-                            // trace normalization against covariance wind-up,
-                            // fused into one contiguous full-matrix sweep
-                            // whose (r,c) and (c,r) updates are bitwise
-                            // equal: P stays exactly symmetric (the inflation
-                            // would amplify an antisymmetric rounding
-                            // component exponentially).
-                            let cap = self.cfg.p0_scale * d as f32;
-                            ops::p_downdate_forget(
-                                &mut self.p_run,
-                                &self.ph,
-                                denom,
-                                1.0 / lambda,
-                                cap,
-                            );
-                        } else {
-                            ops::p_downdate_sym(&mut self.p_run, &self.ph, denom);
-                        }
-                    }
-                    PVisibility::PerWalk => {
-                        // Forgetting is undefined for the frozen-P ablation
-                        // (the 1/λ inflation cannot be deferred soundly);
-                        // the config validator allows it but the ablation
-                        // binary runs λ = 1.
-                        ops::p_downdate_sym(&mut self.delta_p, &self.ph, denom);
-                    }
+                if lambda < 1.0 {
+                    // EW-RLS downdate + inflation with PSD-preserving trace
+                    // normalization against covariance wind-up, fused into
+                    // one contiguous full-matrix sweep whose (r,c) and (c,r)
+                    // updates are bitwise equal: P stays exactly symmetric
+                    // (the inflation would amplify an antisymmetric rounding
+                    // component exponentially).
+                    let cap = self.cfg.p0_scale * d as f32;
+                    ops::p_downdate_forget(&mut self.p_run, &self.ph, denom, 1.0 / lambda, cap);
+                } else {
+                    ops::p_downdate_sym(&mut self.p_run, &self.ph, denom);
                 }
                 // PʜΝ = P_ctx·Hᵀ where P_ctx = P − Pʜ·Pʜᵀ/denom = a scalar
                 // rescale of Pʜ — no second gemv.
@@ -339,37 +312,13 @@ impl EmbeddingModel for DataflowOsElm {
                 }
             }
         }
-        // Lines 19–20: commit once per walk. Under Running visibility the
-        // on-chip copy *is* the new P (write-back); under PerWalk the
-        // accumulated ΔP is applied to the frozen copy.
-        match self.p_visibility {
-            PVisibility::Running => {
-                self.p.as_mut_slice().copy_from_slice(self.p_run.as_slice());
-            }
-            PVisibility::PerWalk => {
-                // Apply ΔP, then saturate both matrices at the Q8.24-style
-                // rails the hardware would impose — the literal whole-walk
-                // freeze overshoots, and the rails are what turn divergence
-                // into the bounded degradation the ablation reports.
-                let p_cap = 4.0 * self.cfg.p0_scale;
-                for (p, &dpv) in self.p.as_mut_slice().iter_mut().zip(self.delta_p.as_slice()) {
-                    *p = (*p + dpv).clamp(-p_cap, p_cap);
-                }
-                self.delta_p.as_mut_slice().fill(0.0);
-                self.p_run.as_mut_slice().copy_from_slice(self.p.as_slice());
-            }
-        }
+        // Lines 19–20: commit once per walk.
+        self.p.as_mut_slice().copy_from_slice(self.p_run.as_slice());
         self.delta_beta.commit(|node, delta| {
             for (b, &dv) in self.beta_t.row_mut(node as usize).iter_mut().zip(delta) {
                 *b += dv;
             }
         });
-        if self.p_visibility == PVisibility::PerWalk {
-            const BETA_RAIL: f32 = 128.0; // Q8.24 saturation rail
-            for v in self.beta_t.as_mut_slice() {
-                *v = v.clamp(-BETA_RAIL, BETA_RAIL);
-            }
-        }
     }
 
     fn embedding(&self) -> Mat<f32> {
@@ -509,7 +458,6 @@ mod tests {
         let walk: Vec<NodeId> = (0..12u32).collect();
         m.train_walk(&walk, &table, &mut rng);
         assert_eq!(m.delta_beta.touched_count(), 0);
-        assert!(m.delta_p.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -75,11 +75,11 @@ fn dataflow_kernel_is_pinned() {
     assert!(got[4].2 > 0 && got[5].2 > 0, "the dense regime must reach the guard");
     let want = [
         (0x9b24_bddd_15d3_3522, 0xac4d_e48f_b358_561d, 0, 0x1ad7_d320_d134_bda7),
-        (0xbc1e_dbca_4f64_3a8d, 0xfdb8_a10e_4919_13ae, 0, 0x1ad7_d320_d134_bda7),
+        (0xf1d7_52fa_8023_e77f, 0x4bef_cdd1_ed10_effb, 0, 0x1ad7_d320_d134_bda7),
         (0x7318_f7f4_6c66_850e, 0x6f7f_7d38_b7e0_d0c2, 0, 0x5422_fd43_8918_8d8a),
-        (0x6259_2a0d_6f7f_e828, 0xb8eb_ac28_2029_d934, 0, 0x5422_fd43_8918_8d8a),
-        (0xc319_a3ec_6cd7_088d, 0x2503_c2a5_89b6_1d51, 6170, 0x0fcb_ee35_72cd_5a1f),
-        (0xf02a_3d6a_0bab_1e1d, 0x5be8_38be_6b7b_e7ee, 6178, 0x1ca4_083c_d99a_185d),
+        (0xc9b4_4a36_f4fd_609e, 0x9b4e_bc38_7789_7430, 0, 0x5422_fd43_8918_8d8a),
+        (0x73b8_7f68_800c_6db5, 0x6f30_6643_65d5_6f18, 6172, 0x0fcb_ee35_72cd_5a1f),
+        (0x94ed_2213_6183_0785, 0x9ffc_f545_a192_4fe4, 6178, 0x1ca4_083c_d99a_185d),
     ];
     assert_eq!(got, want, "{got:#x?}");
 }

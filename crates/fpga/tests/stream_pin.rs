@@ -198,11 +198,11 @@ fn forgetting_branch_is_pinned() {
                 guarded: 0,
             },
             &Pin {
-                beta: 0x5f45_9522_cb91_f0db,
-                p: 0xd283_25b6_6657_caed,
-                stats_and_dirty: 0x6431_5f0a_444e_98d4,
-                saturations: 70_051,
-                guarded: 2748,
+                beta: 0x84ea_82a0_5e79_db12,
+                p: 0xd032_4b7c_0a70_9f25,
+                stats_and_dirty: 0xa3a6_5b75_239e_e0e6,
+                saturations: 28_186,
+                guarded: 2634,
             },
         ),
         "{mild:#x?} {harsh:#x?}"
@@ -245,18 +245,18 @@ fn rail_regimes_are_pinned() {
         (&rails, &breaking, &hot),
         (
             &Pin {
-                beta: 0xdeef_2b9f_efb0_3e19,
-                p: 0x4212_efca_106d_f434,
-                stats_and_dirty: 0x5da0_8dca_6723_aed0,
-                saturations: 123_224,
-                guarded: 2107,
+                beta: 0xc0c3_4d18_7e50_637d,
+                p: 0x7b20_0b67_1fb0_8325,
+                stats_and_dirty: 0x3fae_6cf1_8f00_166d,
+                saturations: 62_605,
+                guarded: 2086,
             },
             &Pin {
-                beta: 0x0146_fdd5_1f22_d2a1,
-                p: 0x7588_a812_4ee0_e67f,
-                stats_and_dirty: 0x9a33_cc2e_063d_ee30,
-                saturations: 86_193,
-                guarded: 2073,
+                beta: 0x38fc_7ec3_04b9_5810,
+                p: 0x5f65_9d36_36b8_242d,
+                stats_and_dirty: 0x212c_830e_cd5a_f765,
+                saturations: 57_382,
+                guarded: 2070,
             },
             &Pin {
                 beta: 0x0484_d327_306e_981a,
