@@ -1,9 +1,18 @@
-//! Algorithm 2: the dataflow-optimized variant.
+//! Algorithm 2: the dataflow-optimized variant, written once and run at two
+//! precisions.
 //!
 //! Algorithm 1 carries a loop dependency — each context reads the `P` and
 //! `β` the previous context wrote — which blocks pipelining the four stages
 //! of the FPGA kernel. Algorithm 2 accumulates the updates into `ΔP` and
 //! `Δβ` and commits both to main memory once per walk (lines 19–20).
+//!
+//! [`DataflowKernel`] is that walk, generic over a [`Datapath`]: the
+//! arithmetic is the only thing that differs between the float model
+//! ([`DataflowOsElm`], the [`F32`] path) and `seqge-fpga`'s Q8.24
+//! `Accelerator`, so the gap between their embeddings is quantization alone
+//! — what the paper's Fig. 4 measures. Both follow one positivity guard: a
+//! context whose denominator says `P` is no longer healthy along `H` is
+//! dropped, with no `P` downdate and no `Δβ` (a comparator in hardware).
 //!
 //! How *visible* the in-flight `ΔP` is to stage 2 is a modeling choice with
 //! teeth (see DESIGN.md §1 "Faithfulness notes"): if stage 2 reads the
@@ -13,41 +22,41 @@
 //! numerically; the overshoot is catastrophic on small dense graphs). The
 //! hardware keeps `ΔP` in on-chip accumulators next to the stage that
 //! computes it, so the natural design forwards it with pipeline-register
-//! staleness only. [`PVisibility::Running`] (default) models that; the
+//! staleness only: one running `P` absorbs each downdate, and
+//! [`PVisibility::Running`] (default) lets stage 2 read it. The
 //! paper-literal whole-walk freeze is kept as [`PVisibility::PerWalk`] for
-//! the ablation, where the positivity guard drops each context whose
-//! denominator shows the overshoot, so it degrades instead of exploding.
-//!
-//! This is the float-exact functional model of what the FPGA executes; the
-//! fixed-point + cycle-timed version lives in `seqge-fpga`.
+//! the ablation; there the guard drops the contexts that overshoot, so it
+//! degrades instead of exploding.
 
+use crate::dirty::DirtyRows;
 use crate::model::{init_weight, EmbeddingModel, NegativeDraw};
 use crate::oselm::model::OsElmConfig;
 use seqge_graph::NodeId;
 use seqge_linalg::{ops, Mat};
 use seqge_sampling::{context_windows, NegativeTable, Rng64};
+use std::fmt::Debug;
 use std::iter::once;
+use std::ops::{Add, Mul, Sub};
 
-/// How the in-flight `ΔP` is exposed to stage 2 within a walk.
+/// Which `P` stage 2 reads within a walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PVisibility {
-    /// `ΔP` forwarded with pipeline-register staleness: each context sees
-    /// the previous context's downdate (hardware-accurate, stable).
+    /// The running `P`: each context sees the previous context's downdate
+    /// (pipeline-register staleness; hardware-accurate, stable).
     Running,
-    /// Paper-literal whole-walk freeze: stage 2 reads the walk-entry `P`.
-    /// Unstable when walk directions repeat; the positivity guard drops the
-    /// contexts that overshoot, so it degrades rather than diverges.
+    /// Paper-literal whole-walk freeze: the walk-entry `P`. Unstable when
+    /// walk directions repeat; the guard keeps it bounded.
     PerWalk,
 }
 
 /// Per-walk accumulator for sparse `Δβ` columns: a flat arena of `d`-slots
 /// indexed through a dense node → slot table that is reset from the touched
 /// list — no hashing, no per-column allocation, nothing allocated in steady
-/// state — plus one cached frozen score `H·β[node]` per slot. Generic over
-/// the lane type: `f32` here, `Q8_24` in `seqge-fpga`'s accelerator — whose
-/// walk body is compiled once per target-feature set, which is why the
-/// per-sample methods are `#[inline]`: a dot product left in an out-of-line
-/// `frozen_score` would be compiled without the body's features.
+/// state — plus one cached frozen score `H·β[node]` per slot, in the
+/// datapath's words. The Q8.24 walk is compiled once per target-feature set,
+/// which is why the per-sample methods are `#[inline]`: a dot product left in
+/// an out-of-line `frozen_score` would be compiled without the walk's
+/// features.
 #[derive(Debug, Clone)]
 pub struct DeltaBeta<T> {
     /// Node → slot, [`NO_SLOT`] while untouched this walk.
@@ -130,69 +139,186 @@ impl<T: Copy + Default> DeltaBeta<T> {
         self.arena.clear();
         self.frozen.clear();
     }
-
-    /// Number of distinct touched columns this walk.
-    pub fn touched_count(&self) -> usize {
-        self.touched.len()
-    }
 }
 
-/// The Algorithm 2 model.
-#[derive(Debug, Clone)]
-pub struct DataflowOsElm {
-    beta_t: Mat<f32>,
-    /// Committed `P` (main-memory copy, written once per walk).
-    p: Mat<f32>,
-    /// Running `P` (on-chip copy stage 2 reads under `Running` visibility).
-    p_run: Mat<f32>,
-    cfg: OsElmConfig,
-    p_visibility: PVisibility,
-    draw: NegativeDraw,
-    delta_beta: DeltaBeta<f32>,
-    h: Vec<f32>,
-    ph: Vec<f32>,
-    phn: Vec<f32>,
-    clamped: u64,
-    guarded: u64,
+/// The arithmetic one [`DataflowKernel`] runs in, implemented on a marker
+/// type per precision. `+`, `−` and `·` are the word type's own (saturating
+/// on Q8.24); each path keeps its own operation order, and the walk decides
+/// only which operation comes next.
+pub trait Datapath {
+    /// A datapath word.
+    type Word: Copy
+        + Default
+        + PartialOrd
+        + Debug
+        + Add<Output = Self::Word>
+        + Sub<Output = Self::Word>
+        + Mul<Output = Self::Word>;
+    /// What one look at a context's `H` decides for every dot product of
+    /// that context (each has `H` as one operand).
+    type Gate: Copy;
+    /// A multiply-add's vector-operand bound, hoisted out of its sample loop.
+    type Max: Copy;
+    /// One: a positive sample's target (a negative's is the default word).
+    const ONE: Self::Word;
+    /// [`EmbeddingModel::name`].
+    const NAME: &'static str;
+    /// Converts a configuration or initial-weight value.
+    fn from_f32(x: f32) -> Self::Word;
+    /// Dequantizes a word for the float view.
+    fn to_f32(x: Self::Word) -> f32;
+    /// The per-context gate, from `H`.
+    fn gate(h: &[Self::Word]) -> Self::Gate;
+    /// `x · y` under the context's gate.
+    fn dot(gate: Self::Gate, x: &[Self::Word], y: &[Self::Word]) -> Self::Word;
+    /// The positivity guard's comparator: whether the regularized
+    /// denominator clears `threshold` (½λ).
+    fn healthy(denom: Self::Word, threshold: Self::Word) -> bool;
+    /// The denominator in the form the downdate and the gain divide by.
+    fn recip(denom: Self::Word) -> Self::Word;
+    /// The `P` downdate `P ← P − Pʜ·Pʜᵀ/denom`, then, when `forget` holds
+    /// `(1/λ, trace cap)`, the EW-RLS inflation and trace cap.
+    fn downdate(
+        p: &mut Mat<Self::Word>,
+        ph: &[Self::Word],
+        recip: Self::Word,
+        forget: Forget<Self>,
+    );
+    /// The gain's scale `1 − HPHᵀ/denom`: `PʜΝ` is a rescale of `Pʜ`.
+    fn gain_scale(hph: Self::Word, recip: Self::Word) -> Self::Word;
+    /// The bound [`Datapath::mul_add`] takes for `x`.
+    fn max(x: &[Self::Word]) -> Self::Max;
+    /// `y += a·x`.
+    fn mul_add(a: Self::Word, x: &[Self::Word], x_max: Self::Max, y: &mut [Self::Word]);
+    /// Whether a word sits on a saturation rail.
+    fn saturated(x: Self::Word) -> bool;
 }
+
+/// `(1/λ, trace cap)` when λ < 1: the EW-RLS step after each downdate.
+pub type Forget<D> = Option<(<D as Datapath>::Word, <D as Datapath>::Word)>;
+
+/// The float datapath over `seqge_linalg::ops`.
+#[derive(Debug, Clone, Copy)]
+pub struct F32;
 
 const DENOM_FLOOR: f32 = 1e-12;
 
-impl DataflowOsElm {
+impl Datapath for F32 {
+    type Word = f32;
+    type Gate = ();
+    type Max = ();
+    const ONE: f32 = 1.0;
+    const NAME: &'static str = "oselm-dataflow";
+    fn from_f32(x: f32) -> f32 {
+        x
+    }
+    fn to_f32(x: f32) -> f32 {
+        x
+    }
+    fn gate(_: &[f32]) {}
+    fn dot((): (), x: &[f32], y: &[f32]) -> f32 {
+        ops::dot(x, y)
+    }
+    fn healthy(denom: f32, threshold: f32) -> bool {
+        denom >= threshold
+    }
+    /// The denominator itself, floored away from zero: the float path's
+    /// reciprocal saturation.
+    fn recip(denom: f32) -> f32 {
+        if denom.abs() < DENOM_FLOOR {
+            DENOM_FLOOR.copysign(denom)
+        } else {
+            denom
+        }
+    }
+    /// One fused full-matrix sweep whose (r,c) and (c,r) updates are
+    /// bitwise equal, so `P` stays exactly symmetric (the inflation would
+    /// amplify an antisymmetric rounding component exponentially).
+    fn downdate(p: &mut Mat<f32>, ph: &[f32], denom: f32, forget: Forget<Self>) {
+        match forget {
+            Some((inv_lambda, cap)) => ops::p_downdate_forget(p, ph, denom, inv_lambda, cap),
+            None => ops::p_downdate_sym(p, ph, denom),
+        }
+    }
+    fn gain_scale(hph: f32, denom: f32) -> f32 {
+        1.0 - hph / denom
+    }
+    fn max(_: &[f32]) {}
+    fn mul_add(a: f32, x: &[f32], (): (), y: &mut [f32]) {
+        ops::axpy(a, x, y);
+    }
+    fn saturated(_: f32) -> bool {
+        false
+    }
+}
+
+/// Algorithm 2 over datapath `D`: βᵀ (row per node), one running `P`, the
+/// per-walk accumulators and what the guard and the rails counted.
+#[derive(Debug, Clone)]
+pub struct DataflowKernel<D: Datapath> {
+    beta: Mat<D::Word>,
+    p: Mat<D::Word>,
+    /// The walk-entry `P` stage 2 reads under [`PVisibility::PerWalk`].
+    p_entry: Option<Mat<D::Word>>,
+    cfg: OsElmConfig,
+    draw: NegativeDraw,
+    delta_beta: DeltaBeta<D::Word>,
+    dirty: DirtyRows,
+    h: Vec<D::Word>,
+    ph: Vec<D::Word>,
+    phn: Vec<D::Word>,
+    guarded: u64,
+    saturations: u64,
+}
+
+/// The float Algorithm 2 model.
+pub type DataflowOsElm = DataflowKernel<F32>;
+
+impl<D: Datapath> DataflowKernel<D> {
     /// Creates the model. Weight init is identical to [`super::OsElmSkipGram`]
-    /// for the same seed, so Fig. 4's CPU-vs-FPGA comparison starts from the
-    /// same state.
+    /// for the same seed, converted to the datapath's words, so Fig. 4's
+    /// CPU-vs-FPGA comparison starts from the same state.
     pub fn new(num_nodes: usize, cfg: OsElmConfig) -> Self {
         let d = cfg.model.dim;
         let mut rng = Rng64::seed_from_u64(cfg.model.seed);
-        let beta_t = Mat::from_fn(num_nodes, d, |_, _| init_weight(&mut rng, d));
-        DataflowOsElm::from_parts(cfg, beta_t, Mat::scaled_identity(d, cfg.p0_scale))
+        let beta = (0..num_nodes * d).map(|_| D::from_f32(init_weight(&mut rng, d))).collect();
+        let mut p = vec![D::Word::default(); d * d];
+        p.iter_mut().step_by(d + 1).for_each(|w| *w = D::from_f32(cfg.p0_scale));
+        Self::try_from_parts(num_nodes, cfg, beta, p).expect("invalid OS-ELM config")
     }
 
-    /// Rebuilds the model from externally-held state: `beta_t` (βᵀ, row per
-    /// node) and the committed `P`. The running `P` starts equal to the
-    /// committed copy, as at a walk boundary. Used by the serving backends to
-    /// restart a float shadow from a checkpointed trajectory.
-    pub fn from_parts(cfg: OsElmConfig, beta_t: Mat<f32>, p: Mat<f32>) -> Self {
-        cfg.validate().expect("invalid OS-ELM config");
+    /// Rebuilds the model from βᵀ (row per node) and `P` (row-major `d×d`)
+    /// as flat words, at a walk boundary. A configuration that fails
+    /// validation, or a length that disagrees with `num_nodes × d` / `d × d`,
+    /// is an error.
+    pub fn try_from_parts(
+        num_nodes: usize,
+        cfg: OsElmConfig,
+        beta: Vec<D::Word>,
+        p: Vec<D::Word>,
+    ) -> Result<Self, String> {
+        cfg.validate()?;
         let d = cfg.model.dim;
-        assert_eq!(beta_t.cols(), d, "beta_t width must match dim");
-        assert_eq!(p.rows(), d, "P must be d×d");
-        assert_eq!(p.cols(), d, "P must be d×d");
-        DataflowOsElm {
-            p_run: p.clone(),
-            p,
-            p_visibility: PVisibility::Running,
-            draw: NegativeDraw::new(&cfg.model),
-            delta_beta: DeltaBeta::new(beta_t.rows(), d),
-            beta_t,
-            h: vec![0.0; d],
-            ph: vec![0.0; d],
-            phn: vec![0.0; d],
-            clamped: 0,
-            guarded: 0,
-            cfg,
+        if num_nodes.checked_mul(d) != Some(beta.len()) {
+            return Err(format!("beta holds {} words, expected {num_nodes}x{d}", beta.len()));
         }
+        if p.len() != d * d {
+            return Err(format!("P holds {} words, expected {d}x{d}", p.len()));
+        }
+        Ok(DataflowKernel {
+            beta: Mat::from_vec(num_nodes, d, beta),
+            p: Mat::from_vec(d, d, p),
+            p_entry: None,
+            draw: NegativeDraw::new(&cfg.model),
+            delta_beta: DeltaBeta::new(num_nodes, d),
+            dirty: DirtyRows::new(num_nodes),
+            h: vec![D::Word::default(); d],
+            ph: vec![D::Word::default(); d],
+            phn: vec![D::Word::default(); d],
+            guarded: 0,
+            saturations: 0,
+            cfg,
+        })
     }
 
     /// The configuration.
@@ -201,18 +327,13 @@ impl DataflowOsElm {
     }
 
     /// `βᵀ` (row per node).
-    pub fn beta_t(&self) -> &Mat<f32> {
-        &self.beta_t
+    pub fn beta_t(&self) -> &Mat<D::Word> {
+        &self.beta
     }
 
     /// The `P` matrix.
-    pub fn p(&self) -> &Mat<f32> {
+    pub fn p(&self) -> &Mat<D::Word> {
         &self.p
-    }
-
-    /// Denominator-clamp telemetry.
-    pub fn clamped_updates(&self) -> u64 {
-        self.clamped
     }
 
     /// Number of contexts the positivity guard dropped.
@@ -220,115 +341,154 @@ impl DataflowOsElm {
         self.guarded
     }
 
-    /// Selects the `ΔP` visibility model (default [`PVisibility::Running`]).
+    /// Saturation events counted at each walk's commit: every `P` word and
+    /// every written β word on a rail.
+    pub fn saturations(&self) -> u64 {
+        self.saturations
+    }
+
+    /// Drains the set of rows whose β the commits wrote since the last
+    /// call, sorted.
+    pub fn take_dirty(&mut self) -> Vec<NodeId> {
+        self.dirty.take()
+    }
+
+    /// Dequantizes one embedding row (μ·β) into `out`.
+    pub fn embed_row(&self, node: NodeId, out: &mut [f32]) {
+        let mu = D::to_f32(D::from_f32(self.cfg.mu));
+        for (o, &b) in out.iter_mut().zip(self.beta.row(node as usize)) {
+            *o = mu * D::to_f32(b);
+        }
+    }
+
+    /// Selects which `P` stage 2 reads (default [`PVisibility::Running`]).
     pub fn with_p_visibility(mut self, v: PVisibility) -> Self {
-        self.p_visibility = v;
+        self.p_entry = (v == PVisibility::PerWalk).then(|| self.p.clone());
         self
     }
-}
 
-impl EmbeddingModel for DataflowOsElm {
-    fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
-        let d = self.cfg.model.dim;
+    /// One walk of Algorithm 2 — the only source of the kernel. It is
+    /// `#[inline(always)]` so that a caller can compile its own copy under
+    /// its own target features. Returns the walk's context count and its
+    /// widest context's sample count, which price the walk in cycles.
+    #[inline(always)]
+    pub fn train(
+        &mut self,
+        walk: &[NodeId],
+        negatives: &NegativeTable,
+        rng: &mut Rng64,
+    ) -> (usize, usize) {
         let windows = context_windows(walk, self.cfg.model.window);
-        if windows.len() == 0 {
-            return;
+        let contexts = windows.len();
+        if contexts == 0 {
+            return (0, 0);
         }
         self.draw.begin_walk(walk, negatives, rng);
-        debug_assert_eq!(self.delta_beta.touched_count(), 0);
+        if let Some(entry) = &mut self.p_entry {
+            entry.as_mut_slice().copy_from_slice(self.p.as_slice());
+        }
+        let (cfg, d) = (self.cfg, self.cfg.model.dim);
+        let (mu, lambda, inv_lambda) = (cfg.mu, cfg.forgetting, 1.0 / cfg.forgetting);
+        let (mu, lambda, inv_lambda) =
+            (D::from_f32(mu), D::from_f32(lambda), D::from_f32(inv_lambda));
+        let half_lambda = lambda * D::from_f32(0.5);
+        let forget =
+            (inv_lambda > D::ONE).then(|| (inv_lambda, D::from_f32(cfg.p0_scale * d as f32)));
+        let mut max_samples = 0;
         for (center, positives) in windows {
-            // Stage 1: H from the walk-entry β (the center column's Δ is in
-            // the stage-3/4 accumulators, not visible to stage 1).
-            let brow = self.beta_t.row(center as usize);
-            for (hi, &b) in self.h.iter_mut().zip(brow) {
-                *hi = self.cfg.mu * b;
+            max_samples = max_samples.max(positives.len() * (1 + self.draw.ns()));
+            // Stage 1: H = μ·β[center] from the walk-entry β (the center
+            // column's Δ is in the stage-3/4 accumulators, not visible here).
+            for (h, &b) in self.h.iter_mut().zip(self.beta.row(center as usize)) {
+                *h = mu * b;
             }
-            // Stage 2: Pʜ and HPHᵀ from the visible P.
-            let p_src = match self.p_visibility {
-                PVisibility::Running => &self.p_run,
-                PVisibility::PerWalk => &self.p,
-            };
-            ops::gemv(p_src, &self.h, &mut self.ph);
-            let hph = ops::dot(&self.h, &self.ph);
-            let lambda = self.cfg.forgetting;
-            let mut denom = if self.cfg.regularized { lambda + hph } else { hph };
-            // Positivity guard (a comparator in hardware): once P is no
-            // longer healthy along H, drop the context entirely.
-            if self.cfg.regularized && denom < 0.5 * lambda {
+            let gate = D::gate(&self.h);
+            // Stage 2: Pʜ = P·Hᵀ and HPHᵀ from the visible P.
+            let p = self.p_entry.as_ref().unwrap_or(&self.p);
+            for (ph, row) in self.ph.iter_mut().zip(p.as_slice().chunks_exact(d)) {
+                *ph = D::dot(gate, row, &self.h);
+            }
+            let hph = D::dot(gate, &self.h, &self.ph);
+            let denom = if cfg.regularized { lambda + hph } else { hph };
+            if cfg.regularized && !D::healthy(denom, half_lambda) {
                 self.guarded += 1;
                 continue;
             }
-            if denom.abs() < DENOM_FLOOR {
-                denom = if denom < 0.0 { -DENOM_FLOOR } else { DENOM_FLOOR };
-                self.clamped += 1;
+            // Stage 4a: the running P absorbs the downdate (line 17); DRAM
+            // write-back still happens once per walk.
+            let recip = D::recip(denom);
+            D::downdate(&mut self.p, &self.ph, recip, forget);
+            let scale = D::gain_scale(hph, recip);
+            for (g, &x) in self.phn.iter_mut().zip(&self.ph) {
+                *g = x * scale;
             }
-            // Stage 4a: the running P absorbs the downdate (line 17).
-            {
-                if lambda < 1.0 {
-                    // EW-RLS downdate + inflation with PSD-preserving trace
-                    // normalization against covariance wind-up, fused into
-                    // one contiguous full-matrix sweep whose (r,c) and (c,r)
-                    // updates are bitwise equal: P stays exactly symmetric
-                    // (the inflation would amplify an antisymmetric rounding
-                    // component exponentially).
-                    let cap = self.cfg.p0_scale * d as f32;
-                    ops::p_downdate_forget(&mut self.p_run, &self.ph, denom, 1.0 / lambda, cap);
-                } else {
-                    ops::p_downdate_sym(&mut self.p_run, &self.ph, denom);
-                }
-                // PʜΝ = P_ctx·Hᵀ where P_ctx = P − Pʜ·Pʜᵀ/denom = a scalar
-                // rescale of Pʜ — no second gemv.
-                let scale = 1.0 - hph / denom;
-                for i in 0..d {
-                    self.phn[i] = self.ph[i] * scale;
-                }
-            }
+            let phn_max = D::max(&self.phn);
             // Stage 3 + 4b: sample errors and Δβ accumulation. The error
-            // reads the *effective* column β + Δβ — the Δβ accumulator
-            // lives in the same BRAM the sample stage reads, so the running
-            // value is what the hardware naturally sees. (Only the P chain
-            // is frozen; freezing β too makes the 500-odd per-walk touches
-            // of a shared negative column an unstable fixed-step iteration
-            // that diverges — see DESIGN.md §1 "Faithfulness notes".)
+            // reads the *effective* column β + Δβ — the Δβ accumulator lives
+            // in the same BRAM the sample stage reads, so the running value
+            // is what the hardware naturally sees. (Only the P chain is
+            // frozen; freezing β too makes the 500-odd per-walk touches of a
+            // shared negative column an unstable fixed-step iteration that
+            // diverges — see DESIGN.md §1 "Faithfulness notes".)
             //
-            // The frozen dot reads main-memory β, which never moves inside
-            // the walk, under an `H` that never moves inside the context —
-            // so it is computed once per (column, context) and reused by
-            // every later sample of the same column (the shared negatives
-            // recur under each positive). The Δβ slot dot stays per-sample:
-            // slots are the running accumulators whose latest value each
-            // error must see.
+            // β is written only at the commit and H is fixed inside the
+            // context, so the frozen score H·β[s] is computed once per
+            // column and context — §3.2's reason for sharing negatives: each
+            // recurs under every positive.
             self.delta_beta.begin_context();
             for &pos in positives {
                 let negs = self.draw.for_positive(pos, negatives, rng);
-                for (id, y) in once((pos, 1.0)).chain(negs.iter().map(|&neg| (neg, 0.0))) {
+                for (id, y) in
+                    once((pos, D::ONE)).chain(negs.iter().map(|&n| (n, D::Word::default())))
+                {
                     let slot = self.delta_beta.slot(id);
                     let frozen = self
                         .delta_beta
-                        .frozen_score(slot, || ops::dot(self.beta_t.row(id as usize), &self.h));
+                        .frozen_score(slot, || D::dot(gate, &self.h, self.beta.row(id as usize)));
                     let column = self.delta_beta.column_mut(slot);
-                    let e = y - (frozen + ops::dot(&self.h, column));
-                    ops::axpy(e, &self.phn, column);
+                    let e = y - (frozen + D::dot(gate, &self.h, column));
+                    D::mul_add(e, &self.phn, phn_max, column);
                 }
             }
         }
-        // Lines 19–20: commit once per walk.
-        self.p.as_mut_slice().copy_from_slice(self.p_run.as_slice());
+        // Lines 19–20: commit Δβ once per walk, counting rail hits.
+        self.saturations += self.p.as_slice().iter().filter(|&&w| D::saturated(w)).count() as u64;
         self.delta_beta.commit(|node, delta| {
-            for (b, &dv) in self.beta_t.row_mut(node as usize).iter_mut().zip(delta) {
-                *b += dv;
+            self.dirty.mark(node);
+            for (b, &dv) in self.beta.row_mut(node as usize).iter_mut().zip(delta) {
+                *b = *b + dv;
+                self.saturations += u64::from(D::saturated(*b));
             }
         });
+        (contexts, max_samples)
+    }
+}
+
+impl DataflowOsElm {
+    /// Rebuilds the float model from βᵀ (row per node) and `P`. Used by the
+    /// serving backends to restart a float shadow from a checkpointed
+    /// trajectory.
+    pub fn from_parts(cfg: OsElmConfig, beta_t: Mat<f32>, p: Mat<f32>) -> Self {
+        Self::try_from_parts(beta_t.rows(), cfg, beta_t.into_vec(), p.into_vec())
+            .expect("invalid Algorithm 2 state")
+    }
+}
+
+impl<D: Datapath> EmbeddingModel for DataflowKernel<D> {
+    fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
+        self.train(walk, negatives, rng);
     }
 
     fn embedding(&self) -> Mat<f32> {
-        let mut e = self.beta_t.clone();
-        ops::scal(self.cfg.mu, e.as_mut_slice());
+        let mut e = Mat::zeros(self.beta.rows(), self.cfg.model.dim);
+        for r in 0..self.beta.rows() {
+            self.embed_row(r as NodeId, e.row_mut(r));
+        }
         e
     }
 
     fn num_nodes(&self) -> usize {
-        self.beta_t.rows()
+        self.beta.rows()
     }
 
     fn dim(&self) -> usize {
@@ -336,11 +496,11 @@ impl EmbeddingModel for DataflowOsElm {
     }
 
     fn model_bytes(&self) -> usize {
-        self.beta_t.heap_bytes() + self.p.heap_bytes()
+        (self.beta.as_slice().len() + self.p.as_slice().len()) * std::mem::size_of::<D::Word>()
     }
 
     fn name(&self) -> &'static str {
-        "oselm-dataflow"
+        D::NAME
     }
 }
 
@@ -384,7 +544,7 @@ mod tests {
         db.column_mut(b)[1] = 2.0;
         assert_eq!(db.slot(5), a, "same slot as the first touch");
         db.column_mut(a)[2] = 3.0;
-        assert_eq!(db.touched_count(), 2);
+        assert_eq!(db.touched.len(), 2);
         // One frozen score per (slot, context).
         db.begin_context();
         assert_eq!(db.frozen_score(a, || 7.0), 7.0);
@@ -400,7 +560,7 @@ mod tests {
         assert_eq!(order, [5, 9], "first-touch order");
         assert_eq!(beta.row(5), &[1.0, 0.0, 3.0]);
         assert_eq!(beta.row(9), &[0.0, 2.0, 0.0]);
-        assert_eq!(db.touched_count(), 0);
+        assert_eq!(db.touched.len(), 0);
         // Reuse after commit starts from a zeroed slot and a stale score.
         let c = db.slot(5);
         assert_eq!(db.column_mut(c), &[0.0, 0.0, 0.0]);
@@ -457,7 +617,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(1);
         let walk: Vec<NodeId> = (0..12u32).collect();
         m.train_walk(&walk, &table, &mut rng);
-        assert_eq!(m.delta_beta.touched_count(), 0);
+        assert!(m.delta_beta.touched.is_empty());
     }
 
     #[test]
@@ -471,6 +631,5 @@ mod tests {
         }
         assert!(m.beta_t().all_finite());
         assert!(m.p().all_finite());
-        assert_eq!(m.clamped_updates(), 0);
     }
 }

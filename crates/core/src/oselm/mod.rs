@@ -1,8 +1,9 @@
 //! OS-ELM-based skip-gram models (the paper's proposal).
 //!
 //! * [`OsElmSkipGram`] — Algorithm 1: per-context recursive least-squares.
-//! * [`DataflowOsElm`] — Algorithm 2: per-walk deferred `ΔP`/`Δβ`
-//!   accumulation, the form the FPGA pipeline executes.
+//! * [`DataflowKernel`] — Algorithm 2: per-walk deferred `ΔP`/`Δβ`
+//!   accumulation, the form the FPGA pipeline executes, generic over its
+//!   [`Datapath`]; [`DataflowOsElm`] is its float instantiation.
 //! * [`AlphaOsElm`] — classic OS-ELM with a fixed random input matrix, the
 //!   "alpha" baseline of Fig. 6.
 
@@ -11,5 +12,5 @@ mod dataflow;
 mod model;
 
 pub use alpha::AlphaOsElm;
-pub use dataflow::{DataflowOsElm, DeltaBeta, PVisibility};
+pub use dataflow::{DataflowKernel, DataflowOsElm, Datapath, Forget, PVisibility, F32};
 pub use model::{OsElmConfig, OsElmSkipGram};

@@ -1,26 +1,107 @@
 //! The functional accelerator: Algorithm 2 in Q8.24 fixed point, counting
 //! what it did.
 //!
-//! This is the bit-level twin of `seqge_core::DataflowOsElm`: same deferred
-//! `ΔP`/`Δβ` schedule, same seeds and initial weights, but every arithmetic
-//! operation goes through the `seqge-fixed` datapath (saturating Q8.24,
-//! DSP-style wide accumulation). The difference between this model's
-//! embedding and the float model's embedding *is* the quantization effect
-//! the paper's Fig. 4 measures, and `stats.cycles` prices each walk with
-//! [`TimingModel::walk_cycles`]. The kernel only trains and counts: the BRAM
-//! tile traffic of its access stream is replayed outside it
+//! The walk is `seqge_core`'s one [`DataflowKernel`], instantiated here on
+//! the [`Q824`] datapath: same deferred `ΔP`/`Δβ` schedule, guard rule,
+//! seeds and initial weights as the float `seqge_core::DataflowOsElm`, but
+//! every arithmetic operation goes through the `seqge-fixed` datapath
+//! (saturating Q8.24, DSP-style wide accumulation). The difference between
+//! the two embeddings *is* the quantization effect the paper's Fig. 4
+//! measures. [`Accelerator`] adds what only the hardware has: `stats.cycles`
+//! prices each walk with [`TimingModel::walk_cycles`], and
+//! [`EmbeddingModel::train_walk`] picks an AVX2 instantiation of the walk on
+//! a CPU that has it. The kernel only trains and counts: the BRAM tile
+//! traffic of its access stream is replayed outside it
 //! ([`crate::bram::TileManager::replay`]).
 
 use crate::timing::TimingModel;
-use seqge_core::model::{init_weight, EmbeddingModel, NegativeDraw};
-use seqge_core::oselm::DeltaBeta;
-use seqge_core::{DirtyRows, NegativeMode, OsElmConfig};
+use seqge_core::model::EmbeddingModel;
+use seqge_core::oselm::{DataflowKernel, Datapath, Forget};
+use seqge_core::{NegativeMode, OsElmConfig};
 use seqge_fixed::ops::{dot_headroom, gated_dot, max_abs_bits, mul_add, MacAccumulator};
 use seqge_fixed::{vector, Q8_24};
 use seqge_graph::NodeId;
 use seqge_linalg::Mat;
-use seqge_sampling::{context_windows, NegativeTable, Rng64};
-use std::iter::once;
+use seqge_sampling::{NegativeTable, Rng64};
+
+/// The Q8.24 datapath. Every method is `#[inline(always)]`, so that the
+/// walk's AVX2 instantiation compiles all of it under its own features.
+#[derive(Debug, Clone, Copy)]
+pub struct Q824;
+
+impl Datapath for Q824 {
+    type Word = Q8_24;
+    /// Whether the wide accumulation can run as independent lanes (always,
+    /// at the paper's μ and d) or must keep the saturating chain.
+    type Gate = bool;
+    type Max = u32;
+    const ONE: Q8_24 = Q8_24::ONE;
+    const NAME: &'static str = "fpga-accelerator";
+    #[inline(always)]
+    fn from_f32(x: f32) -> Q8_24 {
+        Q8_24::from_f32(x)
+    }
+    #[inline(always)]
+    fn to_f32(x: Q8_24) -> f32 {
+        x.to_f32()
+    }
+    #[inline(always)]
+    fn gate(h: &[Q8_24]) -> bool {
+        dot_headroom(h)
+    }
+    #[inline(always)]
+    fn dot(wide: bool, x: &[Q8_24], y: &[Q8_24]) -> Q8_24 {
+        gated_dot(wide, x, y)
+    }
+    #[inline(always)]
+    fn healthy(denom: Q8_24, threshold: Q8_24) -> bool {
+        denom > threshold
+    }
+    #[inline(always)]
+    fn recip(denom: Q8_24) -> Q8_24 {
+        denom.recip()
+    }
+    /// `rank1_downdate`, then for λ < 1 the inflation, the trace cap
+    /// (PSD-preserving, unlike entrywise clamping; one extra multiplier
+    /// pass in hardware) and the mirror of the upper triangle (triangular
+    /// `P` storage in hardware makes asymmetry impossible).
+    #[inline(always)]
+    fn downdate(p: &mut Mat<Q8_24>, ph: &[Q8_24], inv: Q8_24, forget: Forget<Self>) {
+        let (d, p) = (ph.len(), p.as_mut_slice());
+        vector::rank1_downdate(p, d, ph, ph, inv);
+        let Some((lambda_recip, cap)) = forget else { return };
+        vector::scale(lambda_recip, p);
+        let mut tr = MacAccumulator::new();
+        for i in 0..d {
+            tr.mac(p[i * d + i], Q8_24::ONE);
+        }
+        let trace: Q8_24 = tr.finish();
+        if trace > cap {
+            vector::scale(cap.sat_div(trace), p);
+        }
+        for r in 0..d {
+            for c in (r + 1)..d {
+                p[c * d + r] = p[r * d + c];
+            }
+        }
+    }
+    #[inline(always)]
+    fn gain_scale(hph: Q8_24, inv: Q8_24) -> Q8_24 {
+        Q8_24::ONE - hph * inv
+    }
+    #[inline(always)]
+    fn max(x: &[Q8_24]) -> u32 {
+        max_abs_bits(x)
+    }
+    #[inline(always)]
+    fn mul_add(a: Q8_24, x: &[Q8_24], x_max: u32, y: &mut [Q8_24]) {
+        mul_add(a, x, x_max, y);
+    }
+    #[inline(always)]
+    fn saturated(x: Q8_24) -> bool {
+        x.is_saturated()
+    }
+}
 
 /// Run statistics accumulated across walks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,29 +119,7 @@ pub struct AccelStats {
 /// The simulated accelerator.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
-    /// βᵀ in Q8.24, row per node.
-    beta: Vec<Q8_24>,
-    /// P in Q8.24, row-major d×d.
-    p: Vec<Q8_24>,
-    mu: Q8_24,
-    lambda: Q8_24,
-    lambda_recip: Q8_24,
-    dim: usize,
-    num_nodes: usize,
-    regularized: bool,
-    draw: NegativeDraw,
-    cfg: OsElmConfig,
-    // Per-walk Δβ accumulators (stage-3/4 BRAM) and the per-context frozen
-    // scores read next to them.
-    delta_beta: DeltaBeta<Q8_24>,
-    // Rows whose β changed since the last `take_dirty` — the DRAM write-back
-    // set a host would have to re-fetch to refresh a dequantized view.
-    dirty: DirtyRows,
-    // The walk's shared negative set, copied out of `draw` once per walk.
-    negs: Vec<NodeId>,
-    h: Vec<Q8_24>,
-    ph: Vec<Q8_24>,
-    phn: Vec<Q8_24>,
+    kernel: DataflowKernel<Q824>,
     /// Statistics.
     pub stats: AccelStats,
 }
@@ -71,14 +130,8 @@ impl Accelerator {
     /// The paper's accelerator shares negatives per walk (§3.2), so the
     /// negative mode is forced to [`NegativeMode::PerWalk`].
     pub fn new(num_nodes: usize, cfg: OsElmConfig) -> Self {
-        let d = cfg.model.dim;
-        let mut rng = Rng64::seed_from_u64(cfg.model.seed);
-        let beta = (0..num_nodes * d).map(|_| Q8_24::from_f32(init_weight(&mut rng, d))).collect();
-        let mut p = vec![Q8_24::ZERO; d * d];
-        for i in 0..d {
-            p[i * d + i] = Q8_24::from_f32(cfg.p0_scale);
-        }
-        Accelerator::from_raw_parts(num_nodes, cfg, beta, p)
+        let kernel = DataflowKernel::new(num_nodes, per_walk(cfg));
+        Accelerator { kernel, stats: AccelStats::default() }
     }
 
     /// Rebuilds an accelerator from raw Q8.24 state (β then P, both as
@@ -106,221 +159,65 @@ impl Accelerator {
         beta: Vec<Q8_24>,
         p: Vec<Q8_24>,
     ) -> Result<Self, String> {
-        cfg.validate()?;
-        let cfg = OsElmConfig {
-            model: seqge_core::ModelConfig { negative_mode: NegativeMode::PerWalk, ..cfg.model },
-            ..cfg
-        };
-        let d = cfg.model.dim;
-        if num_nodes.checked_mul(d) != Some(beta.len()) {
-            return Err(format!("beta holds {} words, expected {num_nodes}x{d}", beta.len()));
-        }
-        if p.len() != d * d {
-            return Err(format!("P holds {} words, expected {d}x{d}", p.len()));
-        }
-        Ok(Accelerator {
-            beta,
-            p,
-            mu: Q8_24::from_f32(cfg.mu),
-            lambda: Q8_24::from_f32(cfg.forgetting),
-            lambda_recip: Q8_24::from_f32(1.0 / cfg.forgetting),
-            dim: d,
-            num_nodes,
-            regularized: cfg.regularized,
-            draw: NegativeDraw::new(&cfg.model),
-            delta_beta: DeltaBeta::new(num_nodes, d),
-            dirty: DirtyRows::new(num_nodes),
-            negs: Vec::new(),
-            h: vec![Q8_24::ZERO; d],
-            ph: vec![Q8_24::ZERO; d],
-            phn: vec![Q8_24::ZERO; d],
-            stats: AccelStats::default(),
-            cfg,
-        })
+        let kernel = DataflowKernel::try_from_parts(num_nodes, per_walk(cfg), beta, p)?;
+        Ok(Accelerator { kernel, stats: AccelStats::default() })
     }
 
     /// The (PerWalk-forced) OS-ELM configuration this accelerator runs.
     pub fn config(&self) -> &OsElmConfig {
-        &self.cfg
+        self.kernel.config()
     }
 
     /// βᵀ raw fixed-point words, row per node (persistence: these bits, not
     /// a float round-trip, are the deterministic-replay state).
     pub fn beta_bits(&self) -> &[Q8_24] {
-        &self.beta
+        self.kernel.beta_t().as_slice()
     }
 
     /// P raw fixed-point words, row-major d×d.
     pub fn p_bits(&self) -> &[Q8_24] {
-        &self.p
+        self.kernel.p().as_slice()
     }
 
     /// Drains the set of rows whose β changed since the last call, sorted.
     /// A host mirroring the accelerator's DRAM into a float serving view
     /// only needs to re-dequantize these rows.
     pub fn take_dirty(&mut self) -> Vec<NodeId> {
-        self.dirty.take()
+        self.kernel.take_dirty()
     }
 
     /// Dequantizes one embedding row (μ·β) into `out`; bit-identical to the
     /// corresponding row of [`EmbeddingModel::embedding`].
     pub fn embed_row(&self, node: NodeId, out: &mut [f32]) {
-        let d = self.dim;
-        let mu = self.mu.to_f32();
-        let base = node as usize * d;
-        for (o, b) in out.iter_mut().zip(&self.beta[base..base + d]) {
-            *o = mu * b.to_f32();
-        }
+        self.kernel.embed_row(node, out);
     }
 
     /// βᵀ dequantized (row per node).
     pub fn beta_f32(&self) -> Mat<f32> {
-        Mat::from_fn(self.num_nodes, self.dim, |r, c| self.beta[r * self.dim + c].to_f32())
+        dequantize(self.kernel.beta_t())
     }
 
     /// P dequantized.
     pub fn p_f32(&self) -> Mat<f32> {
-        Mat::from_fn(self.dim, self.dim, |r, c| self.p[r * self.dim + c].to_f32())
+        dequantize(self.kernel.p())
     }
 
-    /// One context in the fixed-point datapath (Stages 1–4 of Algorithm 2)
-    /// against `positives` × (itself + the walk's shared negatives).
-    #[inline(always)]
-    fn context_fixed(&mut self, center: NodeId, positives: &[NodeId]) {
-        let d = self.dim;
-        // Stage 1: H = μ·β[center].
-        for i in 0..d {
-            self.h[i] = self.mu.sat_mul(self.beta[center as usize * d + i]);
-        }
-        // Every dot product of this context has H as one operand, so one
-        // range check on H decides for all of them whether the wide
-        // accumulation can run as independent lanes (always, at the paper's
-        // μ and d) or must keep the saturating chain.
-        let wide = dot_headroom(&self.h);
-        // Stage 2: Pʜ = P·Hᵀ, HPHᵀ.
-        for r in 0..d {
-            self.ph[r] = gated_dot(wide, &self.p[r * d..(r + 1) * d], &self.h);
-        }
-        let hph = gated_dot(wide, &self.h, &self.ph);
-        let denom = if self.regularized { self.lambda.sat_add(hph) } else { hph };
-        // Positivity guard (comparator): float drift / quantization can dent
-        // P's definiteness; a near-zero or negative denominator would flip
-        // the downdate into an explosive update. Drop the context.
-        let guard_threshold = self.lambda.sat_mul(Q8_24::from_f32(0.5));
-        if self.regularized && denom <= guard_threshold {
-            self.stats.guarded += 1;
-            return;
-        }
-        let inv = denom.recip();
-        // Stage 4a: the P downdate. The ΔP accumulator is forwarded with
-        // pipeline-register staleness (see `seqge_core::oselm::PVisibility`
-        // — whole-walk freezing diverges), so the on-chip running P absorbs
-        // each context's downdate immediately; DRAM write-back still happens
-        // once per walk (the timing model prices exactly one P round-trip).
-        vector::rank1_downdate(&mut self.p, d, &self.ph, &self.ph, inv);
-        if self.lambda_recip > Q8_24::ONE {
-            // (Triangular P storage in hardware makes asymmetry impossible;
-            // the flat model mirrors after the update below.)
-            // EW-RLS inflation (forgetting < 1) with trace normalization
-            // against covariance wind-up (PSD-preserving, unlike entrywise
-            // clamping; one extra multiplier pass in hardware).
-            vector::scale(self.lambda_recip, &mut self.p);
-            let mut tr = MacAccumulator::new();
-            for i in 0..d {
-                tr.mac(self.p[i * d + i], Q8_24::ONE);
-            }
-            let trace: Q8_24 = tr.finish();
-            let cap = Q8_24::from_f32(self.cfg.p0_scale * d as f32);
-            if trace > cap {
-                let factor = cap.sat_div(trace);
-                vector::scale(factor, &mut self.p);
-            }
-            for r in 0..d {
-                for c in (r + 1)..d {
-                    // Mirror the upper triangle (triangular-storage model).
-                    self.p[c * d + r] = self.p[r * d + c];
-                }
-            }
-        }
-        // PʜΝ = Pʜ·(1 − HPHᵀ·inv).
-        let scale = Q8_24::ONE.sat_sub(hph.sat_mul(inv));
-        for i in 0..d {
-            self.phn[i] = self.ph[i].sat_mul(scale);
-        }
-        let phn_max = max_abs_bits(&self.phn);
-        // Stage 3 + 4b: per-sample error and Δβ accumulation. As in the
-        // float model, the error reads the effective column β + Δβ (the Δβ
-        // accumulator lives in the same BRAM the sample stage reads); only
-        // the P chain is frozen for the dataflow optimization. β itself is
-        // written once per walk (`commit_walk`) and H is fixed inside the
-        // context, so the frozen score H·β[s] is computed once per column
-        // and context — §3.2's reason for sharing negatives: each recurs
-        // under every positive.
-        self.delta_beta.begin_context();
-        for &pos in positives {
-            let negs = self.negs.iter().map(|&neg| (neg, Q8_24::ZERO));
-            for (sample, y) in once((pos, Q8_24::ONE)).chain(negs) {
-                let slot = self.delta_beta.slot(sample);
-                let frozen = self.delta_beta.frozen_score(slot, || {
-                    gated_dot(wide, &self.h, &self.beta[sample as usize * d..][..d])
-                });
-                let column = self.delta_beta.column_mut(slot);
-                let e = y.sat_sub(frozen.sat_add(gated_dot(wide, &self.h, column)));
-                mul_add(e, &self.phn, phn_max, column);
-            }
-        }
-    }
-
-    /// Applies the per-walk Δβ (Algorithm 2 line 20) and counts saturation
-    /// events (the running P was updated in place; line 19's commit is the
-    /// DRAM write-back, priced by the timing model).
-    #[inline(always)]
-    fn commit_walk(&mut self) {
-        let d = self.dim;
-        for i in 0..d * d {
-            if self.p[i].is_saturated() {
-                self.stats.saturations += 1;
-            }
-        }
-        self.delta_beta.commit(|node, delta| {
-            self.dirty.mark(node);
-            let base = node as usize * d;
-            for (b, &dv) in self.beta[base..base + d].iter_mut().zip(delta) {
-                *b = b.sat_add(dv);
-                if b.is_saturated() {
-                    self.stats.saturations += 1;
-                }
-            }
-        });
-    }
-
-    /// One walk of Algorithm 2 — the only source of the kernel. It is
-    /// `#[inline(always)]`, as are `context_fixed` and `commit_walk` under
-    /// it, so that each caller compiles its own copy with its own target
-    /// features: [`EmbeddingModel::train_walk`] at the build's baseline, and
+    /// One walk through the kernel, priced in cycles. It is
+    /// `#[inline(always)]`, as is the kernel's walk under it, so that each
+    /// caller compiles its own copy with its own target features:
+    /// [`EmbeddingModel::train_walk`] at the build's baseline, and
     /// [`Self::train_walk_avx2`] with the 64-bit vector lanes the Q8.24
     /// `i32×i32→i64` products want.
     #[inline(always)]
     fn train_walk_body(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
-        let windows = context_windows(walk, self.cfg.model.window);
-        let n_ctx = windows.len();
-        if n_ctx == 0 {
-            return;
+        let (contexts, max_samples) = self.kernel.train(walk, negatives, rng);
+        if contexts > 0 {
+            self.stats.walks += 1;
+            let d = self.kernel.dim();
+            self.stats.cycles += TimingModel::default().walk_cycles(d, contexts, max_samples);
         }
-        self.draw.begin_walk(walk, negatives, rng);
-        // PerWalk mode (forced by the constructors): `begin_walk` drew the
-        // walk's one negative set and `for_positive` hands it out for any
-        // positive without touching the RNG.
-        self.negs.clear();
-        self.negs.extend_from_slice(self.draw.for_positive(walk[0], negatives, rng));
-        let mut max_samples = 0usize;
-        for (center, positives) in windows {
-            max_samples = max_samples.max(positives.len() * (1 + self.negs.len()));
-            self.context_fixed(center, positives);
-        }
-        self.commit_walk();
-        self.stats.walks += 1;
-        self.stats.cycles += TimingModel::default().walk_cycles(self.dim, n_ctx, max_samples);
+        self.stats.saturations = self.kernel.saturations();
+        self.stats.guarded = self.kernel.guarded_updates();
     }
 
     /// [`Self::train_walk_body`] instantiated with AVX2: baseline x86-64
@@ -333,6 +230,18 @@ impl Accelerator {
     fn train_walk_avx2(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
         self.train_walk_body(walk, negatives, rng);
     }
+}
+
+/// `cfg` with the accelerator's shared-per-walk negatives.
+fn per_walk(cfg: OsElmConfig) -> OsElmConfig {
+    OsElmConfig {
+        model: seqge_core::ModelConfig { negative_mode: NegativeMode::PerWalk, ..cfg.model },
+        ..cfg
+    }
+}
+
+fn dequantize(m: &Mat<Q8_24>) -> Mat<f32> {
+    Mat::from_vec(m.rows(), m.cols(), m.as_slice().iter().map(|w| w.to_f32()).collect())
 }
 
 /// Whether [`EmbeddingModel::train_walk`] takes the AVX2 instantiation on
@@ -367,24 +276,23 @@ impl EmbeddingModel for Accelerator {
     }
 
     fn embedding(&self) -> Mat<f32> {
-        let mu = self.mu.to_f32();
-        Mat::from_fn(self.num_nodes, self.dim, |r, c| mu * self.beta[r * self.dim + c].to_f32())
+        self.kernel.embedding()
     }
 
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.kernel.num_nodes()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.kernel.dim()
     }
 
     fn model_bytes(&self) -> usize {
-        self.beta.len() * 4 + self.p.len() * 4
+        self.kernel.model_bytes()
     }
 
     fn name(&self) -> &'static str {
-        "fpga-accelerator"
+        self.kernel.name()
     }
 }
 
@@ -532,15 +440,19 @@ mod tests {
         // ±120, P = 100·I, μ = 1. That pin covers the scalar reference
         // arithmetic only if the range checks really fail there.
         let d = 32usize;
-        let mut acc = rail_state(40, cfg(d));
-        acc.negs = vec![1, 2, 3];
-        // First context, P still definite: the downdate runs, on railed Pʜ.
-        acc.context_fixed(0, &[4, 5, 6]);
-        assert_eq!(acc.stats.guarded, 0);
-        assert!(!dot_headroom(&acc.h), "H = β[center] is far above 2³²/d");
-        let inv = acc.lambda.sat_add(mac_dot(&acc.h, &acc.ph)).recip();
-        let ph_max = max_abs_bits(&acc.ph);
-        let clamped_rows = acc.ph.iter().filter(|g| !lane_fits(g.sat_mul(inv), ph_max)).count();
+        let acc = rail_state(40, cfg(d));
+        // The first context's stages 1–2, from the state it reads:
+        // H = β[center], Pʜ = P·Hᵀ on the saturating chain.
+        let h = &acc.beta_bits()[..d];
+        assert!(!dot_headroom(h), "H = β[center] is far above 2³²/d");
+        let ph: Vec<Q8_24> = acc.p_bits().chunks_exact(d).map(|row| mac_dot(row, h)).collect();
+        // P is still definite: the guard passes and the downdate runs, on
+        // railed Pʜ.
+        let lambda = Q8_24::from_f32(acc.config().forgetting);
+        let denom = lambda.sat_add(mac_dot(h, &ph));
+        assert!(Q824::healthy(denom, lambda.sat_mul(Q8_24::from_f32(0.5))));
+        let (inv, ph_max) = (denom.recip(), max_abs_bits(&ph));
+        let clamped_rows = ph.iter().filter(|g| !lane_fits(g.sat_mul(inv), ph_max)).count();
         assert!(clamped_rows > d / 2, "{clamped_rows} of {d} downdate rows need the clamp");
     }
 

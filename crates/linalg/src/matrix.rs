@@ -3,7 +3,8 @@
 use crate::scalar::Scalar;
 use std::ops::{Index, IndexMut};
 
-/// Row-major dense matrix of [`Scalar`] values.
+/// Row-major dense matrix. Its arithmetic takes [`Scalar`] values; storage
+/// and row access take any element type (fixed-point words included).
 ///
 /// Indexing is `m[(row, col)]`. Rows are contiguous, so `row(i)` is a slice —
 /// the training loops exploit this by treating weight matrices as `N` rows of
@@ -15,49 +16,10 @@ pub struct Mat<T> {
     data: Vec<T>,
 }
 
-impl<T: Scalar> Mat<T> {
-    /// Zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Mat { rows, cols, data: vec![T::ZERO; rows * cols] }
-    }
-
-    /// Matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
-        Mat { rows, cols, data: vec![value; rows * cols] }
-    }
-
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::ONE;
-        }
-        m
-    }
-
-    /// `scale · I` — the standard OS-ELM `P₀ = (1/λ)·I` initialization.
-    pub fn scaled_identity(n: usize, scale: T) -> Self {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = scale;
-        }
-        m
-    }
-
+impl<T> Mat<T> {
     /// Builds from a row-major `Vec`; `data.len()` must equal `rows·cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
-        Mat { rows, cols, data }
-    }
-
-    /// Builds from a function of `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
         Mat { rows, cols, data }
     }
 
@@ -97,6 +59,57 @@ impl<T: Scalar> Mat<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// The flat row-major data, by value.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
+
+    /// Heap footprint in bytes (model-size reporting).
+    pub fn heap_bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<T>()
+    }
+}
+
+impl<T: Scalar> Mat<T> {
+    /// Zero matrix of the given shape.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Mat { rows, cols, data: vec![T::ZERO; rows * cols] }
+    }
+
+    /// Matrix filled with `value`.
+    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
+        Mat { rows, cols, data: vec![value; rows * cols] }
+    }
+
+    /// Identity matrix of size `n`.
+    pub fn identity(n: usize) -> Self {
+        let mut m = Mat::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = T::ONE;
+        }
+        m
+    }
+
+    /// `scale · I` — the standard OS-ELM `P₀ = (1/λ)·I` initialization.
+    pub fn scaled_identity(n: usize, scale: T) -> Self {
+        let mut m = Mat::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = scale;
+        }
+        m
+    }
+
+    /// Builds from a function of `(row, col)`.
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                data.push(f(r, c));
+            }
+        }
+        Mat { rows, cols, data }
     }
 
     /// Forces exact symmetry in place: `self[(r,c)] = self[(c,r)] =
@@ -157,11 +170,6 @@ impl<T: Scalar> Mat<T> {
     /// Whether every entry is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Heap footprint in bytes (model-size reporting).
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
     }
 
     /// Converts element type (e.g. f64 reference result → f32 for comparison).
