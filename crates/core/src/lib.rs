@@ -16,7 +16,9 @@
 //! * [`oselm::DataflowOsElm`] — Algorithm 2: the FPGA-friendly variant that
 //!   freezes `P` and `β` per random walk and accumulates `ΔP`, `Δβ`,
 //!   enabling the pipeline's dataflow optimization at a small accuracy cost
-//!   on small graphs (Fig. 4).
+//!   on small graphs (Fig. 4). It is the f32 instantiation of
+//!   [`oselm::DataflowKernel`], the one Algorithm 2 walk, whose Q8.24
+//!   instantiation is `seqge-fpga`'s accelerator.
 //! * [`oselm::AlphaOsElm`] — classic OS-ELM with a fixed random input matrix
 //!   (the "alpha" baseline of Fig. 6).
 //!

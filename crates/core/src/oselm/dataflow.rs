@@ -6,27 +6,20 @@
 //! of the FPGA kernel. Algorithm 2 accumulates the updates into `ΔP` and
 //! `Δβ` and commits both to main memory once per walk (lines 19–20).
 //!
-//! [`DataflowKernel`] is that walk, generic over a [`Datapath`]: the
-//! arithmetic is the only thing that differs between the float model
-//! ([`DataflowOsElm`], the [`F32`] path) and `seqge-fpga`'s Q8.24
-//! `Accelerator`, so the gap between their embeddings is quantization alone
-//! — what the paper's Fig. 4 measures. Both follow one positivity guard: a
-//! context whose denominator says `P` is no longer healthy along `H` is
-//! dropped, with no `P` downdate and no `Δβ` (a comparator in hardware).
+//! [`DataflowKernel`] is that walk, generic over a [`Datapath`]: the float
+//! model ([`DataflowOsElm`], the [`F32`] path) and `seqge-fpga`'s Q8.24
+//! `Accelerator` differ in arithmetic alone, so the gap between their
+//! embeddings is quantization — what the paper's Fig. 4 measures. Both drop
+//! a context whose denominator says `P` is no longer healthy along `H`: no
+//! `P` downdate, no `Δβ` (a comparator in hardware).
 //!
-//! How *visible* the in-flight `ΔP` is to stage 2 is a modeling choice with
-//! teeth (see DESIGN.md §1 "Faithfulness notes"): if stage 2 reads the
-//! walk-entry `P` for all 73 contexts, repeated walk directions apply up to
-//! 73 downdates sized against the same stale `P` — the accumulated downdate
-//! overshoots, `P` goes indefinite, and training diverges (we verified this
-//! numerically; the overshoot is catastrophic on small dense graphs). The
-//! hardware keeps `ΔP` in on-chip accumulators next to the stage that
-//! computes it, so the natural design forwards it with pipeline-register
-//! staleness only: one running `P` absorbs each downdate, and
-//! [`PVisibility::Running`] (default) lets stage 2 read it. The
-//! paper-literal whole-walk freeze is kept as [`PVisibility::PerWalk`] for
-//! the ablation; there the guard drops the contexts that overshoot, so it
-//! degrades instead of exploding.
+//! Stage 2 reads one running `P` that absorbs each context's downdate
+//! ([`PVisibility::Running`], pipeline-register staleness, as the hardware
+//! forwards its on-chip `ΔP`). The paper-literal whole-walk freeze,
+//! [`PVisibility::PerWalk`], reads the walk-entry `P` instead; repeated walk
+//! directions then apply up to 73 downdates sized against one stale `P`,
+//! which overshoots and, unguarded, diverges (DESIGN.md §1 "Faithfulness
+//! notes"). It is kept for the ablation, bounded by the guard.
 
 use crate::dirty::DirtyRows;
 use crate::model::{init_weight, EmbeddingModel, NegativeDraw};
@@ -54,11 +47,11 @@ pub enum PVisibility {
 /// list — no hashing, no per-column allocation, nothing allocated in steady
 /// state — plus one cached frozen score `H·β[node]` per slot, in the
 /// datapath's words. The Q8.24 walk is compiled once per target-feature set,
-/// which is why the per-sample methods are `#[inline]`: a dot product left in
-/// an out-of-line `frozen_score` would be compiled without the walk's
-/// features.
+/// which is why its methods are inlined: a dot product left in an
+/// out-of-line `sample` would be compiled without the walk's features
+/// (`#[inline]` alone left it out of line there).
 #[derive(Debug, Clone)]
-pub struct DeltaBeta<T> {
+struct DeltaBeta<T> {
     /// Node → slot, [`NO_SLOT`] while untouched this walk.
     slot_of: Vec<u32>,
     touched: Vec<NodeId>,
@@ -76,7 +69,7 @@ const NO_SLOT: u32 = u32::MAX;
 
 impl<T: Copy + Default> DeltaBeta<T> {
     /// An empty accumulator for `dim`-wide columns of `num_nodes` nodes.
-    pub fn new(num_nodes: usize, dim: usize) -> Self {
+    fn new(num_nodes: usize, dim: usize) -> Self {
         DeltaBeta {
             slot_of: vec![NO_SLOT; num_nodes],
             touched: Vec::new(),
@@ -90,14 +83,17 @@ impl<T: Copy + Default> DeltaBeta<T> {
     /// Opens the next context: `H` changes, so every cached frozen score
     /// goes stale.
     #[inline]
-    pub fn begin_context(&mut self) {
+    fn begin_context(&mut self) {
         self.context += 1;
     }
 
-    /// The slot holding `node`'s Δ-column, zeroed on its first touch of the
-    /// walk.
-    #[inline]
-    pub fn slot(&mut self, node: NodeId) -> usize {
+    /// `node`'s Δ-column, zeroed on its first touch of the walk, and its
+    /// frozen score `H·β[node]` in the current context: `dot` runs on the
+    /// column's first sample after [`Self::begin_context`], later ones reuse
+    /// its result. Sound because β is written only when the walk commits and
+    /// `H` is fixed inside a context.
+    #[inline(always)]
+    fn sample(&mut self, node: NodeId, dot: impl FnOnce() -> T) -> (T, &mut [T]) {
         let slot = &mut self.slot_of[node as usize];
         if *slot == NO_SLOT {
             *slot = self.touched.len() as u32;
@@ -105,32 +101,18 @@ impl<T: Copy + Default> DeltaBeta<T> {
             self.arena.resize(self.touched.len() * self.dim, T::default());
             self.frozen.push((0, T::default()));
         }
-        *slot as usize
-    }
-
-    /// The frozen score `H·β[node]` of `slot`'s node in the current context:
-    /// `dot` runs on the first request after [`Self::begin_context`], later
-    /// ones reuse its result. Sound because β is written only when the walk
-    /// commits and `H` is fixed inside a context.
-    #[inline]
-    pub fn frozen_score(&mut self, slot: usize, dot: impl FnOnce() -> T) -> T {
+        let slot = *slot as usize;
         let entry = &mut self.frozen[slot];
         if entry.0 != self.context {
             *entry = (self.context, dot());
         }
-        entry.1
-    }
-
-    /// The Δ-column in `slot`.
-    #[inline]
-    pub fn column_mut(&mut self, slot: usize) -> &mut [T] {
-        &mut self.arena[slot * self.dim..(slot + 1) * self.dim]
+        (entry.1, &mut self.arena[slot * self.dim..(slot + 1) * self.dim])
     }
 
     /// Hands every touched `(node, Δ-column)` to `apply` in first-touch
     /// order, then clears for the next walk.
     #[inline]
-    pub fn commit(&mut self, mut apply: impl FnMut(NodeId, &[T])) {
+    fn commit(&mut self, mut apply: impl FnMut(NodeId, &[T])) {
         for (slot, &node) in self.touched.iter().enumerate() {
             apply(node, &self.arena[slot * self.dim..(slot + 1) * self.dim]);
             self.slot_of[node as usize] = NO_SLOT;
@@ -159,7 +141,7 @@ pub trait Datapath {
     type Gate: Copy;
     /// A multiply-add's vector-operand bound, hoisted out of its sample loop.
     type Max: Copy;
-    /// One: a positive sample's target (a negative's is the default word).
+    /// One: a positive sample's target (a negative's is `Word::default()`).
     const ONE: Self::Word;
     /// [`EmbeddingModel::name`].
     const NAME: &'static str;
@@ -171,6 +153,8 @@ pub trait Datapath {
     fn gate(h: &[Self::Word]) -> Self::Gate;
     /// `x · y` under the context's gate.
     fn dot(gate: Self::Gate, x: &[Self::Word], y: &[Self::Word]) -> Self::Word;
+    /// Stage 2's `Pʜ = P·Hᵀ`, one [`Datapath::dot`] per row of `P`.
+    fn gemv(gate: Self::Gate, p: &Mat<Self::Word>, h: &[Self::Word], ph: &mut [Self::Word]);
     /// The positivity guard's comparator: whether the regularized
     /// denominator clears `threshold` (½λ).
     fn healthy(denom: Self::Word, threshold: Self::Word) -> bool;
@@ -197,7 +181,10 @@ pub trait Datapath {
 /// `(1/λ, trace cap)` when λ < 1: the EW-RLS step after each downdate.
 pub type Forget<D> = Option<(<D as Datapath>::Word, <D as Datapath>::Word)>;
 
-/// The float datapath over `seqge_linalg::ops`.
+/// The float datapath over `seqge_linalg::ops`. The walk is instantiated in
+/// the crate that calls it, so `dot`, `downdate` and `mul_add` are
+/// `#[inline]` (out of line, each would be a call per sample or context);
+/// `gemv` stays out of line, for the reason it gives.
 #[derive(Debug, Clone, Copy)]
 pub struct F32;
 
@@ -216,8 +203,16 @@ impl Datapath for F32 {
         x
     }
     fn gate(_: &[f32]) {}
+    #[inline]
     fn dot((): (), x: &[f32], y: &[f32]) -> f32 {
         ops::dot(x, y)
+    }
+    /// Out of line: `P`, `H` and `Pʜ` arrive as separate arguments, which
+    /// the compiler may assume do not alias; the same loop inlined into the
+    /// walk, over fields of one `&mut self`, measured about 10 % slower at
+    /// d = 96 (2-vCPU x86-64 host).
+    fn gemv((): (), p: &Mat<f32>, h: &[f32], ph: &mut [f32]) {
+        ops::gemv(p, h, ph);
     }
     fn healthy(denom: f32, threshold: f32) -> bool {
         denom >= threshold
@@ -225,15 +220,12 @@ impl Datapath for F32 {
     /// The denominator itself, floored away from zero: the float path's
     /// reciprocal saturation.
     fn recip(denom: f32) -> f32 {
-        if denom.abs() < DENOM_FLOOR {
-            DENOM_FLOOR.copysign(denom)
-        } else {
-            denom
-        }
+        denom.abs().max(DENOM_FLOOR).copysign(denom)
     }
     /// One fused full-matrix sweep whose (r,c) and (c,r) updates are
     /// bitwise equal, so `P` stays exactly symmetric (the inflation would
     /// amplify an antisymmetric rounding component exponentially).
+    #[inline]
     fn downdate(p: &mut Mat<f32>, ph: &[f32], denom: f32, forget: Forget<Self>) {
         match forget {
             Some((inv_lambda, cap)) => ops::p_downdate_forget(p, ph, denom, inv_lambda, cap),
@@ -244,6 +236,7 @@ impl Datapath for F32 {
         1.0 - hph / denom
     }
     fn max(_: &[f32]) {}
+    #[inline]
     fn mul_add(a: f32, x: &[f32], (): (), y: &mut [f32]) {
         ops::axpy(a, x, y);
     }
@@ -387,13 +380,13 @@ impl<D: Datapath> DataflowKernel<D> {
         if let Some(entry) = &mut self.p_entry {
             entry.as_mut_slice().copy_from_slice(self.p.as_slice());
         }
-        let (cfg, d) = (self.cfg, self.cfg.model.dim);
-        let (mu, lambda, inv_lambda) = (cfg.mu, cfg.forgetting, 1.0 / cfg.forgetting);
-        let (mu, lambda, inv_lambda) =
-            (D::from_f32(mu), D::from_f32(lambda), D::from_f32(inv_lambda));
+        let (cfg, d, zero) = (self.cfg, self.cfg.model.dim, D::Word::default());
+        let mu = D::from_f32(cfg.mu);
+        let lambda = D::from_f32(cfg.forgetting);
         let half_lambda = lambda * D::from_f32(0.5);
-        let forget =
-            (inv_lambda > D::ONE).then(|| (inv_lambda, D::from_f32(cfg.p0_scale * d as f32)));
+        let inv_lambda = D::from_f32(1.0 / cfg.forgetting);
+        let cap = D::from_f32(cfg.p0_scale * d as f32);
+        let forget = (inv_lambda > D::ONE).then_some((inv_lambda, cap));
         let mut max_samples = 0;
         for (center, positives) in windows {
             max_samples = max_samples.max(positives.len() * (1 + self.draw.ns()));
@@ -404,10 +397,7 @@ impl<D: Datapath> DataflowKernel<D> {
             }
             let gate = D::gate(&self.h);
             // Stage 2: Pʜ = P·Hᵀ and HPHᵀ from the visible P.
-            let p = self.p_entry.as_ref().unwrap_or(&self.p);
-            for (ph, row) in self.ph.iter_mut().zip(p.as_slice().chunks_exact(d)) {
-                *ph = D::dot(gate, row, &self.h);
-            }
+            D::gemv(gate, self.p_entry.as_ref().unwrap_or(&self.p), &self.h, &mut self.ph);
             let hph = D::dot(gate, &self.h, &self.ph);
             let denom = if cfg.regularized { lambda + hph } else { hph };
             if cfg.regularized && !D::healthy(denom, half_lambda) {
@@ -438,14 +428,10 @@ impl<D: Datapath> DataflowKernel<D> {
             self.delta_beta.begin_context();
             for &pos in positives {
                 let negs = self.draw.for_positive(pos, negatives, rng);
-                for (id, y) in
-                    once((pos, D::ONE)).chain(negs.iter().map(|&n| (n, D::Word::default())))
-                {
-                    let slot = self.delta_beta.slot(id);
-                    let frozen = self
+                for (id, y) in once((pos, D::ONE)).chain(negs.iter().map(|&n| (n, zero))) {
+                    let (frozen, column) = self
                         .delta_beta
-                        .frozen_score(slot, || D::dot(gate, &self.h, self.beta.row(id as usize)));
-                    let column = self.delta_beta.column_mut(slot);
+                        .sample(id, || D::dot(gate, &self.h, self.beta.row(id as usize)));
                     let e = y - (frozen + D::dot(gate, &self.h, column));
                     D::mul_add(e, &self.phn, phn_max, column);
                 }
@@ -539,18 +525,16 @@ mod tests {
     #[test]
     fn delta_beta_arena_reuse() {
         let mut db = DeltaBeta::<f32>::new(10, 3);
-        let (a, b) = (db.slot(5), db.slot(9));
-        db.column_mut(a)[0] = 1.0;
-        db.column_mut(b)[1] = 2.0;
-        assert_eq!(db.slot(5), a, "same slot as the first touch");
-        db.column_mut(a)[2] = 3.0;
+        db.begin_context();
+        db.sample(5, || 7.0).1[0] = 1.0;
+        db.sample(9, || 0.0).1[1] = 2.0;
+        // The first touch's column, and one frozen score per (column, context).
+        let (score, column) = db.sample(5, || unreachable!("cached"));
+        assert_eq!(score, 7.0);
+        column[2] = 3.0;
         assert_eq!(db.touched.len(), 2);
-        // One frozen score per (slot, context).
         db.begin_context();
-        assert_eq!(db.frozen_score(a, || 7.0), 7.0);
-        assert_eq!(db.frozen_score(a, || unreachable!("cached")), 7.0);
-        db.begin_context();
-        assert_eq!(db.frozen_score(a, || 8.0), 8.0);
+        assert_eq!(db.sample(5, || 8.0).0, 8.0);
         let mut beta = Mat::<f32>::zeros(10, 3);
         let mut order = Vec::new();
         db.commit(|node, delta| {
@@ -561,10 +545,9 @@ mod tests {
         assert_eq!(beta.row(5), &[1.0, 0.0, 3.0]);
         assert_eq!(beta.row(9), &[0.0, 2.0, 0.0]);
         assert_eq!(db.touched.len(), 0);
-        // Reuse after commit starts from a zeroed slot and a stale score.
-        let c = db.slot(5);
-        assert_eq!(db.column_mut(c), &[0.0, 0.0, 0.0]);
-        assert_eq!(db.frozen_score(c, || 9.0), 9.0);
+        // Reuse after commit starts from a zeroed column and a stale score.
+        let (score, column) = db.sample(5, || 9.0);
+        assert_eq!((score, &*column), (9.0, &[0.0, 0.0, 0.0][..]));
     }
 
     #[test]

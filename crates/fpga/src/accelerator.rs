@@ -2,7 +2,7 @@
 //! what it did.
 //!
 //! The walk is `seqge_core`'s one [`DataflowKernel`], instantiated here on
-//! the [`Q824`] datapath: same deferred `ΔP`/`Δβ` schedule, guard rule,
+//! the `Q824` datapath: same deferred `ΔP`/`Δβ` schedule, guard rule,
 //! seeds and initial weights as the float `seqge_core::DataflowOsElm`, but
 //! every arithmetic operation goes through the `seqge-fixed` datapath
 //! (saturating Q8.24, DSP-style wide accumulation). The difference between
@@ -27,7 +27,7 @@ use seqge_sampling::{NegativeTable, Rng64};
 /// The Q8.24 datapath. Every method is `#[inline(always)]`, so that the
 /// walk's AVX2 instantiation compiles all of it under its own features.
 #[derive(Debug, Clone, Copy)]
-pub struct Q824;
+pub(crate) struct Q824;
 
 impl Datapath for Q824 {
     type Word = Q8_24;
@@ -52,6 +52,12 @@ impl Datapath for Q824 {
     #[inline(always)]
     fn dot(wide: bool, x: &[Q8_24], y: &[Q8_24]) -> Q8_24 {
         gated_dot(wide, x, y)
+    }
+    #[inline(always)]
+    fn gemv(wide: bool, p: &Mat<Q8_24>, h: &[Q8_24], ph: &mut [Q8_24]) {
+        for (g, row) in ph.iter_mut().zip(p.as_slice().chunks_exact(h.len())) {
+            *g = gated_dot(wide, row, h);
+        }
     }
     #[inline(always)]
     fn healthy(denom: Q8_24, threshold: Q8_24) -> bool {

@@ -41,7 +41,7 @@ pub mod explore;
 pub mod resources;
 pub mod timing;
 
-pub use accelerator::{kernel_isa, AccelStats, Accelerator, Q824};
+pub use accelerator::{kernel_isa, AccelStats, Accelerator};
 pub use device::{FpgaDevice, Utilization};
 pub use resources::{estimate_resources, AcceleratorDesign, ResourceEstimate};
 pub use timing::{cycles_to_millis, TimingModel, CLOCK_MHZ};

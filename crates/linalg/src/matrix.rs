@@ -16,10 +16,51 @@ pub struct Mat<T> {
     data: Vec<T>,
 }
 
+impl<T: Scalar> Mat<T> {
+    /// Zero matrix of the given shape.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Mat { rows, cols, data: vec![T::ZERO; rows * cols] }
+    }
+
+    /// Matrix filled with `value`.
+    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
+        Mat { rows, cols, data: vec![value; rows * cols] }
+    }
+
+    /// Identity matrix of size `n`.
+    pub fn identity(n: usize) -> Self {
+        let mut m = Mat::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = T::ONE;
+        }
+        m
+    }
+
+    /// `scale · I` — the standard OS-ELM `P₀ = (1/λ)·I` initialization.
+    pub fn scaled_identity(n: usize, scale: T) -> Self {
+        let mut m = Mat::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = scale;
+        }
+        m
+    }
+}
+
 impl<T> Mat<T> {
     /// Builds from a row-major `Vec`; `data.len()` must equal `rows·cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
+        Mat { rows, cols, data }
+    }
+
+    /// Builds from a function of `(row, col)`.
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                data.push(f(r, c));
+            }
+        }
         Mat { rows, cols, data }
     }
 
@@ -65,53 +106,9 @@ impl<T> Mat<T> {
     pub fn into_vec(self) -> Vec<T> {
         self.data
     }
-
-    /// Heap footprint in bytes (model-size reporting).
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
-    }
 }
 
 impl<T: Scalar> Mat<T> {
-    /// Zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Mat { rows, cols, data: vec![T::ZERO; rows * cols] }
-    }
-
-    /// Matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
-        Mat { rows, cols, data: vec![value; rows * cols] }
-    }
-
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::ONE;
-        }
-        m
-    }
-
-    /// `scale · I` — the standard OS-ELM `P₀ = (1/λ)·I` initialization.
-    pub fn scaled_identity(n: usize, scale: T) -> Self {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = scale;
-        }
-        m
-    }
-
-    /// Builds from a function of `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
-        Mat { rows, cols, data }
-    }
-
     /// Forces exact symmetry in place: `self[(r,c)] = self[(c,r)] =
     /// ½·(self[(r,c)] + self[(c,r)])`. A no-op (bit-for-bit) on an
     /// already-symmetric matrix. The OS-ELM models call this once at cold
@@ -170,6 +167,11 @@ impl<T: Scalar> Mat<T> {
     /// Whether every entry is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+
+    /// Heap footprint in bytes (model-size reporting).
+    pub fn heap_bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<T>()
     }
 
     /// Converts element type (e.g. f64 reference result → f32 for comparison).
