@@ -1,0 +1,196 @@
+//! A 2-shard router whose shard connections fail underneath it.
+//!
+//! Every shard drops 5 % of its connections after reading a request and
+//! stalls 2 % of its replies by 30 ms (`SEQGE_FAULT`). A client with the
+//! `cluster_e2e.rs` retry policy streams adds, all four read ops and
+//! reversed-orientation removes through the router. The contract:
+//!
+//! * no hard errors — every failure a client sees after its retries is
+//!   coded `overloaded` or `degraded`;
+//! * exactly-once training — a write whose ack was lost is resent under the
+//!   same `WriteId` and deduplicated, so after `flush` the shards' summed
+//!   `edges_inserted` / `edges_removed` equal the acked adds and removes,
+//!   and `seqge_serve_deduped_total` equals the resends;
+//! * the router still answers `ping` and `cluster_status`, and its merged
+//!   metrics carry its own request telemetry and the shards' counters.
+//!
+//! This suite has its own file because the fault schedule is read from the
+//! environment when each shard boots: set inside `cluster_e2e.rs`, it would
+//! reach every other scenario there.
+
+use seqge_backend::BackendKind;
+use seqge_cluster::{Cluster, ClusterConfig};
+use seqge_eval::EdgeOp;
+use seqge_graph::generators::classic::erdos_renyi;
+use seqge_graph::spanning_forest;
+use seqge_serve::protocol::{CODE_DEGRADED, CODE_OVERLOADED};
+use seqge_serve::{Client, ClientConfig};
+use serde_json::Value;
+use std::io;
+use std::time::Duration;
+
+const DIM: usize = 8;
+const SEED: u64 = 11;
+const SHARDS: usize = 2;
+
+/// The training backend under test: `SEQGE_BACKEND=float|fpga-sim`.
+fn backend_kind() -> BackendKind {
+    match std::env::var("SEQGE_BACKEND") {
+        Ok(s) => BackendKind::parse(&s).expect("SEQGE_BACKEND"),
+        Err(_) => BackendKind::Float,
+    }
+}
+
+fn client(addr: &str) -> Client {
+    Client::connect_with(
+        addr,
+        ClientConfig {
+            timeout: Duration::from_secs(5),
+            retries: 12,
+            client_id: "faults".to_string(),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("client connects")
+}
+
+/// Requests answered, and failures by their leading protocol code.
+#[derive(Default)]
+struct Tally {
+    ok: u64,
+    coded: u64,
+}
+
+impl Tally {
+    /// Books one call's outcome; `true` when it succeeded. A failure that
+    /// is not coded `overloaded` or `degraded` is a hard error and fails
+    /// the test on the spot.
+    fn book<T>(&mut self, what: &str, r: io::Result<T>) -> bool {
+        match r {
+            Ok(_) => {
+                self.ok += 1;
+                true
+            }
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(
+                    e.kind() == io::ErrorKind::InvalidData
+                        && (msg.starts_with(CODE_OVERLOADED) || msg.starts_with(CODE_DEGRADED)),
+                    "{what}: hard error `{msg}` ({:?})",
+                    e.kind()
+                );
+                self.coded += 1;
+                false
+            }
+        }
+    }
+}
+
+/// Sums every series of counter `name` in a Prometheus body.
+fn scrape_sum(body: &str, name: &str) -> u64 {
+    body.lines()
+        .filter(|l| l.strip_prefix(name).is_some_and(|rest| rest.starts_with(['{', ' '])))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
+}
+
+/// The router's merged Prometheus scrape, taken once every shard answered
+/// (a dropped shard connection leaves its series out of a `degraded`
+/// reply).
+fn full_scrape(c: &mut Client) -> String {
+    for _ in 0..20 {
+        let v = c.call(r#"{"cmd":"metrics","format":"prometheus"}"#).expect("metrics");
+        if v.get("degraded") != Some(&Value::Bool(true)) {
+            return v.get("body").and_then(Value::as_str).expect("metrics body").to_string();
+        }
+    }
+    panic!("every metrics scrape missed a shard");
+}
+
+/// One `stats` counter summed over the shards, asked directly.
+fn shard_sum(cluster: &Cluster, field: &str) -> u64 {
+    cluster
+        .shard_addrs()
+        .iter()
+        .map(|addr| {
+            let stats = client(&addr.to_string()).stats().expect("shard stats");
+            stats.get(field).and_then(Value::as_u64).unwrap_or(0)
+        })
+        .sum()
+}
+
+#[test]
+fn router_keeps_exactly_once_under_shard_connection_faults() {
+    // Read once per shard by `start_node`, so set before the cluster boots.
+    std::env::set_var("SEQGE_FAULT", "conn_drop=0.05,conn_stall=0.02");
+    std::env::set_var("SEQGE_FAULT_SEED", "7");
+    std::env::set_var("SEQGE_FAULT_STALL_MS", "30");
+
+    let base = std::env::temp_dir().join(format!("seqge_router_faults_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let full = erdos_renyi(120, 0.06, 5);
+    let split = spanning_forest(&full);
+    let initial = split.initial_graph(&full);
+    let edges = split.removed_edges;
+    let cfg = ClusterConfig {
+        train_backend: backend_kind(),
+        ..ClusterConfig::in_process(SHARDS, base.clone(), DIM, SEED)
+    };
+    let cluster = Cluster::start(&cfg, &initial).expect("cluster boots");
+    let mut c = client(&cluster.addr().to_string());
+
+    let op = EdgeOp::Cosine;
+    let mut tally = Tally::default();
+    let (mut adds, mut removes) = (0u64, 0u64);
+    for &(u, v) in &edges {
+        adds += u64::from(tally.book("add_edge", c.add_edge(u, v)));
+        tally.book("topk", c.topk(u, 5, op));
+        tally.book("topk ann", c.topk_ann(u, 5, op, 4));
+        tally.book("get_embedding", c.get_embedding(v));
+        tally.book("score_link", c.score_link(u, v, op));
+    }
+    for &(u, v) in edges.iter().step_by(3) {
+        removes += u64::from(tally.book("remove_edge", c.remove_edge(v, u)));
+    }
+    c.flush().expect("flush barrier");
+    eprintln!(
+        "{}: {} requests, {} ok, {} coded errors; acked {adds} adds, {removes} removes",
+        backend_kind(),
+        tally.ok + tally.coded,
+        tally.ok,
+        tally.coded
+    );
+
+    let body = full_scrape(&mut c);
+    let injected = scrape_sum(&body, "seqge_serve_fault_injected_total");
+    assert!(injected > 0, "no fault fired, so this run tested nothing");
+
+    // A lost ack is resent under the same WriteId: the owner applies it
+    // once, so the counters match the acks, not the attempts.
+    assert_eq!(shard_sum(&cluster, "edges_inserted"), adds, "adds applied != adds acked");
+    assert_eq!(shard_sum(&cluster, "edges_removed"), removes, "removes applied != removes acked");
+    // The shards' write counters, merged by the router, hold every attempt.
+    let shard_adds = scrape_sum(&body, "seqge_serve_requests_total{op=\"add_edge\"}");
+    let shard_removes = scrape_sum(&body, "seqge_serve_requests_total{op=\"remove_edge\"}");
+    assert!(shard_adds >= adds, "router merge lost shard counters: {shard_adds} < {adds}");
+    assert!(shard_removes >= removes, "router merge lost shard counters");
+    // A shard drops a connection only after handling the request, so every
+    // write it saw beyond the first copy was a resend of an applied write,
+    // and the WriteId table, not the graph, must have answered it.
+    let resends = shard_adds + shard_removes - adds - removes;
+    assert!(resends > 0, "no write was resent, so dedup went untested");
+    assert_eq!(scrape_sum(&body, "seqge_serve_deduped_total"), resends, "a resend was not deduped");
+
+    c.ping().expect("router answers ping after the faults");
+    c.call(r#"{"cmd":"cluster_status"}"#).expect("router answers cluster_status");
+
+    // The router's own telemetry, booked by the front end it shares with
+    // the node.
+    assert!(scrape_sum(&body, "seqge_cluster_requests_total{op=\"topk\"}") > 0);
+    assert!(body.contains("# TYPE seqge_cluster_request_latency_ns summary"), "{body}");
+    eprintln!("{injected} faults injected; {resends} resent writes deduplicated");
+
+    drop(c);
+    cluster.shutdown().expect("clean cluster shutdown");
+    let _ = std::fs::remove_dir_all(&base);
+}

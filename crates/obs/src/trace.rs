@@ -103,8 +103,9 @@ pub fn sample_every() -> u32 {
     }
 }
 
-/// Overrides the `SEQGE_TRACE_SAMPLE` default at runtime (tests, loadgen).
-pub fn set_sample_every(n: u32) {
+/// Overrides the `SEQGE_TRACE_SAMPLE` default (this module's tests).
+#[cfg(test)]
+fn set_sample_every(n: u32) {
     SAMPLE_EVERY.store(n, Ordering::Relaxed);
 }
 

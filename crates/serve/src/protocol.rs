@@ -382,8 +382,8 @@ fn trace_field(ctx: &TraceCtx) -> String {
 }
 
 /// Splices `"trace":{...}` into an already-valid request line (the router
-/// and loadgen compose lines textually; re-serializing through the parser
-/// would lose unknown fields). Replaces any existing `trace` field by
+/// forwards lines textually; re-serializing through the parser would lose
+/// unknown fields). Replaces any existing `trace` field by
 /// appending after it — `get_trace` reads the last occurrence, so the
 /// newest hop's context wins without textual surgery on the original.
 pub fn attach_trace(line: &str, ctx: &TraceCtx) -> String {

@@ -196,6 +196,10 @@ fn metrics_op_exposes_request_latency_after_traffic() {
     }
     c.flush().unwrap();
     let _ = c.stats().unwrap();
+    // One exact and one ANN `topk`: both modes are booked under one wire op.
+    let (u, _) = removed[0];
+    c.topk(u, 3, EdgeOp::Cosine).unwrap();
+    c.topk_ann(u, 3, EdgeOp::Cosine, 4).unwrap();
 
     let text = c.metrics("prometheus").unwrap();
     // Request-latency summary with quantile labels, per op.
@@ -208,6 +212,8 @@ fn metrics_op_exposes_request_latency_after_traffic() {
         "seqge_serve_request_latency_ns{op=\"get_embedding\",quantile=\"0.5\"}",
         "seqge_serve_request_latency_ns{op=\"get_embedding\",quantile=\"0.99\"}",
         "seqge_serve_requests_total{op=\"add_edge\"} 8",
+        "seqge_serve_requests_total{op=\"topk\"} 2",
+        "seqge_serve_open_connections 1",
         "seqge_serve_events_enqueued_total 8",
         "seqge_serve_events_applied_total 8",
         "seqge_serve_trainer_backlog 0",
@@ -220,10 +226,14 @@ fn metrics_op_exposes_request_latency_after_traffic() {
 {text}"
         );
     }
-    // Every non-comment line must parse as `id value`.
+    // Every non-comment line must parse as `id value`, and none of the
+    // traffic above was answered with an error.
     for line in text.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
         let value = line.rsplit(' ').next().unwrap();
         assert!(value.parse::<f64>().is_ok(), "unparseable exposition line: {line}");
+        if line.starts_with("seqge_serve_errors_total") {
+            assert!(value == "0", "error replies counted: {line}");
+        }
     }
     // Latency histograms actually saw the traffic.
     let count_line = text

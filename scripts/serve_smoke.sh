@@ -4,8 +4,9 @@
 # JSON protocol, scrape the metrics registry, kill -9 the server, restart it
 # from the store alone (the log replays; acked writes survive), and SIGINT
 # that one gracefully; then boot the same graph under `--backend fpga-sim`
-# and scrape its backend series. Exits non-zero on any failed assertion. CI
-# runs this as the `serve-smoke` job.
+# and scrape its backend series, and finally kill -9 a 2-shard `seqge
+# cluster` and read its flight-recorder dump. Exits non-zero on any failed
+# assertion. CI runs this as the `serve-smoke` job.
 #
 # The server logs structured JSONL to stderr (seqge-obs), so readiness and
 # lifecycle checks match on the "msg" field rather than raw lines.
@@ -256,5 +257,26 @@ grep -q '^seqge_backend_saturations_total ' "$work/metrics-fpga.txt" ||
 kill -INT "$SERVER_PID"
 wait "$SERVER_PID" || { echo "FAIL: fpga-sim server exited non-zero"; exit 1; }
 SERVER_PID=""
+
+# The cluster leg: a 2-shard `seqge cluster` on the same graph, killed -9
+# once its router is up. The flight recorder's periodic dump must leave a
+# parseable post-mortem stamped with the cluster role.
+"$BIN" cluster --graph "$work/g.edges" --base-dir "$work/shards" --shards 2 \
+  --port 0 --dim 8 >"$work/cluster.log" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 1 150); do
+  grep -q '"msg":".*router on ' "$work/cluster.log" && break
+  sleep 0.2
+done
+grep -q '"msg":".*router on ' "$work/cluster.log" ||
+  { echo "FAIL: cluster never came up"; cat "$work/cluster.log"; exit 1; }
+sleep 0.5
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+frec_file="$work/frec/flightrec-$SERVER_PID.json"
+SERVER_PID=""
+jq -e '.role == "cluster" and (.spans | type == "array") and (.logs | type == "array")' \
+  "$frec_file" >/dev/null ||
+  { echo "FAIL: no cluster flightrec dump survived kill -9"; ls -la "$work/frec" || true; exit 1; }
 
 echo "serve smoke OK"

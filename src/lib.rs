@@ -26,9 +26,6 @@
 //!   plane, scatter-gather router, WAL-fed read replicas.
 //! * [`mod@bench`] — shared benchmark plumbing: scaled streamed-SBM edge
 //!   synthesis, clustered embedding geometry, JSON report writing.
-//! * [`loadgen`] — mixed-traffic load generator: Zipf-skewed op mixes,
-//!   pluggable arrival processes, the phased scenario matrix, and SLO
-//!   accounting split by steady-vs-fault window.
 
 pub use seqge_ann as ann;
 pub use seqge_backend as backend;
@@ -40,7 +37,6 @@ pub use seqge_fixed as fixed;
 pub use seqge_fpga as fpga;
 pub use seqge_graph as graph;
 pub use seqge_linalg as linalg;
-pub use seqge_loadgen as loadgen;
 pub use seqge_obs as obs;
 pub use seqge_sampling as sampling;
 pub use seqge_serve as serve;

@@ -118,18 +118,6 @@ commands:
             response; --timeout-ms bounds each call, --retries retries
             timed-out/refused calls with backoff; for scripting and
             smoke tests)
-  loadgen  --scenario NAME [--target HOST:PORT] [--seed n] [--connections n]
-           [--scale f] [--nodes n] [--k n] [--timeout-ms n] [--json FILE]
-           [--list] [--dry-run]
-           (mixed-traffic load driver against a `serve` listener or the
-            cluster router: named phased scenarios — hot_read, edge_churn,
-            deletion_storm, drift_replay (--list describes them) — with
-            Zipf-skewed keys, Poisson/bursty arrivals, and per-op SLO
-            accounting split by steady-vs-fault window. The generated
-            schedule is bit-deterministic under --seed; --dry-run (with
-            --nodes) prints the schedule hash without sending traffic.
-            --json FILE writes the machine-readable report there; without
-            it no file is written)
   obs      dump  [--addr HOST:PORT] [--format json|prometheus|table]
                  [--filter PREFIX] [--by-shard]
            trace [--addr HOST:PORT] [--after n] [--follow] [--chrome FILE]
@@ -166,7 +154,6 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ("serve", cmd_serve, "graph port dim seed workers refresh-every mu forgetting backend log-level wal-dir fsync wal-replay-check"),
     ("cluster", cmd_cluster, "graph base-dir shards replicas port dim seed fsync refresh-every backend log-level"),
     ("client", cmd_client, "addr timeout-ms retries"),
-    ("loadgen", cmd_loadgen, "scenario target seed connections scale nodes k timeout-ms json list dry-run"),
 ];
 
 /// `obs`'s subcommands, likewise.
@@ -176,7 +163,7 @@ const OBS_COMMANDS: &[(&str, Command, &str)] = &[
 ];
 
 /// Flags that take no value.
-const SWITCHES: &str = "seq linkpred wal-replay-check list dry-run follow by-shard";
+const SWITCHES: &str = "seq linkpred wal-replay-check follow by-shard";
 
 /// Parses `--key value` pairs (and bare switches) for command `cmd`,
 /// refusing any key outside the space-separated `known`.
@@ -839,89 +826,6 @@ fn cmd_client(flags: &Flags) -> Result<(), String> {
             }
             Err(e) => return Err(e.to_string()),
         }
-    }
-    Ok(())
-}
-
-fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
-    use seqge::loadgen;
-    if flags.contains_key("list") {
-        for (name, desc) in loadgen::names() {
-            println!("{name:16} {desc}");
-        }
-        return Ok(());
-    }
-    let name = require(flags, "scenario")?;
-    let scale: f64 = get(flags, "scale", 1.0)?;
-    let scenario = loadgen::builtin(name, scale)
-        .ok_or_else(|| format!("unknown scenario `{name}` (try --list)"))?;
-    let mut opts = loadgen::LoadOpts {
-        target: flags.get("target").cloned().unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-        connections: get(flags, "connections", 4usize)?,
-        seed: get(flags, "seed", 42u64)?,
-        scale,
-        nodes: flags
-            .get("nodes")
-            .map(|v| v.parse().map_err(|_| format!("--nodes: cannot parse `{v}`")))
-            .transpose()?,
-        k: get(flags, "k", 10usize)?,
-        ..loadgen::LoadOpts::default()
-    };
-    if let Some(ms) = flags.get("timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("--timeout-ms: cannot parse `{ms}`"))?;
-        opts.timeout = std::time::Duration::from_millis(ms);
-    }
-    if flags.contains_key("dry-run") {
-        let nodes = opts.nodes.ok_or("--dry-run needs --nodes (no server to probe)")?;
-        let (schedules, hash) =
-            loadgen::materialize(&scenario, nodes, opts.k, opts.connections, opts.seed);
-        let total: usize =
-            schedules.iter().map(|s| s.phases.iter().map(Vec::len).sum::<usize>()).sum();
-        println!(
-            "scenario {name}: {total} ops over {} connections, schedule_hash {hash}",
-            opts.connections
-        );
-        return Ok(());
-    }
-    seqge::obs::info!(
-        "loadgen",
-        "driving {} with scenario {name} (seed {})",
-        opts.target,
-        opts.seed
-    );
-    let report = loadgen::run(&scenario, &opts).map_err(|e| e.to_string())?;
-    let path = flags.get("json");
-    if let Some(path) = path {
-        seqge::bench::write_json(std::path::Path::new(path), &report).map_err(|e| e.to_string())?;
-    }
-    let steady = &report.windows[0];
-    let fault = &report.windows[1];
-    println!(
-        "{}: {} ops in {:.1}s  steady[ok {} degraded {} shed {} errors {} slo_viol {}]  \
-         fault[ok {} degraded {} shed {} errors {} slo_viol {}]",
-        report.scenario,
-        report.total_ops,
-        report.wall_s,
-        steady.ok,
-        steady.degraded,
-        steady.shed,
-        steady.hard_errors + steady.transport_errors,
-        steady.slo_violations,
-        fault.ok,
-        fault.degraded,
-        fault.shed,
-        fault.hard_errors + fault.transport_errors,
-        fault.slo_violations,
-    );
-    println!(
-        "steady topk p99 {:.2} ms, ok-rate {:.4}, slo_pass {}",
-        report.steady_topk_p99_ms, report.steady_ok_rate, report.slo_pass
-    );
-    if let Some(path) = path {
-        println!("report: {path}");
-    }
-    if !report.slo_pass {
-        return Err("steady-state SLO violated (see report)".into());
     }
     Ok(())
 }
