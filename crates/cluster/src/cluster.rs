@@ -247,7 +247,7 @@ impl Cluster {
         let mut kids = self.children.lock().expect("child table poisoned");
         if let Some(kid) = kids.iter_mut().find(|k| k.id == s) {
             kid.kill();
-            crate::shard::mark_unhealthy(&self.table, s);
+            crate::shard::mark_health(&self.table, s, false);
         }
     }
 

@@ -17,16 +17,20 @@
 //! * **`topk`** — scattered to every shard with the residue-class filter
 //!   `{"mod": shards, "rem": s}` injected, so each shard competes only
 //!   its own slice; the router merges the per-shard heaps under the
-//!   protocol's total order (score desc, node id asc). Client-supplied
+//!   protocol's total order (score desc, node id asc). A leg whose
+//!   connection fails is redialed once, as in every fan-out below, so a
+//!   shard that lost one connection still answers. Client-supplied
 //!   `mod`/`rem` are rejected: in cluster mode the partition owns that
 //!   filter.
-//! * **`get_embedding` / `score_link`** — forwarded to the owner shard;
-//!   on failure the router falls back to the peer owner (`score_link`)
-//!   and then to the shard's read replica snapshot, tagging the response
+//! * **`get_embedding` / `score_link`** — forwarded to the owner shard,
+//!   redialed once within the deadline if the exchange fails; then the
+//!   router falls back to the peer owner (`score_link`) and then to the
+//!   shard's read replica snapshot, tagging the response
 //!   `"source": "replica"`.
 //! * **fan-outs** (`stats`, `metrics`, `flush`, `snapshot`, `flightrec`,
 //!   `cluster_status`) — one `gather` sends the line to every shard with
-//!   one shared deadline; responses that miss it are dropped and the reply
+//!   one shared deadline, redialing a leg whose connection failed once
+//!   within it; responses that miss it are dropped and the reply
 //!   carries `"degraded": true` plus the missing shard list. `flush` is
 //!   the exception: it is a barrier, so a missing shard turns the whole
 //!   call into `overloaded` (retryable) rather than a silently partial
@@ -50,7 +54,7 @@
 //! the router is the [`Service`] behind it.
 
 use crate::partition::{edge_owner, owner};
-use crate::shard::{mark_unhealthy, shard_info, ShardTable};
+use crate::shard::{mark_health, shard_info, ShardTable};
 use seqge_eval::EdgeOp;
 use seqge_obs::{Counter, Registry, TraceCtx};
 use seqge_serve::front::{self, FrontHandle, Plane, Service};
@@ -224,7 +228,7 @@ impl Router {
                 Ok(c) => conns[s] = Some((info.epoch, c)),
                 Err(_) => {
                     self.shard_errors.inc();
-                    mark_unhealthy(&self.shards, s);
+                    mark_health(&self.shards, s, false);
                     return None;
                 }
             }
@@ -235,13 +239,15 @@ impl Router {
     fn drop_conn(&self, conns: &mut Conns, s: usize) {
         conns[s] = None;
         self.shard_errors.inc();
-        mark_unhealthy(&self.shards, s);
+        mark_health(&self.shards, s, false);
     }
 
     /// Pipelined scatter-gather over every shard: sends `line(s)` to each
     /// shard `s`, then collects the replies under one shared deadline and
-    /// reduces each with `pick`. A shard that is unreachable, past the
-    /// deadline, or refused by `pick` is missing.
+    /// reduces each with `pick`. Every fan-out is idempotent, so a leg whose
+    /// exchange failed is redialed once within that deadline. A shard that
+    /// is still unreachable, past the deadline, or refused by `pick` is
+    /// missing.
     fn gather(
         &self,
         conns: &mut Conns,
@@ -287,7 +293,10 @@ impl Router {
                 let reply = reply.ok().and_then(|r| serde_json::from_str::<Value>(&r).ok());
                 match reply {
                     // Restore the default timeout for future single calls.
-                    Some(_) => _ = c.set_read_timeout(Some(self.deadline)),
+                    Some(_) => {
+                        _ = c.set_read_timeout(Some(self.deadline));
+                        mark_health(&self.shards, s, true);
+                    }
                     None => self.drop_conn(conns, s),
                 }
                 reply
@@ -298,6 +307,11 @@ impl Router {
                 sp.force_sample();
                 sp.tag("outcome", if sent { "missed_deadline" } else { "unreachable" });
             }
+            drop(sp);
+            let reply = reply.or_else(|| {
+                let resp = self.redial(conns, s, &line(s), deadline)?;
+                serde_json::from_str::<Value>(&resp).ok()
+            });
             match reply.and_then(&mut pick) {
                 Some(v) => g.shards.push(v),
                 None => {
@@ -311,8 +325,15 @@ impl Router {
 
     /// Forwards one raw request line to shard `s`, returning the raw
     /// response line (verbatim passthrough, plus this hop's trace context
-    /// so the shard span parents here).
-    fn forward_one(&self, conns: &mut Conns, s: usize, line: &str) -> Option<String> {
+    /// so the shard span parents here). `timeout` shortens the wait for the
+    /// reply below the connection's default `deadline`.
+    fn forward_one(
+        &self,
+        conns: &mut Conns,
+        s: usize,
+        line: &str,
+        timeout: Option<Duration>,
+    ) -> Option<String> {
         let mut sp = seqge_obs::trace::start_span("cluster.shard", None);
         if sp.is_active() {
             sp.tag("shard", s.to_string());
@@ -324,12 +345,19 @@ impl Router {
             }
             return None;
         };
-        let resp = match sp.ctx() {
+        let shortened = timeout.map_or(Ok(()), |t| c.set_read_timeout(Some(t)));
+        let resp = shortened.and_then(|()| match sp.ctx() {
             Some(ctx) => c.call_traced(line, &ctx),
             None => c.call_raw(line),
-        };
+        });
         match resp {
-            Ok(resp) => Some(resp),
+            Ok(resp) => {
+                if timeout.is_some() {
+                    _ = c.set_read_timeout(Some(self.deadline));
+                }
+                mark_health(&self.shards, s, true);
+                Some(resp)
+            }
             Err(_) => {
                 if sp.is_active() {
                     sp.force_sample();
@@ -339,6 +367,24 @@ impl Router {
                 None
             }
         }
+    }
+
+    /// One more exchange with shard `s` after a failed one, if `deadline`
+    /// leaves time for it. Only idempotent requests take it: writes go back
+    /// to the client, whose resend carries the same `WriteId`.
+    fn redial(&self, conns: &mut Conns, s: usize, line: &str, deadline: Instant) -> Option<String> {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining < Duration::from_millis(1) {
+            return None;
+        }
+        self.forward_one(conns, s, line, Some(remaining))
+    }
+
+    /// [`Router::forward_one`] for a single-shard read, redialed once
+    /// within one `deadline` before the shard counts as unavailable.
+    fn read_one(&self, conns: &mut Conns, s: usize, line: &str) -> Option<String> {
+        let deadline = Instant::now() + self.deadline;
+        self.forward_one(conns, s, line, None).or_else(|| self.redial(conns, s, line, deadline))
     }
 
     /// Appends `degraded`, `missing_shards` and — when degraded, that is
@@ -424,7 +470,7 @@ impl Router {
 
     fn get_embedding(&self, node: u32, line: &str, conns: &mut Conns) -> String {
         let s = owner(node, self.num_shards());
-        if let Some(resp) = self.forward_one(conns, s, line) {
+        if let Some(resp) = self.read_one(conns, s, line) {
             return resp;
         }
         self.degraded_total.inc();
@@ -452,7 +498,7 @@ impl Router {
         // within the cross-shard tolerance documented in DESIGN.md
         // ("Cross-shard score comparability").
         for s in std::iter::once(a).chain((b != a).then_some(b)) {
-            if let Some(resp) = self.forward_one(conns, s, line) {
+            if let Some(resp) = self.read_one(conns, s, line) {
                 return resp;
             }
         }
@@ -531,7 +577,7 @@ impl Router {
         // undirected edge) applies and trains this edge. No other shard
         // ever sees it, so cluster-wide each edge trains exactly once.
         let s = edge_owner(u, v, self.num_shards());
-        let Some(resp) = self.forward_one(conns, s, line) else {
+        let Some(resp) = self.forward_one(conns, s, line, None) else {
             self.degraded_total.inc();
             // Retryable by contract: the client backs off and resends the
             // same WriteId; a shard that already acked dedups it.

@@ -29,8 +29,9 @@ pub struct ShardInfo {
     /// Incarnation counter; bumped on every (re)spawn so cached router
     /// connections to a previous incarnation are discarded.
     pub epoch: u64,
-    /// Cleared by the router on send/receive failure, restored by the
-    /// health loop once the shard answers again.
+    /// The router's last exchange with the shard: cleared by a failed
+    /// dial, send or receive, set by a reply. Publishing a respawned
+    /// incarnation sets it too.
     pub healthy: bool,
 }
 
@@ -50,9 +51,9 @@ pub fn shard_info(table: &ShardTable, s: usize) -> ShardInfo {
     *table[s].lock().expect("shard table poisoned")
 }
 
-/// Marks a shard unhealthy (router-side failure observation).
-pub fn mark_unhealthy(table: &ShardTable, s: usize) {
-    table[s].lock().expect("shard table poisoned").healthy = false;
+/// Records the outcome of the router's latest exchange with shard `s`.
+pub fn mark_health(table: &ShardTable, s: usize, healthy: bool) {
+    table[s].lock().expect("shard table poisoned").healthy = healthy;
 }
 
 /// Publishes a new incarnation of shard `s`.
@@ -169,8 +170,11 @@ mod tests {
         let a2: SocketAddr = "127.0.0.1:4002".parse().unwrap();
         let table = shard_table(&[a1]);
         assert_eq!(shard_info(&table, 0), ShardInfo { addr: a1, epoch: 1, healthy: true });
-        mark_unhealthy(&table, 0);
+        mark_health(&table, 0, false);
         assert!(!shard_info(&table, 0).healthy);
+        mark_health(&table, 0, true);
+        assert!(shard_info(&table, 0).healthy, "a reply restores the flag");
+        mark_health(&table, 0, false);
         publish_incarnation(&table, 0, a2);
         assert_eq!(shard_info(&table, 0), ShardInfo { addr: a2, epoch: 2, healthy: true });
     }

@@ -12,7 +12,13 @@
 //!   `edges_inserted` / `edges_removed` equal the acked adds and removes,
 //!   and `seqge_serve_deduped_total` equals the resends;
 //! * the router still answers `ping` and `cluster_status`, and its merged
-//!   metrics carry its own request telemetry and the shards' counters.
+//!   metrics carry its own request telemetry and the shards' counters;
+//! * a dropped connection does not cost a read: the router redials once
+//!   within its deadline, so a `degraded` read needs two drops in a row
+//!   (≈ 25 × 0.05 expected over the stream, against ≈ 25 without the
+//!   redial);
+//! * health follows the last exchange: after the stream `cluster_status`
+//!   reports both shards healthy.
 //!
 //! This suite has its own file because the fault schedule is read from the
 //! environment when each shard boots: set inside `cluster_e2e.rs`, it would
@@ -23,9 +29,10 @@ use seqge_cluster::{Cluster, ClusterConfig};
 use seqge_eval::EdgeOp;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::spanning_forest;
-use seqge_serve::protocol::{CODE_DEGRADED, CODE_OVERLOADED};
+use seqge_serve::protocol::{op_name, CODE_DEGRADED, CODE_OVERLOADED};
 use seqge_serve::{Client, ClientConfig};
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io;
 use std::time::Duration;
 
@@ -54,18 +61,20 @@ fn client(addr: &str) -> Client {
     .expect("client connects")
 }
 
-/// Requests answered, and failures by their leading protocol code.
+/// Requests answered, failures by their leading protocol code, and
+/// degraded replies (coded failures and partial or replica answers) per op.
 #[derive(Default)]
 struct Tally {
     ok: u64,
     coded: u64,
+    degraded: BTreeMap<&'static str, u64>,
 }
 
 impl Tally {
     /// Books one call's outcome; `true` when it succeeded. A failure that
     /// is not coded `overloaded` or `degraded` is a hard error and fails
     /// the test on the spot.
-    fn book<T>(&mut self, what: &str, r: io::Result<T>) -> bool {
+    fn book<T>(&mut self, what: &'static str, r: io::Result<T>) -> bool {
         match r {
             Ok(_) => {
                 self.ok += 1;
@@ -80,9 +89,24 @@ impl Tally {
                     e.kind()
                 );
                 self.coded += 1;
+                if msg.starts_with(CODE_DEGRADED) {
+                    *self.degraded.entry(what).or_default() += 1;
+                }
                 false
             }
         }
+    }
+
+    /// Sends one read and books it, counting an answer that is partial
+    /// (`degraded: true`) or came from a replica as degraded too.
+    fn read(&mut self, c: &mut Client, what: &'static str, line: &str) {
+        let r = c.call(line);
+        if let Ok(v) = &r {
+            if v.get("code").and_then(Value::as_str) == Some(CODE_DEGRADED) {
+                *self.degraded.entry(what).or_default() += 1;
+            }
+        }
+        self.book(what, r);
     }
 }
 
@@ -139,27 +163,33 @@ fn router_keeps_exactly_once_under_shard_connection_faults() {
     let cluster = Cluster::start(&cfg, &initial).expect("cluster boots");
     let mut c = client(&cluster.addr().to_string());
 
-    let op = EdgeOp::Cosine;
+    let op = op_name(EdgeOp::Cosine);
     let mut tally = Tally::default();
     let (mut adds, mut removes) = (0u64, 0u64);
     for &(u, v) in &edges {
         adds += u64::from(tally.book("add_edge", c.add_edge(u, v)));
-        tally.book("topk", c.topk(u, 5, op));
-        tally.book("topk ann", c.topk_ann(u, 5, op, 4));
-        tally.book("get_embedding", c.get_embedding(v));
-        tally.book("score_link", c.score_link(u, v, op));
+        let topk = format!(r#"{{"cmd":"topk","node":{u},"k":5,"op":"{op}""#);
+        tally.read(&mut c, "topk", &format!("{topk}}}"));
+        tally.read(&mut c, "topk ann", &format!(r#"{topk},"mode":"ann","probes":4}}"#));
+        tally.read(&mut c, "get_embedding", &format!(r#"{{"cmd":"get_embedding","node":{v}}}"#));
+        let score = format!(r#"{{"cmd":"score_link","u":{u},"v":{v},"op":"{op}"}}"#);
+        tally.read(&mut c, "score_link", &score);
     }
     for &(u, v) in edges.iter().step_by(3) {
         removes += u64::from(tally.book("remove_edge", c.remove_edge(v, u)));
     }
     c.flush().expect("flush barrier");
     eprintln!(
-        "{}: {} requests, {} ok, {} coded errors; acked {adds} adds, {removes} removes",
+        "{}: {} requests, {} ok, {} coded errors, degraded reads {:?}; acked {adds} adds, \
+         {removes} removes",
         backend_kind(),
         tally.ok + tally.coded,
         tally.ok,
-        tally.coded
+        tally.coded,
+        tally.degraded
     );
+    let degraded: u64 = tally.degraded.values().sum();
+    assert!(degraded <= 5, "reads degraded past one redial: {:?}", tally.degraded);
 
     let body = full_scrape(&mut c);
     let injected = scrape_sum(&body, "seqge_serve_fault_injected_total");
@@ -182,7 +212,12 @@ fn router_keeps_exactly_once_under_shard_connection_faults() {
     assert_eq!(scrape_sum(&body, "seqge_serve_deduped_total"), resends, "a resend was not deduped");
 
     c.ping().expect("router answers ping after the faults");
-    c.call(r#"{"cmd":"cluster_status"}"#).expect("router answers cluster_status");
+    let status = c.call(r#"{"cmd":"cluster_status"}"#).expect("router answers cluster_status");
+    assert_eq!(
+        status.get("healthy_shards").and_then(Value::as_u64),
+        Some(SHARDS as u64),
+        "a shard that answers again reads healthy: {status:?}"
+    );
 
     // The router's own telemetry, booked by the front end it shares with
     // the node.

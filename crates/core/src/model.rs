@@ -64,7 +64,10 @@ impl NegativeDraw {
         }
     }
 
-    /// Negatives to train against `positive`.
+    /// Negatives to train against `positive`. Inlined so that a caller in
+    /// another crate (the accelerator's walk) reads the shared set in place
+    /// under [`NegativeMode::PerWalk`] instead of calling out per positive.
+    #[inline]
     pub fn for_positive(
         &mut self,
         positive: NodeId,

@@ -17,13 +17,18 @@
 //! [`IncrementalTrainer`] (a corpus pass for bootstrap/refresh, a per-edge
 //! step for ingest). Any [`EmbeddingModel`] plugs in, the fixed-point
 //! accelerator included.
+//!
+//! Like the paper's host, the corpus pass hands each walk to the model as it
+//! is drawn and keeps none: it streams the walks twice from one lane seed,
+//! first for the negative table's appearance counts, then to train them, so
+//! a boot or refresh holds O(n) counts rather than O(n·r·l) walk nodes.
 
 use crate::config::TrainConfig;
 use crate::model::EmbeddingModel;
 use seqge_graph::{spanning_forest, EdgeEvent, EdgeStream, Graph, GraphError, NodeId};
 use seqge_sampling::{
-    generate_corpus, generate_corpus_pipelined, stream_walks, NegativeTable, Node2VecParams,
-    PipelineConfig, Rng64, StepStrategy, UpdatePolicy, WalkCorpus, Walker,
+    generate_corpus, stream_walks, NegativeTable, Node2VecParams, PipelineConfig, Rng64,
+    StepStrategy, UpdatePolicy, WalkCorpus, Walker,
 };
 use std::time::{Duration, Instant};
 
@@ -229,42 +234,46 @@ impl IncrementalTrainer {
         }
     }
 
-    /// Regenerates the walk corpus over `g` with the pipelined walker
-    /// (per-walk RNG lanes fanned out over one worker per core), replacing
-    /// `self.corpus` and returning the kept walks in schedule order. The
-    /// lane base is drawn from the sequential RNG, so consecutive resamples
-    /// explore different corpora and the main stream advances by exactly
-    /// one draw regardless of thread count.
-    fn resample(&mut self, g: &Graph) -> Vec<Vec<NodeId>> {
-        let lane_seed = self.rng.next_u64();
-        let (corpus, walks) = generate_corpus_pipelined(
-            &g.to_csr(),
-            self.params,
-            lane_seed,
-            PipelineConfig::default(),
-        );
-        self.corpus = corpus;
-        walks
-    }
-
-    /// One "all"-protocol pass over the current graph: resample the corpus
-    /// (`r` walks per node), rebuild the negative table from its
-    /// frequencies, and train every walk in schedule order. Walk generation
-    /// fans out across cores; the OS-ELM update loop stays sequential and
-    /// the result is thread-count independent. Returns the walks trained.
+    /// One "all"-protocol pass over the current graph (`r` walks per node),
+    /// as two passes over one regenerable walk stream, storing no walk:
+    ///
+    /// 1. [`stream_walks`] from a lane base drawn once from the sequential
+    ///    RNG records the walks' appearance counts into a fresh corpus, and
+    ///    the negative table is rebuilt from it — the full corpus's counts;
+    /// 2. [`stream_walks`] from the same lane base yields the same walks in
+    ///    the same index order (each walk has its own RNG lane), and each is
+    ///    trained as it arrives, on the sequential RNG.
+    ///
+    /// Walk generation fans out across cores in both passes; the OS-ELM
+    /// update loop stays sequential, and the result is thread-count
+    /// independent. The main stream advances by the one lane-base draw plus
+    /// the training draws, so consecutive passes explore different corpora.
+    /// Memory is the corpus counts and the table plus the pipeline's
+    /// `threads × queue_depth` in-flight walks, never the `n·r` walks.
+    /// Returns the walks trained.
     fn corpus_pass<M: EmbeddingModel>(&mut self, g: &Graph, model: &mut M) -> usize {
         assert_eq!(g.num_nodes(), model.num_nodes(), "graph/model node count mismatch");
-        let walks = self.resample(g);
+        let csr = g.to_csr();
+        let lane_seed = self.rng.next_u64();
+        let walks = |on_walk: &mut dyn FnMut(Vec<NodeId>)| {
+            let (strategy, config) = (StepStrategy::Cumulative, PipelineConfig::default());
+            stream_walks(&csr, self.params, strategy, lane_seed, config, |_, walk| {
+                if walk.len() >= 2 {
+                    on_walk(walk);
+                }
+            });
+        };
+        self.corpus = WalkCorpus::new(g.num_nodes());
+        walks(&mut |walk| self.corpus.record(&walk));
         self.table.rebuild(&self.corpus);
-        if !self.table.is_ready() {
+        if self.corpus.num_walks() == 0 {
             return 0; // edgeless graph: nothing to train
         }
-        for walk in &walks {
-            model.train_walk(walk, &self.table, &mut self.rng);
-        }
-        self.outcome.walks_trained += walks.len();
-        seqge_obs::static_counter!("seqge_core_walks_trained_total").add(walks.len() as u64);
-        walks.len()
+        walks(&mut |walk| model.train_walk(&walk, &self.table, &mut self.rng));
+        let trained = self.corpus.num_walks();
+        self.outcome.walks_trained += trained;
+        seqge_obs::static_counter!("seqge_core_walks_trained_total").add(trained as u64);
+        trained
     }
 
     /// Trains the start-up pass on the initial graph ("only a fraction of

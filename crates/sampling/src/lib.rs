@@ -34,7 +34,7 @@ pub mod window;
 pub use alias::AliasTable;
 pub use corpus::{generate_corpus, WalkCorpus};
 pub use negative::{NegativeTable, UpdatePolicy};
-pub use pipeline::{generate_corpus_pipelined, stream_walks, PipelineConfig, PipelineStats};
+pub use pipeline::{stream_walks, PipelineConfig, PipelineStats};
 pub use rng::{stream_seed, Rng64};
 pub use walk::{Node2VecParams, StepStrategy, WalkGraph, Walker};
 pub use window::{context_windows, contexts, Context, ContextWindows};

@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn swapped_corpus_is_read_from_its_own_start() {
-        // `IncrementalTrainer::refresh`: `resample` replaces the corpus,
+        // `IncrementalTrainer::refresh`: its corpus pass replaces the corpus,
         // `rebuild` follows. The old corpus is the longer one, so a cursor
         // kept across the swap would point past the new one's end.
         let mut rng = Rng64::seed_from_u64(8);

@@ -18,12 +18,16 @@
 //!   consumer recovers global order by round-robining the channels — no
 //!   reorder buffer, and memory is bounded by `threads × queue_depth` walks.
 //!
+//! The stream is therefore regenerable: run twice from one seed, it yields
+//! the same walks in the same order. A consumer that needs the whole corpus
+//! before training (the negative table's appearance counts) makes one pass
+//! to count and a second to train rather than storing the walks.
+//!
 //! The pipeline feeds the global `seqge_obs` registry:
 //! `seqge_pipeline_walk_gen_ns` (per-walk kernel time histogram),
 //! `seqge_pipeline_queue_depth` (walks in flight between producers and the
 //! consumer), and `seqge_pipeline_walks_total` (walks delivered).
 
-use crate::corpus::WalkCorpus;
 use crate::rng::Rng64;
 use crate::walk::{Node2VecParams, StepStrategy, WalkGraph, Walker};
 use seqge_graph::NodeId;
@@ -152,46 +156,35 @@ where
     })
 }
 
-/// Pipelined counterpart of [`generate_corpus`]: same output contract
-/// (corpus counts plus the kept walks, in schedule order, isolated-node
-/// walks dropped), generated by `config.threads` workers.
-///
-/// Note the corpus differs from the serial `generate_corpus` for the same
-/// seed — the serial path threads one RNG through all walks, the pipeline
-/// gives each walk its own stream — but it is identical across thread
-/// counts for a fixed seed.
-///
-/// [`generate_corpus`]: crate::corpus::generate_corpus
-pub fn generate_corpus_pipelined<G>(
-    csr: &G,
-    params: Node2VecParams,
-    seed: u64,
-    config: PipelineConfig,
-) -> (WalkCorpus, Vec<Vec<NodeId>>)
-where
-    G: WalkGraph + Sync,
-{
-    let n = csr.num_nodes();
-    let mut corpus = WalkCorpus::new(n);
-    let mut walks = Vec::with_capacity(n * params.walks_per_node);
-    stream_walks(csr, params, StepStrategy::Cumulative, seed, config, |_, walk| {
-        if walk.len() < 2 {
-            return;
-        }
-        corpus.record(&walk);
-        walks.push(walk);
-    });
-    (corpus, walks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::WalkCorpus;
     use seqge_graph::generators::classic::{erdos_renyi, ring};
     use seqge_graph::Graph;
 
     fn params(l: usize, r: usize) -> Node2VecParams {
         Node2VecParams { walk_length: l, walks_per_node: r, ..Default::default() }
+    }
+
+    /// The stream as a corpus consumer sees it: the counts and kept walks
+    /// (isolated-node walks dropped), in schedule order.
+    fn corpus(
+        csr: &seqge_graph::Csr,
+        p: Node2VecParams,
+        seed: u64,
+        threads: usize,
+    ) -> (WalkCorpus, Vec<Vec<NodeId>>) {
+        let mut corpus = WalkCorpus::new(csr.num_nodes());
+        let mut walks = Vec::new();
+        let config = PipelineConfig::with_threads(threads);
+        stream_walks(csr, p, StepStrategy::Cumulative, seed, config, |_, walk| {
+            if walk.len() >= 2 {
+                corpus.record(&walk);
+                walks.push(walk);
+            }
+        });
+        (corpus, walks)
     }
 
     /// Acceptance criterion: the pipelined corpus is bit-identical across
@@ -200,10 +193,9 @@ mod tests {
     fn corpus_identical_across_thread_counts() {
         let csr = erdos_renyi(60, 0.1, 3).to_csr();
         let p = params(20, 4);
-        let (c1, w1) = generate_corpus_pipelined(&csr, p, 42, PipelineConfig::with_threads(1));
+        let (c1, w1) = corpus(&csr, p, 42, 1);
         for threads in [2, 3, 8] {
-            let (c, w) =
-                generate_corpus_pipelined(&csr, p, 42, PipelineConfig::with_threads(threads));
+            let (c, w) = corpus(&csr, p, 42, threads);
             assert_eq!(w, w1, "walks differ at {threads} threads");
             assert_eq!(c.counts(), c1.counts(), "counts differ at {threads} threads");
             assert_eq!(c.num_walks(), c1.num_walks());
@@ -240,8 +232,7 @@ mod tests {
         let mut g = Graph::with_nodes(5);
         g.add_edge(0, 1).unwrap();
         let csr = g.to_csr();
-        let (corpus, walks) =
-            generate_corpus_pipelined(&csr, params(6, 2), 1, PipelineConfig::with_threads(3));
+        let (corpus, walks) = corpus(&csr, params(6, 2), 1, 3);
         assert_eq!(walks.len(), 4); // nodes 0 and 1, two rounds
         assert_eq!(corpus.counts()[3], 0);
     }
@@ -263,8 +254,7 @@ mod tests {
     #[test]
     fn more_threads_than_walks_is_fine() {
         let csr = ring(3).to_csr();
-        let (_, walks) =
-            generate_corpus_pipelined(&csr, params(4, 1), 5, PipelineConfig::with_threads(16));
+        let (_, walks) = corpus(&csr, params(4, 1), 5, 16);
         assert_eq!(walks.len(), 3);
     }
 
