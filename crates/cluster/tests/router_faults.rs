@@ -13,10 +13,14 @@
 //!   and `seqge_serve_deduped_total` equals the resends;
 //! * the router still answers `ping` and `cluster_status`, and its merged
 //!   metrics carry its own request telemetry and the shards' counters;
-//! * a dropped connection does not cost a read: the router redials once
-//!   within its deadline, so a `degraded` read needs two drops in a row
-//!   (≈ 25 × 0.05 expected over the stream, against ≈ 25 without the
-//!   redial);
+//! * a dropped connection does not cost a read: the router redials a read,
+//!   or a fan-out leg, once within its deadline, and the redial drops on
+//!   its own 5 % draw. So about one in twenty of the reads' first failures
+//!   still ends `degraded`, where without the redial every one does. The
+//!   router counts every failed shard exchange, first failures and failed
+//!   redials alike, in `seqge_cluster_shard_errors_total`; the degraded
+//!   reads must stay within a tenth of that count plus 3, twice the
+//!   expectation and a margin, which the redial-less path misses by far;
 //! * health follows the last exchange: after the stream `cluster_status`
 //!   reports both shards healthy.
 //!
@@ -98,16 +102,47 @@ impl Tally {
     }
 
     /// Sends one read and books it, counting an answer that is partial
-    /// (`degraded: true`) or came from a replica as degraded too.
-    fn read(&mut self, c: &mut Client, what: &'static str, line: &str) {
+    /// (`degraded: true`) or came from a replica as degraded too. Every
+    /// answer must carry the op's payload as the typed client decodes it
+    /// (`payload`); one without it is a hard error.
+    fn read(
+        &mut self,
+        c: &mut Client,
+        what: &'static str,
+        line: &str,
+        payload: fn(&Value) -> bool,
+    ) {
         let r = c.call(line);
         if let Ok(v) = &r {
+            assert!(payload(v), "{what}: answer without its payload: {v:?}");
             if v.get("code").and_then(Value::as_str) == Some(CODE_DEGRADED) {
                 *self.degraded.entry(what).or_default() += 1;
             }
         }
         self.book(what, r);
     }
+}
+
+/// A `topk` answer's `results`: `(node, score)` items, as `Client::topk` reads them.
+fn has_results(v: &Value) -> bool {
+    v.get("results").and_then(Value::as_array).is_some_and(|items| {
+        items.iter().all(|item| {
+            item.get("node").and_then(Value::as_u64).is_some()
+                && item.get("score").and_then(Value::as_f64).is_some()
+        })
+    })
+}
+
+/// A `get_embedding` answer's `embedding`: `DIM` numbers.
+fn has_embedding(v: &Value) -> bool {
+    v.get("embedding")
+        .and_then(Value::as_array)
+        .is_some_and(|xs| xs.len() == DIM && xs.iter().all(|x| x.as_f64().is_some()))
+}
+
+/// A `score_link` answer's `score`: a number.
+fn has_score(v: &Value) -> bool {
+    v.get("score").and_then(Value::as_f64).is_some()
 }
 
 /// Sums every series of counter `name` in a Prometheus body.
@@ -169,11 +204,13 @@ fn router_keeps_exactly_once_under_shard_connection_faults() {
     for &(u, v) in &edges {
         adds += u64::from(tally.book("add_edge", c.add_edge(u, v)));
         let topk = format!(r#"{{"cmd":"topk","node":{u},"k":5,"op":"{op}""#);
-        tally.read(&mut c, "topk", &format!("{topk}}}"));
-        tally.read(&mut c, "topk ann", &format!(r#"{topk},"mode":"ann","probes":4}}"#));
-        tally.read(&mut c, "get_embedding", &format!(r#"{{"cmd":"get_embedding","node":{v}}}"#));
+        tally.read(&mut c, "topk", &format!("{topk}}}"), has_results);
+        let ann = format!(r#"{topk},"mode":"ann","probes":4}}"#);
+        tally.read(&mut c, "topk ann", &ann, has_results);
+        let emb = format!(r#"{{"cmd":"get_embedding","node":{v}}}"#);
+        tally.read(&mut c, "get_embedding", &emb, has_embedding);
         let score = format!(r#"{{"cmd":"score_link","u":{u},"v":{v},"op":"{op}"}}"#);
-        tally.read(&mut c, "score_link", &score);
+        tally.read(&mut c, "score_link", &score, has_score);
     }
     for &(u, v) in edges.iter().step_by(3) {
         removes += u64::from(tally.book("remove_edge", c.remove_edge(v, u)));
@@ -188,10 +225,16 @@ fn router_keeps_exactly_once_under_shard_connection_faults() {
         tally.coded,
         tally.degraded
     );
-    let degraded: u64 = tally.degraded.values().sum();
-    assert!(degraded <= 5, "reads degraded past one redial: {:?}", tally.degraded);
 
     let body = full_scrape(&mut c);
+    let shard_errors = scrape_sum(&body, "seqge_cluster_shard_errors_total");
+    let degraded: u64 = tally.degraded.values().sum();
+    eprintln!("{shard_errors} failed shard exchanges, {degraded} degraded reads");
+    assert!(
+        degraded <= shard_errors / 10 + 3,
+        "reads degraded past one redial: {:?} against {shard_errors} shard errors",
+        tally.degraded
+    );
     let injected = scrape_sum(&body, "seqge_serve_fault_injected_total");
     assert!(injected > 0, "no fault fired, so this run tested nothing");
 

@@ -64,10 +64,7 @@ impl NegativeDraw {
         }
     }
 
-    /// Negatives to train against `positive`. Inlined so that a caller in
-    /// another crate (the accelerator's walk) reads the shared set in place
-    /// under [`NegativeMode::PerWalk`] instead of calling out per positive.
-    #[inline]
+    /// Negatives to train against `positive`.
     pub fn for_positive(
         &mut self,
         positive: NodeId,

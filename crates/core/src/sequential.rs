@@ -249,7 +249,8 @@ impl IncrementalTrainer {
     /// independent. The main stream advances by the one lane-base draw plus
     /// the training draws, so consecutive passes explore different corpora.
     /// Memory is the corpus counts and the table plus the pipeline's
-    /// `threads × queue_depth` in-flight walks, never the `n·r` walks.
+    /// `threads × queue_depth` in-flight walks, never the `n·r` walks. The
+    /// `seqge_pipeline_*` series book each walk once per pass, so twice.
     /// Returns the walks trained.
     fn corpus_pass<M: EmbeddingModel>(&mut self, g: &Graph, model: &mut M) -> usize {
         assert_eq!(g.num_nodes(), model.num_nodes(), "graph/model node count mismatch");

@@ -26,7 +26,10 @@
 //! The pipeline feeds the global `seqge_obs` registry:
 //! `seqge_pipeline_walk_gen_ns` (per-walk kernel time histogram),
 //! `seqge_pipeline_queue_depth` (walks in flight between producers and the
-//! consumer), and `seqge_pipeline_walks_total` (walks delivered).
+//! consumer), and `seqge_pipeline_walks_total` (walks delivered). They
+//! count the pipeline's work, not distinct walks: a consumer that streams
+//! one corpus twice, like `IncrementalTrainer`'s bootstrap and refresh in
+//! `seqge-core`, books each walk twice.
 
 use crate::rng::Rng64;
 use crate::walk::{Node2VecParams, StepStrategy, WalkGraph, Walker};
