@@ -19,8 +19,9 @@
 //!   still ends `degraded`, where without the redial every one does. The
 //!   router counts every failed shard exchange, first failures and failed
 //!   redials alike, in `seqge_cluster_shard_errors_total`; the degraded
-//!   reads must stay within a tenth of that count plus 3, twice the
-//!   expectation and a margin, which the redial-less path misses by far;
+//!   reads must stay within a tenth of that count plus 3 (twice the
+//!   expectation, and a margin), which a router without the redial misses
+//!   by far;
 //! * health follows the last exchange: after the stream `cluster_status`
 //!   reports both shards healthy.
 //!
