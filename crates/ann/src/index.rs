@@ -1,7 +1,7 @@
 //! The published index and its incremental maintainer.
 
 use crate::lsh::{AnnConfig, Hyperplanes};
-use seqge_linalg::Mat;
+use seqge_linalg::NormedMat;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -202,7 +202,7 @@ pub struct AnnBuilder {
     budgets: Vec<f64>,
     /// The last view synced and the index handed out for it; also the record
     /// of the geometry `sigs` describes.
-    last: Option<(Arc<Mat<f32>>, Arc<AnnIndex>)>,
+    last: Option<(Arc<NormedMat>, Arc<AnnIndex>)>,
 }
 
 impl AnnBuilder {
@@ -220,7 +220,7 @@ impl AnnBuilder {
     /// with `m` moves); a sync where no signature changed returns the
     /// previous `Arc`. The first sync (or a geometry change — row or column
     /// count) projects every row and groups them by a counting sort.
-    pub fn sync(&mut self, emb: &Arc<Mat<f32>>) -> (Arc<AnnIndex>, SyncReport) {
+    pub fn sync(&mut self, emb: &Arc<NormedMat>) -> (Arc<AnnIndex>, SyncReport) {
         self.sync_over(emb, None)
     }
 
@@ -233,8 +233,8 @@ impl AnnBuilder {
     /// [`AnnBuilder::sync`].
     pub fn sync_rows(
         &mut self,
-        emb: &Arc<Mat<f32>>,
-        from: &Arc<Mat<f32>>,
+        emb: &Arc<NormedMat>,
+        from: &Arc<NormedMat>,
         rows: &[u32],
     ) -> (Arc<AnnIndex>, SyncReport) {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascending, once each");
@@ -245,8 +245,8 @@ impl AnnBuilder {
     /// one synced last.
     fn sync_over(
         &mut self,
-        emb: &Arc<Mat<f32>>,
-        delta: Option<(&Arc<Mat<f32>>, &[u32])>,
+        emb: &Arc<NormedMat>,
+        delta: Option<(&Arc<NormedMat>, &[u32])>,
     ) -> (Arc<AnnIndex>, SyncReport) {
         let t0 = Instant::now();
         let n = emb.rows();
@@ -334,6 +334,7 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use seqge_linalg::Mat;
 
     fn clustered(n: usize, dim: usize) -> Mat<f32> {
         // Two antipodal clusters with a small deterministic wobble.
@@ -345,7 +346,7 @@ mod tests {
 
     #[test]
     fn first_sync_indexes_everything() {
-        let emb = Arc::new(clustered(100, 8));
+        let emb = Arc::new(clustered(100, 8).into());
         let mut b = AnnBuilder::new(AnnConfig::default());
         let (idx, rep) = b.sync(&emb);
         assert_eq!(rep, SyncReport { total: 100, dirty: 100, rehashed: 100, ..rep });
@@ -360,12 +361,12 @@ mod tests {
     fn resync_rehashes_only_dirty_rows() {
         let mut emb = clustered(200, 8);
         let mut b = AnnBuilder::new(AnnConfig::default());
-        let (idx0, _) = b.sync(&Arc::new(emb.clone()));
+        let (idx0, _) = b.sync(&Arc::new(emb.clone().into()));
         // Move one vertex to the other cluster.
         for c in 0..8 {
             emb.row_mut(42)[c] = -1.0 - c as f32 * 0.01;
         }
-        let (idx1, rep) = b.sync(&Arc::new(emb.clone()));
+        let (idx1, rep) = b.sync(&Arc::new(emb.clone().into()));
         assert_eq!((rep.total, rep.dirty, rep.rehashed), (200, 1, 1));
         assert_eq!(rep.dirty_ppm(), 5_000);
         // The new index files 42 under its new signature…
@@ -373,7 +374,7 @@ mod tests {
         // …while the previously published index is untouched (old home).
         assert!(idx0.candidates(clustered(200, 8).row(42), 0).contains(&42));
         // A no-op sync is free.
-        let (_, rep) = b.sync(&Arc::new(emb));
+        let (_, rep) = b.sync(&Arc::new(emb.into()));
         assert_eq!(rep.dirty, 0);
     }
 
@@ -385,7 +386,7 @@ mod tests {
         for (row, c) in [(7, 0), (42, 3), (150, 5)] {
             moved.row_mut(row)[c] = -moved.row(row)[c];
         }
-        let (from, to) = (Arc::new(base.clone()), Arc::new(moved.clone()));
+        let (from, to) = (Arc::new(base.clone().into()), Arc::new(moved.clone().into()));
         let mut full = AnnBuilder::new(cfg);
         full.sync(&from);
         let (want, want_rep) = full.sync(&to);
@@ -407,7 +408,7 @@ mod tests {
         // A `from` that is not the view synced last — another `Arc` with the
         // same bits, or the new view itself — gets the full compare of
         // `sync`, whatever the list says.
-        for stale in [Arc::new(base.clone()), to.clone()] {
+        for stale in [Arc::new(base.clone().into()), to.clone()] {
             let mut b = AnnBuilder::new(cfg);
             b.sync(&from);
             let (index, rep) = b.sync_rows(&to, &stale, &[]);
@@ -423,18 +424,18 @@ mod tests {
     #[test]
     fn geometry_change_forces_full_rebuild() {
         let mut b = AnnBuilder::new(AnnConfig::default());
-        let (_, rep) = b.sync(&Arc::new(clustered(50, 8)));
+        let (_, rep) = b.sync(&Arc::new(clustered(50, 8).into()));
         assert_eq!(rep.dirty, 50);
-        let (_, rep) = b.sync(&Arc::new(clustered(60, 8)));
+        let (_, rep) = b.sync(&Arc::new(clustered(60, 8).into()));
         assert_eq!((rep.total, rep.dirty), (60, 60));
-        let (idx, rep) = b.sync(&Arc::new(clustered(60, 4)));
+        let (idx, rep) = b.sync(&Arc::new(clustered(60, 4).into()));
         assert_eq!(rep.dirty, 60);
         assert!(idx.candidates(clustered(60, 4).row(3), 0).contains(&3));
     }
 
     #[test]
     fn candidates_are_sorted_dedup_and_cluster_local() {
-        let emb = Arc::new(clustered(300, 16));
+        let emb = Arc::new(clustered(300, 16).into());
         let mut b = AnnBuilder::new(AnnConfig { bands: 6, bits: 4, seed: 9 });
         let (idx, _) = b.sync(&emb);
         let cands = idx.candidates(emb.row(10), 2);
@@ -453,11 +454,11 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs_are_fine() {
         let mut b = AnnBuilder::new(AnnConfig::default());
-        let (idx, rep) = b.sync(&Arc::new(Mat::zeros(0, 8)));
+        let (idx, rep) = b.sync(&Arc::new(Mat::zeros(0, 8).into()));
         assert_eq!((idx.num_points(), rep.total), (0, 0));
         assert_eq!(rep.dirty_ppm(), 0);
         assert!(idx.candidates(&[0.0; 8], 4).is_empty());
-        let (idx, _) = b.sync(&Arc::new(Mat::filled(1, 8, 0.5)));
+        let (idx, _) = b.sync(&Arc::new(Mat::filled(1, 8, 0.5).into()));
         assert_eq!(idx.candidates(&[0.5; 8], 0), vec![0]);
     }
 
@@ -481,7 +482,7 @@ mod tests {
 
     /// The index a fresh builder makes of `emb`, for comparison.
     fn fresh(cfg: AnnConfig, emb: &Mat<f32>) -> Arc<AnnIndex> {
-        AnnBuilder::new(cfg).sync(&Arc::new(emb.clone())).0
+        AnnBuilder::new(cfg).sync(&Arc::new(emb.clone().into())).0
     }
 
     /// Whether two indexes file every row under the same signatures.
@@ -493,11 +494,11 @@ mod tests {
     fn one_ulp_nudge_far_from_every_plane_projects_nothing() {
         let mut emb = clustered(200, 8);
         let mut b = AnnBuilder::new(AnnConfig::default());
-        let (before, _) = b.sync(&Arc::new(emb.clone()));
+        let (before, _) = b.sync(&Arc::new(emb.clone().into()));
         let row = (0..200).max_by(|&x, &y| b.budgets[x].total_cmp(&b.budgets[y])).unwrap();
         assert!(b.budgets[row] > 1e-3, "row {row} budget {}", b.budgets[row]);
         emb.row_mut(row)[3] = emb.row(row)[3].next_up();
-        let (after, rep) = b.sync(&Arc::new(emb.clone()));
+        let (after, rep) = b.sync(&Arc::new(emb.clone().into()));
         assert_eq!((rep.total, rep.dirty, rep.rehashed), (200, 1, 0));
         assert!(Arc::ptr_eq(&before, &after), "no signature moved: the same index");
         assert!(same_layout(&after, &fresh(AnnConfig::default(), &emb)));
@@ -508,7 +509,7 @@ mod tests {
         let cfg = AnnConfig::default();
         let mut emb = clustered(200, 8);
         let mut b = AnnBuilder::new(cfg);
-        let (mut index, _) = b.sync(&Arc::new(emb.clone()));
+        let (mut index, _) = b.sync(&Arc::new(emb.clone().into()));
         let (row, planes) = (10, index.planes.clone());
         let start = emb.row(row).to_vec();
         // Every plane as a unit normal; the row's signed distance to each.
@@ -536,7 +537,7 @@ mod tests {
             for (x, (&s, &w)) in emb.row_mut(row).iter_mut().zip(start.iter().zip(&normals[lane])) {
                 *x = (s as f64 - sign * to * w) as f32;
             }
-            let (next, rep) = b.sync(&Arc::new(emb.clone()));
+            let (next, rep) = b.sync(&Arc::new(emb.clone().into()));
             assert_eq!((rep.dirty, rep.rehashed), (1, usize::from(step == 4)), "step {step}");
             assert_eq!(Arc::ptr_eq(&next, &index), step < 4, "step {step}: moved bucket");
             assert!(same_layout(&next, &fresh(cfg, &emb)), "step {step}");
@@ -558,7 +559,7 @@ mod tests {
         let cfg = AnnConfig::default();
         let mut emb = clustered(50, 4);
         let mut b = AnnBuilder::new(cfg);
-        b.sync(&Arc::new(emb.clone()));
+        b.sync(&Arc::new(emb.clone().into()));
         for round in 0..8 {
             for (row, corner) in corners.iter().enumerate() {
                 let x = emb.row_mut(row);
@@ -573,7 +574,7 @@ mod tests {
                     v => v.next_up(),
                 };
             }
-            let (index, rep) = b.sync(&Arc::new(emb.clone()));
+            let (index, rep) = b.sync(&Arc::new(emb.clone().into()));
             assert_eq!((rep.dirty, rep.rehashed), (5, 5), "round {round}");
             for row in 0..corners.len() {
                 assert!(b.budgets[row] <= 0.0, "round {round} row {row}: {}", b.budgets[row]);
@@ -662,10 +663,10 @@ mod tests {
             let cfg = AnnConfig { bands, bits, seed: 5 };
             let mut emb = Mat::from_vec(rows, dim, cells[..rows * dim].to_vec());
             let mut builder = AnnBuilder::new(cfg);
-            let (mut index, rep) = builder.sync(&Arc::new(emb.clone()));
+            let (mut index, rep) = builder.sync(&Arc::new(emb.clone().into()));
             prop_assert_eq!((rep.total, rep.dirty, rep.rehashed), (rows, rows, rows));
             let mut told = AnnBuilder::new(cfg);
-            let mut told_view = Arc::new(emb.clone());
+            let mut told_view = Arc::new(emb.clone().into());
             told.sync(&told_view);
             let planes = index.planes.clone();
             for (edits, extra) in rounds {
@@ -695,7 +696,7 @@ mod tests {
                 let bits_of = |m: &Mat<f32>, r: usize| m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 let differs = |r: usize| bits_of(&before, r) != bits_of(&emb, r);
                 let changed = (0..rows).filter(|&r| differs(r)).count();
-                let (next, rep) = builder.sync(&Arc::new(emb.clone()));
+                let (next, rep) = builder.sync(&Arc::new(emb.clone().into()));
                 prop_assert_eq!((rep.total, rep.dirty), (rows, changed));
                 prop_assert!(rep.rehashed <= changed, "{} > {}", rep.rehashed, changed);
                 check_buckets(&next)?;
@@ -706,7 +707,7 @@ mod tests {
                     .filter(|&r| differs(r) || extra >> (r % 64) & 1 == 1)
                     .map(|r| r as u32)
                     .collect();
-                let view = Arc::new(emb.clone());
+                let view = Arc::new(emb.clone().into());
                 let (told_next, told_rep) = told.sync_rows(&view, &told_view, &listed);
                 prop_assert_eq!(
                     (told_rep.total, told_rep.dirty, told_rep.rehashed),
@@ -716,12 +717,12 @@ mod tests {
                 told_view = view;
                 index = next;
             }
-            let view = Arc::new(emb.clone());
+            let view = Arc::new(emb.clone().into());
             let (index, _) = builder.sync(&view);
             let (again, rep) = builder.sync(&view);
             prop_assert!(Arc::ptr_eq(&index, &again));
             prop_assert_eq!((rep.dirty, rep.rehashed), (0, 0));
-            let (equal, rep) = builder.sync(&Arc::new(emb.clone()));
+            let (equal, rep) = builder.sync(&Arc::new(emb.clone().into()));
             prop_assert!(Arc::ptr_eq(&index, &equal));
             prop_assert_eq!((rep.dirty, rep.rehashed), (0, 0));
             let fresh = fresh(cfg, &emb);

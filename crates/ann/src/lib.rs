@@ -20,7 +20,7 @@
 //!   holding an old snapshot keep a consistent index/embedding pair
 //!   forever.
 //! * [`AnnBuilder`] — the trainer-side maintainer. It keeps the last view
-//!   it synced: handed the same `Arc<Mat<f32>>` again (a publish with no
+//!   it synced: handed the same `Arc<NormedMat>` again (a publish with no
 //!   training since) it returns the previous `Arc<AnnIndex>` without
 //!   reading a row. Otherwise it detects the *dirty region*: rows whose
 //!   bits differ from the last view's, compared exactly — over the rows the

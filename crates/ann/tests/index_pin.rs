@@ -66,7 +66,7 @@ fn index_is_pinned_through_every_kind_of_sync() {
     let mut builder = AnnBuilder::new(AnnConfig::default());
     let (mut counts, mut hashes) = (Vec::new(), Vec::new());
     let mut step = |builder: &mut AnnBuilder, emb: &Mat<f32>| {
-        let (index, rep) = builder.sync(&Arc::new(emb.clone()));
+        let (index, rep) = builder.sync(&Arc::new(emb.clone().into()));
         counts.push((rep.total, rep.dirty, rep.rehashed));
         hashes.push(candidate_hash(&index, emb));
     };

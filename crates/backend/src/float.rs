@@ -10,7 +10,7 @@ use crate::{BackendKind, TrainBackend, ViewBuffer};
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{persist, IncrementalTrainer, OsElmSkipGram, SeqOutcome};
 use seqge_graph::{EdgeEvent, Graph, GraphError, NodeId};
-use seqge_linalg::Mat;
+use seqge_linalg::NormedMat;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -70,13 +70,13 @@ impl TrainBackend for FloatBackend {
         self.inc.refresh(g, &mut self.model)
     }
 
-    fn publish_view(&mut self) -> Arc<Mat<f32>> {
+    fn publish_view(&mut self) -> Arc<NormedMat> {
         let dirty = self.model.take_dirty();
         let model = &self.model;
         self.view.publish(dirty, |row, out| model.embed_row(row, out))
     }
 
-    fn last_delta(&self) -> Option<(&Arc<Mat<f32>>, &[NodeId])> {
+    fn last_delta(&self) -> Option<(&Arc<NormedMat>, &[NodeId])> {
         self.view.last_delta()
     }
 

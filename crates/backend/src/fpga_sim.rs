@@ -46,7 +46,7 @@ use seqge_core::model::EmbeddingModel;
 use seqge_core::{DataflowOsElm, IncrementalTrainer, SeqOutcome};
 use seqge_fpga::{Accelerator, CLOCK_MHZ};
 use seqge_graph::{EdgeEvent, Graph, GraphError, NodeId};
-use seqge_linalg::Mat;
+use seqge_linalg::{Mat, NormedMat};
 use seqge_sampling::{NegativeTable, Rng64};
 use std::io;
 use std::path::Path;
@@ -205,7 +205,7 @@ impl TrainBackend for FpgaSimBackend {
         self.inc.refresh(g, &mut self.probe)
     }
 
-    fn publish_view(&mut self) -> Arc<Mat<f32>> {
+    fn publish_view(&mut self) -> Arc<NormedMat> {
         // The Δ-batch application: only rows committed since the last
         // publish are re-dequantized.
         let dirty = self.probe.accel.take_dirty();
@@ -228,7 +228,7 @@ impl TrainBackend for FpgaSimBackend {
         view
     }
 
-    fn last_delta(&self) -> Option<(&Arc<Mat<f32>>, &[NodeId])> {
+    fn last_delta(&self) -> Option<(&Arc<NormedMat>, &[NodeId])> {
         self.view.last_delta()
     }
 

@@ -54,7 +54,7 @@ pub mod view;
 
 use seqge_core::{persist, OsElmConfig, SeqOutcome, TrainConfig};
 use seqge_graph::{EdgeEvent, Graph, GraphError, NodeId};
-use seqge_linalg::Mat;
+use seqge_linalg::NormedMat;
 use seqge_sampling::UpdatePolicy;
 use std::io;
 use std::path::Path;
@@ -175,7 +175,7 @@ pub trait TrainBackend: Send {
     /// row (contract item 3). Renders the rows training wrote since the last
     /// call (fpga-sim re-dequantizes them — the Δ-batch application that
     /// amortizes per-walk cost) but must not advance training state.
-    fn publish_view(&mut self) -> Arc<Mat<f32>>;
+    fn publish_view(&mut self) -> Arc<NormedMat>;
 
     /// The view the last [`TrainBackend::publish_view`] that changed a row
     /// replaced, and the rows it re-rendered, ascending: outside those rows
@@ -183,7 +183,7 @@ pub trait TrainBackend: Send {
     /// on the replaced view only has to visit them
     /// (`seqge_ann::AnnBuilder::sync_rows`). `None` when the backend keeps
     /// no such record; the sync then compares every row.
-    fn last_delta(&self) -> Option<(&Arc<Mat<f32>>, &[NodeId])> {
+    fn last_delta(&self) -> Option<(&Arc<NormedMat>, &[NodeId])> {
         None
     }
 

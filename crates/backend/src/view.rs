@@ -9,9 +9,14 @@
 //! measured at 50 000 rows; DESIGN.md). A view a reader still
 //! holds is never written; the publish clones the current view instead and
 //! patches the dirty rows. Every view handed out is immutable from then on.
+//!
+//! A view is a [`NormedMat`]: each row carries its norm, 8 bytes, which
+//! the cosine reads take instead of recomputing it. A publish computes the
+//! norms of the dirty rows only; every other row it renders holds the
+//! current view's bits there, and copies that view's norm.
 
 use seqge_graph::NodeId;
-use seqge_linalg::Mat;
+use seqge_linalg::NormedMat;
 use std::sync::Arc;
 
 /// The current view, the view it replaced, and the rows between them.
@@ -20,10 +25,10 @@ pub struct ViewBuffer {
     rows: usize,
     dim: usize,
     /// `None` until the first publish renders every row.
-    current: Option<Arc<Mat<f32>>>,
+    current: Option<Arc<NormedMat>>,
     /// The view `current` replaced, and the rows the publish that replaced
     /// it re-rendered — every row where the two may differ, ascending.
-    replaced: Option<(Arc<Mat<f32>>, Vec<NodeId>)>,
+    replaced: Option<(Arc<NormedMat>, Vec<NodeId>)>,
 }
 
 impl ViewBuffer {
@@ -40,19 +45,22 @@ impl ViewBuffer {
     /// when the two lists together name half the rows or more — or, when a
     /// reader still holds it, a clone of the current view patched over
     /// `dirty`.
+    ///
+    /// Each row rendered for `dirty` (or on the first publish) has its norm
+    /// computed right after it is written, while it is still in cache. Any
+    /// other row a publish renders — a stale row, or any row of the full
+    /// pass — renders the bits the current view holds there, so its norm is
+    /// copied from the current view: only dirty rows pay for a norm.
     pub fn publish(
         &mut self,
         dirty: Vec<NodeId>,
         mut render: impl FnMut(NodeId, &mut [f32]),
-    ) -> Arc<Mat<f32>> {
-        let mut render_rows = |view: &mut Mat<f32>, rows: &mut dyn Iterator<Item = NodeId>| {
-            for row in rows {
-                render(row, view.row_mut(row as usize));
-            }
-        };
+    ) -> Arc<NormedMat> {
         let Some(current) = self.current.take() else {
-            let mut view = Mat::zeros(self.rows, self.dim);
-            render_rows(&mut view, &mut (0..self.rows as NodeId));
+            let mut view = NormedMat::zeros(self.rows, self.dim);
+            for row in 0..self.rows as NodeId {
+                view.write_row(row as usize, |out| render(row, out));
+            }
             return self.current.insert(Arc::new(view)).clone();
         };
         if dirty.is_empty() {
@@ -79,15 +87,30 @@ impl ViewBuffer {
                 if 2 * (stale.len() + dirty.len()) >= self.rows {
                     // Half the view or more: one sequential pass is cheaper
                     // than that many scattered rows.
-                    render_rows(&mut view, &mut (0..self.rows as NodeId));
+                    let mut again = dirty.iter().peekable();
+                    for row in 0..self.rows as NodeId {
+                        let out = |out: &mut [f32]| render(row, out);
+                        if again.next_if_eq(&&row).is_some() {
+                            view.write_row(row as usize, out);
+                        } else {
+                            view.write_row_as(row as usize, &current, out);
+                        }
+                    }
                 } else {
-                    render_rows(&mut view, &mut stale.into_iter().chain(dirty.iter().copied()));
+                    for row in stale {
+                        view.write_row_as(row as usize, &current, |out| render(row, out));
+                    }
+                    for &row in &dirty {
+                        view.write_row(row as usize, |out| render(row, out));
+                    }
                 }
                 view
             }
             None => {
                 let mut view = (*current).clone();
-                render_rows(&mut view, &mut dirty.iter().copied());
+                for &row in &dirty {
+                    view.write_row(row as usize, |out| render(row, out));
+                }
                 view
             }
         };
@@ -100,7 +123,7 @@ impl ViewBuffer {
     /// The view the last publish that changed a row replaced, and the rows
     /// that publish re-rendered: outside them, the two views hold the same
     /// bits. `None` until a second view has been rendered.
-    pub fn last_delta(&self) -> Option<(&Arc<Mat<f32>>, &[NodeId])> {
+    pub fn last_delta(&self) -> Option<(&Arc<NormedMat>, &[NodeId])> {
         self.replaced.as_ref().map(|(view, rows)| (view, rows.as_slice()))
     }
 }
@@ -108,6 +131,8 @@ impl ViewBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqge_linalg::normed::row_norm;
+    use seqge_linalg::Mat;
 
     /// A model stand-in: row `r` of version `v` is `[v·100 + r; 2]` for the
     /// rows written at `v`.
@@ -122,17 +147,22 @@ mod tests {
     }
 
     /// Publishes `dirty`; returns the new view and the rows rendered, in
-    /// order, which tell the paths apart.
+    /// order, which tell the paths apart. Every norm of the view must be a
+    /// fresh computation's bits, on every path: dirty rows computed, stale
+    /// rows and the full pass's other rows copied.
     fn publish(
         buf: &mut ViewBuffer,
         model: &Model,
         dirty: &[NodeId],
-    ) -> (Arc<Mat<f32>>, Vec<NodeId>) {
+    ) -> (Arc<NormedMat>, Vec<NodeId>) {
         let mut rendered = Vec::new();
         let view = buf.publish(dirty.to_vec(), |r, out| {
             rendered.push(r);
             out.copy_from_slice(model.0.row(r as usize))
         });
+        for r in 0..view.rows() {
+            assert_eq!(view.norm(r).to_bits(), row_norm(view.row(r)).to_bits(), "row {r}");
+        }
         (view, rendered)
     }
 
@@ -143,7 +173,7 @@ mod tests {
         let mut buf = ViewBuffer::new(8, 2);
         model.write(1, &all);
         let (v1, rendered) = publish(&mut buf, &model, &[]);
-        assert_eq!((&*v1, rendered), (&model.0, all.clone()));
+        assert_eq!((&**v1, rendered), (&model.0, all.clone()));
         assert!(buf.last_delta().is_none());
         let (same, rendered) = publish(&mut buf, &model, &[]);
         assert!(Arc::ptr_eq(&same, &v1) && rendered.is_empty(), "nothing dirty: same view");
@@ -151,7 +181,7 @@ mod tests {
         // No replaced view yet: the current one is cloned and patched.
         model.write(2, &[1, 6]);
         let (v2, rendered) = publish(&mut buf, &model, &[1, 6]);
-        assert_eq!((&*v2, rendered), (&model.0, vec![1, 6]));
+        assert_eq!((&**v2, rendered), (&model.0, vec![1, 6]));
         let (from, rows) = buf.last_delta().unwrap();
         assert!(Arc::ptr_eq(from, &v1));
         assert_eq!(rows, [1, 6]);
@@ -162,7 +192,7 @@ mod tests {
         drop((v1, same));
         model.write(3, &[0, 6]);
         let (v3, rendered) = publish(&mut buf, &model, &[0, 6]);
-        assert_eq!((&*v3, rendered), (&model.0, vec![1, 0, 6]));
+        assert_eq!((&**v3, rendered), (&model.0, vec![1, 0, 6]));
         assert_eq!(v3.as_slice().as_ptr(), v1_rows, "rendered into the replaced view");
         let (from, rows) = buf.last_delta().unwrap();
         assert!(Arc::ptr_eq(from, &v2));
@@ -172,7 +202,7 @@ mod tests {
         let v2_bits = (*v2).clone();
         model.write(4, &[2, 5]);
         let (v4, rendered) = publish(&mut buf, &model, &[2, 5]);
-        assert_eq!((&*v4, rendered), (&model.0, vec![2, 5]));
+        assert_eq!((&**v4, rendered), (&model.0, vec![2, 5]));
         assert_eq!(*v2, v2_bits, "a held view is never written");
         assert!(!Arc::ptr_eq(&v4, &v2) && !Arc::ptr_eq(&v4, &v3));
         drop((v2, v3));
@@ -181,7 +211,7 @@ mod tests {
         // of the two lists, 2 of 8 rows, decides, not their sum.
         model.write(5, &[2, 5]);
         let (v5, rendered) = publish(&mut buf, &model, &[2, 5]);
-        assert_eq!((&*v5, rendered), (&model.0, vec![2, 5]));
+        assert_eq!((&**v5, rendered), (&model.0, vec![2, 5]));
         assert_eq!(v5.as_slice().as_ptr(), v1_rows, "rendered into the replaced view");
 
         // Stale [2, 5] and dirty [0, 3, 4] name half the rows or more: one
@@ -189,7 +219,7 @@ mod tests {
         drop(v4);
         model.write(6, &[0, 3, 4]);
         let (v6, rendered) = publish(&mut buf, &model, &[0, 3, 4]);
-        assert_eq!((&*v6, rendered), (&model.0, all));
+        assert_eq!((&**v6, rendered), (&model.0, all));
         assert_eq!(buf.last_delta().unwrap().1, [0, 3, 4]);
         assert!(Arc::ptr_eq(&publish(&mut buf, &model, &[]).0, &v6));
         assert!(Arc::ptr_eq(buf.last_delta().unwrap().0, &v5), "an empty publish keeps the delta");

@@ -25,7 +25,7 @@ use seqge_fixed::Q8_24;
 use seqge_fpga::Accelerator;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::{spanning_forest, EdgeEvent, Graph};
-use seqge_linalg::Mat;
+use seqge_linalg::{Mat, NormedMat};
 use seqge_sampling::{Rng64, UpdatePolicy};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -306,7 +306,7 @@ fn delta_publish_sequence<M: EmbeddingModel>(
     // Where the rows of the last two publishes' views live, and the
     // reader's view with its bits and the publish it was taken at.
     let mut recent: [*const f32; 2] = [std::ptr::null(); 2];
-    let mut reader: Option<(Arc<Mat<f32>>, Vec<u32>, usize)> = None;
+    let mut reader: Option<(Arc<NormedMat>, Vec<u32>, usize)> = None;
     for k in 0..=events.len() {
         if k > 0 {
             inc.ingest(&mut g, events[k - 1], &mut model).unwrap();

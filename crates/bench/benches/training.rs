@@ -18,7 +18,7 @@ use seqge_eval::EdgeOp;
 use seqge_fpga::Accelerator;
 use seqge_graph::generators::{PlantedPartition, SbmParams};
 use seqge_graph::Dataset;
-use seqge_linalg::{ops, Mat};
+use seqge_linalg::{ops, Mat, NormedMat};
 use seqge_sampling::Rng64;
 use seqge_serve::EmbeddingSnapshot;
 use std::sync::Arc;
@@ -125,13 +125,14 @@ fn bench_dot(c: &mut Criterion) {
 /// `serve.snapshot.topk_exact_ns` (scorer set-up, sequential sweep, k-best);
 /// `rerank` pushes 7 000 random rows in ascending-id order — the pool an ANN
 /// query re-ranks there — through the same `Scorer`, so it reads the kernel
-/// under a gather instead of a stream.
+/// under a gather instead of a stream. Both read each row's norm from the
+/// view, as the served reads do.
 fn bench_scan(c: &mut Criterion) {
     let (n, dim) = (50_000usize, 32usize);
     let mut rng = Rng64::seed_from_u64(22);
     let snap = EmbeddingSnapshot {
         version: 1,
-        emb: Arc::new(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0)),
+        emb: Arc::new(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0).into()),
         num_edges: 0,
         walks_trained: 0,
         edges_inserted: 0,
@@ -155,7 +156,8 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| {
             node = (node + 977) % n;
             let scorer = EdgeOp::Cosine.scorer(snap.emb.row(node));
-            pool.iter().map(|&v| scorer.score(snap.emb.row(v))).fold(f64::MIN, f64::max)
+            let score = |v| scorer.score_normed(snap.emb.row(v), snap.emb.norm(v));
+            pool.iter().map(|&v| score(v)).fold(f64::MIN, f64::max)
         });
     });
     group.finish();
@@ -173,14 +175,14 @@ fn bench_scan(c: &mut Criterion) {
 /// runs). Each of these alternates between two views. The view half,
 /// `view_18pct`: a [`ViewBuffer`] publish of one event's dirty rows with no
 /// reader holding the replaced view, so it re-renders that view's stale rows
-/// and the new dirty ones; `view_99pct` the same at `small_float`'s density,
-/// where the two lists cover the view and the publish is one sequential
-/// pass.
+/// and the new dirty ones, computing the dirty rows' norms; `view_99pct` the
+/// same at `small_float`'s density, where the two lists cover the view and
+/// the publish is one sequential pass.
 fn bench_publish(c: &mut Criterion) {
     let (n, dim) = (50_000usize, 32usize);
     let mut rng = Rng64::seed_from_u64(26);
-    let a = Arc::new(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0));
-    let mut b = (*a).clone();
+    let a = Arc::new(NormedMat::from(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0)));
+    let mut b = Mat::clone(&a);
     for row in 0..n {
         if rng.gen_index(100) < 18 {
             for x in b.row_mut(row) {
@@ -188,9 +190,9 @@ fn bench_publish(c: &mut Criterion) {
             }
         }
     }
-    let b = Arc::new(b);
+    let b = Arc::new(NormedMat::from(b));
     let (drifted, rows) = drift(&a, &mut rng);
-    let drifted = Arc::new(drifted);
+    let drifted = Arc::new(NormedMat::from(drifted));
     let mut group = c.benchmark_group("publish");
     group.throughput(Throughput::Elements(n as u64));
     let mut builder = AnnBuilder::new(AnnConfig::default());

@@ -25,6 +25,14 @@
 //! * health follows the last exchange: after the stream `cluster_status`
 //!   reports both shards healthy.
 //!
+//! A second cluster then boots under drops alone (`conn_drop` at 5 %, no
+//! stalls). A read can then end `degraded` only if its shard drops two
+//! exchanges in a row, the first try and the redial, since nothing else
+//! talks to a shard in between. The seed is one whose drop schedule has no
+//! two drops in a row over every exchange the run makes (the test checks
+//! that from the schedule itself), so every redial lands and the stream
+//! must read no degraded reply at all.
+//!
 //! This suite has its own file because the fault schedule is read from the
 //! environment when each shard boots: set inside `cluster_e2e.rs`, it would
 //! reach every other scenario there.
@@ -35,10 +43,11 @@ use seqge_eval::EdgeOp;
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::spanning_forest;
 use seqge_serve::protocol::{op_name, CODE_DEGRADED, CODE_OVERLOADED};
-use seqge_serve::{Client, ClientConfig};
+use seqge_serve::{Client, ClientConfig, FaultInjector, FaultPoint};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::io;
+use std::path::PathBuf;
 use std::time::Duration;
 
 const DIM: usize = 8;
@@ -186,37 +195,14 @@ fn router_keeps_exactly_once_under_shard_connection_faults() {
     std::env::set_var("SEQGE_FAULT_SEED", "7");
     std::env::set_var("SEQGE_FAULT_STALL_MS", "30");
 
-    let base = std::env::temp_dir().join(format!("seqge_router_faults_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
     let full = erdos_renyi(120, 0.06, 5);
     let split = spanning_forest(&full);
     let initial = split.initial_graph(&full);
     let edges = split.removed_edges;
-    let cfg = ClusterConfig {
-        train_backend: backend_kind(),
-        ..ClusterConfig::in_process(SHARDS, base.clone(), DIM, SEED)
-    };
-    let cluster = Cluster::start(&cfg, &initial).expect("cluster boots");
+    let (cluster, base) = boot(&initial, "mixed");
     let mut c = client(&cluster.addr().to_string());
 
-    let op = op_name(EdgeOp::Cosine);
-    let mut tally = Tally::default();
-    let (mut adds, mut removes) = (0u64, 0u64);
-    for &(u, v) in &edges {
-        adds += u64::from(tally.book("add_edge", c.add_edge(u, v)));
-        let topk = format!(r#"{{"cmd":"topk","node":{u},"k":5,"op":"{op}""#);
-        tally.read(&mut c, "topk", &format!("{topk}}}"), has_results);
-        let ann = format!(r#"{topk},"mode":"ann","probes":4}}"#);
-        tally.read(&mut c, "topk ann", &ann, has_results);
-        let emb = format!(r#"{{"cmd":"get_embedding","node":{v}}}"#);
-        tally.read(&mut c, "get_embedding", &emb, has_embedding);
-        let score = format!(r#"{{"cmd":"score_link","u":{u},"v":{v},"op":"{op}"}}"#);
-        tally.read(&mut c, "score_link", &score, has_score);
-    }
-    for &(u, v) in edges.iter().step_by(3) {
-        removes += u64::from(tally.book("remove_edge", c.remove_edge(v, u)));
-    }
-    c.flush().expect("flush barrier");
+    let (tally, adds, removes) = stream(&mut c, &edges);
     eprintln!(
         "{}: {} requests, {} ok, {} coded errors, degraded reads {:?}; acked {adds} adds, \
          {removes} removes",
@@ -272,4 +258,92 @@ fn router_keeps_exactly_once_under_shard_connection_faults() {
     drop(c);
     cluster.shutdown().expect("clean cluster shutdown");
     let _ = std::fs::remove_dir_all(&base);
+
+    // Drops alone: every read's first failure is redialed onto a schedule
+    // slot that does not drop.
+    std::env::set_var("SEQGE_FAULT", DROP_ONLY);
+    std::env::set_var("SEQGE_FAULT_SEED", DROP_ONLY_SEED.to_string());
+    let (cluster, base) = boot(&initial, "drop_only");
+    let mut c = client(&cluster.addr().to_string());
+    let (tally, adds, removes) = stream(&mut c, &edges);
+    let body = full_scrape(&mut c);
+    let exchanges = scrape_sum(&body, "seqge_serve_requests_total");
+    let first_pair = first_double_drop();
+    eprintln!(
+        "drops only: {} requests, {} ok, degraded reads {:?}; {exchanges} shard exchanges, \
+         the schedule's first double drop at visit {first_pair}",
+        tally.ok + tally.coded,
+        tally.ok,
+        tally.degraded
+    );
+    assert!(
+        exchanges < first_pair,
+        "{exchanges} shard exchanges reach the schedule's first double drop ({first_pair}): \
+         pick another seed"
+    );
+    assert!(scrape_sum(&body, "seqge_serve_fault_injected_total") > 0, "no drop fired");
+    assert!(tally.degraded.is_empty(), "a redialed read came back degraded: {:?}", tally.degraded);
+    assert_eq!(shard_sum(&cluster, "edges_inserted"), adds, "adds applied != adds acked");
+    assert_eq!(shard_sum(&cluster, "edges_removed"), removes, "removes applied != removes acked");
+    drop(c);
+    cluster.shutdown().expect("clean cluster shutdown");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The drops-only schedule: 5 % of deliveries dropped, nothing stalled.
+const DROP_ONLY: &str = "conn_drop=0.05";
+/// Its seed: no two drops in a row before visit 3 122 (see
+/// [`first_double_drop`]), past the ≈ 2 400 exchanges of the run.
+const DROP_ONLY_SEED: u64 = 1065 << 16;
+
+/// The first visit at which the drops-only schedule drops twice in a row,
+/// replayed from the schedule's own hash. Every shard draws the same
+/// schedule, one visit per request it answers.
+fn first_double_drop() -> u64 {
+    let schedule = FaultInjector::parse(DROP_ONLY, DROP_ONLY_SEED).expect("fault spec");
+    let mut last = false;
+    (0..)
+        .find(|_| {
+            let now = schedule.should(FaultPoint::ConnDrop);
+            std::mem::replace(&mut last, now) && now
+        })
+        .expect("a 5 % schedule drops twice in a row eventually")
+}
+
+/// Boots a 2-shard in-process cluster over `initial` in a fresh directory
+/// named after `run`, under the fault schedule the environment holds now.
+fn boot(initial: &seqge_graph::Graph, run: &str) -> (Cluster, PathBuf) {
+    let base =
+        std::env::temp_dir().join(format!("seqge_router_faults_{run}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let cfg = ClusterConfig {
+        train_backend: backend_kind(),
+        ..ClusterConfig::in_process(SHARDS, base.clone(), DIM, SEED)
+    };
+    (Cluster::start(&cfg, initial).expect("cluster boots"), base)
+}
+
+/// Streams every edge's add and the four reads after it, then removes
+/// every third edge reversed, and flushes. Returns the tally and the acked
+/// adds and removes.
+fn stream(c: &mut Client, edges: &[(u32, u32)]) -> (Tally, u64, u64) {
+    let op = op_name(EdgeOp::Cosine);
+    let mut tally = Tally::default();
+    let (mut adds, mut removes) = (0u64, 0u64);
+    for &(u, v) in edges {
+        adds += u64::from(tally.book("add_edge", c.add_edge(u, v)));
+        let topk = format!(r#"{{"cmd":"topk","node":{u},"k":5,"op":"{op}""#);
+        tally.read(c, "topk", &format!("{topk}}}"), has_results);
+        let ann = format!(r#"{topk},"mode":"ann","probes":4}}"#);
+        tally.read(c, "topk ann", &ann, has_results);
+        let emb = format!(r#"{{"cmd":"get_embedding","node":{v}}}"#);
+        tally.read(c, "get_embedding", &emb, has_embedding);
+        let score = format!(r#"{{"cmd":"score_link","u":{u},"v":{v},"op":"{op}"}}"#);
+        tally.read(c, "score_link", &score, has_score);
+    }
+    for &(u, v) in edges.iter().step_by(3) {
+        removes += u64::from(tally.book("remove_edge", c.remove_edge(v, u)));
+    }
+    c.flush().expect("flush barrier");
+    (tally, adds, removes)
 }

@@ -21,6 +21,7 @@
 //! which overshoots and, unguarded, diverges (DESIGN.md §1 "Faithfulness
 //! notes"). It is kept for the ablation, bounded by the guard.
 
+use crate::config::NegativeMode;
 use crate::dirty::DirtyRows;
 use crate::model::{init_weight, EmbeddingModel, NegativeDraw};
 use crate::oselm::model::OsElmConfig;
@@ -255,6 +256,8 @@ pub struct DataflowKernel<D: Datapath> {
     p_entry: Option<Mat<D::Word>>,
     cfg: OsElmConfig,
     draw: NegativeDraw,
+    /// The walk's one negative set under [`NegativeMode::PerWalk`].
+    walk_negatives: Vec<NodeId>,
     delta_beta: DeltaBeta<D::Word>,
     dirty: DirtyRows,
     h: Vec<D::Word>,
@@ -303,6 +306,7 @@ impl<D: Datapath> DataflowKernel<D> {
             p: Mat::from_vec(d, d, p),
             p_entry: None,
             draw: NegativeDraw::new(&cfg.model),
+            walk_negatives: Vec::with_capacity(cfg.model.negative_samples),
             delta_beta: DeltaBeta::new(num_nodes, d),
             dirty: DirtyRows::new(num_nodes),
             h: vec![D::Word::default(); d],
@@ -376,7 +380,16 @@ impl<D: Datapath> DataflowKernel<D> {
         if contexts == 0 {
             return (0, 0);
         }
-        self.draw.begin_walk(walk, negatives, rng);
+        // §3.2: under `PerWalk` every positive of the walk trains against
+        // one negative set, drawn here as `NegativeDraw::begin_walk` draws
+        // it (same avoided node, same RNG draws) and read once per walk
+        // rather than once per positive.
+        let per_walk = self.cfg.model.negative_mode == NegativeMode::PerWalk;
+        if per_walk {
+            negatives.sample_into(self.draw.ns(), walk[0], rng, &mut self.walk_negatives);
+        } else {
+            self.draw.begin_walk(walk, negatives, rng);
+        }
         if let Some(entry) = &mut self.p_entry {
             entry.as_mut_slice().copy_from_slice(self.p.as_slice());
         }
@@ -427,7 +440,11 @@ impl<D: Datapath> DataflowKernel<D> {
             // recurs under every positive.
             self.delta_beta.begin_context();
             for &pos in positives {
-                let negs = self.draw.for_positive(pos, negatives, rng);
+                let negs = if per_walk {
+                    &self.walk_negatives
+                } else {
+                    self.draw.for_positive(pos, negatives, rng)
+                };
                 for (id, y) in once((pos, D::ONE)).chain(negs.iter().map(|&n| (n, zero))) {
                     let (frozen, column) = self
                         .delta_beta

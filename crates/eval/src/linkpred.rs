@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqge_graph::{Graph, NodeId};
+use seqge_linalg::normed::row_norm;
 use seqge_linalg::{ops, Mat};
 
 /// Binary operator combining two node embeddings into an edge score
@@ -37,22 +38,19 @@ impl EdgeOp {
         Scorer(match self {
             EdgeOp::Dot => Prepared::Dot(widen()),
             EdgeOp::NegL2 => Prepared::NegL2(query),
-            EdgeOp::Cosine => {
-                let wide = widen();
-                let norm = ops::scan_dot_norm2(&wide, query).1.sqrt();
-                Prepared::Cosine { wide, norm }
-            }
+            EdgeOp::Cosine => Prepared::Cosine { wide: widen(), norm: row_norm(query) },
         })
     }
 }
 
 /// One query row prepared by [`EdgeOp::scorer`]. This is the only
-/// definition of a score: [`EdgeOp::score`], the serving plane's exact and
-/// ANN `topk`, `score_link` and [`LinkPredSet::auc`] all go through
-/// [`Scorer::score`], so they agree bit for bit. A score is a function of
-/// `seqge_linalg::ops`' `scan_*` sums (exact `f32`×`f32` products accumulated
-/// in `f64` over eight fixed lanes), and swapping query and row returns the
-/// same bits.
+/// definition of a score: [`EdgeOp::score`] and [`LinkPredSet::auc`] go
+/// through [`Scorer::score`], the serving plane's exact and ANN `topk` and
+/// `score_link` through [`Scorer::score_normed`] with the norm their view
+/// stores, and the first is the second with the norm computed, so they agree
+/// bit for bit. A score is a function of `seqge_linalg::ops`' `scan_*` sums
+/// (exact `f32`×`f32` products accumulated in `f64` over eight fixed lanes),
+/// and swapping query and row returns the same bits.
 #[derive(Debug, Clone)]
 pub struct Scorer<'a>(Prepared<'a>);
 
@@ -67,16 +65,27 @@ enum Prepared<'a> {
 }
 
 impl Scorer<'_> {
-    /// The score of the query against `row`, in one pass over `row`.
+    /// The score of the query against `row`. A cosine computes the row's
+    /// norm first, as [`seqge_linalg::NormedMat`] stores it.
     #[inline]
     pub fn score(&self, row: &[f32]) -> f64 {
         match &self.0 {
             Prepared::Dot(wide) => ops::scan_dot(wide, row),
             Prepared::NegL2(query) => -ops::scan_dist2(query, row).sqrt(),
-            Prepared::Cosine { wide, norm } => {
-                let (dot, norm2) = ops::scan_dot_norm2(wide, row);
-                dot / (norm * norm2.sqrt()).max(1e-12)
+            Prepared::Cosine { .. } => self.score_normed(row, row_norm(row)),
+        }
+    }
+
+    /// The score of the query against `row`, whose Euclidean norm is
+    /// `norm` (a [`seqge_linalg::NormedMat`]'s stored norm of that row): one pass over
+    /// `row`. Only a cosine reads `norm`.
+    #[inline]
+    pub fn score_normed(&self, row: &[f32], norm: f64) -> f64 {
+        match &self.0 {
+            Prepared::Cosine { wide, norm: query } => {
+                ops::scan_dot(wide, row) / (query * norm).max(1e-12)
             }
+            _ => self.score(row),
         }
     }
 }
@@ -165,6 +174,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use seqge_graph::generators::classic::erdos_renyi;
+    use seqge_linalg::NormedMat;
 
     fn graph() -> Graph {
         erdos_renyi(60, 0.15, 3)
@@ -317,6 +327,21 @@ mod tests {
             let emb = Mat::from_vec(2, len, [x, y].concat());
             prop_assert_eq!(got.to_bits(), op.score(&emb, 0, 1).to_bits());
             prop_assert_eq!(got.to_bits(), op.score(&emb, 1, 0).to_bits());
+        }
+
+        /// A score read with a view's stored norm is the score, bit for bit:
+        /// the stored norm is the one `score` computes.
+        #[test]
+        fn stored_norm_score_is_the_score(
+            op in any_op(), len in 0usize..=MAX_LEN, x in row(), y in row(),
+        ) {
+            let (x, y) = (&x[..len], &y[..len]);
+            let view = NormedMat::from(Mat::from_vec(2, len, [x, y].concat()));
+            for (q, r) in [(0, 1), (1, 0), (1, 1)] {
+                let scorer = op.scorer(view.row(q));
+                let stored = scorer.score_normed(view.row(r), view.norm(r));
+                prop_assert_eq!(stored.to_bits(), scorer.score(view.row(r)).to_bits());
+            }
         }
     }
 

@@ -9,6 +9,8 @@
 //! the paper's memory accounting).
 //!
 //! * [`Mat`] — row-major dense matrix.
+//! * [`NormedMat`] — an `f32` matrix carrying each row's Euclidean norm,
+//!   the serving view a cosine read takes its norms from.
 //! * [`ops`] — dot / axpy / gemv / rank-1 update kernels.
 //! * [`solve`] — Cholesky and Gauss–Jordan inversion for the `P₀` init.
 
@@ -18,9 +20,11 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod matrix;
+pub mod normed;
 pub mod ops;
 pub mod scalar;
 pub mod solve;
 
 pub use matrix::Mat;
+pub use normed::NormedMat;
 pub use scalar::Scalar;

@@ -16,11 +16,12 @@
 //! (downdate → inflate → trace-cap → symmetrize) into one contiguous
 //! full-matrix sweep.
 //!
-//! The read path has its own family, [`scan_dot`] / [`scan_dot_norm2`] /
-//! [`scan_dist2`]: one query against one stored `f32` row, accumulated in
-//! `f64` over the same eight lanes and reduction tree as [`dot`]. Every
-//! similarity score the system reports is a function of their results, so
-//! their lane order *is* the definition of a score's bits.
+//! The read path has its own family, [`scan_dot`] / [`scan_norm2`] /
+//! [`scan_dist2`]: one query against one stored `f32` row (or, for the
+//! norm, the row alone), accumulated in `f64` over the same eight lanes and
+//! reduction tree as [`dot`]. Every similarity score the system reports is
+//! a function of their results, so their lane order *is* the definition of
+//! a score's bits.
 //!
 //! The symmetric `P` kernels ([`p_downdate_sym`], [`p_downdate_forget`])
 //! rest on one IEEE-754 fact: multiplication is commutative *bitwise*
@@ -79,8 +80,17 @@ pub fn dot_ref<T: Scalar>(x: &[T], y: &[T]) -> T {
     acc
 }
 
-/// [`dot`]'s reduction tree over eight lane accumulators.
-#[inline(always)]
+/// [`dot`]'s reduction tree over the eight lanes of a `scan_*` sum.
+///
+/// Out of line on purpose. Inlined, LLVM's SLP pass vectorizes this tree
+/// by pairing lane `l` with lane `l + 4` in one register, and to fill the
+/// accumulators in that order it shuffles every chunk of the row before
+/// widening it. Behind a call the lanes leave the loop through memory, so
+/// neighbouring lanes pair up and each pair is widened straight from the
+/// row (`cvtps2pd` from memory, no shuffle): at d = 32 that is about
+/// 25–30 % less time per row for each of `scan_dot`, `scan_norm2` and
+/// `scan_dist2` (2-vCPU x86_64 host, 2 000 cache-resident rows).
+#[inline(never)]
 fn lane_tree(a: &[f64; 8]) -> f64 {
     ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
 }
@@ -132,44 +142,18 @@ pub fn scan_dist2(x: &[f32], row: &[f32]) -> f64 {
     })
 }
 
-/// `(q · row, ‖row‖²)` in one pass over `row` — what a cosine needs from a
-/// candidate when the query's own norm was hoisted out of the sweep. Both
-/// sums have `scan_sum`'s lanes, tree and tail: the first is
-/// [`scan_dot`]'s bits, the second depends on `row` alone, so a vector has
-/// one squared norm whichever side of a pair it is on.
-#[inline]
-pub fn scan_dot_norm2(q: &[f64], row: &[f32]) -> (f64, f64) {
-    /// Out of line on purpose. Inlined, LLVM's SLP pass pairs the two
-    /// isomorphic reductions and, through them, lane `l` of the dot with
-    /// lane `l` of the norm in one register: every element is then widened
-    /// by a scalar convert and shuffled into place (27 ns per d = 32 row).
-    /// Behind a call the lanes leave the loop through memory, neighbours
-    /// pair up instead, and the row is widened two lanes per instruction
-    /// (17 ns; `cargo bench --bench training`, group `scan`). It takes two
-    /// separate accumulator arrays to get that, which is why this loop is
-    /// written out instead of being a two-sum `scan_sum` (50 ns).
-    #[inline(never)]
-    fn reduce(a: &[f64; 8]) -> f64 {
-        lane_tree(a)
-    }
-    debug_assert_eq!(q.len(), row.len());
-    let mut qs = q.chunks_exact(8);
-    let mut rs = row.chunks_exact(8);
-    let (mut dot, mut norm2) = ([-0.0f64; 8], [-0.0f64; 8]);
-    for (cq, cr) in (&mut qs).zip(&mut rs) {
-        for ((dot, norm2), (&a, &b)) in dot.iter_mut().zip(&mut norm2).zip(cq.iter().zip(cr)) {
-            let b = b as f64;
-            *dot += a * b;
-            *norm2 += b * b;
-        }
-    }
-    let (mut dot_tail, mut norm2_tail) = (-0.0f64, -0.0f64);
-    for (&a, &b) in qs.remainder().iter().zip(rs.remainder()) {
-        let b = b as f64;
-        dot_tail += a * b;
-        norm2_tail += b * b;
-    }
-    (reduce(&dot) + dot_tail, reduce(&norm2) + norm2_tail)
+/// `‖row‖²`: each element widened to `f64` and squared exactly, summed in
+/// `scan_sum`'s lanes, tree and tail — the same bits as [`scan_dot`] of the
+/// widened row against itself. A vector has one squared norm whichever side
+/// of a pair it is on, and `NormedMat` stores its square root per row.
+///
+/// Out of line, so that its loop is compiled once, vectorized: inlined
+/// into `ViewBuffer::publish`'s render loop, LLVM kept the lanes in memory
+/// for `lane_tree` and squared the row one element at a time (≈ 40 ns
+/// per d = 32 row against ≈ 11 ns here).
+#[inline(never)]
+pub fn scan_norm2(row: &[f32]) -> f64 {
+    scan_sum(row, row, |a, b| a as f64 * b as f64)
 }
 
 /// `y += a · x`. Elementwise (no reassociation): bit-identical to the
@@ -448,7 +432,8 @@ mod tests {
             let (wx, wy) = (wide(&x), wide(&y));
             assert_eq!(scan_dot(&wx, &y), dot(&wx, &wy), "dot n={n}");
             assert_eq!(scan_dot(&wx, &y).to_bits(), scan_dot(&wy, &x).to_bits(), "symmetry n={n}");
-            assert_eq!(scan_dot_norm2(&wx, &y), (dot(&wx, &wy), dot(&wy, &wy)), "dot+norm n={n}");
+            assert_eq!(scan_norm2(&y), dot(&wy, &wy), "norm n={n}");
+            assert_eq!(scan_norm2(&y).to_bits(), scan_dot(&wy, &y).to_bits(), "norm as dot n={n}");
             let diff: Vec<f64> = x.iter().zip(&y).map(|(&a, &b)| (a - b) as f64).collect();
             assert_eq!(scan_dist2(&x, &y), dot(&diff, &diff), "dist n={n}");
         }

@@ -12,7 +12,7 @@
 use seqge_ann::AnnIndex;
 use seqge_eval::EdgeOp;
 use seqge_graph::NodeId;
-use seqge_linalg::Mat;
+use seqge_linalg::NormedMat;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,9 +24,10 @@ use std::time::Instant;
 pub struct EmbeddingSnapshot {
     /// Monotonic publication version (0 = boot snapshot).
     pub version: u64,
-    /// One embedding row per node — the backend's published view, shared
-    /// with every snapshot taken with no training in between.
-    pub emb: Arc<Mat<f32>>,
+    /// One embedding row per node, with each row's norm — the backend's
+    /// published view, shared with every snapshot taken with no training in
+    /// between.
+    pub emb: Arc<NormedMat>,
     /// Edges in the graph when the snapshot was taken.
     pub num_edges: usize,
     /// Walks trained since boot.
@@ -79,12 +80,13 @@ impl EmbeddingSnapshot {
     }
 
     /// Scores the pair `(u, v)` under `op` (the `score_link` read command,
-    /// reusing the link-prediction edge operators). `None` if either node
-    /// is out of range.
+    /// reusing the link-prediction edge operators), with `v`'s stored norm.
+    /// `None` if either node is out of range.
     pub fn score(&self, u: NodeId, v: NodeId, op: EdgeOp) -> Option<f64> {
-        let n = self.emb.rows();
+        let (emb, n) = (&*self.emb, self.emb.rows());
         if (u as usize) < n && (v as usize) < n {
-            Some(op.score(&self.emb, u, v))
+            let v = v as usize;
+            Some(op.scorer(emb.row(u as usize)).score_normed(emb.row(v), emb.norm(v)))
         } else {
             None
         }
@@ -170,19 +172,20 @@ impl EmbeddingSnapshot {
     }
 
     /// Exact ranking of a candidate stream: one [`seqge_eval::Scorer`] for
-    /// the query, every candidate row through it once, and a heap of the `k`
+    /// the query, every candidate row through it once with the norm the view
+    /// stores for it (one pass over the row), and a heap of the `k`
     /// best so far whose top is the worst of them — a candidate that does
     /// not beat it costs one comparison, one that does O(log k), and nothing
     /// is allocated per candidate. Returns the hits best first under the
     /// total order of [`Ranked`], so the same snapshot always returns the
     /// same list, and the number of candidates scored.
     ///
-    /// It takes the matrix, not the snapshot that holds it behind an `Arc`:
+    /// It takes the view, not the snapshot that holds it behind an `Arc`:
     /// a reference argument cannot change during the call, so the row loop
-    /// keeps the matrix's pointer and shape across the out-of-line scorer
-    /// calls instead of re-reading them through the `Arc` for every row.
+    /// keeps the view's pointers and shape across the scorer calls instead
+    /// of re-reading them through the `Arc` for every row.
     fn rank_top_k(
-        emb: &Mat<f32>,
+        emb: &NormedMat,
         node: NodeId,
         k: usize,
         op: EdgeOp,
@@ -197,7 +200,8 @@ impl EmbeddingSnapshot {
         let mut scored = 0;
         for v in candidates {
             scored += 1;
-            let hit = Ranked(v, scorer.score(emb.row(v as usize)));
+            let row = v as usize;
+            let hit = Ranked(v, scorer.score_normed(emb.row(row), emb.norm(row)));
             if kept.len() < k {
                 kept.push(hit);
             } else if let Some(mut worst) = kept.peek_mut().filter(|worst| hit < **worst) {
@@ -317,11 +321,12 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqge_linalg::Mat;
 
     fn snap(version: u64, rows: usize) -> EmbeddingSnapshot {
         EmbeddingSnapshot {
             version,
-            emb: Arc::new(Mat::from_fn(rows, 4, |r, c| (r * 4 + c) as f32 / 10.0)),
+            emb: Arc::new(Mat::from_fn(rows, 4, |r, c| (r * 4 + c) as f32 / 10.0).into()),
             num_edges: 0,
             walks_trained: 0,
             edges_inserted: 0,
@@ -344,7 +349,7 @@ mod tests {
     fn topk_orders_best_first_and_excludes_self() {
         // Rows: e0 = [1,0], e1 = [1,0], e2 = [0.5,0], e3 = [-1,0].
         let emb = Mat::from_vec(4, 2, vec![1.0, 0.0, 1.0, 0.0, 0.5, 0.0, -1.0, 0.0]);
-        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb.into()), ..snap(1, 0) };
         let top = s.topk(0, 2, EdgeOp::Dot).unwrap();
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, 1, "identical row is nearest");
@@ -359,7 +364,7 @@ mod tests {
     fn topk_ties_break_by_ascending_node_id() {
         // Nodes 1, 2, 3 are identical: scores tie, ids decide.
         let emb = Mat::from_vec(4, 2, vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb.into()), ..snap(1, 0) };
         let top = s.topk(0, 2, EdgeOp::Dot).unwrap();
         assert_eq!(top.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 2]);
     }
@@ -367,7 +372,7 @@ mod tests {
     #[test]
     fn topk_filter_restricts_to_residue_class() {
         let emb = Mat::from_fn(10, 2, |r, _| 1.0 - r as f32 / 10.0);
-        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb.into()), ..snap(1, 0) };
         // Only v ≡ 1 (mod 3) compete for node 0's neighbors: 1, 4, 7.
         let hits = s.topk_filtered(0, 10, EdgeOp::Dot, Some((3, 1))).unwrap();
         assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 4, 7]);
@@ -385,7 +390,7 @@ mod tests {
     #[test]
     fn topk_ann_without_index_falls_back_to_exact() {
         let emb = Mat::from_fn(20, 4, |r, c| ((r * 5 + c) % 7) as f32 - 3.0);
-        let s = EmbeddingSnapshot { emb: Arc::new(emb), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb.into()), ..snap(1, 0) };
         let got = s.topk_ann(3, 5, EdgeOp::Cosine, None, 4).unwrap();
         assert!(got.fallback);
         assert_eq!(got.candidates, 19);
@@ -400,10 +405,10 @@ mod tests {
         use seqge_ann::{AnnBuilder, AnnConfig};
         // Two tight antipodal clusters: candidate recall is perfect, so
         // ANN and exact must agree bit-for-bit.
-        let emb = Arc::new(Mat::from_fn(64, 8, |r, c| {
+        let emb = Arc::new(NormedMat::from(Mat::from_fn(64, 8, |r, c| {
             let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
             sign * (1.0 + (r * 3 + c) as f32 * 0.003)
-        }));
+        })));
         let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&emb);
         let s = EmbeddingSnapshot { emb, ann: Some(index), ..snap(1, 0) };
         for node in [0, 7, 31] {
@@ -422,16 +427,16 @@ mod tests {
     fn topk_ann_geometry_mismatch_falls_back() {
         use seqge_ann::{AnnBuilder, AnnConfig};
         let stale = Mat::from_fn(10, 4, |r, c| (r + c) as f32);
-        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(stale));
+        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(stale.into()));
         let emb = Mat::from_fn(12, 4, |r, c| (r + c) as f32);
-        let s = EmbeddingSnapshot { emb: Arc::new(emb), ann: Some(index), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb.into()), ann: Some(index), ..snap(1, 0) };
         let got = s.topk_ann(0, 3, EdgeOp::Dot, None, 4).unwrap();
         assert!(got.fallback, "index covers 10 points, snapshot has 12");
         assert_eq!(got.hits, s.topk(0, 3, EdgeOp::Dot).unwrap());
         // Same rows, different columns: the index hashes 4 coordinates,
         // the snapshot's rows have 6.
         let emb = Mat::from_fn(10, 6, |r, c| (r + c) as f32);
-        let s = EmbeddingSnapshot { emb: Arc::new(emb), ann: s.ann.clone(), ..snap(1, 0) };
+        let s = EmbeddingSnapshot { emb: Arc::new(emb.into()), ann: s.ann.clone(), ..snap(1, 0) };
         let got = s.topk_ann(0, 3, EdgeOp::Dot, None, 4).unwrap();
         assert!(got.fallback, "index hashes 4 columns, snapshot has 6");
         assert_eq!(got.hits, s.topk(0, 3, EdgeOp::Dot).unwrap());

@@ -135,7 +135,7 @@ fn republish_with_sparse_dirt_rehashes_only_the_dirty_region() {
 
     let emb = Mat::from_fn(n, DIM, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
     let mut builder = AnnBuilder::new(AnnConfig::default());
-    let (_, full) = builder.sync(&Arc::new(emb.clone()));
+    let (_, full) = builder.sync(&Arc::new(emb.clone().into()));
     stats.record_ann_sync(&full);
     assert_eq!((full.total, full.dirty, full.rehashed), (n, n, n), "first sync is a full build");
 
@@ -144,7 +144,7 @@ fn republish_with_sparse_dirt_rehashes_only_the_dirty_region() {
     for r in [3usize, 150, 311, 500, 747, 900, 999] {
         emb2.row_mut(r)[0] += 1.0;
     }
-    let (_, incr) = builder.sync(&Arc::new(emb2.clone()));
+    let (_, incr) = builder.sync(&Arc::new(emb2.clone().into()));
     stats.record_ann_sync(&incr);
     assert_eq!(incr.rehashed, 7, "only the dirty region is re-hashed");
     assert!(incr.rehashed * 100 < n, "dirty region stays under 1%");
@@ -165,7 +165,7 @@ fn republish_with_sparse_dirt_rehashes_only_the_dirty_region() {
     assert_eq!(series("seqge_ann_dirty_ppm"), 7_000, "7/1000 dirty = 7000 ppm");
 
     // A no-op republish touches nothing.
-    let (_, quiet) = builder.sync(&Arc::new(emb2));
+    let (_, quiet) = builder.sync(&Arc::new(emb2.into()));
     stats.record_ann_sync(&quiet);
     assert_eq!((quiet.dirty, quiet.rehashed), (0, 0));
     let text = seqge_obs::export::prometheus(&[&registry]);

@@ -39,7 +39,7 @@ fn reference_topk(
 fn snap(emb: Mat<f32>) -> EmbeddingSnapshot {
     EmbeddingSnapshot {
         version: 1,
-        emb: Arc::new(emb),
+        emb: Arc::new(emb.into()),
         num_edges: 0,
         walks_trained: 0,
         edges_inserted: 0,
@@ -167,7 +167,7 @@ proptest! {
     ) {
         let emb = matrix(rows, cols, &vals);
         let node = (node_pick % rows) as u32;
-        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(emb.clone()));
+        let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(emb.clone().into()));
         let s = EmbeddingSnapshot { ann: Some(index), ..snap(emb) };
         let got = s.topk_ann(node, k, op, None, probes).expect("node in range");
         for &(v, score) in &got.hits {

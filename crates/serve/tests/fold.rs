@@ -5,7 +5,7 @@
 use seqge_backend::{BackendKind, TrainBackend};
 use seqge_core::SeqOutcome;
 use seqge_graph::{EdgeEvent, Graph, GraphError};
-use seqge_linalg::Mat;
+use seqge_linalg::{Mat, NormedMat};
 use seqge_serve::{Applied, Fold};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,8 +35,8 @@ impl TrainBackend for Counting {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         0
     }
-    fn publish_view(&mut self) -> Arc<Mat<f32>> {
-        Arc::new(Mat::zeros(4, 1))
+    fn publish_view(&mut self) -> Arc<NormedMat> {
+        Arc::new(Mat::zeros(4, 1).into())
     }
     fn outcome(&self) -> SeqOutcome {
         SeqOutcome { edges_inserted: 0, walks_trained: 0, table_rebuilds: 0 }

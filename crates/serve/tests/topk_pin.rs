@@ -63,10 +63,10 @@ fn snapshot(dim: usize) -> EmbeddingSnapshot {
     for x in emb.row_mut(TINY_ROW as usize) {
         *x *= 1e-20;
     }
-    let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(emb.clone()));
+    let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&Arc::new(emb.clone().into()));
     EmbeddingSnapshot {
         version: 1,
-        emb: Arc::new(emb),
+        emb: Arc::new(emb.into()),
         num_edges: 0,
         walks_trained: 0,
         edges_inserted: 0,
