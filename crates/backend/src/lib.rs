@@ -89,7 +89,7 @@ impl BackendKind {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "float" => Ok(BackendKind::Float),
-            "fpga-sim" | "fpga_sim" | "fpgasim" => Ok(BackendKind::FpgaSim),
+            "fpga-sim" => Ok(BackendKind::FpgaSim),
             other => Err(format!("unknown backend `{other}` (expected `float` or `fpga-sim`)")),
         }
     }
@@ -295,6 +295,22 @@ impl BackendSpec {
         match self.kind {
             BackendKind::Float => Ok(Box::new(FloatBackend::load(path, self)?)),
             BackendKind::FpgaSim => Ok(Box::new(FpgaSimBackend::load(path, self)?)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backend_kinds_parse_only_their_documented_spelling() {
+        for kind in [BackendKind::Float, BackendKind::FpgaSim] {
+            assert_eq!(BackendKind::parse(kind.as_str()), Ok(kind));
+        }
+        for other in ["fpga_sim", "fpgasim", "Float", ""] {
+            let err = BackendKind::parse(other).unwrap_err();
+            assert!(err.contains("expected `float` or `fpga-sim`"), "{other}: {err}");
         }
     }
 }

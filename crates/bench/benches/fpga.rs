@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{OsElmConfig, TrainConfig};
-use seqge_fpga::{Accelerator, TimingModel};
+use seqge_fpga::{Accelerator, Build};
 use seqge_graph::Dataset;
 use seqge_sampling::Rng64;
 
@@ -31,8 +31,8 @@ fn bench_fpga(c: &mut Criterion) {
             });
         });
         group.bench_function(BenchmarkId::new("timing_model_only", dim), |b| {
-            let timing = TimingModel::default();
-            b.iter(|| timing.walk_cycles(dim, 73, 77));
+            let build = Build::for_dim(dim).unwrap();
+            b.iter(|| build.walk_cycles(73, 77));
         });
     }
     group.finish();

@@ -15,6 +15,7 @@ use crate::report::{int, num, text, Report};
 use crate::{prepared_walks, time_walk_training};
 use seqge_core::{NegativeMode, OsElmConfig, OsElmSkipGram, TrainConfig};
 use seqge_fpga::bram::TileManager;
+use seqge_fpga::Build;
 use seqge_sampling::Rng64;
 
 pub fn run(s: &Setting) -> Report {
@@ -45,7 +46,7 @@ pub fn run(s: &Setting) -> Report {
         // Tile traffic: the kernel's access stream (centre, then each
         // positive and its negatives, drawn in this mode) through the
         // accelerator's weight tile.
-        let mut tile = TileManager::for_dim(dim);
+        let mut tile = TileManager::for_build(&Build::for_dim(dim).expect("a paper build"));
         tile.replay(traffic_walks, &ocfg.model, &prep.table, &mut Rng64::seed_from_u64(SEED));
         let (hit_rate, fetches) = (tile.hit_rate(), tile.misses);
         r.row(vec![text(name), num(f1, 4), num(hit_rate, 3), int(fetches), num(t_walk, 3)]);

@@ -8,6 +8,7 @@
 use super::Setting;
 use crate::report::{int, num, text, Report};
 use seqge_fpga::energy::energy_comparison;
+use seqge_fpga::Build;
 
 /// Paper (dim, proposed-on-A53 ms, proposed-on-i7 ms).
 const PAPER_LATENCIES: [(usize, f64, f64); 3] =
@@ -16,7 +17,7 @@ const PAPER_LATENCIES: [(usize, f64, f64); 3] =
 pub fn run(s: &Setting) -> Report {
     let mut r = Report::new(["d", "platform", "walk ms", "energy mJ", "vs FPGA (x)"]);
     for &(dim, a53_ms, i7_ms) in PAPER_LATENCIES.iter().filter(|p| s.dims.contains(&p.0)) {
-        for e in energy_comparison(dim, a53_ms, i7_ms) {
+        for e in energy_comparison(&Build::for_dim(dim).expect("a paper build"), a53_ms, i7_ms) {
             r.row(vec![
                 int(dim),
                 text(e.platform),

@@ -6,7 +6,7 @@
 use super::Setting;
 use crate::report::{int, num, text, Report};
 use seqge_fpga::explore::{best_feasible, explore, XCZU15EG, XCZU9EG};
-use seqge_fpga::{FpgaDevice, TimingModel};
+use seqge_fpga::{Build, FpgaDevice};
 
 pub fn run(s: &Setting) -> Report {
     let mut r = Report::new([
@@ -21,13 +21,14 @@ pub fn run(s: &Setting) -> Report {
         "variants",
     ]);
     for &dim in s.dims {
-        let paper_ms = TimingModel::default().paper_walk_millis(dim);
+        let build = Build::for_dim(dim).expect("a paper build");
+        let paper_ms = build.paper_walk_millis();
         for dev in [FpgaDevice::XCZU7EV, XCZU9EG, XCZU15EG] {
-            let p = best_feasible(dim, &dev).expect("the paper's build fits every part swept");
+            let p = best_feasible(&build, &dev).expect("the paper's build fits every part swept");
             let mut row = vec![int(dim), text(dev.name)];
-            row.extend([p.design.mac_lanes, p.port_bytes, p.dsp, p.bram].map(int));
+            row.extend([p.build.mac_lanes, p.build.port_bytes, p.est.dsp, p.est.bram36].map(int));
             row.extend([num(p.walk_ms, 3), num(paper_ms / p.walk_ms, 2)]);
-            row.push(int(explore(dim, &dev).len()));
+            row.push(int(explore(&build, &dev).len()));
             r.row(row);
         }
     }

@@ -6,8 +6,8 @@
 
 use super::Setting;
 use crate::report::{int, num, text, Report};
-use seqge_fpga::resources::PAPER_TABLE6;
-use seqge_fpga::{estimate_resources, AcceleratorDesign, FpgaDevice};
+use seqge_fpga::build::PAPER_BUILDS;
+use seqge_fpga::{estimate_resources, Build, FpgaDevice};
 
 pub fn run(s: &Setting) -> Report {
     let mut r = Report::new([
@@ -24,8 +24,8 @@ pub fn run(s: &Setting) -> Report {
         "BRAM: P+β-port+cache+FIFO",
         "DSP: MAC+div+ctrl",
     ]);
-    for &(dim, bram, dsp, ff, lut) in PAPER_TABLE6.iter().filter(|p| s.dims.contains(&p.0)) {
-        let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
+    for &(dim, _, [bram, dsp, ff, lut]) in PAPER_BUILDS.iter().filter(|p| s.dims.contains(&p.0)) {
+        let est = estimate_resources(&Build::for_dim(dim).expect("a paper build"));
         let u = est.utilization(&FpgaDevice::XCZU7EV);
         let (bp, bb, bc, bf) = est.bram_parts;
         let (dm, dd, dc) = est.dsp_parts;

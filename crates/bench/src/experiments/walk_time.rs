@@ -16,7 +16,7 @@ use super::{Setting, SEED};
 use crate::report::{int, num, text, Report};
 use crate::{prepared_walks, time_walk_training};
 use seqge_core::{OsElmConfig, OsElmSkipGram, SkipGram, TrainConfig};
-use seqge_fpga::TimingModel;
+use seqge_fpga::Build;
 use seqge_sampling::Rng64;
 
 /// Geometric mean of the paper's per-entry Cortex-A53 / Core-i7 time ratios
@@ -40,7 +40,6 @@ fn table(s: &Setting, cpu: usize, name: &str, host_factor: f64) -> Report {
     let prep = prepared_walks(s.dataset(), s.scale, &TrainConfig::paper_defaults(32), SEED);
     let walks = &prep.walks[..prep.walks.len().min(400)];
     let n = prep.graph.num_nodes();
-    let timing = TimingModel::default();
     let (orig_ms, prop_ms) = (format!("orig {name} ms"), format!("prop {name} ms"));
     let wall = [&orig_ms, &prop_ms, "prop vs orig (x)", "FPGA vs orig (x)", "FPGA vs prop (x)"];
     let mut r = Report::new(["d", "FPGA-sim ms", "paper: orig/prop/FPGA"]).timed(&wall);
@@ -51,7 +50,7 @@ fn table(s: &Setting, cpu: usize, name: &str, host_factor: f64) -> Report {
         let mut prop = OsElmSkipGram::new(n, OsElmConfig::paper_defaults(dim));
         let t_prop = time_walk_training(&mut prop, walks, &prep.table, &mut rng, 1.0);
         let (t_orig, t_prop) = (t_orig * 1e3 * host_factor, t_prop * 1e3 * host_factor);
-        let t_fpga = timing.paper_walk_millis(dim);
+        let t_fpga = Build::for_dim(dim).expect("a paper build").paper_walk_millis();
         let [paper_orig, paper_prop] = paper[cpu];
         let mut row =
             vec![int(dim), num(t_fpga, 3), text(format!("{paper_orig}/{paper_prop}/{paper_fpga}"))];

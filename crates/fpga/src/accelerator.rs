@@ -8,13 +8,13 @@
 //! (saturating Q8.24, DSP-style wide accumulation). The difference between
 //! the two embeddings *is* the quantization effect the paper's Fig. 4
 //! measures. [`Accelerator`] adds what only the hardware has: `stats.cycles`
-//! prices each walk with [`TimingModel::walk_cycles`], and
+//! prices each walk with its [`Build::walk_cycles`], and
 //! [`EmbeddingModel::train_walk`] picks an AVX2 instantiation of the walk on
 //! a CPU that has it. The kernel only trains and counts: the BRAM tile
 //! traffic of its access stream is replayed outside it
 //! ([`crate::bram::TileManager::replay`]).
 
-use crate::timing::TimingModel;
+use crate::build::Build;
 use seqge_core::model::EmbeddingModel;
 use seqge_core::oselm::{DataflowKernel, Datapath, Forget};
 use seqge_core::{NegativeMode, OsElmConfig};
@@ -114,7 +114,7 @@ impl Datapath for Q824 {
 pub struct AccelStats {
     /// Walks trained.
     pub walks: u64,
-    /// Modeled PL cycles: [`TimingModel::walk_cycles`] summed over walks.
+    /// Modeled PL cycles: [`Build::walk_cycles`] summed over walks.
     pub cycles: u64,
     /// Saturation events observed on write-back (overflow telemetry).
     pub saturations: u64,
@@ -126,6 +126,8 @@ pub struct AccelStats {
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     kernel: DataflowKernel<Q824>,
+    /// The build that prices each walk.
+    build: Build,
     /// Statistics.
     pub stats: AccelStats,
 }
@@ -134,10 +136,12 @@ impl Accelerator {
     /// Builds the accelerator with weights quantized from the same float
     /// init the CPU models use (identical seed ⇒ Fig. 4 comparability).
     /// The paper's accelerator shares negatives per walk (§3.2), so the
-    /// negative mode is forced to [`NegativeMode::PerWalk`].
+    /// negative mode is forced to [`NegativeMode::PerWalk`]. Panics on a
+    /// dimension [`Build::for_dim`] has no build for.
     pub fn new(num_nodes: usize, cfg: OsElmConfig) -> Self {
         let kernel = DataflowKernel::new(num_nodes, per_walk(cfg));
-        Accelerator { kernel, stats: AccelStats::default() }
+        let build = Build::for_dim(kernel.dim()).expect("no accelerator build");
+        Accelerator { kernel, build, stats: AccelStats::default() }
     }
 
     /// Rebuilds an accelerator from raw Q8.24 state (β then P, both as
@@ -157,8 +161,8 @@ impl Accelerator {
 
     /// [`Accelerator::from_raw_parts`] for state that arrives from outside
     /// the program (a snapshot file): a configuration that fails validation,
-    /// or a β / P length that disagrees with `num_nodes × d` / `d × d`, is an
-    /// error.
+    /// a dimension without a build, or a β / P length that disagrees with
+    /// `num_nodes × d` / `d × d`, is an error.
     pub fn try_from_raw_parts(
         num_nodes: usize,
         cfg: OsElmConfig,
@@ -166,7 +170,8 @@ impl Accelerator {
         p: Vec<Q8_24>,
     ) -> Result<Self, String> {
         let kernel = DataflowKernel::try_from_parts(num_nodes, per_walk(cfg), beta, p)?;
-        Ok(Accelerator { kernel, stats: AccelStats::default() })
+        let build = Build::for_dim(kernel.dim())?;
+        Ok(Accelerator { kernel, build, stats: AccelStats::default() })
     }
 
     /// The (PerWalk-forced) OS-ELM configuration this accelerator runs.
@@ -219,8 +224,7 @@ impl Accelerator {
         let (contexts, max_samples) = self.kernel.train(walk, negatives, rng);
         if contexts > 0 {
             self.stats.walks += 1;
-            let d = self.kernel.dim();
-            self.stats.cycles += TimingModel::default().walk_cycles(d, contexts, max_samples);
+            self.stats.cycles += self.build.walk_cycles(contexts, max_samples);
         }
         self.stats.saturations = self.kernel.saturations();
         self.stats.guarded = self.kernel.guarded_updates();

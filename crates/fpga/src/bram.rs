@@ -9,7 +9,7 @@
 //! ablation can quantify exactly the traffic the paper's trick saves. The
 //! training kernel keeps no tile: nothing it computes depends on residency.
 
-use crate::resources::AcceleratorDesign;
+use crate::build::Build;
 use seqge_core::model::NegativeDraw;
 use seqge_core::ModelConfig;
 use seqge_graph::NodeId;
@@ -38,17 +38,11 @@ impl TileManager {
         TileManager { resident: Vec::new(), queue: VecDeque::new(), capacity, misses: 0, hits: 0 }
     }
 
-    /// The weight cache of the `dim`-wide build:
-    /// [`AcceleratorDesign::weight_cache_banks`] banks of `dim`-wide columns.
-    pub fn for_dim(dim: usize) -> Self {
-        Self::from_banks(AcceleratorDesign::for_dim(dim).weight_cache_banks, dim)
-    }
-
-    /// Capacity for a `banks`-bank cache of `dim`-wide 32-bit columns
-    /// (BRAM36 = 4 KiB usable per bank at 32-bit width).
-    fn from_banks(banks: u32, dim: usize) -> Self {
-        let bytes = banks as usize * 4096;
-        Self::new((bytes / (dim * 4)).max(1))
+    /// The weight cache of `build`: [`Build::cache_banks`] banks of
+    /// `dim`-wide 32-bit columns (BRAM36 = 4 KiB usable per bank at 32-bit
+    /// width).
+    pub fn for_build(build: &Build) -> Self {
+        Self::new((build.cache_banks as usize * 4096 / (build.dim * 4)).max(1))
     }
 
     /// Touches a column; returns `true` on a hit, fetching (and possibly
@@ -158,8 +152,9 @@ mod tests {
     #[test]
     fn from_banks_capacity() {
         // 127 banks × 4 KiB / (32 dims × 4 B) = 4064 columns.
-        assert_eq!(TileManager::from_banks(127, 32).capacity, 4064);
-        assert_eq!(TileManager::for_dim(32).capacity, 4064, "the d = 32 build has 127 banks");
+        let d32 = Build::for_dim(32).unwrap();
+        assert_eq!(TileManager::for_build(&Build { cache_banks: 127, ..d32 }).capacity, 4064);
+        assert_eq!(TileManager::for_build(&d32).capacity, 4064, "the d = 32 build has 127 banks");
     }
 
     #[test]

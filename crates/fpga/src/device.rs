@@ -24,11 +24,6 @@ impl FpgaDevice {
     pub const XCZU7EV: FpgaDevice =
         FpgaDevice { name: "XCZU7EV-2FFVC1156", bram36: 312, dsp: 1728, ff: 460_800, lut: 230_400 };
 
-    /// Total BRAM capacity in bits (36 Kb per block).
-    pub fn bram_bits(&self) -> u64 {
-        self.bram36 as u64 * 36 * 1024
-    }
-
     /// Utilization percentages for an absolute usage vector.
     pub fn utilization(&self, bram36: u32, dsp: u32, ff: u32, lut: u32) -> Utilization {
         let pct = |used: u32, total: u32| 100.0 * used as f64 / total as f64;
@@ -73,13 +68,6 @@ mod tests {
         assert!((u.dsp_pct - 79.80).abs() < 0.05, "dsp {}", u.dsp_pct);
         assert!((u.ff_pct - 10.55).abs() < 0.05, "ff {}", u.ff_pct);
         assert!((u.lut_pct - 23.15).abs() < 0.05, "lut {}", u.lut_pct);
-    }
-
-    #[test]
-    fn bram_capacity_is_11_mb() {
-        // §4.5: "11Mb BRAM".
-        let bits = FpgaDevice::XCZU7EV.bram_bits();
-        assert!((bits as f64 / 1e6 - 11.5).abs() < 0.5, "{bits} bits");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! measurements): they set the *scale* of the comparison, which is dominated
 //! by the orders-of-magnitude latency differences anyway.
 
-use crate::timing::TimingModel;
+use crate::build::Build;
 
 /// A compute platform with a nominal training-load power draw.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -48,16 +48,15 @@ pub struct EnergyRow {
     pub vs_fpga: f64,
 }
 
-/// Builds the energy comparison for embedding dimension `dim`, given
-/// measured/modelled per-walk latencies of the software platforms.
+/// Builds the energy comparison for `build`, given measured/modelled
+/// per-walk latencies of the software platforms.
 ///
 /// `a53_ms` and `i7_ms` are the proposed model's walk latencies on those
 /// CPUs (paper Tables 3/4 or host-derived projections); the GPU row is
 /// modelled as 4× faster than the A53 (a conservative embedded-GPU speedup
 /// for this memory-bound kernel — documented assumption).
-pub fn energy_comparison(dim: usize, a53_ms: f64, i7_ms: f64) -> Vec<EnergyRow> {
-    let timing = TimingModel::default();
-    let fpga_ms = timing.paper_walk_millis(dim);
+pub fn energy_comparison(build: &Build, a53_ms: f64, i7_ms: f64) -> Vec<EnergyRow> {
+    let fpga_ms = build.paper_walk_millis();
     let gpu_ms = a53_ms / 4.0;
     let fpga_mj = energy_mj(&FPGA_PL, fpga_ms);
     let make = |p: &Platform, ms: f64| EnergyRow {
@@ -87,7 +86,7 @@ mod tests {
     fn fpga_wins_the_paper_operating_points() {
         // Paper Table 3 (A53) and Table 4 (i7), proposed model, d = 32/96.
         for (dim, a53, i7) in [(32usize, 18.753, 0.787), (96, 72.612, 2.396)] {
-            let rows = energy_comparison(dim, a53, i7);
+            let rows = energy_comparison(&Build::for_dim(dim).unwrap(), a53, i7);
             let fpga = &rows[0];
             for other in &rows[1..] {
                 assert!(
@@ -103,14 +102,14 @@ mod tests {
 
     #[test]
     fn ratios_are_relative_to_fpga() {
-        let rows = energy_comparison(32, 18.753, 0.787);
+        let rows = energy_comparison(&Build::for_dim(32).unwrap(), 18.753, 0.787);
         assert!((rows[0].vs_fpga - 1.0).abs() < 1e-12);
         assert!(rows[1].vs_fpga > 1.0);
     }
 
     #[test]
     fn gpu_row_is_modelled_from_a53() {
-        let rows = energy_comparison(64, 40.0, 1.5);
+        let rows = energy_comparison(&Build::for_dim(64).unwrap(), 40.0, 1.5);
         let gpu = rows.iter().find(|r| r.platform.contains("GPU")).unwrap();
         assert!((gpu.walk_ms - 10.0).abs() < 1e-12);
     }

@@ -11,12 +11,12 @@
 //!   Q8.24 fixed point with DSP-accumulator semantics (`seqge-fixed`), so
 //!   accuracy experiments (Fig. 4) see the same quantization + deferred-
 //!   update behaviour the hardware produces.
-//! * **Performance** — [`timing`] prices a walk from `(dim, contexts,
-//!   samples)` with one cycle-approximate model of the four-stage pipeline,
-//!   its β-port traffic and its DMA, calibrated to the paper's Table 3 FPGA
-//!   row; [`bram`] replays the kernel's β-column access stream through the
-//!   on-chip weight tile (§3.2's DRAM↔BRAM traffic); [`resources`] is a
-//!   component-level utilization estimator calibrated to Table 6.
+//! * **Performance** — one [`Build`] row (stage lanes, β port, Table 6
+//!   calibration) is priced by [`timing`]'s cycle-approximate model of the
+//!   four-stage pipeline, its β-port traffic and its DMA (Table 3's FPGA
+//!   row) and sized by [`resources`]' component-level estimator (Table 6);
+//!   [`bram`] replays the kernel's β-column access stream through its
+//!   on-chip weight tile (§3.2's DRAM↔BRAM traffic).
 //!
 //! The CPU side of the paper's system (§3.2: random walks, negative
 //! pre-sampling, one walk at a time into the fabric) is `seqge-core`'s
@@ -35,6 +35,7 @@
 
 pub mod accelerator;
 pub mod bram;
+pub mod build;
 pub mod device;
 pub mod energy;
 pub mod explore;
@@ -42,6 +43,7 @@ pub mod resources;
 pub mod timing;
 
 pub use accelerator::{kernel_isa, AccelStats, Accelerator};
+pub use build::Build;
 pub use device::{FpgaDevice, Utilization};
-pub use resources::{estimate_resources, AcceleratorDesign, ResourceEstimate};
-pub use timing::{cycles_to_millis, TimingModel, CLOCK_MHZ};
+pub use resources::{estimate_resources, ResourceEstimate};
+pub use timing::{cycles_to_millis, CLOCK_MHZ};

@@ -1,69 +1,16 @@
 //! Component-level resource estimator, calibrated to the paper's Table 6.
 //!
-//! The paper reports post-implementation utilization for three design points
-//! (d ∈ {32, 64, 96}) but not the per-stage HLS unrolling, so this estimator
-//! is *semi-empirical*: component unit costs are physically motivated
-//! (3 DSP48E2 per 32-bit fixed-point MAC lane, ⌈lanes/2⌉ BRAM36 per
-//! lanes-wide 32-bit read port, …), per-dimension lane counts are calibrated
-//! so the three paper points are reproduced exactly, and any other dimension
-//! is interpolated (flagged as such). The point of the model is (a) to
-//! regenerate Table 6 and (b) to show which component saturates first — DSP,
-//! matching the paper's §4.5 observation that higher parallelism is gated on
-//! DSP/BRAM availability.
+//! The paper reports post-implementation utilization for three builds but
+//! not the per-stage HLS unrolling, so this estimator is *semi-empirical*:
+//! component unit costs are physically motivated (3 DSP48E2 per 32-bit MAC
+//! lane, ⌈lanes/2⌉ BRAM36 per lanes-wide 32-bit read port, …), and a
+//! [`Build`]'s calibration is what they leave of Table 6's totals
+//! (`calibrate`). The point of the model is (a) to regenerate Table 6 and
+//! (b) to show which component saturates first — DSP, matching §4.5's
+//! observation that higher parallelism is gated on DSP/BRAM availability.
 
+use crate::build::{Build, PAPER_BUILDS, PORT_BYTES};
 use crate::device::{FpgaDevice, Utilization};
-
-/// Architectural parameters of one accelerator build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct AcceleratorDesign {
-    /// Embedding dimension the build is specialized for.
-    pub dim: usize,
-    /// Total fixed-point MAC lanes across the four pipeline stages. §4.5:
-    /// base parallelism 32, partially 48/64 at d = 64/96 to equalize stage
-    /// latencies.
-    pub mac_lanes: u32,
-    /// BRAM36 banks dedicated to the on-chip β weight cache (double-buffered
-    /// tiles staged by the DMA engine).
-    pub weight_cache_banks: u32,
-}
-
-impl AcceleratorDesign {
-    /// The paper's three build points, calibrated to Table 6; other
-    /// dimensions get interpolated lane/cache counts.
-    pub fn for_dim(dim: usize) -> Self {
-        assert!(dim >= 1, "dimension must be positive");
-        let (mac_lanes, weight_cache_banks) = match dim {
-            32 => (457, 127),
-            64 => (514, 183),
-            96 => (521, 184),
-            d => {
-                // Piecewise-linear interpolation/extrapolation on the three
-                // calibrated points (clamped at the ends).
-                let lerp = |x0: f64, y0: f64, x1: f64, y1: f64, x: f64| {
-                    y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-                };
-                let d = d as f64;
-                let lanes = if d <= 64.0 {
-                    lerp(32.0, 457.0, 64.0, 514.0, d.max(8.0))
-                } else {
-                    lerp(64.0, 514.0, 96.0, 521.0, d)
-                };
-                let cache = if d <= 64.0 {
-                    lerp(32.0, 127.0, 64.0, 183.0, d.max(8.0))
-                } else {
-                    lerp(64.0, 183.0, 96.0, 184.0, d)
-                };
-                (lanes.round().max(8.0) as u32, cache.round().max(4.0) as u32)
-            }
-        };
-        AcceleratorDesign { dim, mac_lanes, weight_cache_banks }
-    }
-
-    /// Whether this is one of the calibrated paper points.
-    pub fn is_calibrated(&self) -> bool {
-        matches!(self.dim, 32 | 64 | 96)
-    }
-}
 
 /// Estimated utilization, with a component breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -80,7 +27,7 @@ pub struct ResourceEstimate {
     pub bram_parts: (u32, u32, u32, u32),
     /// DSP breakdown: (MAC lanes ×3, divider, control).
     pub dsp_parts: (u32, u32, u32),
-    /// True when `dim` is one of the paper's calibrated points.
+    /// True when the build is one of the paper's calibrated points.
     pub calibrated: bool,
 }
 
@@ -98,70 +45,60 @@ const FF_PER_MAC: u32 = 96; // operand/pipeline registers per lane
 const LUT_PER_MAC: u32 = 78; // alignment + saturation logic per lane
 const FF_PER_DIM: u32 = 180; // stage buffers widen with d
 const LUT_PER_DIM: u32 = 420; // stream splitters/mergers widen with d
-const FF_BASE: u32 = 0; // residual absorbed in calibration (see below)
 const LUT_BASE: u32 = 4000; // AXI/DMA + controller floor
+const FIFO_BANKS: u32 = 8; // DMA FIFOs + sample queues
 
-/// Estimates resources for a design. Exact on the calibrated points.
-pub fn estimate_resources(design: &AcceleratorDesign) -> ResourceEstimate {
-    let d = design.dim as u32;
-    // --- BRAM ---
-    // P matrix banked for lane-wide access: one BRAM36 feeds two 32-bit
-    // words/cycle, so a 32/48/64-lane stage needs 16/24/32 banks.
-    let p_banks = (d.min(64)).div_ceil(2).max(16);
-    // β bandwidth banks: double-buffered sample-column tile at stage-3 width.
-    let beta_banks = 2 * (d.min(48)).div_ceil(2).max(16);
-    let fifo_banks = 8; // DMA FIFOs + sample queues
-    let bram = p_banks + beta_banks + design.weight_cache_banks + fifo_banks;
-    // --- DSP ---
-    let mac_dsp = DSP_PER_MAC * design.mac_lanes;
-    let control_dsp = match design.dim {
-        32 => 0,
-        64 => 2,
-        96 => 2,
-        _ => 1,
-    };
-    let dsp = mac_dsp + DSP_DIVIDER + control_dsp;
-    // --- FF / LUT ---
-    // Affine in lanes and dim with a calibration residual per paper point
-    // (the residual is the part of the Vivado report the component model
-    // cannot attribute — interconnect, control FSMs, AXI glue).
-    let ff_model = FF_BASE + FF_PER_MAC * design.mac_lanes + FF_PER_DIM * d;
-    let lut_model = LUT_BASE + LUT_PER_MAC * design.mac_lanes + LUT_PER_DIM * d;
-    let (ff_resid, lut_resid): (i64, i64) = match design.dim {
-        32 => (48_609 - ff_model as i64, 53_330 - lut_model as i64),
-        64 => (77_584 - ff_model as i64, 87_901 - lut_model as i64),
-        96 => (86_081 - ff_model as i64, 108_639 - lut_model as i64),
-        _ => (2000, 3000), // nominal glue for interpolated points
-    };
-    let ff = (ff_model as i64 + ff_resid).max(0) as u32;
-    let lut = (lut_model as i64 + lut_resid).max(0) as u32;
-
+/// Estimates resources for a build. Exact on the calibrated points.
+pub fn estimate_resources(build: &Build) -> ResourceEstimate {
+    let (d, [_, stage2, stage3, _]) = (build.dim as u32, build.lanes);
+    // P banked for stage 2's lanes: one BRAM36 feeds two 32-bit words/cycle,
+    // so a 32/48/64-lane stage needs 16/24/32 banks.
+    let p_banks = stage2.div_ceil(2);
+    // β bandwidth banks: the double-buffered sample-column tile at stage 3's
+    // width, plus 16 per port group beyond the paper's 36 B.
+    let beta_banks =
+        2 * stage3.div_ceil(2) + 16 * (build.port_bytes / PORT_BYTES).saturating_sub(1);
+    let mac_dsp = DSP_PER_MAC * build.mac_lanes;
+    // FF / LUT: affine in lanes and dim, plus the build's residual.
+    let [ff_residual, lut_residual] = build.residual.map(i64::from);
+    let ff = (FF_PER_MAC * build.mac_lanes + FF_PER_DIM * d) as i64 + ff_residual;
+    let lut = (LUT_BASE + LUT_PER_MAC * build.mac_lanes + LUT_PER_DIM * d) as i64 + lut_residual;
     ResourceEstimate {
-        bram36: bram,
-        dsp,
-        ff,
-        lut,
-        bram_parts: (p_banks, beta_banks, design.weight_cache_banks, fifo_banks),
-        dsp_parts: (mac_dsp, DSP_DIVIDER, control_dsp),
-        calibrated: design.is_calibrated(),
+        bram36: p_banks + beta_banks + build.cache_banks + FIFO_BANKS,
+        dsp: mac_dsp + DSP_DIVIDER + build.control_dsp,
+        ff: ff.max(0) as u32,
+        lut: lut.max(0) as u32,
+        bram_parts: (p_banks, beta_banks, build.cache_banks, FIFO_BANKS),
+        dsp_parts: (mac_dsp, DSP_DIVIDER, build.control_dsp),
+        calibrated: PAPER_BUILDS.iter().any(|b| b.0 == build.dim),
     }
 }
 
-/// Paper Table 6, verbatim: (dim, BRAM, DSP, FF, LUT).
-pub const PAPER_TABLE6: [(usize, u32, u32, u32, u32); 3] = [
-    (32, 183, 1379, 48_609, 53_330),
-    (64, 271, 1552, 77_584, 87_901),
-    (96, 272, 1573, 86_081, 108_639),
-];
+/// A paper build from its [`PAPER_BUILDS`] row: the MAC lanes and control
+/// DSP split the DSP left after the divider, 3 to a lane, and the cache banks
+/// and FF/LUT residuals are what the component model leaves of Table 6.
+pub(crate) fn calibrate((dim, lanes, [bram, dsp, ff, lut]): (usize, [u32; 4], [u32; 4])) -> Build {
+    let (mac_dsp, port_bytes) = (dsp - DSP_DIVIDER, PORT_BYTES);
+    let (mac_lanes, control_dsp) = (mac_dsp / DSP_PER_MAC, mac_dsp % DSP_PER_MAC);
+    let bare =
+        Build { dim, lanes, port_bytes, mac_lanes, cache_banks: 0, control_dsp, residual: [0; 2] };
+    let e = estimate_resources(&bare);
+    let residual = [ff as i32 - e.ff as i32, lut as i32 - e.lut as i32];
+    Build { cache_banks: bram - e.bram36, residual, ..bare }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn build(dim: usize) -> Build {
+        Build::for_dim(dim).unwrap()
+    }
+
     #[test]
     fn calibrated_points_match_table6_exactly() {
-        for &(dim, bram, dsp, ff, lut) in &PAPER_TABLE6 {
-            let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
+        for &(dim, _, [bram, dsp, ff, lut]) in &PAPER_BUILDS {
+            let est = estimate_resources(&build(dim));
             assert!(est.calibrated);
             assert_eq!(est.dsp, dsp, "d={dim} dsp");
             assert_eq!(est.bram36, bram, "d={dim} bram");
@@ -173,8 +110,8 @@ mod tests {
     #[test]
     fn every_paper_point_fits_the_device() {
         let dev = FpgaDevice::XCZU7EV;
-        for &(dim, ..) in &PAPER_TABLE6 {
-            let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
+        for &(dim, ..) in &PAPER_BUILDS {
+            let est = estimate_resources(&build(dim));
             assert!(dev.fits(est.bram36, est.dsp, est.ff, est.lut), "d={dim} must fit");
         }
     }
@@ -184,8 +121,8 @@ mod tests {
         // §4.5: parallelism is gated on DSP (79.8–91.0 % used) with BRAM
         // second — the estimator must reproduce that ordering.
         let dev = FpgaDevice::XCZU7EV;
-        for &(dim, ..) in &PAPER_TABLE6 {
-            let u = estimate_resources(&AcceleratorDesign::for_dim(dim)).utilization(&dev);
+        for &(dim, ..) in &PAPER_BUILDS {
+            let u = estimate_resources(&build(dim)).utilization(&dev);
             assert!(
                 u.dsp_pct > u.bram_pct || dim == 64,
                 "d={dim}: dsp {} bram {}",
@@ -201,7 +138,7 @@ mod tests {
         let dev = FpgaDevice::XCZU7EV;
         let mut prev_dsp = 0;
         for dim in [16usize, 40, 48, 80] {
-            let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
+            let est = estimate_resources(&build(dim));
             assert!(!est.calibrated);
             assert!(est.dsp >= prev_dsp, "dsp should not shrink with dim");
             prev_dsp = est.dsp;
@@ -212,7 +149,7 @@ mod tests {
     #[test]
     fn breakdowns_sum_to_totals() {
         for dim in [32usize, 64, 96, 48] {
-            let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
+            let est = estimate_resources(&build(dim));
             let (p, b, c, f) = est.bram_parts;
             assert_eq!(p + b + c + f, est.bram36, "d={dim} bram parts");
             let (m, dv, ct) = est.dsp_parts;
@@ -223,7 +160,7 @@ mod tests {
     #[test]
     fn utilization_matches_paper_percentages() {
         let dev = FpgaDevice::XCZU7EV;
-        let u = estimate_resources(&AcceleratorDesign::for_dim(64)).utilization(&dev);
+        let u = estimate_resources(&build(64)).utilization(&dev);
         assert!((u.bram_pct - 86.86).abs() < 0.05);
         assert!((u.dsp_pct - 89.81).abs() < 0.05);
     }

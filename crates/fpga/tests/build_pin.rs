@@ -6,7 +6,7 @@
 
 use seqge_fpga::bram::TileManager;
 use seqge_fpga::explore::{explore, XCZU15EG, XCZU9EG};
-use seqge_fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, TimingModel};
+use seqge_fpga::{estimate_resources, Build, FpgaDevice};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -26,10 +26,10 @@ fn walk_price_is_pinned() {
     let mut h = FNV_OFFSET;
     for dim in 1..=128 {
         for port_bytes in [36, 72, 144] {
-            let timing = TimingModel { port_bytes };
+            let build = Build { port_bytes, ..Build::for_dim(dim).unwrap() };
             for contexts in [1, 7, 73] {
                 for samples in [0, 14, 77] {
-                    h = fnv(h, [timing.walk_cycles(dim, contexts, samples)]);
+                    h = fnv(h, [build.walk_cycles(contexts, samples)]);
                 }
             }
         }
@@ -41,7 +41,7 @@ fn walk_price_is_pinned() {
 fn resource_estimates_are_pinned() {
     let got: Vec<(usize, u64)> = dims()
         .map(|dim| {
-            let e = estimate_resources(&AcceleratorDesign::for_dim(dim));
+            let e = estimate_resources(&Build::for_dim(dim).unwrap());
             let (p, b, c, f) = e.bram_parts;
             let (m, dv, ct) = e.dsp_parts;
             let words = [e.bram36, e.dsp, e.ff, e.lut, p, b, c, f, m, dv, ct, e.calibrated as u32];
@@ -51,22 +51,22 @@ fn resource_estimates_are_pinned() {
     assert_eq!(
         got,
         [
-            (8, 0x3b2f_3cb1_8d0e_a14f),
-            (16, 0x7a9f_c581_bbd8_69ec),
-            (24, 0xcfb8_001c_b5a3_4104),
+            (8, 0xf3b8_cfcc_b04b_e9af),
+            (16, 0x52fe_d3fa_60b4_74a4),
+            (24, 0x72c5_1010_36d6_e1b4),
             (32, 0xb1dc_fb87_0e18_a0a8),
-            (40, 0x302e_9ad2_a79a_f4b9),
-            (48, 0xf83c_2a9f_8b6f_53a2),
-            (56, 0x5d66_0f7c_ba13_c707),
-            (64, 0xb3d0_13eb_4d77_b20a),
-            (72, 0x8ad9_fd6e_db0a_0934),
-            (80, 0xab52_22f0_2581_dee8),
-            (88, 0xb838_966a_f5e0_c49d),
+            (40, 0x6d60_c285_bb80_e025),
+            (48, 0x9572_39b4_c093_6a32),
+            (56, 0x90b2_3a7f_7354_10c7),
+            (64, 0x3ea9_1839_cf5d_3c1a),
+            (72, 0x19fb_d5bf_3b38_3b9c),
+            (80, 0x5db5_a0a6_fcc6_20b0),
+            (88, 0xf742_6573_30a4_9c55),
             (96, 0xec5a_10cb_6403_9b55),
-            (104, 0x92e1_4dcb_a7c6_056e),
-            (112, 0xec73_fdcc_86c0_a392),
-            (120, 0x3007_4a90_e0f6_daa5),
-            (128, 0xdf58_617b_15a8_62d9),
+            (104, 0xa987_e5ec_ab26_adca),
+            (112, 0x3c6d_17e7_1b4b_618a),
+            (120, 0x7486_e47e_a774_c50d),
+            (128, 0xbc08_d451_ee9e_0e39),
         ]
     );
 }
@@ -83,27 +83,28 @@ fn capacity(mut tile: TileManager) -> usize {
 
 #[test]
 fn tile_capacities_are_pinned() {
-    let got: Vec<(usize, usize)> =
-        dims().map(|dim| (dim, capacity(TileManager::for_dim(dim)))).collect();
+    let got: Vec<(usize, usize)> = dims()
+        .map(|dim| (dim, capacity(TileManager::for_build(&Build::for_dim(dim).unwrap()))))
+        .collect();
     assert_eq!(
         got,
         [
-            (8, 10880),
-            (16, 6336),
-            (24, 4821),
+            (8, 10112),
+            (16, 6080),
+            (24, 4736),
             (32, 4064),
-            (40, 3609),
-            (48, 3306),
-            (56, 3090),
-            (64, 2928),
-            (72, 2602),
-            (80, 2355),
-            (88, 2141),
+            (40, 3660),
+            (48, 3392),
+            (56, 3200),
+            (64, 3056),
+            (72, 2688),
+            (80, 2406),
+            (88, 2164),
             (96, 1962),
-            (104, 1811),
-            (112, 1691),
-            (120, 1578),
-            (128, 1480),
+            (104, 1792),
+            (112, 1654),
+            (120, 1527),
+            (128, 1416),
         ]
     );
 }
@@ -113,18 +114,15 @@ fn explore_points_are_pinned() {
     let mut got = Vec::new();
     for dim in [32, 64, 96] {
         for dev in [FpgaDevice::XCZU7EV, XCZU9EG, XCZU15EG] {
-            let words = explore(dim, &dev).into_iter().flat_map(|p| {
-                let design = [
-                    p.design.dim as u64,
-                    p.design.mac_lanes.into(),
-                    p.design.weight_cache_banks.into(),
-                ];
+            let words = explore(&Build::for_dim(dim).unwrap(), &dev).into_iter().flat_map(|p| {
+                let design =
+                    [p.build.dim as u64, p.build.mac_lanes.into(), p.build.cache_banks.into()];
                 let priced = [
-                    p.port_bytes.into(),
+                    p.build.port_bytes.into(),
                     p.walk_ms.to_bits(),
                     p.fits.into(),
-                    p.dsp.into(),
-                    p.bram.into(),
+                    p.est.dsp.into(),
+                    p.est.bram36.into(),
                 ];
                 design.into_iter().chain(priced)
             });
@@ -137,9 +135,9 @@ fn explore_points_are_pinned() {
             (32, "XCZU7EV-2FFVC1156", 0x12e1_6983_63de_0de6),
             (32, "XCZU9EG", 0x5093_8236_5b9a_b197),
             (32, "XCZU15EG", 0xf328_af87_6466_1862),
-            (64, "XCZU7EV-2FFVC1156", 0xb79a_0013_6e63_75bc),
-            (64, "XCZU9EG", 0x27d7_afe7_e653_f3d1),
-            (64, "XCZU15EG", 0xd267_d0da_faef_2d45),
+            (64, "XCZU7EV-2FFVC1156", 0xdc4b_fe2f_f868_5cec),
+            (64, "XCZU9EG", 0xcd10_832e_942a_9131),
+            (64, "XCZU15EG", 0xfee5_b1ed_01b8_b035),
             (96, "XCZU7EV-2FFVC1156", 0x3c83_17f9_929c_75be),
             (96, "XCZU9EG", 0x9282_92ad_95dc_e583),
             (96, "XCZU15EG", 0x1f3b_3626_c4f5_ce93),

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use seqge_fpga::bram::TileManager;
 use seqge_fpga::timing::transfer_cycles;
-use seqge_fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, TimingModel};
+use seqge_fpga::{estimate_resources, Build, FpgaDevice};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -15,10 +15,10 @@ proptest! {
         ctxs in 1usize..100,
         samples in 1usize..100,
     ) {
-        let t = TimingModel::default();
-        let base = t.walk_cycles(dim, ctxs, samples);
-        let more_ctx = t.walk_cycles(dim, ctxs + 1, samples);
-        let more_samples = t.walk_cycles(dim, ctxs, samples + 1);
+        let t = Build::for_dim(dim).unwrap();
+        let base = t.walk_cycles(ctxs, samples);
+        let more_ctx = t.walk_cycles(ctxs + 1, samples);
+        let more_samples = t.walk_cycles(ctxs, samples + 1);
         prop_assert!(more_ctx > base);
         prop_assert!(more_samples >= base);
     }
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn estimates_fit_device(dim in 8usize..=96) {
         let dev = FpgaDevice::XCZU7EV;
-        let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
+        let est = estimate_resources(&Build::for_dim(dim).unwrap());
         prop_assert!(dev.fits(est.bram36, est.dsp, est.ff, est.lut), "d={dim}: {est:?}");
         let (p, b, c, f) = est.bram_parts;
         prop_assert_eq!(p + b + c + f, est.bram36);
@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn utilization_consistent(dim in 8usize..=96) {
         let dev = FpgaDevice::XCZU7EV;
-        let est = estimate_resources(&AcceleratorDesign::for_dim(dim));
+        let est = estimate_resources(&Build::for_dim(dim).unwrap());
         let u = est.utilization(&dev);
         prop_assert!((u.dsp_pct - 100.0 * est.dsp as f64 / dev.dsp as f64).abs() < 1e-9);
         prop_assert!(u.bram_pct <= 100.0 && u.lut_pct <= 100.0 && u.ff_pct <= 100.0);

@@ -16,7 +16,7 @@ use seqge_core::model::EmbeddingModel;
 use seqge_core::{full_corpus, train_all_scenario, ModelConfig, OsElmConfig, TrainConfig};
 use seqge_fixed::Q8_24;
 use seqge_fpga::bram::TileManager;
-use seqge_fpga::{AccelStats, Accelerator};
+use seqge_fpga::{AccelStats, Accelerator, Build};
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::NodeId;
 use seqge_sampling::{NegativeTable, Node2VecParams, Rng64};
@@ -144,7 +144,7 @@ fn paper_geometry_is_pinned() {
 fn paper_geometry_tile_traffic_is_pinned() {
     let model = Accelerator::new(1000, OsElmConfig::paper_defaults(32)).config().model;
     let (corpus, table, mut rng) = regime_corpus(1000, model, 80, 208, 3);
-    let mut tile = TileManager::for_dim(32);
+    let mut tile = TileManager::for_build(&Build::for_dim(32).unwrap());
     tile.replay(&corpus, &model, &table, &mut rng);
     assert_eq!((tile.hits, tile.misses), (1_183_358, 994));
 }

@@ -237,10 +237,6 @@ impl Span {
         self.active
     }
 
-    pub fn is_sampled(&self) -> bool {
-        self.sampled
-    }
-
     pub fn trace_id(&self) -> u64 {
         self.trace_id
     }

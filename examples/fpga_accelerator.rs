@@ -9,7 +9,7 @@
 use seqge::core::{full_corpus, train_all_scenario, EmbeddingModel, OsElmConfig, TrainConfig};
 use seqge::eval::{evaluate_embedding, EvalConfig, LogRegConfig};
 use seqge::fpga::bram::TileManager;
-use seqge::fpga::{cycles_to_millis, estimate_resources, Accelerator, AcceleratorDesign};
+use seqge::fpga::{cycles_to_millis, estimate_resources, Accelerator, Build};
 use seqge::fpga::{FpgaDevice, CLOCK_MHZ};
 use seqge::graph::Dataset;
 
@@ -20,12 +20,12 @@ fn main() {
     println!("graph: {} nodes, {} edges", g.num_nodes(), g.num_edges());
 
     // The bitstream this run models.
-    let design = AcceleratorDesign::for_dim(dim);
-    let est = estimate_resources(&design);
+    let build = Build::for_dim(dim).expect("a paper build");
+    let est = estimate_resources(&build);
     let util = est.utilization(&FpgaDevice::XCZU7EV);
     println!(
         "design d={dim}: {} MAC lanes @ {CLOCK_MHZ} MHz — BRAM {} ({:.1}%), DSP {} ({:.1}%)",
-        design.mac_lanes, est.bram36, util.bram_pct, est.dsp, util.dsp_pct
+        build.mac_lanes, est.bram36, util.bram_pct, est.dsp, util.dsp_pct
     );
 
     // The host side is the ordinary "all"-scenario driver: it pre-samples
@@ -46,7 +46,7 @@ fn main() {
     );
     // The same walks and negative draws, replayed through the weight tile.
     let (_, walks, table, mut rng) = full_corpus(&g, &cfg, 17);
-    let mut tile = TileManager::for_dim(dim);
+    let mut tile = TileManager::for_build(&build);
     tile.replay(&walks, &accel.config().model, &table, &mut rng);
     println!(
         "tile traffic: {} DRAM column fetches, {} on-chip hits ({:.1}% hit rate), {} saturations",

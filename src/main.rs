@@ -17,7 +17,7 @@ use seqge::core::{
     OsElmSkipGram, SkipGram, TrainConfig,
 };
 use seqge::eval::{evaluate_embedding, EdgeOp, EvalConfig, LinkPredSet};
-use seqge::fpga::{estimate_resources, AcceleratorDesign, FpgaDevice, TimingModel, CLOCK_MHZ};
+use seqge::fpga::{estimate_resources, Build, FpgaDevice, CLOCK_MHZ};
 use seqge::graph::{io as graph_io, Dataset, Graph};
 use seqge::sampling::UpdatePolicy;
 use seqge::serve;
@@ -832,10 +832,9 @@ fn cmd_client(flags: &Flags) -> Result<(), String> {
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let dim: usize = get(flags, "dim", 32)?;
-    let design = AcceleratorDesign::for_dim(dim);
-    let est = estimate_resources(&design);
+    let build = Build::for_dim(dim)?;
+    let est = estimate_resources(&build);
     let util = est.utilization(&FpgaDevice::XCZU7EV);
-    let timing = TimingModel::default();
     println!("accelerator build d={dim} @ {CLOCK_MHZ} MHz on {}:", FpgaDevice::XCZU7EV.name);
     println!(
         "  BRAM {:>4} ({:5.2}%)   DSP {:>4} ({:5.2}%)",
@@ -851,7 +850,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     );
     println!(
         "  one paper-protocol walk (73 contexts, 77 samples): {:.3} ms",
-        timing.paper_walk_millis(dim)
+        build.paper_walk_millis()
     );
     Ok(())
 }

@@ -19,3 +19,23 @@ fn unknown_flags_are_refused_by_name() {
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn simulate_refuses_a_dimension_without_a_build() {
+    // 2^32 + 32 would read as d = 32 through a truncating `as u32`.
+    for dim in ["0", "4294967328"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_seqge"))
+            .args(["simulate", "--dim", dim])
+            .output()
+            .expect("seqge runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--dim {dim}: {stderr}");
+        assert!(stderr.contains(&format!("no accelerator build for d = {dim}")), "{stderr}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_seqge"))
+        .args(["simulate", "--dim", "64"])
+        .output()
+        .expect("seqge runs");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("BRAM  271 (86.86%)"));
+}
