@@ -416,6 +416,17 @@ fn run_until_stopped(
     Ok(())
 }
 
+/// The `--backend` a daemon trains with (default float). An fpga-sim backend
+/// prices its walks on a modeled build, so `dim` must have one.
+fn backend_kind(flags: &Flags, dim: usize) -> Result<seqge::backend::BackendKind, String> {
+    use seqge::backend::BackendKind;
+    let kind = flags.get("backend").map_or(Ok(BackendKind::Float), |v| BackendKind::parse(v))?;
+    if kind == BackendKind::FpgaSim {
+        Build::for_dim(dim)?;
+    }
+    Ok(kind)
+}
+
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     arm_daemon(flags, "serve")?;
     let dim: usize = get(flags, "dim", 32)?;
@@ -424,10 +435,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let mut cfg = TrainConfig::paper_defaults(dim);
     cfg.model.seed = seed;
     let policy = UpdatePolicy::every_edge();
-    let backend = match flags.get("backend") {
-        Some(v) => seqge::backend::BackendKind::parse(v)?,
-        None => seqge::backend::BackendKind::Float,
-    };
+    let backend = backend_kind(flags, dim)?;
 
     let refresh_every: u64 = get(flags, "refresh-every", 0)?;
     let mut config = serve::ServeConfig {
@@ -494,6 +502,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 fn cmd_cluster(flags: &Flags) -> Result<(), String> {
     arm_daemon(flags, "cluster")?;
     let dim: usize = get(flags, "dim", 32)?;
+    let train_backend = backend_kind(flags, dim)?;
     let seed: u64 = get(flags, "seed", 42)?;
     let port: u16 = get(flags, "port", 7879)?;
     let shards: usize = get(flags, "shards", 2)?;
@@ -512,10 +521,7 @@ fn cmd_cluster(flags: &Flags) -> Result<(), String> {
         fsync,
         refresh_every: get(flags, "refresh-every", 0)?,
         addr: format!("127.0.0.1:{port}"),
-        train_backend: match flags.get("backend") {
-            Some(v) => seqge::backend::BackendKind::parse(v)?,
-            None => seqge::backend::BackendKind::Float,
-        },
+        train_backend,
         ..seqge::cluster::ClusterConfig::in_process(shards, base_dir.into(), dim, seed)
     };
     let cluster = seqge::cluster::Cluster::start(&cfg, &graph).map_err(|e| e.to_string())?;

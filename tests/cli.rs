@@ -32,6 +32,16 @@ fn simulate_refuses_a_dimension_without_a_build() {
         assert_eq!(out.status.code(), Some(1), "--dim {dim}: {stderr}");
         assert!(stderr.contains(&format!("no accelerator build for d = {dim}")), "{stderr}");
     }
+    // A daemon on the fpga-sim backend refuses it before it boots.
+    for cmd in ["serve", "cluster"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_seqge"))
+            .args([cmd, "--backend", "fpga-sim", "--dim", "182"])
+            .output()
+            .expect("seqge runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains("no accelerator build for d = 182"), "{cmd}: {stderr}");
+    }
     let out = Command::new(env!("CARGO_BIN_EXE_seqge"))
         .args(["simulate", "--dim", "64"])
         .output()
