@@ -1,113 +1,26 @@
 //! The published index and its incremental maintainer.
 
-use crate::lsh::{AnnConfig, Hyperplanes};
+use crate::lsh::{hamming, AnnConfig, Code, Hyperplanes, LANES};
 use seqge_linalg::NormedMat;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An immutable ANN index over one embedding snapshot: per band, the
-/// vertex ids grouped by signature (ascending id inside a group) behind a
-/// dense offsets table. Queries are lock-free and allocation is bounded by
-/// the candidate-set size.
+/// An immutable ANN index over one embedding snapshot: one [`LANES`]-bit
+/// code per vertex, the signs of its row under the index's hyperplanes. A
+/// query keeps the vertices whose codes are nearest its own in Hamming
+/// distance. Queries are lock-free and allocate one byte per vertex they
+/// compare.
 #[derive(Debug)]
 pub struct AnnIndex {
     planes: Arc<Hyperplanes>,
-    /// `bands` tables of `2^bits + 1` entries: the bucket of `sig` in
-    /// `band` is `ids[band][offsets[band][sig]..offsets[band][sig + 1]]`.
-    offsets: Vec<u32>,
-    /// `bands` runs of `num_points` vertex ids.
-    ids: Vec<u32>,
-    num_points: usize,
+    /// Vertex `v`'s code at `codes[v]`.
+    codes: Vec<Code>,
 }
 
 impl AnnIndex {
-    /// Groups the vertices by signature, one counting sort per band over
-    /// `sigs` (band-major: `num_points` signatures per band).
-    fn build(planes: Arc<Hyperplanes>, sigs: &[u32], num_points: usize) -> Self {
-        let (n, slots) = (num_points, (1usize << planes.bits()) + 1);
-        let mut offsets = vec![0u32; planes.bands() * slots];
-        let mut ids = vec![0u32; sigs.len()];
-        let mut next: Vec<u32> = Vec::with_capacity(slots);
-        for band in 0..planes.bands() {
-            let table = &mut offsets[band * slots..][..slots];
-            let (sigs, ids) = (&sigs[band * n..][..n], &mut ids[band * n..][..n]);
-            for &sig in sigs {
-                table[sig as usize + 1] += 1;
-            }
-            for sig in 1..slots {
-                table[sig] += table[sig - 1];
-            }
-            // Rows are placed in ascending order, so every bucket is sorted.
-            next.clear();
-            next.extend_from_slice(table);
-            for (row, &sig) in sigs.iter().enumerate() {
-                ids[next[sig as usize] as usize] = row as u32;
-                next[sig as usize] += 1;
-            }
-        }
-        AnnIndex { planes, offsets, ids, num_points }
-    }
-
-    /// This index after some rows changed signature: `moved[band]` holds
-    /// two [`move_key`]s per row whose signature in `band` changed, one for
-    /// the bucket it left and one for the bucket it joined. A band with no
-    /// key is copied in one piece. In a band with keys every untouched run
-    /// of buckets is copied in one piece, and each touched bucket is one
-    /// linear merge of its old rows with its keys' rows, both ascending: a
-    /// key's row found among the old rows left, any other joined. Buckets
-    /// stay sorted. O(n + m log m) per band with `m` keys.
-    fn regroup(&self, moved: Vec<Vec<u64>>) -> Self {
-        let (n, slots) = (self.num_points, self.slots());
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut ids = Vec::with_capacity(self.ids.len());
-        for (band, mut keys) in moved.into_iter().enumerate() {
-            keys.sort_unstable();
-            let (table, old) = (&self.offsets[band * slots..][..slots], &self.ids[band * n..][..n]);
-            let base = ids.len();
-            // Copies buckets `from..to` unchanged and writes the offsets of
-            // `from..=to`, shifted to where the output is.
-            let mut copy = |ids: &mut Vec<u32>, from: usize, to: usize| {
-                let (lo, hi) = (table[from] as usize, table[to] as usize);
-                let at = (ids.len() - base) as u32;
-                offsets.extend(table[from..=to].iter().map(|&o| o - table[from] + at));
-                ids.extend_from_slice(&old[lo..hi]);
-            };
-            let mut next = 0;
-            for group in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-                let sig = (group[0] >> 32) as usize;
-                copy(&mut ids, next, sig);
-                let mut rows = group.iter().map(|&key| key as u32).peekable();
-                for &row in &old[table[sig] as usize..table[sig + 1] as usize] {
-                    while let Some(joined) = rows.next_if(|&r| r < row) {
-                        ids.push(joined);
-                    }
-                    if rows.next_if_eq(&row).is_none() {
-                        ids.push(row);
-                    }
-                }
-                ids.extend(rows);
-                next = sig + 1;
-            }
-            copy(&mut ids, next, slots - 1);
-            debug_assert_eq!(ids.len() - base, n, "band {band} files every row once");
-        }
-        AnnIndex { planes: self.planes.clone(), offsets, ids, num_points: n }
-    }
-
-    /// Entries per band's offsets table: one per signature, plus the end.
-    fn slots(&self) -> usize {
-        (1usize << self.bits()) + 1
-    }
-
-    fn bucket(&self, band: usize, sig: u32) -> &[u32] {
-        let table = &self.offsets[band * self.slots()..];
-        let (lo, hi) = (table[sig as usize] as usize, table[sig as usize + 1] as usize);
-        &self.ids[band * self.num_points..][lo..hi]
-    }
-
     /// Vertices the index covers.
     pub fn num_points(&self) -> usize {
-        self.num_points
+        self.codes.len()
     }
 
     /// Embedding dimensionality the index hashes.
@@ -115,28 +28,70 @@ impl AnnIndex {
         self.planes.dim()
     }
 
-    /// Number of bands (hash tables).
-    pub fn bands(&self) -> usize {
-        self.planes.bands()
+    /// Candidates a query with `probes` keeps: `LANES · (probes + 1)`.
+    pub fn budget(probes: usize) -> usize {
+        LANES.saturating_mul(probes.saturating_add(1))
     }
 
-    /// Signature bits per band.
-    pub fn bits(&self) -> usize {
-        self.planes.bits()
-    }
-
-    /// Candidate set for query vector `x` (`dim()` coordinates): the union
-    /// of the matching bucket in every band, plus `probes` low-margin
-    /// bit-flip probes per band, deduplicated and in ascending-id order
-    /// (deterministic for a given index version). The caller re-ranks
-    /// these exactly.
+    /// [`AnnIndex::candidates_filtered`] over every vertex.
     pub fn candidates(&self, x: &[f32], probes: usize) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        self.planes.probe_signatures(x, probes, &mut Vec::new(), |band, sig| {
-            out.extend_from_slice(self.bucket(band, sig));
-        });
-        out.sort_unstable();
-        out.dedup();
+        self.candidates_filtered(x, probes, None)
+    }
+
+    /// Candidate set for query vector `x` (`dim()` coordinates) among the
+    /// vertices `v` with `v % m == r` for `filter = Some((m, r))`, or every
+    /// vertex for `None`: the [`AnnIndex::budget`]`(probes)` vertices whose
+    /// codes are nearest `x`'s in Hamming distance, equal distances by
+    /// ascending id, or the whole class when it is no larger. Returned in
+    /// ascending-id order; the caller re-ranks these exactly.
+    pub fn candidates_filtered(
+        &self,
+        x: &[f32],
+        probes: usize,
+        filter: Option<(u32, u32)>,
+    ) -> Vec<u32> {
+        let (m, r) = filter.map_or((1, 0), |(m, r)| (m as usize, r as usize));
+        // A remainder no id can have (`r >= m`) is an empty class.
+        let first = if r < m { r } else { self.codes.len() };
+        let id = |i: usize| (first + i * m) as u32;
+        let class = self.codes.get(first..).unwrap_or_default();
+        let budget = Self::budget(probes);
+        if class.len().div_ceil(m) <= budget {
+            return (0..class.len().div_ceil(m)).map(id).collect();
+        }
+        let query = self.planes.code(x, &mut Vec::new());
+        // Each class member's distance, and how many sit at each distance.
+        let mut at = [0usize; LANES + 1];
+        let dist: Vec<u8> = class
+            .iter()
+            .step_by(m)
+            .map(|code| {
+                let d = hamming(&query, code) as u8;
+                at[d as usize] += 1;
+                d
+            })
+            .collect();
+        // The radius at which the budget fills: every code nearer is kept,
+        // and the lowest `left` ids of the codes at it.
+        let (mut radius, mut left) = (0, budget);
+        while at[radius] < left {
+            left -= at[radius];
+            radius += 1;
+        }
+        let radius = radius as u8;
+        let mut out = Vec::with_capacity(budget);
+        for (i, &d) in dist.iter().enumerate() {
+            // The one test most codes take: few are within the radius.
+            if d <= radius {
+                if d == radius {
+                    if left == 0 {
+                        continue;
+                    }
+                    left -= 1;
+                }
+                out.push(id(i));
+            }
+        }
         out
     }
 }
@@ -151,12 +106,12 @@ pub struct SyncReport {
     /// (on the first sync: every vertex).
     pub dirty: usize,
     /// Vertices projected through the hyperplanes: the dirty ones whose
-    /// margin budget could not prove their signatures unchanged (on the
-    /// first sync: every vertex). At most `dirty`; a rising share of it
-    /// means rows move by more than their margins.
+    /// margin budget could not prove their codes unchanged (on the first
+    /// sync: every vertex). At most `dirty`; a rising share of it means
+    /// rows move by more than their margins.
     pub rehashed: usize,
     /// Wall time of the sync (dirty scan + budget checks + re-projection +
-    /// bucket regroup).
+    /// the copy of the codes).
     pub build_ns: u64,
 }
 
@@ -171,8 +126,8 @@ impl SyncReport {
 }
 
 /// The trainer-side maintainer: keeps the last view it synced, the per-row
-/// signatures and margin budgets, and the index built from them, and
-/// renders an immutable [`AnnIndex`] per snapshot publication.
+/// codes and margin budgets, and the index built from them, and renders an
+/// immutable [`AnnIndex`] per snapshot publication.
 ///
 /// Change detection is pointer first, then the backend's row list, then
 /// exact. Handed the very `Arc` it synced last, a sync reads no row: views
@@ -183,25 +138,24 @@ impl SyncReport {
 /// compares every row. Either way a row is dirty when its `f32` bit patterns
 /// differ from the last view's, which is never wrong.
 ///
-/// A dirty row is projected only when its signatures might have moved.
-/// Each row keeps a budget, set whenever it is projected to its margin
+/// A dirty row is projected only when its code might have moved. Each row
+/// keeps a budget, set whenever it is projected to its margin
 /// (`Hyperplanes::margin`): a distance it can travel without any projection
 /// changing sign, rounding included. Every sync that finds the row dirty
 /// spends its movement since the last view from the budget; by the triangle
 /// inequality the row is then still within budget of where it was last
-/// projected, so its stored signatures are the ones a projection would
-/// compute. Only a row whose budget runs out is projected, and its budget
-/// reset.
+/// projected, so its stored code is the one a projection would compute.
+/// Only a row whose budget runs out is projected, and its budget reset.
 #[derive(Debug)]
 pub struct AnnBuilder {
     cfg: AnnConfig,
-    /// Per band, every row's signature (band-major).
-    sigs: Vec<u32>,
+    /// Every row's code, overwritten in place when a projection moves it.
+    codes: Vec<Code>,
     /// Per row, what is left of its margin budget (≤ 0: project on its next
     /// change).
     budgets: Vec<f64>,
     /// The last view synced and the index handed out for it; also the record
-    /// of the geometry `sigs` describes.
+    /// of the geometry `codes` describes.
     last: Option<(Arc<NormedMat>, Arc<AnnIndex>)>,
 }
 
@@ -209,17 +163,16 @@ impl AnnBuilder {
     /// A builder with no points; dimensions are fixed by the first
     /// [`AnnBuilder::sync`].
     pub fn new(cfg: AnnConfig) -> Self {
-        AnnBuilder { cfg, sigs: Vec::new(), budgets: Vec::new(), last: None }
+        AnnBuilder { cfg, codes: Vec::new(), budgets: Vec::new(), last: None }
     }
 
     /// Brings the index in line with `emb` and returns the immutable
     /// version to publish. The `Arc` synced last returns the previous index
     /// at once. Otherwise the dirty rows spend their budgets, the ones that
-    /// run out are projected, and only the `(band, row)` signatures that
-    /// changed are regrouped ([`AnnIndex`]'s merge, O(n + m log m) per band
-    /// with `m` moves); a sync where no signature changed returns the
-    /// previous `Arc`. The first sync (or a geometry change — row or column
-    /// count) projects every row and groups them by a counting sort.
+    /// run out are projected, and a sync that moved a code publishes a copy
+    /// of the codes (16 bytes per row); one where no code changed returns
+    /// the previous `Arc`. The first sync (or a geometry change — row or
+    /// column count) projects every row.
     pub fn sync(&mut self, emb: &Arc<NormedMat>) -> (Arc<AnnIndex>, SyncReport) {
         self.sync_over(emb, None)
     }
@@ -256,7 +209,7 @@ impl AnnBuilder {
         let index = match kept {
             Some((seen, index)) if Arc::ptr_eq(&seen, emb) => index,
             Some((seen, index)) => {
-                let (mut acc, mut moved) = (Vec::new(), vec![Vec::new(); index.bands()]);
+                let (mut acc, mut moved) = (Vec::new(), false);
                 let mut visit = |row: usize| {
                     let (was, now) = (seen.row(row), emb.row(row));
                     if same_bits(was, now) {
@@ -270,13 +223,10 @@ impl AnnBuilder {
                         return;
                     }
                     rehashed += 1;
-                    self.budgets[row] = index.planes.hash(now, &mut acc, |band, sig| {
-                        let slot = &mut self.sigs[band * n + row];
-                        if *slot != sig {
-                            moved[band].extend([move_key(*slot, row), move_key(sig, row)]);
-                            *slot = sig;
-                        }
-                    });
+                    let code;
+                    (code, self.budgets[row]) = index.planes.hash(now, &mut acc);
+                    moved |= code != self.codes[row];
+                    self.codes[row] = code;
                 };
                 match delta {
                     Some((from, rows)) if Arc::ptr_eq(from, &seen) => {
@@ -284,27 +234,19 @@ impl AnnBuilder {
                     }
                     _ => (0..n).for_each(visit),
                 }
-                if moved.iter().all(Vec::is_empty) {
-                    index
+                if moved {
+                    Arc::new(AnnIndex { planes: index.planes.clone(), codes: self.codes.clone() })
                 } else {
-                    Arc::new(index.regroup(moved))
+                    index
                 }
             }
             None => {
-                let (bands, bits) = (self.cfg.bands.max(1), self.cfg.bits_for(n));
-                let planes =
-                    Arc::new(Hyperplanes::generate(emb.cols(), bands, bits, self.cfg.seed));
-                self.sigs = vec![0; n * bands];
+                let planes = Arc::new(Hyperplanes::generate(emb.cols(), self.cfg.seed));
                 let mut acc = Vec::new();
-                self.budgets = (0..n)
-                    .map(|row| {
-                        planes.hash(emb.row(row), &mut acc, |band, sig| {
-                            self.sigs[band * n + row] = sig;
-                        })
-                    })
-                    .collect();
+                (self.codes, self.budgets) =
+                    (0..n).map(|row| planes.hash(emb.row(row), &mut acc)).unzip();
                 (dirty, rehashed) = (n, n);
-                Arc::new(AnnIndex::build(planes, &self.sigs, n))
+                Arc::new(AnnIndex { planes, codes: self.codes.clone() })
             }
         };
         self.last = Some((emb.clone(), index.clone()));
@@ -316,12 +258,6 @@ impl AnnBuilder {
         };
         (index, report)
     }
-}
-
-/// `sig << 32 | row`: sorting a band's keys groups them by bucket, rows
-/// ascending inside.
-fn move_key(sig: u32, row: usize) -> u64 {
-    (sig as u64) << 32 | row as u64
 }
 
 /// Whether two rows hold the same `f32` bit patterns (so `0.0` and `-0.0`
@@ -369,7 +305,7 @@ mod tests {
         let (idx1, rep) = b.sync(&Arc::new(emb.clone().into()));
         assert_eq!((rep.total, rep.dirty, rep.rehashed), (200, 1, 1));
         assert_eq!(rep.dirty_ppm(), 5_000);
-        // The new index files 42 under its new signature…
+        // The new index gives 42 its new code…
         assert!(idx1.candidates(emb.row(42), 0).contains(&42));
         // …while the previously published index is untouched (old home).
         assert!(idx0.candidates(clustered(200, 8).row(42), 0).contains(&42));
@@ -399,7 +335,7 @@ mod tests {
         delta.sync(&from);
         let (index, rep) = delta.sync_rows(&to, &from, &[3, 7, 42, 150]);
         assert_eq!(reports(rep), reports(want_rep));
-        assert!(same_layout(&index, &want));
+        assert!(same_codes(&index, &want));
         let mut short = AnnBuilder::new(cfg);
         short.sync(&from);
         let (_, rep) = short.sync_rows(&to, &from, &[7, 42]);
@@ -413,7 +349,7 @@ mod tests {
             b.sync(&from);
             let (index, rep) = b.sync_rows(&to, &stale, &[]);
             assert_eq!(reports(rep), reports(want_rep));
-            assert!(same_layout(&index, &want));
+            assert!(same_codes(&index, &want));
         }
         // The view synced last again reads nothing, whatever the list says.
         let (again, rep) = delta.sync_rows(&to, &from, &[0, 1, 2]);
@@ -436,17 +372,19 @@ mod tests {
     #[test]
     fn candidates_are_sorted_dedup_and_cluster_local() {
         let emb = Arc::new(clustered(300, 16).into());
-        let mut b = AnnBuilder::new(AnnConfig { bands: 6, bits: 4, seed: 9 });
+        let mut b = AnnBuilder::new(AnnConfig { seed: 9 });
         let (idx, _) = b.sync(&emb);
-        let cands = idx.candidates(emb.row(10), 2);
-        assert!(cands.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        assert!(cands.contains(&10));
-        // The antipodal cluster should be (almost) absent at zero probes.
+        // A budget of 384 covers all 300 vertices.
+        assert_eq!(idx.candidates(emb.row(10), 2), (0..300).collect::<Vec<u32>>());
+        // The antipodal cluster should be (almost) absent from 128.
         let tight = idx.candidates(emb.row(10), 0);
+        assert!(tight.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
+        assert!(tight.contains(&10));
+        assert_eq!(tight.len(), 128);
         let wrong = tight.iter().filter(|&&v| v % 2 == 1).count();
         assert!(
             wrong * 5 < tight.len().max(1),
-            "opposite cluster dominates the bucket: {wrong}/{}",
+            "opposite cluster dominates the candidates: {wrong}/{}",
             tight.len()
         );
     }
@@ -485,9 +423,9 @@ mod tests {
         AnnBuilder::new(cfg).sync(&Arc::new(emb.clone().into())).0
     }
 
-    /// Whether two indexes file every row under the same signatures.
-    fn same_layout(a: &AnnIndex, b: &AnnIndex) -> bool {
-        (&a.offsets, &a.ids) == (&b.offsets, &b.ids)
+    /// Whether two indexes give every row the same code.
+    fn same_codes(a: &AnnIndex, b: &AnnIndex) -> bool {
+        a.codes == b.codes
     }
 
     #[test]
@@ -500,8 +438,8 @@ mod tests {
         emb.row_mut(row)[3] = emb.row(row)[3].next_up();
         let (after, rep) = b.sync(&Arc::new(emb.clone().into()));
         assert_eq!((rep.total, rep.dirty, rep.rehashed), (200, 1, 0));
-        assert!(Arc::ptr_eq(&before, &after), "no signature moved: the same index");
-        assert!(same_layout(&after, &fresh(AnnConfig::default(), &emb)));
+        assert!(Arc::ptr_eq(&before, &after), "no code moved: the same index");
+        assert!(same_codes(&after, &fresh(AnnConfig::default(), &emb)));
     }
 
     #[test]
@@ -513,7 +451,7 @@ mod tests {
         let (row, planes) = (10, index.planes.clone());
         let start = emb.row(row).to_vec();
         // Every plane as a unit normal; the row's signed distance to each.
-        let normals: Vec<Vec<f64>> = (0..cfg.bands * planes.bits())
+        let normals: Vec<Vec<f64>> = (0..LANES)
             .map(|lane| {
                 let w = planes.plane(lane);
                 let norm = w.iter().map(|&v| v as f64 * v as f64).sum::<f64>().sqrt();
@@ -539,8 +477,8 @@ mod tests {
             }
             let (next, rep) = b.sync(&Arc::new(emb.clone().into()));
             assert_eq!((rep.dirty, rep.rehashed), (1, usize::from(step == 4)), "step {step}");
-            assert_eq!(Arc::ptr_eq(&next, &index), step < 4, "step {step}: moved bucket");
-            assert!(same_layout(&next, &fresh(cfg, &emb)), "step {step}");
+            assert_eq!(Arc::ptr_eq(&next, &index), step < 4, "step {step}: moved code");
+            assert!(same_codes(&next, &fresh(cfg, &emb)), "step {step}");
             index = next;
         }
         assert_ne!(side(emb.row(row), lane).signum(), sign, "the fourth step crossed");
@@ -579,24 +517,8 @@ mod tests {
             for row in 0..corners.len() {
                 assert!(b.budgets[row] <= 0.0, "round {round} row {row}: {}", b.budgets[row]);
             }
-            assert!(same_layout(&index, &fresh(cfg, &emb)), "round {round}");
+            assert!(same_codes(&index, &fresh(cfg, &emb)), "round {round}");
         }
-    }
-
-    /// Every bucket of every band is strictly ascending and each band
-    /// files every vertex exactly once.
-    fn check_buckets(index: &AnnIndex) -> Result<(), proptest::TestCaseError> {
-        for band in 0..index.bands() {
-            let mut filed = 0usize;
-            for sig in 0..1u32 << index.bits() {
-                let bucket = index.bucket(band, sig);
-                prop_assert!(bucket.windows(2).all(|w| w[0] < w[1]), "band {band} sig {sig}");
-                prop_assert!(bucket.iter().all(|&v| (v as usize) < index.num_points()));
-                filed += bucket.len();
-            }
-            prop_assert_eq!(filed, index.num_points());
-        }
-        Ok(())
     }
 
     /// Tie- and sign-heavy alphabet: edits often rewrite the value already
@@ -631,7 +553,7 @@ mod tests {
                 .prop_map(|(r, c, k, up)| Edit::Nudge(r, c, k, up)),
             (0usize..48, 0usize..6, 1u32..=4, any::<bool>())
                 .prop_map(|(r, c, k, up)| Edit::Nudge(r, c, k, up)),
-            (0usize..48, 0usize..64).prop_map(|(r, lane)| Edit::OntoPlane(r, lane)),
+            (0usize..48, 0usize..LANES).prop_map(|(r, lane)| Edit::OntoPlane(r, lane)),
         ]
     }
 
@@ -640,11 +562,11 @@ mod tests {
 
         /// After every sync of any sequence of row edits — overwrites,
         /// 1–4-ulp nudges, rows put a few ulps from a plane and nudged
-        /// across it — the incrementally maintained index files every row
-        /// exactly where a fresh build of the same matrix does. Every sync
-        /// finds exactly the rows whose bit patterns changed dirty and
+        /// across it — the incrementally maintained index gives every row
+        /// exactly the code a fresh build of the same matrix does. Every
+        /// sync finds exactly the rows whose bit patterns changed dirty and
         /// projects at most those, and it returns the previous index `Arc`
-        /// exactly when no signature moved — in particular when handed the
+        /// exactly when no code moved — in particular when handed the
         /// same view `Arc` again or a new one with equal bits. A second
         /// builder told a random superset of the changed rows
         /// ([`AnnBuilder::sync_rows`]) reports and files the same.
@@ -652,15 +574,14 @@ mod tests {
         fn incremental_sync_equals_fresh_build(
             rows in 1usize..48,
             dim in 1usize..7,
-            bands in 1usize..5,
-            bits in 0usize..7,
+            seed in 0u64..4,
             cells in proptest::collection::vec(cell(), 48 * 6),
             rounds in proptest::collection::vec(
                 (proptest::collection::vec(edit(), 0usize..10), any::<u64>()),
                 1usize..10,
             ),
         ) {
-            let cfg = AnnConfig { bands, bits, seed: 5 };
+            let cfg = AnnConfig { seed };
             let mut emb = Mat::from_vec(rows, dim, cells[..rows * dim].to_vec());
             let mut builder = AnnBuilder::new(cfg);
             let (mut index, rep) = builder.sync(&Arc::new(emb.clone().into()));
@@ -681,7 +602,7 @@ mod tests {
                             }
                         }
                         Edit::OntoPlane(r, lane) => {
-                            let w = planes.plane(lane % (planes.bands() * planes.bits()));
+                            let w = planes.plane(lane % LANES);
                             let x = emb.row_mut(r % rows);
                             let dot = |a: &[f32], b: &[f32]| -> f64 {
                                 a.iter().zip(b).map(|(&a, &b)| a as f64 * b as f64).sum()
@@ -699,9 +620,8 @@ mod tests {
                 let (next, rep) = builder.sync(&Arc::new(emb.clone().into()));
                 prop_assert_eq!((rep.total, rep.dirty), (rows, changed));
                 prop_assert!(rep.rehashed <= changed, "{} > {}", rep.rehashed, changed);
-                check_buckets(&next)?;
-                prop_assert!(same_layout(&next, &fresh(cfg, &emb)), "differs from a fresh build");
-                prop_assert_eq!(Arc::ptr_eq(&next, &index), same_layout(&next, &index));
+                prop_assert!(same_codes(&next, &fresh(cfg, &emb)), "differs from a fresh build");
+                prop_assert_eq!(Arc::ptr_eq(&next, &index), same_codes(&next, &index));
                 // Every changed row, plus the unchanged rows `extra` picks.
                 let listed: Vec<u32> = (0..rows)
                     .filter(|&r| differs(r) || extra >> (r % 64) & 1 == 1)
@@ -713,7 +633,7 @@ mod tests {
                     (told_rep.total, told_rep.dirty, told_rep.rehashed),
                     (rep.total, rep.dirty, rep.rehashed)
                 );
-                prop_assert!(same_layout(&told_next, &next), "told the rows, files differently");
+                prop_assert!(same_codes(&told_next, &next), "told the rows, files differently");
                 told_view = view;
                 index = next;
             }
@@ -733,6 +653,59 @@ mod tests {
                         fresh.candidates(emb.row(row), probes),
                         "row {} probes {}", row, probes
                     );
+                }
+            }
+        }
+    }
+
+    /// `candidates_filtered` by its definition: every vertex of the class
+    /// sorted by (Hamming distance, id), the first `budget(probes)` kept,
+    /// returned in ascending-id order.
+    fn brute_force(
+        index: &AnnIndex,
+        x: &[f32],
+        probes: usize,
+        filter: Option<(u32, u32)>,
+    ) -> Vec<u32> {
+        let query = index.planes.code(x, &mut Vec::new());
+        let mut class: Vec<(u32, u32)> = (0..index.num_points() as u32)
+            .filter(|&v| filter.is_none_or(|(m, r)| v % m == r))
+            .map(|v| (hamming(&query, &index.codes[v as usize]), v))
+            .collect();
+        class.sort_unstable();
+        class.truncate(AnnIndex::budget(probes));
+        let mut ids: Vec<u32> = class.into_iter().map(|(_, v)| v).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The histogram selection keeps exactly the brute-force candidates
+        /// on random matrices: few dimensions and a tie-heavy alphabet give
+        /// many equal codes (ties broken by id), residue filters include
+        /// remainders no id has, and the budgets of 0–3 probes fall on both
+        /// sides of the class size.
+        #[test]
+        fn candidates_equal_brute_force_reference(
+            rows in 1usize..600,
+            dim in 1usize..5,
+            cells in proptest::collection::vec(cell(), 600 * 4),
+            queries in proptest::collection::vec(
+                (0usize..600, 0usize..4, 0u32..6, 0u32..7),
+                1..8,
+            ),
+        ) {
+            let emb = Mat::from_vec(rows, dim, cells[..rows * dim].to_vec());
+            let index = fresh(AnnConfig::default(), &emb);
+            for (row, probes, m, r) in queries {
+                // A zero modulus stands for no filter.
+                let (x, filter) = (emb.row(row % rows), (m > 0).then_some((m, r)));
+                let got = index.candidates_filtered(x, probes, filter);
+                prop_assert_eq!(&got, &brute_force(&index, x, probes, filter));
+                if filter.is_none() {
+                    prop_assert_eq!(got, index.candidates(x, probes));
                 }
             }
         }

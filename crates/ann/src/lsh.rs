@@ -1,9 +1,9 @@
 //! Signed random-hyperplane hashing: configuration, plane generation, and
-//! signature/multi-probe computation.
+//! the packed code of a row.
 //!
-//! A signature bit is `sign(⟨plane, x⟩)`, so two vectors collide in a band
-//! with probability `(1 - θ/π)^bits` for angle `θ` — the family is
-//! locality-sensitive for *angular* similarity. The serving layer re-ranks
+//! A code bit is `sign(⟨plane, x⟩)`, so two vectors disagree in a bit with
+//! probability `θ/π` for angle `θ`: the Hamming distance between two codes
+//! estimates the angle between their rows. The serving layer re-ranks
 //! candidates exactly under the requested operator (`dot`, `cosine`,
 //! `neg_l2`), so the hash family only shapes the candidate pool; the
 //! recall guarantee is strongest for cosine-like operators and degrades
@@ -13,62 +13,43 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqge_linalg::{ops, Mat};
 
-/// Hard cap on the per-band signature width.
-pub const MAX_BITS: usize = 24;
+/// Hyperplanes per index: one code bit each.
+pub const LANES: usize = 128;
+
+/// A row's signs under the [`LANES`] hyperplanes, lane `l` at bit `l % 64`
+/// of word `l / 64`.
+pub(crate) type Code = [u64; 2];
+
+/// Bits in which two codes differ.
+pub(crate) fn hamming(a: &Code, b: &Code) -> u32 {
+    (a[0] ^ b[0]).count_ones() + (a[1] ^ b[1]).count_ones()
+}
 
 /// Index configuration. `Default` matches the serving defaults documented
 /// in DESIGN.md ("Sublinear reads").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnConfig {
-    /// Independent hash tables (bands). More bands buy recall linearly in
-    /// index size and query hash cost.
-    pub bands: usize,
-    /// Signature bits per band. `0` picks `ceil(log2(n / 32))` (floor 4)
-    /// at first sync, targeting ~32-vertex buckets.
-    pub bits: usize,
     /// Seed for the hyperplane matrix (deterministic index layout).
     pub seed: u64,
 }
 
 impl Default for AnnConfig {
     fn default() -> Self {
-        AnnConfig { bands: 8, bits: 0, seed: 0xA55_5EED }
+        AnnConfig { seed: 0xA55_5EED }
     }
 }
 
-impl AnnConfig {
-    /// The signature width used for an `n`-point index: the explicit
-    /// `bits` if nonzero, otherwise the auto rule; either way at most
-    /// `max(4, ceil(log2 n))`. Past that width the expected bucket
-    /// occupancy is below one — more bits only empty buckets — and the
-    /// cap keeps the index's dense offsets tables O(n) per band.
-    pub fn bits_for(&self, n: usize) -> usize {
-        let ceil_log2 = (usize::BITS - (n.max(1) - 1).leading_zeros()) as usize;
-        let cap = ceil_log2.clamp(4, MAX_BITS);
-        if self.bits != 0 {
-            return self.bits.min(cap);
-        }
-        let mut bits = 4usize;
-        while (n >> bits) > 32 && bits < cap {
-            bits += 1;
-        }
-        bits
-    }
-}
-
-/// The `bands × bits` random hyperplanes, generated once per index
-/// geometry and shared (`Arc`) by every [`crate::AnnIndex`] published for
-/// it. Stored transposed: row `i` holds coordinate `i` of every plane, one
-/// *lane* per `(band, bit)`, so all projections of a vector accumulate
-/// side by side — the accelerator's layout of independent outputs across
-/// MAC lanes, each summed in a fixed order.
+/// The [`LANES`] random hyperplanes, generated once per index geometry and
+/// shared (`Arc`) by every [`crate::AnnIndex`] published for it. Stored
+/// transposed: row `i` holds coordinate `i` of every plane, one *lane* per
+/// plane, so all projections of a vector accumulate side by side — the
+/// accelerator's layout of independent outputs across MAC lanes, each
+/// summed in a fixed order.
 #[derive(Debug)]
-pub struct Hyperplanes {
+pub(crate) struct Hyperplanes {
     lanes: Mat<f32>,
     /// `1 / ‖plane‖` per lane, for [`Hyperplanes::margin`].
     inv_norms: Vec<f64>,
-    bands: usize,
-    bits: usize,
 }
 
 /// Unit roundoff of `f32` round-to-nearest.
@@ -83,29 +64,18 @@ const SLACK: f64 = 1.0 / (1u64 << 20) as f64;
 const MAX_NORM: f64 = (1u128 << 64) as f64;
 
 impl Hyperplanes {
-    /// Draws `bands * bits` planes of dimension `dim` from `seed`
-    /// (coordinates uniform in `[-1, 1)`, drawn plane by plane; any
-    /// symmetric coordinate distribution yields the sign-collision
-    /// property).
-    pub fn generate(dim: usize, bands: usize, bits: usize, seed: u64) -> Self {
+    /// Draws [`LANES`] planes of dimension `dim` from `seed` (coordinates
+    /// uniform in `[-1, 1)`, drawn plane by plane; any symmetric coordinate
+    /// distribution yields the sign-collision property).
+    pub(crate) fn generate(dim: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let planes = Mat::from_fn(bands * bits, dim, |_, _| rng.gen_range(-1.0f64..1.0) as f32);
+        let planes = Mat::from_fn(LANES, dim, |_, _| rng.gen_range(-1.0f64..1.0) as f32);
         let inv_norms = (0..planes.rows()).map(|lane| 1.0 / norm(planes.row(lane))).collect();
-        Hyperplanes { lanes: planes.transpose(), inv_norms, bands, bits }
-    }
-
-    /// Number of bands.
-    pub fn bands(&self) -> usize {
-        self.bands
-    }
-
-    /// Signature bits per band.
-    pub fn bits(&self) -> usize {
-        self.bits
+        Hyperplanes { lanes: planes.transpose(), inv_norms }
     }
 
     /// Embedding dimensionality the planes were drawn for.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lanes.rows()
     }
 
@@ -113,51 +83,34 @@ impl Hyperplanes {
     /// lane at once. Each lane still sums `0.0 + p₀x₀ + p₁x₁ + …` in index
     /// order with a separate multiply and add (`ops::axpy` is elementwise,
     /// IEEE multiplication commutes bitwise), so every projection is
-    /// bit-identical to the one-plane-at-a-time dot product it replaces;
-    /// only the loop nest is transposed, which turns `bands · bits`
-    /// dependent chains into one vectorizable sweep per coordinate.
+    /// bit-identical to the one-plane-at-a-time dot product; only the loop
+    /// nest is transposed, which turns [`LANES`] dependent chains into one
+    /// vectorizable sweep per coordinate.
     fn projections(&self, x: &[f32], acc: &mut Vec<f32>) {
         debug_assert_eq!(x.len(), self.dim());
         acc.clear();
-        acc.resize(self.bands * self.bits, 0.0);
+        acc.resize(LANES, 0.0);
         for (i, &xi) in x[..self.dim()].iter().enumerate() {
             ops::axpy(xi, self.lanes.row(i), acc);
         }
     }
 
-    /// Per-band signatures of `x` (`dim()` coordinates) plus, for each
-    /// band, up to `probes` extra signatures obtained by flipping the bits
-    /// with the smallest projection magnitude — the bits most likely to
-    /// disagree between a vector and its near neighbors (classic
-    /// multi-probe LSH). Calls `visit(band, signature)` for the exact
-    /// signature first, then each probe in ascending-margin order. `acc`
-    /// is projection scratch a caller hashing many vectors can reuse.
-    pub fn probe_signatures(
-        &self,
-        x: &[f32],
-        probes: usize,
-        acc: &mut Vec<f32>,
-        mut visit: impl FnMut(usize, u32),
-    ) {
-        let probes = probes.min(self.bits);
+    /// The code of `x` (`dim()` coordinates). `acc` is projection scratch a
+    /// caller hashing many vectors can reuse.
+    pub(crate) fn code(&self, x: &[f32], acc: &mut Vec<f32>) -> Code {
         self.projections(x, acc);
-        let mut margins: Vec<(f32, usize)> = Vec::new();
-        for (band, acc) in acc.chunks_exact(self.bits).enumerate() {
-            // Branch-free sign packing: NaN and negatives read 0, -0.0 reads 1.
-            let sig = acc.iter().enumerate().fold(0, |s, (bit, &p)| s | ((p >= 0.0) as u32) << bit);
-            visit(band, sig);
-            if probes > 0 {
-                margins.clear();
-                margins.extend(acc.iter().enumerate().map(|(bit, p)| (p.abs(), bit)));
-                // Total order (f32 margins are finite for finite input;
-                // NaN sorts last via total_cmp) keeps probe sets
-                // deterministic across republishes.
-                margins.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for &(_, bit) in margins.iter().take(probes) {
-                    visit(band, sig ^ (1 << bit));
-                }
-            }
+        // Branch-free sign packing: NaN and negatives read 0, -0.0 reads 1.
+        let mut code = [0u64; 2];
+        for (lane, &p) in acc.iter().enumerate() {
+            code[lane / 64] |= u64::from(p >= 0.0) << (lane % 64);
         }
+        code
+    }
+
+    /// [`Hyperplanes::code`] of `x` and `x`'s margin budget.
+    pub(crate) fn hash(&self, x: &[f32], acc: &mut Vec<f32>) -> (Code, f64) {
+        let code = self.code(x, acc);
+        (code, self.margin(x, acc))
     }
 
     /// γ of [`Hyperplanes::margin`]: the `f32` accumulation bound
@@ -172,17 +125,9 @@ impl Hyperplanes {
         }
     }
 
-    /// [`Hyperplanes::probe_signatures`] of `x` at zero probes, returning
-    /// `x`'s margin budget.
-    pub(crate) fn hash(&self, x: &[f32], acc: &mut Vec<f32>, visit: impl FnMut(usize, u32)) -> f64 {
-        self.probe_signatures(x, 0, acc, visit);
-        self.margin(x, acc)
-    }
-
     /// The margin budget of row `x` with projections `acc`: every row `y`
     /// that [`Hyperplanes::movement`] puts less than this away from `x`
-    /// gets the same signature as `x` in every band, so the builder need
-    /// not project it.
+    /// gets the same code as `x`, so the builder need not project it.
     ///
     /// Lane `l` computes `p̂ = fl(Σ wᵢxᵢ)` for its plane `w`: `d` products
     /// and `d − 1` additions in `f32` round-to-nearest (the first addition,
@@ -273,99 +218,42 @@ mod tests {
             acc
         }
 
-        /// `probe_signatures` as it was written over `project`.
-        fn probe_signatures_ref(&self, x: &[f32], probes: usize) -> Vec<(usize, u32)> {
-            let mut out = Vec::new();
-            for band in 0..self.bands {
-                let mut sig = 0u32;
-                let mut margins = Vec::new();
-                for bit in 0..self.bits {
-                    let p = self.project(band * self.bits + bit, x);
-                    if p >= 0.0 {
-                        sig |= 1 << bit;
-                    }
-                    margins.push((p.abs(), bit));
+        /// The code of `x` bit by bit over `project`.
+        fn code_ref(&self, x: &[f32]) -> Code {
+            let mut code = [0u64; 2];
+            for lane in 0..LANES {
+                if self.project(lane, x) >= 0.0 {
+                    code[lane / 64] |= 1 << (lane % 64);
                 }
-                out.push((band, sig));
-                margins.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                out.extend(margins.iter().take(probes).map(|&(_, bit)| (band, sig ^ (1 << bit))));
             }
-            out
+            code
         }
     }
 
-    fn probed(h: &Hyperplanes, x: &[f32], probes: usize) -> Vec<(usize, u32)> {
-        let mut out = Vec::new();
-        h.probe_signatures(x, probes, &mut Vec::new(), |band, sig| out.push((band, sig)));
-        out
-    }
-
-    fn signatures(h: &Hyperplanes, x: &[f32]) -> Vec<u32> {
-        probed(h, x, 0).into_iter().map(|(_, sig)| sig).collect()
+    fn code(h: &Hyperplanes, x: &[f32]) -> Code {
+        h.code(x, &mut Vec::new())
     }
 
     #[test]
-    fn auto_bits_track_point_count() {
-        let cfg = AnnConfig::default();
-        assert_eq!(cfg.bits_for(0), 4);
-        assert_eq!(cfg.bits_for(1_000), 5);
-        assert_eq!(cfg.bits_for(100_000), 12);
-        assert_eq!(cfg.bits_for(1_000_000), 15);
-        // Explicit bits win up to max(4, ceil(log2 n)) — one expected
-        // vertex per bucket — and the auto rule never reaches that cap.
-        assert_eq!(AnnConfig { bits: 10, ..cfg }.bits_for(7), 4);
-        assert_eq!(AnnConfig { bits: 99, ..cfg }.bits_for(7), 4);
-        assert_eq!(AnnConfig { bits: 3, ..cfg }.bits_for(7), 3);
-        assert_eq!(AnnConfig { bits: 10, ..cfg }.bits_for(1_000), 10);
-        assert_eq!(AnnConfig { bits: 11, ..cfg }.bits_for(1_000), 10);
-        assert_eq!(AnnConfig { bits: 99, ..cfg }.bits_for(usize::MAX), MAX_BITS);
-        for n in [0usize, 1, 16, 17, 513, 4_097, 1 << 20, usize::MAX] {
-            assert!(cfg.bits_for(n) <= AnnConfig { bits: MAX_BITS, ..cfg }.bits_for(n), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn signatures_are_deterministic_and_band_sized() {
-        let h = Hyperplanes::generate(8, 4, 6, 7);
+    fn signatures_are_deterministic_and_seeded() {
+        let h = Hyperplanes::generate(8, 7);
         let x: Vec<f32> = (0..8).map(|i| i as f32 / 3.0 - 1.0).collect();
-        let a = signatures(&h, &x);
-        assert_eq!(a, signatures(&h, &x));
-        assert!(a.iter().all(|&s| s < 1 << 6));
-        // Same seed, same planes.
-        let h2 = Hyperplanes::generate(8, 4, 6, 7);
-        assert_eq!(a, signatures(&h2, &x));
+        let a = code(&h, &x);
+        assert_eq!(a, code(&h, &x));
+        // Same seed, same planes; another seed, other planes.
+        assert_eq!(a, code(&Hyperplanes::generate(8, 7), &x));
+        assert_ne!(a, code(&Hyperplanes::generate(8, 8), &x));
     }
 
     #[test]
     fn opposite_vectors_get_complementary_signatures() {
-        let h = Hyperplanes::generate(16, 2, 12, 3);
+        let h = Hyperplanes::generate(16, 3);
         let x: Vec<f32> = (0..16).map(|i| (i as f32).sin()).collect();
         let neg: Vec<f32> = x.iter().map(|&v| -v).collect();
         // A plane projecting exactly to 0.0 would put both on the same
         // side; with generic inputs every bit flips.
-        for (a, b) in signatures(&h, &x).iter().zip(&signatures(&h, &neg)) {
-            assert_eq!(a ^ b, (1 << 12) - 1);
-        }
-    }
-
-    #[test]
-    fn probe_signatures_yield_exact_then_single_bit_flips() {
-        let h = Hyperplanes::generate(8, 3, 8, 11);
-        let x: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).cos()).collect();
-        let exact = signatures(&h, &x);
-        let mut seen: Vec<Vec<u32>> = vec![Vec::new(); 3];
-        for (band, sig) in probed(&h, &x, 4) {
-            seen[band].push(sig);
-        }
-        for band in 0..3 {
-            assert_eq!(seen[band].len(), 5, "exact + 4 probes");
-            assert_eq!(seen[band][0], exact[band]);
-            for &p in &seen[band][1..] {
-                assert_eq!((p ^ exact[band]).count_ones(), 1, "single-bit probe");
-            }
-        }
-        // probes are capped at `bits`.
-        assert_eq!(probed(&h, &x, 999).len(), 3 * (1 + 8));
+        assert_eq!(hamming(&code(&h, &x), &code(&h, &neg)), LANES as u32);
+        assert_eq!(hamming(&code(&h, &x), &code(&h, &x)), 0);
     }
 
     /// One coordinate: mostly ordinary values, with the IEEE corner cases
@@ -386,23 +274,18 @@ mod tests {
 
     proptest! {
         /// The lane-parallel kernel is the scalar reference bit for bit:
-        /// every projection, hence every signature and every probe, in
-        /// the same order — including lane counts that are not a multiple
-        /// of the 8-wide `axpy` unroll.
+        /// every projection, hence every code bit.
         #[test]
         fn lane_kernel_equals_scalar_reference(
             dim in 1usize..=40,
-            bands in 1usize..=9,
-            bits in 1usize..=24,
             seed in 0u64..1_000,
-            probes in 0usize..=24,
             pool in proptest::collection::vec(coord(), 40),
         ) {
-            let h = Hyperplanes::generate(dim, bands, bits, seed);
+            let h = Hyperplanes::generate(dim, seed);
             let x = &pool[..dim];
             let mut acc = vec![f32::NAN; 3];
             h.projections(x, &mut acc);
-            prop_assert_eq!(acc.len(), bands * bits);
+            prop_assert_eq!(acc.len(), LANES);
             for (lane, got) in acc.iter().enumerate() {
                 let want = h.project(lane, x);
                 prop_assert!(
@@ -410,8 +293,7 @@ mod tests {
                     "lane {lane}: {got:e} vs {want:e}"
                 );
             }
-            prop_assert_eq!(probed(&h, x, probes), h.probe_signatures_ref(x, probes));
-            prop_assert_eq!(probed(&h, x, 0), h.probe_signatures_ref(x, 0));
+            prop_assert_eq!(code(&h, x), h.code_ref(x));
         }
     }
 }

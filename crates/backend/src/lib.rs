@@ -256,6 +256,22 @@ impl BackendSpec {
         BackendSpec::new(BackendKind::Float, train, oselm, policy, seed)
     }
 
+    /// Refuses a spec no backend can be built from: the walk and model
+    /// ranges of [`TrainConfig::validate`] and [`OsElmConfig::validate`]
+    /// (a zero dimension among them), and for fpga-sim a dimension with no
+    /// accelerator build ([`seqge_fpga::Build::for_dim`]). Boot paths call
+    /// it before they build anything, so bad flags are an
+    /// [`io::ErrorKind::InvalidInput`] error, not a panic inside a model.
+    pub fn validate(&self) -> io::Result<()> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
+        self.train.validate().map_err(invalid)?;
+        self.oselm.validate().map_err(invalid)?;
+        if self.kind == BackendKind::FpgaSim {
+            seqge_fpga::Build::for_dim(self.oselm.model.dim).map_err(invalid)?;
+        }
+        Ok(())
+    }
+
     /// Builds a cold (untrained) backend over `num_nodes` nodes.
     pub fn cold(&self, num_nodes: usize) -> Box<dyn TrainBackend> {
         match self.kind {

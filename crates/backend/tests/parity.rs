@@ -228,11 +228,11 @@ const FLOAT_DIRTY: [usize; 105] = [
 /// The rows the index sync on each of those views re-projected (at most
 /// the dirty ones).
 const FLOAT_REHASHED: [usize; 105] = [
-    40, 33, 34, 33, 35, 30, 30, 28, 33, 36, 36, 33, 30, 30, 33, 37, 34, 29, 34, 35, 31, 34, 30, 34,
-    36, 34, 36, 34, 34, 37, 28, 34, 32, 31, 33, 32, 30, 31, 32, 31, 32, 31, 35, 33, 29, 33, 30, 33,
-    34, 30, 34, 32, 34, 31, 32, 31, 32, 27, 32, 35, 27, 32, 32, 28, 34, 30, 34, 27, 30, 34, 30, 32,
-    29, 31, 25, 34, 26, 35, 32, 28, 33, 34, 32, 32, 33, 32, 37, 31, 34, 35, 30, 31, 33, 30, 34, 30,
-    32, 35, 29, 28, 30, 27, 25, 27, 31,
+    40, 38, 39, 37, 39, 36, 33, 38, 38, 39, 40, 37, 34, 38, 36, 38, 38, 34, 37, 40, 34, 36, 35, 36,
+    39, 40, 39, 39, 39, 40, 36, 39, 39, 40, 36, 37, 37, 33, 38, 37, 39, 37, 39, 36, 39, 37, 37, 39,
+    38, 37, 38, 37, 38, 38, 34, 40, 38, 37, 39, 37, 37, 39, 38, 37, 39, 38, 37, 37, 36, 38, 38, 39,
+    38, 36, 37, 39, 36, 38, 39, 39, 38, 39, 39, 38, 38, 40, 39, 36, 37, 39, 36, 37, 39, 37, 38, 38,
+    39, 39, 38, 37, 35, 37, 35, 38, 38,
 ];
 
 /// `FloatBackend`'s publish sequence: `scenario()` with a publish after

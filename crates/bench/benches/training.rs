@@ -7,7 +7,7 @@
 //! and the index sync.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use seqge_ann::{AnnBuilder, AnnConfig};
+use seqge_ann::{AnnBuilder, AnnConfig, AnnIndex};
 use seqge_backend::ViewBuffer;
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
@@ -123,21 +123,26 @@ fn bench_dot(c: &mut Criterion) {
 /// size (n = 50 000, d = 32, k = 10, cosine): `exact_topk10` is the whole
 /// `EmbeddingSnapshot::topk` the ledger times as
 /// `serve.snapshot.topk_exact_ns` (scorer set-up, sequential sweep, k-best);
-/// `rerank` pushes 7 000 random rows in ascending-id order — the pool an ANN
-/// query re-ranks there — through the same `Scorer`, so it reads the kernel
-/// under a gather instead of a stream. Both read each row's norm from the
-/// view, as the served reads do.
+/// `ann_topk10` the whole `EmbeddingSnapshot::topk_ann` at the default 8
+/// probes the ledger times as `ann.query_ns` (query hash, Hamming distance
+/// to every code, budget selection, exact re-rank); `rerank` pushes the
+/// 1 152 random rows of that budget in ascending-id order — the pool an ANN
+/// query re-ranks — through the same `Scorer`, so it reads the kernel under
+/// a gather instead of a stream. All read each row's norm from the view, as
+/// the served reads do.
 fn bench_scan(c: &mut Criterion) {
     let (n, dim) = (50_000usize, 32usize);
     let mut rng = Rng64::seed_from_u64(22);
+    let emb = Arc::new(NormedMat::from(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0)));
+    let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&emb);
     let snap = EmbeddingSnapshot {
         version: 1,
-        emb: Arc::new(Mat::from_fn(n, dim, |_, _| rng.next_f32() * 2.0 - 1.0).into()),
+        emb,
         num_edges: 0,
         walks_trained: 0,
         edges_inserted: 0,
         edges_removed: 0,
-        ann: None,
+        ann: Some(index),
     };
     let mut group = c.benchmark_group("scan");
     group.throughput(Throughput::Elements(n as u64 - 1));
@@ -148,7 +153,14 @@ fn bench_scan(c: &mut Criterion) {
             snap.topk(node, 10, EdgeOp::Cosine)
         });
     });
-    let mut pool: Vec<usize> = (0..7_000).map(|_| rng.gen_index(n)).collect();
+    group.bench_function(BenchmarkId::new("ann_topk10", n), |b| {
+        let mut node = 0;
+        b.iter(|| {
+            node = (node + 977) % n as u32;
+            snap.topk_ann(node, 10, EdgeOp::Cosine, None, 8)
+        });
+    });
+    let mut pool: Vec<usize> = (0..AnnIndex::budget(8)).map(|_| rng.gen_index(n)).collect();
     pool.sort_unstable();
     group.throughput(Throughput::Elements(pool.len() as u64));
     group.bench_function(BenchmarkId::new("rerank", pool.len()), |b| {

@@ -115,6 +115,8 @@ impl Cluster {
             return Err(io::Error::new(ErrorKind::InvalidInput, "at most one replica per shard"));
         }
         let spec = shard_spec(cfg.train_backend, cfg.dim, cfg.seed);
+        // Before the first boot's bootstrap below builds a backend from it.
+        spec.validate()?;
 
         // Shard plane.
         let mut inproc = Vec::new();

@@ -33,7 +33,6 @@
 
 pub mod config;
 pub mod dirty;
-pub mod embedding;
 pub mod model;
 pub mod model_size;
 pub mod oselm;
@@ -43,7 +42,6 @@ pub mod skipgram;
 
 pub use config::{ModelConfig, NegativeMode, TrainConfig};
 pub use dirty::DirtyRows;
-pub use embedding::EmbeddingSource;
 pub use model::EmbeddingModel;
 pub use oselm::{AlphaOsElm, DataflowOsElm, OsElmConfig, OsElmSkipGram, PVisibility};
 pub use sequential::{

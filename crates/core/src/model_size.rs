@@ -33,11 +33,6 @@ pub fn to_mb(bytes: usize) -> f64 {
     bytes as f64 / 1e6
 }
 
-/// Size-reduction factor original/proposed.
-pub fn reduction_factor(num_nodes: usize, dim: usize) -> f64 {
-    original_model_bytes(num_nodes, dim) as f64 / proposed_model_bytes(num_nodes, dim) as f64
-}
-
 /// One Table 5 row: paper value vs this repo's analytic value.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SizeRow {
@@ -131,7 +126,8 @@ mod tests {
         // Paper: "up to 3.82 times smaller".
         let mut max_factor: f64 = 0.0;
         for &(ds, dim, _, _) in &PAPER_TABLE5 {
-            let f = reduction_factor(nodes_of(ds), dim);
+            let n = nodes_of(ds);
+            let f = original_model_bytes(n, dim) as f64 / proposed_model_bytes(n, dim) as f64;
             assert!(f > 3.0, "{ds} d={dim}: factor {f}");
             max_factor = max_factor.max(f);
         }

@@ -38,12 +38,6 @@ pub fn roundtrip_error<const FRAC: u32>(xs: &[f64]) -> QuantError {
     }
 }
 
-/// Theoretical worst-case round-trip error of format `FRAC` for in-range
-/// values: half an ulp (round-to-nearest conversion).
-pub fn half_ulp<const FRAC: u32>() -> f64 {
-    0.5 / Fx::<FRAC>::SCALE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,7 +46,8 @@ mod tests {
     fn in_range_error_bounded_by_half_ulp() {
         let xs: Vec<f64> = (0..1000).map(|i| (i as f64 - 500.0) * 0.01).collect();
         let e = roundtrip_error::<24>(&xs);
-        assert!(e.max_abs <= half_ulp::<24>() + 1e-15);
+        // Round-to-nearest: at most half an ulp.
+        assert!(e.max_abs <= 0.5 / Fx::<24>::SCALE + 1e-15);
         assert_eq!(e.saturated, 0);
         assert!(e.rms <= e.max_abs);
     }
@@ -71,7 +66,6 @@ mod tests {
         let e24 = roundtrip_error::<24>(&xs);
         let e16 = roundtrip_error::<16>(&xs);
         assert!(e24.rms <= e16.rms);
-        assert!(half_ulp::<24>() < half_ulp::<16>());
     }
 
     #[test]

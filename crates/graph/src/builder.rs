@@ -27,12 +27,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Queues a weighted edge.
-    pub fn weighted_edge(mut self, u: NodeId, v: NodeId, w: f32) -> Self {
-        self.edges.push((u, v, w));
-        self
-    }
-
     /// Queues many unweighted edges.
     pub fn edges<I: IntoIterator<Item = (NodeId, NodeId)>>(mut self, it: I) -> Self {
         self.edges.extend(it.into_iter().map(|(u, v)| (u, v, 1.0)));
@@ -79,12 +73,7 @@ mod tests {
 
     #[test]
     fn builds_labelled_graph() {
-        let g = GraphBuilder::new(3)
-            .edge(0, 1)
-            .weighted_edge(1, 2, 2.5)
-            .labels(vec![0, 0, 1])
-            .build()
-            .unwrap();
+        let g = GraphBuilder::new(3).edge(0, 1).edge(1, 2).labels(vec![0, 0, 1]).build().unwrap();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.num_classes(), 2);
     }

@@ -80,11 +80,6 @@ impl Csr {
         self.neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Total weight of edges incident to `u`.
-    pub fn weighted_degree(&self, u: NodeId) -> f32 {
-        self.weights(u).iter().sum()
-    }
-
     /// Approximate heap footprint in bytes (used by the model-size report).
     pub fn heap_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
@@ -142,7 +137,6 @@ mod tests {
         let c = g.to_csr();
         assert_eq!(c.neighbors(0), &[1, 2]);
         assert_eq!(c.weights(0), &[3.0, 5.0]);
-        assert_eq!(c.weighted_degree(0), 8.0);
     }
 
     #[test]

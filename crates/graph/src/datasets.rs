@@ -89,11 +89,6 @@ impl DatasetSpec {
         DatasetSpec { dataset, num_nodes: n, num_edges: m, num_classes: k }
     }
 
-    /// Average degree `2m / n`.
-    pub fn avg_degree(&self) -> f64 {
-        2.0 * self.num_edges as f64 / self.num_nodes as f64
-    }
-
     /// Shrinks the spec to `scale` of its node count, preserving average
     /// degree and class count. Clamps so every class keeps at least 4 nodes.
     pub fn scaled(&self, scale: f64) -> DatasetSpec {
@@ -151,7 +146,8 @@ mod tests {
         let spec = Dataset::AmazonComputers.spec();
         let small = spec.scaled(0.05);
         assert_eq!(small.num_classes, 10);
-        let ratio = small.avg_degree() / spec.avg_degree();
+        let avg_degree = |s: &DatasetSpec| 2.0 * s.num_edges as f64 / s.num_nodes as f64;
+        let ratio = avg_degree(&small) / avg_degree(&spec);
         assert!((0.8..=1.2).contains(&ratio), "avg degree ratio {ratio}");
         let g = small.generate(1);
         assert_eq!(g.num_nodes(), small.num_nodes);

@@ -78,69 +78,6 @@ pub fn label_homophily(g: &Graph) -> Option<f64> {
     Some(intra as f64 / g.num_edges() as f64)
 }
 
-/// PageRank by power iteration with uniform teleport (damping `d`), on the
-/// undirected graph (each edge contributes both directions). Dangling nodes
-/// (degree 0) redistribute uniformly. Returns per-node scores summing to 1.
-pub fn pagerank(g: &Graph, damping: f64, iterations: usize) -> Vec<f64> {
-    assert!((0.0..1.0).contains(&damping), "damping must be in [0, 1)");
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let uniform = 1.0 / n as f64;
-    let mut rank = vec![uniform; n];
-    let mut next = vec![0.0f64; n];
-    for _ in 0..iterations {
-        let mut dangling_mass = 0.0f64;
-        next.fill((1.0 - damping) * uniform);
-        for (u, &rank_u) in rank.iter().enumerate() {
-            let deg = g.degree(u as NodeId);
-            if deg == 0 {
-                dangling_mass += rank_u;
-                continue;
-            }
-            let share = damping * rank_u / deg as f64;
-            for &(v, _) in g.neighbors(u as NodeId) {
-                next[v as usize] += share;
-            }
-        }
-        let dangling_share = damping * dangling_mass * uniform;
-        for v in next.iter_mut() {
-            *v += dangling_share;
-        }
-        std::mem::swap(&mut rank, &mut next);
-    }
-    rank
-}
-
-/// Local clustering coefficient of `u`: the fraction of neighbor pairs that
-/// are themselves connected (0 for degree < 2).
-pub fn local_clustering(g: &Graph, u: NodeId) -> f64 {
-    let nbrs = g.neighbors(u);
-    let k = nbrs.len();
-    if k < 2 {
-        return 0.0;
-    }
-    let mut closed = 0usize;
-    for i in 0..k {
-        for j in (i + 1)..k {
-            if g.has_edge(nbrs[i].0, nbrs[j].0) {
-                closed += 1;
-            }
-        }
-    }
-    2.0 * closed as f64 / (k * (k - 1)) as f64
-}
-
-/// Mean local clustering coefficient over all nodes (0 for empty graphs).
-pub fn average_clustering(g: &Graph) -> f64 {
-    let n = g.num_nodes();
-    if n == 0 {
-        return 0.0;
-    }
-    (0..n as NodeId).map(|u| local_clustering(g, u)).sum::<f64>() / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,56 +131,5 @@ mod tests {
         // edges (0,1) same, (1,2) diff, (2,3) same → 2/3
         let h = label_homophily(&g).unwrap();
         assert!((h - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pagerank_sums_to_one_and_favors_hubs() {
-        let g = star(8);
-        let pr = pagerank(&g, 0.85, 50);
-        let total: f64 = pr.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "mass {total}");
-        assert!(pr[0] > pr[1] * 2.0, "hub {} vs leaf {}", pr[0], pr[1]);
-        // Leaves are symmetric.
-        for leaf in 2..8 {
-            assert!((pr[leaf] - pr[1]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn pagerank_uniform_on_ring() {
-        let g = ring(10);
-        let pr = pagerank(&g, 0.85, 60);
-        for &x in &pr {
-            assert!((x - 0.1).abs() < 1e-9, "{x}");
-        }
-    }
-
-    #[test]
-    fn pagerank_handles_isolated_nodes() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(0, 1).unwrap();
-        let pr = pagerank(&g, 0.85, 50);
-        let total: f64 = pr.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert!(pr[2] > 0.0 && (pr[2] - pr[3]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clustering_coefficients() {
-        // Triangle: fully clustered.
-        let mut tri = Graph::with_nodes(3);
-        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
-            tri.add_edge(u, v).unwrap();
-        }
-        assert_eq!(local_clustering(&tri, 0), 1.0);
-        assert_eq!(average_clustering(&tri), 1.0);
-        // Star: hub neighbors never interconnect.
-        let s = star(6);
-        assert_eq!(local_clustering(&s, 0), 0.0);
-        // Degree-1 nodes are defined as 0.
-        assert_eq!(local_clustering(&s, 1), 0.0);
-        // Path middle node: two unconnected neighbors.
-        let p = path(3);
-        assert_eq!(local_clustering(&p, 1), 0.0);
     }
 }

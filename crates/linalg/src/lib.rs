@@ -12,7 +12,7 @@
 //! * [`NormedMat`] — an `f32` matrix carrying each row's Euclidean norm,
 //!   the serving view a cosine read takes its norms from.
 //! * [`ops`] — dot / axpy / gemv / rank-1 update kernels.
-//! * [`solve`] — Cholesky and Gauss–Jordan inversion for the `P₀` init.
+//! * [`solve`] — Cholesky inversion for the `P₀` init.
 
 // One function holds `unsafe`: `ops::prefetch_row`, a cache hint with no
 // safe form on stable Rust.

@@ -1,8 +1,7 @@
 //! Small-matrix inversion for the OS-ELM initialization.
 //!
 //! The batch OS-ELM init computes `P₀ = (H₀ᵀH₀ + λI)⁻¹` for a `d×d` SPD
-//! matrix (d ≤ 96 in the paper): Cholesky is the right tool. A Gauss–Jordan
-//! fallback covers general (non-SPD) matrices in tests and diagnostics.
+//! matrix (d ≤ 96 in the paper): Cholesky is the right tool.
 
 use crate::matrix::Mat;
 use crate::scalar::Scalar;
@@ -12,11 +11,6 @@ use crate::scalar::Scalar;
 pub enum SolveError {
     /// The matrix was not positive definite (Cholesky pivot ≤ 0).
     NotPositiveDefinite {
-        /// Index of the failing pivot.
-        pivot: usize,
-    },
-    /// The matrix was singular to working precision (Gauss–Jordan).
-    Singular {
         /// Index of the failing pivot.
         pivot: usize,
     },
@@ -30,7 +24,6 @@ impl std::fmt::Display for SolveError {
             SolveError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
-            SolveError::Singular { pivot } => write!(f, "matrix is singular (pivot {pivot})"),
             SolveError::NotSquare => write!(f, "matrix is not square"),
         }
     }
@@ -93,62 +86,6 @@ pub fn cholesky_inverse<T: Scalar>(a: &Mat<T>) -> Result<Mat<T>, SolveError> {
     Ok(inv)
 }
 
-/// General inverse via Gauss–Jordan with partial pivoting.
-pub fn gauss_jordan_inverse<T: Scalar>(a: &Mat<T>) -> Result<Mat<T>, SolveError> {
-    if a.rows() != a.cols() {
-        return Err(SolveError::NotSquare);
-    }
-    let n = a.rows();
-    let mut work = a.clone();
-    let mut inv = Mat::identity(n);
-    for col in 0..n {
-        // Partial pivot: largest |entry| in this column at/below the diagonal.
-        let mut pivot_row = col;
-        let mut best = work[(col, col)].abs();
-        for r in (col + 1)..n {
-            let v = work[(r, col)].abs();
-            if v > best {
-                best = v;
-                pivot_row = r;
-            }
-        }
-        if best.to_f64() <= f64::EPSILON {
-            return Err(SolveError::Singular { pivot: col });
-        }
-        if pivot_row != col {
-            for j in 0..n {
-                let tmp = work[(col, j)];
-                work[(col, j)] = work[(pivot_row, j)];
-                work[(pivot_row, j)] = tmp;
-                let tmp = inv[(col, j)];
-                inv[(col, j)] = inv[(pivot_row, j)];
-                inv[(pivot_row, j)] = tmp;
-            }
-        }
-        let pivot = work[(col, col)];
-        for j in 0..n {
-            work[(col, j)] /= pivot;
-            inv[(col, j)] /= pivot;
-        }
-        for r in 0..n {
-            if r == col {
-                continue;
-            }
-            let factor = work[(r, col)];
-            if factor == T::ZERO {
-                continue;
-            }
-            for j in 0..n {
-                let wc = work[(col, j)];
-                let ic = inv[(col, j)];
-                work[(r, j)] -= factor * wc;
-                inv[(r, j)] -= factor * ic;
-            }
-        }
-    }
-    Ok(inv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,32 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn gauss_jordan_matches_cholesky_on_spd() {
-        let a = spd3();
-        let gi = gauss_jordan_inverse(&a).unwrap();
-        let ci = cholesky_inverse(&a).unwrap();
-        assert!(gi.max_abs_diff(&ci) < 1e-9);
-    }
-
-    #[test]
-    fn gauss_jordan_handles_permutation() {
-        // Requires pivoting (zero on the diagonal).
-        let a = Mat::from_vec(2, 2, vec![0.0f64, 1.0, 1.0, 0.0]);
-        let inv = gauss_jordan_inverse(&a).unwrap();
-        assert!(inv.max_abs_diff(&a) < 1e-12); // a permutation is its own inverse
-    }
-
-    #[test]
-    fn gauss_jordan_rejects_singular() {
-        let a = Mat::from_vec(2, 2, vec![1.0f64, 2.0, 2.0, 4.0]);
-        assert!(matches!(gauss_jordan_inverse(&a), Err(SolveError::Singular { .. })));
-    }
-
-    #[test]
     fn non_square_rejected() {
         let a = Mat::<f64>::zeros(2, 3);
         assert_eq!(cholesky(&a).unwrap_err(), SolveError::NotSquare);
-        assert_eq!(gauss_jordan_inverse(&a).unwrap_err(), SolveError::NotSquare);
     }
 
     #[test]

@@ -104,11 +104,6 @@ pub fn set_sink_file(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reverts log output to stderr.
-pub fn set_sink_stderr() {
-    *SINK.lock().expect("log sink poisoned") = None;
-}
-
 /// Appends `s` to `out` as the body of a JSON string literal (no
 /// surrounding quotes) — the crate's one JSON escaper, shared by the log,
 /// trace and metrics exporters.
@@ -267,7 +262,7 @@ mod tests {
         let path = dir.join("test.log");
         set_sink_file(&path).unwrap();
         log(Level::Error, "test", format_args!("hello {}", 42));
-        set_sink_stderr();
+        *SINK.lock().unwrap() = None;
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(r#""msg":"hello 42""#), "{text}");
         assert!(text.ends_with('\n'));

@@ -336,8 +336,8 @@ impl Client {
         self.parse_topk(&line)
     }
 
-    /// Nearest neighbors via the ANN index: candidates come from the LSH
-    /// buckets (`probes` extra probes per band) and are re-ranked exactly.
+    /// Nearest neighbors via the ANN index: the `128·(probes + 1)` vertices
+    /// with the nearest hyperplane codes are re-ranked exactly.
     /// The server falls back to the exact scan when no index is published.
     pub fn topk_ann(
         &mut self,

@@ -40,9 +40,10 @@
 //! `v % mod == rem` compete. The cluster router uses it so each shard
 //! answers exactly for the vertex slice it owns. `mode` selects the
 //! candidate-generation strategy: `"exact"` (default) scans every vertex,
-//! `"ann"` unions LSH buckets (plus `probes` low-margin bit-flip probes per
-//! band) and re-ranks the candidates exactly — same scores, same tie-break,
-//! approximate only in *which* vertices compete. Lines longer than
+//! `"ann"` keeps the `128·(probes + 1)` vertices whose 128-bit hyperplane
+//! codes are nearest the query's in Hamming distance and re-ranks them
+//! exactly — same scores, same tie-break, approximate only in *which*
+//! vertices compete. Lines longer than
 //! [`MAX_LINE_BYTES`] are a protocol violation: the server answers with an
 //! error and closes the connection (a misbehaving writer cannot make it
 //! buffer unboundedly).
@@ -93,10 +94,10 @@ pub const CODE_DEGRADED: &str = "degraded";
 /// Default `k` for `topk` requests.
 pub const DEFAULT_TOPK: usize = 10;
 
-/// Default per-band multi-probe count for `mode:"ann"` topk requests.
+/// Default `probes` for `mode:"ann"` topk requests: 1 152 candidates.
 pub const DEFAULT_PROBES: usize = 8;
 
-/// Hard cap on the per-request `probes` knob.
+/// Hard cap on the per-request `probes` knob (8 320 candidates).
 pub const MAX_PROBES: usize = 64;
 
 /// Candidate-generation strategy for `topk`.
@@ -179,8 +180,8 @@ pub enum Request {
         filter: Option<(u32, u32)>,
         /// Candidate-generation strategy (exact scan vs ANN index).
         mode: TopKMode,
-        /// Per-band multi-probe count for [`TopKMode::Ann`]; ignored by
-        /// the exact path.
+        /// Candidate budget for [`TopKMode::Ann`], `128·(probes + 1)`
+        /// vertices; ignored by the exact path.
         probes: usize,
     },
     /// Edge score for a candidate link.
@@ -893,7 +894,7 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"topk","node":1,"probes":-1}"#)
             .unwrap_err()
             .contains("probes"));
-        // probes=0 (exact signature only, no bit flips) is valid.
+        // probes=0 (a budget of 128 candidates) is valid.
         assert!(matches!(
             parse_request(r#"{"cmd":"topk","node":1,"mode":"ann","probes":0}"#).unwrap(),
             Request::TopK { probes: 0, mode: TopKMode::Ann, .. }

@@ -75,13 +75,16 @@ impl Default for ServeConfig {
 /// replay of the unapplied log suffix — `cold_graph` is then ignored), or
 /// initialises a fresh store from `cold_graph` with a bootstrap pass. The
 /// spec picks the training engine; recovering a store written by a
-/// different backend fails loudly (the snapshot carries its kind).
+/// different backend fails loudly (the snapshot carries its kind). A spec
+/// [`BackendSpec::validate`] refuses is an `InvalidInput` error before the
+/// store is touched.
 pub fn boot_wal(
     wcfg: &WalConfig,
     cold_graph: Option<Graph>,
     spec: &BackendSpec,
     refresh_every: u64,
 ) -> io::Result<WalBoot> {
+    spec.validate()?;
     if let Some(boot) = Wal::recover(wcfg, spec, refresh_every)? {
         return Ok(boot);
     }

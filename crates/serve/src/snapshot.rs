@@ -133,8 +133,9 @@ impl EmbeddingSnapshot {
     }
 
     /// [`EmbeddingSnapshot::topk_filtered`] answered from the published
-    /// ANN index: the candidate pool is the union of the query's LSH
-    /// buckets (plus `probes` low-margin probes per band) instead of every
+    /// ANN index: the candidate pool is the `128·(probes + 1)` vertices of
+    /// the residue class whose codes are nearest the query's in Hamming
+    /// distance ([`AnnIndex::candidates_filtered`]) instead of every
     /// vertex, then re-ranked *exactly* — scores and tie-breaks are
     /// identical to the brute-force path; only membership of the pool is
     /// approximate. Falls back to the exact scan (and says so) when no
@@ -158,8 +159,8 @@ impl EmbeddingSnapshot {
         let geometry = (self.emb.rows(), self.emb.cols());
         if let Some(index) = self.ann.as_ref().filter(|ix| (ix.num_points(), ix.dim()) == geometry)
         {
-            let mut cands = index.candidates(self.emb.row(node as usize), probes);
-            cands.retain(|&v| v != node && filter.is_none_or(|(m, r)| v % m == r));
+            let mut cands = index.candidates_filtered(self.emb.row(node as usize), probes, filter);
+            cands.retain(|&v| v != node);
             if cands.len() >= k {
                 let (hits, candidates) =
                     Self::rank_top_k(&self.emb, node, k, op, cands.into_iter());
@@ -403,18 +404,24 @@ mod tests {
     #[test]
     fn topk_ann_with_index_matches_exact_on_clustered_data() {
         use seqge_ann::{AnnBuilder, AnnConfig};
-        // Two tight antipodal clusters: candidate recall is perfect, so
-        // ANN and exact must agree bit-for-bit.
-        let emb = Arc::new(NormedMat::from(Mat::from_fn(64, 8, |r, c| {
-            let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
-            sign * (1.0 + (r * 3 + c) as f32 * 0.003)
+        // Eight tight clusters of 50 along ±e₀…±e₃: a vertex's own cluster
+        // is nearer in Hamming distance than any other, so candidate recall
+        // is perfect and ANN and exact must agree bit-for-bit.
+        let emb = Arc::new(NormedMat::from(Mat::from_fn(400, 8, |r, c| {
+            let (axis, sign) = (r % 8 / 2, if r % 2 == 0 { 1.0 } else { -1.0 });
+            let wobble = ((r * 3 + c) % 7) as f32 * 0.01;
+            if c == axis {
+                sign * (1.0 + wobble)
+            } else {
+                wobble
+            }
         })));
         let (index, _) = AnnBuilder::new(AnnConfig::default()).sync(&emb);
         let s = EmbeddingSnapshot { emb, ann: Some(index), ..snap(1, 0) };
         for node in [0, 7, 31] {
-            let ann = s.topk_ann(node, 8, EdgeOp::Cosine, None, 8).unwrap();
-            assert!(!ann.fallback, "cluster bucket holds ≥ 8 candidates");
-            assert!(ann.candidates < 64, "candidate pool is a strict subset");
+            let ann = s.topk_ann(node, 8, EdgeOp::Cosine, None, 0).unwrap();
+            assert!(!ann.fallback, "the nearest codes hold ≥ 8 candidates");
+            assert!(ann.candidates < 399, "candidate pool is a strict subset");
             assert_eq!(ann.hits, s.topk(node, 8, EdgeOp::Cosine).unwrap());
         }
         // Residue filter composes: survivors all match the class.

@@ -4,9 +4,10 @@
 //! guard) and a row scaled by 1e-20 are queried under every `EdgeOp` ×
 //! residue filter × `k` × exact / ANN (probes 0 and 8), and the returned
 //! **id lists** plus `AnnTopK::{candidates, fallback}` are folded into a
-//! hash compared against a recorded value. The values were recorded on the
-//! three-pass `EdgeOp::score` + n-element `select_nth_unstable_by` path;
-//! any rewrite of the scan has to reproduce them. Scores are not pinned by
+//! hash compared against a recorded value. The exact values were recorded
+//! on the three-pass `EdgeOp::score` + n-element `select_nth_unstable_by`
+//! path, the ANN ones on the Hamming-nearest code selection; any rewrite of
+//! the scan has to reproduce them. Scores are not pinned by
 //! bits — a kernel may re-associate its sums — but every returned score
 //! must agree with the scalar three-pass reference below to 1e-12.
 
@@ -136,9 +137,9 @@ fn ranked_reads_are_pinned_at_d32() {
     pinned(
         32,
         [
-            [0x67b2_24e3_9320_7451, 0x671a_eca6_4ab4_520c, 0x0d5e_85cc_bde2_44ba],
-            [0xb2bc_27a4_11a2_747d, 0x92a2_665e_750f_3339, 0xcf17_4ad5_a69a_8968],
-            [0x02a7_82ec_c8af_52ef, 0xffb3_8671_1b93_0ab9, 0x9c7b_df96_6774_d43d],
+            [0x67b2_24e3_9320_7451, 0xa5eb_7895_ded1_25b4, 0x889c_39dd_4d97_0daf],
+            [0xb2bc_27a4_11a2_747d, 0x523c_750d_6e18_4ca4, 0xf5c5_892f_0170_1999],
+            [0x02a7_82ec_c8af_52ef, 0xce02_3e28_073f_bd1e, 0x97da_b82b_e25e_d72a],
         ],
     );
 }
@@ -149,9 +150,9 @@ fn ranked_reads_are_pinned_at_d12() {
     pinned(
         12,
         [
-            [0x978b_45ea_ac0d_3e54, 0xe625_1bbb_9042_8043, 0x2777_9c8a_ec55_1d0b],
-            [0xefad_3f0c_05ee_ddf1, 0x5c45_de68_8fda_851b, 0x0cd5_75d3_4000_bd2c],
-            [0x4556_e1fb_d0c5_d1b6, 0x0901_26fa_7675_1a11, 0x8cc6_7519_b08f_23a3],
+            [0x978b_45ea_ac0d_3e54, 0x56f7_e8be_8297_59a5, 0xa50f_7516_61fd_7306],
+            [0xefad_3f0c_05ee_ddf1, 0x9bd4_445d_f707_c7e1, 0xcbbf_8e28_279a_f7c8],
+            [0x4556_e1fb_d0c5_d1b6, 0x4315_602a_3246_81e7, 0x06ab_fbc6_bd06_20d7],
         ],
     );
 }
@@ -162,9 +163,9 @@ fn ranked_reads_are_pinned_at_d20() {
     pinned(
         20,
         [
-            [0x6350_909f_9653_9d07, 0x3876_aa1d_9e1b_c68a, 0x54c5_54e4_6386_8db4],
-            [0x2d72_ec25_2e05_5e1a, 0xa673_f81f_77dc_c7ca, 0x6972_8773_ae64_ad41],
-            [0x0532_9274_b158_db21, 0x6a80_cc8f_ff09_54ed, 0x6b26_a6fc_1ea4_f31a],
+            [0x6350_909f_9653_9d07, 0x96a7_4421_d761_6078, 0x7f11_e5e7_1626_7a65],
+            [0x2d72_ec25_2e05_5e1a, 0xa2a5_db69_0591_d3a0, 0x30b0_ff26_49ce_ea07],
+            [0x0532_9274_b158_db21, 0x0404_611a_379c_0d9e, 0x5191_6fff_a0f0_f25a],
         ],
     );
 }

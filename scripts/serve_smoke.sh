@@ -2,10 +2,11 @@
 # Smoke test for the seqge-serve daemon: cold-boot a WAL store from a
 # generated graph, run a scripted client session over the line-delimited
 # JSON protocol, scrape the metrics registry, kill -9 the server, restart it
-# from the store alone (the log replays; acked writes survive), and SIGINT
-# that one gracefully; then boot the same graph under `--backend fpga-sim`
-# and scrape its backend series, and finally kill -9 a 2-shard `seqge
-# cluster` and read its flight-recorder dump. Exits non-zero on any failed
+# from the store alone (the log replays; acked writes survive; its ANN read
+# equals the exact one), and SIGINT that one gracefully; then boot the same
+# graph under `--backend fpga-sim` and scrape its backend series, and
+# finally kill -9 a 2-shard `seqge cluster` and read its flight-recorder
+# dump. Exits non-zero on any failed
 # assertion. CI runs this as the `serve-smoke` job.
 #
 # The server logs structured JSONL to stderr (seqge-obs), so readiness and
@@ -208,15 +209,22 @@ replayed=$(sed -n 's/.*"msg":"wal boot ([^)]*): gen 1 segment 1, \([0-9]*\) repl
 [[ ${replayed:-0} -gt 0 ]] ||
   { echo "FAIL: restart replayed nothing"; cat "$work/serve2.log"; exit 1; }
 
-printf '%s\n' '{"cmd":"stats"}' '{"cmd":"score_link","u":1,"v":9,"op":"cosine"}' |
+printf '%s\n' '{"cmd":"stats"}' '{"cmd":"score_link","u":1,"v":9,"op":"cosine"}' \
+  '{"cmd":"topk","node":1,"k":3,"mode":"ann"}' '{"cmd":"topk","node":1,"k":3}' |
   "$BIN" client --addr "$ADDR2" >"$work/session2.out"
 cat "$work/session2.out"
 [[ $(head -n1 "$work/session2.out" | jq '.edges') -eq $edges_before ]] ||
   { echo "FAIL: recovered graph lost acked edges (had $edges_before)"; exit 1; }
 head -n1 "$work/session2.out" | jq -e --argjson n "$replayed" '.wal_replayed == $n' >/dev/null ||
   { echo "FAIL: stats disagree with the boot log on replayed events"; exit 1; }
-tail -n1 "$work/session2.out" | jq -e '.ok and (.score | type == "number")' >/dev/null ||
+sed -n 2p "$work/session2.out" | jq -e '.ok and (.score | type == "number")' >/dev/null ||
   { echo "FAIL: pre-kill acked edge does not score"; exit 1; }
+# The recovered node's index answers `mode:"ann"`; its candidate budget
+# (128 · (8 + 1) nodes) covers the smoke graph, so the reply is the exact one.
+sed -n 3p "$work/session2.out" | jq -e '.ok and .fallback == false' >/dev/null ||
+  { echo "FAIL: recovered node's ann topk fell back or failed"; exit 1; }
+sed -n 3,4p "$work/session2.out" | jq -s -e '.[0].results == .[1].results and (.[0].results | length) == 3' >/dev/null ||
+  { echo "FAIL: recovered node's ann topk differs from the exact one"; exit 1; }
 
 # Graceful SIGINT: drain, commit a final generation, exit 0 — so a replay
 # audit of the store afterwards finds nothing left to replay.

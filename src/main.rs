@@ -91,8 +91,9 @@ commands:
             --wal-replay-check replays the store twice, verifies the
             result is deterministic, prints a report, and exits.
             Every published snapshot carries an incrementally maintained
-            LSH index (8 bands, width sized from the node count) answering
-            `topk` with `\"mode\":\"ann\"` in sublinear time.
+            ANN index (one 128-bit hyperplane code per node) answering
+            `topk` with `\"mode\":\"ann\"` by exactly re-ranking the
+            128·(probes + 1) nodes with the nearest codes.
             SIGINT/SIGTERM drain the in-flight batch before exiting.
             --port 0 = ephemeral)
   cluster  --graph FILE --base-dir DIR [--shards n] [--replicas n]
@@ -416,15 +417,11 @@ fn run_until_stopped(
     Ok(())
 }
 
-/// The `--backend` a daemon trains with (default float). An fpga-sim backend
-/// prices its walks on a modeled build, so `dim` must have one.
-fn backend_kind(flags: &Flags, dim: usize) -> Result<seqge::backend::BackendKind, String> {
+/// The `--backend` a daemon trains with (default float). Whether the rest of
+/// the spec can build it is `BackendSpec::validate`'s, at boot.
+fn backend_kind(flags: &Flags) -> Result<seqge::backend::BackendKind, String> {
     use seqge::backend::BackendKind;
-    let kind = flags.get("backend").map_or(Ok(BackendKind::Float), |v| BackendKind::parse(v))?;
-    if kind == BackendKind::FpgaSim {
-        Build::for_dim(dim)?;
-    }
-    Ok(kind)
+    flags.get("backend").map_or(Ok(BackendKind::Float), |v| BackendKind::parse(v))
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
@@ -435,7 +432,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let mut cfg = TrainConfig::paper_defaults(dim);
     cfg.model.seed = seed;
     let policy = UpdatePolicy::every_edge();
-    let backend = backend_kind(flags, dim)?;
+    let backend = backend_kind(flags)?;
 
     let refresh_every: u64 = get(flags, "refresh-every", 0)?;
     let mut config = serve::ServeConfig {
@@ -475,6 +472,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     } else {
         // Fault injection is environmental (SEQGE_FAULT*); disabled when unset.
         config.fault = std::sync::Arc::new(serve::FaultInjector::from_env()?);
+        spec.validate().map_err(|e| e.to_string())?;
         let g = load(flags)?;
         let t0 = std::time::Instant::now();
         let mut b = spec.cold(g.num_nodes());
@@ -502,7 +500,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 fn cmd_cluster(flags: &Flags) -> Result<(), String> {
     arm_daemon(flags, "cluster")?;
     let dim: usize = get(flags, "dim", 32)?;
-    let train_backend = backend_kind(flags, dim)?;
+    let train_backend = backend_kind(flags)?;
     let seed: u64 = get(flags, "seed", 42)?;
     let port: u16 = get(flags, "port", 7879)?;
     let shards: usize = get(flags, "shards", 2)?;
