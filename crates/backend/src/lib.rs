@@ -52,7 +52,7 @@ pub mod float;
 pub mod fpga_sim;
 pub mod view;
 
-use seqge_core::{persist, OsElmConfig, SeqOutcome, TrainConfig};
+use seqge_core::{persist, NegativeMode, OsElmConfig, SeqOutcome, TrainConfig};
 use seqge_graph::{EdgeEvent, Graph, GraphError, NodeId};
 use seqge_linalg::NormedMat;
 use seqge_sampling::UpdatePolicy;
@@ -235,14 +235,22 @@ pub struct BackendSpec {
 }
 
 impl BackendSpec {
-    /// A spec for `kind`.
+    /// A spec for `kind`. Every serving engine draws the paper's shared
+    /// negatives — one set of `ns` per walk, reused for every window (§3.2,
+    /// after Ji et al. \[10\]) — so both `train.model` and `oselm.model` get
+    /// [`NegativeMode::PerWalk`] whatever the caller passed. One event then
+    /// writes at most `2·(l + ns)` β rows. A persisted store keeps the rule
+    /// in its own config, so a store written under another rule recovers and
+    /// replays under that one ([`BackendSpec::load`]).
     pub fn new(
         kind: BackendKind,
-        train: TrainConfig,
-        oselm: OsElmConfig,
+        mut train: TrainConfig,
+        mut oselm: OsElmConfig,
         policy: UpdatePolicy,
         seed: u64,
     ) -> BackendSpec {
+        train.model.negative_mode = NegativeMode::PerWalk;
+        oselm.model.negative_mode = NegativeMode::PerWalk;
         BackendSpec { kind, train, oselm, policy, seed }
     }
 

@@ -73,12 +73,12 @@ const MASKED: &[&str] = &[
 const NODE_REPLIES: [u64; 27] = [
     0xfb3e8683b9dfe8f5,
     0x215a5e5ce2f335a5,
-    0x184d95bb66477830,
-    0xf5e5e32023b6e813,
-    0x63ff7968157467aa,
-    0x8aeb06c7fb9d6c16,
-    0x5c6676f68027647f,
-    0xa4a7b7b440bfea85,
+    0x737634b9b61325a4,
+    0xce6578cb6fd89b1a,
+    0xfa153be1bcf46185,
+    0x1dafa3462b69a08f,
+    0x22efa56139362ab5,
+    0x84ede03757f67a2e,
     0x3b67458468981f04,
     0xd227fd24ec9fe0e1,
     0x372f71fb9d166a2f,
@@ -87,8 +87,8 @@ const NODE_REPLIES: [u64; 27] = [
     0xd231fd24eca83566,
     0x3b67458468981f04,
     0xd238f924ecae4d48,
-    0x6fc894b5f77a11e3,
-    0x9e746187a06af589,
+    0x9f0e89397f0dee6b,
+    0x10c18a342aa6c151,
     0x61bd2f4f9c8e6c38,
     0xa65b4e4cd49078b1,
     0x2f5165b12633f1f4,
@@ -96,7 +96,7 @@ const NODE_REPLIES: [u64; 27] = [
     0x2d624342a9631ddc,
     0x8e21b5a79debf372,
     0x576296b5c8025b5d,
-    0xe8d53c8a7fda3283,
+    0x9f5117525edbd863,
     0xfb3e8683b9dfe8f5,
 ];
 
@@ -104,12 +104,12 @@ const NODE_REPLIES: [u64; 27] = [
 const ROUTER_REPLIES: [u64; 27] = [
     0xecd7c9f5ac26748a,
     0x545bf0ddc252481a,
-    0x9958f9178d1be5a1,
-    0x2e8a6af4ad2fd583,
-    0x2e8a6af4ad2fd583,
-    0xb88d87d9eaab8f8c,
-    0xe266796803e8408f,
-    0xf021abdd38708bbc,
+    0xdcfbc0bb4bfc4929,
+    0x8719a6078688253b,
+    0x8719a6078688253b,
+    0xb3078507cfc2e45a,
+    0x89beb32a7054ce51,
+    0xa0f67e1d753996a9,
     0x075742faacc90ef9,
     0x6b5a0f089c0ff875,
     0xce77eb9f393dd5e2,
@@ -118,8 +118,8 @@ const ROUTER_REPLIES: [u64; 27] = [
     0xaa7483fa1edcfb4f,
     0xff2119faa842d932,
     0xe2709d2bd82c6601,
-    0x632cd0a7eb7434f0,
-    0xf15d39369b5965ed,
+    0x79ad1a5edd9f6c01,
+    0x0986b625b447254b,
     0x82d09a473312a319,
     0x669509ad1b94cd11,
     0x8147c8f53ce29a4d,
