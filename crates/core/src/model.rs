@@ -80,6 +80,14 @@ impl NegativeDraw {
         }
     }
 
+    /// The walk's shared set under [`NegativeMode::PerWalk`], as the last
+    /// [`NegativeDraw::begin_walk`] drew it: what [`NegativeDraw::for_positive`]
+    /// returns for every positive of that walk. Empty under
+    /// [`NegativeMode::PerPosition`].
+    pub fn shared(&self) -> &[NodeId] {
+        &self.shared
+    }
+
     /// Negatives per positive (`ns`).
     pub fn ns(&self) -> usize {
         self.ns

@@ -24,7 +24,7 @@
 //! `β` is stored transposed (`N×d`, row per node) so every column access is
 //! a contiguous row.
 
-use crate::config::ModelConfig;
+use crate::config::{ModelConfig, NegativeMode};
 use crate::dirty::DirtyRows;
 use crate::model::{init_weight, EmbeddingModel, NegativeDraw};
 use seqge_graph::NodeId;
@@ -226,11 +226,12 @@ impl OsElmSkipGram {
         }
     }
 
-    /// Trains one context against the positives/negatives the caller left in
-    /// `scratch.samples`.
-    fn train_context(&mut self, center: NodeId) {
+    /// Algorithm 1 lines 2–7 for one context: `H = μ·β[:, center]`, the
+    /// `P` downdate, and the gain `PʜΝ`, left in `scratch.h` / `scratch.phn`
+    /// for the column updates that follow ([`column_update`]).
+    fn context_gain(&mut self, center: NodeId) {
         let d = self.cfg.model.dim;
-        let Scratch { h, ph, phn, samples } = &mut self.scratch;
+        let Scratch { h, ph, phn, .. } = &mut self.scratch;
         // H = μ·β[:,center]
         let brow = self.beta_t.row(center as usize);
         for i in 0..d {
@@ -276,52 +277,87 @@ impl OsElmSkipGram {
                 phn[i] = ph[i] * rescale;
             }
         }
-        // Column updates: per-sample dot → axpy interleave, exactly
-        // Algorithm 1 lines 9–10. Each dot and axpy is internally unrolled,
-        // and touching a row's 128 bytes for both its read and its update
-        // in one pass beats the gather-then-scatter block form that the
-        // dataflow model uses — there the gather is *semantic* (stage 3
-        // reads frozen β), here it would only add a second pass plus
-        // duplicate-row bookkeeping. At n = 50 000 those bytes are cold; they
-        // are in L1 here only because `train_walk` prefetched each row as it
-        // was drawn.
-        for &(sample, y) in samples.iter() {
-            let row = self.beta_t.row_mut(sample as usize);
-            let e = y - ops::dot(h, row);
-            ops::axpy(e, phn, row);
-        }
-        // Marked after the update loop, not inside it: one byte store per
-        // sample keeps the dot → axpy chain free of extra memory traffic.
-        for &(sample, _) in samples.iter() {
-            self.dirty.mark(sample);
-        }
     }
+}
+
+/// Algorithm 1 lines 9–10 for one sample: `e = y − H·β[:, sample]`, then
+/// `β[:, sample] += PʜΝ·e`. The dot and the axpy are each internally
+/// unrolled, and touching a row's 128 bytes for both its read and its update
+/// in one pass beats the gather-then-scatter block form that the dataflow
+/// model uses — there the gather is *semantic* (stage 3 reads frozen β),
+/// here it would only add a second pass plus duplicate-row bookkeeping.
+#[inline(always)]
+fn column_update(beta_t: &mut Mat<f32>, h: &[f32], phn: &[f32], sample: NodeId, y: f32) {
+    let row = beta_t.row_mut(sample as usize);
+    let e = y - ops::dot(h, row);
+    ops::axpy(e, phn, row);
 }
 
 impl EmbeddingModel for OsElmSkipGram {
     fn train_walk(&mut self, walk: &[NodeId], negatives: &NegativeTable, rng: &mut Rng64) {
         self.draw.begin_walk(walk, negatives, rng);
+        let per_walk = self.cfg.model.negative_mode == NegativeMode::PerWalk;
+        // Every β row the walk will touch is hinted into L1 the moment it is
+        // known, as the paper's host streams pre-sampled rows into the
+        // fabric: at n = 50 000 they are cold, random reads into a 6.4 MB
+        // matrix, and the work between a row's prefetch and its dot product
+        // hides the miss. The shared negatives are known once per walk and
+        // stay hot after their first context. Drawing reads only the RNG and
+        // the alias table, so no sample, RNG word or update moves.
+        if per_walk {
+            for &neg in self.draw.shared() {
+                ops::prefetch_row(self.beta_t.row(neg as usize));
+            }
+        }
         let mut ctxs = 0u64;
         for (center, positives) in context_windows(walk, self.cfg.model.window) {
-            // Every β row the context will touch is hinted into L1 the moment
-            // it is known, as the paper's host streams pre-sampled rows into
-            // the fabric: at n = 50 000 they are cold, random reads into a
-            // 6.4 MB matrix, and the draws between a row's prefetch and its
-            // dot product hide the miss. Drawing reads only the RNG and the
-            // alias table, so no sample, RNG word or update moves.
             ops::prefetch_row(self.beta_t.row(center as usize));
-            let samples = &mut self.scratch.samples;
-            samples.clear();
-            for &pos in positives {
-                samples.push((pos, 1.0));
-                ops::prefetch_row(self.beta_t.row(pos as usize));
-                for &neg in self.draw.for_positive(pos, negatives, rng) {
-                    samples.push((neg, 0.0));
-                    ops::prefetch_row(self.beta_t.row(neg as usize));
+            if per_walk {
+                for &pos in positives {
+                    ops::prefetch_row(self.beta_t.row(pos as usize));
+                }
+                self.context_gain(center);
+                // Each positive, then the walk's shared set in place:
+                // p₁, n₁…n_ns, p₂, … — the order of the per-position path.
+                let Scratch { h, phn, .. } = &self.scratch;
+                for &pos in positives {
+                    column_update(&mut self.beta_t, h, phn, pos, 1.0);
+                    for &neg in self.draw.shared() {
+                        column_update(&mut self.beta_t, h, phn, neg, 0.0);
+                    }
+                }
+                // Marked after the update loop, not inside it: one byte
+                // store per row keeps the dot → axpy chain free of extra
+                // memory traffic. The shared rows are marked once per walk.
+                for &pos in positives {
+                    self.dirty.mark(pos);
+                }
+            } else {
+                let samples = &mut self.scratch.samples;
+                samples.clear();
+                for &pos in positives {
+                    samples.push((pos, 1.0));
+                    ops::prefetch_row(self.beta_t.row(pos as usize));
+                    for &neg in self.draw.for_positive(pos, negatives, rng) {
+                        samples.push((neg, 0.0));
+                        ops::prefetch_row(self.beta_t.row(neg as usize));
+                    }
+                }
+                self.context_gain(center);
+                let Scratch { h, phn, samples, .. } = &self.scratch;
+                for &(sample, y) in samples {
+                    column_update(&mut self.beta_t, h, phn, sample, y);
+                }
+                for &(sample, _) in samples {
+                    self.dirty.mark(sample);
                 }
             }
-            self.train_context(center);
             ctxs += 1;
+        }
+        if per_walk && ctxs > 0 {
+            for &neg in self.draw.shared() {
+                self.dirty.mark(neg);
+            }
         }
         // One registry touch per walk, not per context: the inner loop is
         // the paper's Algorithm 1 hot path.
