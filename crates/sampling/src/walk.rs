@@ -29,7 +29,9 @@ pub trait WalkGraph {
     fn degree(&self, u: NodeId) -> usize;
     /// `i`-th neighbor of `u` with its edge weight.
     fn neighbor_at(&self, u: NodeId, i: usize) -> (NodeId, f32);
-    /// Whether `(u, v)` is an edge.
+    /// Whether `(u, v)` is an edge. The walk asks `has_edge(prev, x)` for
+    /// every neighbour `x` of the current node, so an implementation may
+    /// scan `u`'s list, which stays in cache for the whole step.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool;
 }
 
@@ -65,9 +67,12 @@ impl WalkGraph for Graph {
     fn neighbor_at(&self, u: NodeId, i: usize) -> (NodeId, f32) {
         self.neighbors(u)[i]
     }
+    /// Scans `u`'s list alone: the same answer as [`Graph::has_edge`] on an
+    /// undirected graph, without reading `v`'s entry to compare degrees —
+    /// one likely cache miss per candidate of a step.
     #[inline]
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        Graph::has_edge(self, u, v)
+        self.neighbors(u).iter().any(|&(w, _)| w == v)
     }
 }
 
