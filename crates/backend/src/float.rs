@@ -1,10 +1,10 @@
-//! The float OS-ELM backend — the pre-refactor serving engine behind the
-//! trait, bit-identical to driving [`OsElmSkipGram`] +
-//! [`IncrementalTrainer`] by hand: every trait method delegates exactly the
-//! call the serve trainer used to make, in the same order, on the same RNG
-//! stream. The published view lives in a [`ViewBuffer`]: a publish
-//! re-renders only the rows of `μ·βᵀ` whose β the model wrote since the last
-//! one.
+//! The float OS-ELM backend — Algorithm 1 over the shared per-walk
+//! negatives [`crate::BackendSpec::new`] sets, bit-identical to driving
+//! [`OsElmSkipGram`] + [`IncrementalTrainer`] by hand: every trait method
+//! delegates exactly one call, in the same order, on the same RNG stream.
+//! The published view lives in a [`ViewBuffer`]: a publish re-renders only
+//! the rows of `μ·βᵀ` whose β the model wrote since the last one, at most
+//! `2·(l + ns)` per event.
 
 use crate::{BackendKind, TrainBackend, ViewBuffer};
 use seqge_core::model::EmbeddingModel;

@@ -6,11 +6,17 @@
 //! `seqge-fpga` repro; the online server always trained in float. The
 //! [`TrainBackend`] trait makes the training engine a *configuration choice*:
 //!
-//! * [`FloatBackend`] — the existing float OS-ELM
+//! * [`FloatBackend`] — the float OS-ELM, Algorithm 1
 //!   ([`seqge_core::OsElmSkipGram`] driven by
-//!   [`seqge_core::IncrementalTrainer`]), refactored behind the trait with
-//!   bit-identical behavior: the trait methods delegate exactly the calls the
-//!   serve trainer used to make, in the same order, on the same RNG stream.
+//!   [`seqge_core::IncrementalTrainer`]): the trait methods delegate exactly
+//!   the calls a hand-driven model and driver make, in the same order, on
+//!   the same RNG stream.
+//!
+//! Both draw the paper's shared negatives — one set of `ns` per walk, reused
+//! for every window (§3.2) — because [`BackendSpec::new`] sets
+//! [`NegativeMode::PerWalk`]. An event's two walks therefore write at most
+//! `2·(l + ns)` β rows (180 at Table 2's `l = 80`, `ns = 10`), and the
+//! publish and the index sync behind it visit no more.
 //! * [`FpgaSimBackend`] — the paper's accelerator semantics online: every
 //!   walk runs through the Q8.24 functional kernel
 //!   ([`seqge_fpga::Accelerator`], deferred Δβ committed per walk, cycle
@@ -70,7 +76,8 @@ pub use view::ViewBuffer;
 /// shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum BackendKind {
-    /// Float OS-ELM (`OsElmSkipGram`), the pre-existing serving default.
+    /// Float OS-ELM (`OsElmSkipGram`, Algorithm 1 over shared per-walk
+    /// negatives), the serving default.
     Float,
     /// Fixed-point deferred-Δ accelerator semantics (`seqge-fpga` kernel).
     FpgaSim,
@@ -326,6 +333,18 @@ impl BackendSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_spec_serves_shared_per_walk_negatives() {
+        let mut train = TrainConfig::paper_defaults(8);
+        train.model.negative_mode = NegativeMode::PerPosition;
+        let oselm = OsElmConfig { model: train.model, ..OsElmConfig::paper_defaults(8) };
+        for kind in [BackendKind::Float, BackendKind::FpgaSim] {
+            let spec = BackendSpec::new(kind, train, oselm, UpdatePolicy::every_edge(), 1);
+            assert_eq!(spec.train.model.negative_mode, NegativeMode::PerWalk, "{kind}");
+            assert_eq!(spec.oselm.model.negative_mode, NegativeMode::PerWalk, "{kind}");
+        }
+    }
 
     #[test]
     fn backend_kinds_parse_only_their_documented_spelling() {

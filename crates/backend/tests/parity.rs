@@ -374,6 +374,36 @@ fn delta_publish_sequence_reproduces_the_pins() {
     assert!(syncs.iter().all(|[_, empty]| *empty == (40, 0, 0)), "{syncs:?}");
 }
 
+/// The serving rule's bound, executable: under shared per-walk negatives an
+/// event's two walks write at most `2·(l + ns)` β rows (each walk's `l`
+/// nodes and its one set of `ns` negatives), so the publish after one event
+/// re-renders no more, under both backends. The graph is ten times that
+/// size, where a fresh set per positive would touch several hundred rows.
+#[test]
+fn one_event_publishes_at_most_two_walks_of_rows() {
+    let full = erdos_renyi(440, 0.02, 7);
+    let split = spanning_forest(&full);
+    let events: Vec<_> = split.removed_edges.iter().map(|&(u, v)| EdgeEvent::Add(u, v)).collect();
+    let cfg = train_cfg();
+    let bound = 2 * (cfg.walk.walk_length + cfg.model.negative_samples);
+    for kind in [BackendKind::Float, BackendKind::FpgaSim] {
+        let mut g = split.initial_graph(&full);
+        let mut be = spec(kind).cold(g.num_nodes());
+        be.bootstrap(&g);
+        be.publish_view();
+        for &e in &events[..32] {
+            assert!(be.ingest(&mut g, e).unwrap() > 0, "{kind}: {e:?} trains walks");
+            be.publish_view();
+            let (_, rows) = be.last_delta().expect("both backends keep their delta");
+            assert!(
+                !rows.is_empty() && rows.len() <= bound,
+                "{kind}: {e:?} dirtied {}",
+                rows.len()
+            );
+        }
+    }
+}
+
 /// The kernel's saturation count is the health signal that does not wait
 /// for a shadowed window: zero on a healthy stream, and rising in the
 /// unshadowed windows of a backend loaded on the rails (`stream_pin.rs`'s

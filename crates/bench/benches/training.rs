@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use seqge_ann::{AnnBuilder, AnnConfig, AnnIndex};
-use seqge_backend::ViewBuffer;
+use seqge_backend::{BackendSpec, ViewBuffer};
 use seqge_bench::prepared_walks;
 use seqge_core::model::EmbeddingModel;
 use seqge_core::{
@@ -19,7 +19,7 @@ use seqge_fpga::Accelerator;
 use seqge_graph::generators::{PlantedPartition, SbmParams};
 use seqge_graph::Dataset;
 use seqge_linalg::{ops, Mat, NormedMat};
-use seqge_sampling::Rng64;
+use seqge_sampling::{Rng64, UpdatePolicy};
 use seqge_serve::EmbeddingSnapshot;
 use std::sync::Arc;
 
@@ -58,7 +58,8 @@ fn bench_training(c: &mut Criterion) {
     // L2 and every sample's row is a cold read; the ≈ 810-row Cora graph
     // above stays cache-resident, the control. A planted partition of
     // 50 000 nodes in blocks of ≈ 224, 3.5 edges per node, r = 1, an
-    // every-edge table, every walk in turn.
+    // every-edge table, every walk in turn. Per-position negatives (the
+    // offline tables' rule) and the serving rule, one shared set per walk.
     let mut cfg = TrainConfig::paper_defaults(32);
     cfg.walk.walks_per_node = 1;
     let params = SbmParams::new(50_000, 175_000, 223);
@@ -67,6 +68,8 @@ fn bench_training(c: &mut Criterion) {
     let ocfg = OsElmConfig { model: cfg.model, ..OsElmConfig::paper_defaults(32) };
     let n = graph.num_nodes();
     bench_model!("proposed_oselm_50k", 32, walks, &table, OsElmSkipGram::new(n, ocfg));
+    let served = BackendSpec::float(cfg, ocfg, UpdatePolicy::every_edge(), 7).oselm;
+    bench_model!("proposed_oselm_50k_per_walk", 32, walks, &table, OsElmSkipGram::new(n, served));
     group.finish();
 }
 

@@ -90,8 +90,9 @@ pub(crate) struct Scratch {
     pub h: Vec<f32>,
     pub ph: Vec<f32>,
     pub phn: Vec<f32>,
-    /// The current context's `(sample, target)` list: each positive, then
-    /// its negatives.
+    /// The current context's `(sample, target)` list under per-position
+    /// negatives: each positive, then its own fresh set. Shared per-walk
+    /// negatives are read in place instead.
     pub samples: Vec<(NodeId, f32)>,
 }
 

@@ -10,11 +10,15 @@
 use proptest::prelude::*;
 use seqge_backend::{BackendSpec, TrainBackend};
 use seqge_core::model::EmbeddingModel;
-use seqge_core::{OsElmConfig, TrainConfig};
+use seqge_core::{
+    persist, IncrementalTrainer, ModelConfig, NegativeMode, OsElmConfig, OsElmSkipGram, TrainConfig,
+};
 use seqge_graph::generators::classic::erdos_renyi;
 use seqge_graph::{spanning_forest, EdgeEvent};
 use seqge_sampling::UpdatePolicy;
-use seqge_serve::wal::{encode_record, read_segment, FsyncPolicy, Wal, WalConfig, MAGIC};
+use seqge_serve::wal::{
+    encode_record, read_segment, verify_replay, FsyncPolicy, Wal, WalConfig, MAGIC,
+};
 use seqge_serve::FaultInjector;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -62,11 +66,16 @@ fn write_file(path: &Path, bytes: &[u8]) {
 /// Commits a store over the spanning forest of a small random graph and
 /// appends `events` through the real append path; returns the held-out
 /// edges that were appended.
-fn committed_store(dir: &Path, graph_seed: u64, take: usize) -> Vec<(u32, u32)> {
+fn committed_store(
+    dir: &Path,
+    spec: &BackendSpec,
+    graph_seed: u64,
+    take: usize,
+) -> Vec<(u32, u32)> {
     let full = erdos_renyi(12, 0.3, graph_seed);
     let split = spanning_forest(&full);
     let initial = split.initial_graph(&full);
-    let mut backend = spec().cold(initial.num_nodes());
+    let mut backend = spec.cold(initial.num_nodes());
     backend.bootstrap(&initial);
     let wcfg = WalConfig { dir: dir.to_path_buf(), fsync: FsyncPolicy::Never };
     let wal = Wal::init(&wcfg, &*backend, &initial).unwrap();
@@ -200,7 +209,7 @@ proptest! {
     fn duplicate_records_are_idempotent(graph_seed in 0u64..500) {
         let dir = scratch("dup");
         std::fs::create_dir_all(&dir).unwrap();
-        let edges = committed_store(&dir, graph_seed, 6);
+        let edges = committed_store(&dir, &spec(), graph_seed, 6);
         prop_assume!(edges.len() >= 2);
         let pristine = scratch("dup_ref");
         copy_dir(&dir, &pristine);
@@ -243,7 +252,7 @@ fn empty_and_zero_byte_segments_recover_to_snapshot_state() {
     for wipe in [false, true] {
         let dir = scratch(if wipe { "zero" } else { "empty" });
         std::fs::create_dir_all(&dir).unwrap();
-        committed_store(&dir, 3, 0);
+        committed_store(&dir, &spec(), 3, 0);
         if wipe {
             std::fs::File::create(dir.join("wal.0.log")).unwrap();
         }
@@ -323,5 +332,49 @@ fn failed_fsync_refuses_the_append_and_the_next_one_reuses_its_seq() {
     assert_eq!((boot.report.replayed, boot.report.duplicates), (2, 0));
     assert_eq!(boot.report.next_seq, 3);
     assert_eq!(boot.graph.num_edges(), initial.num_edges() + 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store written when the float backend still drew fresh negatives per
+/// positive keeps that rule: it lives in the snapshot's persisted config,
+/// not in the spec, so recovery under today's spec (shared per-walk
+/// negatives) replays the log exactly as a hand-driven `PerPosition` model
+/// over the same snapshot and events does, and the read-only audit finds
+/// the replay deterministic.
+#[test]
+fn a_per_position_store_recovers_under_its_own_rule() {
+    let mut train = train_cfg();
+    train.model.negative_mode = NegativeMode::PerPosition;
+    let old = BackendSpec { train, oselm: OsElmConfig { model: train.model, ..ocfg() }, ..spec() };
+    assert_eq!(spec().oselm.model.negative_mode, NegativeMode::PerWalk);
+    let dir = scratch("per_position");
+    std::fs::create_dir_all(&dir).unwrap();
+    let edges = committed_store(&dir, &old, 3, 6);
+    assert!(edges.len() >= 2, "the graph holds out a stream");
+
+    let wcfg = WalConfig { dir: dir.clone(), fsync: FsyncPolicy::Never };
+    let check = verify_replay(&wcfg, &spec(), 0).unwrap();
+    assert!(check.deterministic, "two replays of the store agree bit for bit");
+    assert_eq!(check.report.replayed, edges.len() as u64);
+
+    // The snapshot's model, replayed by hand under each rule.
+    let replay = |mode| {
+        let m = persist::load_oselm(dir.join("model.0.sge")).unwrap();
+        let cfg = m.config();
+        let cfg = OsElmConfig { model: ModelConfig { negative_mode: mode, ..cfg.model }, ..*cfg };
+        let mut model = OsElmSkipGram::from_parts(m.beta_t().clone(), m.p().clone(), cfg).unwrap();
+        let full = erdos_renyi(12, 0.3, 3);
+        let mut g = spanning_forest(&full).initial_graph(&full);
+        let mut inc =
+            IncrementalTrainer::new(g.num_nodes(), &train, UpdatePolicy::every_edge(), SEED);
+        for &(u, v) in &edges {
+            inc.ingest(&mut g, EdgeEvent::Add(u, v), &mut model).unwrap();
+        }
+        model.embedding().as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+    };
+    let mut boot = recover(&dir);
+    let recovered = embedding_bits(boot.backend.as_mut());
+    assert_eq!(recovered, replay(NegativeMode::PerPosition), "the store's own rule");
+    assert_ne!(recovered, replay(NegativeMode::PerWalk), "not the spec's");
     std::fs::remove_dir_all(&dir).unwrap();
 }

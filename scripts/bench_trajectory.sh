@@ -6,6 +6,8 @@
 # equal seeds (seed = pair number; ten pairs on the claimed workload, three on
 # the others) and one --trace 1 pair on seed 7 of the claimed workload, and
 # writes BENCH_<pr>.json. About 50 minutes on 2 vCPUs, two cold builds included.
+# Quality metrics are deterministic per seed, so each workload also lists its
+# per-seed (seed, parent, change) values of link_auc and ann_recall_at_10.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 pr=${1:?usage: bench_trajectory.sh <pr> <parent-rev> [claimed-workload] [claimed-metric]}
@@ -57,7 +59,9 @@ jq -n --slurpfile b BENCHMARK.json --argjson host "$host" --arg pr "$pr" --arg r
            end_to_end: ($b.end_to_end | map(.name as $m | (if .better == "lower" then -1 else 1 end) as $sign
              | [range($p | length) | ($c[.].m[$m].value - $p[.].m[$m].value) * $sign] as $d
              | {key: $m, value: {parent: ($p | map(.m[$m].value) | stats), change: ($c | map(.m[$m].value) | stats),
-                 pairs_won: ($d | map(select(. > 0)) | length), pairs_lost: ($d | map(select(. < 0)) | length)}}) | from_entries)}})
+                 pairs_won: ($d | map(select(. > 0)) | length), pairs_lost: ($d | map(select(. < 0)) | length)}}) | from_entries),
+           quality: (["link_auc", "ann_recall_at_10"] | map(. as $m | {key: $m, value: [range($p | length)
+             | {seed: ($p[.].f.seed | tonumber), parent: $p[.].m[$m].value, change: $c[.].m[$m].value}]}) | from_entries)}})
        | from_entries),
      per_layer: (side($r; $claimed; "parent"; "1")[0].m as $p | side($r; $claimed; "change"; "1")[0].m as $c
        | {workload: $claimed, seed: 7, lines: ($b.per_layer | map(.name as $m | select($p[$m] and $c[$m])

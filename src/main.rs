@@ -71,7 +71,9 @@ commands:
            [--wal-dir DIR] [--fsync always|batch|never] [--wal-replay-check]
            (long-running daemon; line-delimited JSON over TCP.
             --backend picks the training backend: `float` is the OS-ELM
-            pipeline in f32; `fpga-sim` runs the paper's deferred-delta
+            pipeline in f32 (Algorithm 1 over the paper's shared per-walk
+            negatives, so an event writes at most 2·(l + ns) = 180 rows
+            of the embedding); `fpga-sim` runs the paper's deferred-delta
             fixed-point accelerator kernel online, exporting its cycle
             model as a live ingest planner (seqge_backend_cycles_total /
             predicted vs measured eps), its accuracy deviation from a
